@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.hashing import digest_value
 from ..governance.schedule import ConfigSchedule
 from ..governance.transactions import install_configuration
 from ..kvstore import Checkpoint, KVStore, ProcedureRegistry
@@ -122,7 +121,7 @@ def replay_ledger(
                             blamed=blame(seqno),
                         )
                     )
-                g_tree.append(digest_value(entry.tio()))
+                g_tree.append(entry.leaf_digest())
                 continue
             assert isinstance(entry, TxEntry)
             request = entry.request()
@@ -140,9 +139,9 @@ def replay_ledger(
                         blamed=blame(seqno),
                     )
                 )
-                g_tree.append(digest_value(entry.tio()))
+                g_tree.append(entry.leaf_digest())
                 continue
-            g_tree.append(digest_value(entry.tio()))
+            g_tree.append(entry.leaf_digest())
         if g_tree.root() != pp.root_g:
             findings.append(
                 ReplayFinding(

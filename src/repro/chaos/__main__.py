@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .harness import run_schedule
 from .schedule import ChaosParams, generate_schedule
@@ -25,6 +26,10 @@ from .shrink import shrink_schedule
 # The CI soak matrix.  Pinned: a new seed is appended, never substituted,
 # so a green history stays comparable across commits.
 SOAK_SEEDS = (1, 2, 3, 5, 8, 13, 21, 34)
+
+# Where a failing seed's Perfetto trace goes, relative to the current
+# directory (git-ignored: CI runs from the repository root).
+TRACE_DIR = Path("chaos-out")
 
 
 def build_params(args) -> ChaosParams:
@@ -57,7 +62,8 @@ def run_one(seed: int, params: ChaosParams, args) -> bool:
         if result.span_tracer is not None:
             from ..obs.export import write_perfetto
 
-            trace_path = f"chaos-trace-seed{seed}.json"
+            TRACE_DIR.mkdir(exist_ok=True)
+            trace_path = TRACE_DIR / f"chaos-trace-seed{seed}.json"
             write_perfetto(trace_path, result.span_tracer)
             print(f"  trace: {trace_path} (open in ui.perfetto.dev, "
                   f"or: python -m repro.obs summarize {trace_path})")

@@ -17,6 +17,7 @@ versions and platforms.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Iterator
 
 from .errors import CodecError
@@ -32,18 +33,62 @@ _TAG_SEQ = 0x06
 _TAG_MAP = 0x07
 
 
+class Sealed(tuple):
+    """A sequence that carries its own canonical encoding.
+
+    Invariant: ``wire_bytes == encode(tuple(self))``, and nothing reachable
+    from the sequence is mutated after sealing.  :func:`seal` is the only
+    constructor and produces the bytes by encoding the value — bytes
+    arriving from outside are never trusted into a seal.  The encoder
+    splices ``wire_bytes`` verbatim wherever the value is embedded, so a
+    request sealed by its client is serialised once however many ledger
+    entries, Merkle leaves and receipts carry it.
+
+    Being a ``tuple``, a sealed value destructures, compares, hashes and
+    round-trips through :func:`decode` exactly like the plain one; anything
+    derived from it (a slice, a concatenation, ``tuple(v)``) is plain again.
+    ``digest`` memoises :func:`repro.crypto.hashing.digest_value`.
+    """
+
+    wire_bytes: bytes
+    digest: bytes | None = None
+
+
+def seal(value: tuple | list) -> Sealed:
+    """Encode ``value`` once and return it carrying those bytes."""
+    if type(value) is Sealed:
+        return value
+    plain = tuple(value)
+    sealed = Sealed(plain)
+    sealed.wire_bytes = encode(plain)
+    return sealed
+
+
+def memoised(method):
+    """Compute a no-argument method of an immutable instance once.
+
+    The result lives in the instance ``__dict__`` and is not a dataclass
+    field: ``==``, ``repr`` and ``dataclasses.replace`` never see it, so a
+    re-signed or otherwise altered copy starts with nothing cached."""
+    key = "_" + method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            value = self.__dict__[key] = method(self)
+            return value
+
+    return cached
+
+
 def _write_varint(out: bytearray, value: int) -> None:
     """Append an unsigned LEB128 varint."""
-    if value < 0:
-        raise CodecError(f"varint must be non-negative, got {value}")
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    out.append(value)
 
 
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
@@ -63,66 +108,150 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
             raise CodecError("varint too long")
 
 
-def _encode_into(out: bytearray, value: Any) -> None:
-    if value is None:
-        out.append(_TAG_NONE)
-    elif value is True:
-        out.append(_TAG_TRUE)
-    elif value is False:
-        out.append(_TAG_FALSE)
-    elif isinstance(value, int):
-        out.append(_TAG_INT)
+# -- encoding: one encoder per type, found through ``_ENCODERS`` ---------------
+
+_ZIGZAG_LIMIT = 2**62  # beyond it ints take the sign-and-magnitude form
+_ZIGZAG = bytes((_TAG_INT, 0x00))
+_SMALL_INTS = [_ZIGZAG + bytes((value << 1,)) for value in range(64)]
+
+
+def _encode_none(out: bytearray, value: None) -> None:
+    out.append(_TAG_NONE)
+
+
+def _encode_bool(out: bytearray, value: bool) -> None:
+    out.append(_TAG_TRUE if value else _TAG_FALSE)
+
+
+def _encode_int(out: bytearray, value: int) -> None:
+    if 0 <= value < 64:
+        out += _SMALL_INTS[value]
+    elif -_ZIGZAG_LIMIT < value < _ZIGZAG_LIMIT:
+        out += _ZIGZAG
         # Zig-zag encode so negative ints get compact varints.
-        zz = (value << 1) ^ (value >> 63) if -(2**62) < value < 2**62 else None
-        if zz is None or zz < 0:
-            # Arbitrary precision fallback: sign byte + magnitude bytes.
-            magnitude = abs(value)
-            raw = magnitude.to_bytes((magnitude.bit_length() + 7) // 8 or 1, "big")
-            out.append(0xFF)
-            out.append(0x01 if value < 0 else 0x00)
-            _write_varint(out, len(raw))
-            out.extend(raw)
-        else:
-            out.append(0x00)
-            _write_varint(out, zz)
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        out.append(_TAG_BYTES)
-        raw = bytes(value)
-        _write_varint(out, len(raw))
-        out.extend(raw)
-    elif isinstance(value, str):
-        out.append(_TAG_STR)
-        raw = value.encode("utf-8")
-        _write_varint(out, len(raw))
-        out.extend(raw)
-    elif isinstance(value, (tuple, list)):
-        out.append(_TAG_SEQ)
-        _write_varint(out, len(value))
-        for item in value:
-            _encode_into(out, item)
-    elif isinstance(value, dict):
-        out.append(_TAG_MAP)
-        _write_varint(out, len(value))
-        try:
-            keys = sorted(value.keys())
-        except TypeError as exc:
-            raise CodecError("map keys must be sortable strings") from exc
-        for key in keys:
-            if not isinstance(key, str):
-                raise CodecError(f"map keys must be str, got {type(key).__name__}")
-            raw = key.encode("utf-8")
-            _write_varint(out, len(raw))
-            out.extend(raw)
-            _encode_into(out, value[key])
+        _write_varint(out, (value << 1) ^ (value >> 63))
     else:
-        raise CodecError(f"cannot encode value of type {type(value).__name__}")
+        magnitude = abs(value)
+        raw = magnitude.to_bytes((magnitude.bit_length() + 7) // 8, "big")
+        out += bytes((_TAG_INT, 0xFF, value < 0))
+        _write_varint(out, len(raw))
+        out += raw
+
+
+def _encode_bytes(out: bytearray, value: bytes | bytearray) -> None:
+    out.append(_TAG_BYTES)
+    _write_varint(out, len(value))
+    out += value
+
+
+def _encode_memoryview(out: bytearray, value: memoryview) -> None:
+    _encode_bytes(out, bytes(value))  # len() of a view counts items, not bytes
+
+
+def _encode_str(out: bytearray, value: str) -> None:
+    raw = value.encode("utf-8")
+    out.append(_TAG_STR)
+    _write_varint(out, len(raw))
+    out += raw
+
+
+def _encode_seq(out: bytearray, value: tuple | list) -> None:
+    out.append(_TAG_SEQ)
+    _write_varint(out, len(value))
+    for item in value:
+        # The three leaf types that fill protocol messages are written
+        # inline; a length below 128 is its own one-byte varint.
+        kind = type(item)
+        if kind is int and 0 <= item < _ZIGZAG_LIMIT:
+            if item < 64:
+                out += _SMALL_INTS[item]
+            else:
+                out += _ZIGZAG
+                _write_varint(out, item << 1)
+            continue
+        if kind is bytes:
+            out.append(_TAG_BYTES)
+        elif kind is str:
+            out.append(_TAG_STR)
+            item = item.encode("utf-8")
+        else:
+            (_ENCODERS.get(kind) or _encoder_for(kind))(out, item)
+            continue
+        size = len(item)
+        if size < 0x80:
+            out.append(size)
+        else:
+            _write_varint(out, size)
+        out += item
+
+
+def _encode_map(out: bytearray, value: dict) -> None:
+    out.append(_TAG_MAP)
+    _write_varint(out, len(value))
+    try:
+        keys = sorted(value)
+    except TypeError as exc:
+        raise CodecError("map keys must be sortable strings") from exc
+    for key in keys:
+        if not isinstance(key, str):
+            raise CodecError(f"map keys must be str, got {type(key).__name__}")
+        raw = key.encode("utf-8")
+        _write_varint(out, len(raw))
+        out += raw
+        item = value[key]
+        (_ENCODERS.get(type(item)) or _encoder_for(type(item)))(out, item)
+
+
+def _encode_sealed(out: bytearray, value: Sealed) -> None:
+    out += value.wire_bytes
+
+
+_ENCODERS = {
+    type(None): _encode_none,
+    bool: _encode_bool,
+    int: _encode_int,
+    bytes: _encode_bytes,
+    bytearray: _encode_bytes,
+    memoryview: _encode_memoryview,
+    str: _encode_str,
+    tuple: _encode_seq,
+    list: _encode_seq,
+    dict: _encode_map,
+    Sealed: _encode_sealed,
+}
+
+
+def _encoder_for(kind: type):
+    """The encoder of the nearest encodable base class of ``kind``."""
+    for base in kind.__mro__:
+        encoder = _ENCODERS.get(base)
+        if encoder is not None:
+            return encoder
+    raise CodecError(f"cannot encode value of type {kind.__name__}")
 
 
 def encode(value: Any) -> bytes:
     """Encode ``value`` into its canonical byte representation."""
+    kind = type(value)
+    if kind is Sealed:
+        return value.wire_bytes
     out = bytearray()
-    _encode_into(out, value)
+    (_ENCODERS.get(kind) or _encoder_for(kind))(out, value)
     return bytes(out)
+
+
+def check_encodable(value: Any) -> None:
+    """Raise :class:`CodecError` unless :func:`encode` would accept
+    ``value``; walks the types and produces no bytes."""
+    encoder = _ENCODERS.get(type(value)) or _encoder_for(type(value))
+    if encoder is _encode_seq:
+        for item in value:
+            check_encodable(item)
+    elif encoder is _encode_map:
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise CodecError(f"map keys must be str, got {type(key).__name__}")
+            check_encodable(item)
 
 
 def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
@@ -216,12 +345,11 @@ def encode_stream(values) -> bytes:
     encodings (the inverse of :func:`decode_stream`).  Used for chunked
     state transfer, where a chunk is a self-delimiting stream of
     ``(key, value)`` pairs rather than one enclosing sequence."""
-    out = bytearray()
-    for value in values:
-        _encode_into(out, value)
-    return bytes(out)
+    return b"".join(encode(value) for value in values)
 
 
 def encoded_size(value: Any) -> int:
     """Return the size in bytes of the canonical encoding of ``value``."""
+    if type(value) is Sealed:
+        return len(value.wire_bytes)
     return len(encode(value))

@@ -32,7 +32,12 @@ def digest_pair(left: Digest, right: Digest) -> Digest:
 
 
 def digest_value(value: Any) -> Digest:
-    """SHA-256 of the canonical encoding of a structured value."""
+    """SHA-256 of the canonical encoding of a structured value.  A sealed
+    value is hashed once, over the bytes it carries."""
+    if type(value) is codec.Sealed:
+        if value.digest is None:
+            value.digest = hashlib.sha256(value.wire_bytes).digest()
+        return value.digest
     return hashlib.sha256(codec.encode(value)).digest()
 
 

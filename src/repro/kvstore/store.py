@@ -122,7 +122,7 @@ class KVTransaction:
         self._check_open()
         if not isinstance(key, str):
             raise KVError(f"keys must be str, got {type(key).__name__}")
-        codec.encode(value)  # validate encodability eagerly
+        codec.check_encodable(value)
         self._writes[key] = value
 
     def delete(self, key: str) -> None:

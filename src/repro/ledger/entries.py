@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
+from ..codec import memoised
 from ..crypto.hashing import Digest, digest_value
 from ..errors import LedgerError
 
@@ -96,6 +97,13 @@ class TxEntry(LedgerEntry):
         leaf preimage."""
         return (self.request_wire, self.index, self.output)
 
+    @memoised
+    def leaf_digest(self) -> Digest:
+        """This entry's leaf in the per-batch tree G.  Remembered (32
+        bytes, never the encoding): execution, replyx rebuilds and view
+        changes all ask the entry the ledger holds."""
+        return digest_value(self.tio())
+
 
 @dataclass(frozen=True)
 class CheckpointTxEntry(LedgerEntry):
@@ -117,6 +125,11 @@ class CheckpointTxEntry(LedgerEntry):
     def tio(self) -> tuple:
         """Checkpoint transactions appear in G with a synthetic (t, i, o)."""
         return (("__checkpoint__", self.cp_seqno, self.cp_digest, self.ledger_size, self.ledger_root), self.index, None)
+
+    @memoised
+    def leaf_digest(self) -> Digest:
+        """This entry's leaf in the per-batch tree G."""
+        return digest_value(self.tio())
 
 
 @dataclass(frozen=True)

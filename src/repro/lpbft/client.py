@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from .. import codec
 from ..crypto import signatures
 from ..crypto.hashing import Digest
 from ..errors import ReceiptError
@@ -139,7 +140,8 @@ class LPBFTClient(Node):
         request = request.with_signature(signature)
         tx_digest = request.request_digest()
         self.collector.track(tx_digest, request.to_wire(), now=self.now)
-        payload = ("request", request.to_wire())
+        # Sealed, so the network sizes the one payload once for all replicas.
+        payload = codec.seal(("request", request.to_wire()))
         if self.tracer.enabled:
             root = self.tracer.root_span(
                 "request", self.address, self.now,
@@ -471,7 +473,7 @@ class LPBFTClient(Node):
                 self._abandon(tx_digest)
                 continue
             self._attempts[tx_digest] = attempt + 1
-            payload = ("request", self.collector.request_wire(tx_digest))
+            payload = codec.seal(("request", self.collector.request_wire(tx_digest)))
             if self.tracer.enabled:
                 # Retransmissions rejoin the original request's trace.
                 root = self._root_spans.get(tx_digest)

@@ -53,17 +53,24 @@ class TransactionRequest:
     def with_signature(self, signature: bytes) -> "TransactionRequest":
         return replace(self, signature=signature)
 
-    def to_wire(self) -> tuple:
-        return (
-            "request",
-            self.procedure,
-            self.args,
-            self.client,
-            self.service,
-            self.min_index,
-            self.nonce,
-            self.signature,
-        )
+    def to_wire(self) -> codec.Sealed:
+        """Sealed: ``t`` is encoded once, here by its client, and spliced
+        into every leaf, ledger entry and receipt that embeds it."""
+        wire = self.__dict__.get("_wire")
+        if wire is None:
+            wire = self.__dict__["_wire"] = codec.seal(
+                (
+                    "request",
+                    self.procedure,
+                    self.args,
+                    self.client,
+                    self.service,
+                    self.min_index,
+                    self.nonce,
+                    self.signature,
+                )
+            )
+        return wire
 
     @staticmethod
     def from_wire(raw: tuple) -> "TransactionRequest":
@@ -73,7 +80,7 @@ class TransactionRequest:
             raise ProtocolError(f"malformed request: {exc}") from exc
         if tag != "request":
             raise ProtocolError(f"expected request, got {tag!r}")
-        return TransactionRequest(
+        request = TransactionRequest(
             procedure=procedure,
             args=dict(args),
             client=client,
@@ -82,6 +89,11 @@ class TransactionRequest:
             nonce=nonce,
             signature=signature,
         )
+        if type(raw) is codec.Sealed:
+            # Keep the sender's seal: every receiver of one transmission
+            # shares the one encoding (and its digest).
+            request.__dict__["_wire"] = raw
+        return request
 
     def request_digest(self) -> Digest:
         """``H(t)``: hash of the full signed request (used in batches)."""
@@ -117,6 +129,7 @@ class PrePrepare:
     committed_root: Digest = b""
     signature: bytes = b""
 
+    @codec.memoised
     def signed_payload(self) -> bytes:
         return codec.encode(
             (
@@ -175,6 +188,7 @@ class PrePrepare:
             signature=sig,
         )
 
+    @codec.memoised
     def digest(self) -> Digest:
         """``H(pp)``: hash of the signed pre-prepare, bound into prepares."""
         return digest_value(self.to_wire())

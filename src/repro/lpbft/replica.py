@@ -131,9 +131,9 @@ class BatchRecord:
     flags: int
     pp: PrePrepare | None = None
     pp_digest: Digest | None = None
-    tios: list = field(default_factory=list)  # (request_wire|synthetic, index, output)
+    entries: list = field(default_factory=list)  # TxEntry | CheckpointTxEntry, in G order
     g_tree: MerkleTree = field(default_factory=MerkleTree)
-    tx_digests: list = field(default_factory=list)  # request digest per tio (None for cp tx)
+    tx_digests: list = field(default_factory=list)  # request digest per entry (None for cp tx)
     clients: dict = field(default_factory=dict)  # client pubkey -> [tx digests]
     kv_mark: int = 0  # kv.tx_count before the batch executed
     ledger_start: int = 0  # ledger size before the batch's evidence entries
@@ -949,8 +949,8 @@ class LPBFTReplicaCore(Node):
                 ledger_root=cp.ledger_root,
                 index=next_index,
             )
-            record.tios.append(entry.tio())
-            record.g_tree.append(digest_value(entry.tio()))
+            record.entries.append(entry)
+            record.g_tree.append(entry.leaf_digest())
             record.tx_digests.append(None)
             next_index += 1
             self.last_recorded_cp = cp_seqno
@@ -974,9 +974,9 @@ class LPBFTReplicaCore(Node):
                 exec_span.finish(self.cpu_time())
             if self.behavior is not None:
                 output = self.behavior.mutate_output(self, request, output)
-            tio = (request.to_wire(), next_index, output)
-            record.tios.append(tio)
-            record.g_tree.append(digest_value(tio))
+            entry = TxEntry(request_wire=request.to_wire(), index=next_index, output=output)
+            record.entries.append(entry)
+            record.g_tree.append(entry.leaf_digest())
             record.tx_digests.append(tx_digest)
             record.clients.setdefault(request.client, []).append(tx_digest)
             self.tx_locations[tx_digest] = (s, next_index)
@@ -1036,23 +1036,10 @@ class LPBFTReplicaCore(Node):
         record.pp = pp
         record.pp_digest = pp.digest()
         self.ledger.append(PrePrepareEntry(pp_wire=pp.to_wire()))
-        for tio, tx_digest in zip(record.tios, record.tx_digests):
-            request_wire, index, output = tio
-            if tx_digest is None and isinstance(request_wire, tuple) and request_wire[0] == "__checkpoint__":
-                _, cp_seqno, cp_digest, ledger_size, ledger_root = request_wire
-                self.ledger.append(
-                    CheckpointTxEntry(
-                        cp_seqno=cp_seqno,
-                        cp_digest=cp_digest,
-                        ledger_size=ledger_size,
-                        ledger_root=ledger_root,
-                        index=index,
-                    )
-                )
-            else:
-                self.ledger.append(TxEntry(request_wire=request_wire, index=index, output=output))
+        for entry in record.entries:
+            self.ledger.append(entry)
         if self.params.ledger:
-            entries = 1 + len(record.tios)
+            entries = 1 + len(record.entries)
             self.submit("append", entries * self.costs.ledger_append)
             self.submit("hash", entries * 2 * self.costs.hash_fixed)
         record.ledger_end = len(self.ledger)
@@ -1261,12 +1248,12 @@ class LPBFTReplicaCore(Node):
         self.ledger.truncate(ledger_mark)
         self.last_recorded_cp, self.last_taken_cp = cp_mark
         self.cp_directory.rollback_after(record.seqno - 1)
-        for tio, tx_digest in zip(record.tios, record.tx_digests):
+        for entry, tx_digest in zip(record.entries, record.tx_digests):
             if tx_digest is None:
                 continue
             self.tx_locations.pop(tx_digest, None)
             if tx_digest not in self.requests:
-                self.requests[tx_digest] = TransactionRequest.from_wire(tio[0])
+                self.requests[tx_digest] = entry.request()
                 self.request_order.append(tx_digest)
                 self.request_arrivals.setdefault(tx_digest, self.now)
                 # Verified before it was sequenced; no need to re-pay.
@@ -1481,15 +1468,15 @@ class LPBFTReplicaCore(Node):
                     continue
             self.send(dst, payload)
         if self.params.receipts:
-            for position, (tio, tx_digest) in enumerate(zip(record.tios, record.tx_digests)):
+            for position, (entry, tx_digest) in enumerate(zip(record.entries, record.tx_digests)):
                 if tx_digest is None or designated_replica(tx_digest, config) != self.id:
                     continue
                 dst = self.request_sources.get(tx_digest)
                 if dst is not None:
-                    self._send_replyx(record, position, tio, tx_digest, dst)
+                    self._send_replyx(record, position, entry, tx_digest, dst)
 
     def _send_replyx(
-        self, record: BatchRecord, position: int, tio: tuple, tx_digest: Digest, dst: str
+        self, record: BatchRecord, position: int, entry: TxEntry, tx_digest: Digest, dst: str
     ) -> None:
         path = record.g_tree.path(position)
         self.submit("hash", len(path) * self.costs.hash_fixed)
@@ -1504,8 +1491,8 @@ class LPBFTReplicaCore(Node):
             flags=record.pp.flags,
             committed_root=record.pp.committed_root,
             tx_digest=tx_digest,
-            index=tio[1],
-            output=tio[2],
+            index=entry.index,
+            output=entry.output,
             path=path.to_wire(),
         )
         payload = ("replyx", replyx.to_wire())
@@ -1538,10 +1525,10 @@ class LPBFTReplicaCore(Node):
             return
         if not record.prepared:
             return
-        for position, (tio, d) in enumerate(zip(record.tios, record.tx_digests)):
+        for position, (entry, d) in enumerate(zip(record.entries, record.tx_digests)):
             if d == tx_digest:
                 self.request_sources[tx_digest] = src
-                self._send_replyx(record, position, tio, tx_digest, src)
+                self._send_replyx(record, position, entry, tx_digest, src)
                 return
 
     def _replyx_from_ledger(self, tx_digest: Digest, located: tuple[int, int], src: str) -> None:
@@ -1566,15 +1553,12 @@ class LPBFTReplicaCore(Node):
             return
         pp = self.ledger.batch_pre_prepare(seqno)
         g_tree = MerkleTree()
-        position = None
-        target: tuple | None = None
+        position = target = None
         for offset, entry in enumerate(self.ledger.entries(info.first_tx, info.end)):
-            tio = entry.tio()
-            g_tree.append(digest_value(tio))
-            if tio[1] == index:
-                position = offset
-                target = tio
-        if position is None or target is None:
+            g_tree.append(entry.leaf_digest())
+            if entry.index == index:
+                position, target = offset, entry
+        if target is None:
             return
         self.submit("hash", len(g_tree) * self.costs.hash_fixed)
         path = g_tree.path(position)
@@ -1589,8 +1573,8 @@ class LPBFTReplicaCore(Node):
             flags=pp.flags,
             committed_root=pp.committed_root,
             tx_digest=tx_digest,
-            index=target[1],
-            output=target[2],
+            index=target.index,
+            output=target.output,
             path=path.to_wire(),
         )
         self.send(src, ("replyx", replyx.to_wire()))
@@ -1901,10 +1885,10 @@ class LPBFTReplicaCore(Node):
                 request_wire=None, index=None, output=None, path=None,
                 root_g=record.pp.root_g, **common,
             )
-        for position, (tio, d) in enumerate(zip(record.tios, record.tx_digests)):
+        for position, (entry, d) in enumerate(zip(record.entries, record.tx_digests)):
             if d == tx_digest:
                 return Receipt(
-                    request_wire=tio[0], index=tio[1], output=tio[2],
+                    request_wire=entry.request_wire, index=entry.index, output=entry.output,
                     path=record.g_tree.path(position), **common,
                 )
         return None
@@ -1927,9 +1911,9 @@ class LPBFTReplicaCore(Node):
             if located is not None:
                 record = self.batches.get(located[0])
                 if record is not None:
-                    for tio, d in zip(record.tios, record.tx_digests):
+                    for entry, d in zip(record.entries, record.tx_digests):
                         if d == tx_digest:
-                            found.append(tio[0])
+                            found.append(entry.request_wire)
                             break
         if found:
             self.send(src, ("requests-bundle", tuple(found)))

@@ -43,7 +43,6 @@ from .messages import (
     NewView,
     Prepare,
     PrePrepare,
-    TransactionRequest,
     ViewChange,
     bitmap_of,
 )
@@ -324,12 +323,12 @@ class ViewChangeMixin:
             self.pps.pop((record.view, seqno), None)
             if record.pp_digest is not None:
                 self.ppd_index.pop(record.pp_digest, None)
-            for tio, tx_digest in zip(record.tios, record.tx_digests):
+            for entry, tx_digest in zip(record.entries, record.tx_digests):
                 if tx_digest is None:
                     continue
                 self.tx_locations.pop(tx_digest, None)
                 if tx_digest not in self.requests:
-                    self.requests[tx_digest] = TransactionRequest.from_wire(tio[0])
+                    self.requests[tx_digest] = entry.request()
                     self.request_order.append(tx_digest)
                     # Sequenced requests were verified; keep the mark so
                     # re-issuing the batch does not re-pay verification.
@@ -548,8 +547,6 @@ class ViewChangeMixin:
             for span in schedule.spans()
             if span.config.number > 0
         }
-        from ..crypto.hashing import digest_value as _dv
-
         last_recorded = -1
         replayed = 0
         for info in ledger.batches():
@@ -572,8 +569,8 @@ class ViewChangeMixin:
             record.kv_mark = kv.tx_count
             for entry in ledger.entries(info.first_tx, info.end):
                 if isinstance(entry, CheckpointTxEntry):
-                    record.tios.append(entry.tio())
-                    record.g_tree.append(_dv(entry.tio()))
+                    record.entries.append(entry)
+                    record.g_tree.append(entry.leaf_digest())
                     record.tx_digests.append(None)
                     last_recorded = entry.cp_seqno
                     continue
@@ -587,11 +584,9 @@ class ViewChangeMixin:
                     # checkpoint costs proportionally more than restoring
                     # a recent one — the §3.4 argument for checkpoints.
                     self.submit("execute", self.costs.execute_tx(ops, len(kv)))
-                    tio = (request.to_wire(), entry.index, output)
-                else:
-                    tio = entry.tio()
-                record.tios.append(tio)
-                record.g_tree.append(_dv(tio))
+                    entry = TxEntry(request_wire=request.to_wire(), index=entry.index, output=output)
+                record.entries.append(entry)
+                record.g_tree.append(entry.leaf_digest())
                 record.tx_digests.append(tx_digest)
                 tx_locations[tx_digest] = (seqno, entry.index)
             if replaying:

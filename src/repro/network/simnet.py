@@ -32,7 +32,8 @@ from __future__ import annotations
 import random
 from typing import Any, Callable
 
-from ..errors import NetworkError
+from .. import codec
+from ..errors import CodecError, NetworkError
 from ..obs.trace import NULL_TRACER
 from ..sim.cpu import VirtualCPU
 from ..sim.scheduler import EventScheduler
@@ -432,16 +433,8 @@ class SimNetwork:
 
 def _default_size_of(msg: Any) -> int:
     """Estimate wire size via the canonical codec when possible."""
-    from .. import codec
-    from ..errors import CodecError
-
     wire = getattr(msg, "to_wire", None)
-    if wire is not None:
-        try:
-            return len(codec.encode(wire()))
-        except CodecError:
-            return 256
     try:
-        return len(codec.encode(msg))
+        return codec.encoded_size(msg if wire is None else wire())
     except CodecError:
         return 256

@@ -17,7 +17,13 @@ import json
 import math
 import sys
 
-from .export import STAGE_NAMES, request_stages, spans_from_trace, stage_breakdown
+from .export import (
+    STAGE_NAMES,
+    quorum_ends,
+    request_stages,
+    spans_from_trace,
+    stage_breakdown,
+)
 
 
 def _load(path: str) -> dict:
@@ -69,8 +75,9 @@ def _print_p99_path(spans) -> None:
     by_trace: dict[int, list] = {}
     for span in spans:
         by_trace.setdefault(span.trace_id, []).append(span)
+    quorum_end_by_seqno = quorum_ends(spans)
     for trace_spans in by_trace.values():
-        row = request_stages(trace_spans, spans)
+        row = request_stages(trace_spans, quorum_end_by_seqno)
         if row is not None:
             rows.append(row)
     if not rows:

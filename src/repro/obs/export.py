@@ -149,14 +149,24 @@ def write_perfetto(path, tracer: Tracer, cpus: dict | None = None) -> None:
 # -- per-stage breakdown --------------------------------------------------------
 
 
+def quorum_ends(spans: list[Span]) -> dict:
+    """End of the first finished quorum span per seqno, over *all*
+    traces: on the primary the quorum span belongs to the batch's trace,
+    not necessarily to the trace of each request in the batch."""
+    ends: dict = {}
+    for s in spans:
+        if s.name == "quorum" and s.end is not None:
+            ends.setdefault((s.attrs or {}).get("seqno"), s.end)
+    return ends
+
+
 def request_stages(spans: list[Span],
-                   all_spans: list[Span] | None = None) -> dict | None:
+                   quorum_end_by_seqno: dict | None = None) -> dict | None:
     """Stage durations for one request trace (the root span's trace).
 
-    ``spans`` is one trace's spans; ``all_spans`` (default: same list)
-    is searched for the cross-trace quorum span matched by seqno, since
-    on the primary the quorum span belongs to the *batch's* trace, not
-    necessarily this request's.
+    ``spans`` is one trace's spans; ``quorum_end_by_seqno`` is
+    :func:`quorum_ends` of every trace (default: of ``spans`` alone) —
+    callers summarising many requests build it once.
 
     Stages telescope over milestones partitioning ``[root.start,
     root.end]`` so they sum exactly to the end-to-end latency:
@@ -187,15 +197,9 @@ def request_stages(spans: list[Span],
     if admission is None or execute is None:
         return None
     seqno = (execute.attrs or {}).get("seqno")
-    quorum_end = None
-    search = all_spans if all_spans is not None else spans
-    for s in search:
-        if (s.name == "quorum" and s.end is not None
-                and (s.attrs or {}).get("seqno") == seqno):
-            quorum_end = s.end
-            break
-    if quorum_end is None:
-        quorum_end = execute.end
+    if quorum_end_by_seqno is None:
+        quorum_end_by_seqno = quorum_ends(spans)
+    quorum_end = quorum_end_by_seqno.get(seqno, execute.end)
     # Clamp milestones into [root.start, root.end] and order them, so
     # the telescoping sum is exact even when a stage lands at 0.
     milestones = [root.start, admission.start, admission.end,
@@ -229,8 +233,9 @@ def stage_breakdown(tracer_or_spans) -> dict:
     stats = {name: LatencyStats() for name in STAGE_NAMES}
     e2e = LatencyStats()
     n = 0
+    quorum_end_by_seqno = quorum_ends(spans)
     for trace_spans in by_trace.values():
-        row = request_stages(trace_spans, spans)
+        row = request_stages(trace_spans, quorum_end_by_seqno)
         if row is None:
             continue
         n += 1

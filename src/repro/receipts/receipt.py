@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
+from ..codec import memoised
 from ..crypto import signatures
 from ..crypto.hashing import Digest, digest_value
 from ..crypto.nonces import commit_nonce
@@ -116,8 +117,12 @@ class Receipt:
             raise ReceiptError("transaction receipt missing Merkle path")
         return path_root(self.leaf_digest(), self.path)
 
+    @memoised
     def reconstructed_pre_prepare(self) -> PrePrepare:
-        """The pre-prepare implied by this receipt's fields (Alg. 3 line 5)."""
+        """The pre-prepare implied by this receipt's fields (Alg. 3 line 5).
+        One instance per receipt, so the G root, the pre-prepare's digest
+        and its signed payload are computed once across verification and
+        audit."""
         return PrePrepare(
             view=self.view,
             seqno=self.seqno,

@@ -51,7 +51,7 @@ def reply_messages_for(dep, client, tx_digest):
         evidence_bitmap=record.pp.evidence_bitmap, gov_index=record.pp.gov_index,
         checkpoint_digest=record.pp.checkpoint_digest, flags=record.pp.flags,
         committed_root=record.pp.committed_root, tx_digest=tx_digest,
-        index=record.tios[position][1], output=record.tios[position][2],
+        index=record.entries[position].index, output=record.entries[position].output,
         path=record.g_tree.path(position).to_wire(),
     )
     return receipt, replies, replyx
