@@ -10,6 +10,7 @@ their distance from genesis (§B.2 "configuration number").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..crypto.hashing import Digest, digest_value
 from ..errors import GovernanceError
@@ -115,11 +116,19 @@ class Configuration:
     def replica_key(self, replica_id: int) -> bytes:
         return self.replica(replica_id).public_key
 
+    @cached_property
+    def _sorted_ids(self) -> tuple[int, ...]:
+        # Once per (frozen) instance, in its ``__dict__`` and not in a
+        # dataclass field: ``==``, ``to_wire`` and ``replace`` never see it.
+        # ``is_primary``/``primary_for_view`` ask per message.
+        return tuple(sorted(r.replica_id for r in self.replicas))
+
     def replica_ids(self) -> list[int]:
-        return sorted(r.replica_id for r in self.replicas)
+        """The sorted replica ids, as a fresh list the caller may mutate."""
+        return list(self._sorted_ids)
 
     def has_replica(self, replica_id: int) -> bool:
-        return any(r.replica_id == replica_id for r in self.replicas)
+        return replica_id in self._sorted_ids
 
     def member(self, member_id: str) -> MemberInfo:
         for member in self.members:
@@ -137,7 +146,7 @@ class Configuration:
     def primary_for_view(self, view: int) -> int:
         """The primary replica id for ``view`` (p = v mod N over the sorted
         active replica ids)."""
-        ids = self.replica_ids()
+        ids = self._sorted_ids
         return ids[view % len(ids)]
 
     # -- serialization ------------------------------------------------------------

@@ -42,6 +42,7 @@ is :class:`~repro.lpbft.LPBFTReplica`.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -240,8 +241,8 @@ class LPBFTReplicaCore(Node):
         self.ready = True
 
         # Stores.
-        self.requests: dict[Digest, TransactionRequest] = {}  # T
-        self.request_order: list[Digest] = []
+        # T, the request queue: insertion order is arrival order.
+        self.requests: OrderedDict[Digest, TransactionRequest] = OrderedDict()
         self.request_sources: dict[Digest, str] = {}
         self.request_arrivals: dict[Digest, float] = {}  # admission time, for queue delay
         # Overload control: which queued requests have had their client
@@ -463,7 +464,6 @@ class LPBFTReplicaCore(Node):
                 return
             self._verified_requests.add(tx_digest)
         self.requests[tx_digest] = request
-        self.request_order.append(tx_digest)
         self.request_arrivals.setdefault(tx_digest, self.now)
         if tracing:
             # Admission at the admission point, stash on backups — either
@@ -490,13 +490,18 @@ class LPBFTReplicaCore(Node):
     #        │                              │                        │
     #        │ (backup)                     └─shed──▶ reject to      ▼
     #        ▼                                        client      queue (T)
-    #   _stash_has_room ──full──▶ drop oldest-expired               │
+    #   _stash_has_room ──full──▶ evict oldest while expired         │
     #        │                                                      ▼
     #        └─room──▶ stash raw (maybe pre-verify          _select_requests
     #                  when verify lanes idle)               (deadline shed)
     #                                                               │
     #   backups at pre-prepare time: _ensure_verified ◀─────────────┘
     #   (batched fan-out; a sequenced bad signature ⇒ suspect primary)
+    #
+    # The queue (the primary's T, a backup's stash) is one ordered map,
+    # ``self.requests``: digest → request, O(1) insert, delete-by-digest
+    # and peek-oldest.  ``request_arrivals``, ``request_sources`` and
+    # ``_verified_requests`` are side tables keyed by the same digests.
     #
     # Knobs and their meaning (all on ProtocolParams):
     # - request_queue_cap: hard memory bound on the queue/stash;
@@ -510,10 +515,14 @@ class LPBFTReplicaCore(Node):
     #   work whose projected completion (waited + lane backlog + position
     #   × service estimate) the client would no longer wait for.
     #
-    # Invariants: the primary is the *only* admission point (backups never
-    # shed what the primary may sequence — no fetch storms), verification
-    # is paid at most once per request (wasted_verify_s counts the
-    # exceptions), and every shed is audible to the client as a reject.
+    # Invariants: the map's order is arrival order (every insert is a new
+    # key, so it lands at the tail); a digest is queued at most once; a
+    # request that was dropped or rolled back and arrives again is a fresh
+    # tail entry, not a return to its old place.  The primary is the
+    # *only* admission point (backups never shed what the primary may
+    # sequence — no fetch storms), verification is paid at most once per
+    # request (wasted_verify_s counts the exceptions), and every shed is
+    # audible to the client as a reject.
 
     def _service_time_estimate(self) -> float:
         """Projected serial-capacity seconds one queued request consumes:
@@ -575,22 +584,11 @@ class LPBFTReplicaCore(Node):
         timeout evicted first (their client has given up; the primary
         would shed them too)."""
         soft_cap = self.params.request_queue_cap
-        if len(self.requests) < soft_cap:
-            return True
-        # Lazy-deletion queue: compact only once stale digests dominate —
-        # this runs per arrival under overload, and the head scan below
-        # tolerates stale entries.
-        if len(self.request_order) > 2 * len(self.requests):
-            self.request_order = [d for d in self.request_order if d in self.requests]
         horizon = self.now - self.params.client_timeout
-        # Scan the (arrival-ordered) head in place — this runs per arrival
-        # under overload, so no copy; the first fresh entry ends the scan.
-        idx = 0
-        while idx < len(self.request_order) and len(self.requests) >= soft_cap:
-            tx_digest = self.request_order[idx]
-            idx += 1
-            if tx_digest not in self.requests:
-                continue
+        # Runs per arrival under overload: peek the oldest entry, evict it
+        # if expired, stop at the first fresh one.
+        while len(self.requests) >= soft_cap:
+            tx_digest = next(iter(self.requests))
             arrival = self.request_arrivals.get(tx_digest)
             if arrival is None or arrival > horizon:
                 break  # everything behind is fresher
@@ -757,37 +755,31 @@ class LPBFTReplicaCore(Node):
         the per-request service estimate — exceeds the client timeout are
         dropped here, *before* paying execute costs: their client will
         have given up before the reply could arrive."""
-        # Compact consumed digests out of the arrival-order queue.
-        if len(self.request_order) > len(self.requests):
-            self.request_order = [d for d in self.request_order if d in self.requests]
         deadline = self.params.client_timeout if self.params.deadline_shedding else None
         if deadline is not None:
             service_est = self._service_time_estimate()
             exec_backlog = self.cpu.backlog("execute", self.now)
         selected: list[Digest] = []
+        expired: list[Digest] = []
         projected = base_index
-        position = 0
-        for tx_digest in list(self.request_order):
+        for position, (tx_digest, request) in enumerate(self.requests.items(), 1):
             if len(selected) >= self.params.max_batch:
                 break
-            request = self.requests.get(tx_digest)
-            if request is None:
-                continue
-            position += 1
             if deadline is not None:
                 # Projected completion = wait already accrued + remaining
                 # queue drain + the request's own slot.  A retransmission
                 # after the drop re-enqueues with a fresh arrival time.
                 waited = self.now - self.request_arrivals.get(tx_digest, self.now)
                 if waited + exec_backlog + service_est * position > deadline:
-                    self._drop_request(
-                        tx_digest, "requests_deadline_dropped", reject_reason="deadline"
-                    )
+                    expired.append(tx_digest)
                     continue
             if request.min_index > projected:
                 continue  # stays queued until the ledger grows past mi
             selected.append(tx_digest)
             projected += 1
+        # Dropped after the walk: the map must not change under iteration.
+        for tx_digest in expired:
+            self._drop_request(tx_digest, "requests_deadline_dropped", reject_reason="deadline")
         return selected
 
     def maybe_send_pre_prepare(self) -> None:
@@ -1254,7 +1246,6 @@ class LPBFTReplicaCore(Node):
             self.tx_locations.pop(tx_digest, None)
             if tx_digest not in self.requests:
                 self.requests[tx_digest] = entry.request()
-                self.request_order.append(tx_digest)
                 self.request_arrivals.setdefault(tx_digest, self.now)
                 # Verified before it was sequenced; no need to re-pay.
                 self._verified_requests.add(tx_digest)
@@ -1382,13 +1373,13 @@ class LPBFTReplicaCore(Node):
         nxt = self.batches.get(seqno + 1)
         if nxt is not None:
             self._check_committed(nxt.view, seqno + 1)
-        # Fresh evidence may unblock the pipeline — for the current
-        # primary, or for the new configuration's primary around an
-        # activation (§5.1).
-        drives_reconfig = self.reconfig is not None and (
-            self.is_primary() or self.reconfig.new_config.has_replica(self.id)
-        )
-        if (self.is_primary() and (self.request_order or self._start_of_config_pending(self.next_seqno))) or drives_reconfig:
+        # Fresh evidence, or a checkpoint this commit made due, may unblock
+        # the pipeline whatever the queue holds — for the current primary,
+        # or for the new configuration's primary around an activation
+        # (§5.1).  A call with nothing to send returns at once.
+        if self.is_primary() or (
+            self.reconfig is not None and self.reconfig.new_config.has_replica(self.id)
+        ):
             self.maybe_send_pre_prepare()
 
     # -- replies and receipts (Alg. 1 lines 34–38) --------------------------------------------

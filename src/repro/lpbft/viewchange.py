@@ -329,7 +329,6 @@ class ViewChangeMixin:
                 self.tx_locations.pop(tx_digest, None)
                 if tx_digest not in self.requests:
                     self.requests[tx_digest] = entry.request()
-                    self.request_order.append(tx_digest)
                     # Sequenced requests were verified; keep the mark so
                     # re-issuing the batch does not re-pay verification.
                     self._verified_requests.add(tx_digest)

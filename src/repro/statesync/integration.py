@@ -129,8 +129,7 @@ class StateSyncMixin:
         """Forget everything a process restart would lose, keeping only
         durable state (ledger, KV store, checkpoints, schedule, chain).
         Used by :meth:`~repro.lpbft.Deployment.recover_replica`."""
-        self.requests = {}
-        self.request_order = []
+        self.requests.clear()  # in place: stays the ordered map __init__ built
         self.request_sources = {}
         self.request_arrivals = {}
         self._trace_ctxs = {}

@@ -75,6 +75,24 @@ class TestConfiguration:
         config = config_of(4)
         assert Configuration.from_wire(config.to_wire()) == config
 
+    def test_replica_id_lookups_are_memoised_outside_the_fields(self):
+        import dataclasses
+
+        config = config_of(4)
+        wire = config.to_wire()
+        ids = config.replica_ids()
+        assert ids == [0, 1, 2, 3] and config.has_replica(3) and not config.has_replica(4)
+        ids.append(99)  # callers own the list they get
+        assert config.replica_ids() == [0, 1, 2, 3]
+        # A used instance still equals, and encodes like, a fresh one.
+        assert config == Configuration.from_wire(wire) and config.to_wire() == wire
+        # A replaced copy starts with nothing remembered.
+        smaller = dataclasses.replace(config, replicas=config.replicas[:3])
+        assert smaller.replica_ids() == [0, 1, 2] and not smaller.has_replica(3)
+        assert smaller.primary_for_view(3) == 0
+        # Ids come off the wire unvalidated: an unhashable one names no replica.
+        assert not config.has_replica({}) and not config.has_replica([0])
+
     def test_successor_number_must_increment(self):
         config = config_of(4)
         with pytest.raises(GovernanceError):

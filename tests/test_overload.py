@@ -10,9 +10,11 @@ two runs of any scenario here are bit-identical.
 from __future__ import annotations
 
 import pytest
+from helpers import build_deployment
 
 from repro.bench.runners import BenchPoint, find_knee, run_iaccf_point
 from repro.lpbft import ProtocolParams
+from repro.lpbft.messages import BATCH_REGULAR, TransactionRequest
 from repro.sim.costs import CostModel
 from repro.workloads.loadgen import ExponentialBackoff
 
@@ -193,6 +195,160 @@ class TestDeadlineShedding:
         )
         point = overload_point(500, params, label="no-deadline")
         assert point.extra["requests_deadline_dropped"] == 0
+
+
+class TestRequestQueue:
+    """The replica's request queue (``requests``, one ordered map) on a
+    single constructed replica: nothing is started and no event runs; the
+    tests call the handlers directly and move the clock by hand."""
+
+    CAP = 4
+    PARAMS = ProtocolParams(**BASE, request_queue_cap=CAP, client_timeout=2.0)
+
+    @staticmethod
+    def build(params=PARAMS):
+        dep = build_deployment(params=params, accounts=20)
+        return dep, dep.add_client()
+
+    @staticmethod
+    def request(dep, client, nonce, min_index=0):
+        """One signed request as it arrives off the wire."""
+        req = TransactionRequest(
+            procedure="smallbank.balance", args={"customer": nonce % 20},
+            client=client.keypair.public_key, service=dep.service_name,
+            min_index=min_index, nonce=nonce,
+        )
+        req = req.with_signature(client.backend.sign(client.keypair, req.signed_payload()))
+        return req.request_digest(), ("request", req.to_wire())
+
+    def arrive(self, dep, client, replica, nonces, **kwargs):
+        digests = []
+        for nonce in nonces:
+            digest, msg = self.request(dep, client, nonce)
+            replica.handle_request(client.address, msg, **kwargs)
+            digests.append(digest)
+        return digests
+
+    @staticmethod
+    def at(dep, t):
+        dep.net.scheduler.clock.advance_to(t)
+
+    def test_dropped_then_retransmitted_request_is_queued_once(self):
+        """Regression: a drop followed by a retransmission used to leave
+        the digest in the arrival order twice, so one batch executed the
+        transaction twice."""
+        dep, client = self.build()
+        primary = dep.primary()
+        digest, msg = self.request(dep, client, 1)
+        primary.handle_request(client.address, msg)
+        primary._drop_request(digest, "requests_deadline_dropped")
+        primary.handle_request(client.address, msg)
+        assert primary._select_requests(0) == [digest]
+
+    def test_retransmission_after_drop_reenters_at_the_tail(self):
+        dep, client = self.build()
+        backup = dep.replicas[1]
+        a, b, c = self.arrive(dep, client, backup, [1, 2, 3])
+        backup._drop_request(a, None)
+        assert self.arrive(dep, client, backup, [1]) == [a]
+        assert list(backup.requests) == [b, c, a]
+
+    def test_below_cap_admits_without_touching_the_head(self):
+        dep, client = self.build()
+        backup = dep.replicas[1]
+        first = self.arrive(dep, client, backup, range(self.CAP - 1))
+        self.at(dep, 10.0)  # the whole queue is long expired, but under the cap
+        last = self.arrive(dep, client, backup, [self.CAP - 1])
+        assert list(backup.requests) == first + last
+        assert "requests_stash_evicted" not in backup.metrics.counters
+
+    def test_at_cap_expired_head_is_evicted_oldest_first(self):
+        dep, client = self.build()
+        backup = dep.replicas[1]
+        old = self.arrive(dep, client, backup, [0, 1])
+        self.at(dep, 1.5)
+        fresh = self.arrive(dep, client, backup, [2, 3])
+        self.at(dep, 2.5)  # old: waited 2.5 > client_timeout; fresh: 1.0
+        new = self.arrive(dep, client, backup, [4])
+        # One eviction makes room; the second expired entry is still ahead
+        # of the fresh ones and goes on the next arrival.
+        assert list(backup.requests) == old[1:] + fresh + new
+        assert backup.metrics.counters["requests_stash_evicted"] == 1
+        newer = self.arrive(dep, client, backup, [5])
+        assert list(backup.requests) == fresh + new + newer
+        assert backup.metrics.counters["requests_stash_evicted"] == 2
+        assert old[0] not in backup.request_arrivals and old[0] not in backup.request_sources
+
+    def test_at_cap_fresh_head_keeps_admitting_to_the_memory_bound(self):
+        dep, client = self.build()
+        backup = dep.replicas[1]
+        bound = 16 * self.CAP
+        admitted = self.arrive(dep, client, backup, range(bound))
+        assert list(backup.requests) == admitted
+        refused = self.arrive(dep, client, backup, [bound])
+        assert refused[0] not in backup.requests and len(backup.requests) == bound
+        assert backup.metrics.counters["requests_stash_dropped"] == 1
+        assert "requests_stash_evicted" not in backup.metrics.counters
+
+    def test_head_of_unknown_arrival_stops_the_scan(self):
+        """A view-change rollback re-inserts requests without an arrival
+        time; such a head is never evicted and shields what is behind it."""
+        dep, client = self.build()
+        backup = dep.replicas[1]
+        queued = self.arrive(dep, client, backup, range(self.CAP))
+        del backup.request_arrivals[queued[0]]
+        self.at(dep, 10.0)
+        new = self.arrive(dep, client, backup, [self.CAP])
+        assert list(backup.requests) == queued + new
+        assert "requests_stash_evicted" not in backup.metrics.counters
+
+    def test_undo_reinserts_each_request_once_at_the_tail_still_verified(self):
+        dep, client = self.build()
+        backup = dep.replicas[1]
+        a, b, c, d = self.arrive(dep, client, backup, [1, 2, 3, 4])
+        backup._ensure_verified([a, b])
+        marks = (len(backup.ledger), backup.kv.tx_count,
+                 (backup.last_recorded_cp, backup.last_taken_cp))
+        record = backup._execute_batch(
+            1, 0, BATCH_REGULAR, [backup.requests[a], backup.requests[b]], [a, b])
+        assert list(backup.requests) == [c, d]
+        backup._undo_batch_execution(record, *marks)
+        assert list(backup.requests) == [c, d, a, b]
+        assert {a, b} <= backup._verified_requests
+        assert a not in backup.tx_locations
+
+    def test_view_change_rollback_reinserts_each_request_once_at_the_tail(self):
+        dep, client = self.build()
+        primary = dep.primary()
+        batch = self.arrive(dep, client, primary, [1, 2, 3], force=True)
+        primary.maybe_send_pre_prepare()
+        assert not primary.requests and primary.next_seqno == 2
+        later = self.arrive(dep, client, primary, [4], force=True)
+        primary._rollback_to_batch(0)
+        assert list(primary.requests) == later + batch
+        assert set(batch) <= primary._verified_requests
+        assert primary._select_requests(0) == later + batch
+
+    def test_select_skips_min_index_and_drops_expired_while_walking_the_map(self):
+        dep, client = self.build()
+        primary = dep.primary()
+        expired = self.arrive(dep, client, primary, [0, 1], force=True)
+        self.at(dep, 1.5)
+        held, held_msg = self.request(dep, client, 2, min_index=10_000)
+        primary.handle_request(client.address, held_msg, force=True)
+        ready = self.arrive(dep, client, primary, [3, 4], force=True)
+        self.at(dep, 2.5)  # expired: waited 2.5 > client_timeout; the rest: 1.0
+        assert primary._select_requests(0) == ready
+        assert list(primary.requests) == [held] + ready
+        assert primary.metrics.counters["requests_deadline_dropped"] == 2
+        assert not set(expired) & set(primary.request_arrivals)
+
+    def test_select_stops_at_max_batch(self):
+        dep, client = self.build(ProtocolParams(**{**BASE, "max_batch": 2}))
+        primary = dep.primary()
+        queued = self.arrive(dep, client, primary, range(5), force=True)
+        assert primary._select_requests(0) == queued[:2]
+        assert list(primary.requests) == queued
 
 
 class TestGoodputPlateau:

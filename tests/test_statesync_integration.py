@@ -6,6 +6,8 @@ so catch-up *must* go through checkpoint transfer, not batch-by-batch
 retransmission.
 """
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.byzantine import TamperSyncChunks
@@ -149,6 +151,9 @@ class TestCrashRecovery:
         counters = victim.metrics.summary()["counters"]
         assert counters.get("volatile_resets", 0) == 1
         assert counters.get("sync_started_recovery", 0) == 1
+        # The restart must leave the request queue the ordered map every
+        # replica is built with (O(1) peek-oldest), not a plain dict.
+        assert type(victim.requests) is type(dep.replicas[0].requests) is OrderedDict
         assert_caught_up(dep, victim)
 
     def test_crashed_replica_stays_dark_to_later_joiners(self):
