@@ -7,26 +7,21 @@ subset — replicas burned verify/execute cycles on transactions that could
 never gather a quorum, and backups fetched the requests they had dropped
 from the primary one round-trip at a time.
 
-This benchmark measures the coordinated pipeline against that regime:
-
-- ``coordinated`` — the primary is the single admission point (sheds at
-  ingress, before verification, against its lane-backlog budget), backups
-  stash raw requests and verify only what gets sequenced, queued work
-  that cannot meet the client timeout is dropped before execution, and
-  clients retry under seeded exponential backoff with a retry budget;
-- ``uncoordinated`` — ``coordinated_admission=False`` /
-  ``deadline_shedding=False`` with the PR 3 queue cap: every replica
-  sheds independently.  Both arms drive the *same* backpressure clients
-  (rejects are audible everywhere now, per the unified metrics), so this
-  arm sits somewhat below PR 3's silent-shed measurement: a backup's
-  reject for a request the primary admitted still triggers a client
-  retransmission — one more cost of uncoordinated shedding.  The
-  acceptance comparison for the plateau is against the knee goodput (and
-  historically against BENCH_pr3's ~50% collapse), not this arm alone.
+This benchmark measures the coordinated pipeline: the primary is the
+single admission point (sheds at ingress, before verification, against
+its lane-backlog budget), backups stash raw requests and verify only what
+gets sequenced, queued work that cannot meet the client timeout is
+dropped before execution, and clients retry under seeded exponential
+backoff with a retry budget.  The acceptance comparison for the plateau
+is against the knee goodput (historically against BENCH_pr3's ~50%
+collapse).  The uncoordinated arm this file used to sweep beside it is
+gone with the option that selected it; its rows in the committed
+``BENCH_pr4.json`` (11.4K tx/s against 43.0K at 1.5x the knee, 1.11 s of
+wasted verification) are the record of why.
 
 The knee is located by ``find_knee`` (bisection over offered load, a
 point is sustainable when goodput >= 90% of offered) instead of
-hand-picked rates, then both systems are swept at multiples of it.  Each
+hand-picked rates, then the system is swept at multiples of it.  Each
 point reports offered vs admitted vs goodput, shed/rejected/retry/abandon
 counts, the verify CPU wasted on shed-after-verify work, and per-lane
 utilization — so a collapse is diagnosable from the bench output alone.
@@ -51,10 +46,7 @@ BASE = dict(
     batch_delay=0.0005, view_change_timeout=30.0,
 )
 
-COORDINATED = ProtocolParams(**BASE)
-UNCOORDINATED = ProtocolParams(
-    **BASE, coordinated_admission=False, deadline_shedding=False
-)
+PARAMS = ProtocolParams(**BASE)
 
 def client_kwargs():
     """Client backpressure knobs, fresh per measurement point so the
@@ -80,13 +72,13 @@ KNEE_LO, KNEE_HI = 30_000, 65_000
 MULTIPLIERS = [1.0, 1.25, 1.5, 2.0]
 
 
-def measure(rate, params=COORDINATED, label="IA-CCF coordinated", **kwargs):
+def measure(rate, **kwargs):
     # Past-the-knee points need the queue-filling transient to finish
     # before the window opens, so the warmup is longer than Fig. 4's.
     kwargs.setdefault("duration", 0.5)
     kwargs.setdefault("warmup", 0.2)
     return run_iaccf_point(
-        rate=rate, params=params, costs=DEDICATED_CLUSTER, label=label,
+        rate=rate, params=PARAMS, costs=DEDICATED_CLUSTER, label="IA-CCF coordinated",
         client_kwargs=client_kwargs(), lane_metrics=True, **kwargs,
     )
 
@@ -97,18 +89,9 @@ def run_bench(smoke: bool):
         knee = find_knee(
             measure, lo=500, hi=2_000, rel_tol=0.5, max_probes=3, **kwargs
         )
-        coord = [measure(2_000, label="IA-CCF coordinated", **kwargs)]
-        uncoord = [
-            measure(2_000, params=UNCOORDINATED, label="IA-CCF uncoordinated", **kwargs)
-        ]
-        return knee, coord, uncoord
+        return knee, [measure(2_000, **kwargs)]
     knee = find_knee(measure, lo=KNEE_LO, hi=KNEE_HI, rel_tol=0.05, max_probes=8)
-    rates = [round(m * knee.knee_tps) for m in MULTIPLIERS]
-    coord = [measure(r, label="IA-CCF coordinated") for r in rates]
-    uncoord = [
-        measure(r, params=UNCOORDINATED, label="IA-CCF uncoordinated") for r in rates
-    ]
-    return knee, coord, uncoord
+    return knee, [measure(round(m * knee.knee_tps)) for m in MULTIPLIERS]
 
 
 def point_row(p):
@@ -133,21 +116,19 @@ def point_row(p):
     }
 
 
-def write_json(knee, coord, uncoord, wall_s):
+def write_json(knee, coord, wall_s):
     knee_goodput = knee.goodput_tps
     at_15 = coord[MULTIPLIERS.index(1.5)] if len(coord) > 2 else coord[-1]
     payload = {
         "description": "PR 4 overload pipeline: primary-coordinated admission + "
-        "deadline shedding + client backpressure vs the PR 3 uncoordinated "
-        "bounded queues; knee located by find_knee bisection (goodput >= 90% "
-        "of offered), both systems swept at multiples of the knee",
+        "deadline shedding + client backpressure; knee located by find_knee "
+        "bisection (goodput >= 90% of offered), swept at multiples of the knee",
         "knee": {
             "knee_tps": round(knee.knee_tps, 1),
             "goodput_tps": round(knee_goodput, 1),
             "probes": [round(p.offered_tps, 1) for p in knee.probes],
         },
         "coordinated": [point_row(p) for p in coord],
-        "uncoordinated": [point_row(p) for p in uncoord],
         "goodput_at_1p5x_knee_tps": round(at_15.extra["goodput_tps"], 1),
         "goodput_at_1p5x_knee_ratio": round(
             at_15.extra["goodput_tps"] / knee_goodput, 4
@@ -163,12 +144,11 @@ def write_json(knee, coord, uncoord, wall_s):
 
 def test_pr4_overload_plateau(once):
     t0 = time.time()
-    knee, coord, uncoord = once(run_bench, SMOKE)
+    knee, coord = once(run_bench, SMOKE)
     print(f"\nknee (find_knee): {knee.knee_tps:.0f} tx/s, "
           f"goodput {knee.goodput_tps:.0f} tx/s, {len(knee.probes)} probes")
     print_table("PR 4: coordinated admission (knee multiples)", coord)
-    print_table("PR 4: uncoordinated bounded queues (same rates)", uncoord)
-    for p in coord + uncoord:
+    for p in coord:
         e = p.extra
         print(f"    {p.system:<24} {p.offered_tps:>7.0f}/s admitted={e['admitted_tps']:>8.0f} "
               f"goodput={e['goodput_tps']:>8.0f} shed={e['requests_shed']:>6} "
@@ -176,32 +156,23 @@ def test_pr4_overload_plateau(once):
               f"wasted={e['wasted_verify_s']:.2f}s")
 
     # Every point reports the overload triple and the retry counts.
-    for p in coord + uncoord:
+    for p in coord:
         for key in ("offered_tps", "admitted_tps", "goodput_tps",
                     "requests_rejected", "request_retries"):
             assert key in p.extra
 
     if SMOKE:
         assert coord[0].extra["committed"] > 0
-        assert uncoord[0].extra["committed"] > 0
         return
 
-    payload = write_json(knee, coord, uncoord, time.time() - t0)
+    payload = write_json(knee, coord, time.time() - t0)
     # The acceptance property: goodput at 1.5x the knee holds >= 90% of
     # knee goodput (PR 3 collapsed to ~50% there).
     assert payload["goodput_at_1p5x_knee_ratio"] >= 0.9
-    # The uncoordinated regime loses a substantial share of its goodput
-    # at the same offered rate — the gap the coordination buys.
-    c15 = coord[MULTIPLIERS.index(1.5)].extra["goodput_tps"]
-    u15 = uncoord[MULTIPLIERS.index(1.5)].extra["goodput_tps"]
-    assert u15 < 0.8 * c15
-    # Shed-after-verify waste: near zero when coordinated, substantial
-    # when every replica verifies at admission and sheds independently.
-    assert coord[-1].extra["wasted_verify_s"] < 0.1 * uncoord[-1].extra["wasted_verify_s"]
 
 
 if __name__ == "__main__":
     t0 = time.time()
-    knee, coord, uncoord = run_bench(smoke=False)
-    payload = write_json(knee, coord, uncoord, time.time() - t0)
+    knee, coord = run_bench(smoke=False)
+    payload = write_json(knee, coord, time.time() - t0)
     print(json.dumps(payload, indent=2))

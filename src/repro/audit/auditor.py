@@ -59,8 +59,7 @@ class Auditor:
         self.backend = backend or signatures.default_backend()
         # Receipts from the same batch share primary/prepare signatures;
         # memoizing verification makes bulk audits do each one once.
-        # Honors the params toggle so A/B benchmarks get a true baseline.
-        self.verify_cache = signatures.SignatureVerifyCache() if params.verify_cache else None
+        self.verify_cache = signatures.SignatureVerifyCache()
 
     # -- entry point (Alg. 4 ``audit``) -------------------------------------------------
 

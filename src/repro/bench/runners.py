@@ -148,7 +148,7 @@ def run_iaccf_point(
         # Overload pipeline: shed/drop counts at the replicas, rejection/
         # retry/abandonment counts at the load generator, and the verify
         # CPU wasted on requests that were shed after verification (summed
-        # across replicas — nonzero is the uncoordinated-admission smell).
+        # across replicas).
         "requests_shed": sum(
             r.metrics.counters.get("requests_shed", 0) for r in dep.replicas
         ),
@@ -177,12 +177,11 @@ def run_iaccf_point(
             kind: round(seconds, 6)
             for kind, seconds in sorted(dep.replicas[0].cpu.busy_by_kind().items())
         }
-    if dep.verify_cache is not None:
-        extra["verify_cache"] = {
-            "hits": dep.verify_cache.stats.hits,
-            "misses": dep.verify_cache.stats.misses,
-            "hit_rate": round(dep.verify_cache.stats.hit_rate(), 4),
-        }
+    extra["verify_cache"] = {
+        "hits": dep.verify_cache.stats.hits,
+        "misses": dep.verify_cache.stats.misses,
+        "hit_rate": round(dep.verify_cache.stats.hit_rate(), 4),
+    }
     return BenchPoint(
         system=label,
         offered_tps=rate,

@@ -80,7 +80,6 @@ def run_schedule(schedule: Schedule, trace: bool = False) -> ChaosResult:
         batch_delay=0.0005,
         view_change_timeout=cp.view_change_timeout,
         ledger_gc_min_age=cp.ledger_gc_min_age,
-        sync_retry_timeout=0.25,
         work_window=cp.work_window,
     )
     dep = Deployment(

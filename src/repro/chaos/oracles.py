@@ -25,6 +25,7 @@ def step_oracles(dep, event) -> list[str]:
 def quiescence_oracles(dep, probe, loadgen, sample_size: int = 8) -> list[str]:
     violations = []
     violations += _convergence(dep)
+    violations += _request_tables_in_step(dep)
     violations += _goodput_recovered(probe)
     violations += _receipts_verifiable(dep, probe, loadgen, sample_size)
     violations += _audit_reproduces(dep, probe, sample_size)
@@ -62,6 +63,19 @@ def _convergence(dep) -> list[str]:
     if len(set(views.values())) != 1:
         violations.append(f"quiescence: views did not converge: {views}")
     return violations
+
+
+def _request_tables_in_step(dep) -> list[str]:
+    """Every arrival time and verified mark a replica holds describes a
+    request it still has queued — rollbacks, ledger adoptions and
+    restarts must not leave entries behind for requests that left."""
+    stale = {r.id: len(r.admission.orphans()) for r in _correct_replicas(dep)}
+    return [
+        f"quiescence: replica {rid} holds arrival/verified entries for {n} requests "
+        "no longer queued"
+        for rid, n in stale.items()
+        if n
+    ]
 
 
 def _goodput_recovered(probe) -> list[str]:

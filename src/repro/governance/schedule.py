@@ -80,10 +80,6 @@ class ConfigSchedule:
                 )
         self._spans.append(span)
 
-    def truncate_to_config(self, number: int) -> None:
-        """Drop spans after configuration ``number`` (rollback support)."""
-        self._spans = [s for s in self._spans if s.config.number <= number]
-
     # -- lookups --------------------------------------------------------------
 
     def __len__(self) -> int:

@@ -101,14 +101,6 @@ class GovernanceSubLedger:
     def current_config(self) -> Configuration:
         return self.schedule.current()
 
-    def is_prefix_of(self, other: "GovernanceSubLedger") -> bool:
-        """True iff this sub-ledger is a prefix of ``other`` (completeness
-        condition of §B.2.1: the client's chain must be a prefix of the
-        responding replica's committed sub-ledger)."""
-        if len(self.entries) > len(other.entries):
-            return False
-        return all(a == b for a, b in zip(self.entries, other.entries))
-
     def verify_member_signatures(self, backend=None) -> bool:
         """Check that every governance request was signed by a member of
         the configuration in force when it executed."""

@@ -47,11 +47,6 @@ class ProcedureRegistry:
         self._procedures[name] = fn
         self._versions[name] = self._versions.get(name, 0) + 1
 
-    def unregister(self, name: str) -> None:
-        """Remove a procedure (subsequent calls fail as unknown)."""
-        self._procedures.pop(name, None)
-        self._versions[name] = self._versions.get(name, 0) + 1
-
     def get(self, name: str) -> Procedure:
         """Look up a procedure; raises :class:`KVError` if unknown."""
         try:

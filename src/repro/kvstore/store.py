@@ -243,14 +243,6 @@ class KVStore:
         """Undo the last ``n`` committed transactions."""
         self.rollback_to(len(self._log) - n)
 
-    def compact_log(self, keep_last: int = 0) -> None:
-        """Drop undo records older than the last ``keep_last`` (used after
-        checkpoints, when earlier rollback is no longer needed)."""
-        if keep_last <= 0:
-            self._log.clear()
-        else:
-            del self._log[:-keep_last]
-
     # -- direct state access -------------------------------------------------
 
     def get(self, key: str, default: Any = None) -> Any:

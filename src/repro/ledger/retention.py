@@ -43,9 +43,6 @@ class RetentionPolicy:
     def release(self, token: object) -> None:
         self._pins.pop(token, None)
 
-    def pins(self) -> dict[object, int]:
-        return dict(self._pins)
-
     def floor(self) -> int | None:
         """The lowest pinned index (None when nothing is pinned)."""
         return min(self._pins.values()) if self._pins else None

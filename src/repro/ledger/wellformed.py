@@ -65,12 +65,6 @@ class ParsedBatch:
     pp_index: int
     entries: list[tuple[int, LedgerEntry]] = field(default_factory=list)
 
-    def tx_entries(self) -> list[tuple[int, TxEntry]]:
-        return [(i, e) for i, e in self.entries if isinstance(e, TxEntry)]
-
-    def checkpoint_entries(self) -> list[tuple[int, CheckpointTxEntry]]:
-        return [(i, e) for i, e in self.entries if isinstance(e, CheckpointTxEntry)]
-
 
 @dataclass
 class ParsedFragment:

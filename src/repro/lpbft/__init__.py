@@ -3,6 +3,7 @@
 - :mod:`repro.lpbft.messages` — protocol message types and wire forms;
 - :mod:`repro.lpbft.config` — tunables (pipeline P, batch size, checkpoint
   interval C) and the Tab. 3 feature toggles;
+- :mod:`repro.lpbft.admission` — the request queue and overload control;
 - :mod:`repro.lpbft.replica` — Alg. 1: ordering, early execution, the
   nonce commitment scheme, evidence, checkpoints, reconfiguration;
 - :mod:`repro.lpbft.viewchange` — Alg. 2: auditable view changes and

@@ -72,9 +72,8 @@ class LPBFTClient(Node):
             genesis_config,
             verify=verify_receipts,
             backend=self.backend,
-            use_cache=params.verify_cache,
             completion_gate=self._governance_covers,
-            aggregate=getattr(params, "aggregate_signatures", False),
+            aggregate=params.aggregate_signatures,
         )
         self.gov_chain = GovernanceChain.genesis(genesis_config)
         self.on_receipt = on_receipt
@@ -346,12 +345,6 @@ class LPBFTClient(Node):
                 break  # referendum passed: wait for its chain link
             covered = index
         self._known_gov_index = covered
-
-    def config_for_receipt(self, receipt: Receipt):
-        """The configuration a receipt must be verified against, from the
-        client's governance chain (§5.2)."""
-        schedule = verify_chain(self.gov_chain, self.params.effective_pipeline(), self.backend)
-        return schedule.config_at_seqno(receipt.seqno)
 
     # -- retries and backpressure -------------------------------------------------
 

@@ -43,20 +43,15 @@ class ProtocolParams:
     batch_delay: float = 0.0005  # primary waits this long to fill a batch
     request_queue_cap: int = 3000  # admission control: drop new requests beyond this backlog
 
-    # Overload control (coordinated admission pipeline).  With
-    # ``coordinated_admission`` on, the *primary* is the single admission
-    # point: it sheds at ingress — before paying any verification cost —
-    # whenever the projected backlog drain time (execute-lane occupancy
-    # plus queued requests times the per-request service estimate) exceeds
-    # ``admission_backlog`` seconds (0 = auto: ``client_timeout / 4``).
-    # Backups stop dropping independently: they stash raw requests without
-    # verifying and admit exactly the requests the primary sequences,
-    # verifying them in one batched fan-out at pre-prepare time.  With
-    # ``deadline_shedding`` on, the primary also drops queued requests
-    # whose projected completion (queue delay + per-op cost from the lane
-    # schedule) exceeds ``client_timeout`` — before paying execute costs.
-    coordinated_admission: bool = True
-    deadline_shedding: bool = True
+    # Overload control.  The *primary* is the single admission point: it
+    # sheds at ingress — before paying any verification cost — whenever
+    # the projected backlog drain time (execute-lane occupancy plus queued
+    # requests times the per-request service estimate) exceeds
+    # ``admission_backlog`` seconds (0 = auto: ``client_timeout / 4``),
+    # and drops queued requests whose projected completion exceeds
+    # ``client_timeout`` before paying execute costs.  Backups stash raw
+    # requests and admit exactly what the primary sequences
+    # (:mod:`repro.lpbft.admission`).
     client_timeout: float = 2.0  # the client patience replicas shed against
     admission_backlog: float = 0.0  # queued-work drain budget in seconds (0 = auto)
     # CPU-lane occupancy bound: shed at ingress once the execute lane is
@@ -67,23 +62,12 @@ class ProtocolParams:
     # pre-prepare time instead.
     lane_backlog_budget: float = 0.05
 
-    # Hot-path optimizations.  ``verify_cache`` memoizes signature checks
-    # over (key, payload, sig) triples across the deployment's replicas;
-    # ``batch_verify`` verifies evidence-bundle signature sets in one
-    # batched call.  Both are behavior-preserving (simulated CPU costs are
-    # charged either way) and exist as toggles for A/B benchmarking.
-    verify_cache: bool = True
-    batch_verify: bool = True
-
     # State sync (checkpoint transfer + ledger catch-up, §3.4/§5.1).
     # ``sync_lag_batches`` is the stash-gap that triggers a transfer
     # (0 = use the checkpoint interval); chunks are at most
     # ``sync_chunk_bytes`` with ``sync_window`` requests in flight.
-    state_sync: bool = True
     sync_chunk_bytes: int = 65536
     sync_window: int = 4
-    sync_retry_timeout: float = 0.25
-    sync_max_retries: int = 3
     sync_lag_batches: int = 0
 
     # Ledger prefix garbage collection (PR 5).  After a checkpoint
@@ -128,8 +112,6 @@ class ProtocolParams:
             raise ValueError("sync_chunk_bytes must be >= 1")
         if self.sync_window < 1:
             raise ValueError("sync_window must be >= 1")
-        if self.sync_retry_timeout <= 0:
-            raise ValueError("sync_retry_timeout must be positive")
         if self.client_timeout <= 0:
             raise ValueError("client_timeout must be positive")
         if self.admission_backlog < 0:

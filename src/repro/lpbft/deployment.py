@@ -98,9 +98,7 @@ class Deployment:
         # the same client-request and protocol signatures, so the real
         # cryptography runs once per distinct triple (simulated CPU costs
         # are still charged per replica).
-        self.verify_cache = (
-            signatures.SignatureVerifyCache() if self.params.verify_cache else None
-        )
+        self.verify_cache = signatures.SignatureVerifyCache()
         self.genesis_config, self.replica_keys, self.member_keys = make_genesis_config(
             self.n_replicas, self.backend, self.seed
         )

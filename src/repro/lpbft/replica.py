@@ -26,23 +26,16 @@ items on the ledger lane, and Merkle/checkpoint hashing is parallel
 ``hash`` work.  Stages of different batches (and of verification vs.
 execution) overlap exactly as lane availability allows.
 
-Overload control is *primary-coordinated* (``ProtocolParams.
-coordinated_admission``): the primary is the single admission point —
-it sheds at ingress, before paying verification, against lane-backlog
-and queue-drain budgets, and deadline-sheds queued work that cannot
-meet the client timeout — while backups stash raw requests and admit
-exactly what the primary sequences, verifying deferred batches in one
-fan-out at pre-prepare time.  Shed requests are rejected back to the
-client, which retries under seeded exponential backoff.
-
-View changes (Alg. 2) and state sync live in
-:class:`~repro.lpbft.viewchange.ViewChangeMixin`; the deployable replica
-is :class:`~repro.lpbft.LPBFTReplica`.
+The request queue and overload control (primary-coordinated admission,
+the backup stash, deadline shedding) live in
+:class:`~repro.lpbft.admission.Admission`; view changes (Alg. 2) in
+:class:`~repro.lpbft.viewchange.ViewChangeMixin` and state sync in
+:class:`~repro.statesync.StateSyncMixin`.  The deployable replica is
+:class:`~repro.lpbft.LPBFTReplica`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -71,6 +64,7 @@ from ..receipts.chain import GovernanceChain, GovernanceLink
 from ..receipts.receipt import Receipt
 from ..sim.costs import CostModel
 from ..sim.metrics import MetricsCollector
+from .admission import Admission
 from .checkpointing import CheckpointDirectory
 from .config import ProtocolParams
 from .messages import (
@@ -164,7 +158,9 @@ class ReconfigState:
 
 
 class LPBFTReplicaCore(Node):
-    """Normal-case L-PBFT (Alg. 1) plus checkpoints and reconfiguration.
+    """Normal-case L-PBFT (Alg. 1) plus checkpoints and reconfiguration:
+    the base of :class:`~repro.lpbft.LPBFTReplica`, not deployable alone
+    (failure detection, view changes and state sync come from the mixins).
 
     Entry points are network messages (dispatched by name in
     :meth:`on_message`) and inspection helpers used by deployments,
@@ -200,8 +196,11 @@ class LPBFTReplicaCore(Node):
         self.behavior = behavior
         self.backend = backend or signatures.default_backend()
         # Shared across the deployment's replicas: each (key, payload, sig)
-        # triple is cryptographically verified once per process.
-        self.verify_cache = verify_cache if params.verify_cache else None
+        # triple is cryptographically verified once per process.  (An empty
+        # cache is falsy, hence the explicit None test.)
+        self.verify_cache = (
+            signatures.SignatureVerifyCache() if verify_cache is None else verify_cache
+        )
         self.registry = registry
 
         # Service identity and replicated state.
@@ -240,21 +239,9 @@ class LPBFTReplicaCore(Node):
         self.committed_upto = 0
         self.ready = True
 
-        # Stores.
-        # T, the request queue: insertion order is arrival order.
-        self.requests: OrderedDict[Digest, TransactionRequest] = OrderedDict()
-        self.request_sources: dict[Digest, str] = {}
-        self.request_arrivals: dict[Digest, float] = {}  # admission time, for queue delay
-        # Overload control: which queued requests have had their client
-        # signature verified (backups defer verification until the primary
-        # sequences a request), and the per-request execute-cost EWMA the
-        # admission budget and deadline shedding project with.
-        self._verified_requests: set[Digest] = set()
-        self._exec_cost_ewma: float | None = None
-        # Tracing: per-request parent span context (the client's root
-        # span, carried as network metadata on the request message).
-        # Populated only while a deployment tracer is enabled.
-        self._trace_ctxs: dict[Digest, object] = {}
+        # Stores.  The request queue T and everything keyed by a request
+        # digest belong to the admission component.
+        self.admission = Admission(self)
         self.batches: dict[int, BatchRecord] = {}
         self.pps: dict[tuple[int, int], PrePrepare] = {}
         self.ppd_index: dict[Digest, tuple[int, int]] = {}
@@ -284,24 +271,8 @@ class LPBFTReplicaCore(Node):
         self._batch_timer: int | None = None
         self._nonce_counter = 0
 
-        # State sync (overridden by StateSyncMixin): True while a state
-        # transfer is in flight and normal operation is suspended.
-        self.syncing = False
-
-        self._init_view_change_state()
-        self._init_state_sync()
-
-    # Overridden by ViewChangeMixin; present so the core runs standalone in
-    # tests that never change views.
-    def _init_view_change_state(self) -> None:
-        pass
-
-    # Overridden by StateSyncMixin.
-    def _init_state_sync(self) -> None:
-        pass
-
-    def _maybe_detect_lag(self) -> None:
-        pass
+        self._init_view_change_state()  # ViewChangeMixin
+        self._init_state_sync()  # StateSyncMixin
 
     # -- identity and quorum helpers ------------------------------------------
 
@@ -355,9 +326,7 @@ class LPBFTReplicaCore(Node):
         # (§3.4 "Cryptography"): the item lands on the earliest-free lane.
         self.submit("verify", self.costs.verify)
         self.metrics.bump("signatures_verified")
-        if self.verify_cache is not None:
-            return self.verify_cache.verify(public_key, payload, signature, self.backend)
-        return self.backend.verify(public_key, payload, signature)
+        return self.verify_cache.verify(public_key, payload, signature, self.backend)
 
     def _verify_many(self, items: list[tuple[bytes, bytes, bytes]]) -> list[bool]:
         """Batched :meth:`_verify` over (key, payload, sig) triples —
@@ -372,10 +341,6 @@ class LPBFTReplicaCore(Node):
             return [True] * len(items)
         self.submit_many("verify", [self.costs.verify] * len(items))
         self.metrics.bump("signatures_verified", len(items))
-        if not self.params.batch_verify:
-            if self.verify_cache is not None:
-                return [self.verify_cache.verify(pk, m, sig, self.backend) for pk, m, sig in items]
-            return [self.backend.verify(pk, m, sig) for pk, m, sig in items]
         return signatures.verify_batch(items, self.backend, self.verify_cache)
 
     def _fresh_nonce(self) -> NonceCommitment:
@@ -413,263 +378,25 @@ class LPBFTReplicaCore(Node):
     ) -> None:
         request = TransactionRequest.from_wire(msg[1])
         tx_digest = request.request_digest()
-        if tx_digest in self.tx_locations or tx_digest in self.requests:
-            if record_source:
-                self.request_sources.setdefault(tx_digest, src)
+        located = self.tx_locations.get(tx_digest)
+        if located is not None or tx_digest in self.admission:
+            # A retransmission.  Its sender is worth remembering only
+            # while a reply can still be routed there: the request is
+            # queued, or its batch record is retained.
+            if record_source and (located is None or located[0] in self.batches):
+                self.admission.note_source(tx_digest, src)
                 self._maybe_resend_reply(tx_digest, src)
             return
         if request.service != self.service_name:
             return  # addressed to a different service; cannot be replayed here
-        # With coordinated admission the primary is the single admission
-        # point; backups stash raw requests and admit exactly what the
-        # primary sequences.  Without it every replica admits (and sheds)
-        # independently — the PR 3 regime.
-        admission_point = not self.params.coordinated_admission or self.is_primary()
-        tracing = self.tracer.enabled
-        if tracing:
-            arrived = self.now
-            if self._inbound_ctx is not None:
-                self._trace_ctxs.setdefault(tx_digest, self._inbound_ctx)
-        if not force:
-            if admission_point:
-                reason = self._admission_check()
-                if reason is not None:
-                    # Shed at ingress, *before* paying any verification
-                    # cost; the rejection tells the client to back off.
-                    self.metrics.bump("requests_shed", reason=reason)
-                    if tracing:
-                        self.tracer.annotate(
-                            "shed", self.address, self.now,
-                            reason=reason, tx=tx_digest.hex()[:16])
-                    self.send(src, ("reject", tx_digest, reason))
-                    return
-            elif not self._stash_has_room():
-                self.metrics.bump("requests_stash_dropped")
-                return
-        # The admission point verifies what it admits.  Backups verify
-        # *opportunistically*: eagerly while their verify lanes are idle
-        # and the stash is shallow (keeping verification off the batch
-        # critical path below the knee), deferred to pre-prepare time
-        # once either congests — a deep stash means the primary is
-        # shedding, so most stashed requests will never be sequenced and
-        # pre-paying their verification would be pure waste.
-        verify_now = admission_point or (
-            self.params.coordinated_admission
-            and len(self.requests) < self.params.max_batch
-            and self.cpu.backlog("verify", self.now) < self.params.lane_backlog_budget
-        )
-        if verify_now and self.params.sign_client_requests:
-            if not self._verify(request.client, request.signed_payload(), request.signature):
-                self.metrics.bump("bad_client_signatures")
-                return
-            self._verified_requests.add(tx_digest)
-        self.requests[tx_digest] = request
-        self.request_arrivals.setdefault(tx_digest, self.now)
-        if tracing:
-            # Admission at the admission point, stash on backups — either
-            # way the causal child of the client's request span.
-            self.tracer.span(
-                "admission" if admission_point else "stash",
-                self.address, arrived,
-                parent=self._trace_ctxs.get(tx_digest),
-                end=self.cpu_time(), verified=bool(verify_now))
-        if record_source:
-            self.request_sources[tx_digest] = src
-        if self.is_primary():
-            self.metrics.bump("requests_admitted")
-            self.metrics.admitted.record(self.now)
+        if not self.admission.admit(src, request, tx_digest, force, record_source):
+            return
         if self.is_primary() and self.ready:
             self._schedule_batch()
         self._retry_pending_pps()
 
-    # -- admission control (overload pipeline) -------------------------------------
-    #
-    # The PR 4 coordinated-admission path, end to end.  A request travels:
-    #
-    #   handle_request ──(primary)──▶ _admission_check ──admit──▶ verify now
-    #        │                              │                        │
-    #        │ (backup)                     └─shed──▶ reject to      ▼
-    #        ▼                                        client      queue (T)
-    #   _stash_has_room ──full──▶ evict oldest while expired         │
-    #        │                                                      ▼
-    #        └─room──▶ stash raw (maybe pre-verify          _select_requests
-    #                  when verify lanes idle)               (deadline shed)
-    #                                                               │
-    #   backups at pre-prepare time: _ensure_verified ◀─────────────┘
-    #   (batched fan-out; a sequenced bad signature ⇒ suspect primary)
-    #
-    # The queue (the primary's T, a backup's stash) is one ordered map,
-    # ``self.requests``: digest → request, O(1) insert, delete-by-digest
-    # and peek-oldest.  ``request_arrivals``, ``request_sources`` and
-    # ``_verified_requests`` are side tables keyed by the same digests.
-    #
-    # Knobs and their meaning (all on ProtocolParams):
-    # - request_queue_cap: hard memory bound on the queue/stash;
-    # - lane_backlog_budget: execute-lane occupancy (seconds) beyond which
-    #   ingress sheds regardless of queue length — lane backlog delays
-    #   every protocol round, so it must stay small for consensus cadence;
-    # - admission_backlog (0 = client_timeout/4): projected queue drain
-    #   budget; _service_time_estimate (execute-cost EWMA + amortized
-    #   verify) converts queue length into seconds;
-    # - deadline_shedding/client_timeout: _select_requests drops queued
-    #   work whose projected completion (waited + lane backlog + position
-    #   × service estimate) the client would no longer wait for.
-    #
-    # Invariants: the map's order is arrival order (every insert is a new
-    # key, so it lands at the tail); a digest is queued at most once; a
-    # request that was dropped or rolled back and arrives again is a fresh
-    # tail entry, not a return to its old place.  The primary is the
-    # *only* admission point (backups never shed what the primary may
-    # sequence — no fetch storms), verification is paid at most once per
-    # request (wasted_verify_s counts the exceptions), and every shed is
-    # audible to the client as a reject.
-
-    def _service_time_estimate(self) -> float:
-        """Projected serial-capacity seconds one queued request consumes:
-        its execute cost (EWMA of observed submissions; cost-model
-        estimate before any request ran) plus its verification cost
-        amortized over the lanes verification fans out across."""
-        est = self._exec_cost_ewma
-        if est is None:
-            est = self.costs.execute_tx(3, max(1, len(self.kv)))
-        if self.params.sign_client_requests and self.params.use_signatures:
-            est += self.costs.verify / max(1, self.costs.cores - 2)
-        return est
-
-    def _admission_check(self) -> str | None:
-        """Admission verdict at the admission point: ``None`` to admit, a
-        rejection reason to shed.  The hard queue cap bounds memory; the
-        backlog budget (coordinated mode) bounds the projected drain time
-        of the backlog against the execute-lane schedule."""
-        queued = len(self.requests)
-        if queued >= self.params.request_queue_cap:
-            return "overloaded"
-        if self.params.coordinated_admission:
-            backlog = self.cpu.backlog("execute", self.now)
-            # Lane occupancy over its (small) budget: the CPU is drowning
-            # in already-accepted work (verification floods every lane, so
-            # the execute lane's backlog sees it), and every protocol
-            # message round is stalling behind it — shed regardless of how
-            # short the batching queue looks.
-            if backlog > self.params.lane_backlog_budget:
-                return "overloaded"
-            # Otherwise keep at least a pipeline's worth of full batches
-            # queued — shedding below that starves batch formation — and
-            # beyond it shed when the projected queue drain time busts the
-            # backlog budget.
-            if queued >= self.params.max_batch * self.params.effective_pipeline() and (
-                backlog + (queued + 1) * self._service_time_estimate()
-                > self.params.admission_budget()
-            ):
-                return "overloaded"
-            # Work-window gate (W > 1 only): with the full window of
-            # rounds in flight *and* enough queued requests to refill it
-            # entirely, further arrivals cannot be sequenced before the
-            # window turns over — shed them now rather than after they
-            # age into deadline drops.
-            if (
-                self.params.work_window > 1
-                and self.window_occupancy() >= self.params.effective_pipeline()
-                and queued >= self.params.max_batch * (self.params.effective_pipeline() + 1)
-            ):
-                return "window_full"
-        return None
-
-    def _stash_has_room(self) -> bool:
-        """Backup stash bound.  The stash is *not* an admission point —
-        dropping a request the primary later sequences forces a fetch
-        round-trip, which is exactly the uncoordinated waste this
-        pipeline removes — so it is bounded by memory (a generous
-        multiple of the queue cap), with entries older than the client
-        timeout evicted first (their client has given up; the primary
-        would shed them too)."""
-        soft_cap = self.params.request_queue_cap
-        horizon = self.now - self.params.client_timeout
-        # Runs per arrival under overload: peek the oldest entry, evict it
-        # if expired, stop at the first fresh one.
-        while len(self.requests) >= soft_cap:
-            tx_digest = next(iter(self.requests))
-            arrival = self.request_arrivals.get(tx_digest)
-            if arrival is None or arrival > horizon:
-                break  # everything behind is fresher
-            self._drop_request(tx_digest, "requests_stash_evicted")
-        return len(self.requests) < 16 * soft_cap
-
-    def _drop_request(
-        self, tx_digest: Digest, counter: str | None, reject_reason: str | None = None
-    ) -> None:
-        """Remove a queued request (shed/evicted), accounting any CPU
-        already sunk into it as wasted work and optionally telling the
-        client."""
-        if self.requests.pop(tx_digest, None) is None:
-            return
-        self.request_arrivals.pop(tx_digest, None)
-        if self.tracer.enabled:
-            self.tracer.annotate(
-                "shed", self.address, self.now,
-                reason=reject_reason or (counter or "dropped"),
-                tx=tx_digest.hex()[:16])
-            self._trace_ctxs.pop(tx_digest, None)
-        if tx_digest in self._verified_requests:
-            self._verified_requests.discard(tx_digest)
-            if self.params.sign_client_requests and self.params.use_signatures:
-                # Shed-after-verify: the verification was pure waste.
-                self.metrics.bump("requests_wasted_verify")
-                self.metrics.bump("wasted_verify_s", self.costs.verify)
-        if counter is not None:
-            self.metrics.bump(counter)
-        # A dropped request can never be replied to — release its source
-        # mapping (kept for executed requests to route replies).
-        src = self.request_sources.pop(tx_digest, None)
-        if reject_reason is not None and src is not None:
-            self.send(src, ("reject", tx_digest, reject_reason))
-
     def wasted_verify_seconds(self) -> float:
-        """Verification CPU sunk into requests that were shed after being
-        verified, plus verified requests still queued (admitted but never
-        sequenced — the uncoordinated-admission waste)."""
-        wasted = float(self.metrics.counters.get("wasted_verify_s", 0.0))
-        if self.params.sign_client_requests and self.params.use_signatures:
-            leftover = sum(1 for d in self.requests if d in self._verified_requests)
-            wasted += leftover * self.costs.verify
-        return wasted
-
-    def _ensure_verified(self, digests) -> bool:
-        """Verify the client signatures of any still-unverified queued
-        requests among ``digests`` in one batched fan-out (the deferred
-        verification of coordinated admission).  Invalid requests are
-        dropped; returns False if any were."""
-        if not self.params.sign_client_requests:
-            return True
-        unverified = [
-            d for d in digests if d not in self._verified_requests and d in self.requests
-        ]
-        if not unverified:
-            return True
-        verify_span = None
-        if self.tracer.enabled:
-            verify_span = self.tracer.span(
-                "verify", self.address, self.cpu_time(),
-                parent=next((self._trace_ctxs[d] for d in unverified
-                             if d in self._trace_ctxs), None),
-                count=len(unverified))
-        verdicts = self._verify_many(
-            [
-                (r.client, r.signed_payload(), r.signature)
-                for r in (self.requests[d] for d in unverified)
-            ]
-        )
-        if verify_span is not None:
-            verify_span.finish(self.cpu_time())
-        all_ok = True
-        for tx_digest, ok in zip(unverified, verdicts):
-            if ok:
-                self._verified_requests.add(tx_digest)
-            else:
-                all_ok = False
-                self.metrics.bump("bad_client_signatures")
-                self._drop_request(tx_digest, None)
-        return all_ok
+        return self.admission.wasted_verify_seconds()
 
     def _schedule_batch(self) -> None:
         if self._batch_timer is not None:
@@ -746,42 +473,6 @@ class LPBFTReplicaCore(Node):
 
     # -- primary: building batches (Alg. 1 line 4) -----------------------------------------
 
-    def _select_requests(self, base_index: int) -> list[Digest]:
-        """Pick the next batch's requests in arrival order, honoring each
-        request's minimum ledger index (mi, §B.1).
-
-        With deadline shedding on, queued requests whose projected
-        completion — execute-lane backlog plus their queue position times
-        the per-request service estimate — exceeds the client timeout are
-        dropped here, *before* paying execute costs: their client will
-        have given up before the reply could arrive."""
-        deadline = self.params.client_timeout if self.params.deadline_shedding else None
-        if deadline is not None:
-            service_est = self._service_time_estimate()
-            exec_backlog = self.cpu.backlog("execute", self.now)
-        selected: list[Digest] = []
-        expired: list[Digest] = []
-        projected = base_index
-        for position, (tx_digest, request) in enumerate(self.requests.items(), 1):
-            if len(selected) >= self.params.max_batch:
-                break
-            if deadline is not None:
-                # Projected completion = wait already accrued + remaining
-                # queue drain + the request's own slot.  A retransmission
-                # after the drop re-enqueues with a fresh arrival time.
-                waited = self.now - self.request_arrivals.get(tx_digest, self.now)
-                if waited + exec_backlog + service_est * position > deadline:
-                    expired.append(tx_digest)
-                    continue
-            if request.min_index > projected:
-                continue  # stays queued until the ledger grows past mi
-            selected.append(tx_digest)
-            projected += 1
-        # Dropped after the walk: the map must not change under iteration.
-        for tx_digest in expired:
-            self._drop_request(tx_digest, "requests_deadline_dropped", reject_reason="deadline")
-        return selected
-
     def maybe_send_pre_prepare(self) -> None:
         """Alg. 1 ``sendPrePrepare``: batch, execute early, sign, ship.
         Loops while more batches can be emitted (reconfiguration sequences
@@ -814,11 +505,11 @@ class LPBFTReplicaCore(Node):
             if flags == BATCH_REGULAR:
                 base = self.ledger.logical_size() + self._evidence_entry_count(s) + 1
                 while True:
-                    selected = self._select_requests(base + (1 if self._checkpoint_due(s) else 0))
-                    # Requests stashed while we were a backup (coordinated
-                    # admission) are verified here, batched; invalid ones
-                    # are dropped and the selection re-runs.
-                    if self._ensure_verified(selected):
+                    selected = self.admission.select(base + (1 if self._checkpoint_due(s) else 0))
+                    # Requests stashed while we were a backup are verified
+                    # here, batched; invalid ones are dropped and the
+                    # selection re-runs.
+                    if self.admission.ensure_verified(selected):
                         break
                 if not selected and not self._checkpoint_due(s):
                     return
@@ -855,13 +546,12 @@ class LPBFTReplicaCore(Node):
             # attribute lets the summarizer join the other requests in.
             pp_span = self.tracer.span(
                 "pre-prepare", self.address, self.cpu_time(),
-                parent=next((self._trace_ctxs[d] for d in selected
-                             if d in self._trace_ctxs), None),
+                parent=self.admission.trace_parent(selected),
                 seqno=s, view=self.view, n=len(selected), role="primary")
         ledger_mark = len(self.ledger)
         kv_mark = self.kv.tx_count
         ev_bitmap = self._append_evidence(s)
-        record = self._execute_batch(s, self.view, flags, [self.requests[d] for d in selected], selected)
+        record = self._execute_batch(s, self.view, flags, selected)
         record.ledger_start = ledger_mark
         record.kv_mark = kv_mark
         pp = self._finalize_batch(record, ev_bitmap)
@@ -916,14 +606,14 @@ class LPBFTReplicaCore(Node):
         s: int,
         view: int,
         flags: int,
-        request_list: list[TransactionRequest],
         tx_digests: list[Digest],
     ) -> BatchRecord:
-        """Early execution shared by primary and backups: run the batch's
-        transactions, build the per-batch tree G, and stage the (t, i, o)
-        entries.  The caller has already appended the evidence entries;
-        the pre-prepare entry will sit at the current ledger length, so
-        the first transaction index is ``len(ledger) + 1``."""
+        """Early execution shared by primary and backups: take the batch's
+        requests from the queue, run them, build the per-batch tree G, and
+        stage the (t, i, o) entries.  The caller has already appended the
+        evidence entries; the pre-prepare entry will sit at the current
+        ledger length, so the first transaction index is
+        ``len(ledger) + 1``."""
         record = BatchRecord(seqno=s, view=view, flags=flags, kv_mark=self.kv.tx_count)
         # The pre-prepare entry consumes the next logical index; the first
         # transaction takes the one after (logical indices skip vc/nv
@@ -948,19 +638,19 @@ class LPBFTReplicaCore(Node):
             self.last_recorded_cp = cp_seqno
             self.cp_directory.note_record(s, cp_seqno, cp.digest())
 
-        for request, tx_digest in zip(request_list, tx_digests):
-            arrival = self.request_arrivals.pop(tx_digest, None)
+        for tx_digest in tx_digests:
+            request, arrival = self.admission.take(tx_digest)
             if arrival is not None:
                 # Time spent queued between admission and execution — the
                 # congestion signal open-loop saturation sweeps read.
                 self.metrics.queue_delay.record(self.now - arrival)
             exec_span = None
-            if self.tracer.enabled and tx_digest in self._trace_ctxs:
+            ctx = self.admission.trace_parent((tx_digest,)) if self.tracer.enabled else None
+            if ctx is not None:
                 # Start at the activity frontier: the span length covers
                 # execute-lane wait plus the execution itself.
                 exec_span = self.tracer.span(
-                    "execute", self.address, self.cpu_time(),
-                    parent=self._trace_ctxs[tx_digest], seqno=s)
+                    "execute", self.address, self.cpu_time(), parent=ctx, seqno=s)
             output = self._execute_request(request)
             if exec_span is not None:
                 exec_span.finish(self.cpu_time())
@@ -973,8 +663,6 @@ class LPBFTReplicaCore(Node):
             record.clients.setdefault(request.client, []).append(tx_digest)
             self.tx_locations[tx_digest] = (s, next_index)
             next_index += 1
-            self.requests.pop(tx_digest, None)
-            self._verified_requests.discard(tx_digest)
             if request.procedure.startswith("gov."):
                 # A governance transaction ends the batch (§5.1 summary).
                 self.gov_tx_log.append((s, tx_digest, request.procedure))
@@ -989,12 +677,7 @@ class LPBFTReplicaCore(Node):
         # can overlap verification and message handling, never each other.
         cost = self.costs.execute_tx(ops, len(self.kv))
         self.submit("execute", cost)
-        # Track the observed per-request execute cost (EWMA) — the
-        # admission budget and deadline shedding project with it.
-        if self._exec_cost_ewma is None:
-            self._exec_cost_ewma = cost
-        else:
-            self._exec_cost_ewma += 0.1 * (cost - self._exec_cost_ewma)
+        self.admission.observe_execute_cost(cost)
         self.metrics.bump("transactions_executed")
         return output
 
@@ -1098,12 +781,14 @@ class LPBFTReplicaCore(Node):
             return False
         if (pp.view, s) in self.own_nonces:
             return True  # already sent a prepare for this (v, s): drop (line 16)
-        missing = [d for d in batch_digests if d not in self.requests and d not in self.tx_locations]
+        missing = [d for d in batch_digests if d not in self.admission and d not in self.tx_locations]
         if missing:
             self._fetch_requests(config, missing)
             return False
         if any(d in self.tx_locations for d in batch_digests):
             return True  # batch replays an executed request: drop
+        if len(set(batch_digests)) != len(batch_digests):
+            return True  # batch names a request twice (the queue holds it once): drop
         evidence_pair: tuple[EvidenceEntry, NoncesEntry] | None = None
         ev_seqno = s - self.params.effective_pipeline()
         if ev_seqno >= 1:
@@ -1146,11 +831,11 @@ class LPBFTReplicaCore(Node):
         if not self._verify(signer_config.replica_key(primary_id), pp.signed_payload(), pp.signature):
             self.metrics.bump("bad_pre_prepare_signatures")
             return True
-        # Coordinated admission defers client-signature checks to the
-        # moment the primary sequences a request: verify the batch's
-        # requests now, in one fan-out.  A batch naming a request with an
-        # invalid signature exposes a Byzantine primary.
-        if not self._ensure_verified(batch_digests):
+        # Client-signature checks are deferred to the moment the primary
+        # sequences a request: verify the batch's requests now, in one
+        # fan-out.  A batch naming a request with an invalid signature
+        # exposes a Byzantine primary.
+        if not self.admission.ensure_verified(batch_digests):
             self._suspect_primary()
             return True
         if pp.flags == BATCH_END_OF_CONFIG and self.reconfig is None:
@@ -1188,8 +873,7 @@ class LPBFTReplicaCore(Node):
         kv_mark = self.kv.tx_count
         cp_mark = (self.last_recorded_cp, self.last_taken_cp)
         self._append_given_evidence(evidence_pair)
-        request_list = [self.requests[d] for d in batch_digests]
-        record = self._execute_batch(s, pp.view, pp.flags, request_list, list(batch_digests))
+        record = self._execute_batch(s, pp.view, pp.flags, list(batch_digests))
         record.ledger_start = ledger_mark
         record.kv_mark = kv_mark
 
@@ -1240,15 +924,14 @@ class LPBFTReplicaCore(Node):
         self.ledger.truncate(ledger_mark)
         self.last_recorded_cp, self.last_taken_cp = cp_mark
         self.cp_directory.rollback_after(record.seqno - 1)
-        for entry, tx_digest in zip(record.entries, record.tx_digests):
-            if tx_digest is None:
-                continue
+        self._unexecute(record, arrival=self.now)
+
+    def _unexecute(self, record: BatchRecord, arrival: float | None = None) -> None:
+        """Forget where a rolled-back batch's requests executed and return
+        them to the queue."""
+        for tx_digest in record.tx_digests:
             self.tx_locations.pop(tx_digest, None)
-            if tx_digest not in self.requests:
-                self.requests[tx_digest] = entry.request()
-                self.request_arrivals.setdefault(tx_digest, self.now)
-                # Verified before it was sequenced; no need to re-pay.
-                self._verified_requests.add(tx_digest)
+        self.admission.requeue(record, arrival)
 
     # -- prepares and commits (Alg. 1 lines 27–41) -----------------------------------------
 
@@ -1369,7 +1052,6 @@ class LPBFTReplicaCore(Node):
         if record.quorum_span is not None:
             record.quorum_span.finish(self.cpu_time())
             record.quorum_span = None
-        self._reset_view_change_timer()
         nxt = self.batches.get(seqno + 1)
         if nxt is not None:
             self._check_committed(nxt.view, seqno + 1)
@@ -1449,7 +1131,7 @@ class LPBFTReplicaCore(Node):
             # PeerReview: a signed reply per transaction, not per batch.
             self.submit("sign", self.costs.sign * max(1, record.request_count()))
         for client, tx_digests in record.clients.items():
-            dst = self.request_sources.get(tx_digests[0])
+            dst = self.admission.source(tx_digests[0])
             if dst is None:
                 continue
             payload = ("reply", reply.to_wire(), tuple(tx_digests))
@@ -1462,7 +1144,7 @@ class LPBFTReplicaCore(Node):
             for position, (entry, tx_digest) in enumerate(zip(record.entries, record.tx_digests)):
                 if tx_digest is None or designated_replica(tx_digest, config) != self.id:
                     continue
-                dst = self.request_sources.get(tx_digest)
+                dst = self.admission.source(tx_digest)
                 if dst is not None:
                     self._send_replyx(record, position, entry, tx_digest, dst)
 
@@ -1518,7 +1200,7 @@ class LPBFTReplicaCore(Node):
             return
         for position, (entry, d) in enumerate(zip(record.entries, record.tx_digests)):
             if d == tx_digest:
-                self.request_sources[tx_digest] = src
+                self.admission.note_source(tx_digest, src, replace=True)
                 self._send_replyx(record, position, entry, tx_digest, src)
                 return
 
@@ -1618,10 +1300,7 @@ class LPBFTReplicaCore(Node):
             record = self.batches[seqno]
             if not record.committed:
                 continue
-            for tx_digest in record.tx_digests:
-                if tx_digest is not None:
-                    self.request_arrivals.pop(tx_digest, None)
-                    self._trace_ctxs.pop(tx_digest, None)
+            self.admission.forget(record)
             key = (record.view, seqno)
             self.pps.pop(key, None)
             self.ppd_index.pop(record.pp_digest, None)
@@ -1659,16 +1338,9 @@ class LPBFTReplicaCore(Node):
         audits keep a complete configuration history."""
         if not (self.params.ledger_gc and self.params.checkpoints and self.params.ledger):
             return
-        # Without state sync, whole-ledger fetch is the only recovery path
-        # peers have — collecting the prefix would strand them, so GC is
-        # gated on the checkpoint-rooted transfer protocol being enabled.
-        if not self.params.state_sync:
-            return
         # A completed/abandoned state transfer must not hold its serve pin
         # forever; the server releases it once clients go quiet.
-        server = getattr(self, "sync_server", None)
-        if server is not None:
-            server.release_stale_pin()
+        self.sync_server.release_stale_pin()
         stable = self._oldest_stable_checkpoint()
         if stable is None:
             return
@@ -1894,7 +1566,7 @@ class LPBFTReplicaCore(Node):
     def handle_fetch_requests(self, src: str, msg: tuple) -> None:
         found = []
         for tx_digest in msg[1]:
-            request = self.requests.get(tx_digest)
+            request = self.admission.get(tx_digest)
             if request is not None:
                 found.append(request.to_wire())
                 continue
@@ -1917,12 +1589,12 @@ class LPBFTReplicaCore(Node):
             self.handle_request(src, ("request", wire), force=True, record_source=False)
 
     def handle_fetch_ledger(self, src: str, msg: tuple) -> None:
-        """Serve the full ledger plus the newest checkpoint (§3.4 fetch /
-        §5.1 join).  Once the prefix has been garbage-collected there is
-        no full ledger to serve; the requester is told so explicitly
-        (``ledger-gone``) and falls back to the checkpoint-rooted sync
-        protocol.  (Ledger GC only runs when ``state_sync`` is on, so
-        that fallback always exists.)"""
+        """Serve the full ledger plus the newest checkpoint (Alg. 2: a
+        replica behind a new view's latest prepared batch fetches the
+        missing entries).  Once the prefix has been garbage-collected
+        there is no full ledger to serve; the requester is told so
+        explicitly (``ledger-gone``) and falls back to the
+        checkpoint-rooted sync protocol."""
         if self.ledger.base_index > 0:
             self.send(src, ("ledger-gone",))
             return
@@ -1995,22 +1667,21 @@ class LPBFTReplicaCore(Node):
         self._retry_pending_pps()
 
     def _send_fetch_ledger(self, addr: str) -> None:
-        """Legacy whole-ledger fetch, tracked so a `ledger-gone` answer is
-        only honored from a peer we actually asked."""
+        """Whole-ledger fetch, tracked so a `ledger-gone` answer is only
+        honored from a peer we actually asked."""
         self._fetch_ledger_pending.add(addr)
         self.send(addr, ("fetch-ledger",))
 
     def handle_ledger_gone(self, src: str, msg: tuple) -> None:
         """The peer we asked for a whole ledger garbage-collected its
         prefix: recover through the checkpoint-rooted state-sync protocol
-        instead (present whenever ledger GC is enabled).  Unsolicited
-        `ledger-gone` messages are dropped — a Byzantine replica must not
-        be able to suspend honest replicas into state transfers at will."""
+        instead.  Unsolicited `ledger-gone` messages are dropped — a
+        Byzantine replica must not be able to suspend honest replicas into
+        state transfers at will."""
         if src not in self._fetch_ledger_pending:
             return
         self._fetch_ledger_pending.discard(src)
-        if self.params.state_sync and hasattr(self, "start_state_sync"):
-            self.start_state_sync("ledger_gone")
+        self.start_state_sync("ledger_gone")
 
     def handle_get_gov_chain(self, src: str, msg: tuple) -> None:
         self.send(
@@ -2042,26 +1713,6 @@ class LPBFTReplicaCore(Node):
     def handle_ack(self, src: str, msg: tuple) -> None:
         # PeerReview acknowledgement: verify it (cost) and log.
         self.submit("verify", self.costs.verify)
-
-    # -- view change hooks (overridden by ViewChangeMixin) -----------------------------------
-
-    def _arm_view_change_timer(self) -> None:
-        pass
-
-    def _reset_view_change_timer(self) -> None:
-        pass
-
-    def _suspect_primary(self) -> None:
-        pass
-
-    def handle_view_change(self, src: str, msg: tuple) -> None:  # pragma: no cover
-        raise ProtocolError("view changes require LPBFTReplica (ViewChangeMixin)")
-
-    def handle_new_view(self, src: str, msg: tuple) -> None:  # pragma: no cover
-        raise ProtocolError("view changes require LPBFTReplica (ViewChangeMixin)")
-
-    def handle_ledger_bundle(self, src: str, msg: tuple) -> None:  # pragma: no cover
-        raise ProtocolError("state sync requires LPBFTReplica (ViewChangeMixin)")
 
     # Message kind -> bound-method name; resolved with getattr so mixin
     # overrides take effect.

@@ -12,9 +12,10 @@ appended to the ledger, which is what makes view changes auditable: a
 replica that prepared a batch and omits it from its view-change can be
 blamed (§4.1, case analysis of Lemma 5).
 
-The mixin also implements ledger adoption (:meth:`handle_ledger_bundle`),
-used both by a new primary that is behind the latest prepared batch and by
-replicas joining after a reconfiguration (§5.1).
+The mixin also implements ledger adoption: :meth:`handle_ledger_bundle`
+for a replica behind a new view's latest prepared batch (everything else
+that lags recovers through :mod:`repro.statesync`), and the atomic
+:meth:`_install_ledger_state` both paths end in.
 """
 
 from __future__ import annotations
@@ -75,15 +76,11 @@ class ViewChangeMixin:
 
         self._vc_timer = self.set_timer(self.params.view_change_timeout, fire)
 
-    def _reset_view_change_timer(self) -> None:
-        pass  # progress is sampled by the periodic timer itself
-
     def _on_view_change_timer(self) -> None:
         """Suspect the primary when work is pending but no batch committed
-        since the previous check; catch up when the rest of the service
-        has visibly moved to a higher view without us."""
-        from .messages import PrePrepare as _PP
-
+        since the previous check (the timer samples progress each period);
+        catch up when the rest of the service has visibly moved to a
+        higher view without us."""
         if self.syncing:
             # A state transfer is already recovering us; do not also
             # suspect the primary or fight over views meanwhile.
@@ -96,38 +93,31 @@ class ViewChangeMixin:
             # Stashed pre-prepares from a higher view mean we missed a
             # new-view (e.g. we were partitioned away): adopt the ledger
             # from that view's primary instead of fighting it.
-            higher = [item for item in self.pending_pps if item[0][1] > self.view]
-            if higher:
-                pp = _PP.from_wire(higher[0][0])
-                config = self.current_config()
-                primary_addr = self.replica_directory.get(config.primary_for_view(pp.view))
-                self._request_state_sync(primary_addr, reason="missed_view")
+            if any(item[0][1] > self.view for item in self.pending_pps):
+                self.start_state_sync("missed_view")
                 self._arm_view_change_timer()
                 return
             # Conversely, if we over-advanced our view while isolated and
             # keep dropping traffic from the (lower) service view, sync
             # back down instead of staying stranded.
             if self._last_lower_view_drop is not None:
-                lower = self._last_lower_view_drop
                 self._last_lower_view_drop = None
-                config = self.current_config()
-                primary_addr = self.replica_directory.get(config.primary_for_view(lower))
-                self._request_state_sync(primary_addr, reason="over_advanced")
+                self.start_state_sync("over_advanced")
                 self._arm_view_change_timer()
                 return
         self._retry_pending_pps()  # drop stale stash before judging pendancy
-        if not progressed and self.pending_pps and self.params.state_sync:
+        if not progressed and self.pending_pps:
             # Stuck with a deep stash despite a whole timer period of no
             # progress (e.g. the evidence for the next batch was
             # garbage-collected at every peer): a transfer is the only
             # way forward, gap or no gap.
             horizon = max(item[0][2] for item in self.pending_pps)
             if horizon - max(self.committed_upto, 0) > self._lag_threshold():
-                self._request_state_sync(reason="stuck")
+                self.start_state_sync("stuck")
                 self._arm_view_change_timer()
                 return
         has_pending = (
-            bool(self.requests)
+            bool(self.admission)
             or self.prepared_upto > self.committed_upto
             or bool(self.pending_pps)
             # Batches emitted or accepted beyond the commit frontier that
@@ -243,7 +233,7 @@ class ViewChangeMixin:
         # Re-pre-prepare the prepared-but-uncommitted batches in the new
         # view, with identical composition (resendPreparesInNewView).
         for seqno, flags, digests in reissue:
-            missing = [d for d in digests if d not in self.requests]
+            missing = [d for d in digests if d not in self.admission]
             if missing:
                 break  # cannot reconstitute; clients will retransmit
             self._emit_batch(seqno, flags, list(digests))
@@ -323,15 +313,9 @@ class ViewChangeMixin:
             self.pps.pop((record.view, seqno), None)
             if record.pp_digest is not None:
                 self.ppd_index.pop(record.pp_digest, None)
-            for entry, tx_digest in zip(record.entries, record.tx_digests):
-                if tx_digest is None:
-                    continue
-                self.tx_locations.pop(tx_digest, None)
-                if tx_digest not in self.requests:
-                    self.requests[tx_digest] = entry.request()
-                    # Sequenced requests were verified; keep the mark so
-                    # re-issuing the batch does not re-pay verification.
-                    self._verified_requests.add(tx_digest)
+            # No arrival time: the requests are not aged out of the queue
+            # before the new view re-issues their batch.
+            self._unexecute(record)
         self.prepared_upto = min(self.prepared_upto, target)
         self.committed_upto = min(self.committed_upto, target)
         self.next_seqno = target + 1
@@ -410,21 +394,6 @@ class ViewChangeMixin:
         return max(self.batches) if self.batches else 0
 
     # -- ledger adoption (join §5.1 / primary sync §3.2) -----------------------------------
-
-    def _request_state_sync(self, source_address: str | None = None, reason: str = "recovery") -> None:
-        """Legacy whole-ledger fetch; overridden by
-        :class:`~repro.statesync.StateSyncMixin` with the chunked,
-        verified transfer when ``params.state_sync`` is on."""
-        if source_address:
-            self._send_fetch_ledger(source_address)
-
-    def request_join(self, source_address: str) -> None:
-        """Ask a running replica for its ledger and newest checkpoint."""
-        if self.params.state_sync and hasattr(self, "start_state_sync"):
-            self.start_state_sync("join")
-        else:
-            self._send_fetch_ledger(source_address)
-        self.send(source_address, ("get-gov-chain",))
 
     def handle_ledger_bundle(self, src: str, msg: tuple) -> None:
         # The fetch is answered; src no longer holds a license to report
@@ -633,8 +602,7 @@ class ViewChangeMixin:
         self.tx_locations = tx_locations
         self.pps.update(new_pps)
         self.ppd_index.update(new_ppd)
-        for tx_digest in tx_locations:
-            self.requests.pop(tx_digest, None)
+        self.admission.discard(tx_locations)
         last_seqno = ledger.last_seqno()
         self.prepared_upto = last_seqno
         self.committed_upto = last_seqno

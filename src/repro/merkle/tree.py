@@ -112,11 +112,6 @@ class MerkleTree:
             self._nodes[(end - (1 << (height + 1)), end)] = merged
         return index
 
-    def extend(self, leaves: list[Digest]) -> None:
-        """Append several leaves in order."""
-        for leaf in leaves:
-            self.append(leaf)
-
     def truncate(self, size: int) -> None:
         """Roll the tree back to its first ``size`` leaves (Lemma 1).
 

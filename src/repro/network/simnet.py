@@ -130,13 +130,6 @@ class Node:
         self._frontier = max(self._frontier, done)
         return done
 
-    def charge(self, seconds: float, kind: str = "message") -> None:
-        """Account ``seconds`` of serial CPU time (compatibility shim for
-        untyped callers; prefer :meth:`submit` with an explicit kind).
-        Calls :meth:`Node.submit` explicitly: client subclasses reuse the
-        ``submit`` name for transaction submission."""
-        Node.submit(self, kind, seconds)
-
     def cpu_time(self) -> float:
         """The causal completion time of the current activity's work so
         far.  Outgoing messages depart then, and completion-style
@@ -297,9 +290,6 @@ class SimNetwork:
     def add_drop_rule(self, rule: Callable[[str, str, Any], bool]) -> None:
         """Drop messages for which ``rule(src, dst, msg)`` is True."""
         self._drop_rules.append(rule)
-
-    def clear_drop_rules(self) -> None:
-        self._drop_rules.clear()
 
     def add_duplicate_rule(
         self,

@@ -103,7 +103,7 @@ class PeriodicSampler:
                 "lane_busy_fraction": [
                     round((b - p) / dt, 6) for b, p in zip(busy, prev_busy)
                 ],
-                "stash_depth": len(replica.requests),
+                "stash_depth": len(replica.admission),
                 "pending_pps": len(replica.pending_pps),
                 "window_occupancy": replica.window_occupancy(),
                 "ledger_resident_entries": replica.ledger.resident_entries(),

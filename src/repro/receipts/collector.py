@@ -116,7 +116,6 @@ class ReceiptCollector:
         config: Configuration,
         verify: bool = True,
         backend=None,
-        use_cache: bool = True,
         completion_gate=None,
         aggregate: bool = False,
     ) -> None:
@@ -130,9 +129,8 @@ class ReceiptCollector:
         self._aggregate = aggregate and getattr(
             backend or signatures.default_backend(), "supports_aggregation", False
         )
-        # Receipts of the same batch share signatures; memoize checks
-        # (``use_cache=False`` restores the uncached A/B baseline).
-        self._cache = signatures.SignatureVerifyCache() if use_cache else None
+        # Receipts of the same batch share signatures; memoize checks.
+        self._cache = signatures.SignatureVerifyCache()
         # An assembled-and-verified receipt still only counts once the
         # gate (if any) passes it: clients gate on governance *coverage*
         # (§5.2) so a receipt referencing governance transactions they
@@ -144,10 +142,6 @@ class ReceiptCollector:
         self._sent_times: dict[Digest, float] = {}
 
     # -- configuration changes ------------------------------------------------
-
-    def update_config(self, config: Configuration) -> None:
-        """Switch to a new configuration (reconfiguration, §5.2)."""
-        self._config = config
 
     def update_schedule(self, schedule) -> None:
         """Adopt a full configuration schedule (chain-derived, §5.2).

@@ -5,8 +5,8 @@ walks four phases::
 
     probe -> manifest -> chunks -> ledger -> install/resume
 
-Every phase has a timeout; a request that times out is retried up to
-``params.sync_max_retries`` times before the client *fails over*: the
+Every phase has a timeout (``RETRY_TIMEOUT``); a request that times out
+is retried up to ``MAX_RETRIES`` times before the client *fails over*: the
 current server is excluded and the session restarts from the best other
 offer (or a fresh probe).  A server caught lying — a chunk that does not
 hash to its manifest entry, a manifest inconsistent with its offer, a
@@ -45,8 +45,13 @@ from ..ledger import CheckpointTxEntry, Ledger, LedgerFragment, entry_from_wire
 from ..merkle.proofs import FrontierAccumulator, frontier_from_wire, frontier_root
 from .messages import SyncManifest, SyncOffer
 
+# Per-request timeout and the retries a server gets before the client
+# fails over (also the serving side's pin grace, see server.py).
+RETRY_TIMEOUT = 0.25
+MAX_RETRIES = 3
+
 # The session state machine's phases.  Transitions (every phase also
-# self-loops on timeout up to ``sync_max_retries`` and fails over on
+# self-loops on timeout up to ``MAX_RETRIES`` and fails over on
 # exhaustion or on any verification failure — see the table in the
 # :class:`StateSyncClient` docstring):
 #
@@ -87,7 +92,7 @@ class StateSyncClient:
     opens CHUNKS; the last verified chunk opens LEDGER; a verified and
     installed suffix returns to IDLE and resumes the replica.
 
-    **Failover.** Any timeout past ``sync_max_retries``, and *any*
+    **Failover.** Any timeout past ``MAX_RETRIES``, and *any*
     verification failure (tampered chunk, inconsistent manifest, suffix
     failing root/signature checks), excludes the current server and
     re-enters at the best cached offer — or PROBE when none remain.
@@ -136,7 +141,7 @@ class StateSyncClient:
     def start(self, reason: str = "") -> None:
         """Begin a sync session (no-op if one is already running)."""
         replica = self.replica
-        if self.active or not replica.params.state_sync:
+        if self.active:
             return
         peers = [p for p in replica.peer_addresses() if p not in self.excluded]
         if not peers:
@@ -698,9 +703,7 @@ class StateSyncClient:
 
     def _arm_timer(self) -> None:
         self._cancel_timer()
-        self._timer = self.replica.set_timer(
-            self.replica.params.sync_retry_timeout, self._on_timeout
-        )
+        self._timer = self.replica.set_timer(RETRY_TIMEOUT, self._on_timeout)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
@@ -712,7 +715,7 @@ class StateSyncClient:
         if not self.active:
             return
         self._attempts += 1
-        if self._attempts > self.replica.params.sync_max_retries:
+        if self._attempts > MAX_RETRIES:
             self._failover("timeout")
             return
         replica = self.replica

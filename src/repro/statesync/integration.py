@@ -11,9 +11,10 @@ the hooks the core replica calls:
   service is visibly more than a checkpoint interval ahead of our commit
   frontier, batch-by-batch catch-up is hopeless and a checkpoint transfer
   is started instead;
-- ``_request_state_sync`` — the recovery entry point the view-change
-  machinery calls when it detects it missed a view (or over-advanced its
-  own view while partitioned);
+- ``start_state_sync`` — the one recovery entry point: lag, join,
+  crash recovery, a ``ledger-gone`` answer, and the view-change
+  machinery when it detects it missed a view (or over-advanced its own
+  view while partitioned);
 - ``_finish_state_sync`` — resume normal operation after an install.
 
 While ``syncing`` is True the replica is suspended: it stashes but does
@@ -57,14 +58,6 @@ class StateSyncMixin:
                 "state-sync", self.address, self.now, reason=reason)
         self.sync_client.start(reason)
 
-    def _request_state_sync(self, source_address: str | None = None, reason: str = "recovery") -> None:
-        """Recovery hook: prefer the new subsystem; fall back to the
-        legacy whole-ledger fetch when state sync is disabled."""
-        if self.params.state_sync:
-            self.start_state_sync(reason)
-        elif source_address is not None:
-            self._send_fetch_ledger(source_address)
-
     def _maybe_detect_lag(self) -> None:
         """Start a transfer when stashed pre-prepares show the service is
         further ahead than one checkpoint interval — those batches will
@@ -79,7 +72,7 @@ class StateSyncMixin:
         contiguous but stuck anyway is caught by the view-change timer's
         no-progress branch.)
         """
-        if self.syncing or not self.params.state_sync or not self.pending_pps:
+        if self.syncing or not self.pending_pps:
             return
         if self._stash_gap() > self._lag_threshold():
             self.metrics.bump("sync_lag_detected")
@@ -118,8 +111,8 @@ class StateSyncMixin:
         self._retry_pending_pps()
         # If we resumed as the primary with admitted-but-unproposed
         # requests, propose them now: client retransmissions of a request
-        # already in ``self.requests`` do not re-arm the batch timer, so
-        # nothing else would ever kick the pipeline.
+        # already queued do not re-arm the batch timer, so nothing else
+        # would ever kick the pipeline.
         self.maybe_send_pre_prepare()
         self._arm_view_change_timer()
 
@@ -129,17 +122,13 @@ class StateSyncMixin:
         """Forget everything a process restart would lose, keeping only
         durable state (ledger, KV store, checkpoints, schedule, chain).
         Used by :meth:`~repro.lpbft.Deployment.recover_replica`."""
-        self.requests.clear()  # in place: stays the ordered map __init__ built
-        self.request_sources = {}
-        self.request_arrivals = {}
-        self._trace_ctxs = {}
+        self.admission.reset()
         for attr in ("_sync_span", "_vc_span"):
             span = getattr(self, attr, None)
             if span is not None:
                 span.set(aborted=True)
                 span.finish(self.now)
                 setattr(self, attr, None)
-        self._verified_requests = set()
         self.pending_pps = []
         self.pending_commits = {}
         self.prepares_by_ppd = {}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from ..crypto.hashing import Digest
 from ..kvstore.checkpoints import chunk_digest, chunk_state
+from .client import MAX_RETRIES, RETRY_TIMEOUT
 from .messages import SyncManifest, SyncOffer
 
 
@@ -58,7 +59,7 @@ class StateSyncServer:
 
     def on_probe(self, src: str, msg: tuple) -> None:
         replica = self.replica
-        if getattr(replica, "syncing", False) or len(replica.ledger) == 0:
+        if replica.syncing or len(replica.ledger) == 0:
             return  # mid-sync ourselves: nothing trustworthy to offer
         cp = self.stable_checkpoint()
         if cp is not None and cp.seqno > 0:
@@ -217,13 +218,12 @@ class StateSyncServer:
         retry cycle — a pin held forever after one completed (or
         abandoned) transfer would silently cap ledger GC at that
         checkpoint for the rest of the run.  An in-flight client
-        re-requests at least every ``sync_retry_timeout``, so a live
+        re-requests at least every ``RETRY_TIMEOUT``, so a live
         transfer keeps the pin refreshed."""
         replica = self.replica
         if self._cache_key is None:
             return
-        grace = replica.params.sync_retry_timeout * (replica.params.sync_max_retries + 2)
-        if replica.now - self._cache_last_used > grace:
+        if replica.now - self._cache_last_used > RETRY_TIMEOUT * (MAX_RETRIES + 2):
             replica.retention.release("sync-serve")
             self._cache_key = None
             self._chunks = []

@@ -72,7 +72,7 @@ class TestRequestHandling:
         )
         dep.replicas[0].handle_request(client.address, ("request", req.to_wire()))
         assert dep.replicas[0].metrics.counters.get("bad_client_signatures", 0) >= 1
-        assert req.request_digest() not in dep.replicas[0].requests
+        assert req.request_digest() not in dep.replicas[0].admission
 
     def test_wrong_service_rejected(self, small_deployment):
         dep, client = small_deployment
@@ -84,7 +84,7 @@ class TestRequestHandling:
             min_index=0, nonce=1,
         )
         dep.replicas[0].handle_request(client.address, ("request", req.to_wire()))
-        assert req.request_digest() not in dep.replicas[0].requests
+        assert req.request_digest() not in dep.replicas[0].admission
 
     def test_min_index_defers_execution(self, small_deployment):
         dep, client = small_deployment

@@ -150,6 +150,20 @@ class TestLedgerTruncation:
             # eventually; the retained suffix still verifies against it.
             assert replica.ledger.root_at(stable.ledger_size) == stable.ledger_root
 
+    def test_reply_routing_is_released_with_the_batch_records(self, gc_run):
+        """Reply routing lives as long as the batch record it serves:
+        after several checkpoints only the retained window's requests
+        have an entry (one per executed transaction used to stay for the
+        life of the replica)."""
+        dep, client, digests = gc_run
+        for replica in dep.replicas:
+            queue = replica.admission
+            retained = {
+                d for record in replica.batches.values() for d in record.tx_digests if d
+            }
+            assert len(retained) < len(digests) / 2  # batch GC did run
+            assert queue.sources and set(queue.sources) <= retained | set(queue.requests)
+
     def test_retention_pin_blocks_and_release_unblocks(self):
         dep = build_deployment(params=GC_PARAMS, seed=b"gc-pin")
         client = dep.add_client(retry_timeout=0.5)

@@ -126,7 +126,7 @@ class TestDisabledPath:
             assert node._send_ctx is None
             assert node._inbound_ctx is None
         for replica in dep.replicas:
-            assert replica._trace_ctxs == {}
+            assert replica.admission.trace_ctxs == {}
         assert client._root_spans == {}
 
     def test_tracing_does_not_change_outcomes(self):

@@ -1,5 +1,5 @@
-"""Overload pipeline: coordinated admission, deadline shedding, client
-backpressure, and the knee finder.
+"""Overload pipeline: the admission component (coordinated admission,
+deadline shedding), client backpressure, and the knee finder.
 
 The deployment-level tests run against a cost model scaled ~100x slower
 than the dedicated cluster so the saturation knee sits at a few hundred
@@ -137,18 +137,6 @@ class TestCoordinatedAdmission:
         assert extra["goodput_tps"] > 0
         assert extra["admitted_tps"] < extra["offered_tps"]
 
-    def test_uncoordinated_wastes_verification(self):
-        """The PR 3 regime: every replica sheds an uncoordinated subset,
-        so backups burn verify cycles on requests that are never
-        sequenced — visible as wasted_verify_s."""
-        params = ProtocolParams(
-            **BASE, coordinated_admission=False, deadline_shedding=False,
-            request_queue_cap=150,
-        )
-        point = overload_point(400, params, label="uncoordinated")
-        assert point.extra["requests_shed"] > 0
-        assert point.extra["wasted_verify_s"] > 0
-
     def test_retry_budget_abandons(self):
         """A budgeted client retries rejected requests under backoff and
         gives up once the budget is spent."""
@@ -188,19 +176,12 @@ class TestDeadlineShedding:
         # delay stayed bounded near the timeout.
         assert extra["queue_delay_p90_ms"] < 4 * 150
 
-    def test_disabled_by_default_flag(self):
-        params = ProtocolParams(
-            **BASE, deadline_shedding=False, request_queue_cap=50_000,
-            client_timeout=0.15, admission_backlog=10.0, lane_backlog_budget=10.0,
-        )
-        point = overload_point(500, params, label="no-deadline")
-        assert point.extra["requests_deadline_dropped"] == 0
-
 
 class TestRequestQueue:
-    """The replica's request queue (``requests``, one ordered map) on a
-    single constructed replica: nothing is started and no event runs; the
-    tests call the handlers directly and move the clock by hand."""
+    """The admission component (``replica.admission``: the ordered-map
+    queue and its side tables) on a single constructed replica: nothing
+    is started and no event runs; the tests call the handlers directly
+    and move the clock by hand."""
 
     CAP = 4
     PARAMS = ProtocolParams(**BASE, request_queue_cap=CAP, client_timeout=2.0)
@@ -233,25 +214,30 @@ class TestRequestQueue:
     def at(dep, t):
         dep.net.scheduler.clock.advance_to(t)
 
+    @staticmethod
+    def marks(replica):
+        return (len(replica.ledger), replica.kv.tx_count,
+                (replica.last_recorded_cp, replica.last_taken_cp))
+
     def test_dropped_then_retransmitted_request_is_queued_once(self):
         """Regression: a drop followed by a retransmission used to leave
         the digest in the arrival order twice, so one batch executed the
         transaction twice."""
         dep, client = self.build()
-        primary = dep.primary()
+        queue = dep.primary().admission
         digest, msg = self.request(dep, client, 1)
-        primary.handle_request(client.address, msg)
-        primary._drop_request(digest, "requests_deadline_dropped")
-        primary.handle_request(client.address, msg)
-        assert primary._select_requests(0) == [digest]
+        dep.primary().handle_request(client.address, msg)
+        queue.drop(digest, "requests_deadline_dropped")
+        dep.primary().handle_request(client.address, msg)
+        assert queue.select(0) == [digest]
 
     def test_retransmission_after_drop_reenters_at_the_tail(self):
         dep, client = self.build()
         backup = dep.replicas[1]
         a, b, c = self.arrive(dep, client, backup, [1, 2, 3])
-        backup._drop_request(a, None)
+        backup.admission.drop(a, None)
         assert self.arrive(dep, client, backup, [1]) == [a]
-        assert list(backup.requests) == [b, c, a]
+        assert list(backup.admission.requests) == [b, c, a]
 
     def test_below_cap_admits_without_touching_the_head(self):
         dep, client = self.build()
@@ -259,12 +245,13 @@ class TestRequestQueue:
         first = self.arrive(dep, client, backup, range(self.CAP - 1))
         self.at(dep, 10.0)  # the whole queue is long expired, but under the cap
         last = self.arrive(dep, client, backup, [self.CAP - 1])
-        assert list(backup.requests) == first + last
+        assert list(backup.admission.requests) == first + last
         assert "requests_stash_evicted" not in backup.metrics.counters
 
     def test_at_cap_expired_head_is_evicted_oldest_first(self):
         dep, client = self.build()
         backup = dep.replicas[1]
+        queue = backup.admission
         old = self.arrive(dep, client, backup, [0, 1])
         self.at(dep, 1.5)
         fresh = self.arrive(dep, client, backup, [2, 3])
@@ -272,21 +259,21 @@ class TestRequestQueue:
         new = self.arrive(dep, client, backup, [4])
         # One eviction makes room; the second expired entry is still ahead
         # of the fresh ones and goes on the next arrival.
-        assert list(backup.requests) == old[1:] + fresh + new
+        assert list(queue.requests) == old[1:] + fresh + new
         assert backup.metrics.counters["requests_stash_evicted"] == 1
         newer = self.arrive(dep, client, backup, [5])
-        assert list(backup.requests) == fresh + new + newer
+        assert list(queue.requests) == fresh + new + newer
         assert backup.metrics.counters["requests_stash_evicted"] == 2
-        assert old[0] not in backup.request_arrivals and old[0] not in backup.request_sources
+        assert old[0] not in queue.arrivals and queue.source(old[0]) is None
 
     def test_at_cap_fresh_head_keeps_admitting_to_the_memory_bound(self):
         dep, client = self.build()
         backup = dep.replicas[1]
         bound = 16 * self.CAP
         admitted = self.arrive(dep, client, backup, range(bound))
-        assert list(backup.requests) == admitted
+        assert list(backup.admission.requests) == admitted
         refused = self.arrive(dep, client, backup, [bound])
-        assert refused[0] not in backup.requests and len(backup.requests) == bound
+        assert refused[0] not in backup.admission and len(backup.admission) == bound
         assert backup.metrics.counters["requests_stash_dropped"] == 1
         assert "requests_stash_evicted" not in backup.metrics.counters
 
@@ -296,59 +283,165 @@ class TestRequestQueue:
         dep, client = self.build()
         backup = dep.replicas[1]
         queued = self.arrive(dep, client, backup, range(self.CAP))
-        del backup.request_arrivals[queued[0]]
+        del backup.admission.arrivals[queued[0]]
         self.at(dep, 10.0)
         new = self.arrive(dep, client, backup, [self.CAP])
-        assert list(backup.requests) == queued + new
+        assert list(backup.admission.requests) == queued + new
         assert "requests_stash_evicted" not in backup.metrics.counters
 
     def test_undo_reinserts_each_request_once_at_the_tail_still_verified(self):
         dep, client = self.build()
         backup = dep.replicas[1]
+        queue = backup.admission
         a, b, c, d = self.arrive(dep, client, backup, [1, 2, 3, 4])
-        backup._ensure_verified([a, b])
-        marks = (len(backup.ledger), backup.kv.tx_count,
-                 (backup.last_recorded_cp, backup.last_taken_cp))
-        record = backup._execute_batch(
-            1, 0, BATCH_REGULAR, [backup.requests[a], backup.requests[b]], [a, b])
-        assert list(backup.requests) == [c, d]
+        queue.ensure_verified([a, b])
+        marks = self.marks(backup)
+        record = backup._execute_batch(1, 0, BATCH_REGULAR, [a, b])
+        assert list(queue.requests) == [c, d]
         backup._undo_batch_execution(record, *marks)
-        assert list(backup.requests) == [c, d, a, b]
-        assert {a, b} <= backup._verified_requests
+        assert list(queue.requests) == [c, d, a, b]
+        assert {a, b} <= queue.verified
         assert a not in backup.tx_locations
 
     def test_view_change_rollback_reinserts_each_request_once_at_the_tail(self):
         dep, client = self.build()
         primary = dep.primary()
+        queue = primary.admission
         batch = self.arrive(dep, client, primary, [1, 2, 3], force=True)
         primary.maybe_send_pre_prepare()
-        assert not primary.requests and primary.next_seqno == 2
+        assert not queue and primary.next_seqno == 2
         later = self.arrive(dep, client, primary, [4], force=True)
         primary._rollback_to_batch(0)
-        assert list(primary.requests) == later + batch
-        assert set(batch) <= primary._verified_requests
-        assert primary._select_requests(0) == later + batch
+        assert list(queue.requests) == later + batch
+        assert set(batch) <= queue.verified
+        assert queue.select(0) == later + batch
+
+    def test_requeue_with_and_without_arrival(self):
+        """``_undo_batch_execution`` requeues with ``arrival = now``; the
+        view-change rollback requeues with none, so its wait counts from
+        zero however long ago the request first arrived."""
+        dep, client = self.build()
+        primary = dep.primary()
+        queue = primary.admission
+        undone, rolled = self.arrive(dep, client, primary, [1, 2], force=True)
+        marks = self.marks(primary)
+        self.at(dep, 1.0)
+        record = primary._execute_batch(1, 0, BATCH_REGULAR, [undone])
+        assert undone not in queue.arrivals  # taken: the arrival left with it
+        primary._undo_batch_execution(record, *marks)
+        assert queue.arrivals[undone] == 1.0
+        primary.maybe_send_pre_prepare()  # batch 1 = [rolled, undone]
+        primary._rollback_to_batch(0)
+        assert list(queue.requests) == [rolled, undone]
+        assert rolled not in queue.arrivals and undone not in queue.arrivals
+        assert {rolled, undone} <= queue.verified and not queue.orphans()
+        self.at(dep, 10.0)  # far past client_timeout, yet nothing is shed
+        assert queue.select(0) == [rolled, undone]
+        assert "requests_deadline_dropped" not in primary.metrics.counters
+
+    def test_take_leaves_routing_until_forget_releases_it(self):
+        dep, client = self.build()
+        backup = dep.replicas[1]
+        queue = backup.admission
+        a, b, c = self.arrive(dep, client, backup, [1, 2, 3])
+        request, arrival = queue.take(a)
+        assert request.request_digest() == a and arrival == 0.0
+        assert a not in queue and a not in queue.arrivals and a not in queue.verified
+        assert queue.source(a) == client.address
+        record = backup._execute_batch(1, 0, BATCH_REGULAR, [b])
+        assert queue.source(b) == client.address
+        queue.forget(record)  # what batch GC does with a committed record
+        assert queue.source(b) is None and queue.source(a) == queue.source(c) == client.address
+        assert list(queue.requests) == [c] and not queue.orphans()
+
+    def test_discard_leaves_no_entry_describing_a_queued_request(self):
+        """Ledger adoption unqueues what the adopted ledger executed;
+        arrival and verified marks must go with the queue entry (they
+        used to stay behind), reply routing stays for the adopted batch."""
+        dep, client = self.build()
+        backup = dep.replicas[1]
+        queue = backup.admission
+        a, b = self.arrive(dep, client, backup, [1, 2])
+        assert {a, b} <= queue.verified and {a, b} <= set(queue.arrivals)
+        queue.discard([a, b"\x00" * 32])  # a digest that was never queued is ignored
+        assert list(queue.requests) == [b]
+        assert a not in queue.arrivals and a not in queue.verified
+        assert not queue.orphans()
+        assert queue.source(a) == client.address
+
+    def test_ledger_adoption_unqueues_executed_requests_with_their_marks(self):
+        """End to end through ``_install_ledger_state``: a backup that only
+        ever stashed three requests adopts a ledger in which they executed.
+        Adoption used to pop the queue map alone and strand the arrival
+        times and verified marks."""
+        dep, client = self.build()
+        backup = dep.replicas[3]
+        cut_off = [True]  # the backup hears clients, not replicas
+        dep.net.add_drop_rule(
+            lambda src, dst, msg: cut_off[0] and dst == backup.address
+            and src.startswith("replica-"))
+        dep.start()
+        digests = [
+            client.submit("smallbank.balance", {"customer": i}, min_index=0) for i in range(3)
+        ]
+        dep.run(until=0.5)
+        queue = backup.admission
+        assert list(queue.requests) == digests and set(digests) <= queue.verified
+        assert backup.committed_upto == 0 < dep.primary().committed_upto
+        cut_off[0] = False
+        backup._send_fetch_ledger(dep.primary().address)
+        dep.run(until=1.0)
+        assert backup.metrics.counters["ledger_adoptions"] == 1
+        assert set(digests) <= set(backup.tx_locations)
+        assert not queue and not queue.arrivals and not queue.verified
+        assert all(queue.source(d) == client.address for d in digests)
+
+    def test_reset_empties_every_table_in_place(self):
+        dep, client = self.build()
+        backup = dep.replicas[1]
+        queue = backup.admission
+        names = ("requests", "arrivals", "verified", "sources", "trace_ctxs")
+        tables = [getattr(queue, name) for name in names]
+        self.arrive(dep, client, backup, [1, 2])
+        queue.trace_ctxs[b"t"] = object()
+        assert all(tables)
+        backup.reset_volatile_state()
+        assert not any(tables)
+        assert all(getattr(queue, name) is table for name, table in zip(names, tables))
+
+    def test_pre_prepare_naming_a_request_twice_is_dropped(self):
+        """A queued request is taken exactly once; a (Byzantine) batch
+        that names it twice is consumed without executing anything."""
+        dep, client = self.build()
+        primary, backup = dep.primary(), dep.replicas[1]
+        (a,) = self.arrive(dep, client, primary, [1], force=True)
+        self.arrive(dep, client, backup, [1])
+        primary.maybe_send_pre_prepare()
+        pp = primary.batches[1].pp
+        assert backup._try_accept_pre_prepare(pp, (a, a)) is True
+        assert 1 not in backup.batches and a in backup.admission
 
     def test_select_skips_min_index_and_drops_expired_while_walking_the_map(self):
         dep, client = self.build()
         primary = dep.primary()
+        queue = primary.admission
         expired = self.arrive(dep, client, primary, [0, 1], force=True)
         self.at(dep, 1.5)
         held, held_msg = self.request(dep, client, 2, min_index=10_000)
         primary.handle_request(client.address, held_msg, force=True)
         ready = self.arrive(dep, client, primary, [3, 4], force=True)
         self.at(dep, 2.5)  # expired: waited 2.5 > client_timeout; the rest: 1.0
-        assert primary._select_requests(0) == ready
-        assert list(primary.requests) == [held] + ready
+        assert queue.select(0) == ready
+        assert list(queue.requests) == [held] + ready
         assert primary.metrics.counters["requests_deadline_dropped"] == 2
-        assert not set(expired) & set(primary.request_arrivals)
+        assert not set(expired) & set(queue.arrivals)
 
     def test_select_stops_at_max_batch(self):
         dep, client = self.build(ProtocolParams(**{**BASE, "max_batch": 2}))
         primary = dep.primary()
         queued = self.arrive(dep, client, primary, range(5), force=True)
-        assert primary._select_requests(0) == queued[:2]
-        assert list(primary.requests) == queued
+        assert primary.admission.select(0) == queued[:2]
+        assert list(primary.admission.requests) == queued
 
 
 class TestGoodputPlateau:

@@ -122,7 +122,7 @@ class TestWindowedSequencing:
         dep.start()
         replica = dep.replicas[0]
         assert replica.params.work_window == 1
-        assert replica._admission_check() is None
+        assert replica.admission.check() is None
 
 
 class TestViewChangeWithWindowInFlight:

@@ -19,7 +19,6 @@ from helpers import build_deployment
 SYNC_PARAMS = ProtocolParams(
     pipeline=2, max_batch=20, checkpoint_interval=10,
     batch_delay=0.0005, view_change_timeout=2.0,
-    sync_retry_timeout=0.25,
 )
 
 
@@ -82,19 +81,6 @@ class TestPartitionHealCatchup:
         assert dep.net.messages_reordered > 0
         assert_caught_up(dep, dep.replicas[3])
 
-    def test_sync_disabled_falls_back_to_legacy_fetch(self):
-        dep = build_deployment(params=SYNC_PARAMS.variant(state_sync=False))
-        client = dep.add_client(retry_timeout=0.5)
-        dep.start()
-        sustained_load(dep, client)
-        dep.partition_replicas([3], start=0.2, duration=3.0)
-        dep.run(until=8.0)
-        victim = dep.replicas[3]
-        counters = victim.metrics.summary()["counters"]
-        assert counters.get("sync_sessions_completed", 0) == 0
-        assert victim.committed_upto == max(r.committed_upto for r in dep.replicas)
-        assert dep.ledgers_agree()
-
 
 class TestAddReplicaMidRun:
     def test_added_replica_syncs_and_mirrors(self):
@@ -153,7 +139,8 @@ class TestCrashRecovery:
         assert counters.get("sync_started_recovery", 0) == 1
         # The restart must leave the request queue the ordered map every
         # replica is built with (O(1) peek-oldest), not a plain dict.
-        assert type(victim.requests) is type(dep.replicas[0].requests) is OrderedDict
+        assert type(victim.admission.requests) is OrderedDict
+        assert type(dep.replicas[0].admission.requests) is OrderedDict
         assert_caught_up(dep, victim)
 
     def test_crashed_replica_stays_dark_to_later_joiners(self):

@@ -157,25 +157,6 @@ class TestDeploymentCacheWiring:
         assert stats.hits > 0 and stats.misses > 0
         assert stats.hit_rate() > 0.5
 
-    def test_cache_disabled_still_commits(self):
-        dep = build_deployment(params=FAST_PARAMS.variant(verify_cache=False))
-        assert dep.verify_cache is None
-        client = dep.add_client(retry_timeout=0.5)
-        dep.start()
-        run_workload(dep, client, n_tx=30, until=3.0)
-        assert dep.committed_seqnos()[0] >= 1
-
-    def test_cache_does_not_change_outcomes(self):
-        """Same workload with and without the cache: identical ledgers."""
-        roots = []
-        for flag in (True, False):
-            dep = build_deployment(params=FAST_PARAMS.variant(verify_cache=flag, batch_verify=flag))
-            client = dep.add_client(retry_timeout=0.5)
-            dep.start()
-            run_workload(dep, client, n_tx=40, until=4.0)
-            roots.append(dep.replicas[0].ledger.root())
-        assert roots[0] == roots[1]
-
 
 class TestAuditAndCollectorCacheWiring:
     def test_auditor_uses_cache_for_bulk_receipts(self):
@@ -214,20 +195,3 @@ class TestBackendInstanceIsolation:
         assert not cache.verify(kp.public_key, b"msg", sig, b1)  # unknown key to b1
         assert cache.verify(kp.public_key, b"msg", sig, b2)      # must not hit b1's False
 
-    def test_auditor_cache_respects_params_toggle(self):
-        from repro.audit import Auditor
-        from repro.lpbft import ProtocolParams
-        from repro.kvstore import ProcedureRegistry
-
-        params = ProtocolParams(verify_cache=False)
-        auditor = Auditor(ProcedureRegistry(), params)
-        assert auditor.verify_cache is None
-        assert Auditor(ProcedureRegistry(), ProtocolParams()).verify_cache is not None
-
-    def test_collector_cache_toggle(self):
-        dep = build_deployment(params=FAST_PARAMS.variant(verify_cache=False))
-        client = dep.add_client(retry_timeout=0.5)
-        dep.start()
-        run_workload(dep, client, n_tx=20, until=2.0)
-        assert client.collector._cache is None
-        assert len(client.receipts) == 20
