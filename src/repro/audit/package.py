@@ -64,15 +64,11 @@ class LedgerPackage:
         return Ledger.from_fragment_suffix(self.fragment, frontier_from_wire(self.frontier))
 
     def to_wire(self) -> tuple:
-        cp = self.checkpoint
-        cp_wire = None
-        if cp is not None:
-            cp_wire = (cp.seqno, tuple((k, v) for k, v in sorted(cp.state.items())), cp.ledger_size, cp.ledger_root)
         return (
             "ledger-package",
             self.fragment.start,
             self.fragment.entry_wires,
-            cp_wire,
+            None if self.checkpoint is None else self.checkpoint.to_wire(),
             self.subledger.to_wire(),
             self.source_replica,
             tuple(sorted((k, v[0], v[1]) for k, v in (self.extra_evidence or {}).items())),
@@ -87,15 +83,9 @@ class LedgerPackage:
             raise AuditError(f"malformed ledger package: {exc}") from exc
         if tag != "ledger-package":
             raise AuditError(f"expected ledger-package, got {tag!r}")
-        checkpoint = None
-        if cp_wire is not None:
-            seqno, items, lsize, lroot = cp_wire
-            checkpoint = Checkpoint(
-                seqno=seqno, state={k: v for k, v in items}, ledger_size=lsize, ledger_root=lroot
-            )
         return LedgerPackage(
             fragment=LedgerFragment(start=start, entry_wires=tuple(entry_wires)),
-            checkpoint=checkpoint,
+            checkpoint=None if cp_wire is None else Checkpoint.from_wire(cp_wire),
             subledger=GovernanceSubLedger.from_wire(sub_wire),
             source_replica=source,
             extra_evidence={k: (e, n) for k, e, n in extra},

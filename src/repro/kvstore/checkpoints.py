@@ -16,24 +16,26 @@ is rejected before any state is installed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import Any
 
 from .. import codec
 from ..crypto.hashing import Digest, digest
 from ..errors import KVError
-from .store import KVStore, accumulator_digest, state_accumulator
+from .store import KVStore, Snapshot, accumulator_digest, state_accumulator
 
 
-def checkpoint_digest(state: dict[str, Any]) -> Digest:
-    """Canonical digest of a raw state snapshot (matches
-    :meth:`KVStore.state_digest` for the same contents)."""
+def checkpoint_digest(state: Mapping[str, Any]) -> Digest:
+    """Canonical digest of a raw state mapping, hashing every entry
+    (matches :meth:`KVStore.state_digest` and :meth:`Snapshot.digest` for
+    the same contents)."""
     return accumulator_digest(state_accumulator(state.items()))
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A point-in-time copy of the service state.
+    """A point-in-time value of the service state.
 
     ``seqno`` is the batch sequence number at which it was taken;
     ``ledger_size`` / ``ledger_root`` bind it to the ledger tree M at that
@@ -41,17 +43,13 @@ class Checkpoint:
     """
 
     seqno: int
-    state: dict[str, Any]
+    state: Snapshot
     ledger_size: int
     ledger_root: Digest
-    _digest: Digest | None = field(default=None, repr=False, compare=False)
 
     def digest(self) -> Digest:
-        """The checkpoint digest dC recorded in checkpoint transactions
-        (computed once and cached)."""
-        if self._digest is None:
-            object.__setattr__(self, "_digest", checkpoint_digest(self.state))
-        return self._digest
+        """The checkpoint digest dC recorded in checkpoint transactions."""
+        return self.state.digest()
 
     def restore_into(self, store: KVStore) -> None:
         """Load this checkpoint's state into ``store``."""
@@ -59,24 +57,34 @@ class Checkpoint:
 
     @staticmethod
     def capture(store: KVStore, seqno: int, ledger_size: int, ledger_root: Digest) -> "Checkpoint":
-        """Snapshot ``store`` at batch ``seqno`` (digest reuses the
-        store's incremental accumulator, so capture is one dict copy)."""
+        """Snapshot ``store`` at batch ``seqno``: O(keys written since the
+        store's base), with the store's incremental accumulator carried."""
         if seqno < 0:
             raise KVError(f"checkpoint seqno must be non-negative, got {seqno}")
-        return Checkpoint(
-            seqno=seqno,
-            state=store.snapshot(),
-            ledger_size=ledger_size,
-            ledger_root=ledger_root,
-            _digest=store.state_digest(),
-        )
+        return Checkpoint(seqno, store.snapshot(), ledger_size, ledger_root)
 
     def to_chunks(self, max_bytes: int) -> list[bytes]:
         """Serialize this checkpoint's state into bounded-size chunks."""
         return chunk_state(self.state, max_bytes)
 
+    def to_wire(self) -> tuple:
+        """``(seqno, key-sorted items, ledger_size, ledger_root)``."""
+        return (self.seqno, tuple(sorted(self.state.items())), self.ledger_size, self.ledger_root)
 
-def chunk_state(state: dict[str, Any], max_bytes: int) -> list[bytes]:
+    @staticmethod
+    def from_wire(raw: tuple) -> "Checkpoint":
+        """Parse :meth:`to_wire` output.  The wire carries no digest: the
+        snapshot's accumulator is computed from the received items, and a
+        claimed ``dC`` is compared against it, never adopted."""
+        try:
+            seqno, items, ledger_size, ledger_root = raw
+            state = Snapshot(dict(items))
+        except (TypeError, ValueError) as exc:
+            raise KVError(f"malformed checkpoint: {exc}") from exc
+        return Checkpoint(seqno, state, ledger_size, ledger_root)
+
+
+def chunk_state(state: Mapping[str, Any], max_bytes: int) -> list[bytes]:
     """Split a state snapshot into canonical chunks of at most
     ``max_bytes`` each (a chunk may exceed the bound only when a single
     ``(key, value)`` pair does).
@@ -147,12 +155,14 @@ class ChunkReassembler:
         self._chunks[index] = chunk
         return True
 
-    def reassemble(self) -> dict[str, Any]:
+    def reassemble(self) -> Snapshot:
         """Rebuild the snapshot and verify it against ``dC``.
 
         Raises :class:`KVError` when chunks are missing, malformed, out
         of canonical key order, or the reassembled digest mismatches —
-        the caller must not install anything in that case.
+        the caller must not install anything in that case.  The
+        accumulator computed for that check stays cached in the returned
+        :class:`Snapshot`, so installing it hashes nothing again.
         """
         if not self.complete():
             raise KVError(f"missing chunks {self.missing()}")
@@ -171,6 +181,7 @@ class ChunkReassembler:
                     raise KVError("chunk keys not in canonical order")
                 previous_key = key
                 state[key] = value
-        if checkpoint_digest(state) != self.expected_digest:
+        snapshot = Snapshot(state)
+        if snapshot.digest() != self.expected_digest:
             raise KVError("reassembled state digest mismatches checkpoint digest")
-        return state
+        return snapshot

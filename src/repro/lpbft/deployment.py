@@ -15,7 +15,7 @@ from typing import Callable
 from ..crypto import signatures
 from ..governance.configuration import Configuration, MemberInfo, ReplicaInfo
 from ..governance.transactions import register_governance_procedures
-from ..kvstore import ProcedureRegistry
+from ..kvstore import ProcedureRegistry, Snapshot
 from ..network import SimNetwork, constant_latency
 from ..network.latency import LatencyModel
 from ..obs.trace import NULL_TRACER, Tracer
@@ -88,7 +88,7 @@ class Deployment:
     sites: dict = field(default_factory=dict)
     seed: bytes = b"ia-ccf"
     backend: signatures.SignatureBackend | None = None
-    initial_state: tuple[dict, int] | None = None  # (state, accumulator)
+    initial_state: Snapshot | None = None  # genesis application state, shared by every replica
     spare_replicas: int = 0  # replicas outside genesis, available for reconfiguration
 
     def __post_init__(self) -> None:

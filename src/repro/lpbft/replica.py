@@ -47,7 +47,7 @@ from ..errors import ProtocolError, TransactionAborted
 from ..governance.configuration import Configuration
 from ..governance.schedule import ConfigSchedule, ConfigSpan
 from ..governance.transactions import install_configuration
-from ..kvstore import Checkpoint, KVStore, ProcedureRegistry
+from ..kvstore import EMPTY_WS, Checkpoint, KVStore, ProcedureRegistry, Snapshot
 from ..ledger import (
     CheckpointTxEntry,
     EvidenceEntry,
@@ -81,10 +81,6 @@ from .messages import (
     bitmap_members,
     bitmap_of,
 )
-
-# Digest of an empty write set, used as the ws component for aborted
-# transactions so outputs stay comparable during replay.
-EMPTY_WS = digest_value({"writes": {}, "deleted": ()})
 
 
 def designated_replica(tx_digest: Digest, config: Configuration) -> int:
@@ -181,7 +177,7 @@ class LPBFTReplicaCore(Node):
         behavior: "object | None" = None,
         backend: signatures.SignatureBackend | None = None,
         replica_directory: dict[int, str] | None = None,
-        initial_state: tuple[dict, int] | None = None,
+        initial_state: Snapshot | None = None,
         verify_cache: signatures.SignatureVerifyCache | None = None,
     ) -> None:
         costs = costs or CostModel()
@@ -211,11 +207,7 @@ class LPBFTReplicaCore(Node):
         # ``initial_state`` is application state that exists at genesis
         # (e.g. pre-populated benchmark accounts); it is part of the
         # genesis checkpoint, so audits replay on top of it.
-        if initial_state is not None:
-            state, acc = initial_state
-            self.kv = KVStore(initial=state, acc_hint=acc)
-        else:
-            self.kv = KVStore()
+        self.kv = KVStore(initial=initial_state)
         self.kv.execute(lambda tx: install_configuration(tx, genesis_config))
         self.checkpoints: dict[int, Checkpoint] = {
             0: Checkpoint.capture(self.kv, 0, len(self.ledger), self.ledger.root())
@@ -1312,6 +1304,9 @@ class LPBFTReplicaCore(Node):
         for s in old_cps[:-1]:
             del self.checkpoints[s]
             self._cp_taken_at.pop(s, None)
+        # A rollback targets a retained batch (``_rollback_to_batch`` raises
+        # on an unknown one), so undo records below every kept mark are dead.
+        self.kv.forget_before(min(record.kv_mark for record in self.batches.values()))
 
     # -- ledger prefix GC (PR 5) ---------------------------------------------------------
 
@@ -1601,9 +1596,7 @@ class LPBFTReplicaCore(Node):
         fragment = self.ledger.fragment(0)
         cp_seqno = max(self.checkpoints) if self.checkpoints else 0
         cp = self.checkpoints.get(cp_seqno)
-        cp_wire = None
-        if cp is not None:
-            cp_wire = (cp.seqno, tuple((k, v) for k, v in sorted(cp.state.items())), cp.ledger_size, cp.ledger_root)
+        cp_wire = None if cp is None else cp.to_wire()
         self.send(
             src,
             ("ledger-bundle", fragment.start, fragment.entry_wires, cp_wire, self.view, self.next_seqno),

@@ -436,16 +436,7 @@ class ViewChangeMixin:
         ledger = Ledger()
         for entry in entries:
             ledger.append(entry)
-        if cp_wire is not None:
-            cp_seqno, state_items, cp_lsize, cp_lroot = cp_wire
-            checkpoint = Checkpoint(
-                seqno=cp_seqno,
-                state={k: v for k, v in state_items},
-                ledger_size=cp_lsize,
-                ledger_root=cp_lroot,
-            )
-        else:
-            checkpoint = None
+        checkpoint = None if cp_wire is None else Checkpoint.from_wire(cp_wire)
         self._install_ledger_state(ledger, checkpoint, view)
 
     def _install_ledger_state(

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Any
 
 from ..kvstore import KVTransaction, ProcedureRegistry
-from ..kvstore.store import state_accumulator
+from ..kvstore.store import Snapshot, state_accumulator
 
 DEFAULT_ACCOUNTS = 500_000
 INITIAL_CHECKING = 1_000
@@ -133,18 +133,18 @@ def initial_state(
     n_accounts: int = DEFAULT_ACCOUNTS,
     checking: int = INITIAL_CHECKING,
     savings: int = INITIAL_SAVINGS,
-) -> tuple[dict, int]:
-    """The pre-populated account table and its state accumulator.
+) -> Snapshot:
+    """The pre-populated account table, hashed once.
 
-    Returns ``(state_dict, accumulator)``; cached because benchmarks
-    rebuild deployments repeatedly over the same account counts.  Treat
-    the returned dict as immutable (each KVStore copies it).
+    Cached because benchmarks rebuild deployments repeatedly over the
+    same account counts; every store and genesis checkpoint built from
+    the returned :class:`Snapshot` shares its one table by reference.
     """
     state: dict[str, int] = {}
     for customer in range(n_accounts):
         state[_checking_key(customer)] = checking
         state[_savings_key(customer)] = savings
-    return state, state_accumulator(state.items())
+    return Snapshot(state, acc=state_accumulator(state.items()))
 
 
 # -- request generation -----------------------------------------------------------

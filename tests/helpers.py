@@ -9,6 +9,9 @@ the conftest) makes the import unambiguous.
 
 from __future__ import annotations
 
+from unittest import mock
+
+from repro.kvstore import store as kv_store
 from repro.lpbft import Deployment, ProtocolParams
 from repro.workloads import SmallBankWorkload, initial_state, register_smallbank
 
@@ -19,6 +22,14 @@ FAST_PARAMS = ProtocolParams(
     batch_delay=0.0005,
     view_change_timeout=2.0,
 )
+
+
+def counting_entry_hashes():
+    """Patch the KV store's per-entry hash with a counting pass-through:
+    ``with counting_entry_hashes() as hashed: ...; hashed.call_count``."""
+    return mock.patch.object(
+        kv_store, "entry_accumulator_term", wraps=kv_store.entry_accumulator_term
+    )
 
 
 def build_deployment(

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import KVError, TransactionAborted
 from repro.kvstore import Checkpoint, KVStore, ProcedureRegistry, checkpoint_digest
-from repro.kvstore.store import state_accumulator
+from repro.kvstore.store import Snapshot, state_accumulator
+
+from helpers import counting_entry_hashes
 
 
 class TestTransactions:
@@ -159,7 +161,9 @@ class TestDigests:
     def test_acc_hint_matches_computed(self):
         state = {"a": 1, "b": 2}
         acc = state_accumulator(state.items())
-        assert KVStore(state, acc_hint=acc).state_digest() == KVStore(state).state_digest()
+        assert KVStore(Snapshot(state, acc=acc)).state_digest() == KVStore(state).state_digest()
+        with pytest.raises(TypeError):
+            KVStore(state, acc_hint=acc)
 
     def test_restore_recomputes_digest(self):
         kv = KVStore({"a": 1})
@@ -186,6 +190,79 @@ class TestCheckpoint:
     def test_negative_seqno_rejected(self):
         with pytest.raises(KVError):
             Checkpoint.capture(KVStore(), -1, 0, b"\x00" * 32)
+
+
+class TestStructuralSharing:
+    """State is a value: stores and checkpoints built from a Snapshot share
+    its base and carry its accumulator — no copy, no re-hash.  (The
+    deployment test is the tier-1 memory guard: deterministic, no RSS read.)"""
+
+    def test_deployment_shares_one_table(self):
+        import tracemalloc
+
+        from repro.lpbft import Deployment
+        from repro.workloads import initial_state, register_smallbank
+
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            table = initial_state.__wrapped__(20_000)  # uncached: allocated under the trace
+            table_bytes = tracemalloc.get_traced_memory()[0] - start
+            dep = Deployment(registry_setup=register_smallbank, initial_state=table)
+            deployment_bytes = tracemalloc.get_traced_memory()[0] - start - table_bytes
+        finally:
+            tracemalloc.stop()
+        for replica in dep.replicas:
+            assert replica.kv._base is table._base
+            assert replica.checkpoints[0].state._base is table._base
+            assert len(replica.kv) == len(table) + 1  # + the genesis configuration
+        assert deployment_bytes < table_bytes / 4
+
+    def test_adopting_a_snapshot_hashes_no_entry(self):
+        origin = KVStore({f"k{i}": i for i in range(50)})
+        origin.execute(lambda tx: (tx.put("k1", "new"), tx.delete("k2")))
+        snapshot = origin.snapshot()
+        with counting_entry_hashes() as hashed:
+            built = KVStore(initial=snapshot)
+            restored = KVStore()
+            restored.restore(snapshot)
+            cp = Checkpoint.capture(built, 3, 7, b"\x01" * 32)
+            cp.restore_into(restored)
+            assert cp.digest() == built.state_digest() == restored.state_digest()
+            assert hashed.call_count == 0
+        assert restored.state_digest() == origin.state_digest() == checkpoint_digest(snapshot)
+
+    def test_dict_argument_is_copied_not_adopted(self):
+        state = {"a": 1}
+        kv = KVStore(state)
+        state["a"] = 2
+        state["b"] = 3
+        assert kv.get("a") == 1 and "b" not in kv and len(kv) == 1
+        assert kv.state_digest() == checkpoint_digest({"a": 1})
+
+    def test_snapshot_is_a_read_only_mapping(self):
+        kv = KVStore({"a": 1, "b": 2})
+        kv.execute(lambda tx: (tx.delete("a"), tx.put("c", 3)))
+        snapshot = kv.snapshot()
+        assert snapshot == {"b": 2, "c": 3} and len(snapshot) == 2
+        assert snapshot["c"] == 3 and snapshot.get("a") is None and "a" not in snapshot
+        with pytest.raises(KeyError):
+            snapshot["a"]
+        with pytest.raises(TypeError):
+            snapshot["d"] = 4
+        for mutator in ("update", "pop", "clear", "setdefault", "popitem"):
+            assert not hasattr(snapshot, mutator)
+
+    def test_checkpoint_wire_roundtrip_recomputes_the_digest(self):
+        kv = KVStore({"x": 1, "y": (1, 2)})
+        kv.execute(lambda tx: tx.delete("x"))
+        cp = Checkpoint.capture(kv, 4, 10, b"\x01" * 32)
+        wire = cp.to_wire()
+        assert wire == (4, (("y", (1, 2)),), 10, b"\x01" * 32)
+        again = Checkpoint.from_wire(wire)
+        assert again == cp and again.digest() == cp.digest()
+        with pytest.raises(KVError):
+            Checkpoint.from_wire((4, 5, 10))
 
 
 class TestProcedures:
@@ -262,6 +339,84 @@ def test_property_rollback_is_inverse(first, second):
     kv.rollback_last()
     assert kv.snapshot() == snapshot
     assert kv.state_digest() == digest_before
+
+
+MODEL_BASE = {"k:a": 0, "k:b": 1, "j:c": 2}
+MODEL_KEYS = ["k:a", "k:b", "j:c", "k:d", "j:e"]  # three base keys, two that are not
+
+model_steps = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["put", "put", "delete", "delete", "abort", "rollback", "snapshot", "restore", "forget"]
+        ),
+        st.sampled_from(MODEL_KEYS),
+        st.integers(min_value=0, max_value=9),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_steps)
+def test_property_layered_store_matches_dict_model(steps):
+    """The base + delta store against a plain dict with whole-copy
+    snapshots: every read agrees after every step, and no write ever
+    shows through an earlier snapshot or a sibling store on the same base."""
+    base = Snapshot(dict(MODEL_BASE))
+    kv = KVStore(base)
+    model = dict(MODEL_BASE)
+    history = [dict(model)]  # history[n]: the model after n transactions
+    floor = 0  # transactions below this were forgotten
+    taken = []  # (snapshot, sibling store, model copy, sibling's model)
+
+    def write(key, value):
+        kv.execute(lambda tx: tx.delete(key) if value is None else tx.put(key, value))
+        model.pop(key, None) if value is None else model.update({key: value})
+        history.append(dict(model))
+
+    for op, key, n in steps:
+        if op == "put":
+            write(key, n)
+        elif op == "delete":
+            write(key, None)
+        elif op == "abort":
+            kv.execute(lambda tx: (tx.put(key, n), tx.delete("k:a"), tx.abort("no")))
+        elif op == "rollback":
+            target = floor + n % (len(history) - floor)
+            kv.rollback_to(target)
+            del history[target + 1:]
+            model = dict(history[target])
+        elif op == "snapshot":
+            sibling = KVStore(kv.snapshot())
+            sibling.execute(lambda tx: (tx.put("sibling", n), tx.delete(key)))
+            sibling_model = {k: v for k, v in model.items() if k != key} | {"sibling": n}
+            taken.append((kv.snapshot(), sibling, dict(model), sibling_model))
+        elif op == "restore" and taken:
+            snapshot, _, copy, _ = taken[n % len(taken)]
+            kv.restore(snapshot)
+            model, history, floor = dict(copy), [dict(copy)], 0
+        elif op == "forget":
+            floor += n % (len(history) - floor)
+            kv.forget_before(floor)
+            if floor:
+                with pytest.raises(KVError):
+                    kv.rollback_to(floor - 1)
+
+        assert kv.tx_count == len(history) - 1
+        assert len(kv) == len(model)  # a re-created deleted key counts once
+        for k in MODEL_KEYS + ["sibling"]:
+            assert kv.get(k) == model.get(k) and (k in kv) == (k in model)
+        assert list(kv.items()) == sorted(model.items())
+        assert kv.begin().keys_with_prefix("k:") == sorted(k for k in model if k.startswith("k:"))
+        assert kv.state_digest() == checkpoint_digest(dict(model))
+        for snapshot, sibling, copy, sibling_model in taken:
+            assert snapshot == copy and len(snapshot) == len(copy)
+            assert sorted(snapshot) == sorted(copy)
+            assert snapshot.digest() == checkpoint_digest(copy)
+            assert dict(sibling.items()) == sibling_model
+            assert sibling.state_digest() == checkpoint_digest(sibling_model)
+    assert base == MODEL_BASE and base.digest() == checkpoint_digest(MODEL_BASE)
 
 
 @settings(max_examples=50, deadline=None)

@@ -9,10 +9,11 @@ import pytest
 from repro.audit import Auditor, build_ledger_package, check_package_completeness
 from repro.byzantine import TamperExecution
 from repro.enforcement import make_enforcer
-from repro.errors import LedgerError, MerkleError
+from repro.errors import KVError, LedgerError, MerkleError, ProtocolError
 from repro.governance.subledger import GovernanceExtractor, extract_governance_subledger
-from repro.ledger import Ledger, RetentionPolicy
-from repro.lpbft import ProtocolParams
+from repro.kvstore import KVStore
+from repro.ledger import Ledger, RetentionPolicy, TxEntry
+from repro.lpbft import ProtocolParams, execute_procedure
 from repro.merkle.proofs import frontier_root, verify_path
 from repro.merkle.tree import MerkleTree
 from repro.workloads import SmallBankWorkload
@@ -464,3 +465,57 @@ class TestLegacyFetchAfterGC:
         # normal operation resumes.
         assert requester.ready and not requester.syncing
         assert dep.ledgers_agree()
+
+
+class TestUndoLogRetention:
+    """The KV undo log is trimmed with the batch records: a rollback only
+    ever targets a retained batch, so the records below the oldest
+    retained ``kv_mark`` are dead (they used to stay for the life of the
+    replica)."""
+
+    @pytest.fixture(scope="class")
+    def long_run(self):
+        params = GC_PARAMS.variant(max_batch=2, checkpoint_interval=50)
+        dep = build_deployment(params=params, seed=b"gc-undo")
+        client = dep.add_client(retry_timeout=0.5)
+        dep.start()
+        digests = run_waves(dep, client, waves=12, per_wave=40, gap=0.25)
+        return dep, digests
+
+    @staticmethod
+    def _digest_after(replica, seqno):
+        """The state digest at the end of batch ``seqno``, recomputed from
+        the newest checkpoint at or below it — independent of the undo log."""
+        cp_seqno = max(s for s in replica.checkpoints if s <= seqno)
+        kv = KVStore(replica.checkpoints[cp_seqno].state)
+        for info in replica.ledger.batches():
+            if cp_seqno < info.seqno <= seqno:
+                for entry in replica.ledger.entries(info.first_tx, info.end):
+                    if isinstance(entry, TxEntry):
+                        execute_procedure(kv, replica.registry, entry.request())
+        return kv.state_digest()
+
+    def test_undo_log_is_bounded_by_the_retained_batches(self, long_run):
+        dep, digests = long_run
+        for replica in dep.replicas:
+            assert len(replica.checkpoints) >= 3  # several checkpoints at C=50
+            kv = replica.kv
+            assert kv.tx_count > len(digests)
+            oldest_mark = min(record.kv_mark for record in replica.batches.values())
+            assert len(kv._log) == kv.tx_count - oldest_mark
+            assert len(kv._log) < kv.tx_count / 2
+            with pytest.raises(KVError):
+                kv.rollback_to(oldest_mark - 1)
+
+    def test_rollback_to_each_retained_batch_reproduces_its_state(self, long_run):
+        dep, _ = long_run
+        replica = dep.replicas[1]
+        retained = sorted(replica.batches)
+        expected = {s: self._digest_after(replica, s) for s in retained}
+        assert expected[retained[-1]] == replica.kv.state_digest()
+        assert len(set(expected.values())) > len(retained) / 2  # states really differ
+        for seqno in reversed(retained):
+            replica._rollback_to_batch(seqno)
+            assert replica.kv.state_digest() == expected[seqno]
+        with pytest.raises(ProtocolError):
+            replica._rollback_to_batch(retained[0] - 2)

@@ -23,6 +23,8 @@ from repro.merkle import (
 )
 from repro.statesync import SyncManifest, SyncOffer
 
+from helpers import counting_entry_hashes
+
 
 def random_state(rng, n):
     state = {}
@@ -38,6 +40,15 @@ def random_state(rng, n):
         else:
             state[key] = "v" * rng.randrange(0, 40)
     return state
+
+
+def assert_digest_needs_no_second_pass(rebuilt, expected):
+    """Reassembly hashed every entry to check ``dC``; the snapshot keeps
+    that accumulator, so its digest — and installing it — hashes nothing."""
+    with counting_entry_hashes() as hashed:
+        assert rebuilt.digest() == expected
+        assert KVStore(rebuilt).state_digest() == expected
+        assert hashed.call_count == 0
 
 
 class TestChunkRoundTrip:
@@ -66,6 +77,7 @@ class TestChunkRoundTrip:
             rebuilt = reassembler.reassemble()
             assert rebuilt == state
             assert checkpoint_digest(rebuilt) == expected
+            assert_digest_needs_no_second_pass(rebuilt, expected)
 
     def test_different_chunkings_same_digest(self):
         rng = random.Random(99)
@@ -75,7 +87,9 @@ class TestChunkRoundTrip:
             r = ChunkReassembler(tuple(chunk_digest(c) for c in chunks), checkpoint_digest(state))
             for i, c in enumerate(chunks):
                 assert r.add(i, c)
-            assert r.reassemble() == state
+            rebuilt = r.reassemble()
+            assert rebuilt == state
+            assert_digest_needs_no_second_pass(rebuilt, r.expected_digest)
 
     def test_empty_state_one_chunk(self):
         chunks = chunk_state({}, 100)
@@ -148,7 +162,9 @@ class TestChunkRoundTrip:
         r = ChunkReassembler(tuple(chunk_digest(c) for c in chunks), cp.digest())
         for i, c in enumerate(chunks):
             assert r.add(i, c)
-        assert r.reassemble() == cp.state
+        rebuilt = r.reassemble()
+        assert rebuilt == cp.state
+        assert_digest_needs_no_second_pass(rebuilt, cp.digest())
 
 
 class TestFrontier:

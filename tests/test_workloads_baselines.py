@@ -24,8 +24,7 @@ from repro.workloads import (
 def bank():
     registry = ProcedureRegistry()
     register_smallbank(registry)
-    state, acc = initial_state(100)
-    kv = KVStore(dict(state), acc_hint=acc)
+    kv = KVStore(initial_state(100))
     return registry, kv
 
 
@@ -106,9 +105,10 @@ class TestGenerators:
         assert hot / len(customers) > 0.5
 
     def test_initial_state_cached_and_consistent(self):
-        a, acc_a = initial_state(100)
-        b, acc_b = initial_state(100)
-        assert a is b and acc_a == acc_b
+        a = initial_state(100)
+        b = initial_state(100)
+        assert a is b and a.accumulator == b.accumulator
+        assert len(a) == 200 and a.digest() == KVStore(dict(a)).state_digest()
 
     def test_empty_workload(self):
         wl = EmptyWorkload()
