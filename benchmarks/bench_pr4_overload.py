@@ -35,7 +35,7 @@ import json
 import os
 import time
 
-from repro.bench import find_knee, print_table, run_iaccf_point
+from repro.bench import backpressure_client_kwargs, find_knee, print_table, run_iaccf_point
 from repro.lpbft import ProtocolParams
 from repro.sim.costs import DEDICATED_CLUSTER
 
@@ -47,23 +47,6 @@ BASE = dict(
 )
 
 PARAMS = ProtocolParams(**BASE)
-
-def client_kwargs():
-    """Client backpressure knobs, fresh per measurement point so the
-    seeded backoff RNG starts identically at every point: rejected
-    requests retry under exponential backoff and abandon after three
-    retransmissions.  The backoff base (250 ms) matches the service's
-    queued-drain budget — retrying sooner than the backlog can drain
-    just amplifies the overload — and the retry timer period (150 ms)
-    sits above the plateau's queue delay, so admitted-but-slow requests
-    are not spuriously retransmitted."""
-    from repro.workloads.loadgen import ExponentialBackoff
-
-    return dict(
-        retry_budget=3,
-        retry_timeout=0.15,
-        backoff=ExponentialBackoff(base=0.25, cap=1.0, seed=1),
-    )
 
 # Knee bracket for the bisection (PR 3 measured the knee near 45.9K).
 KNEE_LO, KNEE_HI = 30_000, 65_000
@@ -79,7 +62,7 @@ def measure(rate, **kwargs):
     kwargs.setdefault("warmup", 0.2)
     return run_iaccf_point(
         rate=rate, params=PARAMS, costs=DEDICATED_CLUSTER, label="IA-CCF coordinated",
-        client_kwargs=client_kwargs(), lane_metrics=True, **kwargs,
+        client_kwargs=backpressure_client_kwargs(), lane_metrics=True, **kwargs,
     )
 
 

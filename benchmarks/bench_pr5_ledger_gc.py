@@ -104,7 +104,7 @@ def audit_measurements(gc_dep, gc_client, unbounded_dep):
     t0 = time.perf_counter()
     findings = replay_ledger(
         suffix_ledger, package.checkpoint, gc_dep.registry, schedule,
-        gc_dep.params.pipeline, gc_dep.params.checkpoint_interval,
+        gc_dep.params.checkpoint_interval,
     )
     replay_cp_wall = time.perf_counter() - t0
     assert findings == []
@@ -121,7 +121,7 @@ def audit_measurements(gc_dep, gc_client, unbounded_dep):
     t0 = time.perf_counter()
     findings = replay_ledger(
         full_ledger, unbounded_dep.genesis_checkpoint, unbounded_dep.registry, full_schedule,
-        unbounded_dep.params.pipeline, unbounded_dep.params.checkpoint_interval,
+        unbounded_dep.params.checkpoint_interval,
     )
     replay_genesis_wall = time.perf_counter() - t0
     assert findings == []

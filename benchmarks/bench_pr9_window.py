@@ -1,30 +1,32 @@
-"""PR 9 — sequencing work-window W x aggregate receipt signatures.
+"""PR 9 — sequencing window depth x aggregate receipt signatures.
 
 The single-group knee sits where the commit pipeline saturates: with one
 pre-prepare outstanding per pipeline slot, every stall in the
 prepare-quorum round trip leaves sequencing idle, and under load the
 round latency inflates (1 ms floor -> ~14 ms near saturation) until the
-lane-backlog admission budget starts shedding.  The work window keeps W
-pre-prepares outstanding so sequencing rides through those stalls.
+lane-backlog admission budget starts shedding.  A deeper pipeline keeps
+P pre-prepares outstanding so sequencing rides through those stalls —
+the pipeline depth is the sequencing window (PR 19 deleted the separate
+window knob W this bench was written for: P=1, W=3 was P=3).
 
-The sweep uses the *tightest evidence lag* configuration
-(``pipeline=1``): each batch must carry the prepare evidence of the
-batch one slot behind it, so W=1 exposes the stall directly.  Three arms:
+The baseline is the *tightest evidence lag* (``pipeline=1``): each batch
+must carry the prepare evidence of the batch one slot behind it, which
+exposes the stall directly.  Three arms:
 
-- ``W=1`` — the re-probed baseline (same config, window closed);
-- ``W=3`` — window open, individual receipt shares;
-- ``W=3 + aggregation`` — window open, f+1 receipt shares collapsed to
-  one aggregate signature.
+- ``P=1`` — the re-probed baseline;
+- ``P=3`` — three rounds in flight, individual receipt shares;
+- ``P=3 + aggregation`` — three rounds in flight, f+1 receipt shares
+  collapsed to one aggregate signature.
 
 Each arm's knee is located by ``find_knee`` bisection (sustainable =
 goodput >= 90% of offered).  Two headline deltas are reported, both
-against the re-probed W=1 baseline:
+against the re-probed P=1 baseline:
 
 - *knee uplift*: the highest sustainable offered rate moves up ~13%
-  (44-45K -> 50-51K on the reference host);
-- *matched-rate goodput*: at the windowed knee's offered rate the W=1
-  arm has already collapsed (~36K goodput vs ~46.5K, ~+29%), which is
-  the delta a deployment sized to the windowed knee actually sees.
+  (44-45K -> 49-50K on the reference host);
+- *matched-rate goodput*: at the P=3 knee's offered rate the P=1 arm
+  has already collapsed (~36K goodput vs ~46K, ~+28%), which is the
+  delta a deployment sized to the deeper knee actually sees.
 
 Aggregation is goodput-neutral here by design — replica-side signing is
 per *batch* (hundreds of requests), and client CPU is not simulated — so
@@ -41,7 +43,7 @@ import json
 import os
 import time
 
-from repro.bench import find_knee, print_table, run_iaccf_point
+from repro.bench import backpressure_client_kwargs, find_knee, print_table, run_iaccf_point
 from repro.lpbft import Deployment, ProtocolParams
 from repro.receipts import verify_receipt
 from repro.sim.costs import DEDICATED_CLUSTER
@@ -50,38 +52,25 @@ from repro.workloads import SmallBankWorkload, initial_state, register_smallbank
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
 # Tightest evidence lag: batch s carries the prepare evidence of batch
-# s-1, so with the window closed sequencing stalls on every quorum round
-# trip.  The checkpoint interval is out of the way (as in bench_pr4) so
-# the knee measures the pipeline, not checkpoint stalls.
+# s-1, so sequencing stalls on every quorum round trip.  The checkpoint
+# interval is out of the way (as in bench_pr4) so the knee measures the
+# pipeline, not checkpoint stalls.
 BASE = dict(
     pipeline=1, max_batch=300, checkpoint_interval=10_000,
     batch_delay=0.0005, view_change_timeout=30.0,
 )
 
-W = 3  # sweet spot on the reference host: W=2..4 land within noise
+P = 3  # sweet spot on the reference host: depths 2..4 land within noise
 
+BASELINE = ProtocolParams(**BASE)
 ARMS = (
-    ("W=1", ProtocolParams(**BASE)),
-    ("W=3", ProtocolParams(**BASE, work_window=W)),
-    ("W=3+agg", ProtocolParams(**BASE, work_window=W, aggregate_signatures=True)),
+    ("P=1", BASELINE),
+    ("P=3", BASELINE.variant(pipeline=P)),
+    ("P=3+agg", BASELINE.variant(pipeline=P, aggregate_signatures=True)),
 )
 
-
-def client_kwargs():
-    """Client backpressure knobs, fresh per measurement point so the
-    seeded backoff RNG starts identically at every point (same rationale
-    and values as bench_pr4_overload)."""
-    from repro.workloads.loadgen import ExponentialBackoff
-
-    return dict(
-        retry_budget=3,
-        retry_timeout=0.15,
-        backoff=ExponentialBackoff(base=0.25, cap=1.0, seed=1),
-    )
-
-
-# Knee bracket for the bisection: the W=1 pipeline=1 knee probes near
-# 44-45K, the windowed one near 50-51K; one bracket covers all arms.
+# Knee bracket for the bisection: the P=1 knee probes near 44-45K, the
+# P=3 one near 49-50K; one bracket covers all arms.
 KNEE_LO, KNEE_HI = 38_000, 56_000
 
 
@@ -90,7 +79,7 @@ def measure(rate, params, label, **kwargs):
     kwargs.setdefault("warmup", 0.2)
     return run_iaccf_point(
         rate=rate, params=params, costs=DEDICATED_CLUSTER, label=label,
-        client_kwargs=client_kwargs(), lane_metrics=True, **kwargs,
+        client_kwargs=backpressure_client_kwargs(), lane_metrics=True, **kwargs,
     )
 
 
@@ -112,9 +101,9 @@ def run_bench(smoke: bool):
             params=params, label=f"IA-CCF {name}",
         )
         arms[name] = (knee, [])
-    # Matched-rate overload points: every arm measured at the *windowed*
-    # knee rate — where the baseline has collapsed and the window has not.
-    matched_rate = round(arms[f"W={W}"][0].knee_tps)
+    # Matched-rate overload points: every arm measured at the *P=3* knee
+    # rate — where the baseline has collapsed and the deeper pipeline has not.
+    matched_rate = round(arms[f"P={P}"][0].knee_tps)
     for name, params in ARMS:
         arms[name][1].append(measure(matched_rate, params, f"IA-CCF {name}"))
     return arms
@@ -188,19 +177,19 @@ def receipt_metrics():
 
 
 def write_json(arms, receipts, wall_s):
-    base_knee = arms["W=1"][0]
-    win_knee = arms[f"W={W}"][0]
+    base_knee = arms["P=1"][0]
+    win_knee = arms[f"P={P}"][0]
     matched = {name: point_row(points[0]) for name, (_, points) in arms.items()}
-    base_matched = matched["W=1"]["goodput_tps"]
-    win_matched = matched[f"W={W}"]["goodput_tps"]
+    base_matched = matched["P=1"]["goodput_tps"]
+    win_matched = matched[f"P={P}"]["goodput_tps"]
     payload = {
-        "description": "PR 9 sequencing work-window x aggregate receipt "
+        "description": "PR 9 sequencing window depth x aggregate receipt "
         "signatures: per-arm knee by find_knee bisection (goodput >= 90% of "
-        "offered) under the tightest evidence lag (pipeline=1), plus every "
-        "arm measured at the windowed knee rate (matched-rate goodput) and "
-        "client receipt-verification op counts / wire sizes",
+        "offered), baseline the tightest evidence lag (pipeline=1), plus "
+        "every arm measured at the deep-pipeline knee rate (matched-rate "
+        "goodput) and client receipt-verification op counts / wire sizes",
         "base_params": BASE,
-        "work_window": W,
+        "deep_pipeline": P,
         "arms": {
             name: {
                 "knee_tps": round(knee.knee_tps, 1),
@@ -215,7 +204,7 @@ def write_json(arms, receipts, wall_s):
             "ratio": round(win_knee.knee_tps / base_knee.knee_tps, 4),
         },
         "matched_rate": {
-            "offered_tps": matched[f"W={W}"]["offered_tps"],
+            "offered_tps": matched[f"P={P}"]["offered_tps"],
             "points": matched,
             "baseline_goodput_tps": base_matched,
             "windowed_goodput_tps": win_matched,
@@ -253,10 +242,10 @@ def test_pr9_window_knee(once):
         return
 
     payload = write_json(arms, receipts, time.time() - t0)
-    # The window moves the knee itself...
+    # Depth moves the knee itself...
     assert payload["knee_uplift"]["ratio"] >= 1.05
-    # ...and at the windowed knee rate the baseline has collapsed while
-    # the windowed arms still sustain — the >= 20% goodput delta.
+    # ...and at the P=3 knee rate the baseline has collapsed while the
+    # deeper arms still sustain — the >= 20% goodput delta.
     assert payload["matched_rate"]["ratio"] >= 1.2
 
 

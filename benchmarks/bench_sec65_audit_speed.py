@@ -61,7 +61,7 @@ def run_and_audit(n_replicas: int):
     start = time.perf_counter()
     findings = replay_ledger(
         ledger, package.checkpoint, dep.registry, subledger.schedule,
-        PARAMS.pipeline, PARAMS.checkpoint_interval,
+        PARAMS.checkpoint_interval,
     )
     replay_wall = time.perf_counter() - start
     assert findings == []

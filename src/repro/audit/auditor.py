@@ -121,7 +121,7 @@ class Auditor:
         for chain in chains:
             try:
                 schedules.append(
-                    verify_chain(chain, self.params.effective_pipeline(), self.backend, cache=self.verify_cache)
+                    verify_chain(chain, self.params.pipeline, self.backend, cache=self.verify_cache)
                 )
             except ReceiptError as exc:
                 raise AuditError(f"invalid supporting governance chain: {exc}") from exc
@@ -149,7 +149,7 @@ class Auditor:
                         )
                     )
         best = longest_chain(chains) if not result.upoms else chains[0]
-        return verify_chain(best, self.params.effective_pipeline(), self.backend, cache=self.verify_cache)
+        return verify_chain(best, self.params.pipeline, self.backend, cache=self.verify_cache)
 
     # -- step 2: receipt validity (Alg. 4 ``auditReceipts``) ----------------------------------
 
@@ -222,7 +222,11 @@ class Auditor:
         source = package.source_replica
         source_config = schedule.current()
 
-        problems = check_package_completeness(package, receipts)
+        try:
+            ledger = package.materialize_ledger()
+        except Exception:
+            ledger = None  # the completeness check reports why
+        problems = check_package_completeness(package, receipts, ledger)
         if problems:
             if all(p.startswith("retention:") for p in problems):
                 # The affected receipts reach below the service's GC
@@ -247,7 +251,6 @@ class Auditor:
                 )
             )
             return None
-        ledger = package.materialize_ledger()
         ledger_schedule = package.subledger.schedule
 
         # Governance fork between the client's chains and the ledger
@@ -259,11 +262,8 @@ class Auditor:
 
         # Structure and signatures (§B.1 well-formedness).
         try:
-            issues = check_well_formed(
-                package.fragment, ledger_schedule, self.params.effective_pipeline(), self.backend
-            )
+            parsed = parse_fragment(package.fragment)
         except WellFormednessError as exc:
-            issues = None
             result.upoms.append(
                 UPoM(
                     kind=UPOM_MALFORMED_LEDGER,
@@ -273,7 +273,9 @@ class Auditor:
                 )
             )
             return
-        for issue in issues:
+        for issue in check_well_formed(
+            parsed, ledger_schedule, self.params.pipeline, self.backend
+        ):
             blamed = tuple(issue.blamed) if issue.blamed else (source,)
             config = ledger_schedule.config_at_seqno(max(1, issue.seqno))
             result.upoms.append(
@@ -289,7 +291,6 @@ class Auditor:
         if result.upoms:
             return
 
-        parsed = parse_fragment(package.fragment)
         # Merge the message box E (§B.1.1): evidence for the newest P
         # batches that has not been ordered into the ledger yet.
         from ..ledger.entries import entry_from_wire as _efw
@@ -316,7 +317,6 @@ class Auditor:
                 package.checkpoint,
                 self.registry,
                 ledger_schedule,
-                self.params.effective_pipeline(),
                 self.params.checkpoint_interval,
                 evidence_by_seqno=parsed.evidence_for,
             )

@@ -121,8 +121,8 @@ def build_ledger_package(replica, oldest_receipt: Receipt | None = None) -> Ledg
         checkpoint = replica.checkpoints[max(replica.checkpoints)]
     extra: dict = {}
     last = replica.ledger.last_seqno()
-    for seqno in range(max(1, last - replica.params.effective_pipeline() + 1), last + 1):
-        built = replica._build_evidence(seqno)
+    for seqno in range(max(1, last - replica.params.pipeline + 1), last + 1):
+        built = replica._evidence(seqno)
         if built is not None:
             extra[seqno] = (built[0].to_wire(), built[1].to_wire())
     return LedgerPackage(
@@ -167,9 +167,13 @@ def retention_survivors(package: LedgerPackage, receipts: list[Receipt]) -> list
     ]
 
 
-def check_package_completeness(package: LedgerPackage, receipts: list[Receipt]) -> list[str]:
+def check_package_completeness(
+    package: LedgerPackage, receipts: list[Receipt], ledger: Ledger | None = None
+) -> list[str]:
     """Check a package against the §B.1.1 completeness conditions.
 
+    ``ledger`` is ``package.materialize_ledger()`` when the caller already
+    holds it (the auditor builds a package's ledger once).
     Returns a list of human-readable deficiencies (empty when complete).
     Deficiencies are attributable to the responding replica: a correct
     replica can always produce a complete package (Lemma 4) — except the
@@ -201,11 +205,12 @@ def check_package_completeness(package: LedgerPackage, receipts: list[Receipt]) 
                 f"fragment starts at {start}"
             )
             return problems
-    try:
-        ledger = package.materialize_ledger()
-    except Exception as exc:  # malformed entries are attributable too
-        problems.append(f"fragment cannot be parsed: {exc}")
-        return problems
+    if ledger is None:
+        try:
+            ledger = package.materialize_ledger()
+        except Exception as exc:  # malformed entries are attributable too
+            problems.append(f"fragment cannot be parsed: {exc}")
+            return problems
     if start > 0:
         # Bind the suffix to the pruned prefix through the signed roots.
         for info in ledger.batches():

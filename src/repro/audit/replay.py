@@ -58,7 +58,6 @@ def replay_ledger(
     checkpoint: Checkpoint | None,
     registry: ProcedureRegistry,
     schedule: ConfigSchedule,
-    pipeline: int,
     checkpoint_interval: int,
     evidence_by_seqno: dict | None = None,
     stop_seqno: int | None = None,

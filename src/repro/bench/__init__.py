@@ -3,6 +3,7 @@
 from .runners import (
     BenchPoint,
     KneeResult,
+    backpressure_client_kwargs,
     find_knee,
     run_iaccf_point,
     run_hotstuff_point,
@@ -16,6 +17,7 @@ from .runners import (
 __all__ = [
     "BenchPoint",
     "KneeResult",
+    "backpressure_client_kwargs",
     "find_knee",
     "run_iaccf_point",
     "run_hotstuff_point",

@@ -215,6 +215,57 @@ def metrics_now(node) -> float:
     return node.net.scheduler.now if node.net is not None else 0.0
 
 
+def backpressure_client_kwargs() -> dict:
+    """Client backpressure knobs for the overload benches, fresh per
+    measurement point so the seeded backoff RNG starts identically at
+    every point: rejected requests retry under exponential backoff and
+    abandon after three retransmissions.  The backoff base (250 ms)
+    matches the service's queued-drain budget — retrying sooner than the
+    backlog can drain just amplifies the overload — and the retry timer
+    period (150 ms) sits above the plateau's queue delay, so
+    admitted-but-slow requests are not spuriously retransmitted."""
+    from ..workloads.loadgen import ExponentialBackoff
+
+    return dict(
+        retry_budget=3,
+        retry_timeout=0.15,
+        backoff=ExponentialBackoff(base=0.25, cap=1.0, seed=1),
+    )
+
+
+def _run_baseline_point(
+    dep, rate: float, duration: float, warmup: float, drain: float,
+    label: str, arrival: str, seed: int, **client_kwargs,
+) -> BenchPoint:
+    """Drive a baseline deployment at one offered load (leader-side
+    meters in ``dep.metrics``, client-side in ``client.metrics``)."""
+    client = dep.add_client(
+        rate=rate, stop_at=duration, arrivals=make_arrivals(arrival, rate, seed),
+        **client_kwargs,
+    )
+    client.recording = False
+    dep.net.start()
+    dep.net.scheduler.after(warmup, lambda: _open_window(dep.metrics, client))
+    dep.net.scheduler.at(duration, lambda: _close_window(dep.metrics, client))
+    dep.net.run(until=duration + drain)
+    lat = client.metrics.latency
+    return BenchPoint(
+        system=label,
+        offered_tps=rate,
+        throughput_tps=dep.metrics.throughput.throughput(),
+        latency_mean_ms=lat.mean() * 1e3,
+        latency_p50_ms=lat.p50() * 1e3,
+        latency_p99_ms=lat.p99() * 1e3,
+        extra={
+            "offered_tps": client.metrics.offered.throughput(),
+            "admitted_tps": dep.metrics.admitted.throughput(),
+            "goodput_tps": client.metrics.goodput.throughput(),
+            "requests_shed": dep.metrics.counters.get("requests_shed", 0),
+            "requests_rejected": client.metrics.counters.get("requests_rejected", 0),
+        },
+    )
+
+
 def run_hotstuff_point(
     rate: float,
     n_replicas: int = 4,
@@ -236,38 +287,9 @@ def run_hotstuff_point(
         latency=latency or cluster_latency(),
         sites=sites or {},
     )
-    client = dep.add_client(
-        rate=rate, site=client_site, stop_at=duration,
-        arrivals=make_arrivals(arrival, rate, seed),
+    return _run_baseline_point(
+        dep, rate, duration, warmup, 0.3, label, arrival, seed, site=client_site
     )
-    client.recording = False
-    dep.net.start()
-    dep.net.scheduler.after(warmup, lambda: _open_window(dep.metrics, client))
-    dep.net.scheduler.at(duration, lambda: _close_window(dep.metrics, client))
-    dep.net.run(until=duration + 0.3)
-    lat = client.metrics.latency
-    return BenchPoint(
-        system=label,
-        offered_tps=rate,
-        throughput_tps=dep.metrics.throughput.throughput(),
-        latency_mean_ms=lat.mean() * 1e3,
-        latency_p50_ms=lat.p50() * 1e3,
-        latency_p99_ms=lat.p99() * 1e3,
-        extra=_overload_extra(dep, client),
-    )
-
-
-def _overload_extra(dep, client) -> dict:
-    """The shared offered/admitted/goodput/shed report for baseline
-    deployments (leader-side meters in ``dep.metrics``, client-side in
-    ``client.metrics``)."""
-    return {
-        "offered_tps": client.metrics.offered.throughput(),
-        "admitted_tps": dep.metrics.admitted.throughput(),
-        "goodput_tps": client.metrics.goodput.throughput(),
-        "requests_shed": dep.metrics.counters.get("requests_shed", 0),
-        "requests_rejected": client.metrics.counters.get("requests_rejected", 0),
-    }
 
 
 def run_fabric_point(
@@ -290,24 +312,7 @@ def run_fabric_point(
         latency=latency or cluster_latency(),
         store_size=accounts,
     )
-    client = dep.add_client(
-        rate=rate, stop_at=duration, arrivals=make_arrivals(arrival, rate, seed)
-    )
-    client.recording = False
-    dep.net.start()
-    dep.net.scheduler.after(warmup, lambda: _open_window(dep.metrics, client))
-    dep.net.scheduler.at(duration, lambda: _close_window(dep.metrics, client))
-    dep.net.run(until=duration + 3.0)
-    lat = client.metrics.latency
-    return BenchPoint(
-        system=label,
-        offered_tps=rate,
-        throughput_tps=dep.metrics.throughput.throughput(),
-        latency_mean_ms=lat.mean() * 1e3,
-        latency_p50_ms=lat.p50() * 1e3,
-        latency_p99_ms=lat.p99() * 1e3,
-        extra=_overload_extra(dep, client),
-    )
+    return _run_baseline_point(dep, rate, duration, warmup, 3.0, label, arrival, seed)
 
 
 def run_pompe_point(
@@ -328,24 +333,7 @@ def run_pompe_point(
         costs=costs or DEDICATED_CLUSTER,
         latency=latency or cluster_latency(),
     )
-    client = dep.add_client(
-        rate=rate, stop_at=duration, arrivals=make_arrivals(arrival, rate, seed)
-    )
-    client.recording = False
-    dep.net.start()
-    dep.net.scheduler.after(warmup, lambda: _open_window(dep.metrics, client))
-    dep.net.scheduler.at(duration, lambda: _close_window(dep.metrics, client))
-    dep.net.run(until=duration + 0.3)
-    lat = client.metrics.latency
-    return BenchPoint(
-        system=label,
-        offered_tps=rate,
-        throughput_tps=dep.metrics.throughput.throughput(),
-        latency_mean_ms=lat.mean() * 1e3,
-        latency_p50_ms=lat.p50() * 1e3,
-        latency_p99_ms=lat.p99() * 1e3,
-        extra=_overload_extra(dep, client),
-    )
+    return _run_baseline_point(dep, rate, duration, warmup, 0.3, label, arrival, seed)
 
 
 def saturation_sweep(run_point, rates: list[float], **kwargs) -> list[BenchPoint]:

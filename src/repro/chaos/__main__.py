@@ -39,7 +39,7 @@ def build_params(args) -> ChaosParams:
         fault_end=args.fault_end,
         quiescence=args.quiescence,
         load_rate=args.rate,
-        work_window=args.work_window,
+        pipeline=args.pipeline,
     )
 
 
@@ -86,8 +86,8 @@ def main(argv=None) -> int:
     parser.add_argument("--fault-end", type=float, default=ChaosParams.fault_end)
     parser.add_argument("--quiescence", type=float, default=ChaosParams.quiescence)
     parser.add_argument("--rate", type=float, default=ChaosParams.load_rate)
-    parser.add_argument("--work-window", type=int, default=ChaosParams.work_window,
-                        help="sequencing work-window W (rounds in flight beyond P)")
+    parser.add_argument("--pipeline", type=int, default=ChaosParams.pipeline,
+                        help="pipeline depth P (consensus rounds in flight)")
     parser.add_argument("--shrink", action="store_true",
                         help="on failure, shrink the schedule to a minimal repro")
     parser.add_argument("--trace", action="store_true", help="print the full event trace")

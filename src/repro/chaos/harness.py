@@ -74,13 +74,12 @@ def run_schedule(schedule: Schedule, trace: bool = False) -> ChaosResult:
 
     cp = schedule.params
     proto = ProtocolParams(
-        pipeline=2,
+        pipeline=cp.pipeline,
         max_batch=20,
         checkpoint_interval=cp.checkpoint_interval,
         batch_delay=0.0005,
         view_change_timeout=cp.view_change_timeout,
         ledger_gc_min_age=cp.ledger_gc_min_age,
-        work_window=cp.work_window,
     )
     dep = Deployment(
         n_replicas=cp.n_replicas,

@@ -26,6 +26,7 @@ def quiescence_oracles(dep, probe, loadgen, sample_size: int = 8) -> list[str]:
     violations = []
     violations += _convergence(dep)
     violations += _request_tables_in_step(dep)
+    violations += _slot_tables_in_step(dep)
     violations += _goodput_recovered(probe)
     violations += _receipts_verifiable(dep, probe, loadgen, sample_size)
     violations += _audit_reproduces(dep, probe, sample_size)
@@ -76,6 +77,26 @@ def _request_tables_in_step(dep) -> list[str]:
         for rid, n in stale.items()
         if n
     ]
+
+
+def _slot_tables_in_step(dep) -> list[str]:
+    """Every slot-keyed message-table entry names a retained batch or a
+    slot at/above the GC horizon: garbage collection, view-change
+    rollbacks and ledger installs release a slot's messages with its
+    batch.  One residual is out of reach: a prepare whose pre-prepare
+    digest was never indexed carries no seqno to release it by."""
+    violations = []
+    for r in _correct_replicas(dep):
+        slots = [seqno for _, seqno in r.ppd_index.values()]
+        for table in (r.pps, r.commit_nonces, r.pending_commits, r.own_nonces):
+            slots += [seqno for _, seqno in table]
+        stale = sum(1 for seqno in slots if seqno < r.gc_horizon and seqno not in r.batches)
+        if stale:
+            violations.append(
+                f"quiescence: replica {r.id} holds {stale} message-table entries for "
+                f"slots below its GC horizon {r.gc_horizon} with no retained batch"
+            )
+    return violations
 
 
 def _goodput_recovered(probe) -> list[str]:

@@ -43,7 +43,7 @@ class ChaosParams:
     ledger_gc_min_age: float = 0.4  # small: GC races state sync on purpose
     view_change_timeout: float = 1.0
     max_crashed: int = 2  # may exceed f: stalls must heal, not wedge
-    work_window: int = 1  # W: consensus rounds in flight beyond P
+    pipeline: int = 2  # P: consensus rounds in flight
     kinds: tuple[str, ...] = FAULT_KINDS
 
     def cli_args(self) -> str:
@@ -57,7 +57,7 @@ class ChaosParams:
             ("--fault-end", "fault_end"),
             ("--quiescence", "quiescence"),
             ("--rate", "load_rate"),
-            ("--work-window", "work_window"),
+            ("--pipeline", "pipeline"),
         ):
             if getattr(self, attr) != getattr(default, attr):
                 parts.append(f"{flag} {getattr(self, attr)}")

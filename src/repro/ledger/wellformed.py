@@ -173,7 +173,7 @@ def parse_fragment(fragment: LedgerFragment) -> ParsedFragment:
 
 
 def check_well_formed(
-    fragment: LedgerFragment,
+    fragment: LedgerFragment | ParsedFragment,
     schedule: ConfigSchedule,
     pipeline: int,
     backend: signatures.SignatureBackend | None = None,
@@ -181,13 +181,14 @@ def check_well_formed(
     """Check structural rules and signatures; returns findings (empty for a
     well-formed fragment).
 
-    ``schedule`` supplies signing keys per sequence number; ``pipeline``
-    is the protocol's P (evidence for batch ``s`` must appear by batch
-    ``s + P``).
+    ``fragment`` may be the caller's own :func:`parse_fragment` result, so
+    an audit that goes on to use the index parses once.  ``schedule``
+    supplies signing keys per sequence number; ``pipeline`` is the
+    protocol's P (evidence for batch ``s`` must appear by batch ``s + P``).
     """
     backend = backend or signatures.default_backend()
     issues: list[Issue] = []
-    parsed = parse_fragment(fragment)
+    parsed = fragment if isinstance(fragment, ParsedFragment) else parse_fragment(fragment)
 
     previous_seqno: int | None = None
     previous_view: int | None = None

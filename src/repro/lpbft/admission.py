@@ -196,21 +196,10 @@ class Admission:
         # queued — shedding below that starves batch formation — and
         # beyond it shed when the projected queue drain time busts the
         # backlog budget.
-        if queued >= params.max_batch * params.effective_pipeline() and (
+        if queued >= params.max_batch * params.pipeline and (
             backlog + (queued + 1) * self.service_time_estimate() > params.admission_budget()
         ):
             return "overloaded"
-        # Work-window gate (W > 1 only): with the full window of rounds in
-        # flight *and* enough queued requests to refill it entirely,
-        # further arrivals cannot be sequenced before the window turns
-        # over — shed them now rather than after they age into deadline
-        # drops.
-        if (
-            params.work_window > 1
-            and replica.window_occupancy() >= params.effective_pipeline()
-            and queued >= params.max_batch * (params.effective_pipeline() + 1)
-        ):
-            return "window_full"
         return None
 
     def _stash_has_room(self) -> bool:

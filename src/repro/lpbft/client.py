@@ -262,7 +262,7 @@ class LPBFTClient(Node):
         self._fetching_gov = False
         try:
             chain = GovernanceChain.from_wire(wire)
-            schedule = verify_chain(chain, self.params.effective_pipeline(), self.backend)
+            schedule = verify_chain(chain, self.params.pipeline, self.backend)
         except ReceiptError:
             self.metrics.bump("bad_gov_chains")
             return

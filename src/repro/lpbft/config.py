@@ -23,16 +23,12 @@ from dataclasses import dataclass, replace
 class ProtocolParams:
     """L-PBFT tunables and feature toggles."""
 
-    pipeline: int = 2  # P: concurrent batches (paper: 2 LAN, 6 WAN)
+    # P: batch s orders the commitment evidence of batch s − P, so up to
+    # P consensus rounds are in flight — the one sequencing window
+    # (paper: 2 LAN, 6 WAN).
+    pipeline: int = 2
     max_batch: int = 300  # max requests per batch (paper: 300 LAN, 800 WAN)
     checkpoint_interval: int = 100  # C (paper: 10K LAN, 4K WAN)
-    # Sequencing work-window W: the primary keeps up to W consensus
-    # rounds in flight beyond the pipeline depth P (classic PBFT
-    # work-window idiom).  The evidence lag that serializes rounds —
-    # batch s waits for commitment evidence of batch s − P — widens to
-    # s − (P + W − 1), so W = 1 reproduces the paper's protocol exactly
-    # and every consumer of the lag must use :meth:`effective_pipeline`.
-    work_window: int = 1
     # Collapse each receipt's f+1 signature shares (primary pre-prepare
     # signature + f prepare signatures) into one BLS-style aggregate at
     # assembly time: client/auditor verification becomes one
@@ -102,12 +98,8 @@ class ProtocolParams:
             raise ValueError("pipeline depth P must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.work_window < 1:
-            raise ValueError("work window W must be >= 1")
-        if self.checkpoint_interval < self.effective_pipeline() + 1:
-            raise ValueError(
-                "checkpoint interval C must exceed the effective pipeline depth P + W - 1"
-            )
+        if self.checkpoint_interval < self.pipeline + 1:
+            raise ValueError("checkpoint interval C must exceed the pipeline depth P")
         if self.sync_chunk_bytes < 1:
             raise ValueError("sync_chunk_bytes must be >= 1")
         if self.sync_window < 1:
@@ -120,15 +112,6 @@ class ProtocolParams:
             raise ValueError("lane_backlog_budget must be positive")
         if self.ledger_gc_min_age < 0:
             raise ValueError("ledger_gc_min_age must be non-negative")
-
-    def effective_pipeline(self) -> int:
-        """The effective evidence lag ``P + W - 1``: how many batches a
-        round's commitment evidence trails its pre-prepare, hence how many
-        rounds can be in flight at once.  Every protocol-arithmetic site
-        that the paper writes in terms of P (evidence ordering, governance
-        end-of-configuration spans, view-change rollback targets, audit
-        coverage) uses this so the window stays self-consistent."""
-        return self.pipeline + self.work_window - 1
 
     def admission_budget(self) -> float:
         """The ingress backlog budget in seconds (auto: a quarter of the

@@ -149,6 +149,17 @@ class ReconfigState:
         """Sequence numbers of the 2P end-of-configuration batches."""
         return range(self.vote_seqno + 1, self.vote_seqno + 2 * pipeline + 1)
 
+    def eoc_receipt_seqno(self, pipeline: int) -> int:
+        """The P-th end-of-configuration batch — it orders the final
+        vote's evidence, and its receipt closes the governance link
+        (§5.2)."""
+        return self.vote_seqno + pipeline
+
+    def checkpoint_seqno(self, pipeline: int) -> int:
+        """The last end-of-configuration batch: the activation checkpoint
+        is taken after it."""
+        return self.vote_seqno + 2 * pipeline
+
     def activation_seqno(self, pipeline: int) -> int:
         return self.vote_seqno + 2 * pipeline + 1
 
@@ -241,6 +252,9 @@ class LPBFTReplicaCore(Node):
         self.commit_nonces: dict[tuple[int, int], dict[int, bytes]] = {}
         self.pending_commits: dict[tuple[int, int], list[Commit]] = {}
         self.own_nonces: dict[tuple[int, int], NonceCommitment] = {}
+        # Slots below the horizon were released by ``_garbage_collect``
+        # (unless their batch is pinned): no pre-prepare can reopen one.
+        self.gc_horizon = 0
         self.tx_locations: dict[Digest, tuple[int, int]] = {}  # digest -> (seqno, index)
         self.pending_pps: list[tuple] = []  # stashed (pp_wire, digests, trace_ctx)
         # Peers we have an outstanding legacy fetch-ledger to: only a
@@ -286,10 +300,9 @@ class LPBFTReplicaCore(Node):
 
     def window_occupancy(self) -> int:
         """Consensus rounds currently in flight: pre-prepared (or locally
-        proposed) but not yet committed.  Bounded by the effective
-        pipeline ``P + W - 1`` — the evidence lag stalls
-        ``maybe_send_pre_prepare`` once batch ``s − (P + W − 1)`` lacks
-        commitment evidence."""
+        proposed) but not yet committed.  Bounded by the pipeline depth
+        P — the evidence lag stalls ``maybe_send_pre_prepare`` once batch
+        ``s − P`` lacks commitment evidence."""
         return max(0, self.next_seqno - 1 - self.committed_upto)
 
     def peer_addresses(self) -> list[str]:
@@ -402,10 +415,14 @@ class LPBFTReplicaCore(Node):
 
     # -- commitment evidence ----------------------------------------------------------
 
-    def _build_evidence(self, seqno: int) -> tuple[EvidenceEntry, NoncesEntry] | None:
+    def _evidence(
+        self, seqno: int, bitmap: int | None = None
+    ) -> tuple[EvidenceEntry, NoncesEntry] | None:
         """Assemble ``(Ps, Ks)`` for a committed batch from the message
         store: N−f revealed nonces (primary's included) and the matching
-        N−f−1 prepare messages (§3.1)."""
+        N−f−1 prepare messages (§3.1).  Given ``bitmap``, for exactly the
+        replicas the primary chose — backups must append *the same* Ps−P
+        and Ks−P."""
         record = self.batches.get(seqno)
         if record is None or record.pp is None:
             return None
@@ -414,37 +431,15 @@ class LPBFTReplicaCore(Node):
         primary_id = config.primary_for_view(view)
         nonces_by = self.commit_nonces.get((view, seqno), {})
         prepares = self.prepares_by_ppd.get(record.pp_digest, {})
-        eligible = sorted(r for r in nonces_by if r == primary_id or r in prepares)
-        if primary_id not in eligible or len(eligible) < config.quorum:
-            return None
-        chosen = sorted([primary_id] + [r for r in eligible if r != primary_id][: config.quorum - 1])
-        evidence = EvidenceEntry(
-            seqno=seqno,
-            view=view,
-            prepare_wires=tuple(prepares[r].to_wire() for r in chosen if r != primary_id),
-        )
-        nonces = NoncesEntry(
-            seqno=seqno,
-            view=view,
-            bitmap=bitmap_of(chosen),
-            nonces=tuple(nonces_by[r] for r in chosen),
-        )
-        return evidence, nonces
-
-    def _evidence_matching(self, seqno: int, bitmap: int) -> tuple[EvidenceEntry, NoncesEntry] | None:
-        """Assemble evidence for exactly the replicas the primary chose —
-        backups must append *the same* Ps−P and Ks−P (§3.1)."""
-        record = self.batches.get(seqno)
-        if record is None or record.pp is None:
-            return None
-        view = record.view
-        config = self.config_for(seqno)
-        primary_id = config.primary_for_view(view)
-        chosen = bitmap_members(bitmap)
-        nonces_by = self.commit_nonces.get((view, seqno), {})
-        prepares = self.prepares_by_ppd.get(record.pp_digest, {})
-        for r in chosen:
-            if r not in nonces_by or (r != primary_id and r not in prepares):
+        if bitmap is None:
+            eligible = sorted(r for r in nonces_by if r == primary_id or r in prepares)
+            if primary_id not in eligible or len(eligible) < config.quorum:
+                return None
+            chosen = sorted([primary_id] + [r for r in eligible if r != primary_id][: config.quorum - 1])
+            bitmap = bitmap_of(chosen)
+        else:
+            chosen = bitmap_members(bitmap)
+            if any(r not in nonces_by or (r != primary_id and r not in prepares) for r in chosen):
                 return None
         evidence = EvidenceEntry(
             seqno=seqno,
@@ -461,7 +456,7 @@ class LPBFTReplicaCore(Node):
 
     def _evidence_available(self, seqno: int) -> bool:
         """hasEvidence (Alg. 1 line 5)."""
-        return seqno < 1 or self._build_evidence(seqno) is not None
+        return seqno < 1 or self._evidence(seqno) is not None
 
     # -- primary: building batches (Alg. 1 line 4) -----------------------------------------
 
@@ -473,12 +468,12 @@ class LPBFTReplicaCore(Node):
             if not self.ready:
                 return
             s = self.next_seqno
-            if self.reconfig is not None and s == self.reconfig.activation_seqno(self.params.effective_pipeline()):
+            if self.reconfig is not None and s == self.reconfig.activation_seqno(self.params.pipeline):
                 # The activation batch is proposed by the *new*
                 # configuration's primary, which need not be the old one.
                 if self.reconfig.new_config.primary_for_view(self.view) != self.id:
                     return
-                if not self._evidence_available(s - self.params.effective_pipeline()):
+                if not self._evidence_available(s - self.params.pipeline):
                     return
                 self._activate_configuration()
                 flags = BATCH_CHECKPOINT
@@ -486,13 +481,13 @@ class LPBFTReplicaCore(Node):
                 continue
             if not (self.is_primary() and self.is_member()):
                 return
-            if self.reconfig is not None and s in self.reconfig.eoc_range(self.params.effective_pipeline()):
+            if self.reconfig is not None and s in self.reconfig.eoc_range(self.params.pipeline):
                 flags = BATCH_END_OF_CONFIG
             elif self._start_of_config_pending(s):
                 flags = BATCH_START_OF_CONFIG
             else:
                 flags = BATCH_REGULAR
-            if not self._evidence_available(s - self.params.effective_pipeline()):
+            if not self._evidence_available(s - self.params.pipeline):
                 return
             if flags == BATCH_REGULAR:
                 base = self.ledger.logical_size() + self._evidence_entry_count(s) + 1
@@ -510,7 +505,7 @@ class LPBFTReplicaCore(Node):
             self._emit_batch(s, flags, selected)
 
     def _evidence_entry_count(self, seqno: int) -> int:
-        return 2 if seqno - self.params.effective_pipeline() >= 1 else 0
+        return 2 if seqno - self.params.pipeline >= 1 else 0
 
     def _checkpoint_due(self, seqno: int) -> bool:
         """Does the regular batch at ``seqno`` carry an interval checkpoint
@@ -528,7 +523,7 @@ class LPBFTReplicaCore(Node):
         if span.config.number == 0:
             return False
         first_soc = span.start_seqno + 1
-        return first_soc <= seqno < first_soc + self.params.effective_pipeline()
+        return first_soc <= seqno < first_soc + self.params.pipeline
 
     def _emit_batch(self, s: int, flags: int, selected: list[Digest]) -> None:
         """Execute and pre-prepare one batch (primary side)."""
@@ -565,25 +560,16 @@ class LPBFTReplicaCore(Node):
                 seqno=s, view=self.view, role="primary")
         self._after_local_pre_prepare(record)
 
-    def _append_evidence(self, s: int) -> int:
-        """Append the evidence entries for batch ``s − P`` (if owed);
-        returns the evidence bitmap for the pre-prepare."""
-        ev_seqno = s - self.params.effective_pipeline()
+    def _append_evidence(self, s: int, bitmap: int | None = None) -> int:
+        """Append the evidence entries for batch ``s − P`` (if owed) — the
+        primary's own choice, or exactly ``bitmap`` at a backup; returns
+        the evidence bitmap for the pre-prepare."""
+        ev_seqno = s - self.params.pipeline
         if ev_seqno < 1:
             return 0
-        built = self._build_evidence(ev_seqno)
-        if built is None:
-            raise ProtocolError(f"evidence for batch {ev_seqno} not available")
-        evidence, nonces = built
-        self.ledger.append(evidence)
-        self.ledger.append(nonces)
-        if self.params.ledger:
-            self.submit("append", 2 * self.costs.ledger_append)
-        return nonces.bitmap
-
-    def _append_given_evidence(self, pair: tuple[EvidenceEntry, NoncesEntry] | None) -> int:
+        pair = self._evidence(ev_seqno, bitmap)
         if pair is None:
-            return 0
+            raise ProtocolError(f"evidence for batch {ev_seqno} not available")
         evidence, nonces = pair
         self.ledger.append(evidence)
         self.ledger.append(nonces)
@@ -781,25 +767,22 @@ class LPBFTReplicaCore(Node):
             return True  # batch replays an executed request: drop
         if len(set(batch_digests)) != len(batch_digests):
             return True  # batch names a request twice (the queue holds it once): drop
-        evidence_pair: tuple[EvidenceEntry, NoncesEntry] | None = None
-        ev_seqno = s - self.params.effective_pipeline()
-        if ev_seqno >= 1:
-            evidence_pair = self._evidence_matching(ev_seqno, pp.evidence_bitmap)
-            if evidence_pair is None:
-                # Wait for the referenced prepares/commits; ask the primary
-                # to retransmit in case we never saw them (§3.1: "if the
-                # backup is missing messages, it requests that the primary
-                # retransmit them").
-                primary_addr = self.replica_directory.get(config.primary_for_view(pp.view))
-                if primary_addr and primary_addr != self.address:
-                    self.send(primary_addr, ("fetch-evidence", ev_seqno, pp.evidence_bitmap))
-                return False
+        ev_seqno = s - self.params.pipeline
+        if ev_seqno >= 1 and self._evidence(ev_seqno, pp.evidence_bitmap) is None:
+            # Wait for the referenced prepares/commits; ask the primary
+            # to retransmit in case we never saw them (§3.1: "if the
+            # backup is missing messages, it requests that the primary
+            # retransmit them").
+            primary_addr = self.replica_directory.get(config.primary_for_view(pp.view))
+            if primary_addr and primary_addr != self.address:
+                self.send(primary_addr, ("fetch-evidence", ev_seqno, pp.evidence_bitmap))
+            return False
         # The activation batch (s + 2P + 1) is signed by the *new*
         # configuration's primary (§5.1).
         activation_batch = (
             pp.flags == BATCH_CHECKPOINT
             and self.reconfig is not None
-            and s == self.reconfig.activation_seqno(self.params.effective_pipeline())
+            and s == self.reconfig.activation_seqno(self.params.pipeline)
         )
         # A rollback that crossed an activation after a ledger adoption
         # has no ReconfigState to recognize the re-issued activation
@@ -842,16 +825,10 @@ class LPBFTReplicaCore(Node):
             self.kv.execute(
                 lambda tx, c=adopted_span.config: install_configuration(tx, c)
             )
-        self._accept_pre_prepare(pp, batch_digests, evidence_pair, trace_ctx)
+        self._accept_pre_prepare(pp, batch_digests, trace_ctx)
         return True
 
-    def _accept_pre_prepare(
-        self,
-        pp: PrePrepare,
-        batch_digests: tuple,
-        evidence_pair: tuple[EvidenceEntry, NoncesEntry] | None,
-        trace_ctx=None,
-    ) -> None:
+    def _accept_pre_prepare(self, pp: PrePrepare, batch_digests: tuple, trace_ctx=None) -> None:
         """Alg. 1 lines 17–26: execute, compare roots, prepare."""
         s = pp.seqno
         accept_span = None
@@ -864,7 +841,7 @@ class LPBFTReplicaCore(Node):
         ledger_mark = len(self.ledger)
         kv_mark = self.kv.tx_count
         cp_mark = (self.last_recorded_cp, self.last_taken_cp)
-        self._append_given_evidence(evidence_pair)
+        self._append_evidence(s, pp.evidence_bitmap)
         record = self._execute_batch(s, pp.view, pp.flags, list(batch_digests))
         record.ledger_start = ledger_mark
         record.kv_mark = kv_mark
@@ -952,7 +929,8 @@ class LPBFTReplicaCore(Node):
     def handle_commit(self, src: str, msg: tuple) -> None:
         commit = Commit.from_wire(msg[1])
         if (commit.view, commit.seqno) not in self.pps:
-            self.pending_commits.setdefault((commit.view, commit.seqno), []).append(commit)
+            if commit.seqno >= self.gc_horizon:  # else: late, for a released slot
+                self.pending_commits.setdefault((commit.view, commit.seqno), []).append(commit)
             return
         self._apply_commit(commit)
         self._retry_pending_pps()
@@ -1255,7 +1233,7 @@ class LPBFTReplicaCore(Node):
         due_activation = (
             record.flags == BATCH_END_OF_CONFIG
             and self.reconfig is not None
-            and s == self.reconfig.vote_seqno + 2 * self.params.effective_pipeline()
+            and s == self.reconfig.checkpoint_seqno(self.params.pipeline)
         )
         if not (due_interval or due_activation):
             return
@@ -1279,6 +1257,7 @@ class LPBFTReplicaCore(Node):
         horizon = stable_seqno - self.params.checkpoint_interval
         if horizon <= 0:
             return
+        self.gc_horizon = horizon
         # Batches holding governance transactions (and the pending EOC
         # batch) stay pinned until activation assembles their receipts
         # into the governance link: a referendum easily spans more than a
@@ -1287,19 +1266,22 @@ class LPBFTReplicaCore(Node):
         # could then never verify the new configuration (§5.2).
         pinned = {seqno for seqno, _, _ in self.gov_tx_log}
         if self.reconfig is not None:
-            pinned.add(self.reconfig.vote_seqno + self.params.effective_pipeline())
+            pinned.add(self.reconfig.eoc_receipt_seqno(self.params.pipeline))
         for seqno in [s for s in self.batches if s < horizon and s not in pinned]:
-            record = self.batches[seqno]
-            if not record.committed:
-                continue
-            self.admission.forget(record)
-            key = (record.view, seqno)
-            self.pps.pop(key, None)
-            self.ppd_index.pop(record.pp_digest, None)
-            self.prepares_by_ppd.pop(record.pp_digest, None)
-            self.commit_nonces.pop(key, None)
-            self.own_nonces.pop(key, None)
-            del self.batches[seqno]
+            if self.batches[seqno].committed:
+                self.admission.forget(self.batches.pop(seqno))
+        # The per-slot message tables go with their batch — by seqno, so
+        # the keys a view change or a ledger install left behind under
+        # another view (or for a slot that never got a record) go too.
+        def released(seqno: int) -> bool:
+            return seqno < horizon and seqno not in self.batches
+
+        for digest in [d for d, (_, s) in self.ppd_index.items() if released(s)]:
+            del self.ppd_index[digest]
+            self.prepares_by_ppd.pop(digest, None)
+        for table in (self.pps, self.commit_nonces, self.pending_commits, self.own_nonces):
+            for key in [k for k in table if released(k[1])]:
+                del table[key]
         old_cps = sorted(s for s in self.checkpoints if s < horizon)
         for s in old_cps[:-1]:
             del self.checkpoints[s]
@@ -1388,7 +1370,7 @@ class LPBFTReplicaCore(Node):
         if self._gov_archive is None:
             if self.ledger.base_index > 0:
                 return  # suffix-installed: the genesis prefix never existed here
-            self._gov_archive = GovernanceExtractor(self.params.effective_pipeline())
+            self._gov_archive = GovernanceExtractor(self.params.pipeline)
         start = self._gov_archive.next_index
         if start < boundary:
             region = self.ledger.entries(start, boundary)
@@ -1414,7 +1396,7 @@ class LPBFTReplicaCore(Node):
 
         base = self.ledger.base_index
         if base == 0:
-            return extract_governance_subledger(self.ledger.entries(), self.params.effective_pipeline())
+            return extract_governance_subledger(self.ledger.entries(), self.params.pipeline)
         if self._gov_archive is not None and self._gov_archive.next_index == base:
             extractor = self._gov_archive.copy()
             extractor.feed(self.ledger.entries(), base)
@@ -1452,7 +1434,7 @@ class LPBFTReplicaCore(Node):
         the schedule and the KV store, and assemble the governance
         receipts link clients will fetch (§5.2)."""
         assert self.reconfig is not None
-        activation = self.reconfig.activation_seqno(self.params.effective_pipeline())
+        activation = self.reconfig.activation_seqno(self.params.pipeline)
         new_config = self.reconfig.new_config
         link = self._build_governance_link()
         self.kv.execute(lambda tx: install_configuration(tx, new_config))
@@ -1479,8 +1461,9 @@ class LPBFTReplicaCore(Node):
                 propose_receipt = receipt
             else:
                 vote_receipts.append(receipt)
-        eoc_seqno = self.reconfig.vote_seqno + self.params.effective_pipeline()
-        eoc_receipt = self.receipt_from_ledger(eoc_seqno, None)
+        eoc_receipt = self.receipt_from_ledger(
+            self.reconfig.eoc_receipt_seqno(self.params.pipeline), None
+        )
         if propose_receipt is None or eoc_receipt is None:
             return None
         return GovernanceLink(
@@ -1498,7 +1481,7 @@ class LPBFTReplicaCore(Node):
         record = self.batches.get(seqno)
         if record is None or record.pp is None:
             return None
-        built = self._build_evidence(seqno)
+        built = self._evidence(seqno)
         if built is None:
             return None
         evidence, nonces_entry = built
@@ -1605,7 +1588,7 @@ class LPBFTReplicaCore(Node):
     def handle_fetch_evidence(self, src: str, msg: tuple) -> None:
         """Retransmit commitment evidence for a batch (prepares + nonces)."""
         seqno, bitmap = msg[1], msg[2]
-        pair = self._evidence_matching(seqno, bitmap) or self._build_evidence(seqno)
+        pair = self._evidence(seqno, bitmap) or self._evidence(seqno)
         if pair is not None:
             self.send(src, ("evidence-bundle", seqno, pair[0].to_wire(), pair[1].to_wire()))
 

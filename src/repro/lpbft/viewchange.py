@@ -45,6 +45,7 @@ from .messages import (
     Prepare,
     PrePrepare,
     ViewChange,
+    bitmap_members,
     bitmap_of,
 )
 from .replica import BatchRecord, LPBFTReplicaCore, execute_procedure
@@ -139,7 +140,7 @@ class ViewChangeMixin:
     def _last_prepared_pps(self) -> tuple:
         """The last P locally-prepared pre-prepares, oldest first."""
         prepared = sorted(s for s, r in self.batches.items() if r.prepared)
-        recent = prepared[-self.params.effective_pipeline() :]
+        recent = prepared[-self.params.pipeline :]
         return tuple(self.batches[s].pp.to_wire() for s in recent)
 
     def _start_view_change(self, new_view: int) -> None:
@@ -262,7 +263,7 @@ class ViewChangeMixin:
         """Reset the ledger to the end of batch ``slp − P`` (guaranteed
         committed) and return the composition of the batches to re-issue,
         oldest first (PPov)."""
-        target = max(0, slp - self.params.effective_pipeline())
+        target = max(0, slp - self.params.pipeline)
         reissue: list[tuple[int, int, tuple]] = []
         for seqno in sorted(s for s in self.batches if target < s <= slp):
             record = self.batches[seqno]
@@ -303,9 +304,8 @@ class ViewChangeMixin:
                 for prepare in entry.prepares():
                     self._store_prepare(prepare)
             elif isinstance(entry, NoncesEntry):
-                members = [r for r in _bitmap_members(entry.bitmap)]
                 store = self.commit_nonces.setdefault((entry.view, entry.seqno), {})
-                for replica_id, nonce in zip(members, entry.nonces):
+                for replica_id, nonce in zip(bitmap_members(entry.bitmap), entry.nonces):
                     store.setdefault(replica_id, nonce)
         # Drop batch records above the target.
         for seqno in [s for s in sorted(self.batches) if s > target]:
@@ -313,6 +313,7 @@ class ViewChangeMixin:
             self.pps.pop((record.view, seqno), None)
             if record.pp_digest is not None:
                 self.ppd_index.pop(record.pp_digest, None)
+                self.prepares_by_ppd.pop(record.pp_digest, None)
             # No arrival time: the requests are not aged out of the queue
             # before the new view re-issues their batch.
             self._unexecute(record)
@@ -366,14 +367,14 @@ class ViewChangeMixin:
         if root_m != nv.root_m:
             self.metrics.bump("bad_new_views")
             return
-        if slp > 0 and slp - self.params.effective_pipeline() > self.committed_upto and (
+        if slp > 0 and slp - self.params.pipeline > self.committed_upto and (
             slp not in self.batches or self.batches[slp].pp_digest != pplp.digest()
         ):
             # Behind the committed frontier implied by the new view: sync.
             self._stashed_new_view = (src, msg)
             self._send_fetch_ledger(src)
             return
-        target = max(0, slp - self.params.effective_pipeline())
+        target = max(0, slp - self.params.pipeline)
         target = min(target, max(self.committed_upto, self.prepared_upto))
         self._rollback_to_batch(min(target, self._last_complete_batch()))
         self.ledger.append(vc_entry)
@@ -463,7 +464,7 @@ class ViewChangeMixin:
 
         entries = ledger.entries()
         if ledger.base_index == 0:
-            subledger = extract_governance_subledger(entries, self.params.effective_pipeline())
+            subledger = extract_governance_subledger(entries, self.params.pipeline)
             schedule = subledger.schedule.copy()
         else:
             # Suffix-rooted adoption (the server garbage-collected its
@@ -489,11 +490,8 @@ class ViewChangeMixin:
         else:
             if not entries or not isinstance(entries[0], GenesisEntry):
                 raise ProtocolError("adopted ledger does not start with genesis")
-            from ..governance.configuration import Configuration as _Cfg
-            from ..governance.transactions import install_configuration as _install
-
-            config0 = _Cfg.from_wire(entries[0].config_wire)
-            kv.execute(lambda tx: _install(tx, config0))
+            config0 = Configuration.from_wire(entries[0].config_wire)
+            kv.execute(lambda tx: install_configuration(tx, config0))
 
         checkpoints: dict[int, Checkpoint] = {cp_seqno: checkpoint} if checkpoint is not None else {}
         last_taken = cp_seqno
@@ -591,8 +589,12 @@ class ViewChangeMixin:
         self._gov_archive = None
         self.batches = batches
         self.tx_locations = tx_locations
-        self.pps.update(new_pps)
-        self.ppd_index.update(new_ppd)
+        # The adopted ledger's batches are the only ones indexed now;
+        # prepares for a pre-prepare that lost its index go with it.
+        for digest in self.ppd_index.keys() - new_ppd.keys():
+            self.prepares_by_ppd.pop(digest, None)
+        self.pps = new_pps
+        self.ppd_index = new_ppd
         self.admission.discard(tx_locations)
         last_seqno = ledger.last_seqno()
         self.prepared_upto = last_seqno
@@ -632,12 +634,9 @@ def CheckpointDirectoryFromLedger(entries, replica) -> "object":
         if genesis_cp is not None:
             genesis_digest = genesis_cp.digest()
         else:
-            from ..governance.configuration import Configuration as _Cfg
-            from ..governance.transactions import install_configuration as _install
-
             scratch = KVStore()
-            config0 = _Cfg.from_wire(entries[0].config_wire)
-            scratch.execute(lambda tx: _install(tx, config0))
+            config0 = Configuration.from_wire(entries[0].config_wire)
+            scratch.execute(lambda tx: install_configuration(tx, config0))
             genesis_digest = scratch.state_digest()
     else:
         genesis_digest = replica.cp_directory.genesis_digest()
@@ -650,17 +649,6 @@ def CheckpointDirectoryFromLedger(entries, replica) -> "object":
         elif isinstance(entry, CheckpointTxEntry):
             directory.note_record(current_seqno, entry.cp_seqno, entry.cp_digest)
     return directory
-
-
-def _bitmap_members(bitmap: int) -> list[int]:
-    members = []
-    r = 0
-    while bitmap:
-        if bitmap & 1:
-            members.append(r)
-        bitmap >>= 1
-        r += 1
-    return members
 
 
 class LPBFTReplica(StateSyncMixin, ViewChangeMixin, LPBFTReplicaCore):

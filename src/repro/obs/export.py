@@ -102,8 +102,9 @@ def perfetto_trace(tracer: Tracer, cpus: dict | None = None) -> dict:
         })
     # Sequencing-window occupancy: a counter track per node stepped at
     # each quorum span's boundaries — concurrent quorum spans are the
-    # consensus rounds in flight (work_window), so the overlap between
-    # outstanding rounds is visible right above the per-lane timelines.
+    # consensus rounds in flight (at most the pipeline depth P), so the
+    # overlap between outstanding rounds is visible right above the
+    # per-lane timelines.
     window_edges: dict[str, list[tuple[float, int]]] = {}
     for span in tracer.finished_spans():
         if span.name != "quorum":

@@ -464,7 +464,7 @@ class StateSyncClient:
                 raise ProtocolError("sync governance chain has a different genesis")
             schedule = verify_chain(
                 chain,
-                replica.params.effective_pipeline(),
+                replica.params.pipeline,
                 replica.backend,
                 cache=replica.verify_cache,
             )
@@ -640,7 +640,7 @@ class StateSyncClient:
         else:
             try:
                 schedule = extract_governance_subledger(
-                    ledger.entries(), replica.params.effective_pipeline()
+                    ledger.entries(), replica.params.pipeline
                 ).schedule
             except Exception as exc:
                 raise ProtocolError(f"governance subledger extraction failed: {exc}") from exc

@@ -13,7 +13,7 @@ from repro.lpbft import ProtocolParams
 
 FIELDS = {
     # §3 tunables
-    "pipeline", "max_batch", "checkpoint_interval", "work_window",
+    "pipeline", "max_batch", "checkpoint_interval",
     "aggregate_signatures", "view_change_timeout", "batch_delay",
     # admission budgets
     "request_queue_cap", "client_timeout", "admission_backlog", "lane_backlog_budget",
@@ -24,16 +24,17 @@ FIELDS = {
     "execute_transactions", "peer_review",
 }
 
-# Options whose losing arm was deleted with them (PR 17).
+# Options whose losing arm was deleted with them (PR 17), and the work
+# window W, which was pipeline depth under a second name (PR 19).
 REMOVED = (
     "coordinated_admission", "deadline_shedding", "verify_cache", "batch_verify",
-    "state_sync", "sync_retry_timeout", "sync_max_retries",
+    "state_sync", "sync_retry_timeout", "sync_max_retries", "work_window",
 )
 
 
 def test_exact_field_set():
     assert {f.name for f in dataclasses.fields(ProtocolParams)} == FIELDS
-    assert len(FIELDS) == 23
+    assert len(FIELDS) == 22
 
 
 @pytest.mark.parametrize("name", REMOVED)

@@ -1,9 +1,10 @@
-"""PR 9: sequencing work-window W and aggregate receipt signatures.
+"""PR 9: a deep sequencing window and aggregate receipt signatures.
 
-Window edge cases the tentpole must survive: a view change with W rounds
-in flight (no lost or duplicated sequence numbers), a checkpoint
-boundary landing inside the window, and W=1 reproducing today's behavior
-byte for byte.  Aggregation: one ``verify_aggregate`` op per receipt,
+The pipeline depth P is the window (PR 19 deleted the separate
+``W`` knob: it was P under a second name).  Edge cases a deep
+window must survive: a view change with 4 rounds in flight (no lost or
+duplicated sequence numbers) and a checkpoint boundary landing inside
+the depth.  Aggregation: one ``verify_aggregate`` op per receipt,
 smaller wire encodings, and the individual-share fallback that assigns
 blame when an aggregate fails.
 """
@@ -26,13 +27,13 @@ from repro.workloads import SmallBankWorkload
 from helpers import build_deployment, run_workload
 
 WINDOW_PARAMS = ProtocolParams(
-    pipeline=2, max_batch=20, checkpoint_interval=20,
-    batch_delay=0.0005, view_change_timeout=0.3, work_window=3,
+    pipeline=4, max_batch=20, checkpoint_interval=20,
+    batch_delay=0.0005, view_change_timeout=0.3,
 )
 
-# Bounded like tests/test_chaos.py FAST, with the work window opened.
-FAST_W2 = ChaosParams(
-    fault_end=1.5, quiescence=4.0, load_rate=150.0, n_events=6, work_window=2,
+# Bounded like tests/test_chaos.py FAST, one round deeper than its P=2.
+FAST_P3 = ChaosParams(
+    fault_end=1.5, quiescence=4.0, load_rate=150.0, n_events=6, pipeline=3,
 )
 
 
@@ -59,27 +60,15 @@ class CountingBackend:
 
 
 class TestEffectivePipeline:
-    def test_w1_effective_equals_pipeline(self):
-        for pipeline in (1, 2, 6):
-            params = ProtocolParams(pipeline=pipeline, work_window=1)
-            assert params.effective_pipeline() == pipeline
-
-    def test_window_widens_evidence_lag(self):
-        assert ProtocolParams(pipeline=2, work_window=3).effective_pipeline() == 4
-
-    def test_work_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ProtocolParams(work_window=0)
-
     def test_checkpoint_interval_clamps_window(self):
-        # C must exceed the *effective* pipeline, not just P.
+        # C must exceed the pipeline depth.
         with pytest.raises(ValueError):
-            ProtocolParams(pipeline=2, work_window=4, checkpoint_interval=5)
-        ProtocolParams(pipeline=2, work_window=4, checkpoint_interval=6)
+            ProtocolParams(pipeline=5, checkpoint_interval=5)
+        ProtocolParams(pipeline=5, checkpoint_interval=6)
 
     def test_chaos_replay_flag_round_trips(self):
-        assert "--work-window 2" in FAST_W2.cli_args()
-        assert "--work-window" not in ChaosParams(fault_end=1.5).cli_args()
+        assert "--pipeline 3" in FAST_P3.cli_args()
+        assert "--pipeline" not in ChaosParams(fault_end=1.5).cli_args()
 
 
 # -- windowed sequencing --------------------------------------------------------
@@ -103,32 +92,22 @@ def _max_occupancy(params, n_tx=200, until=3.0):
 
 
 class TestWindowedSequencing:
-    def test_occupancy_bounded_by_effective_pipeline(self):
-        # W=1: never more than P rounds in flight (today's behavior).
-        assert _max_occupancy(WINDOW_PARAMS.variant(work_window=1)) <= 2
+    def test_occupancy_bounded_by_pipeline(self):
+        # P=2: never more than P rounds in flight.
+        assert _max_occupancy(WINDOW_PARAMS.variant(pipeline=2)) <= 2
 
     def test_window_overlaps_more_rounds(self):
-        # W=3: the primary provably keeps more than P rounds in flight,
-        # and never more than the effective pipeline P + W - 1 = 4.
+        # P=4: the primary provably keeps more than 2 rounds in flight,
+        # and never more than P.
         peak = _max_occupancy(WINDOW_PARAMS)
         assert peak > 2
-        assert peak <= WINDOW_PARAMS.effective_pipeline()
-
-    def test_window_full_shed_reason_exists(self):
-        # The admission gate only arms at W > 1; at W=1 the verdict set
-        # is unchanged.
-        params = WINDOW_PARAMS.variant(work_window=1)
-        dep = build_deployment(params=params, seed=b"pr9-gate")
-        dep.start()
-        replica = dep.replicas[0]
-        assert replica.params.work_window == 1
-        assert replica.admission.check() is None
+        assert peak <= WINDOW_PARAMS.pipeline
 
 
 class TestViewChangeWithWindowInFlight:
     @pytest.fixture(scope="class")
     def failover_run(self):
-        """Primary partitioned with W rounds in flight: the view change
+        """Primary partitioned with 4 rounds in flight: the view change
         must drain the window without losing or duplicating seqnos."""
         dep = build_deployment(params=WINDOW_PARAMS, seed=b"pr9-vc")
         client = dep.add_client(retry_timeout=0.5)
@@ -197,22 +176,19 @@ class TestCheckpointBoundaryAtWindowEdge:
 
 
 class TestW1Identity:
-    def test_w1_chaos_trace_identical_to_default(self):
-        """``work_window=1`` must be byte-identical to the pre-window
-        protocol: the pinned chaos digests (tests/test_chaos.py) pin the
-        default params, and an explicit W=1 run replays the same trace."""
-        base = ChaosParams(fault_end=1.5, quiescence=4.0, load_rate=150.0, n_events=6)
-        explicit = dataclasses.replace(base, work_window=1)
-        a = run_schedule(generate_schedule(1, base))
-        b = run_schedule(generate_schedule(1, explicit))
-        assert a.trace == b.trace
-        assert a.trace_digest == b.trace_digest
+    def test_pipeline_3_digest_pinned(self):
+        """``python -m repro.chaos --seed 1 --pipeline 3`` replays the
+        trace PR 18 printed for the same seed with P=2 and the deleted
+        window knob at W=2: W was pipeline depth under a second name."""
+        result = run_schedule(generate_schedule(1, ChaosParams(pipeline=3)))
+        assert result.ok, f"oracle violations: {result.violations}"
+        assert result.trace_digest[:16] == "9c191cdbf0d62225"
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_pinned_window_seed_runs_clean(self, seed):
-        """The fuzzer's param space includes ``work_window > 1``: pinned
-        seeds run the full fault matrix with the window open."""
-        result = run_schedule(generate_schedule(seed, FAST_W2))
+        """The fuzzer's param space includes pipeline depth: pinned seeds
+        run the full fault matrix one round deeper than the default."""
+        result = run_schedule(generate_schedule(seed, FAST_P3))
         assert result.ok, (
             f"oracle violations: {result.violations}; "
             f"replay with: {result.replay_command}"
@@ -280,7 +256,7 @@ class TestAggregateOps:
 class TestAggregatedReceipts:
     @pytest.fixture(scope="class")
     def agg_run(self):
-        params = WINDOW_PARAMS.variant(work_window=1, aggregate_signatures=True)
+        params = WINDOW_PARAMS.variant(pipeline=2, aggregate_signatures=True)
         dep = build_deployment(params=params, seed=b"pr9-agg")
         client = dep.add_client(retry_timeout=0.5)
         dep.start()
@@ -317,7 +293,7 @@ class TestAggregatedReceipts:
         """Tab. 1 effect: f individual prepare-signature strings leave
         the wire; one 64-byte aggregate replaces them."""
         dep, client, digests = agg_run
-        params = WINDOW_PARAMS.variant(work_window=1)
+        params = WINDOW_PARAMS.variant(pipeline=2)
         dep2 = build_deployment(params=params, seed=b"pr9-agg")
         client2 = dep2.add_client(retry_timeout=0.5)
         dep2.start()

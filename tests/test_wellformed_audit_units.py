@@ -215,7 +215,6 @@ class TestLedgerPackage:
             package.checkpoint,
             dep.registry,
             subledger.schedule,
-            dep.params.pipeline,
             dep.params.checkpoint_interval,
         )
         assert findings == []
@@ -233,7 +232,6 @@ class TestLedgerPackage:
             checkpoint,
             dep.registry,
             subledger.schedule,
-            dep.params.pipeline,
             dep.params.checkpoint_interval,
         )
         assert findings == []
