@@ -699,6 +699,26 @@ class LPBFTReplicaCore(Node):
         self.batches[record.seqno] = record
         self.pps[(record.view, record.seqno)] = pp
         self.ppd_index[record.pp_digest] = (record.view, record.seqno)
+        self._verify_early_prepares(record.pp_digest, record.seqno)
+
+    def _verify_early_prepares(self, pp_digest: Digest, seqno: int) -> None:
+        """A prepare that arrived before its pre-prepare was stored
+        unchecked — ``handle_prepare`` could not tell whose keys to check
+        it against.  Now that the digest names a slot, verify what is
+        stored under it in one fan-out, before anything counts it toward
+        the prepare quorum or ships it as evidence."""
+        early = self.prepares_by_ppd.get(pp_digest)
+        if not early:
+            return
+        config = self.config_for(seqno)
+        members = [p for p in early.values() if config.has_replica(p.replica)]
+        verdicts = self._verify_many(
+            [(config.replica_key(p.replica), p.signed_payload(), p.signature) for p in members]
+        )
+        valid = {p.replica: p for p, ok in zip(members, verdicts) if ok}
+        if len(valid) < len(members):
+            self.metrics.bump("bad_prepare_signatures", len(members) - len(valid))
+        self.prepares_by_ppd[pp_digest] = valid
 
     def _after_local_pre_prepare(self, record: BatchRecord) -> None:
         """Shared post-processing: advance, checkpoint, notice referendums,
@@ -917,6 +937,8 @@ class LPBFTReplicaCore(Node):
             ):
                 self.metrics.bump("bad_prepare_signatures")
                 return
+        # An early prepare (digest not indexed yet) is stored unchecked;
+        # ``_verify_early_prepares`` checks it when the digest gets a slot.
         self._store_prepare(prepare)
         if located is not None:
             self._check_prepared(*located)

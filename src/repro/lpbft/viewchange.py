@@ -593,6 +593,9 @@ class ViewChangeMixin:
         # prepares for a pre-prepare that lost its index go with it.
         for digest in self.ppd_index.keys() - new_ppd.keys():
             self.prepares_by_ppd.pop(digest, None)
+        for digest, (_, seqno) in new_ppd.items():
+            if digest not in self.ppd_index:
+                self._verify_early_prepares(digest, seqno)
         self.pps = new_pps
         self.ppd_index = new_ppd
         self.admission.discard(tx_locations)

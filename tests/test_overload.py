@@ -14,7 +14,7 @@ from helpers import build_deployment
 
 from repro.bench.runners import BenchPoint, find_knee, run_iaccf_point
 from repro.lpbft import ProtocolParams
-from repro.lpbft.messages import BATCH_REGULAR, TransactionRequest
+from repro.lpbft.messages import BATCH_REGULAR, Prepare, TransactionRequest
 from repro.sim.costs import CostModel
 from repro.workloads.loadgen import ExponentialBackoff
 
@@ -420,6 +420,27 @@ class TestRequestQueue:
         pp = primary.batches[1].pp
         assert backup._try_accept_pre_prepare(pp, (a, a)) is True
         assert 1 not in backup.batches and a in backup.admission
+
+    def test_forged_early_prepare_is_not_counted(self):
+        """Regression (safety): a prepare that arrives before its
+        pre-prepare is stored unchecked.  Accepting the pre-prepare must
+        verify it before it can count — with N = 4 a backup's own prepare
+        plus one forged early one used to reach the N−f−1 quorum."""
+        dep, client = self.build()
+        primary, backup = dep.primary(), dep.replicas[1]
+        (a,) = self.arrive(dep, client, primary, [1], force=True)
+        self.arrive(dep, client, backup, [1])
+        primary.maybe_send_pre_prepare()
+        pp = primary.batches[1].pp
+        forged = Prepare(
+            replica=3, nonce_commitment=b"\0" * 32, pp_digest=pp.digest(), signature=b"forged"
+        )
+        backup.on_message("anyone", ("prepare", forged.to_wire()))
+        assert backup.prepares_by_ppd[pp.digest()][3].signature == b"forged"
+        assert backup._try_accept_pre_prepare(pp, (a,)) is True
+        assert set(backup.prepares_by_ppd[pp.digest()]) == {backup.id}
+        assert not backup.batches[1].prepared
+        assert backup.metrics.counters["bad_prepare_signatures"] == 1
 
     def test_select_skips_min_index_and_drops_expired_while_walking_the_map(self):
         dep, client = self.build()
