@@ -7,7 +7,9 @@ refactored.
   in a known extension, or match BENCH_*.json / BENCHMARK.json) are
   resolved against the repo root; shell-style globs must match something.
 - Options: every ``ProtocolParams(<name>=`` / ``ProtocolParams.<name>``
-  must name a field (or method) of ``repro.lpbft.ProtocolParams``."""
+  must name a field (or method) of ``repro.lpbft.ProtocolParams``.
+- Retired shapes: the replica is one class with components, so no doc
+  may mention a ``Mixin`` or ``statesync/integration.py``."""
 
 import dataclasses
 import glob
@@ -25,6 +27,7 @@ EXTENSIONS = (".py", ".md", ".json", ".yml", ".yaml", ".toml")
 PARAMS_CALL = re.compile(r"ProtocolParams\(([^()]*)\)")
 PARAMS_ATTR = re.compile(r"ProtocolParams\.(\w+)")
 KWARG = re.compile(r"(\w+)\s*=")
+RETIRED = re.compile(r"Mixin|statesync/integration\.py")
 FIELDS = {f.name for f in dataclasses.fields(ProtocolParams)}
 
 DOCS = sorted((ROOT / "docs").glob("*.md")) + [ROOT / "README.md"]
@@ -43,6 +46,8 @@ for doc in DOCS:
                 continue
             if not glob.glob(str(ROOT / token)):
                 failures.append(f"{where}:{lineno}: missing path {token!r}")
+        for stale in RETIRED.findall(line):
+            failures.append(f"{where}:{lineno}: retired name {stale!r}")
         for name in PARAMS_ATTR.findall(line):
             if name not in FIELDS and not hasattr(ProtocolParams, name):
                 failures.append(f"{where}:{lineno}: ProtocolParams has no {name!r}")

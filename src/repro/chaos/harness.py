@@ -22,6 +22,7 @@ Run shape::
 from __future__ import annotations
 
 import hashlib
+import traceback
 from dataclasses import dataclass, field
 
 from .oracles import quiescence_oracles, step_oracles
@@ -116,16 +117,21 @@ def run_schedule(schedule: Schedule, trace: bool = False) -> ChaosResult:
         dep.net.scheduler.at(event.time, lambda e=event: runner.apply(e))
 
     dep.start()
-    dep.run(until=cp.fault_end)
-    runner.global_heal()
-    trace.append(f"t={cp.fault_end:.4f} global-heal crashed={sorted(runner.healed)}")
+    try:
+        dep.run(until=cp.fault_end)
+        runner.global_heal()
+        trace.append(f"t={cp.fault_end:.4f} global-heal crashed={sorted(runner.healed)}")
 
-    wl = SmallBankWorkload(n_accounts=200, seed=(schedule.seed + 1) % 65521)
-    for _ in range(PROBE_WAVE):
-        probe.chaos_probe_digests.append(probe.submit(*wl.next_transaction(), min_index=0))
-    dep.run(until=cp.fault_end + cp.quiescence)
-
-    violations += quiescence_oracles(dep, probe, loadgen)
+        wl = SmallBankWorkload(n_accounts=200, seed=(schedule.seed + 1) % 65521)
+        for _ in range(PROBE_WAVE):
+            probe.chaos_probe_digests.append(probe.submit(*wl.next_transaction(), min_index=0))
+        dep.run(until=cp.fault_end + cp.quiescence)
+        violations += quiescence_oracles(dep, probe, loadgen)
+    except Exception as exc:
+        # A node raising out of the event loop is a finding like any
+        # other: report it with the trace so far, so the shrinker can
+        # minimise the schedule instead of dying with it.
+        violations.append(f"exception: {type(exc).__name__}: {exc} at {_innermost_src_frame(exc)}")
     trace.append(_snapshot(dep, probe, loadgen))
     return ChaosResult(
         schedule=schedule,
@@ -260,6 +266,15 @@ class _EventRunner:
         for rid in sorted(dep.crashed_replica_ids()):
             dep.recover_replica(rid, resync=True)
             self.healed.append(rid)
+
+
+def _innermost_src_frame(exc: BaseException) -> str:
+    """``file:line in function`` of the deepest frame inside ``src/``."""
+    frames = [f for f in traceback.extract_tb(exc.__traceback__) if "/src/" in f.filename]
+    if not frames:
+        return "<no src/ frame>"
+    frame = frames[-1]
+    return f"src/{frame.filename.rsplit('/src/', 1)[1]}:{frame.lineno} in {frame.name}"
 
 
 def _snapshot(dep, probe, loadgen) -> str:

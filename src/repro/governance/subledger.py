@@ -128,7 +128,7 @@ class GovernanceExtractor:
     prefix is truncated its entries are fed in
     (:meth:`feed`, contiguous, genesis first), and a current sub-ledger is
     produced on demand by copying the archive and feeding it the retained
-    suffix (:meth:`~repro.lpbft.replica.LPBFTReplicaCore.governance_subledger`).
+    suffix (:meth:`~repro.lpbft.replica.LPBFTReplica.governance_subledger`).
     Feeding is strictly contiguous — :attr:`next_index` says where the
     next batch of entries must start.
     """

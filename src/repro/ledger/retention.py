@@ -17,7 +17,7 @@ from the mechanism (:meth:`~repro.ledger.ledger.Ledger.truncate_below`):
 
 :class:`RetentionPolicy` tracks the pins and computes the boundary; the
 replica applies it after checkpoint stabilization
-(:meth:`~repro.lpbft.replica.LPBFTReplicaCore._maybe_truncate_ledger`).
+(:meth:`~repro.lpbft.replica.LPBFTReplica._maybe_truncate_ledger`).
 """
 
 from __future__ import annotations

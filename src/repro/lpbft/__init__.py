@@ -4,10 +4,12 @@
 - :mod:`repro.lpbft.config` — tunables (pipeline P, batch size, checkpoint
   interval C) and the Tab. 3 feature toggles;
 - :mod:`repro.lpbft.admission` — the request queue and overload control;
-- :mod:`repro.lpbft.replica` — Alg. 1: ordering, early execution, the
-  nonce commitment scheme, evidence, checkpoints, reconfiguration;
-- :mod:`repro.lpbft.viewchange` — Alg. 2: auditable view changes and
-  ledger adoption;
+- :mod:`repro.lpbft.replica` — the replica and Alg. 1: ordering, early
+  execution, the nonce commitment scheme, evidence, checkpoints,
+  reconfiguration;
+- :mod:`repro.lpbft.batch` — the per-batch record and transaction execution;
+- :mod:`repro.lpbft.viewchange` — Alg. 2: the replica's view manager;
+- :mod:`repro.lpbft.adoption` — verify + install of a fetched ledger;
 - :mod:`repro.lpbft.client` — clients and receipt collection;
 - :mod:`repro.lpbft.deployment` — harness wiring replicas + clients onto
   the simulated network.
@@ -33,8 +35,14 @@ from .messages import (
     bitmap_members,
 )
 from .checkpointing import CheckpointDirectory, CheckpointRecord, reference_checkpoint_seqno
-from .replica import LPBFTReplicaCore, BatchRecord, designated_replica, execute_procedure, EMPTY_WS
-from .viewchange import LPBFTReplica, ViewChangeMixin
+from .replica import (
+    LPBFTReplica,
+    BatchRecord,
+    designated_replica,
+    execute_procedure,
+    EMPTY_WS,
+)
+from .viewchange import ViewManager
 from .client import LPBFTClient, LoadGenerator
 from .deployment import Deployment, make_genesis_config
 
@@ -61,9 +69,8 @@ __all__ = [
     "CheckpointDirectory",
     "CheckpointRecord",
     "reference_checkpoint_seqno",
-    "LPBFTReplicaCore",
     "LPBFTReplica",
-    "ViewChangeMixin",
+    "ViewManager",
     "BatchRecord",
     "designated_replica",
     "execute_procedure",

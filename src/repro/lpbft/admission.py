@@ -1,7 +1,7 @@
 """Admission: the replica's request queue and every decision made over it.
 
 One :class:`Admission` is owned by each replica (built in
-``LPBFTReplicaCore.__init__``).  It holds every table keyed by a
+``LPBFTReplica.__init__``).  It holds every table keyed by a
 client-request digest ``H(t)`` and is the only code that writes them; the
 rest of the replica asks through methods.
 

@@ -23,7 +23,7 @@ from ..sim.costs import CostModel
 from ..sim.metrics import MetricsCollector
 from .client import LoadGenerator, LPBFTClient
 from .config import ProtocolParams
-from .viewchange import LPBFTReplica
+from .replica import LPBFTReplica
 
 
 def make_genesis_config(
@@ -287,7 +287,7 @@ class Deployment:
             peer.replica_directory[rid] = replica.address
         replica.on_start()
         if start_sync:
-            replica.start_state_sync("join")
+            replica.sync_client.start("join")
         return replica
 
     def provision_replica(self, replica_id: int) -> None:
@@ -330,7 +330,7 @@ class Deployment:
         replica = self._replica_by_id(replica_id)
         replica.reset_volatile_state()
         if resync:
-            replica.start_state_sync("recovery")
+            replica.sync_client.start("recovery")
 
     def crashed_replica_ids(self) -> frozenset[int]:
         """Replica ids currently crashed (chaos oracles exclude these

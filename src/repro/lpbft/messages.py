@@ -193,6 +193,21 @@ class PrePrepare:
         """``H(pp)``: hash of the signed pre-prepare, bound into prepares."""
         return digest_value(self.to_wire())
 
+    def receipt_fields(self) -> dict:
+        """The fields a ``replyx`` and a receipt repeat from the batch's
+        pre-prepare, under the names both use (§3.3)."""
+        return dict(
+            view=self.view,
+            seqno=self.seqno,
+            root_m=self.root_m,
+            primary_nonce_commitment=self.nonce_commitment,
+            evidence_bitmap=self.evidence_bitmap,
+            gov_index=self.gov_index,
+            checkpoint_digest=self.checkpoint_digest,
+            flags=self.flags,
+            committed_root=self.committed_root,
+        )
+
 
 @dataclass(frozen=True)
 class Prepare:

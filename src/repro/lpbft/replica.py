@@ -19,31 +19,31 @@ replica's :class:`~repro.governance.schedule.ConfigSchedule`.
 CPU accounting is staged: the hot path submits typed work items to the
 replica's multi-lane :class:`~repro.sim.cpu.VirtualCPU` — client-signature
 checks and evidence bundles fan out as ``verify`` items across all lanes
-(:meth:`LPBFTReplicaCore._verify_many`), transaction execution is a
+(:meth:`LPBFTReplica._verify_many`), transaction execution is a
 serial ``execute`` stage on a dedicated lane
-(:meth:`LPBFTReplicaCore._execute_batch`), ledger writes are ``append``
+(:meth:`LPBFTReplica._execute_batch`), ledger writes are ``append``
 items on the ledger lane, and Merkle/checkpoint hashing is parallel
 ``hash`` work.  Stages of different batches (and of verification vs.
 execution) overlap exactly as lane availability allows.
 
-The request queue and overload control (primary-coordinated admission,
-the backup stash, deadline shedding) live in
-:class:`~repro.lpbft.admission.Admission`; view changes (Alg. 2) in
-:class:`~repro.lpbft.viewchange.ViewChangeMixin` and state sync in
-:class:`~repro.statesync.StateSyncMixin`.  The deployable replica is
-:class:`~repro.lpbft.LPBFTReplica`.
+The replica *has* its parts: the request queue and overload control
+(:class:`~repro.lpbft.admission.Admission`), view changes
+(:class:`~repro.lpbft.viewchange.ViewManager`, Alg. 2) and the two halves
+of state sync (:class:`~repro.statesync.StateSyncClient`,
+:class:`~repro.statesync.StateSyncServer`).  A ledger fetched from a peer
+reaches replica state through :mod:`~repro.lpbft.adoption` only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .. import codec
 from ..crypto import signatures
 from ..crypto.hashing import Digest, digest_value
 from ..crypto.nonces import NonceCommitment, commit_nonce, new_nonce
-from ..errors import ProtocolError, TransactionAborted
+from ..errors import KVError, LedgerError, MerkleError, ProtocolError
 from ..governance.configuration import Configuration
 from ..governance.schedule import ConfigSchedule, ConfigSpan
 from ..governance.transactions import install_configuration
@@ -57,6 +57,7 @@ from ..ledger import (
     PrePrepareEntry,
     RetentionPolicy,
     TxEntry,
+    entry_from_wire,
 )
 from ..merkle import MerkleTree
 from ..network import Node
@@ -64,7 +65,11 @@ from ..receipts.chain import GovernanceChain, GovernanceLink
 from ..receipts.receipt import Receipt
 from ..sim.costs import CostModel
 from ..sim.metrics import MetricsCollector
+from ..statesync.client import StateSyncClient
+from ..statesync.server import StateSyncServer
 from .admission import Admission
+from .adoption import install_ledger
+from .batch import BatchRecord, execute_procedure  # noqa: F401  (re-exported)
 from .checkpointing import CheckpointDirectory
 from .config import ProtocolParams
 from .messages import (
@@ -81,6 +86,7 @@ from .messages import (
     bitmap_members,
     bitmap_of,
 )
+from .viewchange import ViewManager
 
 
 def designated_replica(tx_digest: Digest, config: Configuration) -> int:
@@ -88,53 +94,6 @@ def designated_replica(tx_digest: Digest, config: Configuration) -> int:
     "a designated replica, chosen based on t")."""
     ids = config.replica_ids()
     return ids[int.from_bytes(tx_digest[:8], "big") % len(ids)]
-
-
-def execute_procedure(
-    kv: KVStore, registry: ProcedureRegistry, request: TransactionRequest
-) -> tuple[dict, int]:
-    """Run one transaction, returning ``(output, kv_op_count)``.
-
-    The output is the ledger's ``o`` component: the client-visible reply
-    plus the write-set digest (so replay detects silently-altered writes
-    even when the reply matches).  Aborts commit nothing and yield a
-    deterministic error reply.  Shared by replicas and the auditor's
-    replay (§4.1).
-    """
-    tx = kv.begin()
-    try:
-        result = registry.invoke(request.procedure, tx, request.args)
-    except TransactionAborted as abort:
-        ops = tx.op_count
-        tx._discard()
-        return {"reply": {"ok": False, "error": str(abort)}, "ws": EMPTY_WS}, max(1, ops)
-    ops = tx.op_count
-    record = tx._commit()
-    return {"reply": result, "ws": record.write_set_digest()}, max(1, ops)
-
-
-@dataclass
-class BatchRecord:
-    """Everything a replica remembers about one executed batch."""
-
-    seqno: int
-    view: int
-    flags: int
-    pp: PrePrepare | None = None
-    pp_digest: Digest | None = None
-    entries: list = field(default_factory=list)  # TxEntry | CheckpointTxEntry, in G order
-    g_tree: MerkleTree = field(default_factory=MerkleTree)
-    tx_digests: list = field(default_factory=list)  # request digest per entry (None for cp tx)
-    clients: dict = field(default_factory=dict)  # client pubkey -> [tx digests]
-    kv_mark: int = 0  # kv.tx_count before the batch executed
-    ledger_start: int = 0  # ledger size before the batch's evidence entries
-    ledger_end: int = 0  # ledger size after the batch's last entry
-    prepared: bool = False
-    committed: bool = False
-    quorum_span: object = None  # open "quorum" Span while tracing
-
-    def request_count(self) -> int:
-        return sum(1 for d in self.tx_digests if d is not None)
 
 
 @dataclass
@@ -164,13 +123,14 @@ class ReconfigState:
         return self.vote_seqno + 2 * pipeline + 1
 
 
-class LPBFTReplicaCore(Node):
-    """Normal-case L-PBFT (Alg. 1) plus checkpoints and reconfiguration:
-    the base of :class:`~repro.lpbft.LPBFTReplica`, not deployable alone
-    (failure detection, view changes and state sync come from the mixins).
+class LPBFTReplica(Node):
+    """The L-PBFT replica: normal case (Alg. 1), checkpoints and
+    reconfiguration, plus the components it owns — ``admission``,
+    ``views`` (Alg. 2), ``sync_client`` and ``sync_server``.
 
-    Entry points are network messages (dispatched by name in
-    :meth:`on_message`) and inspection helpers used by deployments,
+    Entry points are network messages (:meth:`on_message` looks the kind
+    up in a table of bound methods built here, each pointing straight at
+    the owning component) and inspection helpers used by deployments,
     audits, and tests (``ledger``, ``kv``, ``schedule``,
     ``receipt_from_ledger``).
     """
@@ -241,6 +201,9 @@ class LPBFTReplicaCore(Node):
         self.prepared_upto = 0
         self.committed_upto = 0
         self.ready = True
+        # True while a state transfer suspends us: pre-prepares are
+        # stashed, the primary is not suspected, peers are not served.
+        self.syncing = False
 
         # Stores.  The request queue T and everything keyed by a request
         # digest belong to the admission component.
@@ -277,8 +240,37 @@ class LPBFTReplicaCore(Node):
         self._batch_timer: int | None = None
         self._nonce_counter = 0
 
-        self._init_view_change_state()  # ViewChangeMixin
-        self._init_state_sync()  # StateSyncMixin
+        self.views = ViewManager(self)
+        self.sync_client = StateSyncClient(self)
+        self.sync_server = StateSyncServer(self)
+        self._handlers = {
+            "request": self.handle_request,
+            "pre-prepare": self.handle_pre_prepare,
+            "prepare": self.handle_prepare,
+            "commit": self.handle_commit,
+            "get-replyx": self.handle_get_replyx,
+            "fetch-requests": self.handle_fetch_requests,
+            "requests-bundle": self.handle_requests_bundle,
+            "fetch-evidence": self.handle_fetch_evidence,
+            "evidence-bundle": self.handle_evidence_bundle,
+            "fetch-ledger": self.handle_fetch_ledger,
+            "ledger-bundle": self.handle_ledger_bundle,
+            "ledger-gone": self.handle_ledger_gone,
+            "get-gov-chain": self.handle_get_gov_chain,
+            "gov-chain-resp": self.handle_gov_chain_resp,
+            "ack": self.handle_ack,
+            "view-change": self.views.on_view_change,
+            "new-view": self.views.on_new_view,
+            "sync-probe": self.sync_server.on_probe,
+            "sync-get-manifest": self.sync_server.on_get_manifest,
+            "sync-get-chunk": self.sync_server.on_get_chunk,
+            "sync-get-ledger": self.sync_server.on_get_ledger,
+            "sync-offer": self.sync_client.on_offer,
+            "sync-manifest": self.sync_client.on_manifest,
+            "sync-chunk": self.sync_client.on_chunk,
+            "sync-ledger": self.sync_client.on_ledger,
+            "sync-ledger-refused": self.sync_client.on_ledger_refused,
+        }
 
     # -- identity and quorum helpers ------------------------------------------
 
@@ -356,7 +348,7 @@ class LPBFTReplicaCore(Node):
     # -- message dispatch ---------------------------------------------------------
 
     def on_start(self) -> None:
-        self._arm_view_change_timer()
+        self.views.arm_timer()
 
     def on_message(self, src: str, msg: Any) -> None:
         if not isinstance(msg, tuple) or not msg:
@@ -371,10 +363,10 @@ class LPBFTReplicaCore(Node):
             # extra network load is modeled too.
             self.submit("sign", self.costs.sign)
             self.send(src, ("ack", digest_value((kind, self.id))))
-        handler_name = self._DISPATCH.get(kind)
-        if handler_name is None:
+        handler = self._handlers.get(kind)
+        if handler is None:
             raise ProtocolError(f"unknown message kind {kind!r}")
-        getattr(self, handler_name)(src, msg)
+        handler(src, msg)
 
     # -- client requests (Alg. 1 line 1) ------------------------------------------------
 
@@ -765,7 +757,7 @@ class LPBFTReplicaCore(Node):
                         self.pending_pps.remove(stashed)
                         progress = True
                         break
-        self._maybe_detect_lag()
+        self.sync_client.maybe_detect_lag()
 
     def _try_accept_pre_prepare(
         self, pp: PrePrepare, batch_digests: tuple, trace_ctx=None
@@ -831,7 +823,7 @@ class LPBFTReplicaCore(Node):
         # fan-out.  A batch naming a request with an invalid signature
         # exposes a Byzantine primary.
         if not self.admission.ensure_verified(batch_digests):
-            self._suspect_primary()
+            self.views.suspect_primary()
             return True
         if pp.flags == BATCH_END_OF_CONFIG and self.reconfig is None:
             return False  # the final vote has not executed locally yet
@@ -876,7 +868,7 @@ class LPBFTReplicaCore(Node):
             if accept_span is not None:
                 accept_span.set(root_mismatch=True)
                 accept_span.finish(self.cpu_time())
-            self._suspect_primary()
+            self.views.suspect_primary()
             return
 
         self._install_batch(record, pp)
@@ -1146,15 +1138,7 @@ class LPBFTReplicaCore(Node):
         path = record.g_tree.path(position)
         self.submit("hash", len(path) * self.costs.hash_fixed)
         replyx = ReplyX(
-            view=record.view,
-            seqno=record.seqno,
-            root_m=record.pp.root_m,
-            primary_nonce_commitment=record.pp.nonce_commitment,
-            evidence_bitmap=record.pp.evidence_bitmap,
-            gov_index=record.pp.gov_index,
-            checkpoint_digest=record.pp.checkpoint_digest,
-            flags=record.pp.flags,
-            committed_root=record.pp.committed_root,
+            **record.pp.receipt_fields(),
             tx_digest=tx_digest,
             index=entry.index,
             output=entry.output,
@@ -1228,15 +1212,7 @@ class LPBFTReplicaCore(Node):
         self.submit("hash", len(g_tree) * self.costs.hash_fixed)
         path = g_tree.path(position)
         replyx = ReplyX(
-            view=pp.view,
-            seqno=seqno,
-            root_m=pp.root_m,
-            primary_nonce_commitment=pp.nonce_commitment,
-            evidence_bitmap=pp.evidence_bitmap,
-            gov_index=pp.gov_index,
-            checkpoint_digest=pp.checkpoint_digest,
-            flags=pp.flags,
-            committed_root=pp.committed_root,
+            **pp.receipt_fields(),
             tx_digest=tx_digest,
             index=target.index,
             output=target.output,
@@ -1308,7 +1284,7 @@ class LPBFTReplicaCore(Node):
         for s in old_cps[:-1]:
             del self.checkpoints[s]
             self._cp_taken_at.pop(s, None)
-        # A rollback targets a retained batch (``_rollback_to_batch`` raises
+        # A rollback targets a retained batch (``rollback_to_batch`` raises
         # on an unknown one), so undo records below every kept mark are dead.
         self.kv.forget_before(min(record.kv_mark for record in self.batches.values()))
 
@@ -1528,15 +1504,7 @@ class LPBFTReplicaCore(Node):
             aggregate = self.backend.aggregate(shares)
             prepare_signatures = ()
         common = dict(
-            view=record.view,
-            seqno=seqno,
-            root_m=record.pp.root_m,
-            primary_nonce_commitment=record.pp.nonce_commitment,
-            evidence_bitmap=record.pp.evidence_bitmap,
-            gov_index=record.pp.gov_index,
-            checkpoint_digest=record.pp.checkpoint_digest,
-            flags=record.pp.flags,
-            committed_root=record.pp.committed_root,
+            **record.pp.receipt_fields(),
             primary_signature=record.pp.signature,
             signer_bitmap=nonces_entry.bitmap,
             prepare_signatures=prepare_signatures,
@@ -1622,10 +1590,8 @@ class LPBFTReplicaCore(Node):
         record = self.batches.get(seqno)
         if record is None or record.pp is None:
             return
-        from ..ledger.entries import entry_from_wire as _efw
-
-        evidence = _efw(msg[2])
-        nonces = _efw(msg[3])
+        evidence = entry_from_wire(msg[2])
+        nonces = entry_from_wire(msg[3])
         if not isinstance(evidence, EvidenceEntry) or not isinstance(nonces, NoncesEntry):
             return
         if evidence.seqno != seqno or evidence.view != record.view:
@@ -1679,13 +1645,43 @@ class LPBFTReplicaCore(Node):
         if src not in self._fetch_ledger_pending:
             return
         self._fetch_ledger_pending.discard(src)
-        self.start_state_sync("ledger_gone")
+        self.sync_client.start("ledger_gone")
+
+    def handle_ledger_bundle(self, src: str, msg: tuple) -> None:
+        """Adopt the whole ledger we fetched (Alg. 2)."""
+        # The fetch is answered; src no longer holds a license to report
+        # `ledger-gone` for it.
+        self._fetch_ledger_pending.discard(src)
+        _, start, entry_wires, cp_wire, view, next_seqno = msg
+        if start != 0 or len(entry_wires) <= len(self.ledger):
+            return
+        try:
+            ledger = Ledger()
+            for wire in entry_wires:
+                ledger.append(entry_from_wire(wire))
+            checkpoint = None if cp_wire is None else Checkpoint.from_wire(cp_wire)
+            install_ledger(self, ledger, checkpoint, view, self._own_schedule_of(ledger))
+        except (ProtocolError, LedgerError, KVError, MerkleError, TypeError):
+            self.metrics.bump("bad_ledger_bundles")
+            return
+        self.send(src, ("get-gov-chain",))
+        self._retry_pending_pps()  # prune stash entries the adoption covered
+
+    def _own_schedule_of(self, ledger: Ledger) -> ConfigSchedule:
+        from ..governance.subledger import extract_governance_subledger
+
+        return extract_governance_subledger(ledger.entries(), self.params.pipeline).schedule
 
     def handle_get_gov_chain(self, src: str, msg: tuple) -> None:
         self.send(
             src,
             ("gov-chain-resp", self.gov_chain.to_wire(), self._gov_suffix_entries()),
         )
+
+    def handle_gov_chain_resp(self, src: str, msg: tuple) -> None:
+        chain = GovernanceChain.from_wire(msg[1])
+        if len(chain) > len(self.gov_chain):
+            self.gov_chain = chain
 
     def _gov_suffix_entries(self) -> tuple:
         """Member-signed governance transactions past the chain's last
@@ -1712,27 +1708,28 @@ class LPBFTReplicaCore(Node):
         # PeerReview acknowledgement: verify it (cost) and log.
         self.submit("verify", self.costs.verify)
 
-    # Message kind -> bound-method name; resolved with getattr so mixin
-    # overrides take effect.
-    _DISPATCH = {
-        "request": "handle_request",
-        "pre-prepare": "handle_pre_prepare",
-        "prepare": "handle_prepare",
-        "commit": "handle_commit",
-        "get-replyx": "handle_get_replyx",
-        "fetch-requests": "handle_fetch_requests",
-        "requests-bundle": "handle_requests_bundle",
-        "fetch-evidence": "handle_fetch_evidence",
-        "evidence-bundle": "handle_evidence_bundle",
-        "fetch-ledger": "handle_fetch_ledger",
-        "ledger-bundle": "handle_ledger_bundle",
-        "ledger-gone": "handle_ledger_gone",
-        "get-gov-chain": "handle_get_gov_chain",
-        "view-change": "handle_view_change",
-        "new-view": "handle_new_view",
-        "ack": "handle_ack",
-    }
+    # -- crash/recovery modeling ----------------------------------------------------------
 
+    def reset_volatile_state(self) -> None:
+        """Forget everything a process restart would lose, keeping only
+        durable state (ledger, KV store, checkpoints, schedule, chain).
+        Used by :meth:`~repro.lpbft.Deployment.recover_replica`."""
+        self.admission.reset()
+        self.views.reset()
+        self.sync_client.abort()
+        self.pending_pps = []
+        self.pending_commits = {}
+        self.prepares_by_ppd = {}
+        self.commit_nonces = {}
+        self.own_nonces = {}
+        self._last_lower_view_drop = None
+        self.syncing = False
+        self.ready = True
+        self.metrics.bump("volatile_resets")
+
+
+# The class's former name: benchmarks/perf/spans.py wraps ``on_message`` through it.
+LPBFTReplicaCore = LPBFTReplica
 
 # Message kinds acknowledged under PeerReview (all protocol-level traffic).
 _PEER_REVIEW_ACKED = {"request", "pre-prepare", "prepare", "commit"}

@@ -12,24 +12,24 @@ roots, install, and resume normal L-PBFT operation.
 - :mod:`repro.statesync.messages` — wire forms (offer, manifest);
 - :mod:`repro.statesync.client` — the fetching state machine with
   retry/timeout and Byzantine-server failover;
-- :mod:`repro.statesync.server` — the serving side with chunk caching;
-- :mod:`repro.statesync.integration` — the replica mixin (lag detection,
-  suspend/resume, dispatch).
+- :mod:`repro.statesync.server` — the serving side with chunk caching.
+
+Each replica owns one client and one server and routes the ``sync-*``
+message kinds straight to them.
 
 All transfer happens over :class:`~repro.network.SimNetwork` messages, so
 catch-up time is charged to the simulated bandwidth/latency cost model.
 """
 
+# The replica package first: it imports our client, whose verifier lives there.
+from .. import lpbft  # noqa: F401
 from .client import StateSyncClient
-from .integration import STATESYNC_DISPATCH, StateSyncMixin
 from .messages import SyncManifest, SyncOffer
 from .server import StateSyncServer
 
 __all__ = [
     "StateSyncClient",
     "StateSyncServer",
-    "StateSyncMixin",
-    "STATESYNC_DISPATCH",
     "SyncOffer",
     "SyncManifest",
 ]

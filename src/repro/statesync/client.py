@@ -41,7 +41,8 @@ from __future__ import annotations
 
 from ..errors import KVError, LedgerError, MerkleError, ProtocolError
 from ..kvstore.checkpoints import Checkpoint, ChunkReassembler
-from ..ledger import CheckpointTxEntry, Ledger, LedgerFragment, entry_from_wire
+from ..ledger import Ledger, LedgerFragment
+from ..lpbft.adoption import install_ledger, verify_fetched_ledger
 from ..merkle.proofs import FrontierAccumulator, frontier_from_wire, frontier_root
 from .messages import SyncManifest, SyncOffer
 
@@ -130,6 +131,7 @@ class StateSyncClient:
         # the server's governance chain proves them).
         self._suffix_schedule = None
         self._started_at = 0.0
+        self._span = None  # open "state-sync" Span while tracing
         self.last_result: dict | None = None
 
     @property
@@ -139,8 +141,15 @@ class StateSyncClient:
     # -- session control ----------------------------------------------------
 
     def start(self, reason: str = "") -> None:
-        """Begin a sync session (no-op if one is already running)."""
+        """Suspend normal operation and catch up from a peer (no-op if a
+        session is already running) — the replica's one recovery entry:
+        lag, join, crash recovery, a ``ledger-gone`` answer, and the
+        view-change timer when it finds we missed a view, over-advanced
+        our own while partitioned, or sit stuck behind a deep stash."""
         replica = self.replica
+        if replica.tracer.enabled and self._span is None:
+            self._span = replica.tracer.span(
+                "state-sync", replica.address, replica.now, reason=reason)
         if self.active:
             return
         peers = [p for p in replica.peer_addresses() if p not in self.excluded]
@@ -161,6 +170,7 @@ class StateSyncClient:
 
     def abort(self) -> None:
         """Drop the session without resuming (crash modeling)."""
+        self._close_span(aborted=True)
         self._cancel_timer()
         self.phase = IDLE
         self.server = None
@@ -172,6 +182,49 @@ class StateSyncClient:
         self._to_request = []
         self._cp_rooted = False
         self._suffix_schedule = None
+
+    def _close_span(self, **attrs) -> None:
+        if self._span is not None:
+            self._span.set(**attrs)
+            self._span.finish(self.replica.now)
+            self._span = None
+
+    # -- lag detection ------------------------------------------------------
+
+    def maybe_detect_lag(self) -> None:
+        """Start a transfer when stashed pre-prepares show the service is
+        further ahead than one checkpoint interval — those batches will
+        never be individually retransmitted once peers checkpoint past
+        them, so only a state transfer can recover.
+
+        A deep stash alone is not lag: right after a resume the stash
+        legitimately holds everything that arrived during the transfer,
+        and draining it is normal processing.  Only a *gap* — the next
+        needed pre-prepare absent while the horizon is far ahead — means
+        we are cut off from batch-by-batch recovery.  (A stash that is
+        contiguous but stuck anyway is caught by the view-change timer's
+        no-progress branch.)
+        """
+        replica = self.replica
+        if replica.syncing or not replica.pending_pps:
+            return
+        if self._stash_gap() > self.lag_threshold():
+            replica.metrics.bump("sync_lag_detected")
+            self.start("lag")
+
+    def lag_threshold(self) -> int:
+        params = self.replica.params
+        return params.sync_lag_batches or params.checkpoint_interval
+
+    def _stash_gap(self) -> int:
+        """How far the stashed pre-prepare horizon is ahead of the commit
+        frontier, or 0 when the stash reaches down to the next batch we
+        can process (no gap — just work to do)."""
+        replica = self.replica
+        if any(item[0][2] <= replica.next_seqno for item in replica.pending_pps):
+            return 0
+        horizon = max(item[0][2] for item in replica.pending_pps)  # wire field 2 = seqno
+        return horizon - max(replica.committed_upto, 0)
 
     # -- phases -------------------------------------------------------------
 
@@ -407,7 +460,7 @@ class StateSyncClient:
         try:
             self._suffix_schedule = self._trusted_suffix_schedule(chain_wire)
             checkpoint = self._verified_checkpoint()
-            ledger = self._verified_ledger(start, entry_wires, checkpoint)
+            ledger, schedule = self._verified_ledger(start, entry_wires, checkpoint)
         except (ProtocolError, LedgerError, MerkleError, KVError) as exc:
             replica.metrics.bump("sync_verification_failures")
             self._failover(f"verify:{type(exc).__name__}")
@@ -426,9 +479,7 @@ class StateSyncClient:
             self._finish(checkpoint, ledger, installed=False)
             return
         try:
-            replayed = replica._install_ledger_state(
-                ledger, checkpoint, view, trusted_schedule=self._suffix_schedule
-            )
+            replayed = install_ledger(replica, ledger, checkpoint, view, schedule)
         except (ProtocolError, LedgerError, KVError) as exc:
             replica.metrics.bump("sync_verification_failures")
             self._failover(f"install:{type(exc).__name__}")
@@ -494,9 +545,10 @@ class StateSyncClient:
             ledger_root=offer.cp_ledger_root,
         )
 
-    def _verified_ledger(self, start: int, entry_wires: tuple, checkpoint) -> Ledger:
+    def _verified_ledger(self, start: int, entry_wires: tuple, checkpoint) -> tuple:
         """Splice our committed prefix with the fetched suffix and verify
-        the whole against every digest we hold (raises on mismatch).
+        the whole against every digest we hold (raises on mismatch);
+        returns the ledger and the schedule it verified under.
 
         Three shapes, depending on who garbage-collected what:
 
@@ -538,121 +590,26 @@ class StateSyncClient:
                 # start == 0: the server shipped a full-from-genesis
                 # ledger (its own prefix is intact), so the entry wires
                 # are genesis-rooted regardless of what *we* collected.
-                ledger = Ledger()
-                for wire in wires:
-                    ledger.append(entry_from_wire(wire))
+                ledger = LedgerFragment(start=0, entry_wires=tuple(wires)).to_ledger()
         if len(ledger) < offer.cp_ledger_size:
             raise ProtocolError("sync ledger shorter than checkpoint bound")
-        replica.submit("append", len(entry_wires) * replica.costs.ledger_append)
-        replica.submit("hash", len(entry_wires) * 2 * replica.costs.hash_fixed)
-        if ledger.base_index == 0:
-            if replica.ledger.base_index == 0:
-                genesis = replica.ledger.entry(0)
-                if ledger.entry(0).to_wire() != genesis.to_wire():
-                    raise ProtocolError("sync ledger has a different genesis")
-            else:
-                # Our own genesis entry was garbage-collected; the service
-                # identity it defined is still ours to check against.
-                entry0 = ledger.entry(0)
-                from ..ledger import GenesisEntry as _Genesis
-
-                if not isinstance(entry0, _Genesis) or entry0.service_name() != replica.service_name:
-                    raise ProtocolError("sync ledger has a different genesis")
-        if offer.cp_seqno > 0:
-            # The checkpoint's ledger binding.
-            if ledger.root_at(offer.cp_ledger_size) != offer.cp_ledger_root:
-                raise ProtocolError("checkpoint ledger root mismatch")
-            # dC must be vouched for by a recorded checkpoint transaction,
-            # and the record's own ledger binding must match the offer's —
-            # otherwise the server could widen the prefix the checkpoint
-            # claims to cover.
-            recorded = any(
-                isinstance(entry, CheckpointTxEntry)
-                and entry.cp_seqno == offer.cp_seqno
-                and entry.cp_digest == offer.cp_digest
-                and entry.ledger_size == offer.cp_ledger_size
-                and entry.ledger_root == offer.cp_ledger_root
-                for entry in ledger.entries(offer.cp_ledger_size)
-            )
-            if not recorded:
-                raise ProtocolError("checkpoint digest not recorded in fetched ledger")
+        # Everything past our own trusted prefix is the server's.
+        schedule = verify_fetched_ledger(
+            replica, ledger, len(entry_wires), max(start, 1), checkpoint, self._suffix_schedule
+        )
+        if offer.cp_seqno > 0 and not self._cp_rooted:
             # The manifest's frontier must reproduce the tree over the
             # suffix (proves the frontier belongs to this very prefix).
             # Skipped in checkpoint-rooted mode: there the ledger tree was
             # *built* from that same frontier, so the comparison is true
             # by construction — the binding is instead enforced by the
-            # root_at check above plus the per-batch root_m checks below.
-            if not self._cp_rooted:
-                acc = FrontierAccumulator(frontier_from_wire(self.manifest.frontier))
-                for index in range(offer.cp_ledger_size, len(ledger)):
-                    acc.append(ledger.entry(index).digest())
-                if acc.root() != ledger.root():
-                    raise ProtocolError("manifest frontier inconsistent with suffix")
-        # Every server-supplied batch — everything past our own trusted
-        # prefix, including batches *below* the checkpoint — carries a
-        # signed root_m over the ledger before its pre-prepare entry;
-        # check roots and primary signatures for them all.  Verifying
-        # only past the checkpoint would leave the server an unverified
-        # region in which to fabricate governance history.
-        check_from = max(start, 1)
-        fetched_batches = []
-        for info in ledger.batches():
-            if info.pp_index < check_from:
-                continue
-            pp = ledger.batch_pre_prepare(info.seqno)
-            if ledger.root_at(info.pp_index) != pp.root_m:
-                raise ProtocolError(f"root_m mismatch at batch {info.seqno}")
-            fetched_batches.append((info.seqno, pp))
-        self._verify_suffix_signatures(ledger, fetched_batches)
-        return ledger
-
-    def _verify_suffix_signatures(self, ledger: Ledger, suffix_batches: list) -> None:
-        """Verify the primary signature on every fetched pre-prepare.
-
-        The configurations come from the governance subledger of the very
-        ledger being verified, but the chain is anchored: the genesis was
-        checked against our own, config-0 batches verify under config-0
-        keys, and the governance transactions that create each successor
-        configuration live inside batches verified under its predecessor.
-        Without this, a Byzantine server could feed a fresh joiner an
-        entirely fabricated (internally consistent) history.
-        """
-        if not suffix_batches:
-            return
-        # Imported lazily: repro.governance.subledger imports the lpbft
-        # message types, so a module-level import would be circular.
-        from ..governance.subledger import extract_governance_subledger
-
-        replica = self.replica
-        if ledger.base_index > 0:
-            # Suffix-rooted ledger: the governance history below the
-            # checkpoint is not in the entries.  The anchor is our own
-            # schedule — extended by the server's governance chain when
-            # it verifiably reaches further (the late-join path: a
-            # joiner constructed before a reconfiguration would
-            # otherwise check config-1 batches under config 0 and stay
-            # stranded outside the membership forever).
-            schedule = (
-                self._suffix_schedule
-                if self._suffix_schedule is not None
-                else replica.schedule.copy()
-            )
-        else:
-            try:
-                schedule = extract_governance_subledger(
-                    ledger.entries(), replica.params.pipeline
-                ).schedule
-            except Exception as exc:
-                raise ProtocolError(f"governance subledger extraction failed: {exc}") from exc
-        items = []
-        for seqno, pp in suffix_batches:
-            config = schedule.config_at_seqno(seqno)
-            primary_id = config.primary_for_view(pp.view)
-            if not config.has_replica(primary_id):
-                raise ProtocolError(f"batch {seqno} signed by non-member {primary_id}")
-            items.append((config.replica_key(primary_id), pp.signed_payload(), pp.signature))
-        if not all(replica._verify_many(items)):
-            raise ProtocolError("pre-prepare signature verification failed in fetched suffix")
+            # verifier's root_at check plus its per-batch root_m checks.
+            acc = FrontierAccumulator(frontier_from_wire(self.manifest.frontier))
+            for index in range(offer.cp_ledger_size, len(ledger)):
+                acc.append(ledger.entry(index).digest())
+            if acc.root() != ledger.root():
+                raise ProtocolError("manifest frontier inconsistent with suffix")
+        return ledger, schedule
 
     # -- completion / failure -------------------------------------------------
 
@@ -678,7 +635,23 @@ class StateSyncClient:
         self._inflight = set()
         self._to_request = []
         replica.metrics.bump("sync_sessions_completed")
-        replica._finish_state_sync()
+        # Resume normal operation.  The install already adopted the
+        # server's view wholesale; here we only lift the suspension and
+        # restart the machinery.
+        self._close_span(committed_upto=replica.committed_upto)
+        replica.syncing = False
+        replica.ready = True
+        replica.views.mark_progress()
+        if self.server:
+            replica.send(self.server, ("get-gov-chain",))
+        replica.metrics.bump("sync_resumes")
+        replica._retry_pending_pps()
+        # If we resumed as the primary with admitted-but-unproposed
+        # requests, propose them now: client retransmissions of a request
+        # already queued do not re-arm the batch timer, so nothing else
+        # would ever kick the pipeline.
+        replica.maybe_send_pre_prepare()
+        replica.views.arm_timer()
 
     def _failover(self, reason: str) -> None:
         replica = self.replica

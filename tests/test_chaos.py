@@ -8,6 +8,7 @@ harness fails tier-1 with the exact replay command in the message.
 from __future__ import annotations
 
 import os
+import re
 
 import pytest
 
@@ -19,6 +20,9 @@ from repro.chaos import (
     run_schedule,
     shrink_schedule,
 )
+from repro.chaos.__main__ import main as chaos_main
+from repro.errors import ProtocolError
+from repro.lpbft import ViewManager
 
 # Keep in-suite runs bounded: a short fault window and quiescence still
 # exercise every event kind but finish in a few seconds per seed.
@@ -75,6 +79,38 @@ class TestDeterminism:
         assert first.trace_digest == second.trace_digest
         assert first.violations == second.violations
         assert first.summary == second.summary
+
+
+class TestEscapedException:
+    def test_node_raising_out_of_the_event_loop_is_a_violation(self, monkeypatch):
+        """An exception escaping ``dep.run`` used to kill the run (and the
+        shrinker with it); now it is reported like any oracle violation,
+        with the innermost ``src/`` frame and the trace so far."""
+
+        def boom(self):
+            raise ProtocolError("boom")
+
+        monkeypatch.setattr(ViewManager, "on_timer", boom)
+        result = run_schedule(generate_schedule(3, FAST))
+        assert not result.ok
+        (violation,) = result.violations
+        assert re.fullmatch(
+            r"exception: ProtocolError: boom at src/repro/lpbft/viewchange\.py:\d+ in fire",
+            violation,
+        )
+        assert result.trace and result.trace[-1].startswith("final committed=")
+        minimal, _ = shrink_schedule(Schedule(seed=3, params=FAST, events=result.schedule.events[:2]))
+        assert minimal.events == ()  # the shrinker runs on it instead of dying
+
+    @pytest.mark.skipif(
+        os.environ.get("CHAOS_SOAK") != "1",
+        reason="shrinking a default-parameter seed takes minutes (CHAOS_SOAK=1)",
+    )
+    def test_seed_89_shrinks_instead_of_crashing(self, capsys):
+        """docs/CHAOS.md open finding: a sub-schedule of seed 89 makes an
+        honest replica raise ``cannot roll back to unknown batch``."""
+        assert chaos_main(["--seed", "89", "--shrink"]) == 1
+        assert "shrunk to" in capsys.readouterr().out
 
 
 class TestShrinking:

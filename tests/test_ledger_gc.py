@@ -515,7 +515,7 @@ class TestUndoLogRetention:
         assert expected[retained[-1]] == replica.kv.state_digest()
         assert len(set(expected.values())) > len(retained) / 2  # states really differ
         for seqno in reversed(retained):
-            replica._rollback_to_batch(seqno)
+            replica.views.rollback_to_batch(seqno)
             assert replica.kv.state_digest() == expected[seqno]
         with pytest.raises(ProtocolError):
-            replica._rollback_to_batch(retained[0] - 2)
+            replica.views.rollback_to_batch(retained[0] - 2)

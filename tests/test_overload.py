@@ -311,7 +311,7 @@ class TestRequestQueue:
         primary.maybe_send_pre_prepare()
         assert not queue and primary.next_seqno == 2
         later = self.arrive(dep, client, primary, [4], force=True)
-        primary._rollback_to_batch(0)
+        primary.views.rollback_to_batch(0)
         assert list(queue.requests) == later + batch
         assert set(batch) <= queue.verified
         assert queue.select(0) == later + batch
@@ -331,7 +331,7 @@ class TestRequestQueue:
         primary._undo_batch_execution(record, *marks)
         assert queue.arrivals[undone] == 1.0
         primary.maybe_send_pre_prepare()  # batch 1 = [rolled, undone]
-        primary._rollback_to_batch(0)
+        primary.views.rollback_to_batch(0)
         assert list(queue.requests) == [rolled, undone]
         assert rolled not in queue.arrivals and undone not in queue.arrivals
         assert {rolled, undone} <= queue.verified and not queue.orphans()
@@ -370,7 +370,7 @@ class TestRequestQueue:
         assert queue.source(a) == client.address
 
     def test_ledger_adoption_unqueues_executed_requests_with_their_marks(self):
-        """End to end through ``_install_ledger_state``: a backup that only
+        """End to end through ``install_ledger``: a backup that only
         ever stashed three requests adopts a ledger in which they executed.
         Adoption used to pop the queue map alone and strand the arrival
         times and verified marks."""

@@ -11,7 +11,9 @@ from collections import OrderedDict
 import pytest
 
 from repro.byzantine import TamperSyncChunks
+from repro.ledger import LedgerFragment, PrePrepareEntry, entry_from_wire
 from repro.lpbft import ProtocolParams
+from repro.lpbft.adoption import verify_fetched_ledger
 from repro.workloads import SmallBankWorkload
 
 from helpers import build_deployment
@@ -187,17 +189,21 @@ class TestSuffixSignatureVerification:
         dep.start()
         sustained_load(dep, client, waves=10)
         dep.run(until=2.0)
-        ledger = dep.replicas[1].ledger
-        suffix = [
-            (info.seqno, ledger.batch_pre_prepare(info.seqno)) for info in ledger.batches()
-        ]
-        assert len(suffix) > 2
-        checker = dep.replicas[3].sync_client
-        checker._verify_suffix_signatures(ledger, suffix)  # honest: passes
-        seqno, pp = suffix[-1]
-        forged = suffix[:-1] + [(seqno, replace(pp, signature=bytes(64)))]
-        with pytest.raises(ProtocolError):
-            checker._verify_suffix_signatures(ledger, forged)
+        wires = list(dep.replicas[1].ledger.fragment(0).entry_wires)
+        batches = [i for i, w in enumerate(wires) if isinstance(entry_from_wire(w), PrePrepareEntry)]
+        assert len(batches) > 2
+        checker = dep.replicas[3]
+
+        def verify(entry_wires):
+            ledger = LedgerFragment(0, tuple(entry_wires)).to_ledger()
+            return verify_fetched_ledger(checker, ledger, len(entry_wires), 1, None)
+
+        verify(wires)  # honest: passes
+        pp = entry_from_wire(wires[batches[-1]]).pre_prepare()
+        forged = PrePrepareEntry(pp_wire=replace(pp, signature=bytes(64)).to_wire())
+        wires[batches[-1]] = forged.to_wire()
+        with pytest.raises(ProtocolError, match="signature"):
+            verify(wires)
 
 
 class TestByzantineServer:
@@ -253,7 +259,7 @@ class TestChunkTransferResumption:
         # explicitly — the operator-recovery entry point.
         sustained_load(dep, client, waves=25)
         dep.partition_replicas([3], start=0.2, duration=3.0)
-        dep.net.scheduler.at(3.2, lambda: dep.replicas[3].start_state_sync("manual"))
+        dep.net.scheduler.at(3.2, lambda: dep.replicas[3].sync_client.start("manual"))
         served = {"n": 0}
 
         def die_mid_transfer(src, dst, msg):
