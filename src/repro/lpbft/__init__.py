@@ -35,13 +35,7 @@ from .messages import (
     bitmap_members,
 )
 from .checkpointing import CheckpointDirectory, CheckpointRecord, reference_checkpoint_seqno
-from .replica import (
-    LPBFTReplica,
-    BatchRecord,
-    designated_replica,
-    execute_procedure,
-    EMPTY_WS,
-)
+from .replica import LPBFTReplica, BatchRecord, designated_replica, execute_procedure, EMPTY_WS
 from .viewchange import ViewManager
 from .client import LPBFTClient, LoadGenerator
 from .deployment import Deployment, make_genesis_config

@@ -55,17 +55,22 @@ def verify_fetched_ledger(
             same = isinstance(entry0, GenesisEntry) and entry0.service_name() == replica.service_name
         if not same:
             raise ProtocolError("fetched ledger has a different genesis")
-    if checkpoint is not None and checkpoint.seqno > 0:
+    if checkpoint is not None and checkpoint.seqno <= 0:
+        # The genesis checkpoint is the same on every replica.
+        if checkpoint.digest() != replica.cp_directory.genesis_digest():
+            raise ProtocolError("genesis checkpoint mismatch")
+    elif checkpoint is not None:
         # The checkpoint's ledger binding.
         if ledger.root_at(checkpoint.ledger_size) != checkpoint.ledger_root:
             raise ProtocolError("checkpoint ledger root mismatch")
         # dC must be vouched for by a recorded checkpoint transaction,
         # and the record's own ledger binding must match — otherwise the
         # peer could widen the prefix the checkpoint claims to cover.
+        cp_digest = checkpoint.digest()
         recorded = any(
             isinstance(entry, CheckpointTxEntry)
             and entry.cp_seqno == checkpoint.seqno
-            and entry.cp_digest == checkpoint.digest()
+            and entry.cp_digest == cp_digest
             and entry.ledger_size == checkpoint.ledger_size
             and entry.ledger_root == checkpoint.ledger_root
             for entry in ledger.entries(checkpoint.ledger_size)

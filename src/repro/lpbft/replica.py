@@ -53,6 +53,7 @@ from ..ledger import (
     EvidenceEntry,
     GenesisEntry,
     Ledger,
+    LedgerFragment,
     NoncesEntry,
     PrePrepareEntry,
     RetentionPolicy,
@@ -68,7 +69,7 @@ from ..sim.metrics import MetricsCollector
 from ..statesync.client import StateSyncClient
 from ..statesync.server import StateSyncServer
 from .admission import Admission
-from .adoption import install_ledger
+from .adoption import install_ledger, verify_fetched_ledger
 from .batch import BatchRecord, execute_procedure  # noqa: F401  (re-exported)
 from .checkpointing import CheckpointDirectory
 from .config import ProtocolParams
@@ -1557,18 +1558,19 @@ class LPBFTReplica(Node):
             self.handle_request(src, ("request", wire), force=True, record_source=False)
 
     def handle_fetch_ledger(self, src: str, msg: tuple) -> None:
-        """Serve the full ledger plus the newest checkpoint (Alg. 2: a
-        replica behind a new view's latest prepared batch fetches the
-        missing entries).  Once the prefix has been garbage-collected
-        there is no full ledger to serve; the requester is told so
-        explicitly (``ledger-gone``) and falls back to the
-        checkpoint-rooted sync protocol."""
+        """Serve the full ledger plus the newest checkpoint it records —
+        the requester checks the binding, and a checkpoint taken but not
+        yet recorded has none (Alg. 2: a replica behind a new view's
+        latest prepared batch fetches the missing entries).  Once the
+        prefix has been garbage-collected there is no full ledger to
+        serve; the requester is told so explicitly (``ledger-gone``) and
+        falls back to the checkpoint-rooted sync protocol."""
         if self.ledger.base_index > 0:
             self.send(src, ("ledger-gone",))
             return
         fragment = self.ledger.fragment(0)
-        cp_seqno = max(self.checkpoints) if self.checkpoints else 0
-        cp = self.checkpoints.get(cp_seqno)
+        # The whole ledger ships, so a record in any batch we hold counts.
+        cp = self.sync_server.recorded_checkpoint(self.next_seqno) or self.checkpoints.get(0)
         cp_wire = None if cp is None else cp.to_wire()
         self.send(
             src,
@@ -1648,29 +1650,26 @@ class LPBFTReplica(Node):
         self.sync_client.start("ledger_gone")
 
     def handle_ledger_bundle(self, src: str, msg: tuple) -> None:
-        """Adopt the whole ledger we fetched (Alg. 2)."""
+        """Adopt the whole ledger we fetched (Alg. 2) — only one we asked
+        for, and only once it passes the verifier a sync suffix passes."""
+        if src not in self._fetch_ledger_pending:
+            return
         # The fetch is answered; src no longer holds a license to report
-        # `ledger-gone` for it.
+        # `ledger-gone` for it either.
         self._fetch_ledger_pending.discard(src)
         _, start, entry_wires, cp_wire, view, next_seqno = msg
         if start != 0 or len(entry_wires) <= len(self.ledger):
             return
         try:
-            ledger = Ledger()
-            for wire in entry_wires:
-                ledger.append(entry_from_wire(wire))
+            ledger = LedgerFragment(start, tuple(entry_wires)).to_ledger()
             checkpoint = None if cp_wire is None else Checkpoint.from_wire(cp_wire)
-            install_ledger(self, ledger, checkpoint, view, self._own_schedule_of(ledger))
+            schedule = verify_fetched_ledger(self, ledger, len(entry_wires), 1, checkpoint)
+            install_ledger(self, ledger, checkpoint, view, schedule)
         except (ProtocolError, LedgerError, KVError, MerkleError, TypeError):
             self.metrics.bump("bad_ledger_bundles")
             return
         self.send(src, ("get-gov-chain",))
         self._retry_pending_pps()  # prune stash entries the adoption covered
-
-    def _own_schedule_of(self, ledger: Ledger) -> ConfigSchedule:
-        from ..governance.subledger import extract_governance_subledger
-
-        return extract_governance_subledger(ledger.entries(), self.params.pipeline).schedule
 
     def handle_get_gov_chain(self, src: str, msg: tuple) -> None:
         self.send(

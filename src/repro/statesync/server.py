@@ -35,11 +35,16 @@ class StateSyncServer:
     # -- what is stable ------------------------------------------------------
 
     def stable_checkpoint(self):
+        """The newest recorded checkpoint whose recording batch is at or
+        below the commit frontier."""
+        return self.recorded_checkpoint(self.replica.committed_upto)
+
+    def recorded_checkpoint(self, upto: int):
         """The newest checkpoint that is recorded in the ledger by a batch
-        at or below the commit frontier and still held locally, or None."""
+        at or below ``upto`` and still held locally, or None."""
         replica = self.replica
         for record in reversed(replica.cp_directory.records()):
-            if record.record_seqno > replica.committed_upto:
+            if record.record_seqno > upto:
                 continue
             cp = replica.checkpoints.get(record.cp_seqno)
             if cp is not None and cp.digest() == record.digest:

@@ -6,10 +6,13 @@ import pytest
 
 import repro.lpbft.replica
 from repro.errors import ProtocolError
-from repro.lpbft import LPBFTReplica, PrePrepare, TransactionRequest
+from repro.kvstore import KVStore
+from repro.ledger import PrePrepareEntry, TxEntry
+from repro.lpbft import LPBFTReplica, PrePrepare, TransactionRequest, execute_procedure
+from repro.merkle import MerkleTree
 from repro.network import Node
 
-from helpers import build_deployment
+from helpers import FAST_PARAMS, build_deployment, run_waves
 
 # Every message kind the three dispatch tables held before the replica
 # became one class, and the component that must own its handler.
@@ -127,3 +130,83 @@ class TestViewChangeTimer:
         self.queue_request(dep, backup)
         assert self.fire(backup) == {}  # first period: the mark starts below zero
         assert backup.view == 0
+
+
+class TestLedgerBundle:
+    """A ``ledger-bundle`` reaches replica state only when it was asked
+    for and only through the verifier a sync suffix passes."""
+
+    @staticmethod
+    def state(replica):
+        return replica.committed_upto, len(replica.ledger), replica.kv.state_digest()
+
+    @staticmethod
+    def forged_bundle(dep, victim):
+        """The honest ledger after one committed batch, plus a batch
+        nobody proposed: an unsigned request under a pre-prepare with a
+        made-up signature, its output exactly what a replay computes."""
+        dep.start()
+        dep.add_client().submit("smallbank.balance", {"customer": 1}, min_index=0)
+        dep.run(until=0.5)
+        honest = dep.replicas[0]
+        assert honest.committed_upto == victim.committed_upto == 1
+        request = TransactionRequest(
+            procedure="smallbank.deposit_checking", args={"customer": 1, "amount": 10**9},
+            client=b"nobody", service=dep.service_name, min_index=0, nonce=1,
+        )
+        output, _ = execute_procedure(
+            KVStore(initial=victim.kv.snapshot()), victim.registry, request)
+        entry = TxEntry(request_wire=request.to_wire(),
+                        index=honest.ledger.logical_size() + 1, output=output)
+        g_tree = MerkleTree()
+        g_tree.append(entry.leaf_digest())
+        pp = PrePrepare(view=0, seqno=2, root_m=b"\0" * 32, root_g=g_tree.root(),
+                        nonce_commitment=b"\0" * 32, evidence_bitmap=0, gov_index=0,
+                        checkpoint_digest=b"", signature=b"forged")
+        wires = honest.ledger.fragment(0).entry_wires + (
+            PrePrepareEntry(pp_wire=pp.to_wire()).to_wire(), entry.to_wire())
+        newest = honest.checkpoints[max(honest.checkpoints)]
+        return ("ledger-bundle", 0, wires, newest.to_wire(), 0, 3)
+
+    def test_unsolicited_forged_bundle_is_dropped(self):
+        dep = build_deployment(accounts=20)
+        victim = dep.replicas[1]
+        bundle = self.forged_bundle(dep, victim)
+        before = self.state(victim)
+        victim.on_message("client-0", bundle)
+        assert self.state(victim) == before
+        assert "bad_ledger_bundles" not in victim.metrics.counters
+
+    def test_solicited_forged_bundle_fails_the_verifier(self):
+        dep = build_deployment(accounts=20)
+        victim = dep.replicas[1]
+        bundle = self.forged_bundle(dep, victim)
+        before = self.state(victim)
+        victim._send_fetch_ledger("replica-0")
+        victim.on_message("replica-0", bundle)
+        assert self.state(victim) == before
+        assert victim.metrics.counters["bad_ledger_bundles"] == 1
+        assert "ledger_adoptions" not in victim.metrics.counters
+
+    @pytest.mark.parametrize("waves", [3, 8])
+    def test_honest_bundle_ships_a_checkpoint_its_ledger_records(self, waves):
+        """Between taking checkpoint C and recording it (at 2C) the newest
+        checkpoint has no binding in the ledger yet: the server ships the
+        newest *recorded* one (still the genesis checkpoint before 2C)."""
+        dep = build_deployment(params=FAST_PARAMS.variant(checkpoint_interval=4))
+        backup, primary = dep.replicas[3], dep.primary()
+        cut_off = [True]
+        dep.net.add_drop_rule(
+            lambda src, dst, msg: cut_off[0] and backup.address in (src, dst))
+        client = dep.add_client(retry_timeout=0.5)
+        dep.start()
+        run_waves(dep, client, waves=waves, per_wave=20, gap=0.05)
+        recorded = [r.cp_seqno for r in primary.cp_directory.records()]
+        assert max(primary.checkpoints) not in recorded  # taken, not recorded yet
+        assert (max(recorded) > 0) == (waves == 8)
+        cut_off[0] = False
+        backup._send_fetch_ledger(primary.address)
+        dep.run(until=dep.net.scheduler.now + 0.5)
+        assert backup.metrics.counters["ledger_adoptions"] == 1
+        assert "bad_ledger_bundles" not in backup.metrics.counters
+        assert backup.kv.state_digest() == primary.kv.state_digest()
