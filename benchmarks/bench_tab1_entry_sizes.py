@@ -82,7 +82,7 @@ def receipt_sizes(f: int) -> dict:
     set carried individually vs collapsed to one aggregate signature.
     Both receipts cover the same synthetic transaction and Merkle path
     (7 steps, a ~100-tx batch), so the delta is purely the share set."""
-    from repro.merkle.proofs import MerklePath, PathStep
+    from repro.merkle.proofs import MerklePath
 
     backend = default_backend()
     n = 3 * f + 1
@@ -95,7 +95,7 @@ def receipt_sizes(f: int) -> dict:
     }
     path = MerklePath(
         leaf_index=42, tree_size=100,
-        steps=tuple(PathStep(bytes([s]) * 32, bool(s % 2)) for s in range(7)),
+        steps=tuple((bytes([s]) * 32, bool(s % 2)) for s in range(7)),
     )
     replyx = ReplyX(
         view=0, seqno=9, root_m=b"\x01" * 32,

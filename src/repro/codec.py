@@ -65,20 +65,24 @@ def seal(value: tuple | list) -> Sealed:
 
 
 def memoised(method):
-    """Compute a no-argument method of an immutable instance once.
+    """Compute a no-argument method of an immutable instance once (the
+    method never returns ``None``).
 
-    The result lives in the instance ``__dict__`` and is not a dataclass
-    field: ``==``, ``repr`` and ``dataclasses.replace`` never see it, so a
-    re-signed or otherwise altered copy starts with nothing cached."""
+    The result is stored under ``_<name>``.  A slotted class declares it
+    as a field ``field(default=None, init=False, repr=False,
+    compare=False)``, so caching creates no ``__dict__``; any other class
+    gets it in the instance dict.  Either way ``==``, ``repr`` and
+    ``dataclasses.replace`` never see it, so a re-signed or otherwise
+    altered copy starts with nothing cached."""
     key = "_" + method.__name__
 
     @functools.wraps(method)
     def cached(self):
-        try:
-            return self.__dict__[key]
-        except KeyError:
-            value = self.__dict__[key] = method(self)
-            return value
+        value = getattr(self, key, None)
+        if value is None:
+            value = method(self)
+            object.__setattr__(self, key, value)  # frozen instances too
+        return value
 
     return cached
 

@@ -168,22 +168,19 @@ def _write_set_digest(write_set: dict[str, Any]) -> Digest:
 EMPTY_WS = _write_set_digest({})
 
 
-@dataclass
+@dataclass(slots=True)
 class TxRecord:
-    """Undo information for one committed transaction.
+    """Undo information for one committed transaction: all a rollback
+    reads back.
 
-    ``undo`` maps each written key to its prior value (or the ``_MISSING``
-    sentinel when the key did not exist).  ``write_set`` holds the new
-    values in write order, used for write-set hashing.
+    ``undo`` is the flat tuple ``(key, prior, key, prior, ...)`` of each
+    written key and its prior value (the ``_MISSING`` sentinel when the
+    key did not exist).  Keys and values are atoms, so the cyclic
+    collector stops tracking the tuple.
     """
 
     tx_id: int
-    undo: dict[str, Any]
-    write_set: dict[str, Any]
-
-    def write_set_digest(self) -> Digest:
-        """Canonical digest of the write set (key-sorted)."""
-        return _write_set_digest(self.write_set) if self.write_set else EMPTY_WS
+    undo: tuple
 
 
 class KVTransaction:
@@ -265,13 +262,18 @@ class KVTransaction:
         if self._closed:
             raise KVError("transaction handle used after completion")
 
+    def write_set_digest(self) -> Digest:
+        """Canonical digest of the buffered writes (key-sorted): the
+        ``ws`` of the transaction's output.  Taken before :meth:`_commit`,
+        so no record keeps a copy of the write set."""
+        return _write_set_digest(self._writes) if self._writes else EMPTY_WS
+
     def _commit(self) -> TxRecord:
         """Apply buffered writes; returns the undo record."""
         self._check_open()
         self._closed = True
         store = self._store
-        undo = store._apply(self._writes)
-        record = TxRecord(tx_id=store._next_tx_id, undo=undo, write_set=dict(self._writes))
+        record = TxRecord(tx_id=store._next_tx_id, undo=store._apply(self._writes.items()))
         store._next_tx_id += 1
         store._log.append(record)
         return record
@@ -327,19 +329,20 @@ class KVStore(_Layered):
         """Explicit transaction handle (prefer :meth:`execute`)."""
         return KVTransaction(self)
 
-    def _apply(self, writes: dict[str, Any]) -> dict[str, Any]:
+    def _apply(self, writes: Iterable[tuple[str, Any]]) -> tuple:
         """Set each key to its value (``_MISSING`` deletes it) in the
         delta, keeping size and accumulator current; returns the prior
-        values (``_MISSING`` where there was none).  The only place state
-        changes: a commit applies a write set, a rollback an undo map."""
+        values as a flat ``(key, prior, ...)`` tuple (``_MISSING`` where
+        there was none).  The only place state changes: a commit applies
+        a write set, a rollback an undo tuple.  Keys must be distinct."""
         base, delta = self._base, self._delta
         acc, size = self._acc, self._size
-        undo: dict[str, Any] = {}
-        for key, value in writes.items():
+        undo: list = []
+        for key, value in writes:
             prior = delta.get(key, _ABSENT)  # the read path, inlined
             if prior is _ABSENT:
                 prior = base.get(key, _MISSING)
-            undo[key] = prior
+            undo += (key, prior)
             if prior is not _MISSING:
                 acc -= entry_accumulator_term(key, prior)
                 size -= 1
@@ -352,7 +355,7 @@ class KVStore(_Layered):
             else:
                 delta.pop(key, None)
         self._acc, self._size = acc % _ACC_MODULUS, size
-        return undo
+        return tuple(undo)
 
     # -- rollback (paper Lemma 1) ------------------------------------------
 
@@ -372,7 +375,8 @@ class KVStore(_Layered):
             )
         for _ in range(self.tx_count - tx_count):
             record = self._log.pop()
-            self._apply(record.undo)
+            undo = record.undo
+            self._apply(zip(undo[::2], undo[1::2]))
             self._next_tx_id = record.tx_id
 
     def rollback_last(self, n: int = 1) -> None:

@@ -20,7 +20,7 @@ wire form of every entry.  Entry kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
 from ..codec import memoised
@@ -32,8 +32,11 @@ from ..errors import LedgerError
 
 
 class LedgerEntry:
-    """Base class for ledger entries."""
+    """Base class for ledger entries.  Entries are slotted: a replica holds
+    one per transaction, and a memo is a declared field, not a
+    ``__dict__``."""
 
+    __slots__ = ()
     kind: ClassVar[str] = "abstract"
 
     def to_wire(self) -> tuple:
@@ -50,7 +53,7 @@ class LedgerEntry:
         return len(codec.encode(self.to_wire()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenesisEntry(LedgerEntry):
     """The genesis transaction gt: initial members, replicas, and rules.
 
@@ -70,7 +73,7 @@ class GenesisEntry(LedgerEntry):
         return self.digest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxEntry(LedgerEntry):
     """A transaction entry ``⟨t, i, o⟩`` (Fig. 3).
 
@@ -83,6 +86,7 @@ class TxEntry(LedgerEntry):
     request_wire: tuple
     index: int
     output: Any
+    _leaf_digest: Digest | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_wire(self) -> tuple:
         return ("tx", self.request_wire, self.index, self.output)
@@ -105,7 +109,7 @@ class TxEntry(LedgerEntry):
         return digest_value(self.tio())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckpointTxEntry(LedgerEntry):
     """The checkpoint transaction at seqno s recording the digest of the
     checkpoint taken at ``cp_seqno`` (paper §3.4).  Lives inside a batch
@@ -118,6 +122,7 @@ class CheckpointTxEntry(LedgerEntry):
     ledger_size: int
     ledger_root: Digest
     index: int
+    _leaf_digest: Digest | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_wire(self) -> tuple:
         return ("checkpoint-tx", self.cp_seqno, self.cp_digest, self.ledger_size, self.ledger_root, self.index)
@@ -132,7 +137,7 @@ class CheckpointTxEntry(LedgerEntry):
         return digest_value(self.tio())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceEntry(LedgerEntry):
     """``Ps−P``: prepares proving the batch at ``seqno`` prepared (§3.1)."""
 
@@ -150,7 +155,7 @@ class EvidenceEntry(LedgerEntry):
         return [Prepare.from_wire(w) for w in self.prepare_wires]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoncesEntry(LedgerEntry):
     """``Ks−P``: revealed commit nonces for the batch at ``seqno``.
 
@@ -168,7 +173,7 @@ class NoncesEntry(LedgerEntry):
         return ("nonces", self.seqno, self.view, self.bitmap, self.nonces)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrePrepareEntry(LedgerEntry):
     """The signed pre-prepare for a batch."""
 
@@ -184,7 +189,7 @@ class PrePrepareEntry(LedgerEntry):
         return PrePrepare.from_wire(self.pp_wire)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewChangesEntry(LedgerEntry):
     """The N−f view-change messages a new primary accepted (Alg. 2),
     ordered by increasing replica identifier.  ``hvc`` in the new-view is
@@ -203,7 +208,7 @@ class ViewChangesEntry(LedgerEntry):
         return [ViewChange.from_wire(w) for w in self.vc_wires]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NewViewEntry(LedgerEntry):
     """The signed new-view message."""
 

@@ -35,8 +35,9 @@ def execute_procedure(
         tx._discard()
         return {"reply": {"ok": False, "error": str(abort)}, "ws": EMPTY_WS}, max(1, ops)
     ops = tx.op_count
-    record = tx._commit()
-    return {"reply": result, "ws": record.write_set_digest()}, max(1, ops)
+    ws = tx.write_set_digest()
+    tx._commit()
+    return {"reply": result, "ws": ws}, max(1, ops)
 
 
 @dataclass

@@ -80,16 +80,18 @@ class TransactionRequest:
             raise ProtocolError(f"malformed request: {exc}") from exc
         if tag != "request":
             raise ProtocolError(f"expected request, got {tag!r}")
+        sealed = type(raw) is codec.Sealed
         request = TransactionRequest(
             procedure=procedure,
-            args=dict(args),
+            # A seal's contents are never mutated, so its args need no copy.
+            args=args if sealed and type(args) is dict else dict(args),
             client=client,
             service=service,
             min_index=min_index,
             nonce=nonce,
             signature=signature,
         )
-        if type(raw) is codec.Sealed:
+        if sealed:
             # Keep the sender's seal: every receiver of one transmission
             # shares the one encoding (and its digest).
             request.__dict__["_wire"] = raw

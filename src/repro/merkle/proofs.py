@@ -13,40 +13,25 @@ from ..crypto.hashing import Digest, digest_pair
 from ..errors import MerkleError
 
 
-@dataclass(frozen=True)
-class PathStep:
-    """One step of an inclusion proof: a sibling digest and its side."""
-
-    sibling: Digest
-    sibling_on_left: bool
-
-    def to_wire(self) -> tuple:
-        """Canonical tuple form for codec encoding."""
-        return (self.sibling, self.sibling_on_left)
-
-    @staticmethod
-    def from_wire(raw: tuple) -> "PathStep":
-        sibling, on_left = raw
-        if not isinstance(sibling, bytes) or len(sibling) != 32:
-            raise MerkleError("malformed path step sibling")
-        return PathStep(sibling=sibling, sibling_on_left=bool(on_left))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MerklePath:
-    """Inclusion proof for one leaf: leaf index, tree size, sibling steps
-    ordered leaf-to-root."""
+    """Inclusion proof for one leaf: leaf index, tree size, and the steps
+    ordered leaf-to-root, each a ``(sibling, sibling_on_left)`` pair.
+
+    The steps are kept in their wire form: a tuple of ``(bytes, bool)``
+    pairs holds nothing the cyclic collector needs to track, so a client
+    keeping a receipt per transaction keeps no per-step objects."""
 
     leaf_index: int
     tree_size: int
-    steps: tuple[PathStep, ...]
+    steps: tuple[tuple[Digest, bool], ...]
 
     def __len__(self) -> int:
         return len(self.steps)
 
     def to_wire(self) -> tuple:
         """Canonical tuple form for codec encoding."""
-        return (self.leaf_index, self.tree_size, tuple(s.to_wire() for s in self.steps))
+        return (self.leaf_index, self.tree_size, self.steps)
 
     @staticmethod
     def from_wire(raw: tuple) -> "MerklePath":
@@ -55,10 +40,18 @@ class MerklePath:
             return MerklePath(
                 leaf_index=int(leaf_index),
                 tree_size=int(tree_size),
-                steps=tuple(PathStep.from_wire(s) for s in steps),
+                steps=tuple(_step_from_wire(s) for s in steps),
             )
         except (TypeError, ValueError) as exc:
             raise MerkleError(f"malformed merkle path: {exc}") from exc
+
+
+def _step_from_wire(raw: tuple) -> tuple[Digest, bool]:
+    """Validate one ``(sibling, sibling_on_left)`` step."""
+    sibling, on_left = raw
+    if not isinstance(sibling, bytes) or len(sibling) != 32:
+        raise MerkleError("malformed path step sibling")
+    return (sibling, bool(on_left))
 
 
 def frontier_root(peaks: tuple) -> Digest:
@@ -124,11 +117,8 @@ class FrontierAccumulator:
 def path_root(leaf: Digest, path: MerklePath) -> Digest:
     """Recompute the root implied by ``leaf`` and ``path``."""
     acc = leaf
-    for step in path.steps:
-        if step.sibling_on_left:
-            acc = digest_pair(step.sibling, acc)
-        else:
-            acc = digest_pair(acc, step.sibling)
+    for sibling, on_left in path.steps:
+        acc = digest_pair(sibling, acc) if on_left else digest_pair(acc, sibling)
     return acc
 
 

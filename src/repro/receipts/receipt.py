@@ -20,7 +20,7 @@ revealed nonce opens the commitment it was signed under.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..codec import memoised
@@ -39,7 +39,7 @@ from ..lpbft.messages import (
 from ..merkle import MerklePath, path_root
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Receipt:
     """A receipt for ``⟨t, i, o⟩`` (or for a whole batch).
 
@@ -85,6 +85,10 @@ class Receipt:
     # digest that prepare payloads bind to covers the signature bytes, so
     # it is needed to reconstruct what the backups signed.
     aggregate: signatures.AggregateSignature | None = None
+
+    _reconstructed_pre_prepare: PrePrepare | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- identity -----------------------------------------------------------
 

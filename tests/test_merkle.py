@@ -238,3 +238,97 @@ def test_copy_shares_no_mutable_state():
     assert tree.root() == MerkleTree(ls).root()
     clone.truncate(4)
     assert tree.root_at(9) == MerkleTree(ls).root()
+
+
+# -- the node store against the reference, over every mutation -----------------------
+
+
+def _stored_spans(tree):
+    """Every ``(lo, hi, digest)`` the tree's node store holds."""
+    for height, level in enumerate(tree._levels):
+        first = tree._first(height)
+        for position, node in enumerate(level):
+            lo = (first + position) << height
+            yield lo, lo + (1 << height), node
+    for (lo, hi), node in tree._spans.items():
+        yield lo, hi, node
+
+
+def _check_against_reference(tree, reference):
+    """``tree`` (possibly compacted, so it answers only at or above its
+    base) agrees with ``_subtree_root`` over ``reference`` — every leaf
+    ever appended, oldest first — and with a tree built fresh from it."""
+    from repro.merkle.tree import _subtree_root
+
+    size, base = len(tree), tree.base
+    assert size == len(reference)
+    fresh = MerkleTree(reference)
+    assert tree.root() == fresh.root() == (_subtree_root(reference, 0, size) if size else EMPTY_DIGEST)
+    assert tree.leaves() == reference[base:]
+    for lo, hi, node in _stored_spans(tree):
+        assert hi <= size and node == _subtree_root(reference, lo, hi)
+    for k in range(max(base, 1), size + 1):
+        assert tree.root_at(k) == fresh.root_at(k) == _subtree_root(reference, 0, k)
+        assert tree.frontier_at(k) == fresh.frontier_at(k)
+        for i in range(base, k):
+            path = tree.path(i, k)
+            assert path == fresh.path(i, k)
+            assert verify_path(reference[i], path, fresh.root_at(k))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_node_store_matches_reference_under_random_mutation(seed):
+    """Random sequences of append, truncate, compact_below, from_frontier
+    and copy, checked after every step at every legal size and index."""
+    import random
+
+    rng = random.Random(seed)
+    tree, reference = MerkleTree(), []
+    copies = []  # (copy, reference at copy time): later mutations must not reach them
+    for _ in range(30):
+        op = rng.random()
+        base, size = tree.base, len(tree)
+        if op < 0.45 or size == base:
+            for _ in range(rng.randint(1, 6)):
+                leaf = digest(rng.randbytes(8))
+                tree.append(leaf)
+                reference.append(leaf)
+        elif op < 0.65:
+            k = rng.randint(base, size)
+            tree.truncate(k)
+            del reference[k:]
+        elif op < 0.8:
+            assert tree.compact_below(rng.randint(base, size)) >= 0
+        elif op < 0.9:
+            k = rng.randint(base, size)
+            tree = MerkleTree.from_frontier(tree.frontier_at(k))
+            del reference[k:]
+            assert tree.base == k
+        else:
+            copies.append((tree.copy(), list(reference)))
+            tree, reference = copies[-1][0].copy(), list(reference)
+        _check_against_reference(tree, reference)
+    for clone, snapshot in copies:
+        _check_against_reference(clone, snapshot)
+
+
+def test_truncate_after_compact_and_path_after_truncate():
+    ls = leaves(45, tag=b"store")
+    tree = MerkleTree(ls[:37])
+    tree.root_at(37), tree.path(36, 37), tree.path(33, 35)
+    tree.compact_below(21)
+    tree.truncate(29)
+    assert max(hi for _, hi, _ in _stored_spans(tree)) <= 29
+    _check_against_reference(tree, ls[:29])
+    for leaf in ls[29:]:
+        tree.append(leaf)
+    _check_against_reference(tree, ls)
+    tree.truncate(22)
+    assert all(hi <= 22 for _, hi, _ in _stored_spans(tree))
+    _check_against_reference(tree, ls[:22])
+    assert tree.path(21) == MerkleTree(ls[:22]).path(21)
+
+
+def test_from_frontier_rejects_heights_out_of_order():
+    with pytest.raises(MerkleError):
+        MerkleTree.from_frontier(((0, b"\x01" * 32), (1, b"\x02" * 32)))
