@@ -465,6 +465,11 @@ class StateSyncClient:
             replica.metrics.bump("sync_verification_failures")
             self._failover(f"verify:{type(exc).__name__}")
             return
+        if replica.committed_upto > 0 and ledger.last_seqno() < replica.committed_upto:
+            # Committed state is never replaced by a shorter ledger,
+            # whatever the offer's view: ask another server.
+            self._failover("shorter_ledger")
+            return
         if (
             ledger.last_seqno() <= replica.committed_upto
             and replica.committed_upto > 0

@@ -107,10 +107,24 @@ class TestEscapedException:
         reason="shrinking a default-parameter seed takes minutes (CHAOS_SOAK=1)",
     )
     def test_seed_89_shrinks_instead_of_crashing(self, capsys):
-        """docs/CHAOS.md open finding: a sub-schedule of seed 89 makes an
-        honest replica raise ``cannot roll back to unknown batch``."""
+        """Seed 89 still fails its oracles; shrinking it must terminate."""
         assert chaos_main(["--seed", "89", "--shrink"]) == 1
         assert "shrunk to" in capsys.readouterr().out
+
+
+class TestStateSyncNeverShortensCommittedState:
+    def test_shrunk_seed_89_schedule(self):
+        """docs/CHAOS.md (fixed finding): replicas 0 and 2 recover with 292
+        batches committed and are offered replica 1's 95-batch ledger in a
+        higher view.  Installing it moved their commit frontier back to 95,
+        and replica 3 then raised ``cannot roll back to unknown batch 93``
+        on view 2's new-view.  The sync client now fails over instead."""
+        schedule = generate_schedule(89)
+        shrunk = {(0.3467, "partition"), (1.0535, "crash"), (1.3289, "crash")}
+        events = tuple(e for e in schedule.events if (round(e.time, 4), e.kind) in shrunk)
+        assert len(events) == 3
+        result = run_schedule(Schedule(seed=89, params=schedule.params, events=events))
+        assert result.ok, result.violations
 
 
 class TestShrinking:
