@@ -11,12 +11,19 @@ Run the pinned CI soak matrix (exit 1 on any violation)::
 Shrink a failing seed to a minimal repro::
 
     PYTHONPATH=src python -m repro.chaos --seed 21 --shrink
+
+Run a seed range (``A..B`` is inclusive, and mixes with single seeds);
+a multi-seed run ends with one tally line per oracle-violation kind::
+
+    PYTHONPATH=src python -m repro.chaos --seeds 0..29,54,89
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .harness import run_schedule
@@ -32,6 +39,33 @@ SOAK_SEEDS = (1, 2, 3, 5, 8, 13, 21, 34)
 TRACE_DIR = Path("chaos-out")
 
 
+def parse_seeds(text: str) -> list[int]:
+    """``"0..29,54,89"`` -> ``[0, 1, ..., 29, 54, 89]``: comma-separated
+    seeds and inclusive ``A..B`` ranges, in the order given."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        low, dots, high = part.strip().partition("..")
+        try:
+            if dots:
+                first, last = int(low), int(high)
+                if first > last:
+                    raise ValueError
+                seeds += range(first, last + 1)
+            else:
+                seeds.append(int(low))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad seed {part.strip()!r}: expected N or an ascending range A..B") from None
+    return seeds
+
+
+def violation_kind(violation: str) -> str:
+    """An oracle violation without its particulars: numbers become ``N``,
+    and bracketed lists, exception messages and the triggering event go."""
+    kind = ": ".join(violation.split(": ")[:2]).split(" immediately after ")[0]
+    return re.sub(r"\d+", "N", re.sub(r"\s*[\[{(].*", "", kind))
+
+
 def build_params(args) -> ChaosParams:
     return ChaosParams(
         n_replicas=args.replicas,
@@ -43,7 +77,7 @@ def build_params(args) -> ChaosParams:
     )
 
 
-def run_one(seed: int, params: ChaosParams, args) -> bool:
+def run_one(seed: int, params: ChaosParams, args) -> list[str]:
     schedule = generate_schedule(seed, params)
     # Span tracing is passive (same event trace and digest either way),
     # so run with it on: a failing seed dumps a Perfetto trace for free.
@@ -72,15 +106,16 @@ def run_one(seed: int, params: ChaosParams, args) -> bool:
             print(f"  shrunk to {len(minimal.events)} events in {runs} runs:")
             for line in minimal.describe().splitlines():
                 print(f"    {line}")
-    return result.ok
+    return result.violations
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.chaos", description=__doc__)
     parser.add_argument("--seed", type=int, help="replay this schedule seed")
     parser.add_argument("--soak", action="store_true", help="run the pinned CI seed matrix")
-    parser.add_argument("--seeds", type=str, default=None,
-                        help="comma-separated seed list overriding the pinned matrix")
+    parser.add_argument("--seeds", type=parse_seeds, default=None,
+                        help="seeds and inclusive ranges, e.g. 0..29,54,89 "
+                             "(overrides the pinned matrix)")
     parser.add_argument("--replicas", type=int, default=ChaosParams.n_replicas)
     parser.add_argument("--events", type=int, default=ChaosParams.n_events)
     parser.add_argument("--fault-end", type=float, default=ChaosParams.fault_end)
@@ -99,11 +134,20 @@ def main(argv=None) -> int:
     if args.seed is not None:
         seeds = [args.seed]
     elif args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",")]
+        seeds = args.seeds
     else:
         seeds = list(SOAK_SEEDS)
 
-    failed = [seed for seed in seeds if not run_one(seed, params, args)]
+    kinds: Counter = Counter()
+    failed = []
+    for seed in seeds:
+        violations = run_one(seed, params, args)
+        if violations:
+            failed.append(seed)
+            kinds.update({violation_kind(v) for v in violations})
+    if len(seeds) > 1:
+        for kind, count in sorted(kinds.items(), key=lambda item: (-item[1], item[0])):
+            print(f"tally: {count} seeds: {kind}")
     if failed:
         print(f"\n{len(failed)}/{len(seeds)} seeds FAILED: {failed}")
         print("replay a failure exactly with the command printed above")

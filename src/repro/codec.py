@@ -64,6 +64,38 @@ def seal(value: tuple | list) -> Sealed:
     return sealed
 
 
+def reseal_last(sealed: Sealed, last: Any) -> Sealed:
+    """``seal(tuple(sealed)[:-1] + (last,))`` with only ``last`` encoded:
+    the other items' bytes are ``sealed``'s.  How a signer seals its
+    signed message from the seal it signed over."""
+    plain = tuple(sealed)
+    if not plain:
+        raise CodecError("an empty sequence has no last item")
+    wire = sealed.wire_bytes
+    resealed = Sealed(plain[:-1] + (last,))
+    resealed.wire_bytes = wire[: len(wire) - encoded_size(plain[-1])] + encode(last)
+    return resealed
+
+
+def encode_all_but_last(sealed: Sealed) -> bytes:
+    """``encode(tuple(sealed)[:-1])``, read off ``sealed.wire_bytes``: a
+    header one count lower, then every item's bytes but the last's.  A
+    signed message puts its signature last, so this is the signed payload
+    of a sealed one, produced without encoding any value.  Not memoised:
+    a seal lives as long as the ledger entry that holds it, and the copy
+    costs less than the memory."""
+    wire, count = sealed.wire_bytes, len(sealed)
+    if not count:
+        raise CodecError("an empty sequence has no last item")
+    if count <= len(_SEQ_HEADS):
+        head = _SEQ_HEADS[count - 1]
+    else:
+        out = bytearray((_TAG_SEQ,))
+        _write_varint(out, count - 1)
+        head = bytes(out)
+    return head + wire[1 + _varint_size(count) : len(wire) - encoded_size(sealed[-1])]
+
+
 def memoised(method):
     """Compute a no-argument method of an immutable instance once (the
     method never returns ``None``).
@@ -95,6 +127,15 @@ def _write_varint(out: bytearray, value: int) -> None:
     out.append(value)
 
 
+def _varint_size(value: int) -> int:
+    """Length of the unsigned LEB128 varint of ``value``."""
+    size = 1
+    while value > 0x7F:
+        value >>= 7
+        size += 1
+    return size
+
+
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
     """Read an unsigned LEB128 varint, returning (value, new_pos)."""
     result = 0
@@ -117,6 +158,15 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
 _ZIGZAG_LIMIT = 2**62  # beyond it ints take the sign-and-magnitude form
 _ZIGZAG = bytes((_TAG_INT, 0x00))
 _SMALL_INTS = [_ZIGZAG + bytes((value << 1,)) for value in range(64)]
+
+
+def _int_bytes(value: int) -> bytes:
+    """``encode(value)`` for an ``int`` (not a ``bool``)."""
+    if 0 <= value < 64:
+        return _SMALL_INTS[value]
+    out = bytearray()
+    _encode_int(out, value)
+    return bytes(out)
 
 
 def _encode_none(out: bytearray, value: None) -> None:
@@ -244,6 +294,33 @@ def encode(value: Any) -> bytes:
     return bytes(out)
 
 
+_SEQ_HEADS = [bytes((_TAG_SEQ, count)) for count in range(0x80)]
+_PAIR_HEADS = [bytes((_TAG_SEQ, 2, _TAG_STR, size)) for size in range(0x80)]
+
+
+def encode_pair(key: Any, value: Any, ints: dict | None = None) -> bytes:
+    """``encode((key, value))``: the preimage of one state-accumulator term.
+
+    A ``str`` key under 128 UTF-8 bytes with an ``int`` value — the shape
+    of every SmallBank entry — is written directly: ``SEQ 2``, the key's
+    ``STR`` header and bytes, then the value's int encoding.  ``ints``, a
+    dict the caller owns for the length of one loop, remembers int
+    encodings across calls.  Anything else (``bool`` included) takes
+    :func:`encode`."""
+    if type(key) is str and type(value) is int:
+        raw = key.encode()  # UTF-8
+        size = len(raw)
+        if size < 0x80:
+            if ints is None:
+                tail = _int_bytes(value)
+            else:
+                tail = ints.get(value)
+                if tail is None:
+                    tail = ints[value] = _int_bytes(value)
+            return _PAIR_HEADS[size] + raw + tail
+    return encode((key, value))
+
+
 def check_encodable(value: Any) -> None:
     """Raise :class:`CodecError` unless :func:`encode` would accept
     ``value``; walks the types and produces no bytes."""
@@ -353,7 +430,19 @@ def encode_stream(values) -> bytes:
 
 
 def encoded_size(value: Any) -> int:
-    """Return the size in bytes of the canonical encoding of ``value``."""
-    if type(value) is Sealed:
+    """Return the size in bytes of the canonical encoding of ``value``.
+    A seal, ``bytes`` and an ``int`` are sized directly."""
+    kind = type(value)
+    if kind is Sealed:
         return len(value.wire_bytes)
+    if kind is bytes:
+        return 1 + _varint_size(len(value)) + len(value)
+    if kind is int:
+        return len(_int_bytes(value))
     return len(encode(value))
+
+
+def sequence_size(count: int, items_size: int) -> int:
+    """Size of a sequence of ``count`` items whose encodings total
+    ``items_size`` bytes: what a sender sizes from parts it already has."""
+    return 1 + _varint_size(count) + items_size

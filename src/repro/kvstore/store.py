@@ -21,6 +21,7 @@ accumulator.  Three invariants make sharing safe:
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -39,8 +40,8 @@ _ACC_MODULUS = 2**256
 
 def entry_accumulator_term(key: str, value: Any) -> int:
     """The additive term one ``(key, value)`` pair contributes to the
-    state accumulator."""
-    return int.from_bytes(digest_value((key, value)), "big")
+    state accumulator: ``H(encode((key, value)))`` as an integer."""
+    return int.from_bytes(hashlib.sha256(codec.encode_pair(key, value)).digest(), "big")
 
 
 def state_accumulator(items: Iterable[tuple[str, Any]]) -> int:
@@ -57,10 +58,13 @@ def state_accumulator(items: Iterable[tuple[str, Any]]) -> int:
     from entries (``initial_state``, a plain ``dict`` handed to
     :class:`KVStore`, a reassembled or wire-decoded checkpoint).  A
     :class:`Snapshot` carries the result, so adopting one hashes nothing.
+    The sum of :func:`entry_accumulator_term` over ``items``, with the
+    value encodings remembered for this one pass.
     """
+    sha256, encode_pair, to_int, ints = hashlib.sha256, codec.encode_pair, int.from_bytes, {}
     total = 0
     for key, value in items:
-        total += entry_accumulator_term(key, value)
+        total += to_int(sha256(encode_pair(key, value, ints)).digest(), "big")
     return total % _ACC_MODULUS
 
 

@@ -20,11 +20,13 @@ wire form of every entry.  Entry kinds:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
+from .. import codec
 from ..codec import memoised
-from ..crypto.hashing import Digest, digest_value
+from ..crypto.hashing import Digest, digest, digest_value
 from ..errors import LedgerError
 
 # Message types are imported lazily inside accessors: repro.lpbft depends
@@ -48,8 +50,6 @@ class LedgerEntry:
 
     def encoded_size(self) -> int:
         """Size in bytes of the canonical encoding (Tab. 1)."""
-        from .. import codec
-
         return len(codec.encode(self.to_wire()))
 
 
@@ -71,6 +71,10 @@ class GenesisEntry(LedgerEntry):
     def service_name(self) -> Digest:
         """H(gt): the well-known service name."""
         return self.digest()
+
+
+_TX_WIRE_HEAD = codec.encode(("tx", None, None, None))[:-3]  # four-item header, "tx"
+_TIO_HEAD_SIZE = codec.sequence_size(3, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,12 +105,33 @@ class TxEntry(LedgerEntry):
         leaf preimage."""
         return (self.request_wire, self.index, self.output)
 
+    def leaves(self) -> tuple[Digest, Digest]:
+        """``(digest(), leaf_digest())`` from one encoding of ``(t, i, o)``,
+        the G preimage.  Remembers the G leaf, as :meth:`leaf_digest`
+        does."""
+        encoded = codec.encode(self.tio())
+        g_leaf = digest(encoded)
+        object.__setattr__(self, "_leaf_digest", g_leaf)
+        return _wire_leaf(encoded), g_leaf
+
+    def digest(self) -> Digest:
+        """The M leaf; remembered by tree M, not here."""
+        return _wire_leaf(codec.encode(self.tio()))
+
     @memoised
     def leaf_digest(self) -> Digest:
         """This entry's leaf in the per-batch tree G.  Remembered (32
         bytes, never the encoding): execution, replyx rebuilds and view
         changes all ask the entry the ledger holds."""
-        return digest_value(self.tio())
+        return digest(codec.encode(self.tio()))
+
+
+def _wire_leaf(tio_encoding: bytes) -> Digest:
+    """A TxEntry's M leaf from its G preimage: the wire form is the same
+    three items under a four-item header and the ``"tx"`` tag."""
+    leaf = hashlib.sha256(_TX_WIRE_HEAD)
+    leaf.update(memoryview(tio_encoding)[_TIO_HEAD_SIZE:])
+    return leaf.digest()
 
 
 @dataclass(frozen=True, slots=True)

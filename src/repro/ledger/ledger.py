@@ -162,11 +162,12 @@ class Ledger:
 
     # -- append / read ---------------------------------------------------
 
-    def append(self, entry: LedgerEntry) -> int:
-        """Append an entry; returns its absolute position."""
+    def append(self, entry: LedgerEntry, leaf: Digest | None = None) -> int:
+        """Append an entry; returns its absolute position.  ``leaf`` is
+        ``entry.digest()`` when the caller already hashed it."""
         index = len(self)
         self._entries.append(entry)
-        self._tree.append(entry.digest())
+        self._tree.append(entry.digest() if leaf is None else leaf)
         if not isinstance(entry, (ViewChangesEntry, NewViewEntry)):
             self._logical_to_position.append(index)
         if isinstance(entry, PrePrepareEntry):

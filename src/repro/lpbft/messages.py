@@ -46,12 +46,16 @@ class TransactionRequest:
     signature: bytes = b""
 
     def signed_payload(self) -> bytes:
-        return codec.encode(
-            ("request", self.procedure, self.args, self.client, self.service, self.min_index, self.nonce)
-        )
+        """The wire form less its trailing signature, read off the seal
+        (:func:`codec.encode_all_but_last`): no replica encodes it."""
+        return codec.encode_all_but_last(self.to_wire())
 
     def with_signature(self, signature: bytes) -> "TransactionRequest":
-        return replace(self, signature=signature)
+        """The signed request, sealed from this one's seal: the client
+        encodes its request once."""
+        signed = replace(self, signature=signature)
+        signed.__dict__["_wire"] = codec.reseal_last(self.to_wire(), signature)
+        return signed
 
     def to_wire(self) -> codec.Sealed:
         """Sealed: ``t`` is encoded once, here by its client, and spliced
@@ -432,6 +436,47 @@ class NewView:
         if tag != "new-view":
             raise ProtocolError(f"expected new-view, got {tag!r}")
         return NewView(view=view, root_m=root_m, vc_bitmap=vc_bitmap, vc_digest=vc_digest, signature=sig)
+
+
+# -- payloads sized from their parts ----------------------------------------
+#
+# A sender that already holds the encoded parts of a payload passes its
+# size to the network, which otherwise encodes the whole payload to size
+# it.  Each size equals ``codec.encoded_size(payload)`` exactly.
+
+_PP_TAG_SIZE = codec.encoded_size("pre-prepare")
+_PP_PAYLOAD_HEAD = codec.sequence_size(11, _PP_TAG_SIZE)  # of PrePrepare.signed_payload()
+_REPLYX_TAG_SIZE = codec.encoded_size("replyx")
+
+
+def pre_prepare_payload(pp: PrePrepare, batch_digests: tuple) -> tuple[tuple, int]:
+    """The ``("pre-prepare", pp, digests)`` payload and its size.  The
+    pre-prepare's wire form is its memoised signed payload plus the
+    signature, under a header of the same two bytes."""
+    pp_size = len(pp.signed_payload()) + codec.encoded_size(pp.signature)
+    digests_size = codec.sequence_size(
+        len(batch_digests), sum(codec.encoded_size(d) for d in batch_digests))
+    size = codec.sequence_size(3, _PP_TAG_SIZE + pp_size + digests_size)
+    return ("pre-prepare", pp.to_wire(), batch_digests), size
+
+
+def replyx_payload(
+    pp: PrePrepare, tx_digest: Digest, index: int, output: Any, path
+) -> tuple[tuple, int]:
+    """The ``("replyx", wire)`` payload for one transaction of ``pp``'s
+    batch (``path`` is its :class:`~repro.merkle.MerklePath` in G), and
+    its size.  The nine fields a replyx repeats from the pre-prepare are
+    ``pp``'s memoised signed payload less its header, tag and ``root_g``,
+    and the path sizes itself: only ``output`` is encoded."""
+    replyx = ReplyX(
+        **pp.receipt_fields(), tx_digest=tx_digest, index=index, output=output, path=path.to_wire())
+    batch_fields = len(pp.signed_payload()) - _PP_PAYLOAD_HEAD - codec.encoded_size(pp.root_g)
+    items = (
+        _REPLYX_TAG_SIZE + batch_fields + codec.encoded_size(tx_digest)
+        + codec.encoded_size(index) + codec.encoded_size(output) + path.encoded_size()
+    )
+    size = codec.sequence_size(2, _REPLYX_TAG_SIZE + codec.sequence_size(14, items))
+    return ("replyx", replyx.to_wire()), size
 
 
 # -- bitmap helpers -------------------------------------------------------

@@ -82,10 +82,11 @@ from .messages import (
     Prepare,
     PrePrepare,
     Reply,
-    ReplyX,
     TransactionRequest,
     bitmap_members,
     bitmap_of,
+    pre_prepare_payload,
+    replyx_payload,
 )
 from .viewchange import ViewManager
 
@@ -531,12 +532,12 @@ class LPBFTReplica(Node):
         ledger_mark = len(self.ledger)
         kv_mark = self.kv.tx_count
         ev_bitmap = self._append_evidence(s)
-        record = self._execute_batch(s, self.view, flags, selected)
+        record, m_leaves = self._execute_batch(s, self.view, flags, selected)
         record.ledger_start = ledger_mark
         record.kv_mark = kv_mark
-        pp = self._finalize_batch(record, ev_bitmap)
+        pp = self._finalize_batch(record, m_leaves, ev_bitmap)
         batch_digests = tuple(d for d in record.tx_digests if d is not None)
-        payload = ("pre-prepare", pp.to_wire(), batch_digests)
+        payload, size = pre_prepare_payload(pp, batch_digests)
         if pp_span is not None:
             # Outgoing pre-prepares (and everything else this activity
             # sends) carry the batch span as causal parent.
@@ -544,7 +545,7 @@ class LPBFTReplica(Node):
         for dst in self.peer_addresses():
             out = payload if self.behavior is None else self.behavior.outgoing_pre_prepare(self, dst, payload)
             if out is not None:
-                self.send(dst, out)
+                self.send(dst, out, size if out is payload else None)
         self.metrics.bump("batches_proposed")
         if pp_span is not None:
             pp_span.finish(self.cpu_time())
@@ -578,14 +579,16 @@ class LPBFTReplica(Node):
         view: int,
         flags: int,
         tx_digests: list[Digest],
-    ) -> BatchRecord:
+    ) -> tuple[BatchRecord, list[Digest]]:
         """Early execution shared by primary and backups: take the batch's
         requests from the queue, run them, build the per-batch tree G, and
         stage the (t, i, o) entries.  The caller has already appended the
         evidence entries; the pre-prepare entry will sit at the current
         ledger length, so the first transaction index is
-        ``len(ledger) + 1``."""
+        ``len(ledger) + 1``.  Also returns each entry's M leaf, hashed
+        from the encoding its G leaf was, for :meth:`_install_batch`."""
         record = BatchRecord(seqno=s, view=view, flags=flags, kv_mark=self.kv.tx_count)
+        m_leaves: list[Digest] = []
         # The pre-prepare entry consumes the next logical index; the first
         # transaction takes the one after (logical indices skip vc/nv
         # entries, so re-executed batches reuse their original indices).
@@ -604,6 +607,7 @@ class LPBFTReplica(Node):
             )
             record.entries.append(entry)
             record.g_tree.append(entry.leaf_digest())
+            m_leaves.append(entry.digest())
             record.tx_digests.append(None)
             next_index += 1
             self.last_recorded_cp = cp_seqno
@@ -628,8 +632,10 @@ class LPBFTReplica(Node):
             if self.behavior is not None:
                 output = self.behavior.mutate_output(self, request, output)
             entry = TxEntry(request_wire=request.to_wire(), index=next_index, output=output)
+            m_leaf, g_leaf = entry.leaves()
             record.entries.append(entry)
-            record.g_tree.append(entry.leaf_digest())
+            record.g_tree.append(g_leaf)
+            m_leaves.append(m_leaf)
             record.tx_digests.append(tx_digest)
             record.clients.setdefault(request.client, []).append(tx_digest)
             self.tx_locations[tx_digest] = (s, next_index)
@@ -638,7 +644,7 @@ class LPBFTReplica(Node):
                 # A governance transaction ends the batch (§5.1 summary).
                 self.gov_tx_log.append((s, tx_digest, request.procedure))
                 break
-        return record
+        return record, m_leaves
 
     def _execute_request(self, request: TransactionRequest) -> dict:
         if not self.params.execute_transactions:
@@ -652,7 +658,7 @@ class LPBFTReplica(Node):
         self.metrics.bump("transactions_executed")
         return output
 
-    def _finalize_batch(self, record: BatchRecord, ev_bitmap: int) -> PrePrepare:
+    def _finalize_batch(self, record: BatchRecord, m_leaves: list[Digest], ev_bitmap: int) -> PrePrepare:
         """Sign the pre-prepare for a freshly executed batch (primary)."""
         s, view = record.seqno, record.view
         nonce = self._fresh_nonce()
@@ -674,16 +680,17 @@ class LPBFTReplica(Node):
             committed_root=committed_root,
         )
         pp = pp.with_signature(self._sign(pp.signed_payload()))
-        self._install_batch(record, pp)
+        self._install_batch(record, m_leaves, pp)
         return pp
 
-    def _install_batch(self, record: BatchRecord, pp: PrePrepare) -> None:
-        """Append the pre-prepare entry and tx entries; index the batch."""
+    def _install_batch(self, record: BatchRecord, m_leaves: list[Digest], pp: PrePrepare) -> None:
+        """Append the pre-prepare entry and tx entries (with the M leaves
+        execution hashed); index the batch."""
         record.pp = pp
         record.pp_digest = pp.digest()
         self.ledger.append(PrePrepareEntry(pp_wire=pp.to_wire()))
-        for entry in record.entries:
-            self.ledger.append(entry)
+        for entry, m_leaf in zip(record.entries, m_leaves):
+            self.ledger.append(entry, m_leaf)
         if self.params.ledger:
             entries = 1 + len(record.entries)
             self.submit("append", entries * self.costs.ledger_append)
@@ -855,7 +862,7 @@ class LPBFTReplica(Node):
         kv_mark = self.kv.tx_count
         cp_mark = (self.last_recorded_cp, self.last_taken_cp)
         self._append_evidence(s, pp.evidence_bitmap)
-        record = self._execute_batch(s, pp.view, pp.flags, list(batch_digests))
+        record, m_leaves = self._execute_batch(s, pp.view, pp.flags, list(batch_digests))
         record.ledger_start = ledger_mark
         record.kv_mark = kv_mark
 
@@ -872,7 +879,7 @@ class LPBFTReplica(Node):
             self.views.suspect_primary()
             return
 
-        self._install_batch(record, pp)
+        self._install_batch(record, m_leaves, pp)
         nonce = self._fresh_nonce()
         self.own_nonces[(pp.view, s)] = nonce
         prepare = Prepare(replica=self.id, nonce_commitment=nonce.commitment, pp_digest=record.pp_digest)
@@ -1138,19 +1145,11 @@ class LPBFTReplica(Node):
     ) -> None:
         path = record.g_tree.path(position)
         self.submit("hash", len(path) * self.costs.hash_fixed)
-        replyx = ReplyX(
-            **record.pp.receipt_fields(),
-            tx_digest=tx_digest,
-            index=entry.index,
-            output=entry.output,
-            path=path.to_wire(),
-        )
-        payload = ("replyx", replyx.to_wire())
-        if self.behavior is not None:
-            payload = self.behavior.outgoing_replyx(self, dst, payload)
-            if payload is None:
-                return
-        self.send(dst, payload)
+        payload, size = replyx_payload(record.pp, tx_digest, entry.index, entry.output, path)
+        out = payload if self.behavior is None else self.behavior.outgoing_replyx(self, dst, payload)
+        if out is None:
+            return
+        self.send(dst, out, size if out is payload else None)
         self.metrics.bump("receipts_sent")
 
     def handle_get_replyx(self, src: str, msg: tuple) -> None:
@@ -1211,15 +1210,8 @@ class LPBFTReplica(Node):
         if target is None:
             return
         self.submit("hash", len(g_tree) * self.costs.hash_fixed)
-        path = g_tree.path(position)
-        replyx = ReplyX(
-            **pp.receipt_fields(),
-            tx_digest=tx_digest,
-            index=target.index,
-            output=target.output,
-            path=path.to_wire(),
-        )
-        self.send(src, ("replyx", replyx.to_wire()))
+        payload, size = replyx_payload(pp, tx_digest, target.index, target.output, g_tree.path(position))
+        self.send(src, payload, size)
         self.metrics.bump("receipts_rebuilt_from_ledger")
 
     # -- checkpoints (§3.4) ------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import codec
 from ..crypto.hashing import Digest, digest_pair
 from ..errors import MerkleError
 
@@ -33,6 +34,17 @@ class MerklePath:
         """Canonical tuple form for codec encoding."""
         return (self.leaf_index, self.tree_size, self.steps)
 
+    def encoded_size(self) -> int:
+        """``codec.encoded_size(self.to_wire())`` without encoding: both
+        ways a path is built (``MerkleTree.path``, :meth:`from_wire`) make
+        every step a 32-byte digest and a ``bool``, 37 bytes encoded."""
+        steps = len(self.steps)
+        return codec.sequence_size(
+            3,
+            codec.encoded_size(self.leaf_index) + codec.encoded_size(self.tree_size)
+            + codec.sequence_size(steps, _STEP_SIZE * steps),
+        )
+
     @staticmethod
     def from_wire(raw: tuple) -> "MerklePath":
         try:
@@ -44,6 +56,9 @@ class MerklePath:
             )
         except (TypeError, ValueError) as exc:
             raise MerkleError(f"malformed merkle path: {exc}") from exc
+
+
+_STEP_SIZE = codec.encoded_size((bytes(32), False))
 
 
 def _step_from_wire(raw: tuple) -> tuple[Digest, bool]:

@@ -139,12 +139,22 @@ def initial_state(
     Cached because benchmarks rebuild deployments repeatedly over the
     same account counts; every store and genesis checkpoint built from
     the returned :class:`Snapshot` shares its one table by reference.
+    The table is filled and hashed in one pass: the accumulator consumes
+    each entry as it is inserted.
     """
     state: dict[str, int] = {}
-    for customer in range(n_accounts):
-        state[_checking_key(customer)] = checking
-        state[_savings_key(customer)] = savings
-    return Snapshot(state, acc=state_accumulator(state.items()))
+
+    def inserted():
+        for customer in range(n_accounts):
+            key = f"checking:{customer}"  # _checking_key, inlined
+            state[key] = checking
+            yield key, checking
+            key = f"savings:{customer}"  # _savings_key, inlined
+            state[key] = savings
+            yield key, savings
+
+    acc = state_accumulator(inserted())
+    return Snapshot(state, acc=acc)
 
 
 # -- request generation -----------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from unittest import mock
 
-from repro.kvstore import store as kv_store
+from repro import codec
 from repro.lpbft import Deployment, ProtocolParams
 from repro.workloads import SmallBankWorkload, initial_state, register_smallbank
 
@@ -25,11 +25,11 @@ FAST_PARAMS = ProtocolParams(
 
 
 def counting_entry_hashes():
-    """Patch the KV store's per-entry hash with a counting pass-through:
-    ``with counting_entry_hashes() as hashed: ...; hashed.call_count``."""
-    return mock.patch.object(
-        kv_store, "entry_accumulator_term", wraps=kv_store.entry_accumulator_term
-    )
+    """Patch the KV store's per-entry preimage encoder (every accumulator
+    term, incremental or whole-state, encodes through it) with a counting
+    pass-through: ``with counting_entry_hashes() as hashed: ...;
+    hashed.call_count``."""
+    return mock.patch.object(codec, "encode_pair", wraps=codec.encode_pair)
 
 
 def build_deployment(

@@ -20,13 +20,51 @@ from repro.chaos import (
     run_schedule,
     shrink_schedule,
 )
-from repro.chaos.__main__ import main as chaos_main
+from repro.chaos import __main__ as chaos_cli
+from repro.chaos.__main__ import main as chaos_main, parse_seeds, violation_kind
 from repro.errors import ProtocolError
 from repro.lpbft import ViewManager
 
 # Keep in-suite runs bounded: a short fault window and quiescence still
 # exercise every event kind but finish in a few seconds per seed.
 FAST = ChaosParams(fault_end=1.5, quiescence=4.0, load_rate=150.0, n_events=6)
+
+
+class TestSeedArguments:
+    def test_ranges_and_lists_mix(self):
+        assert parse_seeds("0..3") == [0, 1, 2, 3]
+        assert parse_seeds("0..2,54, 89") == [0, 1, 2, 54, 89]
+        assert parse_seeds("7") == [7] and parse_seeds("5..5") == [5]
+
+    @pytest.mark.parametrize("bad", ["", "1..", "..3", "a", "3..1", "1..x", "0..29,,5", "1.5"])
+    def test_malformed_input_is_an_argparse_error(self, bad, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            chaos_main(["--seeds", bad])
+        assert exit_info.value.code == 2
+        assert "bad seed" in capsys.readouterr().err
+
+    def test_multi_seed_run_ends_with_one_tally_line_per_kind(self, monkeypatch, capsys):
+        found = {
+            1: ["quiescence: views did not converge: {0: 3, 1: 4}"],
+            2: [],
+            3: ["quiescence: views did not converge: {0: 9}", "exception: KeyError: 5 at x.py:3"],
+        }
+        monkeypatch.setattr(chaos_cli, "run_one", lambda seed, params, args: found[seed])
+        assert chaos_main(["--seeds", "1..3"]) == 1
+        tally = [line for line in capsys.readouterr().out.splitlines() if line.startswith("tally:")]
+        assert tally == [
+            "tally: 2 seeds: quiescence: views did not converge",
+            "tally: 1 seeds: exception: KeyError",
+        ]
+
+    def test_violation_kinds_drop_the_particulars(self):
+        assert violation_kind("committed-prefix divergence immediately after t=0.5 crash[2]") == (
+            "committed-prefix divergence")
+        assert violation_kind("quiescence: replica 2 holds arrival/verified entries for 5 requests "
+                              "no longer queued") == (
+            "quiescence: replica N holds arrival/verified entries for N requests no longer queued")
+        assert violation_kind("audit: spurious uPoM blame against correct replicas [1]") == (
+            "audit: spurious uPoM blame against correct replicas")
 
 
 class TestScheduleGeneration:

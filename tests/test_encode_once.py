@@ -11,6 +11,7 @@ import random
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import FAST_PARAMS, build_deployment
 from repro import codec
@@ -18,6 +19,7 @@ from repro.byzantine import TamperExecution
 from repro.chaos import __main__ as chaos_cli
 from repro.chaos.harness import ChaosResult
 from repro.chaos.schedule import ChaosParams, generate_schedule
+from repro.crypto import signatures
 from repro.crypto.hashing import digest_value
 from repro.errors import CodecError
 from repro.kvstore import KVStore
@@ -402,3 +404,167 @@ def test_chaos_cli_writes_failure_traces_under_chaos_out(tmp_path, monkeypatch, 
     assert written.is_file()
     assert [p.name for p in tmp_path.iterdir()] == ["chaos-out"]
     assert "trace: chaos-out/chaos-trace-seed7.json" in capsys.readouterr().out
+
+
+# -- one encoding per call site ---------------------------------------------------------
+
+_pair_keys = st.one_of(
+    st.text(max_size=40),
+    st.sampled_from(["é" * 63, "a" * 127, "a" * 128, "漢" * 100, "b" * 300]),
+    st.binary(max_size=4), st.none(), st.integers(-5, 5),
+)
+_pair_values = st.one_of(
+    st.sampled_from([True, False, 0, 63, 64, -1, -64, -65, 2**62 - 1, 2**62, -(2**62) + 1, -(2**62), 2**200]),
+    st.integers(), st.none(), st.binary(max_size=200), st.text(max_size=20),
+    st.tuples(st.integers(), st.binary(max_size=8)),
+    st.dictionaries(st.text(max_size=5), st.integers(), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_keys, _pair_values)
+def test_encode_pair_is_the_generic_pair_encoding(key, value):
+    expected = codec.encode((key, value))
+    assert codec.encode_pair(key, value) == expected
+    ints: dict = {}
+    assert codec.encode_pair(key, value, ints) == codec.encode_pair(key, value, ints) == expected
+
+
+def test_encode_pair_memo_never_confuses_bools_with_ints():
+    ints: dict = {}
+    for value in (1, True, 0, False, 1):
+        assert codec.encode_pair("k", value, ints) == codec.encode(("k", value))
+    assert set(map(type, ints)) == {int}
+
+
+def _random_request(rng: random.Random) -> TransactionRequest:
+    return TransactionRequest(
+        procedure="".join(rng.choice("abé.") for _ in range(rng.randrange(1, 200))),
+        args={f"k{i}": _random_value(rng) for i in range(rng.randrange(4))},
+        client=rng.randbytes(33),
+        service=rng.randbytes(32),
+        min_index=rng.randrange(0, 2**70),
+        nonce=rng.randrange(0, 2**40),
+        signature=rng.randbytes(rng.choice([0, 64, 127, 128, 300])),
+    )
+
+
+def test_signed_payload_is_read_off_the_seal():
+    rng = random.Random(11)
+    for _ in range(200):
+        request = _random_request(rng)
+        old = codec.encode(("request", request.procedure, request.args, request.client,
+                            request.service, request.min_index, request.nonce))
+        assert request.signed_payload() == old
+        received = TransactionRequest.from_wire(request.to_wire())
+        assert received.signed_payload() == old
+        unsealed = TransactionRequest.from_wire(codec.decode(request.to_wire().wire_bytes))
+        assert unsealed.signed_payload() == old
+        resigned = request.with_signature(rng.randbytes(64))
+        assert resigned.to_wire().wire_bytes == codec.encode(tuple(resigned.to_wire()))
+        assert resigned.signed_payload() == old
+    for count in (1, 2, 127, 128, 129, 300):
+        sealed = codec.seal(tuple(range(count)))
+        assert codec.encode_all_but_last(sealed) == codec.encode(tuple(sealed)[:-1])
+        assert codec.reseal_last(sealed, b"x").wire_bytes == codec.encode(tuple(sealed)[:-1] + (b"x",))
+    with pytest.raises(CodecError):
+        codec.encode_all_but_last(codec.seal(()))
+
+
+def test_altered_signature_is_rejected_after_the_payload_was_verified():
+    """The verify cache has answered for the payload already; a copy of the
+    same request under another signature is still checked and refused."""
+    backend = signatures.default_backend()
+    keypair = backend.generate(b"client")
+    unsigned = replace(REQUEST, client=keypair.public_key, signature=b"")
+    signed = unsigned.with_signature(backend.sign(keypair, unsigned.signed_payload()))
+    cache = signatures.SignatureVerifyCache()
+    assert cache.verify(signed.client, signed.signed_payload(), signed.signature, backend)
+    wire = list(signed.to_wire())
+    wire[-1] = bytes(64)
+    forged = TransactionRequest.from_wire(codec.seal(tuple(wire)))
+    assert forged.signed_payload() == signed.signed_payload()
+    assert not cache.verify(forged.client, forged.signed_payload(), forged.signature, backend)
+    assert not backend.verify(forged.client, forged.signed_payload(), forged.signature)
+
+
+def test_both_tx_entry_leaves_come_from_one_encoding(monkeypatch):
+    rng = random.Random(5)
+    for _ in range(100):
+        request = _random_request(rng)
+        wire = request.to_wire() if rng.random() < 0.5 else tuple(request.to_wire())
+        entry = TxEntry(request_wire=wire, index=rng.randrange(2**70), output=_random_value(rng))
+        assert entry.leaves() == (digest_value(entry.to_wire()), digest_value(entry.tio()))
+        fresh = TxEntry(request_wire=wire, index=entry.index, output=entry.output)
+        assert fresh.digest() == digest_value(entry.to_wire())
+        assert fresh.leaf_digest() == digest_value(entry.tio())
+    seen = []
+    original = codec.encode
+    monkeypatch.setattr(codec, "encode", lambda value: seen.append(value) or original(value))
+    TxEntry(request_wire=REQUEST.to_wire(), index=3, output=OUTPUT).leaves()
+    assert len(seen) == 1
+
+
+def test_payload_sizes_from_parts_equal_the_encoded_size():
+    from repro.lpbft.messages import pre_prepare_payload, replyx_payload
+    from repro.merkle import MerkleTree
+
+    rng = random.Random(9)
+    for size in (1, 2, 3, 7, 64, 300):
+        tree = MerkleTree()
+        for _ in range(size):
+            tree.append(rng.randbytes(32))
+        for position in {0, size // 2, size - 1}:
+            path = tree.path(position)
+            assert path.encoded_size() == codec.encoded_size(path.to_wire())
+            assert MerklePath.from_wire(path.to_wire()).encoded_size() == len(codec.encode(path.to_wire()))
+            pp = replace(PRE_PREPARE, seqno=rng.randrange(2**40), committed_root=rng.randbytes(rng.choice([0, 32])),
+                         signature=rng.randbytes(rng.choice([64, 200])))
+            payload, sized = replyx_payload(pp, rng.randbytes(32), rng.randrange(2**62), _random_value(rng), path)
+            assert sized == len(codec.encode(payload))
+            digests = tuple(rng.randbytes(32) for _ in range(rng.randrange(0, 200)))
+            payload, sized = pre_prepare_payload(pp, digests)
+            assert sized == len(codec.encode(payload))
+
+
+# 500K accounts: the table every perf workload but lan_overload uses.
+INITIAL_STATE_DIGEST = "a356fce14df921cc499d223558d04eceacec34b0d392a7c51732c85414d4e168"
+
+
+def test_initial_state_digest_is_pinned():
+    """The one-pass builder fills and hashes the table; its digest is the
+    one the two-pass build gave, and a small table's accumulator is the
+    plain sum of per-entry terms over the generic encoder."""
+    from repro.kvstore.store import accumulator_digest, state_accumulator
+    from repro.workloads import initial_state
+
+    assert initial_state(500_000).digest().hex() == INITIAL_STATE_DIGEST
+    small = initial_state(300, checking=64, savings=-(2**63))
+    assert list(small) == [f"{kind}:{c}" for c in range(300) for kind in ("checking", "savings")]
+    reference = sum(
+        int.from_bytes(hashlib.sha256(codec.encode((k, v))).digest(), "big") for k, v in small.items()
+    ) % 2**256
+    assert small.accumulator == reference == state_accumulator(dict(small).items())
+    assert small.digest() == accumulator_digest(reference)
+
+
+def test_encode_work_per_committed_transaction_is_bounded(monkeypatch):
+    """Counted work, free of host-clock noise: the small run above makes
+    47.2 ``codec.encode`` calls per receipted transaction before encodings
+    were shared by call site (five of them a request's signed payload) and
+    30.9 after, none of them a signed payload."""
+    dep = build_deployment(params=FAST_PARAMS)
+    receipted = []
+    dep.add_load_generator(
+        SmallBankWorkload(n_accounts=200, seed=3), rate=5000.0, stop_at=0.02,
+        on_receipt=lambda digest, receipt, latency: receipted.append(digest),
+    )
+    dep.start()
+    encoded = []
+    original = codec.encode
+    monkeypatch.setattr(codec, "encode", lambda value: encoded.append(value) or original(value))
+    dep.run(until=0.5)
+    assert len(receipted) == 95
+    assert len(encoded) / len(receipted) <= 32
+    payloads = [v for v in encoded if type(v) is tuple and len(v) == 7 and v[:1] == ("request",)]
+    assert payloads == []

@@ -296,7 +296,7 @@ class TestRequestQueue:
         a, b, c, d = self.arrive(dep, client, backup, [1, 2, 3, 4])
         queue.ensure_verified([a, b])
         marks = self.marks(backup)
-        record = backup._execute_batch(1, 0, BATCH_REGULAR, [a, b])
+        record, _ = backup._execute_batch(1, 0, BATCH_REGULAR, [a, b])
         assert list(queue.requests) == [c, d]
         backup._undo_batch_execution(record, *marks)
         assert list(queue.requests) == [c, d, a, b]
@@ -326,7 +326,7 @@ class TestRequestQueue:
         undone, rolled = self.arrive(dep, client, primary, [1, 2], force=True)
         marks = self.marks(primary)
         self.at(dep, 1.0)
-        record = primary._execute_batch(1, 0, BATCH_REGULAR, [undone])
+        record, _ = primary._execute_batch(1, 0, BATCH_REGULAR, [undone])
         assert undone not in queue.arrivals  # taken: the arrival left with it
         primary._undo_batch_execution(record, *marks)
         assert queue.arrivals[undone] == 1.0
@@ -348,7 +348,7 @@ class TestRequestQueue:
         assert request.request_digest() == a and arrival == 0.0
         assert a not in queue and a not in queue.arrivals and a not in queue.verified
         assert queue.source(a) == client.address
-        record = backup._execute_batch(1, 0, BATCH_REGULAR, [b])
+        record, _ = backup._execute_batch(1, 0, BATCH_REGULAR, [b])
         assert queue.source(b) == client.address
         queue.forget(record)  # what batch GC does with a committed record
         assert queue.source(b) is None and queue.source(a) == queue.source(c) == client.address
