@@ -28,7 +28,7 @@ from ..ledger.wellformed import check_well_formed, parse_fragment
 from ..lpbft.config import ProtocolParams
 from ..lpbft.messages import BATCH_END_OF_CONFIG, bitmap_members
 from ..receipts.chain import GovernanceChain, find_chain_fork, longest_chain, verify_chain
-from ..receipts.receipt import Receipt, verify_receipt
+from ..receipts.receipt import Receipt, verify_receipts
 from .package import LedgerPackage, check_package_completeness, retention_survivors
 from .replay import replay_ledger
 from .upom import (
@@ -57,9 +57,6 @@ class Auditor:
         self.registry = registry
         self.params = params
         self.backend = backend or signatures.default_backend()
-        # Receipts from the same batch share primary/prepare signatures;
-        # memoizing verification makes bulk audits do each one once.
-        self.verify_cache = signatures.SignatureVerifyCache()
 
     # -- entry point (Alg. 4 ``audit``) -------------------------------------------------
 
@@ -120,9 +117,7 @@ class Auditor:
         schedules = []
         for chain in chains:
             try:
-                schedules.append(
-                    verify_chain(chain, self.params.pipeline, self.backend, cache=self.verify_cache)
-                )
+                schedules.append(verify_chain(chain, self.params.pipeline, self.backend))
             except ReceiptError as exc:
                 raise AuditError(f"invalid supporting governance chain: {exc}") from exc
         for i in range(len(chains)):
@@ -149,7 +144,7 @@ class Auditor:
                         )
                     )
         best = longest_chain(chains) if not result.upoms else chains[0]
-        return verify_chain(best, self.params.pipeline, self.backend, cache=self.verify_cache)
+        return next(s for chain, s in zip(chains, schedules) if chain is best)
 
     # -- step 2: receipt validity (Alg. 4 ``auditReceipts``) ----------------------------------
 
@@ -157,9 +152,10 @@ class Auditor:
         self, receipts: list[Receipt], schedule: ConfigSchedule, result: AuditResult
     ) -> None:
         by_slot: dict[tuple[int, int], Receipt] = {}
-        for receipt in receipts:
+        valid = verify_receipts(receipts, schedule.config_at_seqno, self.backend)
+        for receipt, ok in zip(receipts, valid):
             config = schedule.config_at_seqno(receipt.seqno)
-            if not verify_receipt(receipt, config, self.backend, cache=self.verify_cache):
+            if not ok:
                 raise AuditError(
                     f"receipt at seqno {receipt.seqno} does not verify; nothing to blame"
                 )
@@ -260,9 +256,10 @@ class Auditor:
         if result.upoms:
             return
 
-        # Structure and signatures (§B.1 well-formedness).
+        # Structure and signatures (§B.1 well-formedness), over the
+        # entries the ledger was materialised from: one decode per audit.
         try:
-            parsed = parse_fragment(package.fragment)
+            parsed = parse_fragment(package.fragment, ledger.entries())
         except WellFormednessError as exc:
             result.upoms.append(
                 UPoM(

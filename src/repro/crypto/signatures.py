@@ -115,14 +115,54 @@ class SignatureBackend(Protocol):
         aggregate covers (BLS pairing-style)."""
 
 
+_SHA256_BLOCK = 64
+
+
+def _hmac_pads(secret: bytes) -> tuple:
+    """The SHA-256 states of RFC 2104 HMAC keyed with ``secret`` after
+    absorbing the inner pad, the inner pad then ``b"pad"``, and the outer
+    pad: a MAC continues copies of them instead of re-deriving the key
+    schedule."""
+    if len(secret) > _SHA256_BLOCK:
+        secret = hashlib.sha256(secret).digest()
+    key = secret.ljust(_SHA256_BLOCK, b"\0")
+    inner = hashlib.sha256(bytes(b ^ 0x36 for b in key))
+    inner_pad = inner.copy()
+    inner_pad.update(b"pad")
+    outer = hashlib.sha256(bytes(b ^ 0x5C for b in key))
+    return inner, inner_pad, outer
+
+
 class HashSigBackend:
-    """Deterministic simulated signatures (see module docstring)."""
+    """Deterministic simulated signatures (see module docstring).
+
+    A signature is ``HMAC(secret, m) || HMAC(secret, b"pad" + m)`` with
+    SHA-256, byte for byte what :func:`hmac.new` gives; each key's pad
+    states are absorbed once (:func:`_hmac_pads`) and every MAC is still
+    computed in full from copies of them."""
 
     name = "hashsig"
     supports_aggregation = True
 
     def __init__(self) -> None:
         self._registry: dict[bytes, bytes] = {}
+        self._pads: dict[bytes, tuple] = {}  # secret -> _hmac_pads(secret)
+
+    def _signature(self, secret: bytes, message: bytes) -> bytes:
+        """``HMAC(secret, m) || HMAC(secret, b"pad" + m)``."""
+        pads = self._pads.get(secret)
+        if pads is None:
+            pads = self._pads[secret] = _hmac_pads(secret)
+        inner, inner_pad, outer = pads
+        mac_inner = inner.copy()
+        mac_inner.update(message)
+        mac = outer.copy()
+        mac.update(mac_inner.digest())
+        pad_inner = inner_pad.copy()
+        pad_inner.update(message)
+        pad = outer.copy()
+        pad.update(pad_inner.digest())
+        return mac.digest() + pad.digest()
 
     def generate(self, seed: bytes | None = None) -> KeyPair:
         secret = hashlib.sha256(b"hashsig-secret" + (seed if seed is not None else os.urandom(32))).digest()
@@ -135,11 +175,9 @@ class HashSigBackend:
     def sign(self, keypair: KeyPair, message: bytes) -> bytes:
         if keypair.backend_name != self.name:
             raise CryptoError(f"key from backend {keypair.backend_name!r} used with {self.name!r}")
-        mac = hmac.new(keypair.secret, message, hashlib.sha256).digest()
-        # Pad to 64 bytes with a second, domain-separated MAC so signatures
-        # are secp256k1-sized.
-        pad = hmac.new(keypair.secret, b"pad" + message, hashlib.sha256).digest()
-        return mac + pad
+        # The second, domain-separated MAC pads the signature to 64 bytes
+        # so signatures are secp256k1-sized.
+        return self._signature(keypair.secret, message)
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
         if len(public_key) != PUBLIC_KEY_SIZE:
@@ -150,9 +188,7 @@ class HashSigBackend:
         if secret is None:
             # Unknown key: cannot have been minted by this backend.
             return False
-        mac = hmac.new(secret, message, hashlib.sha256).digest()
-        pad = hmac.new(secret, b"pad" + message, hashlib.sha256).digest()
-        return hmac.compare_digest(signature, mac + pad)
+        return hmac.compare_digest(signature, self._signature(secret, message))
 
     def aggregate(self, sigs: Sequence[bytes]) -> AggregateSignature:
         """Simulated aggregation: the XOR fold of the individual
@@ -188,9 +224,7 @@ class HashSigBackend:
             secret = self._registry.get(public_key)
             if secret is None:
                 return False
-            mac = hmac.new(secret, message, hashlib.sha256).digest()
-            pad = hmac.new(secret, b"pad" + message, hashlib.sha256).digest()
-            for i, b in enumerate(mac + pad):
+            for i, b in enumerate(self._signature(secret, message)):
                 acc[i] ^= b
         return hmac.compare_digest(bytes(acc), aggregate.value)
 

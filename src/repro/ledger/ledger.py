@@ -148,8 +148,7 @@ class Ledger:
         ledger._tree = tree
         ledger._base = fragment.start
         ledger._logical_base = logical_base
-        for entry in entries:
-            ledger.append(entry)
+        ledger._append_decoded(entries)
         # The pruned prefix's last governance index is signed into the
         # first suffix batch's pre-prepare (ig covers everything strictly
         # before it).  Anchor the floor there unconditionally: a rollback
@@ -192,6 +191,16 @@ class Ledger:
         elif isinstance(entry, GenesisEntry):
             self._last_gov_index = self.logical_size() - 1
         return index
+
+    def _append_decoded(self, entries: list[LedgerEntry]) -> None:
+        """Append a fragment's decoded entries.  A ``TxEntry``'s one
+        ``(t, i, o)`` encoding gives its M leaf here and leaves its G leaf
+        remembered for replay (:meth:`TxEntry.leaves`)."""
+        for entry in entries:
+            if type(entry) is TxEntry:
+                self.append(entry, entry.leaves()[0])
+            else:
+                self.append(entry)
 
     def __len__(self) -> int:
         """Total (absolute) ledger length, garbage-collected prefix included."""
@@ -472,6 +481,5 @@ class LedgerFragment:
         if self.start != 0:
             raise LedgerError("only full-prefix fragments can be materialized")
         ledger = Ledger()
-        for entry in self.entries():
-            ledger.append(entry)
+        ledger._append_decoded(self.entries())
         return ledger

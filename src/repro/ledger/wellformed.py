@@ -96,10 +96,15 @@ class ParsedFragment:
         return found
 
 
-def parse_fragment(fragment: LedgerFragment) -> ParsedFragment:
+def parse_fragment(
+    fragment: LedgerFragment, entries: list[LedgerEntry] | None = None
+) -> ParsedFragment:
     """Build the structural index; raises :class:`WellFormednessError` on
     grammar violations that make the fragment unreadable (as opposed to
-    attributable misbehavior, which :func:`check_well_formed` reports)."""
+    attributable misbehavior, which :func:`check_well_formed` reports).
+
+    ``entries`` is ``fragment.entries()`` when the caller already decoded
+    them (an auditor passes the entries of the ledger it materialised)."""
     genesis: GenesisEntry | None = None
     batches: dict[int, ParsedBatch] = {}
     batch_order: list[int] = []
@@ -110,7 +115,9 @@ def parse_fragment(fragment: LedgerFragment) -> ParsedFragment:
     pending_evidence: EvidenceEntry | None = None
     current: ParsedBatch | None = None
 
-    for offset, entry in enumerate(fragment.entries()):
+    if entries is None:
+        entries = fragment.entries()
+    for offset, entry in enumerate(entries):
         index = fragment.start + offset
         if isinstance(entry, GenesisEntry):
             if index != 0:

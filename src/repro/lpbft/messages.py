@@ -215,6 +215,31 @@ class PrePrepare:
         )
 
 
+# ``encode(("prepare", r, nc, d))`` for a replica id r < 64 and 32-byte
+# digests is a fixed template: the head for r, then each digest under
+# the same two-byte header.
+_PREPARE_HEADS = tuple(codec.encode(("prepare", r, b"", b""))[:-4] for r in range(64))
+_DIGEST_HEAD = codec.encode(bytes(32))[:-32]
+
+
+def prepare_payload(replica: int, nonce_commitment: Digest, pp_digest: Digest) -> bytes:
+    """``Prepare(replica, nonce_commitment, pp_digest).signed_payload()``,
+    without the ``Prepare``: how a receipt verifier rebuilds what each
+    backup signed."""
+    if (
+        type(replica) is int
+        and 0 <= replica < 64
+        and type(nonce_commitment) is bytes
+        and len(nonce_commitment) == 32
+        and type(pp_digest) is bytes
+        and len(pp_digest) == 32
+    ):
+        return b"".join(
+            (_PREPARE_HEADS[replica], _DIGEST_HEAD, nonce_commitment, _DIGEST_HEAD, pp_digest)
+        )
+    return codec.encode(("prepare", replica, nonce_commitment, pp_digest))
+
+
 @dataclass(frozen=True)
 class Prepare:
     """``⟨prepare, r, H(K[v,s]), H(pp)⟩σr`` (Alg. 1 line 25).
@@ -229,7 +254,7 @@ class Prepare:
     signature: bytes = b""
 
     def signed_payload(self) -> bytes:
-        return codec.encode(("prepare", self.replica, self.nonce_commitment, self.pp_digest))
+        return prepare_payload(self.replica, self.nonce_commitment, self.pp_digest)
 
     def with_signature(self, signature: bytes) -> "Prepare":
         return replace(self, signature=signature)

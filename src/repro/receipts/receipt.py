@@ -21,7 +21,7 @@ revealed nonce opens the commitment it was signed under.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from ..codec import memoised
 from ..crypto import signatures
@@ -31,10 +31,10 @@ from ..errors import ReceiptError
 from ..governance.configuration import Configuration
 from ..lpbft.messages import (
     BATCH_REGULAR,
-    Prepare,
     PrePrepare,
     TransactionRequest,
     bitmap_members,
+    prepare_payload,
 )
 from ..merkle import MerklePath, path_root
 
@@ -294,14 +294,11 @@ def verify_receipt(
                 if commitment != receipt.primary_nonce_commitment:
                     return False
                 continue
-            prepare = Prepare(
-                replica=signer_id, nonce_commitment=commitment, pp_digest=pp_digest
-            )
             try:
                 key = config.replica_key(signer_id)
             except Exception:
                 return False
-            pairs.append((key, prepare.signed_payload()))
+            pairs.append((key, prepare_payload(signer_id, commitment, pp_digest)))
         return backend.verify_aggregate(pairs, receipt.aggregate)
 
     # Primary signature over the reconstructed pre-prepare.
@@ -318,16 +315,57 @@ def verify_receipt(
             if commitment != receipt.primary_nonce_commitment:
                 return False
             continue
-        prepare = Prepare(replica=signer_id, nonce_commitment=commitment, pp_digest=pp_digest)
         try:
             key = config.replica_key(signer_id)
         except Exception:
             return False
         signature = receipt.prepare_signatures[sig_cursor]
         sig_cursor += 1
-        if not check(key, prepare.signed_payload(), signature):
+        if not check(key, prepare_payload(signer_id, commitment, pp_digest), signature):
             return False
     return True
+
+
+def verify_receipts(
+    receipts: Sequence[Receipt],
+    config_for: Callable[[int], Configuration],
+    backend: signatures.SignatureBackend | None = None,
+) -> list[bool]:
+    """``[verify_receipt(r, config_for(r.seqno), backend) for r in
+    receipts]``, checking each distinct certificate once.
+
+    The receipts of one batch share a certificate: the pre-prepare and
+    the nonces and signatures over it.  Its key is the reconstructed
+    pre-prepare's digest, which covers the primary's signature and the
+    ``root_g`` each receipt derives from its own ``(t, i, o)`` and path,
+    plus the signer bitmap, nonces, prepare signatures, aggregate and
+    configuration: all else :func:`verify_receipt` reads.  A sibling
+    with another output or path reconstructs another pre-prepare, so it
+    is checked on its own."""
+    backend = backend or signatures.default_backend()
+    # key -> (verdict, configuration); holding the configuration keeps
+    # its id from being reused by another one while the keys live.
+    verdicts: dict[tuple, tuple[bool, Configuration]] = {}
+    results: list[bool] = []
+    for receipt in receipts:
+        config = config_for(receipt.seqno)
+        key = (
+            receipt.reconstructed_pre_prepare().digest(),
+            receipt.signer_bitmap,
+            receipt.nonces,
+            receipt.prepare_signatures,
+            receipt.aggregate,
+            id(config),
+        )
+        try:
+            seen = verdicts.get(key)
+        except TypeError:  # an unhashable field: no other receipt shares it
+            results.append(verify_receipt(receipt, config, backend))
+            continue
+        if seen is None:
+            seen = verdicts[key] = (verify_receipt(receipt, config, backend), config)
+        results.append(seen[0])
+    return results
 
 
 def receipts_equivalent(a: Receipt, b: Receipt) -> bool:

@@ -32,6 +32,37 @@ def counting_entry_hashes():
     return mock.patch.object(codec, "encode_pair", wraps=codec.encode_pair)
 
 
+class CountingBackend:
+    """Wraps a backend and counts individual vs aggregate verify ops."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.name = inner.name
+        self.supports_aggregation = inner.supports_aggregation
+        self.verifies = 0
+        self.agg_verifies = 0
+
+    def verify(self, public_key, message, signature):
+        self.verifies += 1
+        return self._inner.verify(public_key, message, signature)
+
+    def verify_aggregate(self, pairs, agg):
+        self.agg_verifies += 1
+        return self._inner.verify_aggregate(pairs, agg)
+
+
+def certificate_checks(receipts) -> int:
+    """Signature checks that verifying each distinct batch certificate
+    among ``receipts`` once takes (non-aggregated receipts): the primary's
+    and one prepare per other signer."""
+    certificates = {
+        (r.reconstructed_pre_prepare().digest(), r.signer_bitmap, r.nonces,
+         r.prepare_signatures): len(r.signers())
+        for r in receipts
+    }
+    return sum(certificates.values())
+
+
 def build_deployment(
     n_replicas: int = 4,
     params: ProtocolParams = FAST_PARAMS,

@@ -24,7 +24,7 @@ from repro.obs import PeriodicSampler, perfetto_trace
 from repro.receipts import Receipt, ReceiptCollector, verify_receipt
 from repro.workloads import SmallBankWorkload
 
-from helpers import build_deployment, run_workload
+from helpers import CountingBackend, build_deployment, run_workload
 
 WINDOW_PARAMS = ProtocolParams(
     pipeline=4, max_batch=20, checkpoint_interval=20,
@@ -35,25 +35,6 @@ WINDOW_PARAMS = ProtocolParams(
 FAST_P3 = ChaosParams(
     fault_end=1.5, quiescence=4.0, load_rate=150.0, n_events=6, pipeline=3,
 )
-
-
-class CountingBackend:
-    """Wraps a backend and counts individual vs aggregate verify ops."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.name = inner.name
-        self.supports_aggregation = inner.supports_aggregation
-        self.verifies = 0
-        self.agg_verifies = 0
-
-    def verify(self, public_key, message, signature):
-        self.verifies += 1
-        return self._inner.verify(public_key, message, signature)
-
-    def verify_aggregate(self, pairs, agg):
-        self.agg_verifies += 1
-        return self._inner.verify_aggregate(pairs, agg)
 
 
 # -- parameter arithmetic -------------------------------------------------------

@@ -14,7 +14,13 @@ from repro.errors import CryptoError
 from repro.lpbft.deployment import make_genesis_config
 from repro.receipts import verify_receipt
 
-from helpers import FAST_PARAMS, build_deployment, run_workload
+from helpers import (
+    FAST_PARAMS,
+    CountingBackend,
+    build_deployment,
+    certificate_checks,
+    run_workload,
+)
 
 
 @pytest.fixture
@@ -159,21 +165,39 @@ class TestDeploymentCacheWiring:
 
 
 class TestAuditAndCollectorCacheWiring:
-    def test_auditor_uses_cache_for_bulk_receipts(self):
+    def test_auditor_checks_each_certificate_once(self):
+        """One audit checks each distinct batch certificate once: the
+        primary's signature and one prepare signature per other signer
+        (quorum - 1 for a quorum-sized certificate), beside the checks of
+        the governance chain and of the ledger's well-formedness."""
         from repro.audit import Auditor
         from repro.enforcement.enforcer import make_enforcer
+        from repro.ledger.wellformed import check_well_formed, parse_fragment
+        from repro.receipts import verify_chain
 
         dep = build_deployment()
         client = dep.add_client(retry_timeout=0.5)
         dep.start()
         digests = run_workload(dep, client, n_tx=40, until=4.0)
-        auditor = Auditor(dep.registry, dep.params, backend=dep.backend)
         receipts = [client.receipts[d] for d in digests]
-        result = auditor.audit(receipts, [dep.replicas[0].gov_chain], make_enforcer(dep))
+        chain = dep.replicas[0].gov_chain
+        counting = CountingBackend(dep.backend)
+        enforcer = make_enforcer(dep)
+        result = Auditor(dep.registry, dep.params, backend=counting).audit(
+            receipts, [chain], enforcer)
         assert result.upoms == []
-        # Many receipts share batch signatures: the memoized verifier must
-        # have answered a good fraction from cache.
-        assert auditor.verify_cache.stats.hits > 0
+        audited = counting.verifies
+
+        counting.verifies = 0
+        schedule = verify_chain(chain, dep.params.pipeline, counting)
+        package = enforcer.collect_ledger_package(receipts, schedule)
+        check_well_formed(
+            parse_fragment(package.fragment), package.subledger.schedule,
+            dep.params.pipeline, counting)
+        chain_and_ledger = counting.verifies
+
+        assert certificate_checks(receipts) < len(receipts)  # batches share certificates
+        assert audited - chain_and_ledger == certificate_checks(receipts)
 
     def test_client_collector_uses_cache(self):
         dep = build_deployment()
