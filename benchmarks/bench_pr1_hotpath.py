@@ -1,19 +1,13 @@
-"""PR 1 before/after micro-benchmark: verify cache + incremental Merkle roots.
+"""PR 1 before/after micro-benchmark: incremental Merkle roots.
 
-Measures host wall-clock of the two hot paths the overhaul optimizes, on
-SmallBank-workload inputs:
+Measures host wall-clock of *Merkle-root maintenance* on SmallBank-workload
+inputs: auditors and ``ledgers_agree`` query the ledger root at every batch
+boundary.  Before: each ``root_at(size)`` recomputed the subtree from the
+leaves (O(size)).  After: memoized interior nodes + root frontier answer
+from cache.
 
-1. *Repeated-signature verification* — every client-request signature is
-   verified by all N replicas of a deployment.  Before: N independent
-   cryptographic verifications per request.  After: one real verification
-   plus N−1 cache hits (shared :class:`SignatureVerifyCache`).
-
-2. *Merkle-root maintenance* — auditors and ``ledgers_agree`` query the
-   ledger root at every batch boundary.  Before: each ``root_at(size)``
-   recomputed the subtree from the leaves (O(size)).  After: memoized
-   interior nodes + root frontier answer from cache.
-
-Run as a script; writes ``BENCH_pr1.json`` next to the repo root:
+Run as a script; writes ``BENCH_pr1.json`` next to the repo root and exits
+non-zero unless the incremental tree is at least 2x faster:
 
     PYTHONPATH=src python benchmarks/bench_pr1_hotpath.py
 """
@@ -26,13 +20,9 @@ import time
 from pathlib import Path
 
 from repro.crypto.hashing import digest_value
-from repro.crypto.signatures import HashSigBackend, SignatureVerifyCache
-from repro.lpbft.messages import TransactionRequest
 from repro.merkle import MerkleTree
 from repro.merkle.tree import _subtree_root
 from repro.workloads import SmallBankWorkload
-
-N_REPLICAS = 4
 
 
 def _best_of(fn, repetitions: int = 3) -> float:
@@ -44,50 +34,6 @@ def _timed(fn) -> float:
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
-
-
-def bench_signature_verification(n_requests: int = 2_000) -> dict:
-    """Each of N_REPLICAS replicas verifies every SmallBank request."""
-    backend = HashSigBackend()
-    client_kp = backend.generate(b"bench-client")
-    wl = SmallBankWorkload(n_accounts=10_000, seed=42)
-    requests = []
-    for _ in range(n_requests):
-        procedure, args = wl.next_transaction()
-        req = TransactionRequest(
-            procedure=procedure, args=tuple(sorted(args.items())),
-            client=client_kp.public_key, service=b"\x00" * 32, min_index=0, nonce=len(requests),
-        )
-        requests.append(req.with_signature(backend.sign(client_kp, req.signed_payload())))
-
-    payloads = [(r.client, r.signed_payload(), r.signature) for r in requests]
-
-    def uncached_pass() -> None:
-        for _replica in range(N_REPLICAS):
-            for pk, payload, sig in payloads:
-                assert backend.verify(pk, payload, sig)
-
-    caches = []
-
-    def cached_pass() -> None:
-        cache = SignatureVerifyCache()
-        caches.append(cache)
-        for _replica in range(N_REPLICAS):
-            for pk, payload, sig in payloads:
-                assert cache.verify(pk, payload, sig, backend)
-
-    uncached = _best_of(uncached_pass)
-    cached = _best_of(cached_pass)
-
-    return {
-        "requests": n_requests,
-        "replicas": N_REPLICAS,
-        "uncached_s": round(uncached, 6),
-        "cached_s": round(cached, 6),
-        "speedup": round(uncached / cached, 2),
-        "cache_hits": caches[-1].stats.hits,
-        "cache_misses": caches[-1].stats.misses,
-    }
 
 
 def bench_merkle_root_maintenance(n_entries: int = 3_000, batch: int = 20) -> dict:
@@ -131,16 +77,12 @@ def bench_merkle_root_maintenance(n_entries: int = 3_000, batch: int = 20) -> di
 def main() -> int:
     result = {
         "description": "PR 1 hot-path overhaul: host wall-clock, SmallBank inputs",
-        "signature_verification": bench_signature_verification(),
         "merkle_root_maintenance": bench_merkle_root_maintenance(),
     }
     out = Path(__file__).resolve().parent.parent / "BENCH_pr1.json"
     out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
-    ok = (
-        result["signature_verification"]["speedup"] >= 2.0
-        or result["merkle_root_maintenance"]["speedup"] >= 2.0
-    )
+    ok = result["merkle_root_maintenance"]["speedup"] >= 2.0
     print(f"\n>= 2x speedup criterion: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

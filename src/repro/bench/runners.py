@@ -179,11 +179,6 @@ def run_iaccf_point(
             kind: round(seconds, 6)
             for kind, seconds in sorted(dep.replicas[0].cpu.busy_by_kind().items())
         }
-    extra["verify_cache"] = {
-        "hits": dep.verify_cache.stats.hits,
-        "misses": dep.verify_cache.stats.misses,
-        "hit_rate": round(dep.verify_cache.stats.hit_rate(), 4),
-    }
     return BenchPoint(
         system=label,
         offered_tps=rate,

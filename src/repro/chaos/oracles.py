@@ -115,19 +115,18 @@ def _goodput_recovered(probe) -> list[str]:
 def _receipts_verifiable(dep, probe, loadgen, sample_size: int) -> list[str]:
     """A deterministic sample of collected receipts must pass Alg. 3
     verification against the configuration that produced them."""
-    from repro.receipts import verify_receipt
+    from repro.receipts import verify_receipts
 
-    violations = []
     reference = dep.replicas[0]
     receipts = list(probe.receipts.values()) + list(loadgen.receipts.values())
     step = max(1, len(receipts) // sample_size)
-    for receipt in receipts[::step][:sample_size]:
-        config = reference.config_for(receipt.seqno)
-        if not verify_receipt(receipt, config, backend=dep.backend, cache=dep.verify_cache):
-            violations.append(
-                f"receipt for seqno {receipt.seqno} fails verification at quiescence"
-            )
-    return violations
+    sample = receipts[::step][:sample_size]
+    verdicts = verify_receipts(sample, reference.config_for, dep.backend)
+    return [
+        f"receipt for seqno {receipt.seqno} fails verification at quiescence"
+        for receipt, ok in zip(sample, verdicts)
+        if not ok
+    ]
 
 
 def _audit_reproduces(dep, probe, sample_size: int) -> list[str]:

@@ -18,13 +18,10 @@ from .signatures import (
     SignatureBackend,
     HashSigBackend,
     Ed25519Backend,
-    SignatureVerifyCache,
-    VerifyCacheStats,
     default_backend,
     generate_keypair,
     sign,
     verify,
-    verify_batch,
     PUBLIC_KEY_SIZE,
     SIGNATURE_SIZE,
 )
@@ -40,13 +37,10 @@ __all__ = [
     "SignatureBackend",
     "HashSigBackend",
     "Ed25519Backend",
-    "SignatureVerifyCache",
-    "VerifyCacheStats",
     "default_backend",
     "generate_keypair",
     "sign",
     "verify",
-    "verify_batch",
     "PUBLIC_KEY_SIZE",
     "SIGNATURE_SIZE",
     "NonceCommitment",

@@ -34,8 +34,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Protocol, Sequence
 
 from ..errors import CryptoError
 
@@ -283,132 +283,6 @@ class Ed25519Backend:
         self, pairs: Sequence[tuple[bytes, bytes]], aggregate: AggregateSignature
     ) -> bool:
         raise CryptoError("ed25519 does not support signature aggregation")
-
-
-@dataclass
-class VerifyCacheStats:
-    """Counters for a :class:`SignatureVerifyCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
-class SignatureVerifyCache:
-    """Memoized signature verification over ``(key, payload, sig)`` triples.
-
-    For a given backend *instance*, verification is a pure function of the
-    triple, so a triple seen before can be answered without redoing the
-    cryptography.  (Keys include the backend instance, not just its name:
-    ``HashSigBackend`` keeps a per-instance key registry, so two instances
-    of the same scheme may disagree about an unknown key.)
-    In a simulated deployment all N replicas run in one process and each
-    verifies the same client-request and protocol signatures, so a shared
-    cache collapses N identical verifications into one real one plus N−1
-    hits.  Simulated CPU *costs* are still charged per replica by the
-    caller — the cache only removes redundant host work, never changes
-    protocol-visible behavior (negative results are cached too, so forged
-    signatures stay rejected).
-
-    Keys are bounded: long payloads are collapsed to their SHA-256 before
-    keying.  Entries are evicted FIFO beyond ``max_entries``.
-    """
-
-    __slots__ = ("_results", "max_entries", "stats")
-
-    def __init__(self, max_entries: int = 1 << 20) -> None:
-        if max_entries < 1:
-            raise CryptoError(f"max_entries must be >= 1, got {max_entries}")
-        self._results: dict[tuple, bool] = {}
-        self.max_entries = max_entries
-        self.stats = VerifyCacheStats()
-
-    def __len__(self) -> int:
-        return len(self._results)
-
-    @staticmethod
-    def _key(backend: "SignatureBackend", public_key: bytes, message: bytes, signature: bytes) -> tuple:
-        # The length field domain-separates raw short messages from
-        # SHA-256-collapsed long ones, so a 32-byte message can never
-        # share a key with a long message hashing to the same bytes.
-        # id(backend) separates stateful backend instances sharing a name.
-        payload = message if len(message) <= 64 else hashlib.sha256(message).digest()
-        return (backend.name, id(backend), public_key, len(message), payload, signature)
-
-    def verify(
-        self,
-        public_key: bytes,
-        message: bytes,
-        signature: bytes,
-        backend: "SignatureBackend | None" = None,
-    ) -> bool:
-        backend = backend or _DEFAULT
-        key = self._key(backend, public_key, message, signature)
-        cached = self._results.get(key)
-        if cached is not None:
-            self.stats.hits += 1
-            return cached
-        self.stats.misses += 1
-        result = backend.verify(public_key, message, signature)
-        if len(self._results) >= self.max_entries:
-            self._results.pop(next(iter(self._results)))
-            self.stats.evictions += 1
-        self._results[key] = result
-        return result
-
-    def verify_batch(
-        self,
-        items: Sequence[tuple[bytes, bytes, bytes]],
-        backend: "SignatureBackend | None" = None,
-    ) -> list[bool]:
-        """Verify ``(public_key, message, signature)`` triples in one call.
-
-        Duplicates within the batch are verified once; every triple also
-        consults (and fills) the cache.  Returns one bool per item, in
-        order."""
-        results: list[bool] = []
-        seen: dict[tuple, bool] = {}
-        backend = backend or _DEFAULT
-        for public_key, message, signature in items:
-            key = self._key(backend, public_key, message, signature)
-            if key in seen:
-                self.stats.hits += 1
-                results.append(seen[key])
-                continue
-            ok = self.verify(public_key, message, signature, backend)
-            seen[key] = ok
-            results.append(ok)
-        return results
-
-    def clear(self) -> None:
-        self._results.clear()
-        self.stats = VerifyCacheStats()
-
-
-def verify_batch(
-    items: Iterable[tuple[bytes, bytes, bytes]],
-    backend: "SignatureBackend | None" = None,
-    cache: SignatureVerifyCache | None = None,
-) -> list[bool]:
-    """Batched verification of ``(public_key, message, signature)`` triples.
-
-    With a ``cache``, delegates to :meth:`SignatureVerifyCache.verify_batch`;
-    without one, verifies each triple directly (still deduplicating
-    identical triples within the batch)."""
-    items = list(items)
-    # A throwaway cache gives the no-cache path the same keyed dedup
-    # without a second implementation.  (`cache or ...` would discard a
-    # supplied-but-empty cache: __len__ == 0 makes it falsy.)
-    if cache is None:
-        cache = SignatureVerifyCache()
-    return cache.verify_batch(items, backend)
 
 
 _DEFAULT = HashSigBackend()

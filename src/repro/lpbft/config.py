@@ -60,10 +60,7 @@ class ProtocolParams:
 
     # State sync (checkpoint transfer + ledger catch-up, §3.4/§5.1).
     # ``sync_lag_batches`` is the stash-gap that triggers a transfer
-    # (0 = use the checkpoint interval); chunks are at most
-    # ``sync_chunk_bytes`` with ``sync_window`` requests in flight.
-    sync_chunk_bytes: int = 65536
-    sync_window: int = 4
+    # (0 = use the checkpoint interval).
     sync_lag_batches: int = 0
 
     # Ledger prefix garbage collection (PR 5).  After a checkpoint
@@ -100,10 +97,6 @@ class ProtocolParams:
             raise ValueError("max_batch must be >= 1")
         if self.checkpoint_interval < self.pipeline + 1:
             raise ValueError("checkpoint interval C must exceed the pipeline depth P")
-        if self.sync_chunk_bytes < 1:
-            raise ValueError("sync_chunk_bytes must be >= 1")
-        if self.sync_window < 1:
-            raise ValueError("sync_window must be >= 1")
         if self.client_timeout <= 0:
             raise ValueError("client_timeout must be positive")
         if self.admission_backlog < 0:

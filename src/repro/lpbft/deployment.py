@@ -94,11 +94,11 @@ class Deployment:
     def __post_init__(self) -> None:
         self.backend = self.backend or signatures.default_backend()
         self.net = SimNetwork(latency=self.latency or constant_latency(0.1e-3))
-        # One verification cache for the whole deployment: replicas verify
-        # the same client-request and protocol signatures, so the real
-        # cryptography runs once per distinct triple (simulated CPU costs
-        # are still charged per replica).
-        self.verify_cache = signatures.SignatureVerifyCache()
+        # Every replica checks its own signatures with ``backend.verify``;
+        # there is no verify cache.  The attribute stays ``None`` only
+        # because the perf benchmark reads it for a hit-ratio metric that
+        # it reports as 0 without a cache.
+        self.verify_cache = None
         self.genesis_config, self.replica_keys, self.member_keys = make_genesis_config(
             self.n_replicas, self.backend, self.seed
         )
@@ -130,7 +130,6 @@ class Deployment:
                 backend=self.backend,
                 replica_directory=directory,
                 initial_state=self.initial_state,
-                verify_cache=self.verify_cache,
             )
             self.net.register(replica)
             self.replicas.append(replica)
@@ -278,7 +277,6 @@ class Deployment:
             backend=self.backend,
             replica_directory=directory,
             initial_state=self.initial_state,
-            verify_cache=self.verify_cache,
         )
         self.net.register(replica)
         replica.tracer = self.tracer

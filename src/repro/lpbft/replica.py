@@ -151,7 +151,6 @@ class LPBFTReplica(Node):
         backend: signatures.SignatureBackend | None = None,
         replica_directory: dict[int, str] | None = None,
         initial_state: Snapshot | None = None,
-        verify_cache: signatures.SignatureVerifyCache | None = None,
     ) -> None:
         costs = costs or CostModel()
         # One CPU lane per core: verification fans out across lanes,
@@ -164,12 +163,6 @@ class LPBFTReplica(Node):
         self.metrics = metrics or MetricsCollector()
         self.behavior = behavior
         self.backend = backend or signatures.default_backend()
-        # Shared across the deployment's replicas: each (key, payload, sig)
-        # triple is cryptographically verified once per process.  (An empty
-        # cache is falsy, hence the explicit None test.)
-        self.verify_cache = (
-            signatures.SignatureVerifyCache() if verify_cache is None else verify_cache
-        )
         self.registry = registry
 
         # Service identity and replicated state.
@@ -325,12 +318,13 @@ class LPBFTReplica(Node):
         # (§3.4 "Cryptography"): the item lands on the earliest-free lane.
         self.submit("verify", self.costs.verify)
         self.metrics.bump("signatures_verified")
-        return self.verify_cache.verify(public_key, payload, signature, self.backend)
+        return self.backend.verify(public_key, payload, signature)
 
     def _verify_many(self, items: list[tuple[bytes, bytes, bytes]]) -> list[bool]:
         """Batched :meth:`_verify` over (key, payload, sig) triples —
-        one call into the crypto layer for message sets that arrive
-        together (evidence bundles, view-change certificates).  The
+        one CPU charge for a signature set that arrives together
+        (evidence bundles, view-change certificates), one verdict per
+        triple, in order.  The
         verification stage fans out across the CPU's lanes and joins on
         the last item — the caller consumes all the verdicts."""
         if not items:
@@ -340,7 +334,7 @@ class LPBFTReplica(Node):
             return [True] * len(items)
         self.submit_many("verify", [self.costs.verify] * len(items))
         self.metrics.bump("signatures_verified", len(items))
-        return signatures.verify_batch(items, self.backend, self.verify_cache)
+        return [self.backend.verify(pk, m, s) for pk, m, s in items]
 
     def _fresh_nonce(self) -> NonceCommitment:
         self._nonce_counter += 1

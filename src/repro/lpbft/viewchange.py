@@ -340,8 +340,7 @@ class ViewManager:
             return
         # Verify the certificate sequentially with early exit: charging all
         # signatures up front would inflate simulated CPU on the (Byzantine)
-        # invalid-certificate path relative to the pre-cache baseline.  The
-        # verify cache still applies per triple via _verify.
+        # invalid-certificate path.
         vcs: dict[int, ViewChange] = {}
         for wire in vc_wires:
             vc = ViewChange.from_wire(wire)

@@ -94,7 +94,6 @@ def verify_chain(
     chain: GovernanceChain,
     pipeline: int,
     backend: signatures.SignatureBackend | None = None,
-    cache: signatures.SignatureVerifyCache | None = None,
 ) -> ConfigSchedule:
     """Verify a governance chain and derive its configuration schedule.
 
@@ -115,7 +114,7 @@ def verify_chain(
     for position, link in enumerate(chain.links):
         # Proposal: valid receipt for gov.propose carrying the new config.
         propose = link.propose_receipt
-        if not verify_receipt(propose, config, backend, cache=cache):
+        if not verify_receipt(propose, config, backend):
             raise ReceiptError(f"link {position}: invalid propose receipt")
         propose_request = propose.request()
         if propose_request.procedure != "gov.propose":
@@ -132,7 +131,7 @@ def verify_chain(
         voters: set[str] = set()
         final_vote: Receipt | None = None
         for vote in link.vote_receipts:
-            if not verify_receipt(vote, config, backend, cache=cache):
+            if not verify_receipt(vote, config, backend):
                 raise ReceiptError(f"link {position}: invalid vote receipt")
             vote_request = vote.request()
             if vote_request.procedure != "gov.vote":
@@ -159,7 +158,7 @@ def verify_chain(
             raise ReceiptError(f"link {position}: end-of-config receipt is not a batch receipt")
         if eoc.flags != BATCH_END_OF_CONFIG:
             raise ReceiptError(f"link {position}: end-of-config receipt has flags {eoc.flags}")
-        if not verify_receipt(eoc, config, backend, cache=cache):
+        if not verify_receipt(eoc, config, backend):
             raise ReceiptError(f"link {position}: invalid end-of-config receipt")
         if eoc.seqno != final_vote.seqno + pipeline:
             raise ReceiptError(

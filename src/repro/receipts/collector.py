@@ -129,8 +129,6 @@ class ReceiptCollector:
         self._aggregate = aggregate and getattr(
             backend or signatures.default_backend(), "supports_aggregation", False
         )
-        # Receipts of the same batch share signatures; memoize checks.
-        self._cache = signatures.SignatureVerifyCache()
         # An assembled-and-verified receipt still only counts once the
         # gate (if any) passes it: clients gate on governance *coverage*
         # (§5.2) so a receipt referencing governance transactions they
@@ -250,7 +248,7 @@ class ReceiptCollector:
             # unassemblable under the one now in force (e.g. a signer id
             # outside the replica set); keep collecting.
             return None
-        if self._verify and not verify_receipt(receipt, config, self._backend, cache=self._cache):
+        if self._verify and not verify_receipt(receipt, config, self._backend):
             # Some reply carries invalid evidence.  With more than a quorum
             # of replies, retry quorum-sized subsets (primary always
             # included) — a correct quorum yields a verifiable receipt.
@@ -281,7 +279,7 @@ class ReceiptCollector:
             if len(subset) < config.quorum:
                 continue
             candidate = assemble_receipt(pending.request_wire, subset, replyx, config)
-            if verify_receipt(candidate, config, self._backend, cache=self._cache):
+            if verify_receipt(candidate, config, self._backend):
                 if self._aggregate:
                     return assemble_receipt(
                         pending.request_wire, subset, replyx, config,

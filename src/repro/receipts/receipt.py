@@ -245,17 +245,15 @@ def verify_receipt(
     receipt: Receipt,
     config: Configuration,
     backend: signatures.SignatureBackend | None = None,
-    cache: signatures.SignatureVerifyCache | None = None,
 ) -> bool:
     """Alg. 3: verify a receipt against the configuration that produced it.
 
     Returns ``False`` for receipts that fail any check; raises
-    :class:`ReceiptError` only for structurally malformed inputs.  With a
-    ``cache``, signature checks are memoized — auditors verifying many
-    receipts from the same batches redo no cryptography.
+    :class:`ReceiptError` only for structurally malformed inputs.  To
+    verify many receipts, :func:`verify_receipts` checks each distinct
+    batch certificate once.
     """
     backend = backend or signatures.default_backend()
-    check = (lambda pk, m, s: cache.verify(pk, m, s, backend)) if cache is not None else backend.verify
     try:
         pp = receipt.reconstructed_pre_prepare()
     except ReceiptError:
@@ -302,7 +300,7 @@ def verify_receipt(
         return backend.verify_aggregate(pairs, receipt.aggregate)
 
     # Primary signature over the reconstructed pre-prepare.
-    if not check(primary_key, pp.signed_payload(), receipt.primary_signature):
+    if not backend.verify(primary_key, pp.signed_payload(), receipt.primary_signature):
         return False
 
     pp_digest = pp.digest()
@@ -321,7 +319,7 @@ def verify_receipt(
             return False
         signature = receipt.prepare_signatures[sig_cursor]
         sig_cursor += 1
-        if not check(key, prepare_payload(signer_id, commitment, pp_digest), signature):
+        if not backend.verify(key, prepare_payload(signer_id, commitment, pp_digest), signature):
             return False
     return True
 

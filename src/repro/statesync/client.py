@@ -18,7 +18,7 @@ offers the **same** checkpoint (equal ``dC``, ledger binding, and chunk
 count), the already-verified chunks are kept and only the missing ones
 are re-requested.  A failover at 90% of a large checkpoint no longer
 restarts the transfer from zero.  (Chunking is deterministic given the
-state and ``sync_chunk_bytes``, so honest servers serving the same
+state and ``CHUNK_BYTES``, so honest servers serving the same
 checkpoint produce bit-identical chunks.)
 
 Nothing is installed until everything verifies:
@@ -50,6 +50,9 @@ from .messages import SyncManifest, SyncOffer
 # fails over (also the serving side's pin grace, see server.py).
 RETRY_TIMEOUT = 0.25
 MAX_RETRIES = 3
+
+# Chunk requests a client keeps in flight to its server.
+CHUNK_WINDOW = 4
 
 # The session state machine's phases.  Transitions (every phase also
 # self-loops on timeout up to ``MAX_RETRIES`` and fails over on
@@ -383,8 +386,7 @@ class StateSyncClient:
         self._arm_timer()
 
     def _fill_window(self) -> None:
-        window = max(1, self.replica.params.sync_window)
-        while len(self._inflight) < window and self._to_request:
+        while len(self._inflight) < CHUNK_WINDOW and self._to_request:
             index = self._to_request.pop(0)
             self._inflight.add(index)
             self.replica.send(self.server, ("sync-get-chunk", self.offer.cp_seqno, index))
@@ -518,12 +520,7 @@ class StateSyncClient:
             genesis = own.spans()[0].config
             if chain.genesis_config_wire != genesis.to_wire():
                 raise ProtocolError("sync governance chain has a different genesis")
-            schedule = verify_chain(
-                chain,
-                replica.params.pipeline,
-                replica.backend,
-                cache=replica.verify_cache,
-            )
+            schedule = verify_chain(chain, replica.params.pipeline, replica.backend)
         except ReceiptError as exc:
             raise ProtocolError(f"sync governance chain invalid: {exc}") from exc
         if len(schedule.spans()) <= len(own.spans()):

@@ -18,6 +18,9 @@ from ..kvstore.checkpoints import chunk_digest, chunk_state
 from .client import MAX_RETRIES, RETRY_TIMEOUT
 from .messages import SyncManifest, SyncOffer
 
+# Largest checkpoint chunk a server sends, in bytes of encoded state.
+CHUNK_BYTES = 65536
+
 
 class StateSyncServer:
     """Answers ``sync-*`` requests from the owning replica's peers."""
@@ -245,7 +248,7 @@ class StateSyncServer:
             # moves forward when a newer checkpoint takes over the cache.
             replica.retention.pin("sync-serve", cp.ledger_size)
             replica.submit("hash", len(cp.state) * replica.costs.checkpoint_per_entry)
-            self._chunks = chunk_state(cp.state, replica.params.sync_chunk_bytes)
+            self._chunks = chunk_state(cp.state, CHUNK_BYTES)
             self._manifest = SyncManifest(
                 cp_seqno=cp.seqno,
                 cp_digest=cp.digest(),

@@ -244,3 +244,38 @@ def test_config_for_decides_per_receipt(honest):
     expected = [verify_receipt(r, pick(r.seqno), dep.backend) for r in receipts]
     assert verify_receipts(receipts, pick, dep.backend) == expected
     assert set(expected) == {True, False}
+
+
+def test_auditor_checks_each_certificate_once():
+    """One audit checks each distinct batch certificate once: the
+    primary's signature and one prepare signature per other signer
+    (quorum - 1 for a quorum-sized certificate), beside the checks of
+    the governance chain and of the ledger's well-formedness."""
+    from repro.audit import Auditor
+    from repro.enforcement.enforcer import make_enforcer
+    from repro.ledger.wellformed import check_well_formed, parse_fragment
+    from repro.receipts import verify_chain
+
+    dep = build_deployment()
+    client = dep.add_client(retry_timeout=0.5)
+    dep.start()
+    digests = run_workload(dep, client, n_tx=40, until=4.0)
+    receipts = [client.receipts[d] for d in digests]
+    chain = dep.replicas[0].gov_chain
+    counting = CountingBackend(dep.backend)
+    enforcer = make_enforcer(dep)
+    result = Auditor(dep.registry, dep.params, backend=counting).audit(
+        receipts, [chain], enforcer)
+    assert result.upoms == []
+    audited = counting.verifies
+
+    counting.verifies = 0
+    schedule = verify_chain(chain, dep.params.pipeline, counting)
+    package = enforcer.collect_ledger_package(receipts, schedule)
+    check_well_formed(
+        parse_fragment(package.fragment), package.subledger.schedule,
+        dep.params.pipeline, counting)
+    chain_and_ledger = counting.verifies
+
+    assert certificate_checks(receipts) < len(receipts)  # batches share certificates
+    assert audited - chain_and_ledger == certificate_checks(receipts)

@@ -472,19 +472,17 @@ def test_signed_payload_is_read_off_the_seal():
 
 
 def test_altered_signature_is_rejected_after_the_payload_was_verified():
-    """The verify cache has answered for the payload already; a copy of the
+    """The payload has verified under its signature already; a copy of the
     same request under another signature is still checked and refused."""
     backend = signatures.default_backend()
     keypair = backend.generate(b"client")
     unsigned = replace(REQUEST, client=keypair.public_key, signature=b"")
     signed = unsigned.with_signature(backend.sign(keypair, unsigned.signed_payload()))
-    cache = signatures.SignatureVerifyCache()
-    assert cache.verify(signed.client, signed.signed_payload(), signed.signature, backend)
+    assert backend.verify(signed.client, signed.signed_payload(), signed.signature)
     wire = list(signed.to_wire())
     wire[-1] = bytes(64)
     forged = TransactionRequest.from_wire(codec.seal(tuple(wire)))
     assert forged.signed_payload() == signed.signed_payload()
-    assert not cache.verify(forged.client, forged.signed_payload(), forged.signature, backend)
     assert not backend.verify(forged.client, forged.signed_payload(), forged.signature)
 
 

@@ -18,23 +18,26 @@ FIELDS = {
     # admission budgets
     "request_queue_cap", "client_timeout", "admission_backlog", "lane_backlog_budget",
     # state sync and ledger GC
-    "sync_chunk_bytes", "sync_window", "sync_lag_batches", "ledger_gc", "ledger_gc_min_age",
+    "sync_lag_batches", "ledger_gc", "ledger_gc_min_age",
     # Tab. 3 feature toggles
     "receipts", "checkpoints", "sign_client_requests", "use_signatures", "ledger",
     "execute_transactions", "peer_review",
 }
 
-# Options whose losing arm was deleted with them (PR 17), and the work
-# window W, which was pipeline depth under a second name (PR 19).
+# Options whose losing arm was deleted with them (PR 17), the work
+# window W, which was pipeline depth under a second name (PR 19), and
+# the state-sync chunk size and window, which only ever took their
+# defaults and are now constants of ``repro.statesync``.
 REMOVED = (
     "coordinated_admission", "deadline_shedding", "verify_cache", "batch_verify",
     "state_sync", "sync_retry_timeout", "sync_max_retries", "work_window",
+    "sync_chunk_bytes", "sync_window",
 )
 
 
 def test_exact_field_set():
     assert {f.name for f in dataclasses.fields(ProtocolParams)} == FIELDS
-    assert len(FIELDS) == 22
+    assert len(FIELDS) == 20
 
 
 @pytest.mark.parametrize("name", REMOVED)

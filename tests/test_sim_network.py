@@ -488,20 +488,6 @@ class TestReviewRegressions:
         assert model.one_way("x", "x") == pytest.approx(5e-3)   # diagonal honored
         assert model.one_way("y", "y") == pytest.approx(0.25e-3)  # zero -> default
 
-    def test_verify_cache_keys_separate_message_lengths(self):
-        import hashlib
-
-        from repro.crypto.signatures import SignatureVerifyCache
-
-        from types import SimpleNamespace
-
-        backend = SimpleNamespace(name="b")
-        long_msg = b"z" * 100
-        short_msg = hashlib.sha256(long_msg).digest()  # same bytes the key collapses to
-        k_long = SignatureVerifyCache._key(backend, b"pk", long_msg, b"sig")
-        k_short = SignatureVerifyCache._key(backend, b"pk", short_msg, b"sig")
-        assert k_long != k_short
-
 
 class TestReviewRegressionsRound2:
     def test_with_asymmetry_rejects_already_asymmetric_model(self):

@@ -14,6 +14,7 @@ from repro.byzantine import TamperSyncChunks
 from repro.ledger import LedgerFragment, PrePrepareEntry, entry_from_wire
 from repro.lpbft import ProtocolParams
 from repro.lpbft.adoption import verify_fetched_ledger
+from repro.statesync import client as sync_client, server as sync_server
 from repro.workloads import SmallBankWorkload
 
 from helpers import build_deployment
@@ -244,12 +245,13 @@ class TestChunkTransferResumption:
     """A server failover mid-transfer keeps the already-verified chunks
     when the replacement offers the same checkpoint."""
 
-    def _run_with_dying_server(self, drop_after: int):
+    def _run_with_dying_server(self, monkeypatch, drop_after: int):
         # Small chunks so the checkpoint splits into many; the first
         # server (replica-0, first offer adopted) goes silent after
         # ``drop_after`` chunk responses.
-        params = SYNC_PARAMS.variant(sync_chunk_bytes=256, sync_window=2)
-        dep = build_deployment(params=params)
+        monkeypatch.setattr(sync_server, "CHUNK_BYTES", 256)
+        monkeypatch.setattr(sync_client, "CHUNK_WINDOW", 2)
+        dep = build_deployment(params=SYNC_PARAMS)
         client = dep.add_client(retry_timeout=0.5)
         dep.start()
         # Load ends before the heal so the stable checkpoint is frozen
@@ -278,8 +280,8 @@ class TestChunkTransferResumption:
         dep.run(until=12.0)
         return dep, dep.replicas[3], served["n"]
 
-    def test_failover_resumes_with_verified_chunks(self):
-        dep, victim, served = self._run_with_dying_server(drop_after=3)
+    def test_failover_resumes_with_verified_chunks(self, monkeypatch):
+        dep, victim, served = self._run_with_dying_server(monkeypatch, drop_after=3)
         counters = victim.metrics.summary()["counters"]
         assert counters.get("sync_failovers", 0) >= 1
         assert counters.get("sync_transfers_resumed", 0) >= 1
@@ -291,8 +293,8 @@ class TestChunkTransferResumption:
         # server were kept, so the session never re-fetched them.
         assert counters.get("sync_chunks_received", 0) <= total + 2
 
-    def test_resumed_transfer_installs_verified_state(self):
-        dep, victim, _ = self._run_with_dying_server(drop_after=2)
+    def test_resumed_transfer_installs_verified_state(self, monkeypatch):
+        dep, victim, _ = self._run_with_dying_server(monkeypatch, drop_after=2)
         assert len({r.kv.state_digest() for r in dep.replicas}) == 1
         assert dep.ledgers_agree()
 
