@@ -80,6 +80,10 @@ class ConfigSchedule:
                 )
         self._spans.append(span)
 
+    def pop(self) -> ConfigSpan:
+        """Undo the newest activation (a view change rolled its batch back)."""
+        return self._spans.pop()
+
     # -- lookups --------------------------------------------------------------
 
     def __len__(self) -> int:

@@ -221,6 +221,15 @@ class Admission:
             self.drop(tx_digest, "requests_stash_evicted")
         return len(self.requests) < 16 * soft_cap
 
+    def evict_expired(self) -> None:
+        """Drop queued requests older than the client timeout: their
+        client has given up and a primary sheds them (:meth:`select`), so
+        a backup keeping one would suspect every primary over a request
+        no primary will order."""
+        horizon = self.replica.now - self.replica.params.client_timeout
+        for tx_digest in [d for d, arrival in self.arrivals.items() if arrival <= horizon]:
+            self.drop(tx_digest, "requests_stash_evicted")
+
     def drop(
         self, tx_digest: Digest, counter: str | None, reject_reason: str | None = None
     ) -> None:
@@ -344,15 +353,17 @@ class Admission:
     def requeue(self, record, arrival: float | None = None) -> None:
         """Return a rolled-back batch's requests to the tail of the queue,
         still marked verified — they were verified before they were
-        sequenced.  Without ``arrival`` a request has no known age: at the
-        head it stops the stash scan, and its deadline wait counts from
-        zero."""
+        sequenced.  Without ``arrival`` they age from the batch's latest
+        admission; with no known age at all (the batch was not built from
+        our queue) a request stops the stash scan at the head, and its
+        deadline wait counts from zero."""
         for entry, tx_digest in zip(record.entries, record.tx_digests):
             if tx_digest is not None and tx_digest not in self.requests:
                 self.requests[tx_digest] = entry.request()
                 self.verified.add(tx_digest)
-                if arrival is not None:
-                    self.arrivals[tx_digest] = arrival
+                age = record.arrived if arrival is None else arrival
+                if age is not None:
+                    self.arrivals[tx_digest] = age
 
     # -- release -----------------------------------------------------------------------
 

@@ -1,14 +1,15 @@
 """Adopting a ledger fetched from a peer: one verifier, one install.
 
 A foreign ledger reaches replica state only through
-:func:`verify_fetched_ledger` followed by :func:`install_ledger` — from
-the state-sync client (a spliced or checkpoint-rooted suffix, §3.4/§5.1)
-and from the ``ledger-bundle`` handler (Alg. 2's "fetch missing ledger
-entries").  The verifier checks what the peer supplied against what we
-already trust (our genesis, every signed ``root_m``, every primary
+:func:`verify_fetched_ledger` followed by :func:`install_ledger`, and
+only from the state-sync client (a spliced or checkpoint-rooted suffix,
+§3.4/§5.1; Alg. 2's "fetch missing ledger entries" is a state-sync
+session too).  The verifier checks what the peer supplied against what
+we already trust (our genesis, every signed ``root_m``, every primary
 signature, the checkpoint's ledger binding); the install replays from
 the checkpoint, checks every replayed batch against its signed
-``root_g``, and commits to the replica atomically.
+``root_g``, and commits to the replica atomically — but marks committed
+only the batches the ledger proves committed.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from ..governance.configuration import Configuration
 from ..governance.schedule import ConfigSchedule
 from ..governance.transactions import install_configuration
 from ..kvstore import Checkpoint, KVStore
-from ..ledger import CheckpointTxEntry, GenesisEntry, Ledger, PrePrepareEntry, TxEntry
-from .batch import BatchRecord, execute_procedure
+from ..ledger import CheckpointTxEntry, EvidenceEntry, GenesisEntry, Ledger, TxEntry
+from .batch import BatchRecord, ReconfigState, execute_procedure
 from .checkpointing import CheckpointDirectory
 from .messages import BATCH_CHECKPOINT
 
@@ -125,12 +126,19 @@ def verify_fetched_ledger(
 
 
 def install_ledger(
-    replica, ledger: Ledger, checkpoint: Checkpoint | None, view: int, schedule: ConfigSchedule
+    replica, ledger: Ledger, checkpoint: Checkpoint | None, schedule: ConfigSchedule
 ) -> int:
-    """Adopt a verified ``ledger`` wholesale under the ``schedule`` it
-    verified with: restore the KV store from ``checkpoint``, replay only
-    the batches after it, and reconstruct per-batch records.  Returns the
-    number of replayed batches.
+    """Adopt a verified ``ledger`` under the ``schedule`` it verified
+    with: restore the KV store from ``checkpoint``, replay only the
+    batches after it, and reconstruct per-batch records.  Returns the
+    number of replayed batches.  The view is the caller's to set.
+
+    A batch is installed committed only when the ledger proves it: it is
+    at or below the checkpoint, or its commitment evidence is ordered in
+    batch ``s + P`` (§3.1).  The rest — at least the last P batches — is
+    installed pre-prepared, and prepares and commits through the
+    evidence that proves it: prepares and nonces already stored, an
+    ``evidence-bundle``, or a new view that re-issues it.
 
     The paper's fetch verifies checkpoint receipts and per-interval
     Merkle roots instead of replaying everything (§3.4); we verify the
@@ -150,6 +158,14 @@ def install_ledger(
         if schedule.spans()[0].config.number != 0:
             raise ProtocolError("adopted schedule is not genesis-anchored")
     cp_seqno = 0 if checkpoint is None else checkpoint.seqno
+    # Evidence counts only when a signed pre-prepare's root_m covers it.
+    batch_infos = ledger.batches()
+    covered = batch_infos[-1].pp_index if batch_infos else ledger.base_index
+    evidenced = {e.seqno for e in ledger.entries(end=covered) if isinstance(e, EvidenceEntry)}
+    committed_upto = cp_seqno
+    # Suffix or not, the genesis digest is the one every replica derives
+    # from its genesis configuration and initial state.
+    directory = CheckpointDirectory(replica.cp_directory.genesis_digest())
     kv = KVStore()
     if checkpoint is not None:
         # The genesis checkpoint (seqno 0) restores too: it carries any
@@ -174,8 +190,9 @@ def install_ledger(
         if span.config.number > 0
     }
     last_recorded = -1
+    reconfig = None
     replayed = 0
-    for info in ledger.batches():
+    for info in batch_infos:
         seqno = info.seqno
         pp = ledger.batch_pre_prepare(seqno)
         record = BatchRecord(seqno=seqno, view=pp.view, flags=pp.flags)
@@ -199,6 +216,7 @@ def install_ledger(
                 record.g_tree.append(entry.leaf_digest())
                 record.tx_digests.append(None)
                 last_recorded = entry.cp_seqno
+                directory.note_record(seqno, entry.cp_seqno, entry.cp_digest)
                 continue
             if not isinstance(entry, TxEntry):
                 raise ProtocolError(f"unexpected {entry.kind!r} entry inside batch {seqno}")
@@ -220,8 +238,17 @@ def install_ledger(
             if record.g_tree.root() != pp.root_g:
                 # Divergent replay or a ledger with doctored outputs.
                 raise ProtocolError(f"replayed batch {seqno} mismatches signed root_g")
-        record.prepared = True
-        record.committed = True
+            # A referendum that passed and has not activated yet: the
+            # end-of-configuration sequence is still open.
+            accepted = kv.get("__gov.accepted_config")
+            if accepted is None:
+                reconfig = None
+            elif reconfig is None:
+                reconfig = ReconfigState(
+                    Configuration.from_wire(accepted), seqno, ledger.root_at(info.end))
+        if seqno <= cp_seqno or (committed_upto == seqno - 1 and seqno in evidenced):
+            committed_upto = max(committed_upto, seqno)
+            record.prepared = record.committed = True
         batches[seqno] = record
         new_pps[(record.view, seqno)] = pp
         new_ppd[record.pp_digest] = (record.view, seqno)
@@ -250,7 +277,7 @@ def install_ledger(
     replica._cp_taken_at = {s: (0.0 if s == 0 else replica.now) for s in checkpoints}
     replica.last_taken_cp = last_taken
     replica.last_recorded_cp = last_recorded
-    replica.cp_directory = checkpoint_directory_from_ledger(entries, replica)
+    replica.cp_directory = directory
     # The governance archive described the *old* ledger's pruned
     # prefix; a full-prefix adoption can re-derive everything from the
     # entries, a suffix-rooted one falls back to the degraded
@@ -268,51 +295,16 @@ def install_ledger(
     replica.pps = new_pps
     replica.ppd_index = new_ppd
     replica.admission.discard(tx_locations)
-    last_seqno = ledger.last_seqno()
-    replica.prepared_upto = last_seqno
-    replica.committed_upto = last_seqno
-    replica.next_seqno = last_seqno + 1
-    # Adopt the sender's view wholesale, even if we had optimistically
-    # advanced further while partitioned away — the adopted ledger is
-    # the service's actual history.
-    replica.view = view
-    replica.ready = True
-    replica.views.adopted(view)
+    replica.prepared_upto = replica.committed_upto = committed_upto
+    replica.next_seqno = ledger.last_seqno() + 1
     replica.gov_tx_log = []
-    replica.reconfig = None
+    replica.reconfig = reconfig
     replica.metrics.bump("ledger_adoptions")
+    # The unproven tail prepares and commits from whatever the stores
+    # already hold for it.
+    tail = [record for seqno, record in batches.items() if seqno > committed_upto]
+    for record in tail:
+        replica._drain_pending_commits(record.view, record.seqno)
+    if tail:
+        replica._check_prepared(tail[0].view, tail[0].seqno)
     return replayed
-
-
-def checkpoint_directory_from_ledger(entries, replica) -> CheckpointDirectory:
-    """Rebuild the checkpoint directory from the checkpoint transactions
-    in a fetched ledger.
-
-    ``entries`` may be a retained *suffix* (the server garbage-collected
-    its prefix): the genesis digest then comes from the replica's own
-    directory — every replica derives it from the genesis configuration
-    it was constructed with — and the directory simply lacks records for
-    pruned batches, which can never be re-proposed."""
-    if entries and isinstance(entries[0], GenesisEntry):
-        # The genesis checkpoint digest is recomputable from the genesis
-        # config (plus any pre-populated initial state, which the replica's
-        # own genesis checkpoint carries).
-        genesis_cp = replica.checkpoints.get(0)
-        if genesis_cp is not None:
-            genesis_digest = genesis_cp.digest()
-        else:
-            scratch = KVStore()
-            config0 = Configuration.from_wire(entries[0].config_wire)
-            scratch.execute(lambda tx: install_configuration(tx, config0))
-            genesis_digest = scratch.state_digest()
-    else:
-        genesis_digest = replica.cp_directory.genesis_digest()
-    directory = CheckpointDirectory(genesis_digest)
-
-    current_seqno = 0
-    for entry in entries:
-        if isinstance(entry, PrePrepareEntry):
-            current_seqno = entry.pre_prepare().seqno
-        elif isinstance(entry, CheckpointTxEntry):
-            directory.note_record(current_seqno, entry.cp_seqno, entry.cp_digest)
-    return directory

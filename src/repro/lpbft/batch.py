@@ -1,8 +1,9 @@
-"""What a replica remembers about one executed batch, and the one way a
-transaction runs against a store.
+"""What a replica remembers about one executed batch, the one way a
+transaction runs against a store, and the reconfiguration in flight.
 
-A leaf module: the replica, its ledger install (:mod:`.adoption`) and the
-auditor's replay all need these two, and none of them may import another.
+A leaf module: the replica, its view changes, its ledger install
+(:mod:`.adoption`) and the auditor's replay need these, and none of them
+may import another.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass, field
 
 from ..crypto.hashing import Digest
 from ..errors import TransactionAborted
+from ..governance.configuration import Configuration
 from ..kvstore import EMPTY_WS, KVStore, ProcedureRegistry
 from ..merkle import MerkleTree
 from .messages import PrePrepare, TransactionRequest
@@ -53,6 +55,7 @@ class BatchRecord:
     g_tree: MerkleTree = field(default_factory=MerkleTree)
     tx_digests: list = field(default_factory=list)  # request digest per entry (None for cp tx)
     clients: dict = field(default_factory=dict)  # client pubkey -> [tx digests]
+    arrived: float | None = None  # latest admission time of its requests (a requeue keeps it)
     kv_mark: int = 0  # kv.tx_count before the batch executed
     ledger_start: int = 0  # ledger size before the batch's evidence entries
     ledger_end: int = 0  # ledger size after the batch's last entry
@@ -62,3 +65,30 @@ class BatchRecord:
 
     def request_count(self) -> int:
         return sum(1 for d in self.tx_digests if d is not None)
+
+
+@dataclass
+class ReconfigState:
+    """Progress of an in-flight reconfiguration (§5.1)."""
+
+    new_config: Configuration
+    vote_seqno: int  # batch containing the final vote
+    committed_root: Digest  # ledger Merkle root at the final vote batch
+
+    def eoc_range(self, pipeline: int) -> range:
+        """Sequence numbers of the 2P end-of-configuration batches."""
+        return range(self.vote_seqno + 1, self.vote_seqno + 2 * pipeline + 1)
+
+    def eoc_receipt_seqno(self, pipeline: int) -> int:
+        """The P-th end-of-configuration batch — it orders the final
+        vote's evidence, and its receipt closes the governance link
+        (§5.2)."""
+        return self.vote_seqno + pipeline
+
+    def checkpoint_seqno(self, pipeline: int) -> int:
+        """The last end-of-configuration batch: the activation checkpoint
+        is taken after it."""
+        return self.vote_seqno + 2 * pipeline
+
+    def activation_seqno(self, pipeline: int) -> int:
+        return self.vote_seqno + 2 * pipeline + 1

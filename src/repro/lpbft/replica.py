@@ -36,14 +36,13 @@ reaches replica state through :mod:`~repro.lpbft.adoption` only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from .. import codec
 from ..crypto import signatures
 from ..crypto.hashing import Digest, digest_value
 from ..crypto.nonces import NonceCommitment, commit_nonce, new_nonce
-from ..errors import KVError, LedgerError, MerkleError, ProtocolError
+from ..errors import ProtocolError
 from ..governance.configuration import Configuration
 from ..governance.schedule import ConfigSchedule, ConfigSpan
 from ..governance.transactions import install_configuration
@@ -53,7 +52,6 @@ from ..ledger import (
     EvidenceEntry,
     GenesisEntry,
     Ledger,
-    LedgerFragment,
     NoncesEntry,
     PrePrepareEntry,
     RetentionPolicy,
@@ -69,8 +67,7 @@ from ..sim.metrics import MetricsCollector
 from ..statesync.client import StateSyncClient
 from ..statesync.server import StateSyncServer
 from .admission import Admission
-from .adoption import install_ledger, verify_fetched_ledger
-from .batch import BatchRecord, execute_procedure  # noqa: F401  (re-exported)
+from .batch import BatchRecord, ReconfigState, execute_procedure  # noqa: F401  (re-exported)
 from .checkpointing import CheckpointDirectory
 from .config import ProtocolParams
 from .messages import (
@@ -96,33 +93,6 @@ def designated_replica(tx_digest: Digest, config: Configuration) -> int:
     "a designated replica, chosen based on t")."""
     ids = config.replica_ids()
     return ids[int.from_bytes(tx_digest[:8], "big") % len(ids)]
-
-
-@dataclass
-class ReconfigState:
-    """Progress of an in-flight reconfiguration (§5.1)."""
-
-    new_config: Configuration
-    vote_seqno: int  # batch containing the final vote
-    committed_root: Digest  # ledger Merkle root at the final vote batch
-
-    def eoc_range(self, pipeline: int) -> range:
-        """Sequence numbers of the 2P end-of-configuration batches."""
-        return range(self.vote_seqno + 1, self.vote_seqno + 2 * pipeline + 1)
-
-    def eoc_receipt_seqno(self, pipeline: int) -> int:
-        """The P-th end-of-configuration batch — it orders the final
-        vote's evidence, and its receipt closes the governance link
-        (§5.2)."""
-        return self.vote_seqno + pipeline
-
-    def checkpoint_seqno(self, pipeline: int) -> int:
-        """The last end-of-configuration batch: the activation checkpoint
-        is taken after it."""
-        return self.vote_seqno + 2 * pipeline
-
-    def activation_seqno(self, pipeline: int) -> int:
-        return self.vote_seqno + 2 * pipeline + 1
 
 
 class LPBFTReplica(Node):
@@ -215,9 +185,6 @@ class LPBFTReplica(Node):
         self.gc_horizon = 0
         self.tx_locations: dict[Digest, tuple[int, int]] = {}  # digest -> (seqno, index)
         self.pending_pps: list[tuple] = []  # stashed (pp_wire, digests, trace_ctx)
-        # Peers we have an outstanding legacy fetch-ledger to: only a
-        # solicited `ledger-gone` may suspend us into a state transfer.
-        self._fetch_ledger_pending: set[str] = set()
         # View of the last pre-prepare dropped for being *below* our view —
         # a sign we over-advanced and the service moved on without us.
         self._last_lower_view_drop: int | None = None
@@ -248,9 +215,6 @@ class LPBFTReplica(Node):
             "requests-bundle": self.handle_requests_bundle,
             "fetch-evidence": self.handle_fetch_evidence,
             "evidence-bundle": self.handle_evidence_bundle,
-            "fetch-ledger": self.handle_fetch_ledger,
-            "ledger-bundle": self.handle_ledger_bundle,
-            "ledger-gone": self.handle_ledger_gone,
             "get-gov-chain": self.handle_get_gov_chain,
             "gov-chain-resp": self.handle_gov_chain_resp,
             "ack": self.handle_ack,
@@ -610,6 +574,7 @@ class LPBFTReplica(Node):
         for tx_digest in tx_digests:
             request, arrival = self.admission.take(tx_digest)
             if arrival is not None:
+                record.arrived = max(arrival, record.arrived or arrival)
                 # Time spent queued between admission and execution — the
                 # congestion signal open-loop saturation sweeps read.
                 self.metrics.queue_delay.record(self.now - arrival)
@@ -1157,9 +1122,8 @@ class LPBFTReplica(Node):
             return
         record = self.batches.get(located[0])
         if record is None:
-            # The batch record was garbage-collected (or never built — a
-            # state-synced replica only reconstructs committed batches);
-            # everything a replyx needs is still in the ledger.  Only
+            # The batch record was garbage-collected; everything a
+            # replyx needs is still in the ledger.  Only
             # committed batches qualify: an executed-but-unprepared batch
             # can still be rolled back by a view change, and serving its
             # receipt would break receipt safety.
@@ -1267,10 +1231,14 @@ class LPBFTReplica(Node):
         for table in (self.pps, self.commit_nonces, self.pending_commits, self.own_nonces):
             for key in [k for k in table if released(k[1])]:
                 del table[key]
+        # The newest checkpoint the ledger records stays: it is the one
+        # state sync serves until a newer one is recorded.
+        served = self.sync_server.stable_checkpoint()
         old_cps = sorted(s for s in self.checkpoints if s < horizon)
         for s in old_cps[:-1]:
-            del self.checkpoints[s]
-            self._cp_taken_at.pop(s, None)
+            if served is None or s != served.seqno:
+                del self.checkpoints[s]
+                self._cp_taken_at.pop(s, None)
         # A rollback targets a retained batch (``rollback_to_batch`` raises
         # on an unknown one), so undo records below every kept mark are dead.
         self.kv.forget_before(min(record.kv_mark for record in self.batches.values()))
@@ -1543,26 +1511,6 @@ class LPBFTReplica(Node):
         for wire in msg[1]:
             self.handle_request(src, ("request", wire), force=True, record_source=False)
 
-    def handle_fetch_ledger(self, src: str, msg: tuple) -> None:
-        """Serve the full ledger plus the newest checkpoint it records —
-        the requester checks the binding, and a checkpoint taken but not
-        yet recorded has none (Alg. 2: a replica behind a new view's
-        latest prepared batch fetches the missing entries).  Once the
-        prefix has been garbage-collected there is no full ledger to
-        serve; the requester is told so explicitly (``ledger-gone``) and
-        falls back to the checkpoint-rooted sync protocol."""
-        if self.ledger.base_index > 0:
-            self.send(src, ("ledger-gone",))
-            return
-        fragment = self.ledger.fragment(0)
-        # The whole ledger ships, so a record in any batch we hold counts.
-        cp = self.sync_server.recorded_checkpoint(self.next_seqno) or self.checkpoints.get(0)
-        cp_wire = None if cp is None else cp.to_wire()
-        self.send(
-            src,
-            ("ledger-bundle", fragment.start, fragment.entry_wires, cp_wire, self.view, self.next_seqno),
-        )
-
     def handle_fetch_evidence(self, src: str, msg: tuple) -> None:
         """Retransmit commitment evidence for a batch (prepares + nonces)."""
         seqno, bitmap = msg[1], msg[2]
@@ -1616,46 +1564,9 @@ class LPBFTReplica(Node):
                 ).get(replica_id)
                 if prepare is not None and prepare.nonce_commitment == commitment:
                     store.setdefault(replica_id, nonce)
+        # The bundle may be the proof an installed tail waits for.
+        self._check_prepared(record.view, seqno)
         self._retry_pending_pps()
-
-    def _send_fetch_ledger(self, addr: str) -> None:
-        """Whole-ledger fetch, tracked so a `ledger-gone` answer is only
-        honored from a peer we actually asked."""
-        self._fetch_ledger_pending.add(addr)
-        self.send(addr, ("fetch-ledger",))
-
-    def handle_ledger_gone(self, src: str, msg: tuple) -> None:
-        """The peer we asked for a whole ledger garbage-collected its
-        prefix: recover through the checkpoint-rooted state-sync protocol
-        instead.  Unsolicited `ledger-gone` messages are dropped — a
-        Byzantine replica must not be able to suspend honest replicas into
-        state transfers at will."""
-        if src not in self._fetch_ledger_pending:
-            return
-        self._fetch_ledger_pending.discard(src)
-        self.sync_client.start("ledger_gone")
-
-    def handle_ledger_bundle(self, src: str, msg: tuple) -> None:
-        """Adopt the whole ledger we fetched (Alg. 2) — only one we asked
-        for, and only once it passes the verifier a sync suffix passes."""
-        if src not in self._fetch_ledger_pending:
-            return
-        # The fetch is answered; src no longer holds a license to report
-        # `ledger-gone` for it either.
-        self._fetch_ledger_pending.discard(src)
-        _, start, entry_wires, cp_wire, view, next_seqno = msg
-        if start != 0 or len(entry_wires) <= len(self.ledger):
-            return
-        try:
-            ledger = LedgerFragment(start, tuple(entry_wires)).to_ledger()
-            checkpoint = None if cp_wire is None else Checkpoint.from_wire(cp_wire)
-            schedule = verify_fetched_ledger(self, ledger, len(entry_wires), 1, checkpoint)
-            install_ledger(self, ledger, checkpoint, view, schedule)
-        except (ProtocolError, LedgerError, KVError, MerkleError, TypeError):
-            self.metrics.bump("bad_ledger_bundles")
-            return
-        self.send(src, ("get-gov-chain",))
-        self._retry_pending_pps()  # prune stash entries the adoption covered
 
     def handle_get_gov_chain(self, src: str, msg: tuple) -> None:
         self.send(
@@ -1687,6 +1598,8 @@ class LPBFTReplica(Node):
                     anchor = receipt.index
         if self.ledger.last_gov_index <= anchor:
             return ()
+        if self._gov_archive is None and anchor < self.ledger.logical_base:
+            return ()  # suffix-installed: a hole below the base could hide a passed referendum
         return self.ledger.gov_entries_after(anchor)
 
     def handle_ack(self, src: str, msg: tuple) -> None:

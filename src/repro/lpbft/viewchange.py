@@ -3,7 +3,7 @@
 When the primary appears faulty, replicas send signed ``view-change``
 messages listing the last P pre-prepares that prepared locally.  The new
 primary collects N−f of them, picks the view-change with the latest
-prepared batch (``pplp`` at ``slp``), fetches the ledger if behind,
+prepared batch (``pplp`` at ``slp``), catches up by state sync if behind,
 resets the ledger to ``slp − P`` (those batches are guaranteed committed),
 and re-pre-prepares the batches in ``(slp − P, slp]`` in the new view —
 with identical contents, so re-execution reproduces the same per-batch
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from ..errors import ProtocolError
 from ..ledger import EvidenceEntry, NewViewEntry, NoncesEntry, ViewChangesEntry
+from .batch import ReconfigState
 from .messages import NewView, PrePrepare, ViewChange, bitmap_members, bitmap_of
 
 
@@ -36,12 +37,31 @@ class ViewManager:
         self._vc_timer: int | None = None
         self._progress_mark = -1
         self._sent_new_view_for: set[int] = set()
+        # A new-view message held back while a state sync fetches the
+        # batches it builds on: ``(src, msg)``.
+        self._stashed_new_view: tuple | None = None
 
     # -- hooks for the replica's other components ---------------------------------------
 
     def mark_progress(self) -> None:
         """Restart the no-progress window (a state transfer just ended)."""
         self._progress_mark = self.replica.committed_upto
+
+    def synced(self) -> None:
+        """A state transfer ended: re-enter the new view it fetched for —
+        re-process the stashed new-view (backup) or send it (primary)."""
+        stashed, self._stashed_new_view = self._stashed_new_view, None
+        if stashed is not None:
+            self.on_new_view(*stashed)
+        else:
+            self._maybe_send_new_view(self.replica.view)
+
+    def _catch_up(self, view: int, slp: int, pplp: PrePrepare, stash: tuple | None = None) -> None:
+        """Alg. 2's "fetch missing ledger entries from replicas that sent
+        matching prepare messages": a state-sync session whose suffix
+        must hold ``pplp`` at ``slp``; :meth:`synced` resumes."""
+        self._stashed_new_view = stash
+        self.replica.sync_client.start("new_view", (view, slp, pplp.digest()))
 
     def adopted(self, view: int) -> None:
         """A ledger install moved us to ``view``: view-changes at or below
@@ -102,6 +122,7 @@ class ViewManager:
                 self.arm_timer()
                 return
         r._retry_pending_pps()  # drop stale stash before judging pendancy
+        r.admission.evict_expired()
         if not progressed and r.pending_pps:
             # Stuck with a deep stash despite a whole timer period of no
             # progress (e.g. the evidence for the next batch was
@@ -191,15 +212,9 @@ class ViewManager:
         if len(vcs) < config.quorum:
             return
         chosen = {rid: vcs[rid] for rid in sorted(vcs)[: config.quorum]}
-        root_m, slp, pplp, source = self._process_view_changes(chosen)
+        root_m, slp, pplp = self._process_view_changes(chosen)
         if slp > 0 and (slp not in r.batches or r.batches[slp].pp_digest != pplp.digest()):
-            # We are behind the latest prepared batch: fetch the ledger
-            # from a replica that prepared it (Alg. 2 "fetching missing
-            # ledger entries from replicas that sent matching prepare
-            # messages").
-            addr = r.replica_directory.get(source)
-            if addr:
-                r._send_fetch_ledger(addr)
+            self._catch_up(view, slp, pplp)  # behind the latest prepared batch
             return
         self._emit_new_view(view, chosen, root_m, slp)
 
@@ -227,9 +242,11 @@ class ViewManager:
         self._close_span(new_view=view, primary=True)
         # Re-pre-prepare the prepared-but-uncommitted batches in the new
         # view, with identical composition (resendPreparesInNewView).
+        activation = r.reconfig and r.reconfig.activation_seqno(r.params.pipeline)
         for seqno, flags, digests in reissue:
-            missing = [d for d in digests if d not in r.admission]
-            if missing:
+            if seqno == activation:
+                break  # re-activated by the new configuration's primary, below
+            if any(d not in r.admission for d in digests):
                 break  # cannot reconstitute; clients will retransmit
             r._emit_batch(seqno, flags, list(digests))
         r.maybe_send_pre_prepare()
@@ -237,10 +254,9 @@ class ViewManager:
     def _process_view_changes(self, vcs: dict[int, ViewChange]):
         """Pick the view-change carrying the latest prepared batch.
 
-        Returns ``(root_m, slp, pplp, source_replica)``; ``slp == 0`` when
-        no batch had prepared anywhere."""
+        Returns ``(root_m, slp, pplp)``; ``slp == 0`` when no batch had
+        prepared anywhere."""
         best: PrePrepare | None = None
-        source = -1
         for replica_id in sorted(vcs):
             prepared = vcs[replica_id].prepared
             if not prepared:
@@ -248,10 +264,9 @@ class ViewManager:
             candidate = PrePrepare.from_wire(prepared[-1])
             if best is None or (candidate.view, candidate.seqno) > (best.view, best.seqno):
                 best = candidate
-                source = replica_id
         if best is None:
-            return (self.replica.ledger.root(), 0, None, -1)
-        return (best.root_m, best.seqno, best, source)
+            return (self.replica.ledger.root(), 0, None)
+        return (best.root_m, best.seqno, best)
 
     def _rollback_for_new_view(self, slp: int) -> list[tuple[int, int, tuple]]:
         """Reset the ledger to the end of batch ``slp − P`` (guaranteed
@@ -305,8 +320,8 @@ class ViewManager:
             if record.pp_digest is not None:
                 r.ppd_index.pop(record.pp_digest, None)
                 r.prepares_by_ppd.pop(record.pp_digest, None)
-            # No arrival time: the requests are not aged out of the queue
-            # before the new view re-issues their batch.
+            # The requests keep the batch's age: a new view re-issues the
+            # batch at once, so only a request no view re-issues ages out.
             r._unexecute(record)
         r.prepared_upto = min(r.prepared_upto, target)
         r.committed_upto = min(r.committed_upto, target)
@@ -318,6 +333,14 @@ class ViewManager:
         r.last_taken_cp = max(r.checkpoints) if r.checkpoints else 0
         records = r.cp_directory.records()
         r.last_recorded_cp = records[-1].cp_seqno if records else -1
+        # An activation rolled back with its batch reopens its
+        # end-of-configuration sequence (§5.1), so the re-issued batches
+        # end the configuration and activate again.
+        while len(r.schedule) > 1 and r.schedule.current_span().start_seqno > target:
+            span = r.schedule.pop()
+            vote = r.batches.get(span.start_seqno - 2 * r.params.pipeline - 1)
+            r.reconfig = vote and ReconfigState(
+                span.config, vote.seqno, r.ledger.root_at(vote.ledger_end))
         # Reconfiguration state rolled back with the vote (re-derived on
         # re-execution).
         r.gov_tx_log = [g for g in r.gov_tx_log if g[0] <= target]
@@ -356,15 +379,15 @@ class ViewManager:
         )
         if vc_entry.digest() != nv.vc_digest:
             return
-        root_m, slp, pplp, source = self._process_view_changes(vcs)
+        root_m, slp, pplp = self._process_view_changes(vcs)
         if root_m != nv.root_m:
             r.metrics.bump("bad_new_views")
             return
         if slp > 0 and slp - r.params.pipeline > r.committed_upto and (
             slp not in r.batches or r.batches[slp].pp_digest != pplp.digest()
         ):
-            # Behind the committed frontier implied by the new view: fetch.
-            r._send_fetch_ledger(src)
+            # Behind the committed frontier implied by the new view.
+            self._catch_up(nv.view, slp, pplp, stash=(src, msg))
             return
         target = max(0, slp - r.params.pipeline)
         target = min(target, max(r.committed_upto, r.prepared_upto))

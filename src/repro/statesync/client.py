@@ -133,6 +133,8 @@ class StateSyncClient:
         # sync-ledger message; includes reconfigurations we missed when
         # the server's governance chain proves them).
         self._suffix_schedule = None
+        # Alg. 2's catch-up: ``(view, slp, pplp digest)``, else None.
+        self.target: tuple | None = None
         self._started_at = 0.0
         self._span = None  # open "state-sync" Span while tracing
         self.last_result: dict | None = None
@@ -143,12 +145,15 @@ class StateSyncClient:
 
     # -- session control ----------------------------------------------------
 
-    def start(self, reason: str = "") -> None:
+    def start(self, reason: str = "", target: tuple | None = None) -> None:
         """Suspend normal operation and catch up from a peer (no-op if a
         session is already running) — the replica's one recovery entry:
-        lag, join, crash recovery, a ``ledger-gone`` answer, and the
-        view-change timer when it finds we missed a view, over-advanced
-        our own while partitioned, or sit stuck behind a deep stash."""
+        lag, join, crash recovery, the view-change timer when it finds we
+        missed a view, over-advanced our own while partitioned, or sit
+        stuck behind a deep stash, and (with ``target``) a new view whose
+        latest prepared batch we lack (Alg. 2): servers then serve through
+        their newest pre-prepared batch, and the session gives up rather
+        than re-probe once every offer missed the target."""
         replica = self.replica
         if replica.tracer.enabled and self._span is None:
             self._span = replica.tracer.span(
@@ -163,6 +168,7 @@ class StateSyncClient:
             return
         replica.syncing = True
         replica.ready = False
+        self.target = target
         self._started_at = replica.now
         self.last_result = None
         self.offers = {}
@@ -185,6 +191,7 @@ class StateSyncClient:
         self._to_request = []
         self._cp_rooted = False
         self._suffix_schedule = None
+        self.target = None
 
     def _close_span(self, **attrs) -> None:
         if self._span is not None:
@@ -291,26 +298,20 @@ class StateSyncClient:
             and offer.n_chunks == len(manifest.chunk_digests)
         )
 
-    def _enter_ledger(self) -> None:
+    def _enter_ledger(self, cp_rooted: bool = False) -> None:
+        """Request the suffix past our committed prefix or, once the
+        server refused that splice point, past the served checkpoint."""
         self.phase = LEDGER
-        self._cp_rooted = False
-        self._base_len = self._splice_point()
-        root = self.replica.ledger.root_at(self._base_len)
-        self.replica.send(self.server, ("sync-get-ledger", self._base_len, root, False))
+        self._cp_rooted = cp_rooted
+        self._base_len = self.offer.cp_ledger_size if cp_rooted else self._splice_point()
+        self._request_ledger()
         self._arm_timer()
 
-    def _enter_ledger_cp_rooted(self) -> None:
-        """Re-request the suffix from the checkpoint boundary after the
-        server refused our splice point (its prefix below it is gone)."""
-        offer = self.offer
-        self.phase = LEDGER
-        self._cp_rooted = True
-        self._base_len = offer.cp_ledger_size
-        self.replica.send(
-            self.server,
-            ("sync-get-ledger", offer.cp_ledger_size, offer.cp_ledger_root, True),
-        )
-        self._arm_timer()
+    def _request_ledger(self) -> None:
+        root = self.offer.cp_ledger_root if self._cp_rooted else self.replica.ledger.root_at(
+            self._base_len)
+        self.replica.send(self.server, (
+            "sync-get-ledger", self._base_len, root, self._cp_rooted, self.target is not None))
 
     def _splice_point(self) -> int:
         """Length of our committed ledger prefix: everything at or below
@@ -420,12 +421,10 @@ class StateSyncClient:
     def on_ledger_refused(self, src: str, msg: tuple) -> None:
         """The server garbage-collected the prefix our splice point lives
         in: fall back to a checkpoint-rooted transfer when the session
-        holds a verified checkpoint, fail over otherwise."""
+        holds a verified checkpoint, fail over otherwise.  A server never
+        refuses a checkpoint-rooted request (it serves or stays silent),
+        so a refusal then is a late or duplicated answer to the splice."""
         if self.phase != LEDGER or src != self.server or self._cp_rooted:
-            if self._cp_rooted and self.phase == LEDGER and src == self.server:
-                # Even the checkpoint boundary is refused: the server's
-                # retention moved past its own offer — it is useless now.
-                self._failover("suffix_refused")
             return
         if len(msg) != 2 or not isinstance(msg[1], int):
             return
@@ -438,7 +437,7 @@ class StateSyncClient:
             and offer.cp_ledger_size >= retained
         ):
             self.replica.metrics.bump("sync_cp_rooted_transfers")
-            self._enter_ledger_cp_rooted()
+            self._enter_ledger(cp_rooted=True)
         else:
             self._failover("suffix_refused")
 
@@ -467,6 +466,10 @@ class StateSyncClient:
             replica.metrics.bump("sync_verification_failures")
             self._failover(f"verify:{type(exc).__name__}")
             return
+        resume = self._resumes_new_view(ledger)
+        if resume is None:
+            self._failover("target_missed")
+            return
         if replica.committed_upto > 0 and ledger.last_seqno() < replica.committed_upto:
             # Committed state is never replaced by a shorter ledger,
             # whatever the offer's view: ask another server.
@@ -483,16 +486,36 @@ class StateSyncClient:
             # recovered into a view change): fall through and install, so
             # the new view is adopted instead of stalling on stale
             # pre-prepares as the old view's primary.
-            self._finish(checkpoint, ledger, installed=False)
+            self._finish(checkpoint, ledger, installed=False, resume=resume)
             return
         try:
-            replayed = install_ledger(replica, ledger, checkpoint, view, schedule)
+            replayed = install_ledger(replica, ledger, checkpoint, schedule)
         except (ProtocolError, LedgerError, KVError) as exc:
             replica.metrics.bump("sync_verification_failures")
             self._failover(f"install:{type(exc).__name__}")
             return
+        if not resume:
+            # Adopt the sender's view wholesale, even if we had
+            # optimistically advanced further while partitioned away —
+            # the adopted ledger is the service's actual history.
+            replica.view = view
+            replica.views.adopted(view)
         self._finish(checkpoint, ledger, installed=True, replayed=replayed,
-                     fetched_entries=len(entry_wires))
+                     fetched_entries=len(entry_wires), resume=resume)
+
+    def _resumes_new_view(self, ledger) -> bool | None:
+        """True: ``ledger`` holds the target batch, so we keep our view and
+        re-enter Alg. 2; False: we adopt the server's view (no target, or
+        the ledger runs in the target view already); None: no use."""
+        if self.target is None:
+            return False
+        view, slp, pplp_digest = self.target
+        batches = ledger.batches()
+        if batches and batches[-1].view >= view:
+            return False
+        if ledger.batch(slp) is not None and ledger.batch_pre_prepare(slp).digest() == pplp_digest:
+            return True
+        return None
 
     def _trusted_suffix_schedule(self, chain_wire):
         """The configuration schedule a suffix-rooted ledger verifies
@@ -616,9 +639,9 @@ class StateSyncClient:
     # -- completion / failure -------------------------------------------------
 
     def _finish(self, checkpoint, ledger, installed: bool, replayed: int = 0,
-                fetched_entries: int = 0) -> None:
+                fetched_entries: int = 0, resume: bool = False) -> None:
         replica = self.replica
-        self._cancel_timer()
+        server = self.server
         self.last_result = {
             "installed": installed,
             "cp_seqno": 0 if checkpoint is None else checkpoint.seqno,
@@ -627,25 +650,25 @@ class StateSyncClient:
             "fetched_entries": fetched_entries,
             "tip_seqno": ledger.last_seqno(),
             "duration": replica.now - self._started_at,
-            "server": self.server,
+            "server": server,
         }
-        self.phase = IDLE
-        self.offers = {}
-        self.excluded = set()
-        self.manifest = None
-        self.reassembler = None
-        self._inflight = set()
-        self._to_request = []
-        replica.metrics.bump("sync_sessions_completed")
-        # Resume normal operation.  The install already adopted the
-        # server's view wholesale; here we only lift the suspension and
-        # restart the machinery.
         self._close_span(committed_upto=replica.committed_upto)
+        self.abort()
+        self.excluded = set()
+        replica.metrics.bump("sync_sessions_completed")
+        # Resume normal operation: lift the suspension and restart the
+        # machinery — or, when a view change resumes, leave readiness to
+        # the new view.
         replica.syncing = False
-        replica.ready = True
+        replica.ready = not resume
         replica.views.mark_progress()
-        if self.server:
-            replica.send(self.server, ("get-gov-chain",))
+        if server:
+            replica.send(server, ("get-gov-chain",))
+            if installed and not resume:
+                # The tail the ledger could not prove committed: the
+                # server holds its evidence if it committed it.
+                for seqno in range(replica.committed_upto + 1, replica.next_seqno):
+                    replica.send(server, ("fetch-evidence", seqno, None))
         replica.metrics.bump("sync_resumes")
         replica._retry_pending_pps()
         # If we resumed as the primary with admitted-but-unproposed
@@ -654,6 +677,7 @@ class StateSyncClient:
         # would ever kick the pipeline.
         replica.maybe_send_pre_prepare()
         replica.views.arm_timer()
+        replica.views.synced()
 
     def _failover(self, reason: str) -> None:
         replica = self.replica
@@ -671,6 +695,14 @@ class StateSyncClient:
                 key=lambda a: (self.offers[a].cp_seqno, self.offers[a].tip_seqno, a),
             )
             self._adopt_offer(src, self.offers[src])
+        elif self.target is not None:
+            # No server could serve a new-view catch-up: stop, and leave
+            # the view change to the view-change timer.
+            replica.metrics.bump("sync_sessions_abandoned")
+            self.abort()
+            self.excluded = set()
+            replica.syncing = False
+            replica.views.arm_timer()
         else:
             self._enter_probe()
 
@@ -705,12 +737,5 @@ class StateSyncClient:
             for index in sorted(self._inflight):
                 replica.send(self.server, ("sync-get-chunk", self.offer.cp_seqno, index))
         elif self.phase == LEDGER:
-            if self._cp_rooted:
-                replica.send(
-                    self.server,
-                    ("sync-get-ledger", self.offer.cp_ledger_size, self.offer.cp_ledger_root, True),
-                )
-            else:
-                root = replica.ledger.root_at(self._base_len)
-                replica.send(self.server, ("sync-get-ledger", self._base_len, root, False))
+            self._request_ledger()
         self._arm_timer()

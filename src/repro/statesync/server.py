@@ -1,10 +1,11 @@
 """Serving side of state sync: offers, manifests, chunks, ledger suffixes.
 
 A :class:`StateSyncServer` is owned by a replica and answers pull
-requests from lagging peers.  It only ever serves *stable* history — the
-newest checkpoint whose recording batch is at or below the server's
-commit frontier, and ledger entries up to that frontier — so a client can
-never adopt a suffix the service might still roll back.
+requests from lagging peers.  It serves the newest checkpoint recorded at
+or below its commit frontier, and the ledger up to that frontier — or,
+for a new-view catch-up (Alg. 2), up to its newest pre-prepared batch.
+The client's install commits only what the ledger proves, so a tail the
+service may still roll back is installed pre-prepared, never committed.
 
 Chunking a checkpoint is work (one pass over the state), so the chunks
 and manifest for the currently-served checkpoint are cached and reused
@@ -38,27 +39,23 @@ class StateSyncServer:
     # -- what is stable ------------------------------------------------------
 
     def stable_checkpoint(self):
-        """The newest recorded checkpoint whose recording batch is at or
-        below the commit frontier."""
-        return self.recorded_checkpoint(self.replica.committed_upto)
-
-    def recorded_checkpoint(self, upto: int):
-        """The newest checkpoint that is recorded in the ledger by a batch
-        at or below ``upto`` and still held locally, or None."""
+        """The newest checkpoint still held locally whose recording batch
+        is at or below the commit frontier, or None."""
         replica = self.replica
         for record in reversed(replica.cp_directory.records()):
-            if record.record_seqno > upto:
+            if record.record_seqno > replica.committed_upto:
                 continue
             cp = replica.checkpoints.get(record.cp_seqno)
             if cp is not None and cp.digest() == record.digest:
                 return cp
         return None
 
-    def _committed_ledger_end(self) -> int:
-        """Ledger length at the commit frontier (entries past it are not
-        served: the service could still roll them back)."""
+    def _served_ledger_end(self, new_view: bool = False) -> int:
+        """Ledger length at the commit frontier, or at the newest
+        pre-prepared batch for a new-view catch-up."""
         replica = self.replica
-        record = replica.batches.get(replica.committed_upto)
+        record = replica.batches.get(
+            replica.next_seqno - 1 if new_view else replica.committed_upto)
         if record is not None and record.ledger_end >= 1:
             return record.ledger_end
         return 1 if len(replica.ledger) >= 1 else 0
@@ -79,7 +76,7 @@ class StateSyncServer:
                 cp_ledger_root=cp.ledger_root,
                 n_chunks=len(chunks),
                 tip_seqno=replica.committed_upto,
-                tip_ledger_size=self._committed_ledger_end(),
+                tip_ledger_size=self._served_ledger_end(),
                 view=replica.view,
             )
         else:
@@ -96,7 +93,7 @@ class StateSyncServer:
                 cp_ledger_root=replica.ledger.root_at(1),
                 n_chunks=0,
                 tip_seqno=replica.committed_upto,
-                tip_ledger_size=self._committed_ledger_end(),
+                tip_ledger_size=self._served_ledger_end(),
                 view=replica.view,
             )
         replica.send(src, offer.to_wire())
@@ -137,7 +134,9 @@ class StateSyncServer:
     def on_get_ledger(self, src: str, msg: tuple) -> None:
         """Serve a ledger suffix, bounded below by the retained prefix.
 
-        Requests come in two forms (4th wire field ``from_checkpoint``):
+        Requests come in two forms (4th wire field ``from_checkpoint``),
+        each with a 5th field ``new_view`` that extends the suffix to the
+        newest pre-prepared batch:
 
         - splice (False): ``base_len``/``base_root`` describe the client's
           committed prefix; when it is bit-identical to ours and reaches
@@ -152,11 +151,11 @@ class StateSyncServer:
         would prove the splice no longer exist, so the client must fall
         back to a full checkpoint transfer.
         """
-        if len(msg) != 4:
+        if len(msg) != 5:
             return
         base_len, base_root, from_checkpoint = msg[1], msg[2], bool(msg[3])
         replica = self.replica
-        end = self._committed_ledger_end()
+        end = self._served_ledger_end(bool(msg[4]))
         if end < 1:
             return
         retained = replica.ledger.base_index

@@ -441,32 +441,6 @@ class TestStateSyncBelowRetention:
         assert dep.ledgers_agree()
 
 
-class TestLegacyFetchAfterGC:
-    def test_fetch_ledger_on_collected_prefix_falls_back_to_state_sync(self, gc_run):
-        """The legacy whole-ledger fetch (view-change catch-up path) gets
-        an explicit `ledger-gone` from a GC'd peer and recovers through
-        the checkpoint-rooted sync protocol instead of waiting forever."""
-        dep, client, _ = gc_run
-        requester, server = dep.replicas[1], dep.primary()
-        assert server.ledger.base_index > 0
-        # An *unsolicited* ledger-gone must be ignored (a Byzantine peer
-        # cannot suspend honest replicas into transfers at will)...
-        server.send(requester.address, ("ledger-gone",))
-        dep.run(until=dep.net.scheduler.now + 0.5)
-        assert requester.metrics.summary()["counters"].get("sync_started_ledger_gone", 0) == 0
-        assert requester.ready
-        # ...while the tracked legacy fetch gets the answer and recovers
-        # through state sync.
-        requester._send_fetch_ledger(server.address)
-        dep.run(until=dep.net.scheduler.now + 2.0)
-        counters = requester.metrics.summary()["counters"]
-        assert counters.get("sync_started_ledger_gone", 0) >= 1
-        # The requester was already caught up, so the session resolves and
-        # normal operation resumes.
-        assert requester.ready and not requester.syncing
-        assert dep.ledgers_agree()
-
-
 class TestUndoLogRetention:
     """The KV undo log is trimmed with the batch records: a rollback only
     ever targets a retained batch, so the records below the oldest

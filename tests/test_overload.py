@@ -335,8 +335,9 @@ class TestRequestQueue:
 
     def test_requeue_with_and_without_arrival(self):
         """``_undo_batch_execution`` requeues with ``arrival = now``; the
-        view-change rollback requeues with none, so its wait counts from
-        zero however long ago the request first arrived."""
+        view-change rollback requeues with the batch's latest arrival, so
+        a request no new view re-issues ages out like any other (a backup
+        holding it forever would suspect every primary)."""
         dep, client = self.build()
         primary = dep.primary()
         queue = primary.admission
@@ -350,11 +351,12 @@ class TestRequestQueue:
         primary.maybe_send_pre_prepare()  # batch 1 = [rolled, undone]
         primary.views.rollback_to_batch(0)
         assert list(queue.requests) == [rolled, undone]
-        assert rolled not in queue.arrivals and undone not in queue.arrivals
+        assert queue.arrivals == {rolled: 1.0, undone: 1.0}
         assert {rolled, undone} <= queue.verified and not queue.orphans()
-        self.at(dep, 10.0)  # far past client_timeout, yet nothing is shed
-        assert queue.select(0) == [rolled, undone]
-        assert "requests_deadline_dropped" not in primary.metrics.counters
+        assert queue.select(0) == [rolled, undone]  # re-issued at once: nothing shed
+        self.at(dep, 10.0)  # far past client_timeout: both shed
+        assert queue.select(0) == []
+        assert primary.metrics.counters["requests_deadline_dropped"] == 2
 
     def test_take_leaves_routing_until_forget_releases_it(self):
         dep, client = self.build()
@@ -387,8 +389,9 @@ class TestRequestQueue:
         assert queue.source(a) == client.address
 
     def test_ledger_adoption_unqueues_executed_requests_with_their_marks(self):
-        """End to end through ``install_ledger``: a backup that only
-        ever stashed three requests adopts a ledger in which they executed.
+        """End to end through a state-sync session and ``install_ledger``:
+        a backup that only ever stashed three requests adopts a ledger in
+        which they executed.
         Adoption used to pop the queue map alone and strand the arrival
         times and verified marks."""
         dep, client = self.build()
@@ -406,7 +409,7 @@ class TestRequestQueue:
         assert list(queue.requests) == digests and set(digests) <= queue.verified
         assert backup.committed_upto == 0 < dep.primary().committed_upto
         cut_off[0] = False
-        backup._send_fetch_ledger(dep.primary().address)
+        backup.sync_client.start("lag")
         dep.run(until=1.0)
         assert backup.metrics.counters["ledger_adoptions"] == 1
         assert set(digests) <= set(backup.tx_locations)

@@ -163,10 +163,13 @@ class TestW1Identity:
         the digest PR 18 printed for this seed at P=2, W=2: W was pipeline
         depth under a second name.  The early-prepare fix that followed it
         charges verification for 99 early prepares on this seed, which
-        moved the trace to the digest pinned now."""
+        moved the trace to ``5418e907f4dd3658``.  The honest ledger
+        install moved it to the digest pinned now: the late joiner's
+        install commits through batch 441 of 444, not 444, and fetches
+        the evidence for the last three."""
         result = run_schedule(generate_schedule(1, ChaosParams(pipeline=3)))
         assert result.ok, f"oracle violations: {result.violations}"
-        assert result.trace_digest[:16] == "5418e907f4dd3658"
+        assert result.trace_digest[:16] == "1466829d3209c524"
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_pinned_window_seed_runs_clean(self, seed):

@@ -9,6 +9,7 @@ from repro.errors import ProtocolError
 from repro.kvstore import KVStore
 from repro.ledger import PrePrepareEntry, TxEntry
 from repro.lpbft import LPBFTReplica, PrePrepare, TransactionRequest, execute_procedure
+from repro.lpbft.adoption import install_ledger, verify_fetched_ledger
 from repro.merkle import MerkleTree
 from repro.network import Node
 
@@ -19,8 +20,7 @@ from helpers import FAST_PARAMS, build_deployment, run_waves
 OWNERS = {
     "request": None, "pre-prepare": None, "prepare": None, "commit": None,
     "get-replyx": None, "fetch-requests": None, "requests-bundle": None,
-    "fetch-evidence": None, "evidence-bundle": None, "fetch-ledger": None,
-    "ledger-bundle": None, "ledger-gone": None, "get-gov-chain": None,
+    "fetch-evidence": None, "evidence-bundle": None, "get-gov-chain": None,
     "gov-chain-resp": None, "ack": None,
     "view-change": "views", "new-view": "views",
     "sync-probe": "sync_server", "sync-get-manifest": "sync_server",
@@ -132,66 +132,137 @@ class TestViewChangeTimer:
         assert backup.view == 0
 
 
-class TestLedgerBundle:
-    """A ``ledger-bundle`` reaches replica state only when it was asked
-    for and only through the verifier a sync suffix passes."""
+class TestHonestInstall:
+    """``install_ledger`` commits only what the installed ledger proves:
+    batch s's commitment evidence is ordered in batch s + P (§3.1), so the
+    last P batches of a fetched ledger install pre-prepared, and commit
+    once their evidence arrives."""
+
+    def test_tail_installs_pre_prepared_until_its_evidence_arrives(self):
+        dep = build_deployment(accounts=20)
+        victim, primary = dep.replicas[3], dep.primary()
+        dep.net.add_drop_rule(lambda src, dst, msg: victim.address in (src, dst))
+        client = dep.add_client(retry_timeout=0.5)
+        dep.start()
+        run_waves(dep, client, waves=3, per_wave=20, gap=0.05)
+        ledger = primary.ledger.fragment(0).to_ledger()
+        tip, depth = ledger.last_seqno(), FAST_PARAMS.pipeline
+        assert tip > depth and primary.committed_upto == tip
+        genesis = victim.checkpoints[0]
+        schedule = verify_fetched_ledger(victim, ledger, len(ledger), 1, genesis)
+        install_ledger(victim, ledger, genesis, schedule)
+        assert victim.committed_upto == victim.prepared_upto == tip - depth
+        assert victim.next_seqno == tip + 1
+        for seqno, record in victim.batches.items():
+            assert record.prepared == record.committed == (seqno <= tip - depth), seqno
+        for seqno in range(tip - depth + 1, tip + 1):
+            evidence, nonces = primary._evidence(seqno)
+            victim.on_message(
+                primary.address,
+                ("evidence-bundle", seqno, evidence.to_wire(), nonces.to_wire()))
+        assert victim.committed_upto == victim.prepared_upto == tip
+        assert all(record.committed for record in victim.batches.values())
+
+
+class TestSyncSuffix:
+    """A ledger suffix reaches replica state only from the session's own
+    server and only through the verifier; a new-view session takes only
+    a suffix that holds the view-change quorum's latest prepared batch."""
 
     @staticmethod
     def state(replica):
-        return replica.committed_upto, len(replica.ledger), replica.kv.state_digest()
+        return (replica.committed_upto, replica.prepared_upto, replica.view,
+                len(replica.ledger), replica.ledger.root(), replica.kv.state_digest(),
+                sorted(replica.batches))
 
     @staticmethod
-    def forged_bundle(dep, victim):
-        """The honest ledger after one committed batch, plus a batch
-        nobody proposed: an unsigned request under a pre-prepare with a
-        made-up signature, its output exactly what a replay computes."""
+    def paused_session(dep, victim, behind=False, target=None):
+        """One committed batch, then a session whose only server is
+        replica-0, held just before the suffix arrives.  Returns the
+        honest ``sync-ledger`` message.  ``behind``: the victim heard
+        nothing before the session."""
+        cut_off = [behind]
+        held = []
+
+        def rule(src, dst, msg):
+            if cut_off[0]:
+                return victim.address in (src, dst)
+            if dst != victim.address or msg[0] not in ("sync-offer", "sync-ledger"):
+                return False
+            if msg[0] == "sync-ledger" and src == "replica-0":
+                held.append(msg)
+            return True if msg[0] == "sync-ledger" else src != "replica-0"
+
+        dep.net.add_drop_rule(rule)
         dep.start()
         dep.add_client().submit("smallbank.balance", {"customer": 1}, min_index=0)
         dep.run(until=0.5)
-        honest = dep.replicas[0]
-        assert honest.committed_upto == victim.committed_upto == 1
+        assert dep.replicas[0].committed_upto == 1
+        assert victim.committed_upto == (0 if behind else 1)
+        cut_off[0] = False
+        victim.sync_client.start("new_view" if target else "lag", target)
+        dep.run(until=0.55)
+        assert victim.sync_client.phase == "ledger" and len(held) == 1
+        return held[0]
+
+    @staticmethod
+    def forged(victim, honest):
+        """The honest suffix plus a batch nobody proposed: an unsigned
+        request under a pre-prepare with a made-up signature, its roots
+        exactly what the victim computes, so only the signature fails."""
         request = TransactionRequest(
             procedure="smallbank.deposit_checking", args={"customer": 1, "amount": 10**9},
-            client=b"nobody", service=dep.service_name, min_index=0, nonce=1,
+            client=b"nobody", service=victim.service_name, min_index=0, nonce=1,
         )
         output, _ = execute_procedure(
             KVStore(initial=victim.kv.snapshot()), victim.registry, request)
         entry = TxEntry(request_wire=request.to_wire(),
-                        index=honest.ledger.logical_size() + 1, output=output)
+                        index=victim.ledger.logical_size() + 1, output=output)
         g_tree = MerkleTree()
         g_tree.append(entry.leaf_digest())
-        pp = PrePrepare(view=0, seqno=2, root_m=b"\0" * 32, root_g=g_tree.root(),
+        pp = PrePrepare(view=0, seqno=2, root_m=victim.ledger.root(), root_g=g_tree.root(),
                         nonce_commitment=b"\0" * 32, evidence_bitmap=0, gov_index=0,
                         checkpoint_digest=b"", signature=b"forged")
-        wires = honest.ledger.fragment(0).entry_wires + (
-            PrePrepareEntry(pp_wire=pp.to_wire()).to_wire(), entry.to_wire())
-        newest = honest.checkpoints[max(honest.checkpoints)]
-        return ("ledger-bundle", 0, wires, newest.to_wire(), 0, 3)
+        wires = honest[2] + (PrePrepareEntry(pp_wire=pp.to_wire()).to_wire(), entry.to_wire())
+        return honest[:2] + (wires,) + honest[3:]
 
-    def test_unsolicited_forged_bundle_is_dropped(self):
+    def test_forged_suffix_from_an_unsolicited_peer_is_ignored(self):
         dep = build_deployment(accounts=20)
         victim = dep.replicas[1]
-        bundle = self.forged_bundle(dep, victim)
+        forged = self.forged(victim, self.paused_session(dep, victim))
         before = self.state(victim)
-        victim.on_message("client-0", bundle)
+        victim.on_message("replica-2", forged)
         assert self.state(victim) == before
-        assert "bad_ledger_bundles" not in victim.metrics.counters
+        assert victim.sync_client.phase == "ledger" and victim.sync_client.server == "replica-0"
+        assert "sync_verification_failures" not in victim.metrics.counters
 
-    def test_solicited_forged_bundle_fails_the_verifier(self):
+    def test_forged_suffix_from_the_server_fails_the_verifier(self):
         dep = build_deployment(accounts=20)
         victim = dep.replicas[1]
-        bundle = self.forged_bundle(dep, victim)
+        forged = self.forged(victim, self.paused_session(dep, victim))
         before = self.state(victim)
-        victim._send_fetch_ledger("replica-0")
-        victim.on_message("replica-0", bundle)
+        victim.on_message("replica-0", forged)
         assert self.state(victim) == before
-        assert victim.metrics.counters["bad_ledger_bundles"] == 1
+        assert victim.metrics.counters["sync_verification_failures"] == 1
         assert "ledger_adoptions" not in victim.metrics.counters
 
+    def test_suffix_without_the_prepared_batch_is_refused(self):
+        dep = build_deployment(accounts=20)
+        victim = dep.replicas[1]
+        target = (1, 1, b"\x01" * 32)  # batch 1 as some other pre-prepare
+        honest = self.paused_session(dep, victim, behind=True, target=target)
+        before = self.state(victim)
+        victim.on_message("replica-0", honest)
+        assert self.state(victim) == before
+        counters = victim.metrics.counters
+        assert "ledger_adoptions" not in counters and "sync_verification_failures" not in counters
+        # The only server missed: the session ends, the view-change timer takes over.
+        assert counters["sync_sessions_abandoned"] == 1 and not victim.syncing
+
     @pytest.mark.parametrize("waves", [3, 8])
-    def test_honest_bundle_ships_a_checkpoint_its_ledger_records(self, waves):
+    def test_sync_serves_a_checkpoint_its_ledger_records(self, waves):
         """Between taking checkpoint C and recording it (at 2C) the newest
-        checkpoint has no binding in the ledger yet: the server ships the
+        checkpoint has no binding in the ledger yet: the server offers the
         newest *recorded* one (still the genesis checkpoint before 2C)."""
         dep = build_deployment(params=FAST_PARAMS.variant(checkpoint_interval=4))
         backup, primary = dep.replicas[3], dep.primary()
@@ -205,8 +276,38 @@ class TestLedgerBundle:
         assert max(primary.checkpoints) not in recorded  # taken, not recorded yet
         assert (max(recorded) > 0) == (waves == 8)
         cut_off[0] = False
-        backup._send_fetch_ledger(primary.address)
+        backup.sync_client.start("lag")
         dep.run(until=dep.net.scheduler.now + 0.5)
         assert backup.metrics.counters["ledger_adoptions"] == 1
-        assert "bad_ledger_bundles" not in backup.metrics.counters
+        assert backup.sync_client.last_result["cp_seqno"] == max(recorded)
+        assert backup.committed_upto == primary.committed_upto
         assert backup.kv.state_digest() == primary.kv.state_digest()
+
+
+class TestNewViewCatchUp:
+    """Alg. 2's "fetch missing ledger entries" is a state-sync session:
+    a new primary behind the latest prepared batch installs it and sends
+    its new-view at once, not a view-change timeout later."""
+
+    def test_new_primary_behind_slp_sends_new_view_after_the_install(self):
+        dep = build_deployment(accounts=20)
+        new_primary = dep.replicas[1]
+        cut_off = [True]
+        dep.net.add_drop_rule(
+            lambda src, dst, msg: cut_off[0] and new_primary.address in (src, dst))
+        client = dep.add_client(retry_timeout=0.5)
+        dep.start()
+        run_waves(dep, client, waves=3, per_wave=20, gap=0.05)
+        assert new_primary.committed_upto == 0 < dep.replicas[2].committed_upto
+        cut_off[0] = False
+        dep.crash_replica(0)
+        for replica in dep.replicas[1:]:
+            replica.views.suspect_primary()
+        dep.run(until=dep.net.scheduler.now + FAST_PARAMS.view_change_timeout / 10)
+        counters = new_primary.metrics.counters
+        assert counters["sync_started_new_view"] == 1
+        assert counters["ledger_adoptions"] == 1
+        assert counters["new_views_sent"] == 1
+        live = dep.replicas[1:]
+        assert all(replica.view == 1 and replica.ready for replica in live)
+        assert len({replica.ledger.root() for replica in live}) == 1

@@ -300,3 +300,16 @@ class TestLateJoinAfterActivation:
         dep.run(until=dep.net.scheduler.now + 6.0)
         assert len(client.receipts) - n_rec == 20
         assert newcomer.committed_upto == max(r.committed_upto for r in dep.replicas)
+
+        # A governance transaction past the chain's last link (a vote with
+        # nothing to vote on: aborted, but ordered).  The newcomer never
+        # held the entries between that link and its base, so it serves no
+        # governance suffix rather than one that may have a hole a client
+        # would replay past (and so miss a referendum's passage).
+        members["member-1"].submit("gov.vote", {"member": "member-1"}, min_index=0)
+        dep.run(until=dep.net.scheduler.now + 1.0)
+        link = newcomer.gov_chain.links[-1]
+        anchor = max(r.index for r in (link.propose_receipt, *link.vote_receipts))
+        assert anchor < newcomer.ledger.logical_base
+        assert len(dep.replicas[0]._gov_suffix_entries()) == 1
+        assert newcomer._gov_suffix_entries() == ()
