@@ -72,6 +72,7 @@ class ViewManager:
         """Forget what a process restart would lose."""
         self._close_span(aborted=True)
         self.view_changes = {}
+        self._stashed_new_view = None
 
     def _close_span(self, **attrs) -> None:
         if self._vc_span is not None:

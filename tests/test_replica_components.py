@@ -187,11 +187,13 @@ class TestSyncSuffix:
         def rule(src, dst, msg):
             if cut_off[0]:
                 return victim.address in (src, dst)
-            if dst != victim.address or msg[0] not in ("sync-offer", "sync-ledger"):
+            if dst != victim.address:
                 return False
-            if msg[0] == "sync-ledger" and src == "replica-0":
-                held.append(msg)
-            return True if msg[0] == "sync-ledger" else src != "replica-0"
+            if msg[0] == "sync-ledger":
+                if src == "replica-0":
+                    held.append(msg)
+                return True  # every suffix is held back
+            return msg[0] == "sync-offer" and src != "replica-0"  # one server
 
         dep.net.add_drop_rule(rule)
         dep.start()
