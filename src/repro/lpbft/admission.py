@@ -34,9 +34,11 @@ Knobs and their meaning (all on ProtocolParams):
 - admission_backlog (0 = client_timeout/4): projected queue drain budget;
   :meth:`Admission.service_time_estimate` (execute-cost EWMA + amortized
   verify) converts queue length into seconds;
-- client_timeout: :meth:`Admission.select` drops queued work whose
-  projected completion (waited + lane backlog + position × service
-  estimate) the client would no longer wait for.
+- client_timeout: :meth:`Admission.expired` is the one expiry rule —
+  :meth:`Admission.select` drops queued work whose projected completion
+  (waited + lane backlog + position × service estimate) the client would
+  no longer wait for, the stash evicts its expired head, and a backup's
+  view-change timer evicts every expired request before judging pendency.
 
 Invariants: the map's order is arrival order (every insert is a new key,
 so it lands at the tail); a digest is queued at most once; a request that
@@ -210,24 +212,25 @@ class Admission:
         evicted first (their client has given up; the primary would shed
         them too)."""
         soft_cap = self.replica.params.request_queue_cap
-        horizon = self.replica.now - self.replica.params.client_timeout
         # Runs per arrival under overload: peek the oldest entry, evict it
         # if expired, stop at the first fresh one.
-        while len(self.requests) >= soft_cap:
-            tx_digest = next(iter(self.requests))
-            arrival = self.arrivals.get(tx_digest)
-            if arrival is None or arrival > horizon:
-                break  # everything behind is fresher
-            self.drop(tx_digest, "requests_stash_evicted")
+        while len(self.requests) >= soft_cap and self.expired(next(iter(self.requests))):
+            self.drop(next(iter(self.requests)), "requests_stash_evicted")
         return len(self.requests) < 16 * soft_cap
 
+    def expired(self, tx_digest: Digest, ahead: float = 0.0) -> bool:
+        """Will the client of a queued request have given up ``ahead``
+        seconds from now?  Its wait counts from its arrival (from now
+        when unknown) against the client timeout."""
+        now = self.replica.now
+        waited = now - self.arrivals.get(tx_digest, now)
+        return waited + ahead > self.replica.params.client_timeout
+
     def evict_expired(self) -> None:
-        """Drop queued requests older than the client timeout: their
-        client has given up and a primary sheds them (:meth:`select`), so
-        a backup keeping one would suspect every primary over a request
-        no primary will order."""
-        horizon = self.replica.now - self.replica.params.client_timeout
-        for tx_digest in [d for d, arrival in self.arrivals.items() if arrival <= horizon]:
+        """Drop the expired requests anywhere in the queue: a primary
+        sheds them (:meth:`select`), so a backup keeping one would suspect
+        every primary over a request no primary will order."""
+        for tx_digest in [d for d in self.requests if self.expired(d)]:
             self.drop(tx_digest, "requests_stash_evicted")
 
     def drop(
@@ -316,11 +319,9 @@ class Admission:
         execute costs: their client will have given up before the reply
         could arrive."""
         replica = self.replica
-        now = replica.now
         max_batch = replica.params.max_batch
-        deadline = replica.params.client_timeout
         service_est = self.service_time_estimate()
-        exec_backlog = replica.cpu.backlog("execute", now)
+        exec_backlog = replica.cpu.backlog("execute", replica.now)
         selected: list[Digest] = []
         expired: list[Digest] = []
         projected = base_index
@@ -330,8 +331,7 @@ class Admission:
             # Projected completion = wait already accrued + remaining
             # queue drain + the request's own slot.  A retransmission
             # after the drop re-enqueues with a fresh arrival time.
-            waited = now - self.arrivals.get(tx_digest, now)
-            if waited + exec_backlog + service_est * position > deadline:
+            if self.expired(tx_digest, exec_backlog + service_est * position):
                 expired.append(tx_digest)
                 continue
             if request.min_index > projected:
@@ -353,17 +353,15 @@ class Admission:
     def requeue(self, record, arrival: float | None = None) -> None:
         """Return a rolled-back batch's requests to the tail of the queue,
         still marked verified — they were verified before they were
-        sequenced.  Without ``arrival`` they age from the batch's latest
-        admission; with no known age at all (the batch was not built from
-        our queue) a request stops the stash scan at the head, and its
-        deadline wait counts from zero."""
+        sequenced.  Without ``arrival`` a request has no known age: at the
+        head it stops the stash scan, and its deadline wait counts from
+        zero."""
         for entry, tx_digest in zip(record.entries, record.tx_digests):
             if tx_digest is not None and tx_digest not in self.requests:
                 self.requests[tx_digest] = entry.request()
                 self.verified.add(tx_digest)
-                age = record.arrived if arrival is None else arrival
-                if age is not None:
-                    self.arrivals[tx_digest] = age
+                if arrival is not None:
+                    self.arrivals[tx_digest] = arrival
 
     # -- release -----------------------------------------------------------------------
 

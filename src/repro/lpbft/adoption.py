@@ -126,19 +126,26 @@ def verify_fetched_ledger(
 
 
 def install_ledger(
-    replica, ledger: Ledger, checkpoint: Checkpoint | None, schedule: ConfigSchedule
+    replica, ledger: Ledger, checkpoint: Checkpoint | None, schedule: ConfigSchedule,
+    executed: dict | None = None,
 ) -> int:
     """Adopt a verified ``ledger`` under the ``schedule`` it verified
     with: restore the KV store from ``checkpoint``, replay only the
     batches after it, and reconstruct per-batch records.  Returns the
     number of replayed batches.  The view is the caller's to set.
 
-    A batch is installed committed only when the ledger proves it: it is
-    at or below the checkpoint, or its commitment evidence is ordered in
-    batch ``s + P`` (§3.1).  The rest — at least the last P batches — is
-    installed pre-prepared, and prepares and commits through the
-    evidence that proves it: prepares and nonces already stored, an
-    ``evidence-bundle``, or a new view that re-issues it.
+    ``executed`` locates requests executed below the ledger's batches (a
+    checkpoint-rooted peer's index): without it a client's retransmission
+    of one would read as new work that no primary will ever order.  PBFT
+    keeps the last reply per client in its checkpoints for this.
+
+    A batch is installed committed only when it is proven: it is at or
+    below the checkpoint or our own commit frontier, or its commitment
+    evidence is ordered in batch ``s + P`` (§3.1).  The rest — at least
+    the last P batches — is installed pre-prepared, and prepares and
+    commits through the evidence that proves it: prepares and nonces
+    already stored, an ``evidence-bundle``, or a new view that re-issues
+    it.
 
     The paper's fetch verifies checkpoint receipts and per-interval
     Merkle roots instead of replaying everything (§3.4); we verify the
@@ -162,7 +169,17 @@ def install_ledger(
     batch_infos = ledger.batches()
     covered = batch_infos[-1].pp_index if batch_infos else ledger.base_index
     evidenced = {e.seqno for e in ledger.entries(end=covered) if isinstance(e, EvidenceEntry)}
-    committed_upto = cp_seqno
+    # What we committed ourselves stays committed: a pre-prepare's root_m
+    # binds the ledger before it and its root_g the batch, so the same
+    # digest at our commit frontier means the same committed prefix.
+    proven = cp_seqno
+    own = replica.batches.get(replica.committed_upto)
+    if (
+        own is not None and own.committed and ledger.batch(own.seqno) is not None
+        and ledger.batch_pre_prepare(own.seqno).digest() == own.pp_digest
+    ):
+        proven = max(proven, own.seqno)
+    committed_upto = proven
     # Suffix or not, the genesis digest is the one every replica derives
     # from its genesis configuration and initial state.
     directory = CheckpointDirectory(replica.cp_directory.genesis_digest())
@@ -181,7 +198,7 @@ def install_ledger(
     checkpoints: dict[int, Checkpoint] = {cp_seqno: checkpoint} if checkpoint is not None else {}
     last_taken = cp_seqno
     batches: dict[int, BatchRecord] = {}
-    tx_locations: dict = {}
+    tx_locations: dict = dict(executed or {})
     new_pps: dict = {}
     new_ppd: dict = {}
     activations = {
@@ -246,7 +263,7 @@ def install_ledger(
             elif reconfig is None:
                 reconfig = ReconfigState(
                     Configuration.from_wire(accepted), seqno, ledger.root_at(info.end))
-        if seqno <= cp_seqno or (committed_upto == seqno - 1 and seqno in evidenced):
+        if seqno <= proven or (committed_upto == seqno - 1 and seqno in evidenced):
             committed_upto = max(committed_upto, seqno)
             record.prepared = record.committed = True
         batches[seqno] = record

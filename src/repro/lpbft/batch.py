@@ -55,7 +55,6 @@ class BatchRecord:
     g_tree: MerkleTree = field(default_factory=MerkleTree)
     tx_digests: list = field(default_factory=list)  # request digest per entry (None for cp tx)
     clients: dict = field(default_factory=dict)  # client pubkey -> [tx digests]
-    arrived: float | None = None  # latest admission time of its requests (a requeue keeps it)
     kv_mark: int = 0  # kv.tx_count before the batch executed
     ledger_start: int = 0  # ledger size before the batch's evidence entries
     ledger_end: int = 0  # ledger size after the batch's last entry

@@ -574,7 +574,6 @@ class LPBFTReplica(Node):
         for tx_digest in tx_digests:
             request, arrival = self.admission.take(tx_digest)
             if arrival is not None:
-                record.arrived = max(arrival, record.arrived or arrival)
                 # Time spent queued between admission and execution — the
                 # congestion signal open-loop saturation sweeps read.
                 self.metrics.queue_delay.record(self.now - arrival)

@@ -37,42 +37,46 @@ class ViewManager:
         self._vc_timer: int | None = None
         self._progress_mark = -1
         self._sent_new_view_for: set[int] = set()
-        # A new-view message held back while a state sync fetches the
-        # batches it builds on: ``(src, msg)``.
-        self._stashed_new_view: tuple | None = None
 
     # -- hooks for the replica's other components ---------------------------------------
 
-    def mark_progress(self) -> None:
-        """Restart the no-progress window (a state transfer just ended)."""
-        self._progress_mark = self.replica.committed_upto
-
-    def synced(self) -> None:
-        """A state transfer ended: re-enter the new view it fetched for —
-        re-process the stashed new-view (backup) or send it (primary)."""
-        stashed, self._stashed_new_view = self._stashed_new_view, None
-        if stashed is not None:
-            self.on_new_view(*stashed)
+    def synced(self, ledger, view: int | None, target: tuple | None) -> bool:
+        """A state transfer ended with ``ledger`` (installed when the
+        server's ``view`` is given).  After a new-view catch-up
+        (:meth:`_catch_up`'s ``target``) whose ledger still runs below
+        that new view, keep our view and re-enter it — re-process the
+        held-back new-view (backup) or send it (primary) — and return
+        True.  Otherwise take the server's view and resume.  Either way
+        the no-progress window restarts."""
+        r = self.replica
+        batches = ledger.batches()
+        resumed = target is not None and bool(batches) and batches[-1].view < target[0]
+        if resumed and target[3] is not None:
+            self.on_new_view(*target[3])
+        elif resumed:
+            self._maybe_send_new_view(r.view)
         else:
-            self._maybe_send_new_view(self.replica.view)
+            if view is not None:
+                # The installed ledger is the service's actual history,
+                # even if we had optimistically advanced further while away.
+                r.view = view
+                self.view_changes = {v: m for v, m in self.view_changes.items() if v > view}
+            r.ready = True
+        self._progress_mark = r.committed_upto
+        return resumed
 
     def _catch_up(self, view: int, slp: int, pplp: PrePrepare, stash: tuple | None = None) -> None:
         """Alg. 2's "fetch missing ledger entries from replicas that sent
         matching prepare messages": a state-sync session whose suffix
-        must hold ``pplp`` at ``slp``; :meth:`synced` resumes."""
-        self._stashed_new_view = stash
-        self.replica.sync_client.start("new_view", (view, slp, pplp.digest()))
-
-    def adopted(self, view: int) -> None:
-        """A ledger install moved us to ``view``: view-changes at or below
-        it are history."""
-        self.view_changes = {v: m for v, m in self.view_changes.items() if v > view}
+        must hold ``pplp`` at ``slp``; :meth:`synced` resumes.  The
+        session carries the ``(src, msg)`` of a backup's held-back
+        new-view, and drops it if it gives up."""
+        self.replica.sync_client.start("new_view", (view, slp, pplp.digest(), stash))
 
     def reset(self) -> None:
         """Forget what a process restart would lose."""
         self._close_span(aborted=True)
         self.view_changes = {}
-        self._stashed_new_view = None
 
     def _close_span(self, **attrs) -> None:
         if self._vc_span is not None:
@@ -321,8 +325,8 @@ class ViewManager:
             if record.pp_digest is not None:
                 r.ppd_index.pop(record.pp_digest, None)
                 r.prepares_by_ppd.pop(record.pp_digest, None)
-            # The requests keep the batch's age: a new view re-issues the
-            # batch at once, so only a request no view re-issues ages out.
+            # No arrival time: the requests are not aged out of the queue
+            # before the new view re-issues their batch.
             r._unexecute(record)
         r.prepared_upto = min(r.prepared_upto, target)
         r.committed_upto = min(r.committed_upto, target)

@@ -133,7 +133,8 @@ class StateSyncClient:
         # sync-ledger message; includes reconfigurations we missed when
         # the server's governance chain proves them).
         self._suffix_schedule = None
-        # Alg. 2's catch-up: ``(view, slp, pplp digest)``, else None.
+        # Alg. 2's catch-up: ``(view, slp, pplp digest, held-back
+        # new-view)``, else None.
         self.target: tuple | None = None
         self._started_at = 0.0
         self._span = None  # open "state-sync" Span while tracing
@@ -445,15 +446,14 @@ class StateSyncClient:
         if self.phase != LEDGER or src != self.server:
             return
         if (
-            len(msg) not in (5, 6)
+            len(msg) != 6
             or not isinstance(msg[1], int)
             or not isinstance(msg[2], tuple)
             or not isinstance(msg[3], int)
         ):
             self._failover("malformed_ledger")
             return
-        start, entry_wires, view, tip_seqno = msg[1], msg[2], msg[3], msg[4]
-        chain_wire = msg[5] if len(msg) == 6 else None
+        start, entry_wires, view, chain_wire = msg[1], msg[2], msg[3], msg[4]
         if start not in (0, self._base_len):
             self._failover("bad_suffix_start")
             return
@@ -466,8 +466,7 @@ class StateSyncClient:
             replica.metrics.bump("sync_verification_failures")
             self._failover(f"verify:{type(exc).__name__}")
             return
-        resume = self._resumes_new_view(ledger)
-        if resume is None:
+        if not self._serves_target(ledger):
             self._failover("target_missed")
             return
         if replica.committed_upto > 0 and ledger.last_seqno() < replica.committed_upto:
@@ -486,36 +485,42 @@ class StateSyncClient:
             # recovered into a view change): fall through and install, so
             # the new view is adopted instead of stalling on stale
             # pre-prepares as the old view's primary.
-            self._finish(checkpoint, ledger, installed=False, resume=resume)
+            self._finish(checkpoint, ledger)
             return
+        executed = self._executed_below(msg[5], checkpoint) if self._cp_rooted else {}
         try:
-            replayed = install_ledger(replica, ledger, checkpoint, schedule)
+            replayed = install_ledger(replica, ledger, checkpoint, schedule, executed)
         except (ProtocolError, LedgerError, KVError) as exc:
             replica.metrics.bump("sync_verification_failures")
             self._failover(f"install:{type(exc).__name__}")
             return
-        if not resume:
-            # Adopt the sender's view wholesale, even if we had
-            # optimistically advanced further while partitioned away —
-            # the adopted ledger is the service's actual history.
-            replica.view = view
-            replica.views.adopted(view)
-        self._finish(checkpoint, ledger, installed=True, replayed=replayed,
-                     fetched_entries=len(entry_wires), resume=resume)
+        self._finish(checkpoint, ledger, view, replayed, len(entry_wires))
 
-    def _resumes_new_view(self, ledger) -> bool | None:
-        """True: ``ledger`` holds the target batch, so we keep our view and
-        re-enter Alg. 2; False: we adopt the server's view (no target, or
-        the ledger runs in the target view already); None: no use."""
+    @staticmethod
+    def _executed_below(executed, checkpoint) -> dict:
+        """The well-formed entries of the server's index of requests
+        executed at or below our checkpoint (unprovable: a lying server
+        can make us ignore a request, never change what we install)."""
+        if not isinstance(executed, tuple):
+            return {}
+        return {
+            item[0]: (item[1], item[2]) for item in executed
+            if isinstance(item, tuple) and len(item) == 3 and isinstance(item[0], bytes)
+            and isinstance(item[1], int) and isinstance(item[2], int)
+            and item[1] <= checkpoint.seqno
+        }
+
+    def _serves_target(self, ledger) -> bool:
+        """Is ``ledger`` of use?  Always without a target; for a new-view
+        catch-up, when it holds the target batch or already runs in the
+        target view."""
         if self.target is None:
-            return False
-        view, slp, pplp_digest = self.target
+            return True
+        view, slp, pplp_digest, _ = self.target
         batches = ledger.batches()
         if batches and batches[-1].view >= view:
-            return False
-        if ledger.batch(slp) is not None and ledger.batch_pre_prepare(slp).digest() == pplp_digest:
             return True
-        return None
+        return ledger.batch(slp) is not None and ledger.batch_pre_prepare(slp).digest() == pplp_digest
 
     def _trusted_suffix_schedule(self, chain_wire):
         """The configuration schedule a suffix-rooted ledger verifies
@@ -638,10 +643,13 @@ class StateSyncClient:
 
     # -- completion / failure -------------------------------------------------
 
-    def _finish(self, checkpoint, ledger, installed: bool, replayed: int = 0,
-                fetched_entries: int = 0, resume: bool = False) -> None:
+    def _finish(self, checkpoint, ledger, view: int | None = None, replayed: int = 0,
+                fetched_entries: int = 0) -> None:
+        """End the session; ``view`` is the server's when ``ledger`` was
+        installed, None when it held nothing newer."""
         replica = self.replica
-        server = self.server
+        server, target = self.server, self.target
+        installed = view is not None
         self.last_result = {
             "installed": installed,
             "cp_seqno": 0 if checkpoint is None else checkpoint.seqno,
@@ -656,15 +664,13 @@ class StateSyncClient:
         self.abort()
         self.excluded = set()
         replica.metrics.bump("sync_sessions_completed")
-        # Resume normal operation: lift the suspension and restart the
-        # machinery — or, when a view change resumes, leave readiness to
-        # the new view.
+        # Resume normal operation, or the view change we caught up for:
+        # lift the suspension and restart the machinery.
         replica.syncing = False
-        replica.ready = not resume
-        replica.views.mark_progress()
+        resumed_view_change = replica.views.synced(ledger, view, target)
         if server:
             replica.send(server, ("get-gov-chain",))
-            if installed and not resume:
+            if installed and not resumed_view_change:
                 # The tail the ledger could not prove committed: the
                 # server holds its evidence if it committed it.
                 for seqno in range(replica.committed_upto + 1, replica.next_seqno):
@@ -677,7 +683,6 @@ class StateSyncClient:
         # would ever kick the pipeline.
         replica.maybe_send_pre_prepare()
         replica.views.arm_timer()
-        replica.views.synced()
 
     def _failover(self, reason: str) -> None:
         replica = self.replica

@@ -15,14 +15,19 @@ and one serving peer at a time:
 - ``sync-get-ledger`` → ``sync-ledger``: the ledger suffix past the
   client's committed prefix (the server falls back to the full ledger
   when the client's prefix root does not match its own — e.g. a view
-  change the client never witnessed shifted physical positions).
+  change the client never witnessed shifted physical positions).  A
+  suffix rooted at the served checkpoint also carries the server's index
+  of the requests executed at or below it.
 
 None of these messages is signed: every payload is verified against
 digests the client already trusts or can cross-check in the fetched
 ledger itself (chunks against the manifest, the manifest against ``dC``
 recorded by a checkpoint transaction, the suffix against the checkpoint's
 ledger root and the pre-prepares' signed roots), so a Byzantine server
-can waste a client's time but cannot make it install bad state.
+can waste a client's time but cannot make it install bad state.  The
+server's view and its index of executed requests are hints the client
+cannot check: a lying server can stall it or make it ignore a request,
+never change what it installs.
 """
 
 from __future__ import annotations

@@ -143,7 +143,9 @@ class StateSyncServer:
           into our retained region, only ``[base_len, end)`` travels.
         - checkpoint-rooted (True): the client holds the served
           checkpoint's chunks and asks for exactly ``[cp.ledger_size,
-          end)`` — the suffix it can verify against the manifest frontier.
+          end)`` — the suffix it can verify against the manifest frontier
+          — plus our index of the requests executed at or below the
+          checkpoint (``executed``, empty for a splice).
 
         A splice request reaching *below* the retained prefix (or one
         whose prefix diverges while ours is partially garbage-collected)
@@ -159,6 +161,7 @@ class StateSyncServer:
         if end < 1:
             return
         retained = replica.ledger.base_index
+        executed = ()
         if from_checkpoint:
             # Validate against the checkpoint this transfer was *served*
             # from (the cache — still pinned and retained) first: the
@@ -179,6 +182,10 @@ class StateSyncServer:
                 return  # stale request; the client times out and re-probes
             self._cache_last_used = replica.now
             start = base_len
+            # The client will know no request executed at or below the
+            # checkpoint; our index (it keeps those entries) lets it tell
+            # a retransmission of one from a request no primary ordered.
+            executed = tuple((d, s, i) for d, (s, i) in replica.tx_locations.items())
         elif (
             isinstance(base_len, int)
             and max(1, retained) <= base_len <= end
@@ -212,8 +219,8 @@ class StateSyncServer:
                 start,
                 fragment.entry_wires,
                 replica.view,
-                replica.committed_upto,
                 chain_wire,
+                executed,
             ),
         )
 

@@ -429,6 +429,19 @@ class TestStateSyncBelowRetention:
         assert dep.ledgers_agree()
         assert len({r.kv.state_digest() for r in dep.replicas}) == 1
 
+    def test_checkpoint_rooted_replica_recognises_a_retransmission(self):
+        """A request executed below the restored checkpoint is known to the
+        replica installed above it, as to its server: a client's
+        retransmission of it is not queued as work no primary will order
+        (which the replica would suspect the primary over)."""
+        dep, client, victim = self._partitioned_run(b"gc-sync")
+        primary = dep.primary()
+        base = victim.ledger.batches()[0].seqno
+        old = next(d for d in client.receipts if primary.tx_locations[d][0] < base)
+        assert victim.tx_locations[old] == primary.tx_locations[old]
+        victim.on_message(client.address, ("request", client.receipts[old].request_wire))
+        assert old not in victim.admission
+
     def test_checkpoint_rooted_replica_keeps_committing(self):
         dep, client, victim = self._partitioned_run(b"gc-sync2")
         assert victim.ledger.base_index > 0

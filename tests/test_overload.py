@@ -335,9 +335,8 @@ class TestRequestQueue:
 
     def test_requeue_with_and_without_arrival(self):
         """``_undo_batch_execution`` requeues with ``arrival = now``; the
-        view-change rollback requeues with the batch's latest arrival, so
-        a request no new view re-issues ages out like any other (a backup
-        holding it forever would suspect every primary)."""
+        view-change rollback requeues with none, so its wait counts from
+        zero however long ago the request first arrived."""
         dep, client = self.build()
         primary = dep.primary()
         queue = primary.admission
@@ -351,12 +350,11 @@ class TestRequestQueue:
         primary.maybe_send_pre_prepare()  # batch 1 = [rolled, undone]
         primary.views.rollback_to_batch(0)
         assert list(queue.requests) == [rolled, undone]
-        assert queue.arrivals == {rolled: 1.0, undone: 1.0}
+        assert rolled not in queue.arrivals and undone not in queue.arrivals
         assert {rolled, undone} <= queue.verified and not queue.orphans()
-        assert queue.select(0) == [rolled, undone]  # re-issued at once: nothing shed
-        self.at(dep, 10.0)  # far past client_timeout: both shed
-        assert queue.select(0) == []
-        assert primary.metrics.counters["requests_deadline_dropped"] == 2
+        self.at(dep, 10.0)  # far past client_timeout, yet nothing is shed
+        assert queue.select(0) == [rolled, undone]
+        assert "requests_deadline_dropped" not in primary.metrics.counters
 
     def test_take_leaves_routing_until_forget_releases_it(self):
         dep, client = self.build()

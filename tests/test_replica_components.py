@@ -163,6 +163,25 @@ class TestHonestInstall:
         assert victim.committed_upto == victim.prepared_upto == tip
         assert all(record.committed for record in victim.batches.values())
 
+    def test_install_keeps_what_we_committed(self):
+        """A replica that committed through X and installs a ledger ending
+        before X + P keeps X committed: no batch commits a second time."""
+        dep = build_deployment(accounts=20)
+        replica, primary = dep.replicas[3], dep.primary()
+        client = dep.add_client(retry_timeout=0.5)
+        dep.start()
+        run_waves(dep, client, waves=3, per_wave=20, gap=0.05)
+        ledger = primary.ledger.fragment(0).to_ledger()
+        tip = ledger.last_seqno()
+        assert replica.committed_upto == tip > FAST_PARAMS.pipeline
+        committed = replica.metrics.counters["batches_committed"]
+        genesis = replica.checkpoints[0]
+        schedule = verify_fetched_ledger(replica, ledger, len(ledger), 1, genesis)
+        install_ledger(replica, ledger, genesis, schedule)
+        assert replica.committed_upto == replica.prepared_upto == tip
+        assert all(record.committed for record in replica.batches.values())
+        assert replica.metrics.counters["batches_committed"] == committed
+
 
 class TestSyncSuffix:
     """A ledger suffix reaches replica state only from the session's own
@@ -180,7 +199,8 @@ class TestSyncSuffix:
         """One committed batch, then a session whose only server is
         replica-0, held just before the suffix arrives.  Returns the
         honest ``sync-ledger`` message.  ``behind``: the victim heard
-        nothing before the session."""
+        nothing before the session; ``target``: ``(view, slp, pplp,
+        stash)`` of a new-view catch-up, else a lag session."""
         cut_off = [behind]
         held = []
 
@@ -202,7 +222,10 @@ class TestSyncSuffix:
         assert dep.replicas[0].committed_upto == 1
         assert victim.committed_upto == (0 if behind else 1)
         cut_off[0] = False
-        victim.sync_client.start("new_view" if target else "lag", target)
+        if target is None:
+            victim.sync_client.start("lag")
+        else:
+            victim.views._catch_up(*target)
         dep.run(until=0.55)
         assert victim.sync_client.phase == "ledger" and len(held) == 1
         return held[0]
@@ -251,15 +274,19 @@ class TestSyncSuffix:
     def test_suffix_without_the_prepared_batch_is_refused(self):
         dep = build_deployment(accounts=20)
         victim = dep.replicas[1]
-        target = (1, 1, b"\x01" * 32)  # batch 1 as some other pre-prepare
-        honest = self.paused_session(dep, victim, behind=True, target=target)
+        other = PrePrepare(view=0, seqno=1, root_m=b"", root_g=b"", nonce_commitment=b"\0" * 32,
+                           evidence_bitmap=0, gov_index=0, checkpoint_digest=b"", signature=b"")
+        stash = ("replica-2", ("new-view",))  # held back while catching up
+        honest = self.paused_session(dep, victim, behind=True, target=(1, 1, other, stash))
         before = self.state(victim)
         victim.on_message("replica-0", honest)
         assert self.state(victim) == before
         counters = victim.metrics.counters
         assert "ledger_adoptions" not in counters and "sync_verification_failures" not in counters
-        # The only server missed: the session ends, the view-change timer takes over.
+        # The only server missed: the session ends, the view-change timer
+        # takes over, and the held-back new-view goes with the session.
         assert counters["sync_sessions_abandoned"] == 1 and not victim.syncing
+        assert victim.sync_client.target is None
 
     @pytest.mark.parametrize("waves", [3, 8])
     def test_sync_serves_a_checkpoint_its_ledger_records(self, waves):
