@@ -130,9 +130,11 @@ def install_ledger(
     executed: dict | None = None,
 ) -> int:
     """Adopt a verified ``ledger`` under the ``schedule`` it verified
-    with: restore the KV store from ``checkpoint``, replay only the
-    batches after it, and reconstruct per-batch records.  Returns the
-    number of replayed batches.  The view is the caller's to set.
+    with: restore the KV store from ``checkpoint`` (the genesis one for
+    a genesis-rooted ledger; without one there is nothing to replay
+    from), replay only the batches after it, and reconstruct per-batch
+    records.  Returns the number of replayed batches.  The view is the
+    caller's to set.
 
     ``executed`` locates requests executed below the ledger's batches (a
     checkpoint-rooted peer's index): without it a client's retransmission
@@ -154,17 +156,18 @@ def install_ledger(
     raising :class:`ProtocolError` *before* any replica state changes,
     so a failed install leaves the replica untouched.
     """
-    entries = ledger.entries()
+    if checkpoint is None:
+        raise ProtocolError("no checkpoint to replay the ledger from")
     if ledger.base_index > 0:
         # Suffix-rooted adoption (the server garbage-collected its
         # prefix): the governance history below the checkpoint is not in
         # the fetched entries, so everything hangs off the checkpoint
         # and the caller's genesis-anchored schedule.
-        if checkpoint is None or checkpoint.seqno <= 0:
+        if checkpoint.seqno <= 0:
             raise ProtocolError("suffix-rooted ledger requires a checkpoint")
         if schedule.spans()[0].config.number != 0:
             raise ProtocolError("adopted schedule is not genesis-anchored")
-    cp_seqno = 0 if checkpoint is None else checkpoint.seqno
+    cp_seqno = checkpoint.seqno
     # Evidence counts only when a signed pre-prepare's root_m covers it.
     batch_infos = ledger.batches()
     covered = batch_infos[-1].pp_index if batch_infos else ledger.base_index
@@ -172,30 +175,22 @@ def install_ledger(
     # What we committed ourselves stays committed: a pre-prepare's root_m
     # binds the ledger before it and its root_g the batch, so the same
     # digest at our commit frontier means the same committed prefix.
-    proven = cp_seqno
+    committed_upto = cp_seqno
     own = replica.batches.get(replica.committed_upto)
     if (
         own is not None and own.committed and ledger.batch(own.seqno) is not None
         and ledger.batch_pre_prepare(own.seqno).digest() == own.pp_digest
     ):
-        proven = max(proven, own.seqno)
-    committed_upto = proven
+        committed_upto = max(committed_upto, own.seqno)
     # Suffix or not, the genesis digest is the one every replica derives
     # from its genesis configuration and initial state.
     directory = CheckpointDirectory(replica.cp_directory.genesis_digest())
     kv = KVStore()
-    if checkpoint is not None:
-        # The genesis checkpoint (seqno 0) restores too: it carries any
-        # pre-populated initial state that a bare config install lacks.
-        checkpoint.restore_into(kv)
-        replica.submit("hash", len(checkpoint.state) * replica.costs.checkpoint_per_entry)
-    else:
-        if not entries or not isinstance(entries[0], GenesisEntry):
-            raise ProtocolError("adopted ledger does not start with genesis")
-        config0 = Configuration.from_wire(entries[0].config_wire)
-        kv.execute(lambda tx: install_configuration(tx, config0))
-
-    checkpoints: dict[int, Checkpoint] = {cp_seqno: checkpoint} if checkpoint is not None else {}
+    # The genesis checkpoint (seqno 0) restores too: it carries any
+    # pre-populated initial state that a bare config install lacks.
+    checkpoint.restore_into(kv)
+    replica.submit("hash", len(checkpoint.state) * replica.costs.checkpoint_per_entry)
+    checkpoints: dict[int, Checkpoint] = {cp_seqno: checkpoint}
     last_taken = cp_seqno
     batches: dict[int, BatchRecord] = {}
     tx_locations: dict = dict(executed or {})
@@ -263,7 +258,7 @@ def install_ledger(
             elif reconfig is None:
                 reconfig = ReconfigState(
                     Configuration.from_wire(accepted), seqno, ledger.root_at(info.end))
-        if seqno <= proven or (committed_upto == seqno - 1 and seqno in evidenced):
+        if seqno <= committed_upto or (committed_upto == seqno - 1 and seqno in evidenced):
             committed_upto = max(committed_upto, seqno)
             record.prepared = record.committed = True
         batches[seqno] = record

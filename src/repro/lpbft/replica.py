@@ -756,28 +756,14 @@ class LPBFTReplica(Node):
                 self.send(primary_addr, ("fetch-evidence", ev_seqno, pp.evidence_bitmap))
             return False
         # The activation batch (s + 2P + 1) is signed by the *new*
-        # configuration's primary (§5.1).
+        # configuration's primary (§5.1).  A re-issued one too: a rollback
+        # across an activation undoes it and restores the ReconfigState.
         activation_batch = (
             pp.flags == BATCH_CHECKPOINT
             and self.reconfig is not None
             and s == self.reconfig.activation_seqno(self.params.pipeline)
         )
-        # A rollback that crossed an activation after a ledger adoption
-        # has no ReconfigState to recognize the re-issued activation
-        # batch by — but the adopted schedule knows which seqno starts
-        # each configuration span.
-        adopted_span = None
-        if pp.flags == BATCH_CHECKPOINT and self.reconfig is None:
-            for span in self.schedule.spans():
-                if span.config.number > 0 and span.start_seqno == s:
-                    adopted_span = span
-                    break
-        if activation_batch:
-            signer_config = self.reconfig.new_config
-        elif adopted_span is not None:
-            signer_config = adopted_span.config
-        else:
-            signer_config = config
+        signer_config = self.reconfig.new_config if activation_batch else config
         primary_id = signer_config.primary_for_view(pp.view)
         if primary_id == self.id:
             return True
@@ -795,14 +781,6 @@ class LPBFTReplica(Node):
             return False  # the final vote has not executed locally yet
         if activation_batch:
             self._activate_configuration()
-        elif adopted_span is not None:
-            # Re-executing a known activation batch: re-assert the KV
-            # install that live activation performed (idempotent — the
-            # same configuration and marker deletions either way), so the
-            # replayed state matches replicas that activated live.
-            self.kv.execute(
-                lambda tx, c=adopted_span.config: install_configuration(tx, c)
-            )
         self._accept_pre_prepare(pp, batch_digests, trace_ctx)
         return True
 

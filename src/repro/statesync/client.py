@@ -336,7 +336,7 @@ class StateSyncClient:
             return
         int_fields = (
             offer.cp_seqno, offer.cp_ledger_size, offer.n_chunks,
-            offer.tip_seqno, offer.tip_ledger_size, offer.view,
+            offer.tip_seqno, offer.view,
         )
         if not all(isinstance(f, int) for f in int_fields):
             return
@@ -565,8 +565,7 @@ class StateSyncClient:
         our own genesis checkpoint (identical on every replica)."""
         offer = self.offer
         if offer.cp_seqno <= 0 or self.reassembler is None:
-            genesis = self.replica.checkpoints.get(0)
-            return genesis  # may be None; install then replays from genesis config
+            return self.replica.checkpoints.get(0)  # None once collected: no install
         state = self.reassembler.reassemble()  # raises KVError on any mismatch
         return Checkpoint(
             seqno=offer.cp_seqno,

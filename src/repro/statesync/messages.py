@@ -44,8 +44,8 @@ class SyncOffer:
 
     ``cp_seqno == 0`` means "no recorded checkpoint yet" — the client
     falls back to a ledger-only transfer replayed from genesis.
-    ``tip_seqno`` / ``tip_ledger_size`` describe the server's committed
-    frontier, and ``view`` the view the client should resume in.
+    ``tip_seqno`` is the server's committed frontier, and ``view`` the
+    view the client should resume in.
     """
 
     cp_seqno: int
@@ -54,7 +54,6 @@ class SyncOffer:
     cp_ledger_root: Digest
     n_chunks: int
     tip_seqno: int
-    tip_ledger_size: int
     view: int
 
     def to_wire(self) -> tuple:
@@ -66,14 +65,13 @@ class SyncOffer:
             self.cp_ledger_root,
             self.n_chunks,
             self.tip_seqno,
-            self.tip_ledger_size,
             self.view,
         )
 
     @staticmethod
     def from_wire(raw: tuple) -> "SyncOffer":
         try:
-            tag, cp_seqno, cp_digest, cp_lsize, cp_lroot, n_chunks, tip, tip_lsize, view = raw
+            tag, cp_seqno, cp_digest, cp_lsize, cp_lroot, n_chunks, tip, view = raw
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed sync-offer: {exc}") from exc
         if tag != "sync-offer":
@@ -85,7 +83,6 @@ class SyncOffer:
             cp_ledger_root=cp_lroot,
             n_chunks=n_chunks,
             tip_seqno=tip,
-            tip_ledger_size=tip_lsize,
             view=view,
         )
 

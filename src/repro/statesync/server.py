@@ -76,7 +76,6 @@ class StateSyncServer:
                 cp_ledger_root=cp.ledger_root,
                 n_chunks=len(chunks),
                 tip_seqno=replica.committed_upto,
-                tip_ledger_size=self._served_ledger_end(),
                 view=replica.view,
             )
         else:
@@ -93,7 +92,6 @@ class StateSyncServer:
                 cp_ledger_root=replica.ledger.root_at(1),
                 n_chunks=0,
                 tip_seqno=replica.committed_upto,
-                tip_ledger_size=self._served_ledger_end(),
                 view=replica.view,
             )
         replica.send(src, offer.to_wire())
@@ -161,7 +159,6 @@ class StateSyncServer:
         if end < 1:
             return
         retained = replica.ledger.base_index
-        executed = ()
         if from_checkpoint:
             # Validate against the checkpoint this transfer was *served*
             # from (the cache — still pinned and retained) first: the
@@ -182,10 +179,6 @@ class StateSyncServer:
                 return  # stale request; the client times out and re-probes
             self._cache_last_used = replica.now
             start = base_len
-            # The client will know no request executed at or below the
-            # checkpoint; our index (it keeps those entries) lets it tell
-            # a retransmission of one from a request no primary ordered.
-            executed = tuple((d, s, i) for d, (s, i) in replica.tx_locations.items())
         elif (
             isinstance(base_len, int)
             and max(1, retained) <= base_len <= end
@@ -212,6 +205,11 @@ class StateSyncServer:
         # receipts) lets a joiner that missed a reconfiguration derive
         # the configuration schedule anyway, anchored at genesis.
         chain_wire = replica.gov_chain.to_wire() if start > 0 else None
+        # A client rooted at the checkpoint knows no request executed at or
+        # below it: our index (it keeps those entries) tells it a client's
+        # retransmission of one from a request no primary ordered yet.
+        executed = tuple(
+            (d, s, i) for d, (s, i) in replica.tx_locations.items()) if from_checkpoint else ()
         replica.send(
             src,
             (

@@ -205,8 +205,7 @@ class TestSyncMessageWire:
     def test_offer_roundtrip(self):
         offer = SyncOffer(
             cp_seqno=20, cp_digest=b"\x01" * 32, cp_ledger_size=200,
-            cp_ledger_root=b"\x02" * 32, n_chunks=3, tip_seqno=36,
-            tip_ledger_size=400, view=1,
+            cp_ledger_root=b"\x02" * 32, n_chunks=3, tip_seqno=36, view=1,
         )
         wire = offer.to_wire()
         codec.decode(codec.encode(wire))  # codec-encodable
