@@ -5,10 +5,10 @@ history from genesis because audits and ``replyx`` rebuilds assume the
 complete prefix exists.  This benchmark drives the same steady-state
 workload through two arms:
 
-- ``gc`` — ``ledger_gc=True`` with a zero age floor: entries below the
+- ``gc`` — a zero age floor (``ledger_gc_min_age=0``): entries below the
   oldest stable checkpoint are truncated as soon as the next checkpoint
   stabilizes, so the resident ledger is O(retention window);
-- ``unbounded`` — ``ledger_gc=False``: the PR 4 behavior, resident
+- ``unbounded`` — ``ledger_gc_min_age=math.inf``: the PR 4 behavior, resident
   entries equal total entries forever.
 
 Resident entry counts are sampled through the run (the ``gc`` arm's curve
@@ -25,6 +25,7 @@ the module as a script — or the full pytest run — writes
 """
 
 import json
+import math
 import os
 import time
 
@@ -40,8 +41,8 @@ BASE = dict(
     pipeline=2, max_batch=50, checkpoint_interval=20,
     batch_delay=0.0005, view_change_timeout=30.0,
 )
-GC_PARAMS = ProtocolParams(**BASE, ledger_gc=True, ledger_gc_min_age=0.0)
-UNBOUNDED_PARAMS = ProtocolParams(**BASE, ledger_gc=False)
+GC_PARAMS = ProtocolParams(**BASE, ledger_gc_min_age=0.0)
+UNBOUNDED_PARAMS = ProtocolParams(**BASE, ledger_gc_min_age=math.inf)
 
 ACCOUNTS = 2_000
 

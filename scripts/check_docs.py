@@ -7,7 +7,9 @@ refactored.
   in a known extension, or match BENCH_*.json / BENCHMARK.json) are
   resolved against the repo root; shell-style globs must match something.
 - Options: every ``ProtocolParams(<name>=`` / ``ProtocolParams.<name>``
-  must name a field (or method) of ``repro.lpbft.ProtocolParams``.
+  must name a field (or method) of ``repro.lpbft.ProtocolParams``, and no
+  backticked name may be an option ``tests/test_params.py`` lists as
+  removed (bare ``client_timeout`` as much as ``ProtocolParams.ledger_gc``).
 - Retired shapes: the replica is one class with components, so no doc
   may mention a ``Mixin`` or ``statesync/integration.py``."""
 
@@ -19,8 +21,10 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from repro.lpbft import ProtocolParams  # noqa: E402
+from test_params import REMOVED  # noqa: E402
 
 PATHISH = re.compile(r"`([^`\s]+)`")
 EXTENSIONS = (".py", ".md", ".json", ".yml", ".yaml", ".toml")
@@ -28,6 +32,7 @@ PARAMS_CALL = re.compile(r"ProtocolParams\(([^()]*)\)")
 PARAMS_ATTR = re.compile(r"ProtocolParams\.(\w+)")
 KWARG = re.compile(r"(\w+)\s*=")
 RETIRED = re.compile(r"Mixin|statesync/integration\.py")
+NAME = re.compile(r"\w+")
 FIELDS = {f.name for f in dataclasses.fields(ProtocolParams)}
 
 DOCS = sorted((ROOT / "docs").glob("*.md")) + [ROOT / "README.md"]
@@ -38,6 +43,8 @@ for doc in DOCS:
     text = doc.read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         for token in PATHISH.findall(line):
+            for name in set(NAME.findall(token)) & set(REMOVED):
+                failures.append(f"{where}:{lineno}: removed option {name!r}")
             is_path = (
                 ("/" in token and token.endswith(EXTENSIONS))
                 or re.fullmatch(r"BENCH(_\w+|MARK)\.json", token)

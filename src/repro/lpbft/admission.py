@@ -25,16 +25,16 @@ peek-oldest.  ``arrivals`` and ``verified`` describe queued requests only;
 ``sources`` (reply routing) and ``trace_ctxs`` (tracing) outlive the queue
 entry while the request's batch record is retained.
 
-Knobs and their meaning (all on ProtocolParams):
+Budgets (module constants: no workload has needed another value):
 
-- request_queue_cap: hard memory bound on the queue/stash;
-- lane_backlog_budget: execute-lane occupancy (seconds) beyond which
-  ingress sheds regardless of queue length — lane backlog delays every
-  protocol round, so it must stay small for consensus cadence;
-- admission_backlog (0 = client_timeout/4): projected queue drain budget;
-  :meth:`Admission.service_time_estimate` (execute-cost EWMA + amortized
-  verify) converts queue length into seconds;
-- client_timeout: :meth:`Admission.expired` is the one expiry rule —
+- :data:`QUEUE_CAP`: hard memory bound on the queue/stash;
+- :data:`LANE_BACKLOG_BUDGET`: execute-lane occupancy (seconds) beyond
+  which ingress sheds regardless of queue length — lane backlog delays
+  every protocol round, so it must stay small for consensus cadence;
+- :data:`ADMISSION_BUDGET` (``CLIENT_TIMEOUT / 4``): projected queue drain
+  budget; :meth:`Admission.service_time_estimate` (execute-cost EWMA +
+  amortized verify) converts queue length into seconds;
+- :data:`CLIENT_TIMEOUT`: :meth:`Admission.expired` is the one expiry rule —
   :meth:`Admission.select` drops queued work whose projected completion
   (waited + lane backlog + position × service estimate) the client would
   no longer wait for, the stash evicts its expired head, and a backup's
@@ -59,6 +59,11 @@ from typing import Iterable
 
 from ..crypto.hashing import Digest
 from .messages import TransactionRequest
+
+QUEUE_CAP = 3000  # requests
+CLIENT_TIMEOUT = 2.0  # seconds: the client patience replicas shed against
+ADMISSION_BUDGET = CLIENT_TIMEOUT / 4  # seconds of projected queue drain
+LANE_BACKLOG_BUDGET = 0.05  # seconds of execute-lane occupancy
 
 
 class Admission:
@@ -132,7 +137,7 @@ class Admission:
         # pre-paying their verification would be pure waste.
         verify_now = admission_point or (
             len(self.requests) < params.max_batch
-            and replica.cpu.backlog("verify", now) < params.lane_backlog_budget
+            and replica.cpu.backlog("verify", now) < LANE_BACKLOG_BUDGET
         )
         if verify_now and params.sign_client_requests:
             if not replica._verify(request.client, request.signed_payload(), request.signature):
@@ -184,7 +189,7 @@ class Admission:
         replica = self.replica
         params = replica.params
         queued = len(self.requests)
-        if queued >= params.request_queue_cap:
+        if queued >= QUEUE_CAP:
             return "overloaded"
         backlog = replica.cpu.backlog("execute", replica.now)
         # Lane occupancy over its (small) budget: the CPU is drowning in
@@ -192,14 +197,14 @@ class Admission:
         # execute lane's backlog sees it), and every protocol message
         # round is stalling behind it — shed regardless of how short the
         # batching queue looks.
-        if backlog > params.lane_backlog_budget:
+        if backlog > LANE_BACKLOG_BUDGET:
             return "overloaded"
         # Otherwise keep at least a pipeline's worth of full batches
         # queued — shedding below that starves batch formation — and
         # beyond it shed when the projected queue drain time busts the
         # backlog budget.
         if queued >= params.max_batch * params.pipeline and (
-            backlog + (queued + 1) * self.service_time_estimate() > params.admission_budget()
+            backlog + (queued + 1) * self.service_time_estimate() > ADMISSION_BUDGET
         ):
             return "overloaded"
         return None
@@ -211,12 +216,11 @@ class Admission:
         the queue cap), with entries older than the client timeout
         evicted first (their client has given up; the primary would shed
         them too)."""
-        soft_cap = self.replica.params.request_queue_cap
         # Runs per arrival under overload: peek the oldest entry, evict it
         # if expired, stop at the first fresh one.
-        while len(self.requests) >= soft_cap and self.expired(next(iter(self.requests))):
+        while len(self.requests) >= QUEUE_CAP and self.expired(next(iter(self.requests))):
             self.drop(next(iter(self.requests)), "requests_stash_evicted")
-        return len(self.requests) < 16 * soft_cap
+        return len(self.requests) < 16 * QUEUE_CAP
 
     def expired(self, tx_digest: Digest, ahead: float = 0.0) -> bool:
         """Will the client of a queued request have given up ``ahead``
@@ -224,7 +228,7 @@ class Admission:
         when unknown) against the client timeout."""
         now = self.replica.now
         waited = now - self.arrivals.get(tx_digest, now)
-        return waited + ahead > self.replica.params.client_timeout
+        return waited + ahead > CLIENT_TIMEOUT
 
     def evict_expired(self) -> None:
         """Drop the expired requests anywhere in the queue: a primary

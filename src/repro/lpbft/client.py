@@ -31,14 +31,15 @@ class LPBFTClient(Node):
     ``on_receipt`` (if given) is called with ``(tx_digest, receipt,
     latency_seconds)`` whenever a receipt completes.
 
-    Backpressure: replicas that shed a request send a ``reject`` back;
-    the client then retries under seeded exponential backoff
-    (``backoff``, defaulting to a policy based at ``retry_timeout``) and
-    gives up after ``retry_budget`` retransmissions (None = never),
-    counting ``requests_rejected`` / ``request_retries`` /
-    ``requests_abandoned``.  Requests that simply time out keep the
-    legacy fixed retransmission cadence unless a ``backoff`` policy is
-    passed explicitly.
+    Retransmission has one rule.  A request without a receipt is
+    retransmitted every ``retry_timeout``.  A ``reject`` (a replica shed
+    it) schedules the next retransmission after a backoff delay, and from
+    then on every retransmission of that request waits the next step of
+    the seeded exponential ``backoff`` (default: based at
+    ``retry_timeout``, seed 0; pass a policy for another base or seed).
+    The client gives up after ``retry_budget`` retransmissions (None =
+    never), counting ``requests_rejected`` / ``request_retries`` /
+    ``requests_abandoned``.
     """
 
     def __init__(
@@ -58,7 +59,6 @@ class LPBFTClient(Node):
         verify_receipts: bool = True,
         retry_budget: int | None = None,
         backoff=None,
-        backoff_seed: int = 0,
     ) -> None:
         super().__init__(address=name, site=site)
         self.keypair = keypair
@@ -89,8 +89,6 @@ class LPBFTClient(Node):
         # Backpressure state (per in-flight request).
         self.retry_budget = retry_budget
         self.backoff = backoff
-        self._explicit_backoff = backoff is not None
-        self._backoff_seed = backoff_seed
         self._attempts: dict[Digest, int] = {}
         self._next_retry: dict[Digest, float] = {}
         self._rejected_attempt: dict[Digest, int] = {}
@@ -360,9 +358,7 @@ class LPBFTClient(Node):
         if self.backoff is None:
             from ..workloads.loadgen import ExponentialBackoff
 
-            self.backoff = ExponentialBackoff(
-                base=self.retry_timeout, cap=8.0 * self.retry_timeout, seed=self._backoff_seed
-            )
+            self.backoff = ExponentialBackoff(base=self.retry_timeout, cap=8.0 * self.retry_timeout)
         return self.backoff
 
     def _handle_reject(self, tx_digest: Digest, reason: str) -> None:
@@ -442,9 +438,9 @@ class LPBFTClient(Node):
     def _on_retry_timer(self) -> None:
         """Retransmit stale requests and ask an alternate replica for the
         missing ``replyx`` (§3.3: "it retransmits the request and selects
-        a different replica to send back replyx").  Requests under
-        backoff wait for their scheduled instant; requests out of retry
-        budget are abandoned."""
+        a different replica to send back replyx").  A request waits
+        ``retry_timeout`` after it was sent, or its backoff instant once a
+        replica rejected it; requests out of retry budget are abandoned."""
         now = self.now
         if self._fetching_gov and now - self._gov_fetch_at >= self.retry_timeout:
             self._send_gov_fetch()  # previous target lost/crashed: re-ask
@@ -456,10 +452,7 @@ class LPBFTClient(Node):
             if due is None:
                 if now - sent < self.retry_timeout:
                     continue
-                if self._explicit_backoff:
-                    # Timeouts back off too when a policy was configured.
-                    due = now
-            if due is not None and now < due:
+            elif now < due:
                 continue
             attempt = self._attempts.get(tx_digest, 0)
             if self.retry_budget is not None and attempt >= self.retry_budget:
@@ -479,7 +472,7 @@ class LPBFTClient(Node):
             self.send(self.replica_addresses[self._retry_cursor], ("get-replyx", tx_digest))
             if self.recording:
                 self.metrics.bump("request_retries")
-            if tx_digest in self._next_retry or self._explicit_backoff:
+            if tx_digest in self._next_retry:
                 self._next_retry[tx_digest] = now + self._backoff_policy().delay(attempt + 1)
         self._arm_retry_timer()
 

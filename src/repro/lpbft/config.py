@@ -12,6 +12,9 @@ Tab. 3 overhead-breakdown variants and the baselines:
 - ``execute_transactions``: off (empty requests) → variant h;
 - ``peer_review``: on → IA-CCF-PeerReview (sign every message, ack every
   message, sign every per-transaction reply).
+
+The admission budgets are constants of :mod:`repro.lpbft.admission`;
+docs/ARCHITECTURE.md "Knob table" says where each field here is set.
 """
 
 from __future__ import annotations
@@ -37,26 +40,6 @@ class ProtocolParams:
     aggregate_signatures: bool = False
     view_change_timeout: float = 1.0  # seconds without progress before suspecting
     batch_delay: float = 0.0005  # primary waits this long to fill a batch
-    request_queue_cap: int = 3000  # admission control: drop new requests beyond this backlog
-
-    # Overload control.  The *primary* is the single admission point: it
-    # sheds at ingress — before paying any verification cost — whenever
-    # the projected backlog drain time (execute-lane occupancy plus queued
-    # requests times the per-request service estimate) exceeds
-    # ``admission_backlog`` seconds (0 = auto: ``client_timeout / 4``),
-    # and drops queued requests whose projected completion exceeds
-    # ``client_timeout`` before paying execute costs.  Backups stash raw
-    # requests and admit exactly what the primary sequences
-    # (:mod:`repro.lpbft.admission`).
-    client_timeout: float = 2.0  # the client patience replicas shed against
-    admission_backlog: float = 0.0  # queued-work drain budget in seconds (0 = auto)
-    # CPU-lane occupancy bound: shed at ingress once the execute lane is
-    # this many seconds behind.  Queued *requests* wait harmlessly, but
-    # lane backlog delays every protocol message round, so it must stay
-    # small for consensus to keep its cadence.  Backups also stop
-    # pre-verifying stashed requests past this backlog and defer to
-    # pre-prepare time instead.
-    lane_backlog_budget: float = 0.05
 
     # State sync (checkpoint transfer + ledger catch-up, §3.4/§5.1).
     # ``sync_lag_batches`` is the stash-gap that triggers a transfer
@@ -74,7 +57,7 @@ class ProtocolParams:
     # history younger than ``ledger_gc_min_age`` seconds — the grace
     # window in which clients still fetch receipts for recent
     # transactions (``replyx`` rebuilds) and auditors assemble packages.
-    ledger_gc: bool = True
+    # ``math.inf`` never collects.
     ledger_gc_min_age: float = 5.0
 
     # Feature toggles (Tab. 3 variants).
@@ -97,20 +80,14 @@ class ProtocolParams:
             raise ValueError("max_batch must be >= 1")
         if self.checkpoint_interval < self.pipeline + 1:
             raise ValueError("checkpoint interval C must exceed the pipeline depth P")
-        if self.client_timeout <= 0:
-            raise ValueError("client_timeout must be positive")
-        if self.admission_backlog < 0:
-            raise ValueError("admission_backlog must be non-negative")
-        if self.lane_backlog_budget <= 0:
-            raise ValueError("lane_backlog_budget must be positive")
+        if self.view_change_timeout <= 0:
+            raise ValueError("view_change_timeout must be positive")
+        if self.batch_delay < 0:
+            raise ValueError("batch_delay must be non-negative")
+        if self.sync_lag_batches < 0:
+            raise ValueError("sync_lag_batches must be non-negative (0 = auto)")
         if self.ledger_gc_min_age < 0:
             raise ValueError("ledger_gc_min_age must be non-negative")
-
-    def admission_budget(self) -> float:
-        """The ingress backlog budget in seconds (auto: a quarter of the
-        client timeout, so admitted work drains well before clients give
-        up even after a retry or two)."""
-        return self.admission_backlog if self.admission_backlog > 0 else self.client_timeout / 4.0
 
 
 # Named presets matching the paper's deployments.

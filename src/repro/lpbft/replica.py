@@ -1243,7 +1243,7 @@ class LPBFTReplica(Node):
         collection).  Called after checkpoint stabilization; the
         governance sub-ledger of the pruned region is archived first so
         audits keep a complete configuration history."""
-        if not (self.params.ledger_gc and self.params.checkpoints and self.params.ledger):
+        if not (self.params.checkpoints and self.params.ledger):
             return
         # A completed/abandoned state transfer must not hold its serve pin
         # forever; the server releases it once clients go quiet.

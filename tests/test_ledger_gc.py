@@ -3,6 +3,7 @@ checkpoint-rooted audits, GC'd-batch receipt fallback, and state sync
 against servers that no longer hold the genesis prefix."""
 
 import hashlib
+import math
 
 import pytest
 
@@ -189,7 +190,7 @@ class TestLedgerTruncation:
         assert subledger.schedule.spans()[0].config.number == 0
 
     def test_extractor_chunked_feed_matches_one_shot(self):
-        dep = build_deployment(params=GC_PARAMS.variant(ledger_gc=False), seed=b"gc-x")
+        dep = build_deployment(params=GC_PARAMS.variant(ledger_gc_min_age=math.inf), seed=b"gc-x")
         client = dep.add_client(retry_timeout=0.5)
         dep.start()
         run_waves(dep, client, waves=4, per_wave=25, gap=0.25)

@@ -15,7 +15,7 @@ from helpers import build_deployment
 from repro import forkmap
 from repro.bench import runners
 from repro.bench.runners import BenchPoint, find_knee, run_iaccf_point
-from repro.lpbft import ProtocolParams
+from repro.lpbft import ProtocolParams, admission
 from repro.lpbft.messages import BATCH_REGULAR, Prepare, TransactionRequest
 from repro.sim.costs import CostModel
 from repro.workloads.loadgen import ExponentialBackoff
@@ -40,12 +40,24 @@ BASE = dict(
     pipeline=2, max_batch=100, checkpoint_interval=10_000,
     batch_delay=0.0005, view_change_timeout=30.0,
 )
+PARAMS = ProtocolParams(**BASE)
+
+
+def set_budgets(monkeypatch, **constants):
+    """Run at other admission budgets: they are constants of
+    :mod:`repro.lpbft.admission`, read at call time (and inherited by the
+    knee finder's forked probes)."""
+    for name, value in constants.items():
+        monkeypatch.setattr(admission, name, value)
 
 
 def overload_point(rate, params, duration=1.5, warmup=0.4, **kwargs):
+    # The default policy of run_iaccf_point's client (based at its 10 s
+    # retry timeout), seeded 1.
+    backoff = ExponentialBackoff(base=10.0, cap=80.0, seed=1)
     return run_iaccf_point(
         rate=rate, params=params, costs=SLOW, accounts=500, duration=duration,
-        warmup=warmup, client_kwargs=dict(retry_budget=3, backoff_seed=1),
+        warmup=warmup, client_kwargs=dict(retry_budget=3, backoff=backoff),
         **kwargs,
     )
 
@@ -77,6 +89,41 @@ class TestBackoff:
             ExponentialBackoff(base=0.1, cap=0.01)
         with pytest.raises(ValueError):
             ExponentialBackoff(jitter=2.0)
+
+
+class TestClientRetryRule:
+    def test_timeouts_keep_cadence_and_only_a_reject_backs_off(self):
+        """One retransmission rule: a timeout retransmits every
+        ``retry_timeout`` even when the client holds a backoff policy;
+        a ``reject`` defers the next retransmission by a backoff delay."""
+        dep = build_deployment(params=PARAMS, accounts=20)
+        backoff = dict(base=1.0, cap=1.0, seed=3)
+        client = dep.add_client(retry_timeout=0.1, backoff=ExponentialBackoff(**backoff))
+        sends = []
+
+        def cut_off(src, dst, msg):
+            # The client is partitioned from every replica: it hears no
+            # reply, so every retransmission is a timeout's.
+            if src == client.address and dst == "replica-0" and msg[0] == "request":
+                sends.append(dep.net.scheduler.now)
+            return src == client.address
+
+        dep.net.add_drop_rule(cut_off)
+        dep.start()
+        tx = client.submit("smallbank.balance", {"customer": 1}, min_index=0)
+        dep.run(until=0.55)
+        assert sends == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+
+        rejected_at = dep.net.scheduler.now
+        client.on_message("replica-0", ("reject", tx, "overloaded"))
+        delay = ExponentialBackoff(**backoff).delay(len(sends) - 1)
+        assert 1.0 <= delay <= 1.5
+        dep.run(until=rejected_at + delay + 0.5)
+        after = [t for t in sends if t > rejected_at]
+        # The first timer tick at or past the backoff instant, and nothing
+        # before it; the next retransmission waits a further backoff step.
+        assert len(after) == 1
+        assert rejected_at + delay <= after[0] < rejected_at + delay + 0.1 + 1e-9
 
 
 class TestFindKnee:
@@ -135,12 +182,12 @@ class TestFindKnee:
 
 
 class TestCoordinatedAdmission:
-    def test_only_primary_sheds_and_backups_follow(self):
+    def test_only_primary_sheds_and_backups_follow(self, monkeypatch):
         """2x past the knee: the primary is the single admission point —
         backups shed nothing, the client hears rejections, and the
         replicas still agree on a non-trivial committed prefix."""
-        params = ProtocolParams(**BASE, request_queue_cap=50_000)
-        point = overload_point(400, params, label="coordinated")
+        set_budgets(monkeypatch, QUEUE_CAP=50_000)
+        point = overload_point(400, PARAMS, label="coordinated")
         extra = point.extra
         assert extra["requests_shed"] > 0
         assert extra["requests_rejected"] > 0
@@ -154,18 +201,15 @@ class TestCoordinatedAdmission:
         assert extra["goodput_tps"] > 0
         assert extra["admitted_tps"] < extra["offered_tps"]
 
-    def test_retry_budget_abandons(self):
+    def test_retry_budget_abandons(self, monkeypatch):
         """A budgeted client retries rejected requests under backoff and
         gives up once the budget is spent."""
-        params = ProtocolParams(
-            **BASE, request_queue_cap=50_000, client_timeout=0.4,
-            admission_backlog=0.2,
-        )
+        set_budgets(monkeypatch, QUEUE_CAP=50_000, CLIENT_TIMEOUT=0.4, ADMISSION_BUDGET=0.2)
         point = run_iaccf_point(
-            rate=500, params=params, costs=SLOW, accounts=500, duration=2.5,
+            rate=500, params=PARAMS, costs=SLOW, accounts=500, duration=2.5,
             warmup=0.4, label="budgeted",
             client_kwargs=dict(
-                retry_budget=2, backoff_seed=1, retry_timeout=0.2,
+                retry_budget=2, retry_timeout=0.2,
                 backoff=ExponentialBackoff(base=0.1, cap=0.4, seed=1),
             ),
         )
@@ -176,15 +220,15 @@ class TestCoordinatedAdmission:
 
 
 class TestDeadlineShedding:
-    def test_expired_queue_tail_dropped(self):
+    def test_expired_queue_tail_dropped(self, monkeypatch):
         """With a client timeout shorter than the projected queue drain,
         the primary drops the tail of its queue before executing it."""
-        params = ProtocolParams(
-            **BASE, request_queue_cap=50_000, client_timeout=0.15,
-            admission_backlog=10.0,  # admission never sheds: deadline does
-            lane_backlog_budget=10.0,
+        set_budgets(
+            monkeypatch, QUEUE_CAP=50_000, CLIENT_TIMEOUT=0.15,
+            ADMISSION_BUDGET=10.0,  # admission never sheds: deadline does
+            LANE_BACKLOG_BUDGET=10.0,
         )
-        point = overload_point(500, params, label="deadline")
+        point = overload_point(500, PARAMS, label="deadline")
         extra = point.extra
         assert extra["requests_deadline_dropped"] > 0
         assert extra["requests_rejected"] > 0  # deadline rejects reach the client
@@ -201,7 +245,10 @@ class TestRequestQueue:
     and move the clock by hand."""
 
     CAP = 4
-    PARAMS = ProtocolParams(**BASE, request_queue_cap=CAP, client_timeout=2.0)
+
+    @pytest.fixture(autouse=True)
+    def small_queue(self, monkeypatch):
+        set_budgets(monkeypatch, QUEUE_CAP=self.CAP, CLIENT_TIMEOUT=2.0)
 
     @staticmethod
     def build(params=PARAMS):
@@ -272,7 +319,7 @@ class TestRequestQueue:
         old = self.arrive(dep, client, backup, [0, 1])
         self.at(dep, 1.5)
         fresh = self.arrive(dep, client, backup, [2, 3])
-        self.at(dep, 2.5)  # old: waited 2.5 > client_timeout; fresh: 1.0
+        self.at(dep, 2.5)  # old: waited 2.5 > CLIENT_TIMEOUT; fresh: 1.0
         new = self.arrive(dep, client, backup, [4])
         # One eviction makes room; the second expired entry is still ahead
         # of the fresh ones and goes on the next arrival.
@@ -352,7 +399,7 @@ class TestRequestQueue:
         assert list(queue.requests) == [rolled, undone]
         assert rolled not in queue.arrivals and undone not in queue.arrivals
         assert {rolled, undone} <= queue.verified and not queue.orphans()
-        self.at(dep, 10.0)  # far past client_timeout, yet nothing is shed
+        self.at(dep, 10.0)  # far past CLIENT_TIMEOUT, yet nothing is shed
         assert queue.select(0) == [rolled, undone]
         assert "requests_deadline_dropped" not in primary.metrics.counters
 
@@ -469,7 +516,7 @@ class TestRequestQueue:
         held, held_msg = self.request(dep, client, 2, min_index=10_000)
         primary.handle_request(client.address, held_msg, force=True)
         ready = self.arrive(dep, client, primary, [3, 4], force=True)
-        self.at(dep, 2.5)  # expired: waited 2.5 > client_timeout; the rest: 1.0
+        self.at(dep, 2.5)  # expired: waited 2.5 > CLIENT_TIMEOUT; the rest: 1.0
         assert queue.select(0) == ready
         assert list(queue.requests) == [held] + ready
         assert primary.metrics.counters["requests_deadline_dropped"] == 2
@@ -484,15 +531,15 @@ class TestRequestQueue:
 
 
 class TestGoodputPlateau:
-    def test_goodput_2x_past_knee(self):
+    def test_goodput_2x_past_knee(self, monkeypatch):
         """The acceptance property, scaled down: find the knee, then
         offer twice as much — goodput must hold >= 90% of knee goodput
         instead of collapsing."""
-        params = ProtocolParams(**BASE, request_queue_cap=50_000, client_timeout=4.0)
+        set_budgets(monkeypatch, QUEUE_CAP=50_000, CLIENT_TIMEOUT=4.0, ADMISSION_BUDGET=1.0)
         knee = find_knee(
             overload_point, lo=60, hi=600, rel_tol=0.15, max_probes=6,
-            params=params, label="knee-probe",
+            params=PARAMS, label="knee-probe",
         )
         assert knee.sustainable
-        past = overload_point(2.0 * knee.knee_tps, params, label="2x-knee")
+        past = overload_point(2.0 * knee.knee_tps, PARAMS, label="2x-knee")
         assert past.extra["goodput_tps"] >= 0.9 * knee.goodput_tps

@@ -15,29 +15,31 @@ FIELDS = {
     # §3 tunables
     "pipeline", "max_batch", "checkpoint_interval",
     "aggregate_signatures", "view_change_timeout", "batch_delay",
-    # admission budgets
-    "request_queue_cap", "client_timeout", "admission_backlog", "lane_backlog_budget",
     # state sync and ledger GC
-    "sync_lag_batches", "ledger_gc", "ledger_gc_min_age",
+    "sync_lag_batches", "ledger_gc_min_age",
     # Tab. 3 feature toggles
     "receipts", "checkpoints", "sign_client_requests", "use_signatures", "ledger",
     "execute_transactions", "peer_review",
 }
 
 # Options whose losing arm was deleted with them (PR 17), the work
-# window W, which was pipeline depth under a second name (PR 19), and
-# the state-sync chunk size and window, which only ever took their
-# defaults and are now constants of ``repro.statesync``.
+# window W, which was pipeline depth under a second name (PR 19), the
+# state-sync chunk size and window, which only ever took their defaults
+# and are now constants of ``repro.statesync``, the admission budgets,
+# which are now constants of ``repro.lpbft.admission``, and the ledger GC
+# switch (``ledger_gc_min_age=math.inf`` never collects).
 REMOVED = (
     "coordinated_admission", "deadline_shedding", "verify_cache", "batch_verify",
     "state_sync", "sync_retry_timeout", "sync_max_retries", "work_window",
     "sync_chunk_bytes", "sync_window",
+    "request_queue_cap", "client_timeout", "admission_backlog", "lane_backlog_budget",
+    "ledger_gc",
 )
 
 
 def test_exact_field_set():
     assert {f.name for f in dataclasses.fields(ProtocolParams)} == FIELDS
-    assert len(FIELDS) == 20
+    assert len(FIELDS) == 15
 
 
 @pytest.mark.parametrize("name", REMOVED)
@@ -46,3 +48,18 @@ def test_removed_option_is_rejected_not_ignored(name):
         ProtocolParams(**{name: True})
     with pytest.raises(TypeError):
         ProtocolParams().variant(**{name: True})
+
+
+@pytest.mark.parametrize("bad", [
+    dict(view_change_timeout=0),  # a zero-delay timer re-arms forever at t = 0
+    dict(view_change_timeout=-1.0),
+    dict(batch_delay=-0.001),  # would fail mid-run as a negative scheduler delay
+    dict(sync_lag_batches=-1),  # would count every stashed pre-prepare as lag
+    dict(ledger_gc_min_age=-1.0),
+])
+def test_invalid_values_are_rejected_at_construction(bad):
+    with pytest.raises(ValueError):
+        ProtocolParams(**bad)
+    with pytest.raises(ValueError):
+        ProtocolParams().variant(**bad)
+
