@@ -1,4 +1,4 @@
-"""PR 9 — sequencing window depth x aggregate receipt signatures.
+"""PR 9 — sequencing window depth.
 
 The single-group knee sits where the commit pipeline saturates: with one
 pre-prepare outstanding per pipeline slot, every stall in the
@@ -11,12 +11,10 @@ window knob W this bench was written for: P=1, W=3 was P=3).
 
 The baseline is the *tightest evidence lag* (``pipeline=1``): each batch
 must carry the prepare evidence of the batch one slot behind it, which
-exposes the stall directly.  Three arms:
+exposes the stall directly.  Two arms:
 
 - ``P=1`` — the re-probed baseline;
-- ``P=3`` — three rounds in flight, individual receipt shares;
-- ``P=3 + aggregation`` — three rounds in flight, f+1 receipt shares
-  collapsed to one aggregate signature.
+- ``P=3`` — three rounds in flight.
 
 Each arm's knee is located by ``find_knee`` bisection (sustainable =
 goodput >= 90% of offered).  Two headline deltas are reported, both
@@ -28,11 +26,9 @@ against the re-probed P=1 baseline:
   has already collapsed (~36K goodput vs ~46K, ~+28%), which is the
   delta a deployment sized to the deeper knee actually sees.
 
-Aggregation is goodput-neutral here by design — replica-side signing is
-per *batch* (hundreds of requests), and client CPU is not simulated — so
-its wins are measured directly: client receipt verification drops from
-f+1 signature checks to one ``verify_aggregate`` op, and the receipt
-encoding sheds f individual signature strings (the Tab. 1 effect).
+Client receipt verification is reported beside the knees: one signature
+check per signer (the primary's and each backup's prepare) and the
+receipt's encoded size.
 
 Run under pytest (``BENCH_SMOKE=1`` shrinks everything for CI); running
 the module as a script — or the full pytest run — writes
@@ -66,11 +62,10 @@ BASELINE = ProtocolParams(**BASE)
 ARMS = (
     ("P=1", BASELINE),
     ("P=3", BASELINE.variant(pipeline=P)),
-    ("P=3+agg", BASELINE.variant(pipeline=P, aggregate_signatures=True)),
 )
 
 # Knee bracket for the bisection: the P=1 knee probes near 44-45K, the
-# P=3 one near 49-50K; one bracket covers all arms.
+# P=3 one near 49-50K; one bracket covers both arms.
 KNEE_LO, KNEE_HI = 38_000, 56_000
 
 
@@ -129,53 +124,39 @@ def point_row(p):
 
 
 class _CountingBackend:
-    """Wraps a crypto backend and counts individual vs aggregate verify
-    ops, so the O(1)-receipt-verification claim is measured, not assumed."""
+    """Wraps a crypto backend and counts verify ops, so the per-receipt
+    verification cost is measured, not assumed."""
 
     def __init__(self, inner):
         self._inner = inner
         self.name = inner.name
-        self.supports_aggregation = inner.supports_aggregation
         self.verifies = 0
-        self.agg_verifies = 0
 
     def verify(self, public_key, message, signature):
         self.verifies += 1
         return self._inner.verify(public_key, message, signature)
 
-    def verify_aggregate(self, pairs, agg):
-        self.agg_verifies += 1
-        return self._inner.verify_aggregate(pairs, agg)
-
 
 def receipt_metrics():
-    """Client-side receipt verification cost and wire size, with and
-    without aggregation, on an otherwise identical small deployment."""
-    rows = {}
-    for key, aggregate in (("plain", False), ("aggregated", True)):
-        params = ProtocolParams(
-            pipeline=2, max_batch=20, checkpoint_interval=20,
-            batch_delay=0.0005, aggregate_signatures=aggregate,
-        )
-        dep = Deployment(
-            n_replicas=4, params=params, registry_setup=register_smallbank,
-            initial_state=initial_state(200), seed=b"pr9-bench-receipts",
-        )
-        client = dep.add_client(retry_timeout=0.5)
-        dep.start()
-        wl = SmallBankWorkload(n_accounts=200, seed=11)
-        digests = [client.submit(*wl.next_transaction(), min_index=0)
-                   for _ in range(20)]
-        dep.run(until=5.0)
-        receipt = client.receipts[digests[0]]
-        counting = _CountingBackend(dep.backend)
-        assert verify_receipt(receipt, dep.genesis_config, counting)
-        rows[key] = {
-            "verify_ops": counting.verifies,
-            "aggregate_verify_ops": counting.agg_verifies,
-            "receipt_bytes": receipt.encoded_size(),
-        }
-    return rows
+    """Client-side receipt verification cost and wire size on a small
+    deployment."""
+    params = ProtocolParams(
+        pipeline=2, max_batch=20, checkpoint_interval=20, batch_delay=0.0005,
+    )
+    dep = Deployment(
+        n_replicas=4, params=params, registry_setup=register_smallbank,
+        initial_state=initial_state(200), seed=b"pr9-bench-receipts",
+    )
+    client = dep.add_client(retry_timeout=0.5)
+    dep.start()
+    wl = SmallBankWorkload(n_accounts=200, seed=11)
+    digests = [client.submit(*wl.next_transaction(), min_index=0)
+               for _ in range(20)]
+    dep.run(until=5.0)
+    receipt = client.receipts[digests[0]]
+    counting = _CountingBackend(dep.backend)
+    assert verify_receipt(receipt, dep.genesis_config, counting)
+    return {"verify_ops": counting.verifies, "receipt_bytes": receipt.encoded_size()}
 
 
 def write_json(arms, receipts, wall_s):
@@ -185,11 +166,11 @@ def write_json(arms, receipts, wall_s):
     base_matched = matched["P=1"]["goodput_tps"]
     win_matched = matched[f"P={P}"]["goodput_tps"]
     payload = {
-        "description": "PR 9 sequencing window depth x aggregate receipt "
-        "signatures: per-arm knee by find_knee bisection (goodput >= 90% of "
-        "offered), baseline the tightest evidence lag (pipeline=1), plus "
-        "every arm measured at the deep-pipeline knee rate (matched-rate "
-        "goodput) and client receipt-verification op counts / wire sizes",
+        "description": "PR 9 sequencing window depth: per-arm knee by "
+        "find_knee bisection (goodput >= 90% of offered), baseline the "
+        "tightest evidence lag (pipeline=1), plus every arm measured at the "
+        "deep-pipeline knee rate (matched-rate goodput) and client "
+        "receipt-verification op count / wire size",
         "base_params": BASE,
         "deep_pipeline": P,
         "arms": {
@@ -232,11 +213,8 @@ def test_pr9_window_knee(once):
         print_table(f"PR 9 {name} @ matched rate", points)
     print(f"receipts: {receipts}")
 
-    # Aggregation collapses client receipt verification to one op.
-    assert receipts["aggregated"]["aggregate_verify_ops"] == 1
-    assert receipts["aggregated"]["verify_ops"] == 0
-    assert receipts["plain"]["verify_ops"] >= 2  # f+1 with n=4
-    assert receipts["aggregated"]["receipt_bytes"] < receipts["plain"]["receipt_bytes"]
+    # One check per signer: the primary's and a quorum's prepares.
+    assert receipts["verify_ops"] >= 2  # f+1 with n=4
 
     if SMOKE:
         for _, points in arms.values():
@@ -247,7 +225,7 @@ def test_pr9_window_knee(once):
     # Depth moves the knee itself...
     assert payload["knee_uplift"]["ratio"] >= 1.05
     # ...and at the P=3 knee rate the baseline has collapsed while the
-    # deeper arms still sustain — the >= 20% goodput delta.
+    # deeper arm still sustains — the >= 20% goodput delta.
     assert payload["matched_rate"]["ratio"] >= 1.2
 
 

@@ -13,7 +13,6 @@ from repro.ledger import EvidenceEntry, NoncesEntry, PrePrepareEntry, TxEntry
 from repro.lpbft import bitmap_of
 from repro.lpbft.messages import Prepare, PrePrepare, Reply, ReplyX, TransactionRequest
 from repro.crypto import generate_keypair, default_backend, new_nonce
-from repro.crypto.signatures import SIGNATURE_SIZE
 from repro.receipts import assemble_receipt
 from repro.workloads import SmallBankWorkload
 
@@ -78,10 +77,9 @@ class _Quorum:
 
 
 def receipt_sizes(f: int) -> dict:
-    """PR 9 Tab. 1 refresh: client-receipt wire size with the f+1 share
-    set carried individually vs collapsed to one aggregate signature.
-    Both receipts cover the same synthetic transaction and Merkle path
-    (7 steps, a ~100-tx batch), so the delta is purely the share set."""
+    """Client-receipt wire size: one signature per signer of a quorum,
+    over a synthetic transaction and Merkle path (7 steps, a ~100-tx
+    batch)."""
     from repro.merkle.proofs import MerklePath
 
     backend = default_backend()
@@ -116,14 +114,8 @@ def receipt_sizes(f: int) -> dict:
         backend.sign(keys[0], req.signed_payload())
     ).to_wire()
     config = _Quorum(n, f)
-    plain = assemble_receipt(request_wire, replies, replyx, config,
-                             backend=backend, aggregate=False)
-    agg = assemble_receipt(request_wire, replies, replyx, config,
-                           backend=backend, aggregate=True)
-    return {
-        "receipt_plain": plain.encoded_size(),
-        "receipt_aggregated": agg.encoded_size(),
-    }
+    receipt = assemble_receipt(request_wire, replies, replyx, config)
+    return {"receipt": receipt.encoded_size()}
 
 
 def test_tab1_entry_sizes(once):
@@ -135,18 +127,10 @@ def test_tab1_entry_sizes(once):
     print(f"{'pre-prepare':<22}{r1['pre_prepare']:>10}{r3['pre_prepare']:>10}   277")
     print(f"{'prepare evidence':<22}{r1['evidence']:>10}{r3['evidence']:>10}   298 / 894")
     print(f"{'nonces (payload)':<22}{r1['nonces_payload']:>10}{r3['nonces_payload']:>10}   (paper counts 32/64 per batch-half)")
-    print(f"{'receipt (plain)':<22}{r1['receipt_plain']:>10}{r3['receipt_plain']:>10}   (f prepare shares carried)")
-    print(f"{'receipt (aggregated)':<22}{r1['receipt_aggregated']:>10}{r3['receipt_aggregated']:>10}   (one aggregate, PR 9)")
+    print(f"{'receipt':<22}{r1['receipt']:>10}{r3['receipt']:>10}   (one signature per signer)")
 
     # Shape assertions: f-scaling matches the paper.
     assert 2.5 < rows[3]["evidence"] / rows[1]["evidence"] < 3.5  # 894/298 ≈ 3
     assert rows[3]["nonces_payload"] == 3 * rows[1]["nonces_payload"] - 32 * 0 or True
     assert rows[1]["tx_min"] < rows[1]["tx_max"]
     assert rows[1]["pre_prepare"] < rows[1]["evidence"] * 2
-    # Aggregation removes the f individual prepare-signature strings; the
-    # saving grows with f while the aggregated size stays ~flat.
-    for f in (1, 3):
-        saving = rows[f]["receipt_plain"] - rows[f]["receipt_aggregated"]
-        assert saving >= (f - 1) * SIGNATURE_SIZE
-    assert (rows[3]["receipt_plain"] - rows[3]["receipt_aggregated"]
-            > rows[1]["receipt_plain"] - rows[1]["receipt_aggregated"])

@@ -35,39 +35,12 @@ import hashlib
 import hmac
 import os
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol
 
 from ..errors import CryptoError
 
 PUBLIC_KEY_SIZE = 33
 SIGNATURE_SIZE = 64
-
-
-@dataclass(frozen=True)
-class AggregateSignature:
-    """A constant-size aggregate over a set of per-message signatures.
-
-    Models a BLS-style multi-message aggregate: ``n_shares`` individual
-    signatures collapse to one ``SIGNATURE_SIZE``-byte value, verified in
-    a single pairing-cost operation against the ``(public_key, message)``
-    pairs it covers.  The signer *set* is carried alongside the aggregate
-    (receipts keep their ``signer_bitmap``), so misbehaviour proofs can
-    still name the signers; identifying *which* share is bad requires
-    falling back to the individual signatures.
-    """
-
-    value: bytes
-    n_shares: int
-
-    def to_wire(self) -> tuple:
-        return ("aggsig", self.value, self.n_shares)
-
-    @staticmethod
-    def from_wire(raw: tuple) -> "AggregateSignature":
-        tag, value, n_shares = raw
-        if tag != "aggsig":
-            raise CryptoError(f"expected aggsig, got {tag!r}")
-        return AggregateSignature(value=value, n_shares=n_shares)
 
 
 @dataclass(frozen=True)
@@ -90,7 +63,6 @@ class SignatureBackend(Protocol):
     """Interface implemented by signature backends."""
 
     name: str
-    supports_aggregation: bool
 
     def generate(self, seed: bytes | None = None) -> KeyPair:
         """Create a key pair (deterministically if ``seed`` is given)."""
@@ -101,18 +73,6 @@ class SignatureBackend(Protocol):
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
         """Check a signature.  Returns ``False`` for invalid signatures and
         raises :class:`CryptoError` only on malformed inputs."""
-
-    def aggregate(self, sigs: Sequence[bytes]) -> AggregateSignature:
-        """Collapse individual signatures into one aggregate.  Raises
-        :class:`CryptoError` if the backend does not support aggregation
-        (check ``supports_aggregation`` first)."""
-
-    def verify_aggregate(
-        self, pairs: Sequence[tuple[bytes, bytes]], aggregate: AggregateSignature
-    ) -> bool:
-        """Check an aggregate against ``(public_key, message)`` pairs, in
-        share order.  One operation regardless of how many shares the
-        aggregate covers (BLS pairing-style)."""
 
 
 _SHA256_BLOCK = 64
@@ -142,7 +102,6 @@ class HashSigBackend:
     computed in full from copies of them."""
 
     name = "hashsig"
-    supports_aggregation = True
 
     def __init__(self) -> None:
         self._registry: dict[bytes, bytes] = {}
@@ -190,54 +149,11 @@ class HashSigBackend:
             return False
         return hmac.compare_digest(signature, self._signature(secret, message))
 
-    def aggregate(self, sigs: Sequence[bytes]) -> AggregateSignature:
-        """Simulated aggregation: the XOR fold of the individual
-        signatures.  Constant ``SIGNATURE_SIZE`` output like a BLS point;
-        commutative group-add semantics, so aggregation order does not
-        matter but every covered share must be present and genuine for
-        :meth:`verify_aggregate` to accept."""
-        if not sigs:
-            raise CryptoError("cannot aggregate an empty signature set")
-        acc = bytearray(SIGNATURE_SIZE)
-        for sig in sigs:
-            if len(sig) != SIGNATURE_SIZE:
-                raise CryptoError(f"bad signature length {len(sig)} in aggregate")
-            for i, b in enumerate(sig):
-                acc[i] ^= b
-        return AggregateSignature(value=bytes(acc), n_shares=len(sigs))
-
-    def verify_aggregate(
-        self, pairs: Sequence[tuple[bytes, bytes]], aggregate: AggregateSignature
-    ) -> bool:
-        """Recompute each covered share from the verification registry and
-        compare the fold.  (A real BLS backend pairs each ``(pk, m)``
-        against the aggregate point; the cost model charges that single
-        pairing-style op regardless of the share count.)"""
-        if len(pairs) != aggregate.n_shares:
-            return False
-        if len(aggregate.value) != SIGNATURE_SIZE:
-            return False
-        acc = bytearray(SIGNATURE_SIZE)
-        for public_key, message in pairs:
-            if len(public_key) != PUBLIC_KEY_SIZE:
-                raise CryptoError(f"bad public key length {len(public_key)}")
-            secret = self._registry.get(public_key)
-            if secret is None:
-                return False
-            for i, b in enumerate(self._signature(secret, message)):
-                acc[i] ^= b
-        return hmac.compare_digest(bytes(acc), aggregate.value)
-
 
 class Ed25519Backend:
-    """Real Ed25519 signatures via the ``cryptography`` package.
-
-    Ed25519 has no signature aggregation; deployments on this backend
-    keep the individual f+1 signature shares on their receipts
-    (``supports_aggregation`` gates the optimization off)."""
+    """Real Ed25519 signatures via the ``cryptography`` package."""
 
     name = "ed25519"
-    supports_aggregation = False
 
     def __init__(self) -> None:
         try:
@@ -276,14 +192,6 @@ class Ed25519Backend:
         except Exception:
             return False
 
-    def aggregate(self, sigs: Sequence[bytes]) -> AggregateSignature:
-        raise CryptoError("ed25519 does not support signature aggregation")
-
-    def verify_aggregate(
-        self, pairs: Sequence[tuple[bytes, bytes]], aggregate: AggregateSignature
-    ) -> bool:
-        raise CryptoError("ed25519 does not support signature aggregation")
-
 
 _DEFAULT = HashSigBackend()
 
@@ -311,19 +219,3 @@ def verify(
 ) -> bool:
     """Verify a signature against ``public_key``."""
     return (backend or _DEFAULT).verify(public_key, message, signature)
-
-
-def aggregate(
-    sigs: Sequence[bytes], backend: SignatureBackend | None = None
-) -> AggregateSignature:
-    """Aggregate signatures on the given (or default) backend."""
-    return (backend or _DEFAULT).aggregate(sigs)
-
-
-def verify_aggregate(
-    pairs: Sequence[tuple[bytes, bytes]],
-    agg: AggregateSignature,
-    backend: SignatureBackend | None = None,
-) -> bool:
-    """Verify an aggregate on the given (or default) backend."""
-    return (backend or _DEFAULT).verify_aggregate(pairs, agg)

@@ -20,7 +20,7 @@ from ..crypto.hashing import Digest
 from ..errors import ReceiptError
 from ..lpbft.messages import Reply, ReplyX, TransactionRequest
 from ..network import Node
-from ..receipts import GovernanceChain, Receipt, ReceiptCollector, verify_chain
+from ..receipts import GovernanceChain, Receipt, ReceiptCollector, verify_served_chain
 from ..sim.costs import CostModel
 from ..sim.metrics import MetricsCollector
 
@@ -73,7 +73,6 @@ class LPBFTClient(Node):
             verify=verify_receipts,
             backend=self.backend,
             completion_gate=self._governance_covers,
-            aggregate=params.aggregate_signatures,
         )
         self.gov_chain = GovernanceChain.genesis(genesis_config)
         self.on_receipt = on_receipt
@@ -259,8 +258,9 @@ class LPBFTClient(Node):
     def _handle_gov_chain(self, wire: tuple, suffix: tuple = ()) -> None:
         self._fetching_gov = False
         try:
-            chain = GovernanceChain.from_wire(wire)
-            schedule = verify_chain(chain, self.params.pipeline, self.backend)
+            chain, schedule = verify_served_chain(
+                wire, self.gov_chain.genesis_config_wire, self.params.pipeline, self.backend
+            )
         except ReceiptError:
             self.metrics.bump("bad_gov_chains")
             return

@@ -32,12 +32,6 @@ class ProtocolParams:
     pipeline: int = 2
     max_batch: int = 300  # max requests per batch (paper: 300 LAN, 800 WAN)
     checkpoint_interval: int = 100  # C (paper: 10K LAN, 4K WAN)
-    # Collapse each receipt's f+1 signature shares (primary pre-prepare
-    # signature + f prepare signatures) into one BLS-style aggregate at
-    # assembly time: client/auditor verification becomes one
-    # ``verify_aggregate`` op and the f individual prepare-signature
-    # strings leave the wire.  Off by default (byte-identical receipts).
-    aggregate_signatures: bool = False
     view_change_timeout: float = 1.0  # seconds without progress before suspecting
     batch_delay: float = 0.0005  # primary waits this long to fill a batch
 

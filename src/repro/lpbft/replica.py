@@ -42,7 +42,7 @@ from .. import codec
 from ..crypto import signatures
 from ..crypto.hashing import Digest, digest_value
 from ..crypto.nonces import NonceCommitment, commit_nonce, new_nonce
-from ..errors import ProtocolError
+from ..errors import ProtocolError, ReceiptError
 from ..governance.configuration import Configuration
 from ..governance.schedule import ConfigSchedule, ConfigSpan
 from ..governance.transactions import install_configuration
@@ -60,7 +60,7 @@ from ..ledger import (
 )
 from ..merkle import MerkleTree
 from ..network import Node
-from ..receipts.chain import GovernanceChain, GovernanceLink
+from ..receipts.chain import GovernanceChain, GovernanceLink, verify_served_chain
 from ..receipts.receipt import Receipt
 from ..sim.costs import CostModel
 from ..sim.metrics import MetricsCollector
@@ -1422,26 +1422,12 @@ class LPBFTReplica(Node):
         prepare_signatures = tuple(
             prepare_by[r].signature for r in signer_ids if r != primary_id
         )
-        aggregate = None
-        if (
-            self.params.aggregate_signatures
-            and self.params.use_signatures
-            and getattr(self.backend, "supports_aggregation", False)
-        ):
-            # Collapse the share set to one aggregate (group adds on a
-            # parallel lane); served receipts, governance links, and
-            # audit LedgerPackages all shrink by f signature strings.
-            shares = (record.pp.signature,) + prepare_signatures
-            self.submit("aggregate", len(shares) * self.costs.agg_add)
-            aggregate = self.backend.aggregate(shares)
-            prepare_signatures = ()
         common = dict(
             **record.pp.receipt_fields(),
             primary_signature=record.pp.signature,
             signer_bitmap=nonces_entry.bitmap,
             prepare_signatures=prepare_signatures,
             nonces=nonces_entry.nonces,
-            aggregate=aggregate,
         )
         if tx_digest is None:
             return Receipt(
@@ -1552,7 +1538,15 @@ class LPBFTReplica(Node):
         )
 
     def handle_gov_chain_resp(self, src: str, msg: tuple) -> None:
-        chain = GovernanceChain.from_wire(msg[1])
+        """Adopt a longer governance chain, but only one that verifies
+        against our genesis: we serve it to clients and extend it."""
+        try:
+            chain, _ = verify_served_chain(
+                msg[1], self.gov_chain.genesis_config_wire, self.params.pipeline, self.backend
+            )
+        except ReceiptError:
+            self.metrics.bump("bad_gov_chains")
+            return
         if len(chain) > len(self.gov_chain):
             self.gov_chain = chain
 

@@ -15,6 +15,7 @@ from .chain import (
     GovernanceChain,
     GovernanceLink,
     verify_chain,
+    verify_served_chain,
     find_chain_fork,
     longest_chain,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "GovernanceChain",
     "GovernanceLink",
     "verify_chain",
+    "verify_served_chain",
     "find_chain_fork",
     "longest_chain",
 ]

@@ -44,7 +44,11 @@ class GovernanceLink:
 
     @staticmethod
     def from_wire(raw: tuple) -> "GovernanceLink":
-        propose, votes, eoc = raw
+        try:
+            propose, votes, eoc = raw
+            votes = tuple(votes)
+        except (TypeError, ValueError) as exc:
+            raise ReceiptError(f"malformed governance link: {exc}") from exc
         return GovernanceLink(
             propose_receipt=Receipt.from_wire(propose),
             vote_receipts=tuple(Receipt.from_wire(v) for v in votes),
@@ -67,6 +71,7 @@ class GovernanceChain:
     def from_wire(raw: tuple) -> "GovernanceChain":
         try:
             tag, genesis, links = raw
+            links = tuple(links)
         except (TypeError, ValueError) as exc:
             raise ReceiptError(f"malformed governance chain: {exc}") from exc
         if tag != "gov-chain":
@@ -182,6 +187,22 @@ def verify_chain(
         config = proposed
 
     return schedule
+
+
+def verify_served_chain(
+    chain_wire: tuple,
+    genesis_config_wire: tuple,
+    pipeline: int,
+    backend: signatures.SignatureBackend | None = None,
+) -> tuple[GovernanceChain, ConfigSchedule]:
+    """The check a party runs on a governance chain it was sent, before
+    it adopts the chain: parse it, require our own genesis, then
+    :func:`verify_chain`.  Returns the chain and its schedule; raises
+    :class:`ReceiptError` on any failure."""
+    chain = GovernanceChain.from_wire(chain_wire)
+    if chain.genesis_config_wire != genesis_config_wire:
+        raise ReceiptError("governance chain has a different genesis")
+    return chain, verify_chain(chain, pipeline, backend)
 
 
 def find_chain_fork(a: GovernanceChain, b: GovernanceChain) -> tuple[int, Receipt, Receipt] | None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..crypto import signatures
 from ..crypto.hashing import Digest
 from ..errors import ReceiptError
 from ..governance.configuration import Configuration
@@ -28,8 +27,6 @@ def assemble_receipt(
     replies: dict[int, Reply],
     replyx: ReplyX,
     config: Configuration,
-    backend: signatures.SignatureBackend | None = None,
-    aggregate: bool = False,
 ) -> Receipt:
     """Build a receipt from collected protocol messages.
 
@@ -38,12 +35,6 @@ def assemble_receipt(
     signature is a prepare signature (§3.3 "no extra signing happens for
     replies").  Raises :class:`ReceiptError` if the primary's reply is
     missing or fewer than a quorum of replies are supplied.
-
-    With ``aggregate`` (and a backend that supports it), the primary's
-    pre-prepare signature and every prepare signature are folded into one
-    :class:`~repro.crypto.signatures.AggregateSignature`; the individual
-    prepare-signature strings are dropped from the receipt and
-    verification becomes a single ``verify_aggregate`` op.
     """
     primary_id = config.primary_for_view(replyx.view)
     if primary_id not in replies:
@@ -56,14 +47,6 @@ def assemble_receipt(
         replies[r].signature for r in signer_ids if r != primary_id
     )
     nonces = tuple(replies[r].nonce for r in signer_ids)
-    agg = None
-    if aggregate:
-        backend = backend or signatures.default_backend()
-        if getattr(backend, "supports_aggregation", False):
-            agg = backend.aggregate(
-                (replies[primary_id].signature,) + prepare_signatures
-            )
-            prepare_signatures = ()
 
     is_batch = request_wire is None
     return Receipt(
@@ -85,7 +68,6 @@ def assemble_receipt(
         prepare_signatures=prepare_signatures,
         nonces=nonces,
         root_g=replyx.tx_digest if is_batch else None,
-        aggregate=agg,
     )
 
 
@@ -117,18 +99,11 @@ class ReceiptCollector:
         verify: bool = True,
         backend=None,
         completion_gate=None,
-        aggregate: bool = False,
     ) -> None:
         self._config = config
         self._schedule = None
         self._verify = verify
         self._backend = backend
-        # Aggregate-signature receipts (one verify op per receipt); only
-        # effective on backends that support aggregation — Ed25519
-        # deployments silently keep individual shares.
-        self._aggregate = aggregate and getattr(
-            backend or signatures.default_backend(), "supports_aggregation", False
-        )
         # An assembled-and-verified receipt still only counts once the
         # gate (if any) passes it: clients gate on governance *coverage*
         # (§5.2) so a receipt referencing governance transactions they
@@ -239,10 +214,7 @@ class ReceiptCollector:
         if replyx is None or len(replies) < config.quorum or primary_id not in replies:
             return None
         try:
-            receipt = assemble_receipt(
-                pending.request_wire, replies, replyx, config,
-                backend=self._backend, aggregate=self._aggregate,
-            )
+            receipt = assemble_receipt(pending.request_wire, replies, replyx, config)
         except ReceiptError:
             # Replies collected under an earlier configuration can be
             # unassemblable under the one now in force (e.g. a signer id
@@ -252,10 +224,6 @@ class ReceiptCollector:
             # Some reply carries invalid evidence.  With more than a quorum
             # of replies, retry quorum-sized subsets (primary always
             # included) — a correct quorum yields a verifiable receipt.
-            # An aggregate that fails falls back to the *individual*
-            # shares here: the aggregate cannot say which share broke,
-            # the per-signer signatures can (blame assignment), and the
-            # surviving quorum is re-aggregated.
             receipt = self._retry_subsets(pending, replies, replyx, primary_id, config)
             if receipt is None:
                 return None
@@ -266,11 +234,8 @@ class ReceiptCollector:
         return receipt
 
     def _retry_subsets(self, pending, replies, replyx, primary_id, config):
-        """Quorum-subset retry over *individual* shares.  Candidates are
-        assembled without aggregation so a bad share is localizable — the
-        subset that verifies names the dropped replica as the culprit —
-        then the surviving quorum is re-aggregated when aggregation is
-        on."""
+        """Quorum-subset retry: the subset that verifies leaves out the
+        replica whose share was bad."""
         if len(replies) <= config.quorum:
             return None
         others = [r for r in sorted(replies) if r != primary_id]
@@ -280,10 +245,5 @@ class ReceiptCollector:
                 continue
             candidate = assemble_receipt(pending.request_wire, subset, replyx, config)
             if verify_receipt(candidate, config, self._backend):
-                if self._aggregate:
-                    return assemble_receipt(
-                        pending.request_wire, subset, replyx, config,
-                        backend=self._backend, aggregate=True,
-                    )
                 return candidate
         return None

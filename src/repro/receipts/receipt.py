@@ -27,7 +27,7 @@ from ..codec import memoised
 from ..crypto import signatures
 from ..crypto.hashing import Digest, digest_value
 from ..crypto.nonces import commit_nonce
-from ..errors import ReceiptError
+from ..errors import MerkleError, ReceiptError
 from ..governance.configuration import Configuration
 from ..lpbft.messages import (
     BATCH_REGULAR,
@@ -76,15 +76,6 @@ class Receipt:
 
     # Batch receipts carry G's root directly (no path to recompute it).
     root_g: Digest | None = None
-
-    # Aggregated form (``ProtocolParams.aggregate_signatures``): one
-    # BLS-style aggregate standing in for the primary's pre-prepare
-    # signature *and* every prepare signature — ``prepare_signatures`` is
-    # then empty and verification is a single ``verify_aggregate`` op.
-    # ``primary_signature`` stays on the wire regardless: the pre-prepare
-    # digest that prepare payloads bind to covers the signature bytes, so
-    # it is needed to reconstruct what the backups signed.
-    aggregate: signatures.AggregateSignature | None = None
 
     _reconstructed_pre_prepare: PrePrepare | None = field(
         default=None, init=False, repr=False, compare=False
@@ -169,14 +160,11 @@ class Receipt:
             self.prepare_signatures,
             self.nonces,
             self.root_g,
-        ) + (
-            # Wire compatibility: non-aggregated receipts keep the
-            # 19-element encoding of earlier versions byte for byte.
-            () if self.aggregate is None else (self.aggregate.to_wire(),)
         )
 
     @staticmethod
     def from_wire(raw: tuple) -> "Receipt":
+        """Parse a receipt; any malformed shape raises :class:`ReceiptError`."""
         try:
             (
                 tag,
@@ -198,25 +186,24 @@ class Receipt:
                 psigs,
                 nonces,
                 root_g,
-                *rest,
             ) = raw
         except (TypeError, ValueError) as exc:
             raise ReceiptError(f"malformed receipt: {exc}") from exc
         if tag != "receipt":
             raise ReceiptError(f"expected receipt, got {tag!r}")
-        if len(rest) > 1:
-            raise ReceiptError(f"malformed receipt: {len(raw)} fields")
-        aggregate = None
-        if rest and rest[0] is not None:
-            try:
-                aggregate = signatures.AggregateSignature.from_wire(rest[0])
-            except Exception as exc:
-                raise ReceiptError(f"malformed aggregate: {exc}") from exc
+        if not isinstance(psigs, (tuple, list)) or not isinstance(nonces, (tuple, list)):
+            raise ReceiptError("malformed receipt: signatures and nonces must be sequences")
+        if not all(isinstance(x, int) for x in (view, seqno, ebitmap, gov_index, flags, sbitmap)):
+            raise ReceiptError("malformed receipt: view, seqno, bitmaps and flags must be integers")
+        try:
+            path = None if path is None else MerklePath.from_wire(path)
+        except MerkleError as exc:
+            raise ReceiptError(str(exc)) from exc
         return Receipt(
             request_wire=request_wire,
             index=index,
             output=output,
-            path=None if path is None else MerklePath.from_wire(path),
+            path=path,
             view=view,
             seqno=seqno,
             root_m=root_m,
@@ -231,7 +218,6 @@ class Receipt:
             prepare_signatures=tuple(psigs),
             nonces=tuple(nonces),
             root_g=root_g,
-            aggregate=aggregate,
         )
 
     def encoded_size(self) -> int:
@@ -254,10 +240,7 @@ def verify_receipt(
     batch certificate once.
     """
     backend = backend or signatures.default_backend()
-    try:
-        pp = receipt.reconstructed_pre_prepare()
-    except ReceiptError:
-        raise
+    pp = receipt.reconstructed_pre_prepare()
     primary_id = config.primary_for_view(receipt.view)
 
     signer_ids = receipt.signers()
@@ -267,37 +250,13 @@ def verify_receipt(
         return False
     if len(receipt.nonces) != len(signer_ids):
         return False
-    if receipt.aggregate is None and len(receipt.prepare_signatures) != len(signer_ids) - 1:
+    if len(receipt.prepare_signatures) != len(signer_ids) - 1:
         return False
 
     try:
         primary_key = config.replica_key(primary_id)
     except Exception:
         return False
-
-    if receipt.aggregate is not None:
-        # Aggregated form: one verify_aggregate covers the primary's
-        # pre-prepare signature and every prepare signature together —
-        # the nonce-opens-commitment checks below are hashes, so client
-        # verification is a single signature op however large the quorum.
-        if receipt.prepare_signatures:
-            return False
-        if not getattr(backend, "supports_aggregation", False):
-            return False
-        pp_digest = pp.digest()
-        pairs = [(primary_key, pp.signed_payload())]
-        for signer_id, nonce in zip(signer_ids, receipt.nonces):
-            commitment = commit_nonce(nonce)
-            if signer_id == primary_id:
-                if commitment != receipt.primary_nonce_commitment:
-                    return False
-                continue
-            try:
-                key = config.replica_key(signer_id)
-            except Exception:
-                return False
-            pairs.append((key, prepare_payload(signer_id, commitment, pp_digest)))
-        return backend.verify_aggregate(pairs, receipt.aggregate)
 
     # Primary signature over the reconstructed pre-prepare.
     if not backend.verify(primary_key, pp.signed_payload(), receipt.primary_signature):
@@ -336,7 +295,7 @@ def verify_receipts(
     the nonces and signatures over it.  Its key is the reconstructed
     pre-prepare's digest, which covers the primary's signature and the
     ``root_g`` each receipt derives from its own ``(t, i, o)`` and path,
-    plus the signer bitmap, nonces, prepare signatures, aggregate and
+    plus the signer bitmap, nonces, prepare signatures and
     configuration: all else :func:`verify_receipt` reads.  A sibling
     with another output or path reconstructs another pre-prepare, so it
     is checked on its own."""
@@ -352,7 +311,6 @@ def verify_receipts(
             receipt.signer_bitmap,
             receipt.nonces,
             receipt.prepare_signatures,
-            receipt.aggregate,
             id(config),
         )
         try:

@@ -37,14 +37,6 @@ class CostModel:
     mac: float = 0.5e-6
     hash_fixed: float = 0.4e-6
     hash_per_byte: float = 2.0e-9
-    # BLS-style signature aggregation: folding one share into an
-    # aggregate is a group addition (cheap); verifying an aggregate is a
-    # pairing-product check — one fixed pairing-dominated cost per
-    # aggregate, regardless of how many shares it covers.  That single
-    # op costs ~2× an individual secp256k1 verify, so aggregation wins
-    # whenever a verifier would otherwise check f+1 > 2 shares.
-    agg_add: float = 2e-6
-    agg_verify: float = 200e-6
 
     # Key-value store: per-operation base cost plus a log-growth component
     # (CCF's CHAMP map access grows logarithmically with item count).

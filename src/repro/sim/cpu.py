@@ -11,7 +11,6 @@ kind       meaning                                           policy
 ========== ================================================= ============
 ``verify`` signature verification                            parallel
 ``hash``   hashing / serialization / checkpoint snapshots    parallel
-``aggregate`` signature-aggregate fold / pairing check       parallel
 ``message`` deserialization + channel auth (receive loop)    lane 0
 ``sign``   signing (protocol thread)                         lane 0
 ``execute`` transaction execution                            lane 1
@@ -46,7 +45,6 @@ PARALLEL = "parallel"
 DEFAULT_POLICIES: dict[str, object] = {
     "verify": PARALLEL,
     "hash": PARALLEL,
-    "aggregate": PARALLEL,  # BLS-style aggregate fold / pairing check
     "message": 0,
     "sign": 0,
     "execute": 1,

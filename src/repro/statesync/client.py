@@ -537,18 +537,17 @@ class StateSyncClient:
         # Imported lazily: repro.receipts imports the lpbft messages, so
         # a module-level import would be circular.
         from ..errors import ReceiptError
-        from ..receipts import GovernanceChain, verify_chain
+        from ..receipts import verify_served_chain
 
         replica = self.replica
         own = replica.schedule.copy()
         if chain_wire is None:
             return own
         try:
-            chain = GovernanceChain.from_wire(chain_wire)
-            genesis = own.spans()[0].config
-            if chain.genesis_config_wire != genesis.to_wire():
-                raise ProtocolError("sync governance chain has a different genesis")
-            schedule = verify_chain(chain, replica.params.pipeline, replica.backend)
+            chain, schedule = verify_served_chain(
+                chain_wire, replica.gov_chain.genesis_config_wire,
+                replica.params.pipeline, replica.backend,
+            )
         except ReceiptError as exc:
             raise ProtocolError(f"sync governance chain invalid: {exc}") from exc
         if len(schedule.spans()) <= len(own.spans()):

@@ -33,27 +33,21 @@ def counting_entry_hashes():
 
 
 class CountingBackend:
-    """Wraps a backend and counts individual vs aggregate verify ops."""
+    """Wraps a backend and counts verify ops."""
 
     def __init__(self, inner):
         self._inner = inner
         self.name = inner.name
-        self.supports_aggregation = inner.supports_aggregation
         self.verifies = 0
-        self.agg_verifies = 0
 
     def verify(self, public_key, message, signature):
         self.verifies += 1
         return self._inner.verify(public_key, message, signature)
 
-    def verify_aggregate(self, pairs, agg):
-        self.agg_verifies += 1
-        return self._inner.verify_aggregate(pairs, agg)
-
 
 def certificate_checks(receipts) -> int:
     """Signature checks that verifying each distinct batch certificate
-    among ``receipts`` once takes (non-aggregated receipts): the primary's
+    among ``receipts`` once takes: the primary's
     and one prepare per other signer."""
     certificates = {
         (r.reconstructed_pre_prepare().digest(), r.signer_bitmap, r.nonces,

@@ -28,7 +28,6 @@ from repro.merkle import MerklePath
 from repro.receipts import verify_receipt, verify_receipts
 
 from helpers import (
-    FAST_PARAMS,
     CountingBackend,
     build_deployment,
     certificate_checks,
@@ -63,18 +62,6 @@ class TestHashSigBytes:
         backend = HashSigBackend()
         keypair = KeyPair(public_key=b"\x02" * 33, secret=b"k" * 100, backend_name="hashsig")
         assert backend.sign(keypair, b"m") == _hmac_signature(b"k" * 100, b"m")
-
-    def test_aggregate_verifies_against_hmac_fold(self):
-        backend = HashSigBackend()
-        keypairs = [backend.generate(bytes([i])) for i in range(3)]
-        pairs = [(kp.public_key, b"payload-%d" % i) for i, kp in enumerate(keypairs)]
-        folded = bytearray(64)
-        for kp, (_, message) in zip(keypairs, pairs):
-            for i, b in enumerate(_hmac_signature(kp.secret, message)):
-                folded[i] ^= b
-        aggregate = backend.aggregate([backend.sign(kp, m) for kp, (_, m) in zip(keypairs, pairs)])
-        assert aggregate.value == bytes(folded)
-        assert backend.verify_aggregate(pairs, aggregate)
 
 
 class TestPreparePayloadBytes:
@@ -115,16 +102,6 @@ def honest():
     digests = run_workload(dep, client, n_tx=40)
     receipts = [client.receipts[d] for d in digests if d in client.receipts]
     return dep, client, receipts
-
-
-@pytest.fixture(scope="module")
-def aggregated():
-    dep = build_deployment(
-        params=FAST_PARAMS.variant(aggregate_signatures=True), seed=b"distinct-agg")
-    client = dep.add_client(retry_timeout=0.5)
-    dep.start()
-    digests = run_workload(dep, client, n_tx=30)
-    return dep, [client.receipts[d] for d in digests if d in client.receipts]
 
 
 def _siblings(receipts):
@@ -192,10 +169,9 @@ class TestCertificateDedupeSoundness:
 
 
 @pytest.fixture(scope="module")
-def pools(honest, aggregated):
-    """(receipts, configuration) pools: honest receipts with tampered
-    siblings, receipts forged by a colluding quorum and by imposters, and
-    aggregated receipts."""
+def pool(honest):
+    """(receipts, configuration, backend): honest receipts with tampered
+    siblings, and receipts forged by a colluding quorum and by imposters."""
     dep, _, receipts = honest
     config = dep.genesis_config
     tampered = [
@@ -216,25 +192,20 @@ def pools(honest, aggregated):
         for keys in (dep.replica_keys, imposters)
         for p in range(len(tios))
     ]
-    agg_dep, agg_receipts = aggregated
-    agg_tampered = dataclasses.replace(agg_receipts[0], output={"reply": {}, "ws": b"\0" * 32})
-    return [
-        (receipts[:12] + tampered + forged, config, dep.backend),
-        (agg_receipts[:12] + [agg_tampered], agg_dep.genesis_config, agg_dep.backend),
-    ]
+    return receipts[:12] + tampered + forged, config, dep.backend
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_verify_receipts_matches_verify_receipt(pools, data):
-    pool, config, backend = data.draw(st.sampled_from(pools))
-    chosen = data.draw(st.lists(st.sampled_from(pool), max_size=20))
-    config_for = lambda seqno: config  # noqa: E731 - one configuration per pool
+def test_verify_receipts_matches_verify_receipt(pool, data):
+    receipts, config, backend = pool
+    chosen = data.draw(st.lists(st.sampled_from(receipts), max_size=20))
+    config_for = lambda seqno: config  # noqa: E731 - one configuration for the pool
     assert verify_receipts(chosen, config_for, backend) == [
         verify_receipt(r, config_for(r.seqno), backend) for r in chosen
     ]
-    # The pools mix verdicts, so the property is not vacuous.
-    assert {verify_receipt(r, config, backend) for r in pool} == {True, False}
+    # The pool mixes verdicts, so the property is not vacuous.
+    assert {verify_receipt(r, config, backend) for r in receipts} == {True, False}
 
 
 def test_config_for_decides_per_receipt(honest):

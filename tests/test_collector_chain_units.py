@@ -8,10 +8,14 @@ from repro.errors import ReceiptError
 from repro.lpbft.messages import Reply, ReplyX
 from repro.receipts import (
     GovernanceChain,
+    GovernanceLink,
+    Receipt,
     ReceiptCollector,
     find_chain_fork,
     longest_chain,
     verify_chain,
+    verify_receipt,
+    verify_served_chain,
 )
 
 from helpers import build_deployment, run_workload
@@ -100,9 +104,11 @@ class TestCollector:
         for r in ids[:3]:
             done = collector.add_reply(digests[2], replies[r])
         assert done is None
-        # The fourth (valid) reply completes it.
+        # The fourth (valid) reply completes it, without the culprit.
         done = collector.add_reply(digests[2], replies[ids[3]])
         assert done is not None
+        assert backup not in done.signers()
+        assert verify_receipt(done, dep.genesis_config, dep.backend)
 
     def test_mismatched_replyx_rejected(self, env):
         dep, client, digests = env
@@ -156,3 +162,82 @@ class TestChains:
     def test_longest_chain_empty_rejected(self):
         with pytest.raises(ReceiptError):
             longest_chain([])
+
+
+# -- governance chains a party is sent -------------------------------------------
+
+
+def forged_chain(dep):
+    """A chain whose one link is three copies of a genuine batch receipt:
+    each receipt verifies on its own, the link does not."""
+    replica = dep.replicas[1]
+    batch = replica.receipt_from_ledger(replica.committed_upto, None)
+    assert verify_receipt(batch, dep.genesis_config, dep.backend)
+    link = GovernanceLink(propose_receipt=batch, vote_receipts=(batch,), eoc_receipt=batch)
+    return GovernanceChain(genesis_config_wire=dep.genesis_config.to_wire(), links=(link,))
+
+
+class TestServedChains:
+    def test_replica_drops_a_chain_that_does_not_verify(self, env):
+        dep, _, _ = env
+        replica = dep.replicas[1]
+        bad_before = replica.metrics.counter_value("bad_gov_chains")
+        replica.handle_gov_chain_resp(
+            dep.replicas[2].address, ("gov-chain-resp", forged_chain(dep).to_wire(), ())
+        )
+        assert len(replica.gov_chain) == 0
+        assert replica.metrics.counter_value("bad_gov_chains") == bad_before + 1
+
+    def test_foreign_genesis_rejected(self, env):
+        dep, client, _ = env
+        other = GovernanceChain(genesis_config_wire=("configuration", 0, (), (), 1), links=())
+        with pytest.raises(ReceiptError, match="different genesis"):
+            verify_served_chain(
+                other.to_wire(), client.gov_chain.genesis_config_wire, dep.params.pipeline
+            )
+
+    def test_client_counts_a_malformed_link(self, env):
+        dep, client, _ = env
+        bad_before = client.metrics.counter_value("bad_gov_chains")
+        wire = ("gov-chain", dep.genesis_config.to_wire(), ((1, 2),))
+        client.on_message(dep.replicas[0].address, ("gov-chain-resp", wire, ()))
+        assert client.metrics.counter_value("bad_gov_chains") == bad_before + 1
+        assert len(client.gov_chain) == 0
+
+
+def _replace(wire, position, value):
+    return wire[:position] + (value,) + wire[position + 1:]
+
+
+# Each case turns a genuine receipt wire into a malformed input for one
+# parser; every one must fail as a ReceiptError.
+MALFORMED = {
+    "receipt not a tuple": (Receipt.from_wire, lambda w: None),
+    "receipt too short": (Receipt.from_wire, lambda w: w[:-1]),
+    "receipt with the old aggregate slot": (
+        Receipt.from_wire, lambda w: w + (("aggsig", b"\x55" * 64, 3),)),
+    "receipt wrong tag": (Receipt.from_wire, lambda w: _replace(w, 0, "reply")),
+    "receipt path malformed": (Receipt.from_wire, lambda w: _replace(w, 4, (1, 2))),
+    "prepare signatures not a sequence": (Receipt.from_wire, lambda w: _replace(w, 16, 7)),
+    "nonces not a sequence": (Receipt.from_wire, lambda w: _replace(w, 17, None)),
+    "view not an integer": (Receipt.from_wire, lambda w: _replace(w, 5, "x")),
+    "signer bitmap not an integer": (Receipt.from_wire, lambda w: _replace(w, 15, "y")),
+    "link of two": (GovernanceLink.from_wire, lambda w: (1, 2)),
+    "link not a tuple": (GovernanceLink.from_wire, lambda w: 5),
+    "link votes not a sequence": (GovernanceLink.from_wire, lambda w: (w, 5, w)),
+    "link with a malformed vote": (GovernanceLink.from_wire, lambda w: (w, (w[:3],), w)),
+    "chain links not a sequence": (
+        GovernanceChain.from_wire, lambda w: ("gov-chain", (), 5)),
+    "chain with a link of two": (
+        GovernanceChain.from_wire, lambda w: ("gov-chain", (), ((1, 2),))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_wire_is_a_receipt_error(env, case):
+    dep, client, digests = env
+    parse, malform = MALFORMED[case]
+    wire = client.receipts[digests[0]].to_wire()
+    assert Receipt.from_wire(wire) == client.receipts[digests[0]]
+    with pytest.raises(ReceiptError):
+        parse(malform(wire))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.lpbft import ProtocolParams
 from repro.lpbft.messages import BATCH_CHECKPOINT, BATCH_END_OF_CONFIG, BATCH_START_OF_CONFIG
-from repro.receipts import verify_chain, verify_receipt
+from repro.receipts import GovernanceChain, verify_chain, verify_receipt
 from repro.workloads import SmallBankWorkload
 
 from helpers import build_deployment
@@ -88,6 +88,17 @@ def test_replica_gov_chains_verify(reconfig_run):
         assert len(replica.gov_chain) == 1
         schedule = verify_chain(replica.gov_chain, dep.params.pipeline)
         assert schedule.current().number == 1
+
+
+def test_replica_adopts_a_verified_longer_chain(reconfig_run):
+    """A served chain that verifies is still adopted: a replica holding
+    only genesis takes a peer's one-link chain from ``gov-chain-resp``."""
+    dep, *_ = reconfig_run
+    replica, peer = dep.replicas[1], dep.replicas[2]
+    served = peer.gov_chain
+    replica.gov_chain = GovernanceChain.genesis(dep.genesis_config)
+    replica.handle_gov_chain_resp(peer.address, ("gov-chain-resp", served.to_wire(), ()))
+    assert replica.gov_chain == served
 
 
 def test_client_fetched_gov_chain(reconfig_run):

@@ -14,7 +14,7 @@ from repro.lpbft import ProtocolParams
 FIELDS = {
     # §3 tunables
     "pipeline", "max_batch", "checkpoint_interval",
-    "aggregate_signatures", "view_change_timeout", "batch_delay",
+    "view_change_timeout", "batch_delay",
     # state sync and ledger GC
     "sync_lag_batches", "ledger_gc_min_age",
     # Tab. 3 feature toggles
@@ -27,19 +27,20 @@ FIELDS = {
 # state-sync chunk size and window, which only ever took their defaults
 # and are now constants of ``repro.statesync``, the admission budgets,
 # which are now constants of ``repro.lpbft.admission``, and the ledger GC
-# switch (``ledger_gc_min_age=math.inf`` never collects).
+# switch (``ledger_gc_min_age=math.inf`` never collects), and aggregate
+# receipt signatures (receipts carry one signature per signer).
 REMOVED = (
     "coordinated_admission", "deadline_shedding", "verify_cache", "batch_verify",
     "state_sync", "sync_retry_timeout", "sync_max_retries", "work_window",
     "sync_chunk_bytes", "sync_window",
     "request_queue_cap", "client_timeout", "admission_backlog", "lane_backlog_budget",
-    "ledger_gc",
+    "ledger_gc", "aggregate_signatures",
 )
 
 
 def test_exact_field_set():
     assert {f.name for f in dataclasses.fields(ProtocolParams)} == FIELDS
-    assert len(FIELDS) == 15
+    assert len(FIELDS) == 14
 
 
 @pytest.mark.parametrize("name", REMOVED)

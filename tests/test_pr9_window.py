@@ -1,30 +1,21 @@
-"""PR 9: a deep sequencing window and aggregate receipt signatures.
+"""A deep sequencing window.
 
-The pipeline depth P is the window (PR 19 deleted the separate
-``W`` knob: it was P under a second name).  Edge cases a deep
-window must survive: a view change with 4 rounds in flight (no lost or
-duplicated sequence numbers) and a checkpoint boundary landing inside
-the depth.  Aggregation: one ``verify_aggregate`` op per receipt,
-smaller wire encodings, and the individual-share fallback that assigns
-blame when an aggregate fails.
+The pipeline depth P is the window (there is no separate ``W`` knob:
+it was P under a second name).  Edge cases a deep window must survive:
+a view change with 4 rounds in flight (no lost or duplicated sequence
+numbers) and a checkpoint boundary landing inside the depth.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.chaos import ChaosParams, generate_schedule, run_schedule
-from repro.crypto import signatures
-from repro.errors import CryptoError
 from repro.lpbft import ProtocolParams
-from repro.lpbft.messages import Reply, ReplyX
 from repro.obs import PeriodicSampler, perfetto_trace
-from repro.receipts import Receipt, ReceiptCollector, verify_receipt
 from repro.workloads import SmallBankWorkload
 
-from helpers import CountingBackend, build_deployment, run_workload
+from helpers import build_deployment, run_workload
 
 WINDOW_PARAMS = ProtocolParams(
     pipeline=4, max_batch=20, checkpoint_interval=20,
@@ -180,177 +171,6 @@ class TestW1Identity:
             f"oracle violations: {result.violations}; "
             f"replay with: {result.replay_command}"
         )
-
-
-# -- aggregate signatures -------------------------------------------------------
-
-
-class TestAggregateOps:
-    def test_aggregate_round_trip(self):
-        backend = signatures.HashSigBackend()
-        pairs = []
-        sigs = []
-        for i in range(3):
-            kp = backend.generate(seed=bytes([i]))
-            message = b"msg-%d" % i
-            sigs.append(backend.sign(kp, message))
-            pairs.append((kp.public_key, message))
-        agg = backend.aggregate(sigs)
-        assert len(agg.value) == signatures.SIGNATURE_SIZE
-        assert agg.n_shares == 3
-        assert backend.verify_aggregate(pairs, agg)
-
-    def test_wrong_message_rejected(self):
-        backend = signatures.HashSigBackend()
-        kp0 = backend.generate(seed=b"\x00")
-        kp1 = backend.generate(seed=b"\x01")
-        agg = backend.aggregate(
-            [backend.sign(kp0, b"alpha"), backend.sign(kp1, b"beta")]
-        )
-        assert backend.verify_aggregate(
-            [(kp0.public_key, b"alpha"), (kp1.public_key, b"beta")], agg
-        )
-        assert not backend.verify_aggregate(
-            [(kp0.public_key, b"alpha"), (kp1.public_key, b"gamma")], agg
-        )
-
-    def test_share_count_must_match(self):
-        backend = signatures.HashSigBackend()
-        kp = backend.generate(seed=b"\x07")
-        agg = backend.aggregate([backend.sign(kp, b"only")])
-        assert not backend.verify_aggregate(
-            [(kp.public_key, b"only"), (kp.public_key, b"only")], agg
-        )
-
-    def test_empty_aggregate_rejected(self):
-        with pytest.raises(CryptoError):
-            signatures.HashSigBackend().aggregate([])
-
-    def test_wire_round_trip(self):
-        agg = signatures.AggregateSignature(value=b"\x55" * 64, n_shares=3)
-        assert signatures.AggregateSignature.from_wire(agg.to_wire()) == agg
-
-    def test_ed25519_has_no_aggregation(self):
-        try:
-            backend = signatures.Ed25519Backend()
-        except CryptoError:
-            pytest.skip("cryptography package not available")
-        assert not backend.supports_aggregation
-        with pytest.raises(CryptoError):
-            backend.aggregate([b"\x00" * 64])
-
-
-class TestAggregatedReceipts:
-    @pytest.fixture(scope="class")
-    def agg_run(self):
-        params = WINDOW_PARAMS.variant(pipeline=2, aggregate_signatures=True)
-        dep = build_deployment(params=params, seed=b"pr9-agg")
-        client = dep.add_client(retry_timeout=0.5)
-        dep.start()
-        digests = run_workload(dep, client, n_tx=40)
-        return dep, client, digests
-
-    def test_receipts_carry_aggregate(self, agg_run):
-        dep, client, digests = agg_run
-        assert len(client.receipts) == len(digests)
-        for d in digests:
-            receipt = client.receipts[d]
-            assert receipt.aggregate is not None
-            assert receipt.prepare_signatures == ()
-            # uPoM still identifies the signer set.
-            assert len(receipt.signers()) >= dep.genesis_config.quorum
-
-    def test_one_verify_op_per_receipt(self, agg_run):
-        """The acceptance criterion: client receipt verification drops
-        from f+1 signature checks to a single aggregate check."""
-        dep, client, digests = agg_run
-        counting = CountingBackend(dep.backend)
-        receipt = client.receipts[digests[0]]
-        assert verify_receipt(receipt, dep.genesis_config, counting)
-        assert counting.agg_verifies == 1
-        assert counting.verifies == 0
-
-    def test_wire_round_trip(self, agg_run):
-        _, client, digests = agg_run
-        receipt = client.receipts[digests[0]]
-        back = Receipt.from_wire(receipt.to_wire())
-        assert back == receipt
-
-    def test_aggregate_shrinks_receipts(self, agg_run):
-        """Tab. 1 effect: f individual prepare-signature strings leave
-        the wire; one 64-byte aggregate replaces them."""
-        dep, client, digests = agg_run
-        params = WINDOW_PARAMS.variant(pipeline=2)
-        dep2 = build_deployment(params=params, seed=b"pr9-agg")
-        client2 = dep2.add_client(retry_timeout=0.5)
-        dep2.start()
-        digests2 = run_workload(dep2, client2, n_tx=40)
-        agg_size = client.receipts[digests[0]].encoded_size()
-        plain_size = client2.receipts[digests2[0]].encoded_size()
-        f = dep.genesis_config.f
-        assert agg_size < plain_size
-        # At least (f − 1) × 64-byte signature strings net savings.
-        assert plain_size - agg_size >= (f - 1) * signatures.SIGNATURE_SIZE
-
-    def test_batch_receipt_from_ledger_aggregated(self, agg_run):
-        dep, _, _ = agg_run
-        replica = dep.replicas[0]
-        seqno = replica.committed_upto
-        receipt = replica.receipt_from_ledger(seqno, None)
-        assert receipt is not None and receipt.aggregate is not None
-        assert verify_receipt(receipt, dep.genesis_config, dep.backend)
-
-    def test_fallback_assigns_blame(self, agg_run):
-        """A corrupted share breaks the aggregate; the collector falls
-        back to individual shares, drops the culprit, and re-aggregates
-        the surviving quorum."""
-        dep, client, digests = agg_run
-        receipt = client.receipts[digests[0]]
-        replies, replyx = _reply_messages(dep, receipt, digests[0])
-        config = dep.genesis_config
-        primary_id = config.primary_for_view(receipt.view)
-        bad = max(r for r in replies if r != primary_id)
-        replies[bad] = dataclasses.replace(replies[bad], signature=b"\x00" * 64)
-        collector = ReceiptCollector(config, backend=dep.backend, aggregate=True)
-        collector.track(digests[0], receipt.request_wire)
-        collector.add_replyx(digests[0], replyx)
-        done = None
-        for r in sorted(replies):
-            done = collector.add_reply(digests[0], replies[r])
-        assert done is not None
-        assert done.aggregate is not None
-        assert bad not in done.signers()
-        assert verify_receipt(done, config, dep.backend)
-
-
-def _reply_messages(dep, receipt, tx_digest):
-    """Rebuild the raw reply/replyx messages for a committed transaction."""
-    replies = {}
-    for replica in dep.replicas:
-        record = replica.batches[receipt.seqno]
-        nonce = replica.own_nonces[(record.view, record.seqno)]
-        config = replica.config_for(record.seqno)
-        if replica.id == config.primary_for_view(record.view):
-            signature = record.pp.signature
-        else:
-            signature = replica.prepares_by_ppd[record.pp_digest][replica.id].signature
-        replies[replica.id] = Reply(
-            view=record.view, seqno=record.seqno, replica=replica.id,
-            signature=signature, nonce=nonce.nonce,
-        )
-    primary = dep.primary()
-    record = primary.batches[receipt.seqno]
-    position = record.tx_digests.index(tx_digest)
-    replyx = ReplyX(
-        view=record.view, seqno=record.seqno, root_m=record.pp.root_m,
-        primary_nonce_commitment=record.pp.nonce_commitment,
-        evidence_bitmap=record.pp.evidence_bitmap, gov_index=record.pp.gov_index,
-        checkpoint_digest=record.pp.checkpoint_digest, flags=record.pp.flags,
-        committed_root=record.pp.committed_root, tx_digest=tx_digest,
-        index=record.entries[position].index, output=record.entries[position].output,
-        path=record.g_tree.path(position).to_wire(),
-    )
-    return replies, replyx
 
 
 # -- observability --------------------------------------------------------------
