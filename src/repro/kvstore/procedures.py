@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..crypto.hashing import Digest, digest_value
-from ..errors import KVError
+from ..errors import KVError, TransactionAborted
 from .store import KVTransaction
 
 Procedure = Callable[[KVTransaction, dict], Any]
@@ -61,8 +61,19 @@ class ProcedureRegistry:
         return sorted(self._procedures)
 
     def invoke(self, name: str, tx: KVTransaction, args: dict) -> Any:
-        """Execute ``name`` against an open transaction handle."""
-        return self.get(name)(tx, args)
+        """Execute ``name`` against an open transaction handle.
+
+        A procedure that raises, and a name with no procedure, abort the
+        transaction: the exception becomes :class:`TransactionAborted`
+        whose reason is its class name, which every replica and the
+        auditor's replay reproduce, whatever arguments a client sent.
+        """
+        try:
+            return self.get(name)(tx, args)
+        except TransactionAborted:
+            raise
+        except Exception as exc:
+            raise TransactionAborted(type(exc).__name__) from exc
 
     def code_digest(self) -> Digest:
         """Digest over procedure names and versions.

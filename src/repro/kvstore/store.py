@@ -8,8 +8,9 @@ can be rolled back at a single transaction granularity").
 
 CCF keeps the state in a CHAMP persistent map, so a checkpoint is a
 pointer copy.  The substitution here is a :class:`Snapshot`: a ``base``
-dict shared by reference, a small owned ``delta`` over it, and the state
-accumulator.  Three invariants make sharing safe:
+read-only mapping shared by reference (a ``dict``, or a table generated
+on read such as SmallBank's ``GenesisTable``), a small owned ``delta``
+over it, and the state accumulator.  Three invariants make sharing safe:
 
 - a base is never written after construction — every store and snapshot
   built on it writes only its own delta;
@@ -120,7 +121,9 @@ class Snapshot(_Layered, Mapping):
 
     Reads like a mapping (``get`` / ``in`` / ``len`` / iteration /
     ``items()`` / ``==`` against any mapping) and has no mutator.  The
-    constructor takes ownership of both dicts: the caller must not write
+    base is any read-only mapping, read only through ``get`` / ``in`` /
+    ``len`` / ``items()`` / iteration; the delta is a ``dict``.  The
+    constructor takes ownership of both: the caller must not write
     either again.  ``acc``, when given, must be the
     :func:`state_accumulator` of exactly these entries, computed from them
     or maintained by the store they came from; left out, it is computed
@@ -131,7 +134,7 @@ class Snapshot(_Layered, Mapping):
 
     def __init__(
         self,
-        base: dict[str, Any],
+        base: Mapping[str, Any],
         delta: dict[str, Any] | None = None,
         size: int | None = None,
         acc: int | None = None,
@@ -297,12 +300,12 @@ class KVTransaction:
 class KVStore(_Layered):
     """The replicated service state: a transactional map with rollback.
 
-    The store is a reference to a shared base plus its own delta: reads
-    try the delta then the base, writes and rollbacks touch only the
-    delta, and :meth:`snapshot` copies only the delta.  Built from (or
-    restored to) a :class:`Snapshot` it adopts the base by reference and
-    the accumulator as carried; a plain ``dict`` is copied once into a
-    private base and hashed once.
+    The store is a reference to a shared read-only base plus its own
+    delta: reads try the delta then the base, writes and rollbacks touch
+    only the delta, and :meth:`snapshot` copies only the delta.  Built
+    from (or restored to) a :class:`Snapshot` it adopts the base by
+    reference and the accumulator as carried; a plain ``dict`` is copied
+    once into a private base and hashed once.
 
     Transactions execute serially (L-PBFT orders them); concurrency
     control is therefore unnecessary, matching CCF's single-threaded
@@ -312,7 +315,7 @@ class KVStore(_Layered):
     def __init__(self, initial: Snapshot | dict[str, Any] | None = None) -> None:
         self._log: list[TxRecord] = []
         self._next_tx_id = 0
-        self.restore(initial or {})
+        self.restore({} if initial is None else initial)
 
     # -- transaction execution -------------------------------------------
 

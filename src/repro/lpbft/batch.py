@@ -25,9 +25,10 @@ def execute_procedure(
 
     The output is the ledger's ``o`` component: the client-visible reply
     plus the write-set digest (so replay detects silently-altered writes
-    even when the reply matches).  Aborts commit nothing and yield a
-    deterministic error reply.  Shared by replicas and the auditor's
-    replay (§4.1).
+    even when the reply matches).  Aborts, including a procedure that
+    raises or is unknown (:meth:`ProcedureRegistry.invoke`), commit
+    nothing and yield a deterministic error reply.  Shared by replicas
+    and the auditor's replay (§4.1).
     """
     tx = kv.begin()
     try:

@@ -10,6 +10,7 @@ by default; Figs. 6–7 sweep 100K–1M).
 from __future__ import annotations
 
 import random
+from collections.abc import ItemsView, Iterator, Mapping
 from functools import lru_cache
 from typing import Any
 
@@ -138,13 +139,6 @@ def register_smallbank(registry: ProcedureRegistry) -> None:
 # one integer costs about 10 ms from fork to reaping.
 MIN_HASH_RANGE = 20_000
 
-# What filling the table costs per customer, as a share of deriving and
-# hashing the customer's entries: measured 0.36-0.53 (1.0-1.9 us against
-# 2.2-4.7 us of process time per customer, 200K and 500K customers, a
-# two-vCPU Xeon).  The range this process hashes beside the fill is
-# shortened by it.
-FILL_COST = 0.4
-
 
 def _accounts(low: int, high: int, checking: int, savings: int):
     """The table's entries for customers ``low`` to ``high - 1``, in
@@ -152,6 +146,82 @@ def _accounts(low: int, high: int, checking: int, savings: int):
     for customer in range(low, high):
         yield f"checking:{customer}", checking  # _checking_key, inlined
         yield f"savings:{customer}", savings  # _savings_key, inlined
+
+
+_ABSENT = object()
+
+
+class _Entries(ItemsView):
+    """``GenesisTable.items()``: a view, so it iterates more than once;
+    entries are derived in order, not looked up key by key."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        table = self._mapping
+        return _accounts(0, table._n, table._checking, table._savings)
+
+
+class GenesisTable(Mapping):
+    """The pre-populated account table as a function of its three
+    integers: it answers every read exactly as
+    ``dict(_accounts(0, n, checking, savings))`` would, and stores no
+    entry.
+
+    ``checking:<d>`` and ``savings:<d>`` are present when ``<d>`` is the
+    plain ASCII decimal of a customer in ``[0, n)`` — no sign, space,
+    underscore, leading zero or non-ASCII digit, which ``int()`` would
+    take — and every other key is absent.  Iteration and :meth:`items`
+    follow the dict's insertion order.
+    """
+
+    __slots__ = ("_n", "_checking", "_savings", "_width")
+
+    def __init__(self, n: int, checking: int, savings: int) -> None:
+        self._n, self._checking, self._savings = n, checking, savings
+        self._width = len(str(n))  # no customer below n has more digits
+
+    def get(self, key: Any, default: Any = None) -> Any:
+        """The value at ``key``, or ``default``."""
+        if not isinstance(key, str):
+            return default
+        kind, _, digits = key.partition(":")
+        if kind == "checking":
+            value = self._checking
+        elif kind == "savings":
+            value = self._savings
+        else:
+            return default
+        if (
+            0 < len(digits) <= self._width
+            and digits.isascii()
+            and digits.isdigit()
+            and (digits[0] != "0" or len(digits) == 1)
+            and int(digits) < self._n
+        ):
+            return value
+        return default
+
+    def __getitem__(self, key: Any) -> Any:
+        value = self.get(key, _ABSENT)
+        if value is _ABSENT:
+            raise KeyError(key)
+        return value
+
+    def __contains__(self, key: object) -> bool:
+        return self.get(key, _ABSENT) is not _ABSENT
+
+    def __len__(self) -> int:
+        return 2 * self._n
+
+    def __iter__(self) -> Iterator[str]:
+        return (key for key, _ in self.items())
+
+    def items(self) -> ItemsView:
+        return _Entries(self)
+
+    def __repr__(self) -> str:
+        return f"GenesisTable({self._n}, checking={self._checking}, savings={self._savings})"
 
 
 @lru_cache(maxsize=8)
@@ -162,39 +232,27 @@ def initial_state(
 ) -> Snapshot:
     """The pre-populated account table, hashed once.
 
-    Cached because benchmarks rebuild deployments repeatedly over the
-    same account counts; every store and genesis checkpoint built from
-    the returned :class:`Snapshot` shares its one table by reference.
-    The accumulator is a sum over entries, so the table is hashed in
-    customer ranges, up to one per CPU and at least ``MIN_HASH_RANGE``
-    customers each.  This process fills the whole table and hashes the
-    first range in the same pass, as it inserts it; forked workers hash
-    the other ranges meanwhile, from entries they derive themselves.
-    The first range is shortened by the fill, so all finish together.
+    The table is a :class:`GenesisTable`: its entries are derived on
+    read, so it takes the same few hundred bytes at any size, and every
+    store and genesis checkpoint built from the returned
+    :class:`Snapshot` shares it by reference.  Cached because benchmarks
+    rebuild deployments repeatedly over the same account counts and the
+    accumulator is the costly part.  The accumulator is a sum over
+    entries, so it is hashed in even customer ranges, up to one per CPU
+    and at least ``MIN_HASH_RANGE`` customers each: this process hashes
+    the first range while forked workers hash the others.
     """
     ranges = max(1, min(available_cpus(), n_accounts // MIN_HASH_RANGE))
-    head = round(n_accounts * max(0.0, 1 - (ranges - 1) * FILL_COST) / ranges)
-    cuts = [head + (n_accounts - head) * i // max(1, ranges - 1) for i in range(ranges)]
-    later = list(zip(cuts, cuts[1:]))
+    cuts = [n_accounts * i // ranges for i in range(ranges + 1)]
+    first, *later = zip(cuts, cuts[1:])
     sums = fork_map(
         lambda bounds: state_accumulator(_accounts(*bounds, checking, savings)),
         later,
         jobs=len(later),
     )
-    state: dict[str, int] = {}
-
-    def inserted():  # _accounts(0, head, ...), filling the table as it goes
-        for customer in range(head):
-            key = f"checking:{customer}"
-            state[key] = checking
-            yield key, checking
-            key = f"savings:{customer}"
-            state[key] = savings
-            yield key, savings
-
-    acc = state_accumulator(inserted())
-    state.update(_accounts(head, n_accounts, checking, savings))
-    return Snapshot(state, acc=merged_accumulator([acc, *sums]))
+    acc = state_accumulator(_accounts(*first, checking, savings))
+    table = GenesisTable(n_accounts, checking, savings)
+    return Snapshot(table, acc=merged_accumulator([acc, *sums]))
 
 
 # -- request generation -----------------------------------------------------------

@@ -530,9 +530,9 @@ INITIAL_STATE_DIGEST = "a356fce14df921cc499d223558d04eceacec34b0d392a7c51732c854
 
 
 def test_initial_state_digest_is_pinned():
-    """The one-pass builder fills and hashes the table; its digest is the
-    one the two-pass build gave, and a small table's accumulator is the
-    plain sum of per-entry terms over the generic encoder."""
+    """The generated table hashed in ranges has the digest the stored
+    dict gave, and a small table's accumulator is the plain sum of
+    per-entry terms over the generic encoder."""
     from repro.kvstore.store import accumulator_digest, state_accumulator
     from repro.workloads import initial_state
 

@@ -48,7 +48,8 @@ def test_a_caller_that_works_meanwhile_may_ask_for_one_child():
 
 def test_workers_run_while_the_caller_works(tmp_path):
     """The first ``jobs`` children start at the call, before any result
-    is asked for — what lets ``initial_state`` fill its table meanwhile."""
+    is asked for — what lets ``initial_state`` hash its first range
+    meanwhile."""
     marks = [tmp_path / "a", tmp_path / "b"]
     results = fork_map(lambda path: path.write_text("x") and path.name, marks, jobs=2)
     deadline = time.monotonic() + 30
@@ -106,9 +107,9 @@ def test_a_worker_maps_serially_unless_asked():
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_genesis_hashed_in_forked_ranges_is_the_serial_sum(monkeypatch, cpus):
-    """Uneven ranges — the one hashed beside the fill shorter, empty on
-    four CPUs — against the plain sum of per-entry terms over the
-    generic encoder; insertion order kept."""
+    """Ranges of 50 customers that do not divide evenly on three and
+    four CPUs, against the plain sum of per-entry terms over the generic
+    encoder; insertion order kept."""
     monkeypatch.setattr(smallbank, "MIN_HASH_RANGE", 7)
     monkeypatch.setattr(smallbank, "available_cpus", lambda: cpus)
     table = smallbank.initial_state.__wrapped__(50, checking=64, savings=-(2**63))

@@ -1,7 +1,5 @@
 """Normal-case integration: commits, agreement, receipts, dedupe, ordering."""
 
-import pytest
-
 from repro.lpbft import ProtocolParams, designated_replica
 from repro.receipts import verify_receipt
 
@@ -103,14 +101,14 @@ class TestRequestHandling:
         assert verify_receipt(receipt, dep.genesis_config)
 
     def test_unknown_procedure_receipt(self, small_deployment):
+        # A name with no procedure is an aborted transaction: every
+        # replica (and an auditor's replay) records the same abort.
         dep, client = small_deployment
-        with pytest.raises(Exception):
-            # Unknown procedures are a deployment error (KVError) surfaced
-            # during execution; replicas must not diverge on them, so the
-            # registry rejects at invoke time and the primary crashes the
-            # simulation loudly rather than committing garbage.
-            client.submit("no.such.procedure", {}, min_index=0)
-            dep.run(until=1.0)
+        d = client.submit("no.such.procedure", {}, min_index=0)
+        dep.run(until=1.0)
+        receipt = client.receipts[d]
+        assert receipt.output["reply"] == {"ok": False, "error": "KVError"}
+        assert verify_receipt(receipt, dep.genesis_config)
 
 
 class TestCheckpoints:
