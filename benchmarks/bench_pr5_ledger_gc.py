@@ -103,10 +103,7 @@ def audit_measurements(gc_dep, gc_client, unbounded_dep):
     schedule = package.subledger.schedule
 
     t0 = time.perf_counter()
-    findings = replay_ledger(
-        suffix_ledger, package.checkpoint, gc_dep.registry, schedule,
-        gc_dep.params.checkpoint_interval,
-    )
+    findings = replay_ledger(suffix_ledger, package.checkpoint, gc_dep.registry, schedule)
     replay_cp_wall = time.perf_counter() - t0
     assert findings == []
 
@@ -122,7 +119,6 @@ def audit_measurements(gc_dep, gc_client, unbounded_dep):
     t0 = time.perf_counter()
     findings = replay_ledger(
         full_ledger, unbounded_dep.genesis_checkpoint, unbounded_dep.registry, full_schedule,
-        unbounded_dep.params.checkpoint_interval,
     )
     replay_genesis_wall = time.perf_counter() - t0
     assert findings == []

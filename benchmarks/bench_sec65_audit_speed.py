@@ -59,10 +59,7 @@ def run_and_audit(n_replicas: int):
     ledger = package.fragment.to_ledger()
     subledger = extract_governance_subledger(primary.ledger.entries(), PARAMS.pipeline)
     start = time.perf_counter()
-    findings = replay_ledger(
-        ledger, package.checkpoint, dep.registry, subledger.schedule,
-        PARAMS.checkpoint_interval,
-    )
+    findings = replay_ledger(ledger, package.checkpoint, dep.registry, subledger.schedule)
     replay_wall = time.perf_counter() - start
     assert findings == []
     return execution_virtual, audit_virtual, replay_wall, n_tx

@@ -11,7 +11,10 @@ refactored.
   backticked name may be an option ``tests/test_params.py`` lists as
   removed (bare ``client_timeout`` as much as ``ProtocolParams.ledger_gc``).
 - Retired shapes: the replica is one class with components, so no doc
-  may mention a ``Mixin`` or ``statesync/integration.py``."""
+  may mention a ``Mixin`` or ``statesync/integration.py``.
+- Names, not PR numbers: no ``PR <n>`` in ``src/`` comments or
+  docstrings, and no ``tests/test_pr<n>*.py``: code and tests are named for
+  what they do."""
 
 import dataclasses
 import glob
@@ -64,6 +67,14 @@ for doc in DOCS:
         for name in KWARG.findall(call.group(1)):
             if name not in FIELDS:
                 failures.append(f"{where}:{lineno}: ProtocolParams has no option {name!r}")
+
+PR_NUMBER = re.compile(r"PR \d+")
+for source in sorted((ROOT / "src").rglob("*.py")):
+    for lineno, line in enumerate(source.read_text().splitlines(), start=1):
+        if PR_NUMBER.search(line):
+            failures.append(f"{source.relative_to(ROOT)}:{lineno}: PR number {line.strip()!r}")
+for test in sorted((ROOT / "tests").glob("test_pr[0-9]*.py")):
+    failures.append(f"{test.relative_to(ROOT)}: test file named for a PR")
 
 if failures:
     print("\n".join(failures))

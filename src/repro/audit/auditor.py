@@ -314,7 +314,6 @@ class Auditor:
                 package.checkpoint,
                 self.registry,
                 ledger_schedule,
-                self.params.checkpoint_interval,
                 evidence_by_seqno=parsed.evidence_for,
             )
             for finding in findings:

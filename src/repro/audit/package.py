@@ -8,7 +8,7 @@ reference checkpoint to the newest receipt, the checkpoint digest matches
 the receipt's ``dC``, and the governance sub-ledger extends every
 supporting chain the receipts carry.
 
-With ledger prefix GC (PR 5) a replica's fragment may start at its
+With ledger prefix GC a replica's fragment may start at its
 retained base instead of genesis.  Such a *checkpoint-rooted* package
 additionally carries the tree M ``frontier`` at the fragment start; the
 auditor re-derives every signed ``root_m`` in the suffix from that

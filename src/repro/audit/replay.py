@@ -1,32 +1,40 @@
-"""Ledger replay (paper §4.1 ``replayLedger``).
+"""Ledger replay (paper §4.1 ``replayLedger``, §3.4): the one loop that
+re-executes a ledger from a checkpoint.
 
-The auditor loads the checkpoint referenced by the oldest receipt and
-re-executes every transaction after it, comparing outputs (client reply
-*and* write-set digest), per-batch Merkle roots, and the digests recorded
-by checkpoint transactions.  Any divergence yields a finding blaming every
-replica that signed the batch — replay is the only check that catches
-``N − f`` colluding replicas agreeing on a wrong result.
+The auditor's :func:`replay_ledger` blames every replica that signed a
+divergent batch (the only check that catches ``N − f`` colluding
+replicas agreeing on a wrong result); the ledger install
+(:func:`repro.lpbft.adoption.install_ledger`) rejects a ledger on its
+first finding and builds its batch records from what was replayed.
+Both run :func:`replay_batches`, which checks what a live backup checks
+when it rebuilds a batch:
 
-*Checkpoint-rooted replay* (PR 5): the ledger may be a suffix-rooted
-:class:`~repro.ledger.Ledger` materialized from a GC'd replica's
-fragment + frontier.  Replay then necessarily starts from a checkpoint
-whose state the suffix vouches for (package completeness verifies its
-recording transaction and ledger binding); batches at or below the
-checkpoint are skipped exactly as they always were, so verdicts over the
-retained suffix — including uPoM blame — match what a genesis replay of
-the full ledger would have produced.
+- Outputs are compared by their bytes: every entry whose replayed G leaf
+  differs from the ledger's is an ``output-mismatch``.  Tree G is built
+  from the *replayed* entries; if it misses the signed ``root_g`` and no
+  entry differs, the finding is a ``g-root-mismatch``.
+- Every checkpoint transaction is checked (``checkpoint-mismatch``): its
+  digest against the replayed state at ``cp_seqno``, its ledger binding
+  against the end of batch ``cp_seqno`` and tree M's root at that size,
+  wherever the replay or the ledger covers them.
+
+The ledger may be suffix-rooted (materialized from a garbage-collected
+replica's fragment + frontier); batches at or below the checkpoint are
+skipped, so verdicts over the retained suffix match a full replay's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterator
 
+from .. import codec
 from ..governance.schedule import ConfigSchedule
 from ..governance.transactions import install_configuration
 from ..kvstore import Checkpoint, KVStore, ProcedureRegistry
 from ..ledger import CheckpointTxEntry, Ledger, TxEntry
+from ..lpbft.batch import execute_procedure
 from ..lpbft.messages import bitmap_members
-from ..lpbft.replica import execute_procedure
 from ..merkle import MerkleTree
 
 
@@ -38,7 +46,18 @@ class ReplayFinding:
     seqno: int
     index: int
     detail: str
-    blamed: tuple[int, ...]
+    blamed: tuple[int, ...] = ()
+
+
+@dataclass
+class ReplayedBatch:
+    """One batch after the checkpoint, as replay rebuilt it."""
+
+    kv_mark: int  # kv.tx_count before the batch executed
+    entries: list  # replayed TxEntry | CheckpointTxEntry, in G order
+    g_tree: MerkleTree  # G over the replayed entries
+    work: list  # (kv op count, len(kv)) per executed transaction
+    findings: list  # ReplayFinding, without blame
 
 
 def batch_signers(ledger: Ledger, parsed_evidence: dict, seqno: int, schedule: ConfigSchedule) -> tuple[int, ...]:
@@ -53,110 +72,107 @@ def batch_signers(ledger: Ledger, parsed_evidence: dict, seqno: int, schedule: C
     return tuple(sorted(signers))
 
 
-def replay_ledger(
-    ledger: Ledger,
-    checkpoint: Checkpoint | None,
-    registry: ProcedureRegistry,
+def replay_batches(
+    kv: KVStore, ledger: Ledger, checkpoint: Checkpoint, registry: ProcedureRegistry,
     schedule: ConfigSchedule,
-    checkpoint_interval: int,
-    evidence_by_seqno: dict | None = None,
-    stop_seqno: int | None = None,
-) -> list[ReplayFinding]:
-    """Re-execute transactions from ``checkpoint`` (or genesis) and return
-    every divergence from what the ledger records.
-
-    ``evidence_by_seqno`` (from the well-formedness parse) widens blame
-    from the primary to all batch signers.  ``stop_seqno`` bounds the
-    replay (the enforcer verifies uPoMs over at most one checkpoint
-    interval, §4.2).
-    """
-    evidence_by_seqno = evidence_by_seqno or {}
-    findings: list[ReplayFinding] = []
-
-    kv = KVStore()
-    if checkpoint is not None and checkpoint.seqno > 0:
-        checkpoint.restore_into(kv)
-        start_seqno = checkpoint.seqno
-    else:
-        genesis_config = schedule.spans()[0].config
-        kv.execute(lambda tx: install_configuration(tx, genesis_config))
-        if checkpoint is not None and checkpoint.seqno == 0:
-            # Genesis checkpoints may carry pre-populated application state.
-            if checkpoint.digest() != kv.state_digest():
-                kv.restore(checkpoint.state)
-        start_seqno = 0
-
+) -> Iterator[ReplayedBatch]:
+    """Restore ``checkpoint`` into the empty ``kv`` now, and return an
+    iterator that re-executes the batches after it, yielding each with
+    its findings.  ``kv`` holds the state after the yielded batch until
+    the next one is requested."""
+    checkpoint.restore_into(kv)
     activations = {
         span.start_seqno: span.config for span in schedule.spans() if span.config.number > 0
     }
-    replay_cps: dict[int, bytes] = {start_seqno: kv.state_digest()}
+    digests = {checkpoint.seqno: kv.state_digest()}
 
-    def blame(seqno: int) -> tuple[int, ...]:
-        return batch_signers(ledger, evidence_by_seqno, seqno, schedule)
-
-    for info in ledger.batches():
-        seqno = info.seqno
-        if seqno <= start_seqno:
-            continue
-        if stop_seqno is not None and seqno > stop_seqno:
-            break
-        if seqno in activations:
-            kv.execute(lambda tx, c=activations[seqno]: install_configuration(tx, c))
-        pp = ledger.batch_pre_prepare(seqno)
-        g_tree = MerkleTree()
-        for entry in ledger.entries(info.first_tx, info.end):
-            if isinstance(entry, CheckpointTxEntry):
-                recorded = replay_cps.get(entry.cp_seqno)
-                if recorded is not None and recorded != entry.cp_digest:
-                    findings.append(
-                        ReplayFinding(
-                            kind="checkpoint-mismatch",
-                            seqno=seqno,
-                            index=entry.index,
-                            detail=(
-                                f"checkpoint transaction at batch {seqno} records a digest for "
-                                f"cp {entry.cp_seqno} that replay does not reproduce"
-                            ),
-                            blamed=blame(seqno),
-                        )
-                    )
-                g_tree.append(entry.leaf_digest())
+    def replay() -> Iterator[ReplayedBatch]:
+        for info in ledger.batches():
+            seqno = info.seqno
+            if seqno <= checkpoint.seqno:
                 continue
-            assert isinstance(entry, TxEntry)
-            request = entry.request()
-            output, _ = execute_procedure(kv, registry, request)
-            if output != entry.output:
-                findings.append(
-                    ReplayFinding(
-                        kind="output-mismatch",
-                        seqno=seqno,
-                        index=entry.index,
-                        detail=(
-                            f"transaction {request.procedure!r} at index {entry.index} replays to a "
-                            f"different output than the ledger records"
-                        ),
-                        blamed=blame(seqno),
-                    )
-                )
-                g_tree.append(entry.leaf_digest())
-                continue
-            g_tree.append(entry.leaf_digest())
-        if g_tree.root() != pp.root_g:
-            findings.append(
+            # Live execution installs an activated configuration *before*
+            # it marks the batch (handle_pre_prepare activates, then
+            # _accept_pre_prepare marks): a rollback to the mark keeps it.
+            if seqno in activations:
+                kv.execute(lambda tx, c=activations[seqno]: install_configuration(tx, c))
+            batch = ReplayedBatch(kv.tx_count, [], MerkleTree(), [], [])
+            differs = []
+            for entry in ledger.entries(info.first_tx, info.end):
+                replayed = entry
+                if isinstance(entry, CheckpointTxEntry):
+                    batch.findings += _check_checkpoint_tx(entry, seqno, ledger, checkpoint, digests)
+                else:
+                    output, ops = execute_procedure(kv, registry, entry.request())
+                    batch.work.append((ops, len(kv)))
+                    # An output identical to the ledger's, type for type,
+                    # has its bytes: the ledger's entry is the replayed one.
+                    if not codec.same_encoding(output, entry.output):
+                        replayed = TxEntry(request_wire=entry.request_wire, index=entry.index, output=output)
+                        if replayed.leaf_digest() != entry.leaf_digest():
+                            differs.append(entry)
+                batch.entries.append(replayed)
+                batch.g_tree.append(replayed.leaf_digest())
+            batch.findings += [
                 ReplayFinding(
-                    kind="g-root-mismatch",
-                    seqno=seqno,
-                    index=info.first_tx,
-                    detail=f"batch {seqno}: per-batch Merkle root does not cover its entries",
-                    blamed=blame(seqno),
+                    "output-mismatch", seqno, entry.index,
+                    f"transaction {entry.request_wire[1]!r} at index {entry.index} replays to "
+                    f"different output bytes than the ledger records",
                 )
-            )
-        # Track replay-side checkpoints so later checkpoint transactions
-        # can be validated.
-        if seqno % checkpoint_interval == 0 or seqno in activations or (seqno + 1) in activations:
-            replay_cps[seqno] = kv.state_digest()
-        # Activation checkpoints are taken at s + 2P (just before the
-        # activation batch); cover that too.
-        replay_cps.setdefault(seqno, kv.state_digest())
+                for entry in differs
+            ]
+            if not differs and batch.g_tree.root() != ledger.batch_pre_prepare(seqno).root_g:
+                batch.findings.append(ReplayFinding(
+                    "g-root-mismatch", seqno, info.first_tx,
+                    f"batch {seqno}: the replayed entries do not reproduce the signed root_g",
+                ))
+            digests[seqno] = kv.state_digest()
+            yield batch
 
-    return findings
+    return replay()
+
+
+def _check_checkpoint_tx(
+    entry: CheckpointTxEntry, seqno: int, ledger: Ledger, checkpoint: Checkpoint, digests: dict
+) -> list[ReplayFinding]:
+    """The checkpoint transaction's digest against the replayed state,
+    and its ledger binding against the batch it names and tree M."""
+    cp_seqno, size = entry.cp_seqno, entry.ledger_size
+    bound = ledger.batch(cp_seqno)
+    if bound is not None:
+        size = bound.end
+    elif cp_seqno == checkpoint.seqno:
+        size = checkpoint.ledger_size
+    problems = []
+    if digests.get(cp_seqno, entry.cp_digest) != entry.cp_digest:
+        problems.append(f"a digest for cp {cp_seqno} that replay does not reproduce")
+    if entry.ledger_size != size:
+        problems.append(f"ledger size {entry.ledger_size} for cp {cp_seqno}, bound at {size}")
+    elif ledger.base_index <= size <= len(ledger) and ledger.root_at(size) != entry.ledger_root:
+        problems.append(f"a ledger root for cp {cp_seqno} that is not tree M's at size {size}")
+    return [
+        ReplayFinding(
+            "checkpoint-mismatch", seqno, entry.index,
+            f"checkpoint transaction at batch {seqno} records {problem}",
+        )
+        for problem in problems
+    ]
+
+
+def replay_ledger(
+    ledger: Ledger,
+    checkpoint: Checkpoint,
+    registry: ProcedureRegistry,
+    schedule: ConfigSchedule,
+    evidence_by_seqno: dict | None = None,
+) -> list[ReplayFinding]:
+    """Re-execute transactions from ``checkpoint`` and return every
+    divergence from what the ledger records, each blaming the batch's
+    signers.  ``evidence_by_seqno`` (from the well-formedness parse)
+    widens blame from the primary to all batch signers."""
+    evidence_by_seqno = evidence_by_seqno or {}
+    return [
+        replace(finding, blamed=batch_signers(ledger, evidence_by_seqno, finding.seqno, schedule))
+        for batch in replay_batches(KVStore(), ledger, checkpoint, registry, schedule)
+        for finding in batch.findings
+    ]

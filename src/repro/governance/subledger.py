@@ -123,7 +123,7 @@ class GovernanceExtractor:
     """Resumable governance sub-ledger extraction.
 
     The one-shot :func:`extract_governance_subledger` walks a full-prefix
-    entry sequence; with ledger prefix GC (PR 5) the full prefix stops
+    entry sequence; with ledger prefix GC the full prefix stops
     existing, so replicas keep one of these *archives* instead: before a
     prefix is truncated its entries are fed in
     (:meth:`feed`, contiguous, genesis first), and a current sub-ledger is

@@ -11,7 +11,7 @@ entries *before* that pre-prepare entry — so each signed batch commits the
 replica to the entire preceding ledger.
 
 Ledger *prefix garbage collection*: once audits can run from a stable
-checkpoint (PR 5), the entries below the oldest stable checkpoint are
+checkpoint, the entries below the oldest stable checkpoint are
 dead weight — :meth:`Ledger.truncate_below` drops them, compacting the
 tree M down to the boundary's frontier.  All indices stay *absolute*
 (entry 1000 keeps index 1000 after the first 900 are collected); reads
@@ -373,7 +373,7 @@ class Ledger:
         ]
         return removed
 
-    # -- prefix garbage collection (PR 5) ---------------------------------------
+    # -- prefix garbage collection ---------------------------------------------
 
     def truncate_below(self, boundary: int) -> int:
         """Garbage-collect every entry below absolute index ``boundary``.

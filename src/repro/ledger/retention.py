@@ -1,4 +1,4 @@
-"""Ledger prefix retention policy (PR 5 garbage collection).
+"""Ledger prefix retention policy (prefix garbage collection).
 
 Deciding *how much* ledger may be dropped is a policy question separate
 from the mechanism (:meth:`~repro.ledger.ledger.Ledger.truncate_below`):

@@ -6,10 +6,19 @@ only from the state-sync client (a spliced or checkpoint-rooted suffix,
 §3.4/§5.1; Alg. 2's "fetch missing ledger entries" is a state-sync
 session too).  The verifier checks what the peer supplied against what
 we already trust (our genesis, every signed ``root_m``, every primary
-signature, the checkpoint's ledger binding); the install replays from
-the checkpoint, checks every replayed batch against its signed
-``root_g``, and commits to the replica atomically — but marks committed
-only the batches the ledger proves committed.
+signature, the checkpoint's ledger binding).  The install replays from
+the checkpoint through the audit's loop
+(:func:`repro.audit.replay.replay_batches`), so it rejects any ledger
+that replay finds fault with, and commits to the replica atomically —
+but marks committed only the batches the ledger proves committed.
+
+What the install still trusts is commitment evidence: batch *s*
+installs committed when any ``EvidenceEntry`` for *s* is ordered before
+the last pre-prepare.  It checks neither that the entry's prepares name
+*s*'s pre-prepare nor their signatures, so a primary that signs a
+second batch *s*, one that replays cleanly, gets it installed committed
+on the evidence for the first.  Checking them charges verify work and
+moves ``primary_crash``: ROADMAP items 9 and 14.
 """
 
 from __future__ import annotations
@@ -17,10 +26,9 @@ from __future__ import annotations
 from ..errors import ProtocolError
 from ..governance.configuration import Configuration
 from ..governance.schedule import ConfigSchedule
-from ..governance.transactions import install_configuration
 from ..kvstore import Checkpoint, KVStore
-from ..ledger import CheckpointTxEntry, EvidenceEntry, GenesisEntry, Ledger, TxEntry
-from .batch import BatchRecord, ReconfigState, execute_procedure
+from ..ledger import CheckpointTxEntry, EvidenceEntry, GenesisEntry, Ledger
+from .batch import BatchRecord, ReconfigState
 from .checkpointing import CheckpointDirectory
 from .messages import BATCH_CHECKPOINT
 
@@ -150,11 +158,9 @@ def install_ledger(
     it.
 
     The paper's fetch verifies checkpoint receipts and per-interval
-    Merkle roots instead of replaying everything (§3.4); we verify the
-    structure while rebuilding, replay only from the checkpoint, and
-    check every replayed batch against its signed ``root_g`` —
-    raising :class:`ProtocolError` *before* any replica state changes,
-    so a failed install leaves the replica untouched.
+    Merkle roots instead of replaying everything (§3.4); we replay from
+    the checkpoint and raise :class:`ProtocolError` on the first finding,
+    before any replica state changes.
     """
     if checkpoint is None:
         raise ProtocolError("no checkpoint to replay the ledger from")
@@ -185,10 +191,14 @@ def install_ledger(
     # Suffix or not, the genesis digest is the one every replica derives
     # from its genesis configuration and initial state.
     directory = CheckpointDirectory(replica.cp_directory.genesis_digest())
+    # Imported lazily: repro.audit imports the governance subledger,
+    # which imports the lpbft message types.
+    from ..audit.replay import replay_batches
+
     kv = KVStore()
     # The genesis checkpoint (seqno 0) restores too: it carries any
     # pre-populated initial state that a bare config install lacks.
-    checkpoint.restore_into(kv)
+    replayed = replay_batches(kv, ledger, checkpoint, replica.registry, schedule)
     replica.submit("hash", len(checkpoint.state) * replica.costs.checkpoint_per_entry)
     checkpoints: dict[int, Checkpoint] = {cp_seqno: checkpoint}
     last_taken = cp_seqno
@@ -196,60 +206,28 @@ def install_ledger(
     tx_locations: dict = dict(executed or {})
     new_pps: dict = {}
     new_ppd: dict = {}
-    activations = {
-        span.start_seqno: span.config
-        for span in schedule.spans()
-        if span.config.number > 0
-    }
     last_recorded = -1
     reconfig = None
-    replayed = 0
     for info in batch_infos:
         seqno = info.seqno
         pp = ledger.batch_pre_prepare(seqno)
-        record = BatchRecord(seqno=seqno, view=pp.view, flags=pp.flags)
-        record.pp = pp
-        record.pp_digest = pp.digest()
-        record.ledger_start = info.pp_index
-        record.ledger_end = info.end
-        replaying = seqno > cp_seqno
-        # Live execution installs an activated configuration *before*
-        # capturing the batch's kv mark (handle_pre_prepare activates,
-        # then _accept_pre_prepare marks) — match that order here, or a
-        # later view-change rollback to this batch's mark silently
-        # undoes the install and the replica's KV state diverges from
-        # replicas that executed the activation live.
-        if replaying and seqno in activations:
-            kv.execute(lambda tx, c=activations[seqno]: install_configuration(tx, c))
-        record.kv_mark = kv.tx_count
-        for entry in ledger.entries(info.first_tx, info.end):
-            if isinstance(entry, CheckpointTxEntry):
-                record.entries.append(entry)
+        record = BatchRecord(
+            seqno=seqno, view=pp.view, flags=pp.flags, pp=pp, pp_digest=pp.digest(),
+            kv_mark=kv.tx_count, ledger_start=info.pp_index, ledger_end=info.end)
+        if seqno <= cp_seqno:
+            record.entries = ledger.entries(info.first_tx, info.end)
+            for entry in record.entries:
                 record.g_tree.append(entry.leaf_digest())
-                record.tx_digests.append(None)
-                last_recorded = entry.cp_seqno
-                directory.note_record(seqno, entry.cp_seqno, entry.cp_digest)
-                continue
-            if not isinstance(entry, TxEntry):
-                raise ProtocolError(f"unexpected {entry.kind!r} entry inside batch {seqno}")
-            request = entry.request()
-            tx_digest = request.request_digest()
-            if replaying:
-                output, ops = execute_procedure(kv, replica.registry, request)
-                # Replay is real CPU: catching up from an old (or no)
-                # checkpoint costs proportionally more than restoring
-                # a recent one — the §3.4 argument for checkpoints.
-                replica.submit("execute", replica.costs.execute_tx(ops, len(kv)))
-                entry = TxEntry(request_wire=request.to_wire(), index=entry.index, output=output)
-            record.entries.append(entry)
-            record.g_tree.append(entry.leaf_digest())
-            record.tx_digests.append(tx_digest)
-            tx_locations[tx_digest] = (seqno, entry.index)
-        if replaying:
-            replayed += 1
-            if record.g_tree.root() != pp.root_g:
-                # Divergent replay or a ledger with doctored outputs.
-                raise ProtocolError(f"replayed batch {seqno} mismatches signed root_g")
+        else:
+            batch = next(replayed)
+            # Replay is real CPU: catching up from an old (or no)
+            # checkpoint costs proportionally more than restoring a
+            # recent one — the §3.4 argument for checkpoints.
+            for ops, size in batch.work:
+                replica.submit("execute", replica.costs.execute_tx(ops, size))
+            if batch.findings:
+                raise ProtocolError(f"replayed batch {seqno}: {batch.findings[0].detail}")
+            record.kv_mark, record.entries, record.g_tree = batch.kv_mark, batch.entries, batch.g_tree
             # A referendum that passed and has not activated yet: the
             # end-of-configuration sequence is still open.
             accepted = kv.get("__gov.accepted_config")
@@ -258,22 +236,30 @@ def install_ledger(
             elif reconfig is None:
                 reconfig = ReconfigState(
                     Configuration.from_wire(accepted), seqno, ledger.root_at(info.end))
+            # Take interval checkpoints passed during replay so the next
+            # checkpoint transaction finds its state.
+            if (
+                replica.params.checkpoints
+                and record.flags != BATCH_CHECKPOINT
+                and seqno % replica.params.checkpoint_interval == 0
+            ):
+                checkpoints[seqno] = Checkpoint.capture(kv, seqno, info.end, ledger.root_at(info.end))
+                last_taken = seqno
+        for entry in record.entries:
+            if isinstance(entry, CheckpointTxEntry):
+                record.tx_digests.append(None)
+                last_recorded = entry.cp_seqno
+                directory.note_record(seqno, entry.cp_seqno, entry.cp_digest)
+                continue
+            tx_digest = entry.request().request_digest()
+            record.tx_digests.append(tx_digest)
+            tx_locations[tx_digest] = (seqno, entry.index)
         if seqno <= committed_upto or (committed_upto == seqno - 1 and seqno in evidenced):
             committed_upto = max(committed_upto, seqno)
             record.prepared = record.committed = True
         batches[seqno] = record
         new_pps[(record.view, seqno)] = pp
         new_ppd[record.pp_digest] = (record.view, seqno)
-        # Take interval checkpoints passed during replay so the next
-        # checkpoint transaction finds its state.
-        if (
-            replaying
-            and replica.params.checkpoints
-            and record.flags != BATCH_CHECKPOINT
-            and seqno % replica.params.checkpoint_interval == 0
-        ):
-            checkpoints[seqno] = Checkpoint.capture(kv, seqno, info.end, ledger.root_at(info.end))
-            last_taken = seqno
 
     # Everything verified and built — commit to the replica atomically.
     replica.schedule = schedule
@@ -319,4 +305,4 @@ def install_ledger(
         replica._drain_pending_commits(record.view, record.seqno)
     if tail:
         replica._check_prepared(tail[0].view, tail[0].seqno)
-    return replayed
+    return sum(seqno > cp_seqno for seqno in batches)

@@ -76,7 +76,7 @@ class CheckpointDirectory:
 
     def prune_records_below(self, record_seqno: int) -> None:
         """Drop records from batches below ``record_seqno`` (ledger prefix
-        GC, PR 5).  Their checkpoints are no longer held and their batches
+        GC).  Their checkpoints are no longer held and their batches
         can never be re-proposed; keeping them would make the per-
         stabilization oldest-stable scan O(total history) instead of
         O(retention window)."""

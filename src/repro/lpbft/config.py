@@ -40,7 +40,7 @@ class ProtocolParams:
     # (0 = use the checkpoint interval).
     sync_lag_batches: int = 0
 
-    # Ledger prefix garbage collection (PR 5).  After a checkpoint
+    # Ledger prefix garbage collection.  After a checkpoint
     # stabilizes, the ledger entries below the *oldest* retained stable
     # checkpoint are truncated (their tree M prefix is compacted to a
     # frontier): audits, receipt rebuilds, and state transfers then run

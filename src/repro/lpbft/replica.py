@@ -151,7 +151,7 @@ class LPBFTReplica(Node):
         self.cp_directory = CheckpointDirectory(self.checkpoints[0].digest())
         self.last_taken_cp = 0
         self.last_recorded_cp = -1
-        # Ledger prefix GC (PR 5): pins held by in-flight state transfers
+        # Ledger prefix GC: pins held by in-flight state transfers
         # and pending audit packages, and the governance archive that
         # preserves the sub-ledger across truncations (created lazily at
         # the first truncation; None also marks a suffix-installed replica
@@ -1220,7 +1220,7 @@ class LPBFTReplica(Node):
         # on an unknown one), so undo records below every kept mark are dead.
         self.kv.forget_before(min(record.kv_mark for record in self.batches.values()))
 
-    # -- ledger prefix GC (PR 5) ---------------------------------------------------------
+    # -- ledger prefix GC --------------------------------------------------------------
 
     def _oldest_stable_checkpoint(self) -> Checkpoint | None:
         """The oldest retained checkpoint (seqno > 0) whose recording

@@ -9,7 +9,7 @@ load (submissions at the clients), *goodput* (completed receipts), the
 replica, and per-lane CPU utilization — the signals a Fig. 4-style
 saturation sweep reads past the knee.
 
-Since PR 7 the ad-hoc ``counters`` dict is backed by a typed
+The ``counters`` dict is backed by a typed
 :class:`~repro.obs.instruments.MetricsRegistry`: ``bump`` routes to
 labeled :class:`~repro.obs.instruments.Counter` instruments (e.g.
 ``bump("requests_shed", reason="deadline")``), while the ``counters``
@@ -121,8 +121,8 @@ class MetricsCollector:
     in) at replicas, ``offered`` at load generators — so an overload
     sweep reports offered vs. admitted vs. goodput separately.
     ``lane_utilization`` is a per-lane busy-fraction snapshot (see
-    :meth:`record_lane_utilization`; since PR 7 ``VirtualCPU`` computes
-    it directly via ``utilization_window``).  Counters may be fractional:
+    :meth:`record_lane_utilization`; ``VirtualCPU`` computes it
+    directly via ``utilization_window``).  Counters may be fractional:
     overload accounting records *wasted* busy time (e.g.
     ``wasted_verify_s``, CPU spent verifying requests that were shed
     afterwards) in seconds.

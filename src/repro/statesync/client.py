@@ -103,7 +103,7 @@ class StateSyncClient:
     Chunk transfers resume across failovers when the replacement serves
     the same checkpoint.
 
-    **Ledger GC interplay (PR 5).** A server that garbage-collected its
+    **Ledger GC interplay.** A server that garbage-collected its
     ledger prefix refuses splice requests below its retained base with
     ``sync-ledger-refused``.  The client then retries *checkpoint-rooted*:
     it re-requests the suffix from exactly the served checkpoint's

@@ -9,10 +9,13 @@ the conftest) makes the import unambiguous.
 
 from __future__ import annotations
 
+import dataclasses
 from unittest import mock
 
 from repro import codec
+from repro.ledger import CheckpointTxEntry, EvidenceEntry, Ledger, PrePrepareEntry
 from repro.lpbft import Deployment, ProtocolParams
+from repro.merkle import MerkleTree
 from repro.workloads import SmallBankWorkload, initial_state, register_smallbank
 
 FAST_PARAMS = ProtocolParams(
@@ -97,3 +100,73 @@ def run_waves(dep, client, waves=4, per_wave=25, gap=0.3, seed=7, accounts=200):
         dep.run(until=dep.net.scheduler.now + gap)
     dep.run(until=dep.net.scheduler.now + 2.0)
     return digests
+
+
+def reforge_ledger(ledger, dep, mutate):
+    """``ledger`` as ``dep``'s replicas would rewrite it if all of them
+    colluded: every entry ``e`` becomes ``mutate(e)`` (or stays, when
+    that is None), a checkpoint transaction that bound the old tree M
+    binds the new one at the same size, the primary re-roots and re-signs
+    every pre-prepare whose ``root_m`` or ``root_g`` no longer matches,
+    and each replica re-signs its prepares for it in the evidence.
+    ``ledger`` must start at genesis."""
+    def sign(replica, message):
+        return message.with_signature(replica.backend.sign(replica.keypair, message.signed_payload()))
+
+    primary = dep.primary()
+    batches = {info.pp_index: info for info in ledger.batches()}
+    entries = ledger.entries()
+    resigned = {}  # seqno -> digest of the re-signed pre-prepare
+    forged = Ledger()
+    position = 0
+    while position < len(entries):
+        info = batches.get(position)
+        if info is None:
+            entry = mutate(entries[position]) or entries[position]
+            if isinstance(entry, EvidenceEntry) and entry.seqno in resigned:
+                entry = dataclasses.replace(entry, prepare_wires=tuple(
+                    sign(dep.replicas[prepare.replica],
+                         dataclasses.replace(prepare, pp_digest=resigned[entry.seqno])).to_wire()
+                    for prepare in entry.prepares()
+                ))
+            forged.append(entry)
+            position += 1
+            continue
+        body = [mutate(entry) or entry for entry in entries[info.first_tx:info.end]]
+        for i, entry in enumerate(body):
+            if (
+                isinstance(entry, CheckpointTxEntry)
+                and entry.ledger_size <= len(forged)
+                and entry.ledger_root == ledger.root_at(entry.ledger_size)
+            ):
+                body[i] = dataclasses.replace(entry, ledger_root=forged.root_at(entry.ledger_size))
+        g_tree = MerkleTree()
+        for entry in body:
+            g_tree.append(entry.leaf_digest())
+        pp = entries[position].pre_prepare()
+        if (pp.root_m, pp.root_g) != (forged.root(), g_tree.root()):
+            pp = sign(primary, dataclasses.replace(pp, root_m=forged.root(), root_g=g_tree.root()))
+            resigned[pp.seqno] = pp.digest()
+        for entry in [PrePrepareEntry(pp_wire=pp.to_wire())] + body:
+            forged.append(entry)
+        position = info.end
+    return forged
+
+
+def forge_checkpoint_record(ledger, dep, forgery, record_seqno=20):
+    """``ledger`` with the checkpoint transaction that leads batch
+    ``record_seqno`` forged, and the ledger re-signed by ``dep``'s
+    replicas (:func:`reforge_ledger`).  ``forgery``: ``"digest"`` (a digest no
+    state has), ``"size"`` (a longer prefix, with that prefix's true root)
+    or ``"root"`` (a made-up root at the true size)."""
+    record = ledger.entry(ledger.batch(record_seqno).first_tx)
+    assert isinstance(record, CheckpointTxEntry)
+    size = record.ledger_size + 3
+    fields = {
+        "digest": dict(cp_digest=b"\x07" * 32),
+        "size": dict(ledger_size=size, ledger_root=ledger.root_at(size)),
+        "root": dict(ledger_root=b"\x09" * 32),
+    }[forgery]
+    return reforge_ledger(
+        ledger, dep,
+        lambda entry: dataclasses.replace(entry, **fields) if entry is record else None)

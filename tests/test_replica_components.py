@@ -7,13 +7,14 @@ import pytest
 import repro.lpbft.replica
 from repro.errors import ProtocolError
 from repro.kvstore import KVStore
-from repro.ledger import PrePrepareEntry, TxEntry
+from repro.ledger import LedgerFragment, PrePrepareEntry, TxEntry
 from repro.lpbft import LPBFTReplica, PrePrepare, TransactionRequest, execute_procedure
 from repro.lpbft.adoption import install_ledger, verify_fetched_ledger
 from repro.merkle import MerkleTree
 from repro.network import Node
+from repro.statesync.messages import SyncOffer
 
-from helpers import FAST_PARAMS, build_deployment, run_waves
+from helpers import FAST_PARAMS, build_deployment, forge_checkpoint_record, run_waves
 
 # Every message kind the three dispatch tables held before the replica
 # became one class, and the component that must own its handler.
@@ -311,6 +312,71 @@ class TestSyncSuffix:
         assert backup.sync_client.last_result["cp_seqno"] == max(recorded)
         assert backup.committed_upto == primary.committed_upto
         assert backup.kv.state_digest() == primary.kv.state_digest()
+
+
+class TestInstallReplaysLikeTheAudit:
+    """The install replays through the audit's loop, so a ledger whose
+    signers re-signed a forged checkpoint transaction fails it before any
+    replica state changes.  With C = 10, batch 20 records checkpoint 10,
+    and a victim that heard nothing replays it from genesis."""
+
+    @staticmethod
+    def lagging_run(rule=None):
+        dep = build_deployment(accounts=20)
+        victim = dep.replicas[3]
+        cut_off = [True]
+        dep.net.add_drop_rule(
+            lambda src, dst, msg: victim.address in (src, dst) if cut_off[0]
+            else rule is not None and rule(dst, msg))
+        client = dep.add_client(retry_timeout=0.5)
+        dep.start()
+        run_waves(dep, client, waves=30, per_wave=10, gap=0.05)
+        cut_off[0] = False
+        return dep, victim, dep.primary()
+
+    @pytest.mark.parametrize("forgery", ["digest", "size", "root"])
+    def test_forged_checkpoint_record_fails_the_install(self, forgery):
+        dep, victim, primary = self.lagging_run()
+        ledger = forge_checkpoint_record(primary.ledger.fragment(0).to_ledger(), dep, forgery)
+        genesis = victim.checkpoints[0]
+        schedule = verify_fetched_ledger(victim, ledger, len(ledger), 1, genesis)
+        before = TestSyncSuffix.state(victim)
+        with pytest.raises(ProtocolError, match="replayed batch 20: checkpoint transaction"):
+            install_ledger(victim, ledger, genesis, schedule)
+        assert TestSyncSuffix.state(victim) == before
+        assert victim.cp_directory.records() == []
+
+    def test_forged_checkpoint_digest_fails_a_session(self):
+        held = []
+
+        def rule(dst, msg):
+            # Offers are dropped (the primary's is injected below) and
+            # the suffix is held back.
+            if dst == victim.address and msg[0] == "sync-ledger":
+                held.append(msg)
+            return dst == victim.address and msg[0] in ("sync-offer", "sync-ledger")
+
+        dep, victim, primary = self.lagging_run(rule)
+        victim.sync_client.start("lag")
+        # The primary offers its genesis checkpoint: the victim replays
+        # every batch, batch 20 included.
+        offer = SyncOffer(
+            cp_seqno=0, cp_digest=b"", cp_ledger_size=1, cp_ledger_root=primary.ledger.root_at(1),
+            n_chunks=0, tip_seqno=primary.committed_upto, view=primary.view)
+        victim.on_message(primary.address, offer.to_wire())
+        dep.run(until=dep.net.scheduler.now + 0.05)
+        assert victim.sync_client.phase == "ledger" and len(held) == 1
+        honest = held[0]
+        served = LedgerFragment(
+            start=0, entry_wires=(victim.ledger.entry(0).to_wire(),) + honest[2]).to_ledger()
+        forged = forge_checkpoint_record(served, dep, "digest")
+        wires = tuple(entry.to_wire() for entry in forged.entries(honest[1]))
+        before = TestSyncSuffix.state(victim)
+        victim.on_message(primary.address, honest[:2] + (wires,) + honest[3:])
+        assert TestSyncSuffix.state(victim) == before
+        counters = victim.metrics.counters
+        assert counters["sync_verification_failures"] == 1 and counters["sync_failovers"] == 1
+        assert "ledger_adoptions" not in counters
 
 
 class TestNewViewCatchUp:

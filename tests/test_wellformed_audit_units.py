@@ -215,7 +215,6 @@ class TestLedgerPackage:
             package.checkpoint,
             dep.registry,
             subledger.schedule,
-            dep.params.checkpoint_interval,
         )
         assert findings == []
 
@@ -232,6 +231,5 @@ class TestLedgerPackage:
             checkpoint,
             dep.registry,
             subledger.schedule,
-            dep.params.checkpoint_interval,
         )
         assert findings == []
