@@ -1,26 +1,21 @@
-"""Ledger replay (paper §4.1 ``replayLedger``, §3.4): the one loop that
-re-executes a ledger from a checkpoint.
+"""Ledger replay (paper §4.1 ``replayLedger``, §3.4): :func:`replay_batches`
+is the one loop that re-executes a ledger from a checkpoint.
 
 The auditor's :func:`replay_ledger` blames every replica that signed a
 divergent batch (the only check that catches ``N − f`` colluding
 replicas agreeing on a wrong result); the ledger install
-(:func:`repro.lpbft.adoption.install_ledger`) rejects a ledger on its
-first finding and builds its batch records from what was replayed.
-Both run :func:`replay_batches`, which checks what a live backup checks
-when it rebuilds a batch:
+(:func:`repro.lpbft.adoption.install_ledger`) rejects a ledger on the
+first finding.  The loop checks what a live backup checks:
 
-- Outputs are compared by their bytes: every entry whose replayed G leaf
-  differs from the ledger's is an ``output-mismatch``.  Tree G is built
-  from the *replayed* entries; if it misses the signed ``root_g`` and no
-  entry differs, the finding is a ``g-root-mismatch``.
-- Every checkpoint transaction is checked (``checkpoint-mismatch``): its
-  digest against the replayed state at ``cp_seqno``, its ledger binding
-  against the end of batch ``cp_seqno`` and tree M's root at that size,
-  wherever the replay or the ledger covers them.
+- output bytes: a replayed G leaf that differs from the ledger's is an
+  ``output-mismatch``; a replayed tree G that misses the signed
+  ``root_g`` with no differing leaf is a ``g-root-mismatch``;
+- every checkpoint transaction (``checkpoint-mismatch``): its digest
+  against the replayed state, its ledger binding against the end of
+  batch ``cp_seqno`` and tree M's root there.
 
-The ledger may be suffix-rooted (materialized from a garbage-collected
-replica's fragment + frontier); batches at or below the checkpoint are
-skipped, so verdicts over the retained suffix match a full replay's.
+A suffix-rooted ledger (a garbage-collected replica's fragment +
+frontier) replays alike: batches at or below the checkpoint are skipped.
 """
 
 from __future__ import annotations
@@ -28,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .. import codec
 from ..governance.schedule import ConfigSchedule
 from ..governance.transactions import install_configuration
 from ..kvstore import Checkpoint, KVStore, ProcedureRegistry
-from ..ledger import CheckpointTxEntry, Ledger, TxEntry
+from ..ledger import BatchInfo, CheckpointTxEntry, Ledger, TxEntry
 from ..lpbft.batch import execute_procedure
 from ..lpbft.messages import bitmap_members
 from ..merkle import MerkleTree
@@ -53,6 +47,7 @@ class ReplayFinding:
 class ReplayedBatch:
     """One batch after the checkpoint, as replay rebuilt it."""
 
+    info: BatchInfo
     kv_mark: int  # kv.tx_count before the batch executed
     entries: list  # replayed TxEntry | CheckpointTxEntry, in G order
     g_tree: MerkleTree  # G over the replayed entries
@@ -96,36 +91,31 @@ def replay_batches(
             # _accept_pre_prepare marks): a rollback to the mark keeps it.
             if seqno in activations:
                 kv.execute(lambda tx, c=activations[seqno]: install_configuration(tx, c))
-            batch = ReplayedBatch(kv.tx_count, [], MerkleTree(), [], [])
+            batch = ReplayedBatch(info, kv.tx_count, [], MerkleTree(), [], [])
             differs = []
             for entry in ledger.entries(info.first_tx, info.end):
-                replayed = entry
                 if isinstance(entry, CheckpointTxEntry):
                     batch.findings += _check_checkpoint_tx(entry, seqno, ledger, checkpoint, digests)
                 else:
-                    output, ops = execute_procedure(kv, registry, entry.request())
+                    request = entry.request()
+                    output, ops = execute_procedure(kv, registry, request)
                     batch.work.append((ops, len(kv)))
-                    # An output identical to the ledger's, type for type,
-                    # has its bytes: the ledger's entry is the replayed one.
-                    if not codec.same_encoding(output, entry.output):
-                        replayed = TxEntry(request_wire=entry.request_wire, index=entry.index, output=output)
-                        if replayed.leaf_digest() != entry.leaf_digest():
-                            differs.append(entry)
-                batch.entries.append(replayed)
-                batch.g_tree.append(replayed.leaf_digest())
-            batch.findings += [
-                ReplayFinding(
-                    "output-mismatch", seqno, entry.index,
-                    f"transaction {entry.request_wire[1]!r} at index {entry.index} replays to "
-                    f"different output bytes than the ledger records",
-                )
-                for entry in differs
-            ]
+                    replayed = TxEntry(request_wire=request.to_wire(), index=entry.index, output=output)
+                    if replayed.leaf_digest() != entry.leaf_digest():
+                        differs.append(ReplayFinding(
+                            "output-mismatch", seqno, entry.index,
+                            f"transaction {request.procedure!r} at index {entry.index} replays to "
+                            f"different output bytes than the ledger records",
+                        ))
+                    entry = replayed
+                batch.entries.append(entry)
+                batch.g_tree.append(entry.leaf_digest())
             if not differs and batch.g_tree.root() != ledger.batch_pre_prepare(seqno).root_g:
-                batch.findings.append(ReplayFinding(
+                differs.append(ReplayFinding(
                     "g-root-mismatch", seqno, info.first_tx,
                     f"batch {seqno}: the replayed entries do not reproduce the signed root_g",
                 ))
+            batch.findings += differs
             digests[seqno] = kv.state_digest()
             yield batch
 

@@ -294,22 +294,6 @@ def encode(value: Any) -> bytes:
     return bytes(out)
 
 
-_SCALARS = (type(None), bool, int, bytes, str)
-
-
-def same_encoding(a: Any, b: Any) -> bool:
-    """A sufficient test for ``encode(a) == encode(b)`` that encodes
-    nothing: maps and scalars of one exact type at every level, with equal
-    values (map keys compare as a set: the encoding sorts them).  Any
-    other value answers False, so compare the encodings then."""
-    kind = type(a)
-    if kind is not type(b):
-        return False
-    if kind is dict:
-        return a.keys() == b.keys() and all(same_encoding(v, b[key]) for key, v in a.items())
-    return kind in _SCALARS and a == b
-
-
 _SEQ_HEADS = [bytes((_TAG_SEQ, count)) for count in range(0x80)]
 _PAIR_HEADS = [bytes((_TAG_SEQ, 2, _TAG_STR, size)) for size in range(0x80)]
 

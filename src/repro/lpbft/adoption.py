@@ -23,11 +23,15 @@ moves ``primary_crash``: ROADMAP items 9 and 14.
 
 from __future__ import annotations
 
+from itertools import chain
+
+from ..crypto import digest_value
 from ..errors import ProtocolError
 from ..governance.configuration import Configuration
 from ..governance.schedule import ConfigSchedule
 from ..kvstore import Checkpoint, KVStore
 from ..ledger import CheckpointTxEntry, EvidenceEntry, GenesisEntry, Ledger
+from ..merkle import MerkleTree
 from .batch import BatchRecord, ReconfigState
 from .checkpointing import CheckpointDirectory
 from .messages import BATCH_CHECKPOINT
@@ -191,15 +195,20 @@ def install_ledger(
     # Suffix or not, the genesis digest is the one every replica derives
     # from its genesis configuration and initial state.
     directory = CheckpointDirectory(replica.cp_directory.genesis_digest())
-    # Imported lazily: repro.audit imports the governance subledger,
-    # which imports the lpbft message types.
-    from ..audit.replay import replay_batches
+    # Imported lazily: repro.audit imports the lpbft message types.
+    from ..audit.replay import ReplayedBatch, replay_batches
 
     kv = KVStore()
     # The genesis checkpoint (seqno 0) restores too: it carries any
     # pre-populated initial state that a bare config install lacks.
     replayed = replay_batches(kv, ledger, checkpoint, replica.registry, schedule)
     replica.submit("hash", len(checkpoint.state) * replica.costs.checkpoint_per_entry)
+    # Batches at or below the checkpoint install as the ledger has them.
+    below = (
+        ReplayedBatch(info, kv.tx_count, entries, MerkleTree([e.leaf_digest() for e in entries]), [], [])
+        for info in batch_infos if info.seqno <= cp_seqno
+        for entries in [ledger.entries(info.first_tx, info.end)]
+    )
     checkpoints: dict[int, Checkpoint] = {cp_seqno: checkpoint}
     last_taken = cp_seqno
     batches: dict[int, BatchRecord] = {}
@@ -208,18 +217,15 @@ def install_ledger(
     new_ppd: dict = {}
     last_recorded = -1
     reconfig = None
-    for info in batch_infos:
+    for batch in chain(below, replayed):
+        info = batch.info
         seqno = info.seqno
         pp = ledger.batch_pre_prepare(seqno)
         record = BatchRecord(
             seqno=seqno, view=pp.view, flags=pp.flags, pp=pp, pp_digest=pp.digest(),
-            kv_mark=kv.tx_count, ledger_start=info.pp_index, ledger_end=info.end)
-        if seqno <= cp_seqno:
-            record.entries = ledger.entries(info.first_tx, info.end)
-            for entry in record.entries:
-                record.g_tree.append(entry.leaf_digest())
-        else:
-            batch = next(replayed)
+            entries=batch.entries, g_tree=batch.g_tree, kv_mark=batch.kv_mark,
+            ledger_start=info.pp_index, ledger_end=info.end)
+        if seqno > cp_seqno:
             # Replay is real CPU: catching up from an old (or no)
             # checkpoint costs proportionally more than restoring a
             # recent one — the §3.4 argument for checkpoints.
@@ -227,7 +233,6 @@ def install_ledger(
                 replica.submit("execute", replica.costs.execute_tx(ops, size))
             if batch.findings:
                 raise ProtocolError(f"replayed batch {seqno}: {batch.findings[0].detail}")
-            record.kv_mark, record.entries, record.g_tree = batch.kv_mark, batch.entries, batch.g_tree
             # A referendum that passed and has not activated yet: the
             # end-of-configuration sequence is still open.
             accepted = kv.get("__gov.accepted_config")
@@ -251,7 +256,7 @@ def install_ledger(
                 last_recorded = entry.cp_seqno
                 directory.note_record(seqno, entry.cp_seqno, entry.cp_digest)
                 continue
-            tx_digest = entry.request().request_digest()
+            tx_digest = digest_value(entry.request_wire)  # H(t), remembered by its seal
             record.tx_digests.append(tx_digest)
             tx_locations[tx_digest] = (seqno, entry.index)
         if seqno <= committed_upto or (committed_upto == seqno - 1 and seqno in evidenced):

@@ -148,29 +148,6 @@ def test_property_injective(a, b):
         assert codec.encode(a) != codec.encode(b)
 
 
-@given(json_like, json_like)
-def test_property_same_encoding_is_sufficient(a, b):
-    for other in (a, b):
-        if codec.same_encoding(a, other):
-            assert codec.encode(a) == codec.encode(other)
-
-
-def test_same_encoding_vouches_for_an_equal_output():
-    output = {"reply": {"ok": True, "balance": 5, "error": None}, "ws": b"\x01" * 32}
-    assert codec.same_encoding(output, {"ws": b"\x01" * 32, "reply": dict(output["reply"])})
-
-
-@pytest.mark.parametrize("a, b", [
-    ({"ok": False}, {"ok": 0}),  # equal in Python, not in bytes
-    ({"ok": True}, {"ok": 1}),
-    ((1, 2), [1, 2]),  # equal bytes, but only a map or scalar is vouched for
-    (b"x", bytearray(b"x")),
-    ({"a": 1}, {"a": 1, "b": 2}),
-])
-def test_same_encoding_answers_false(a, b):
-    assert not codec.same_encoding(a, b)
-
-
 def _normalize(value):
     if isinstance(value, (list, tuple)):
         return tuple(_normalize(v) for v in value)
