@@ -99,7 +99,7 @@ def audit_measurements(gc_dep, gc_client, unbounded_dep):
 
     package = build_ledger_package(primary, oldest)
     assert package.fragment.start == primary.ledger.base_index > 0
-    suffix_ledger = package.materialize_ledger()
+    suffix_ledger = package.fragment.to_ledger(package.frontier)
     schedule = package.subledger.schedule
 
     t0 = time.perf_counter()

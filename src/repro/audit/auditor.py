@@ -29,7 +29,7 @@ from ..lpbft.config import ProtocolParams
 from ..lpbft.messages import BATCH_END_OF_CONFIG, bitmap_members
 from ..receipts.chain import GovernanceChain, find_chain_fork, longest_chain, verify_chain
 from ..receipts.receipt import Receipt, verify_receipts
-from .package import LedgerPackage, check_package_completeness, retention_survivors
+from .package import LedgerPackage, check_package, retention_survivors
 from .replay import replay_ledger
 from .upom import (
     UPOM_BAD_CHECKPOINT,
@@ -218,13 +218,10 @@ class Auditor:
         source = package.source_replica
         source_config = schedule.current()
 
-        try:
-            ledger = package.materialize_ledger()
-        except Exception:
-            ledger = None  # the completeness check reports why
-        problems = check_package_completeness(package, receipts, ledger)
+        ledger, problems = check_package(package, receipts)
         if problems:
-            if all(p.startswith("retention:") for p in problems):
+            details = [detail for _, detail in problems]
+            if all(detail.startswith("retention:") for detail in details):
                 # The affected receipts reach below the service's GC
                 # retention window — a correct replica cannot produce the
                 # history anymore, so nobody is blamed.  A *faulty*
@@ -236,14 +233,15 @@ class Auditor:
                 # package cannot cover the receipt, i.e. the whole
                 # service aged it out.  Receipts still inside the window
                 # are handed back for a scoped re-audit.
-                result.notes.append("; ".join(problems))
-                return retention_survivors(package, receipts)
+                result.notes.append("; ".join(details))
+                return retention_survivors(package, ledger, receipts)
             result.upoms.append(
                 UPoM(
                     kind=UPOM_MALFORMED_LEDGER,
                     blamed_replicas=(source,),
                     blamed_members=self._members_for_safe(source_config, [source]),
-                    detail="; ".join(problems),
+                    seqno=problems[0][0],
+                    detail="; ".join(details),
                 )
             )
             return None

@@ -10,11 +10,15 @@ supporting chain the receipts carry.
 
 With ledger prefix GC a replica's fragment may start at its
 retained base instead of genesis.  Such a *checkpoint-rooted* package
-additionally carries the tree M ``frontier`` at the fragment start; the
-auditor re-derives every signed ``root_m`` in the suffix from that
-frontier plus the fragment's own entry digests, which binds the suffix
-to the collected prefix exactly as strongly as replaying from genesis
-would — any substitution of the pruned history would change the frontier
+additionally carries the tree M ``frontier`` at the fragment start.
+Either way the fragment becomes a ledger through
+:meth:`~repro.ledger.LedgerFragment.to_ledger`, and the package is
+complete only when :meth:`~repro.ledger.Ledger.unbound` finds nothing —
+the check state sync asks too: every signed ``root_m`` and ``root_g``
+re-derived from the entries (and the frontier), and the checkpoint that
+seeds the replay bound to them.  A correct replica's ledger always
+binds, so replay may then blame the signers of any batch it finds fault
+with; any substitution of the pruned history would change the frontier
 and break every subsequent signed root.
 """
 
@@ -22,11 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import AuditError, LedgerError, MerkleError
+from ..errors import AuditError
 from ..governance.subledger import GovernanceSubLedger
 from ..kvstore import Checkpoint
 from ..ledger import CheckpointTxEntry, Ledger, LedgerFragment
-from ..merkle.proofs import frontier_from_wire
 from ..receipts.receipt import Receipt
 
 
@@ -53,15 +56,6 @@ class LedgerPackage:
     # Tree M peaks at fragment.start ((height, digest) pairs); required
     # iff the fragment does not start at genesis.
     frontier: tuple | None = None
-
-    def materialize_ledger(self) -> Ledger:
-        """The fragment as a :class:`~repro.ledger.Ledger` — full-prefix
-        or rooted at the frontier.  Raises on malformed data."""
-        if self.fragment.start == 0:
-            return self.fragment.to_ledger()
-        if self.frontier is None:
-            raise LedgerError("suffix fragment without a frontier")
-        return Ledger.from_fragment_suffix(self.fragment, frontier_from_wire(self.frontier))
 
     def to_wire(self) -> tuple:
         return (
@@ -135,7 +129,9 @@ def build_ledger_package(replica, oldest_receipt: Receipt | None = None) -> Ledg
     )
 
 
-def retention_survivors(package: LedgerPackage, receipts: list[Receipt]) -> list[Receipt]:
+def retention_survivors(
+    package: LedgerPackage, ledger: Ledger, receipts: list[Receipt]
+) -> list[Receipt]:
     """The receipts a retention-limited (checkpoint-rooted) package can
     plausibly still support — what the auditor re-audits after noting the
     rest as aged out.  Plausible: the batch lies inside the retained
@@ -143,13 +139,10 @@ def retention_survivors(package: LedgerPackage, receipts: list[Receipt]) -> list
     fragment (or is the package checkpoint) — the re-collected package
     then seeds replay from the snapshot matching the survivors' oldest
     dC.  (Receipts just above a GC boundary reference the pruned
-    penultimate checkpoint, so the batch check alone is not enough.)"""
+    penultimate checkpoint, so the batch check alone is not enough.)
+    ``ledger`` is the package's, materialised."""
     if package.fragment.start == 0:
         return list(receipts)
-    try:
-        ledger = package.materialize_ledger()
-    except Exception:
-        return []
     oldest_retained = ledger.oldest_retained_seqno()
     if oldest_retained is None:
         return []
@@ -167,94 +160,39 @@ def retention_survivors(package: LedgerPackage, receipts: list[Receipt]) -> list
     ]
 
 
-def check_package_completeness(
-    package: LedgerPackage, receipts: list[Receipt], ledger: Ledger | None = None
-) -> list[str]:
-    """Check a package against the §B.1.1 completeness conditions.
+def check_package(
+    package: LedgerPackage, receipts: list[Receipt]
+) -> tuple[Ledger | None, list[tuple[int, str]]]:
+    """Materialise a package's ledger and check it against the §B.1.1
+    completeness conditions.
 
-    ``ledger`` is ``package.materialize_ledger()`` when the caller already
-    holds it (the auditor builds a package's ledger once).
-    Returns a list of human-readable deficiencies (empty when complete).
-    Deficiencies are attributable to the responding replica: a correct
-    replica can always produce a complete package (Lemma 4) — except the
+    Returns the ledger (None when the fragment cannot be parsed) and its
+    deficiencies as ``(seqno, detail)`` pairs, the seqno naming the
+    batch at fault or 0 (empty when complete).  Deficiencies are
+    attributable to the responding replica: a correct replica can always
+    produce a complete package (Lemma 4) — except the
     ``retention:``-prefixed ones, which mean the *receipts* reach below
     the service's GC retention window (a correct replica no longer holds
     that history; the auditor records a note instead of blame).
 
-    A checkpoint-rooted fragment (``start > 0``) is additionally bound to
-    its pruned prefix: the frontier's implied size must equal the start,
-    every signed ``root_m`` in the suffix must be reproduced from frontier
-    + suffix digests, and the replay checkpoint's own ledger binding
-    (``ledger_size``/``ledger_root`` and its recording checkpoint
-    transaction) must check out inside the suffix.
+    The ledger must be bound (:meth:`~repro.ledger.Ledger.unbound`) to
+    every signed root and, when the package checkpoint seeds the replay
+    (its digest is the oldest receipt's dC), to that checkpoint.
     """
-    problems: list[str] = []
-    start = package.fragment.start
-    if start > 0:
-        if package.frontier is None:
-            problems.append("suffix fragment without a tree frontier")
-            return problems
-        try:
-            peaks = frontier_from_wire(package.frontier)
-        except MerkleError as exc:
-            problems.append(f"malformed frontier: {exc}")
-            return problems
-        if sum(1 << h for h, _ in peaks) != start:
-            problems.append(
-                f"frontier implies {sum(1 << h for h, _ in peaks)} pruned entries, "
-                f"fragment starts at {start}"
-            )
-            return problems
-    if ledger is None:
-        try:
-            ledger = package.materialize_ledger()
-        except Exception as exc:  # malformed entries are attributable too
-            problems.append(f"fragment cannot be parsed: {exc}")
-            return problems
-    if start > 0:
-        # Bind the suffix to the pruned prefix through the signed roots.
-        for info in ledger.batches():
-            pp = ledger.batch_pre_prepare(info.seqno)
-            if ledger.root_at(info.pp_index) != pp.root_m:
-                problems.append(
-                    f"suffix batch {info.seqno}: signed root_m is not reproduced by "
-                    f"frontier + suffix digests"
-                )
-        cp = package.checkpoint
-        if cp is not None and cp.seqno > 0:
-            if cp.ledger_size < start or cp.ledger_size > len(ledger):
-                problems.append("replay checkpoint's ledger binding falls outside the fragment")
-            elif ledger.root_at(cp.ledger_size) != cp.ledger_root:
-                problems.append("replay checkpoint's ledger root mismatches the fragment")
-            else:
-                # dC must be vouched for by its recording checkpoint
-                # transaction — unless the checkpoint is so new that its
-                # record (written C batches later) has not been ordered
-                # yet, in which case only the root binding above applies.
-                records = [
-                    entry
-                    for entry in ledger.entries(cp.ledger_size)
-                    if isinstance(entry, CheckpointTxEntry) and entry.cp_seqno >= cp.seqno
-                ]
-                if records and not any(
-                    entry.cp_seqno == cp.seqno
-                    and entry.cp_digest == cp.digest()
-                    and entry.ledger_size == cp.ledger_size
-                    and entry.ledger_root == cp.ledger_root
-                    for entry in records
-                ):
-                    problems.append(
-                        "replay checkpoint is not recorded by a checkpoint transaction "
-                        "in the fragment"
-                    )
+    try:
+        ledger = package.fragment.to_ledger(package.frontier or ())
+    except Exception as exc:  # malformed entries or frontier are attributable too
+        return None, [(0, f"fragment cannot be parsed: {exc}")]
+    cp = package.checkpoint
+    oldest = min(receipts, key=lambda r: r.seqno, default=None)
+    seeds = cp is not None and oldest is not None and cp.digest() == oldest.checkpoint_digest
+    problems = ledger.unbound(cp if seeds else None)
     if problems or not receipts:
-        return problems
+        return ledger, problems
     newest = max(receipts, key=lambda r: r.seqno)
-    oldest = min(receipts, key=lambda r: r.seqno)
     if ledger.last_seqno() < newest.seqno:
-        problems.append(
-            f"fragment ends at batch {ledger.last_seqno()}, receipts reach {newest.seqno}"
-        )
+        problems.append((0, f"fragment ends at batch {ledger.last_seqno()}, "
+                            f"receipts reach {newest.seqno}"))
     # Retention classification.  For a checkpoint-rooted package, a
     # missing or dC-mismatched replay checkpoint is indistinguishable
     # from honest snapshot pruning (the builder always picks the matching
@@ -265,22 +203,23 @@ def check_package_completeness(
     # correct signers: this branch is reached only when *no* signer could
     # seed the replay.  Full-prefix packages keep the pre-GC attributable
     # semantics.
-    below_retention = start > 0
-    if package.checkpoint is None:
+    below_retention = package.fragment.start > 0
+    if cp is None:
         if below_retention:
-            problems.append(
-                f"retention: oldest receipt (batch {oldest.seqno}) precedes the retained "
-                f"suffix (from batch {ledger.oldest_retained_seqno()}); its span must be "
-                f"audited from a pinned package"
-            )
+            problems.append((0, f"retention: oldest receipt (batch {oldest.seqno}) precedes "
+                             f"the retained suffix (from batch {ledger.oldest_retained_seqno()}); "
+                             f"its span must be audited from a pinned package"))
         else:
-            problems.append("package has no checkpoint")
-    elif package.checkpoint.digest() != oldest.checkpoint_digest:
+            problems.append((0, "package has no checkpoint"))
+    elif not seeds:
         if below_retention:
-            problems.append(
-                f"retention: oldest receipt (batch {oldest.seqno}) references a "
-                f"garbage-collected checkpoint"
-            )
+            problems.append((0, f"retention: oldest receipt (batch {oldest.seqno}) "
+                             f"references a garbage-collected checkpoint"))
         else:
-            problems.append("checkpoint digest does not match the oldest receipt's dC")
-    return problems
+            problems.append((0, "checkpoint digest does not match the oldest receipt's dC"))
+    return ledger, problems
+
+
+def check_package_completeness(package: LedgerPackage, receipts: list[Receipt]) -> list[str]:
+    """The details of :func:`check_package`'s deficiencies."""
+    return [detail for _, detail in check_package(package, receipts)[1]]

@@ -16,10 +16,13 @@ dead weight — :meth:`Ledger.truncate_below` drops them, compacting the
 tree M down to the boundary's frontier.  All indices stay *absolute*
 (entry 1000 keeps index 1000 after the first 900 are collected); reads
 below :attr:`Ledger.base_index` raise :class:`~repro.errors.LedgerError`.
-A ledger can also be *born* at a boundary
-(:meth:`Ledger.from_fragment_suffix`): seeded from a checkpoint's
-frontier, it holds only the suffix — how state-synced replicas and
-checkpoint-rooted auditors materialize fetched fragments.
+A fetched fragment becomes a ledger one way, :meth:`LedgerFragment.to_ledger`:
+at genesis, or born at a boundary from tree M's frontier there, holding
+only the suffix.  It is a claim until :meth:`Ledger.unbound` finds
+nothing: every signed ``root_m`` and ``root_g`` reproduced from the
+entries, and the checkpoint the caller restores bound to them.  State
+sync (:func:`repro.lpbft.adoption.verify_fetched_ledger`) and the audit
+(:func:`repro.audit.package.check_package`) both ask it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Iterator
 from ..crypto.hashing import Digest
 from ..errors import LedgerError
 from ..merkle import MerkleTree
+from ..merkle.proofs import frontier_from_wire
 from .entries import (
     CheckpointTxEntry,
     EvidenceEntry,
@@ -108,56 +112,6 @@ class Ledger:
         self._logical_to_position: list[int] = []
         if genesis is not None:
             self.append(genesis)
-
-    @staticmethod
-    def from_fragment_suffix(fragment: "LedgerFragment", frontier: tuple) -> "Ledger":
-        """Materialize a suffix fragment into a boundary-rooted ledger.
-
-        ``frontier`` is the tree M's peak decomposition at
-        ``fragment.start`` (as shipped in sync manifests and audit
-        packages); its implied size must equal the fragment start.  The
-        resulting ledger answers ``root_at``/``path`` for every size at or
-        past the boundary — the caller verifies those roots against signed
-        pre-prepares, which is what binds the suffix to the collected
-        prefix.  The logical index base is recovered from the suffix's own
-        indexed entries.
-        """
-        if fragment.start == 0:
-            return fragment.to_ledger()
-        tree = MerkleTree.from_frontier(frontier)
-        if len(tree) != fragment.start:
-            raise LedgerError(
-                f"frontier implies {len(tree)} pruned entries, fragment starts at {fragment.start}"
-            )
-        entries = fragment.entries()
-        # Back out the logical base from the first entry that carries an
-        # explicit logical index: every non-vc/nv entry before it in the
-        # suffix consumed one logical slot.
-        logical_base = None
-        consumed = 0
-        for entry in entries:
-            if isinstance(entry, (ViewChangesEntry, NewViewEntry)):
-                continue
-            if isinstance(entry, (TxEntry, CheckpointTxEntry)):
-                logical_base = entry.index - consumed
-                break
-            consumed += 1
-        if logical_base is None:
-            raise LedgerError("suffix fragment carries no indexed entry to anchor logical indices")
-        ledger = Ledger()
-        ledger._tree = tree
-        ledger._base = fragment.start
-        ledger._logical_base = logical_base
-        ledger._append_decoded(entries)
-        # The pruned prefix's last governance index is signed into the
-        # first suffix batch's pre-prepare (ig covers everything strictly
-        # before it).  Anchor the floor there unconditionally: a rollback
-        # past a governance transaction *inside* the suffix must fall back
-        # to the prefix's ig, not to 0.
-        if ledger._batch_order:
-            ledger._gov_floor = ledger.batch_pre_prepare(ledger._batch_order[0]).gov_index
-            ledger._last_gov_index = max(ledger._last_gov_index, ledger._gov_floor)
-        return ledger
 
     # -- append / read ---------------------------------------------------
 
@@ -318,6 +272,46 @@ class Ledger:
         assert isinstance(entry, PrePrepareEntry)
         return entry.pre_prepare()
 
+    def unbound(self, checkpoint=None) -> list[tuple[int, str]]:
+        """Where the entries fail to reproduce what was signed, as
+        ``(seqno, detail)`` pairs in ledger order (empty when bound).
+
+        Every batch's pre-prepare signs ``root_m``, tree M over the
+        entries before it, and ``root_g``, tree G over the batch's own
+        entry leaves (§3.1).  A ``checkpoint`` past genesis (a
+        :class:`~repro.kvstore.Checkpoint`) must be bound too: its
+        ``ledger_size`` inside the ledger, tree M's root there equal to
+        its ``ledger_root``, and a checkpoint transaction at or after
+        that size recording its seqno, digest, size and root — otherwise
+        a peer could widen the prefix the checkpoint claims to cover.
+        """
+        found = []
+        for info in self.batches():
+            pp = self.batch_pre_prepare(info.seqno)
+            if self.root_at(info.pp_index) != pp.root_m:
+                found.append((info.seqno, f"batch {info.seqno}: the entries before its "
+                              f"pre-prepare do not reproduce the signed root_m"))
+            leaves = [entry.leaf_digest() for entry in self.entries(info.first_tx, info.end)]
+            if MerkleTree(leaves).root() != pp.root_g:
+                found.append((info.seqno, f"batch {info.seqno}: its entries do not "
+                              f"reproduce the signed root_g"))
+        if checkpoint is None or checkpoint.seqno <= 0:
+            return found
+        seqno, size = checkpoint.seqno, checkpoint.ledger_size
+        if not self._base <= size <= len(self):
+            found.append((seqno, f"checkpoint {seqno}: ledger size {size} lies outside "
+                          f"the ledger [{self._base}, {len(self)})"))
+        elif self.root_at(size) != checkpoint.ledger_root:
+            found.append((seqno, f"checkpoint {seqno}: tree M's root at size {size} "
+                          f"is not its ledger root"))
+        elif (seqno, checkpoint.digest(), size, checkpoint.ledger_root) not in {
+            (entry.cp_seqno, entry.cp_digest, entry.ledger_size, entry.ledger_root)
+            for entry in self.entries(size) if isinstance(entry, CheckpointTxEntry)
+        }:
+            found.append((seqno, f"checkpoint {seqno}: no checkpoint transaction "
+                          f"records its digest and ledger binding"))
+        return found
+
     # -- governance ----------------------------------------------------------
 
     @property
@@ -474,12 +468,45 @@ class LedgerFragment:
             raise LedgerError(f"index {index} outside fragment [{self.start}, {self.end})")
         return entry_from_wire(self.entry_wires[index - self.start])
 
-    def to_ledger(self) -> Ledger:
-        """Materialize a fragment that starts at 0 into a :class:`Ledger`
-        (suffix fragments need :meth:`Ledger.from_fragment_suffix` and a
-        boundary frontier)."""
-        if self.start != 0:
-            raise LedgerError("only full-prefix fragments can be materialized")
+    def to_ledger(self, frontier: tuple = ()) -> Ledger:
+        """Materialize the fragment into a :class:`Ledger` rooted at its
+        start: ``frontier`` is tree M's peak decomposition at
+        ``self.start`` (wire form accepted; empty for a fragment that
+        starts at genesis), and its implied size must equal the start.
+        The logical index base is recovered from the fragment's own
+        indexed entries.  Nothing here checks a signed root: that is
+        :meth:`Ledger.unbound`'s job.  Raises on malformed data."""
+        tree = MerkleTree.from_frontier(frontier_from_wire(frontier))
+        if len(tree) != self.start:
+            raise LedgerError(
+                f"frontier implies {len(tree)} pruned entries, fragment starts at {self.start}"
+            )
+        entries = self.entries()
         ledger = Ledger()
-        ledger._append_decoded(self.entries())
+        if self.start == 0:
+            ledger._append_decoded(entries)
+            return ledger
+        # Back out the logical base from the first entry that carries an
+        # explicit logical index: every non-vc/nv entry before it in the
+        # suffix consumed one logical slot.
+        consumed = 0
+        for entry in entries:
+            if isinstance(entry, (TxEntry, CheckpointTxEntry)):
+                ledger._logical_base = entry.index - consumed
+                break
+            if not isinstance(entry, (ViewChangesEntry, NewViewEntry)):
+                consumed += 1
+        else:
+            raise LedgerError("suffix fragment carries no indexed entry to anchor logical indices")
+        ledger._tree = tree
+        ledger._base = self.start
+        ledger._append_decoded(entries)
+        # The pruned prefix's last governance index is signed into the
+        # first suffix batch's pre-prepare (ig covers everything strictly
+        # before it).  Anchor the floor there unconditionally: a rollback
+        # past a governance transaction *inside* the suffix must fall back
+        # to the prefix's ig, not to 0.
+        if ledger._batch_order:
+            ledger._gov_floor = ledger.batch_pre_prepare(ledger._batch_order[0]).gov_index
+            ledger._last_gov_index = max(ledger._last_gov_index, ledger._gov_floor)
         return ledger

@@ -5,12 +5,14 @@ A foreign ledger reaches replica state only through
 only from the state-sync client (a spliced or checkpoint-rooted suffix,
 §3.4/§5.1; Alg. 2's "fetch missing ledger entries" is a state-sync
 session too).  The verifier checks what the peer supplied against what
-we already trust (our genesis, every signed ``root_m``, every primary
-signature, the checkpoint's ledger binding).  The install replays from
-the checkpoint through the audit's loop
-(:func:`repro.audit.replay.replay_batches`), so it rejects any ledger
-that replay finds fault with, and commits to the replica atomically —
-but marks committed only the batches the ledger proves committed.
+we already trust: our genesis, every primary signature, and — through
+:meth:`repro.ledger.Ledger.unbound`, the check the audit asks too —
+every signed ``root_m`` and ``root_g`` and the checkpoint's ledger
+binding.  The install replays from the checkpoint through the audit's
+loop (:func:`repro.audit.replay.replay_batches`), so it rejects any
+ledger that replay finds fault with, and commits to the replica
+atomically — but marks committed only the batches the ledger proves
+committed.
 
 What the install still trusts is commitment evidence: batch *s*
 installs committed when any ``EvidenceEntry`` for *s* is ordered before
@@ -72,37 +74,13 @@ def verify_fetched_ledger(
         # The genesis checkpoint is the same on every replica.
         if checkpoint.digest() != replica.cp_directory.genesis_digest():
             raise ProtocolError("genesis checkpoint mismatch")
-    elif checkpoint is not None:
-        # The checkpoint's ledger binding.
-        if ledger.root_at(checkpoint.ledger_size) != checkpoint.ledger_root:
-            raise ProtocolError("checkpoint ledger root mismatch")
-        # dC must be vouched for by a recorded checkpoint transaction,
-        # and the record's own ledger binding must match — otherwise the
-        # peer could widen the prefix the checkpoint claims to cover.
-        cp_digest = checkpoint.digest()
-        recorded = any(
-            isinstance(entry, CheckpointTxEntry)
-            and entry.cp_seqno == checkpoint.seqno
-            and entry.cp_digest == cp_digest
-            and entry.ledger_size == checkpoint.ledger_size
-            and entry.ledger_root == checkpoint.ledger_root
-            for entry in ledger.entries(checkpoint.ledger_size)
-        )
-        if not recorded:
-            raise ProtocolError("checkpoint digest not recorded in fetched ledger")
-    # Every peer-supplied batch — including batches *below* the
-    # checkpoint — carries a signed root_m over the ledger before its
-    # pre-prepare entry; check roots and primary signatures for them all.
+    # Every batch must reproduce its signed roots — the peer's below the
+    # checkpoint too — and the checkpoint must be bound to this ledger.
     # Verifying only past the checkpoint would leave the peer an
     # unverified region in which to fabricate governance history.
-    foreign = []
-    for info in ledger.batches():
-        if info.pp_index < check_from:
-            continue
-        pp = ledger.batch_pre_prepare(info.seqno)
-        if ledger.root_at(info.pp_index) != pp.root_m:
-            raise ProtocolError(f"root_m mismatch at batch {info.seqno}")
-        foreign.append((info.seqno, pp))
+    unbound = ledger.unbound(checkpoint)
+    if unbound:
+        raise ProtocolError(unbound[0][1])
     # The configurations come from the governance subledger of the very
     # ledger being verified, but the chain is anchored: the genesis was
     # checked against our own, config-0 batches verify under config-0
@@ -126,7 +104,10 @@ def verify_fetched_ledger(
         except Exception as exc:
             raise ProtocolError(f"governance subledger extraction failed: {exc}") from exc
     items = []
-    for seqno, pp in foreign:
+    for info in ledger.batches():
+        if info.pp_index < check_from:
+            continue
+        seqno, pp = info.seqno, ledger.batch_pre_prepare(info.seqno)
         config = schedule.config_at_seqno(seqno)
         primary_id = config.primary_for_view(pp.view)
         if not config.has_replica(primary_id):

@@ -155,9 +155,6 @@ class LPBFTClient(Node):
             self.send(address, payload)
         return tx_digest
 
-    def pending_count(self) -> int:
-        return len(self.collector.pending_digests())
-
     def receipt_for(self, tx_digest: Digest) -> Receipt | None:
         return self.receipts.get(tx_digest)
 
@@ -498,7 +495,6 @@ class LoadGenerator(LPBFTClient):
         arrivals=None,
         start_at: float = 0.0,
         stop_at: float | None = None,
-        max_in_flight: int | None = None,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
@@ -509,7 +505,6 @@ class LoadGenerator(LPBFTClient):
         self.arrivals = default_arrivals(arrivals, rate)
         self.start_at = start_at
         self.stop_at = stop_at
-        self.max_in_flight = max_in_flight
         self.submitted = 0
 
     def on_start(self) -> None:
@@ -523,8 +518,6 @@ class LoadGenerator(LPBFTClient):
         # Submit every arrival due by now (wake-ups are floored at 1 ms
         # so high offered rates batch instead of flooding the event queue).
         for _ in range(self.arrivals.due(self.now)):
-            if self.max_in_flight is not None and self.pending_count() >= self.max_in_flight:
-                break
             procedure, args = self.workload.next_transaction()
             self.submit(procedure, args, min_index=0)
             self.submitted += 1

@@ -28,10 +28,13 @@ Nothing is installed until everything verifies:
 - ``dC`` itself against the checkpoint transaction recorded in the
   fetched ledger (a Byzantine server cannot invent a checkpoint without
   also forging the signed ledger around it);
-- the ledger suffix against the checkpoint's bound ledger root, the
-  manifest's tree frontier, and every subsequent pre-prepare's signed
-  ``root_m``;
-- replayed batches against their signed ``root_g`` (inside the install).
+- the manifest's tree frontier against the checkpoint's bound ledger
+  root and size;
+- the fetched ledger against every pre-prepare's signed ``root_m`` and
+  ``root_g`` and the checkpoint's ledger binding — the one check the
+  audit asks too (:meth:`repro.ledger.Ledger.unbound`);
+- replayed batches against the outputs the ledger records (inside the
+  install).
 
 Duplicated or reordered network deliveries are harmless: chunks are
 accepted idempotently by index and stale-phase messages are dropped.
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from ..errors import KVError, LedgerError, MerkleError, ProtocolError
 from ..kvstore.checkpoints import Checkpoint, ChunkReassembler
-from ..ledger import Ledger, LedgerFragment
+from ..ledger import LedgerFragment
 from ..lpbft.adoption import install_ledger, verify_fetched_ledger
 from ..merkle.proofs import FrontierAccumulator, frontier_from_wire, frontier_root
 from .messages import SyncManifest, SyncOffer
@@ -574,69 +577,38 @@ class StateSyncClient:
         )
 
     def _verified_ledger(self, start: int, entry_wires: tuple, checkpoint) -> tuple:
-        """Splice our committed prefix with the fetched suffix and verify
-        the whole against every digest we hold (raises on mismatch);
-        returns the ledger and the schedule it verified under.
+        """Materialise the fetched suffix, spliced onto our committed
+        prefix unless the session is checkpoint-rooted, and verify the
+        whole against every digest we hold (raises on mismatch); returns
+        the ledger and the schedule it verified under.
 
-        Three shapes, depending on who garbage-collected what:
-
-        - neither side GC'd: full-from-genesis ledger, genesis compared
-          with our own (the historical path);
-        - *we* hold a GC'd prefix: the splice is rooted at our own base,
-          seeded from our tree's frontier (our retained prefix is already
-          trusted);
-        - checkpoint-rooted retry (the *server* GC'd below our splice
-          point): the ledger is rooted at the served checkpoint boundary,
-          seeded from the manifest's frontier — the prefix exists only as
-          peaks, and the suffix is bound to it through every signed
-          ``root_m`` plus the checkpoint transaction that records ``dC``.
+        The ledger starts at the served checkpoint boundary, seeded from
+        the manifest's frontier, when the *server* garbage-collected below
+        our splice point; at genesis when the server shipped a
+        full-from-genesis ledger; and at our own retained base, seeded
+        from our own tree's frontier (empty at base 0), when it spliced.
+        Either way :func:`verify_fetched_ledger` binds it to every signed
+        root and to the checkpoint.
         """
         replica = self.replica
         offer = self.offer
         if self._cp_rooted:
             if start != offer.cp_ledger_size or offer.cp_seqno <= 0 or self.manifest is None:
                 raise ProtocolError("checkpoint-rooted suffix with wrong start")
-            fragment = LedgerFragment(start=start, entry_wires=tuple(entry_wires))
-            ledger = Ledger.from_fragment_suffix(
-                fragment, frontier_from_wire(self.manifest.frontier)
-            )
+            base, wires, frontier = start, entry_wires, self.manifest.frontier
+        elif start == 0:
+            base, wires, frontier = 0, entry_wires, ()
         else:
-            own_base = replica.ledger.base_index
-            wires = list(entry_wires)
-            if start > 0:
-                wires = list(replica.ledger.fragment(own_base, start).entry_wires) + wires
-            if not wires:
-                raise ProtocolError("empty sync ledger")
-            if start > 0 and own_base > 0:
-                # Splicing our own GC'd prefix: the combined wires begin
-                # at our retained base, rooted at our own tree's frontier.
-                fragment = LedgerFragment(start=own_base, entry_wires=tuple(wires))
-                ledger = Ledger.from_fragment_suffix(
-                    fragment, replica.ledger.tree().frontier_at(own_base)
-                )
-            else:
-                # start == 0: the server shipped a full-from-genesis
-                # ledger (its own prefix is intact), so the entry wires
-                # are genesis-rooted regardless of what *we* collected.
-                ledger = LedgerFragment(start=0, entry_wires=tuple(wires)).to_ledger()
+            base = replica.ledger.base_index
+            wires = replica.ledger.fragment(base, start).entry_wires + tuple(entry_wires)
+            frontier = replica.ledger.tree().frontier_at(base)
+        ledger = LedgerFragment(start=base, entry_wires=tuple(wires)).to_ledger(frontier)
         if len(ledger) < offer.cp_ledger_size:
             raise ProtocolError("sync ledger shorter than checkpoint bound")
         # Everything past our own trusted prefix is the server's.
         schedule = verify_fetched_ledger(
             replica, ledger, len(entry_wires), max(start, 1), checkpoint, self._suffix_schedule
         )
-        if offer.cp_seqno > 0 and not self._cp_rooted:
-            # The manifest's frontier must reproduce the tree over the
-            # suffix (proves the frontier belongs to this very prefix).
-            # Skipped in checkpoint-rooted mode: there the ledger tree was
-            # *built* from that same frontier, so the comparison is true
-            # by construction — the binding is instead enforced by the
-            # verifier's root_at check plus its per-batch root_m checks.
-            acc = FrontierAccumulator(frontier_from_wire(self.manifest.frontier))
-            for index in range(offer.cp_ledger_size, len(ledger)):
-                acc.append(ledger.entry(index).digest())
-            if acc.root() != ledger.root():
-                raise ProtocolError("manifest frontier inconsistent with suffix")
         return ledger, schedule
 
     # -- completion / failure -------------------------------------------------

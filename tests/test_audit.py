@@ -9,6 +9,7 @@ import pytest
 from repro.audit import (
     UPOM_EQUIVOCATION,
     UPOM_GOVERNANCE_FORK,
+    UPOM_MALFORMED_LEDGER,
     UPOM_MIN_INDEX,
     UPOM_WRONG_EXECUTION,
     Auditor,
@@ -22,7 +23,7 @@ from repro.byzantine import (
     forge_alternate_output,
     forge_eoc_receipt,
 )
-from repro.enforcement import make_enforcer
+from repro.enforcement import Enforcer, make_enforcer, providers_from_deployment
 from repro.errors import AuditError
 from repro.receipts import GovernanceChain, GovernanceLink, find_chain_fork
 
@@ -175,21 +176,53 @@ class TestMinIndexViolation:
 
 
 class TestLedgerRewrite:
+    NEW_OUTPUT = {"reply": {"ok": True, "balance": 0}, "ws": b"\x00" * 32}
+
     def test_doctored_fragment_detected(self):
         dep, client, receipts = fresh_run(seed=b"rewrite")
         victim = receipts[5]
-        rewriter = LedgerRewriter(
-            victim_index=victim.index,
-            new_output={"reply": {"ok": True, "balance": 0}, "ws": b"\x00" * 32},
-        )
+        rewriter = LedgerRewriter(victim_index=victim.index, new_output=self.NEW_OUTPUT)
         for replica in dep.replicas:
             replica.behavior = rewriter
+        enforcer = make_enforcer(dep)
+        collect, packages = enforcer.collect_ledger_package, []
+
+        def collect_and_keep(*args):
+            packages.append(collect(*args))
+            return packages[-1]
+
+        enforcer.collect_ledger_package = collect_and_keep
         result = Auditor(dep.registry, dep.params).audit(
-            receipts, [client.gov_chain], make_enforcer(dep)
+            receipts, [client.gov_chain], enforcer
         )
         # Rewriting the entry breaks the signed pre-prepare binding: the
         # audit finds *some* contradiction (receipt-vs-ledger or replay).
         assert not result.consistent
+        # The package's ledger is not bound: only its source is blamed.
+        assert all(u.blamed_replicas == (packages[0].source_replica,) for u in result.upoms)
+
+    @pytest.mark.parametrize("n_tx, doctored", [(200, "second of ten"), (40, "last")])
+    def test_lone_rewriter_is_blamed_alone(self, n_tx, doctored):
+        """Replica 3 alone rewrites an output in the package it serves,
+        and the enforcer asks only replica 3: the batch's replayed G
+        reproduces its signed root_g, so blaming its signers would blame
+        correct replicas.  The ledger's own leaves do not: one uPoM names
+        replica 3 and that batch."""
+        dep, client, receipts = fresh_run(seed=b"rewrite", n_tx=n_tx)
+        seqnos = sorted({r.seqno for r in receipts})
+        if doctored == "last":
+            seqno = seqnos[-1]
+        else:
+            assert len(seqnos) == 10
+            seqno = seqnos[1]
+        victim = next(r for r in receipts if r.seqno == seqno)
+        liar = dep.replicas[3]
+        liar.behavior = LedgerRewriter(victim_index=victim.index, new_output=self.NEW_OUTPUT)
+        enforcer = Enforcer(providers={3: providers_from_deployment(dep)[3]})
+        result = Auditor(dep.registry, dep.params).audit(receipts, [client.gov_chain], enforcer)
+        assert [(u.kind, u.seqno, u.blamed_replicas) for u in result.upoms] == [
+            (UPOM_MALFORMED_LEDGER, seqno, (3,))]
+        assert "root_g" in result.upoms[0].detail
 
 
 class TestUnresponsiveness:

@@ -211,7 +211,9 @@ class TestCheckpointRootedAudit:
     Byzantine execution — as the genesis audit did before truncation."""
 
     @pytest.fixture(scope="class")
-    def tampered(self):
+    def genesis_audit(self):
+        """The tampered run and its genesis-rooted audit, before any
+        truncation: ``(dep, client, receipts, suffix_receipts, result)``."""
         behaviors = {
             i: TamperExecution(
                 procedure="smallbank.send_payment",
@@ -228,14 +230,6 @@ class TestCheckpointRootedAudit:
         dep.start()
         digests = run_waves(dep, client, waves=12, per_wave=25, gap=0.25)
         receipts = [client.receipts[d] for d in digests if d in client.receipts]
-        return dep, client, receipts
-
-    @staticmethod
-    def _verdicts(result):
-        return sorted((u.kind, u.seqno, u.blamed_replicas) for u in result.upoms)
-
-    def test_same_verdicts_before_and_after_truncation(self, tampered):
-        dep, client, receipts = tampered
         # Audit the receipts whose reference checkpoint dC the replicas
         # still hold (receipt collection has always been bounded by the
         # checkpoint GC of §3.4; ledger GC reuses exactly that horizon).
@@ -243,19 +237,31 @@ class TestCheckpointRootedAudit:
         retained_dcs = {cp.digest() for cp in primary.checkpoints.values()}
         suffix_receipts = [r for r in receipts if r.checkpoint_digest in retained_dcs]
         assert len(suffix_receipts) > 20
-        auditor = Auditor(dep.registry, dep.params)
-
-        genesis_result = auditor.audit(
+        genesis_result = Auditor(dep.registry, dep.params).audit(
             suffix_receipts, [client.gov_chain], make_enforcer(dep)
         )
         assert not genesis_result.consistent
         assert dep.primary().ledger.base_index == 0
+        return dep, client, receipts, suffix_receipts, genesis_result
 
+    @pytest.fixture(scope="class")
+    def tampered(self, genesis_audit):
+        """The same run after every replica truncated its ledger prefix."""
+        dep, client, receipts, _, _ = genesis_audit
         for replica in dep.replicas:
             replica.params = replica.params.variant(ledger_gc_min_age=0.0)
         force_gc(dep)
+        return dep, client, receipts
+
+    @staticmethod
+    def _verdicts(result):
+        return sorted((u.kind, u.seqno, u.blamed_replicas) for u in result.upoms)
+
+    def test_same_verdicts_before_and_after_truncation(self, genesis_audit, tampered):
+        dep, client, _, suffix_receipts, genesis_result = genesis_audit
         assert all(r.ledger.base_index > 0 for r in dep.replicas)
 
+        auditor = Auditor(dep.registry, dep.params)
         cp_result = auditor.audit(suffix_receipts, [client.gov_chain], make_enforcer(dep))
         assert not cp_result.consistent
         assert self._verdicts(cp_result) == self._verdicts(genesis_result)
@@ -265,7 +271,7 @@ class TestCheckpointRootedAudit:
     def test_checkpoint_rooted_package_is_complete(self, tampered):
         dep, client, receipts = tampered
         primary = dep.primary()
-        assert primary.ledger.base_index > 0  # truncated by the test above
+        assert primary.ledger.base_index > 0  # truncated by the fixture
         retained_dcs = {cp.digest() for cp in primary.checkpoints.values()}
         # These receipts' replay checkpoint IS the truncation boundary:
         # the audit spans the whole retained suffix from its first entry.

@@ -314,6 +314,29 @@ class TestSyncSuffix:
         assert backup.kv.state_digest() == primary.kv.state_digest()
 
 
+class TestVerifierBindsTheLedger:
+    """The verifier asks the audit's binding check, so a served ledger
+    whose entries miss a signed root fails before the install replays
+    it."""
+
+    def test_last_batch_that_misses_its_root_g_fails_the_verifier(self):
+        dep = build_deployment(accounts=20)
+        victim, primary = dep.replicas[3], dep.primary()
+        dep.net.add_drop_rule(lambda src, dst, msg: victim.address in (src, dst))
+        client = dep.add_client(retry_timeout=0.5)
+        dep.start()
+        run_waves(dep, client, waves=3, per_wave=20, gap=0.05)
+        wires = list(primary.ledger.fragment(0).entry_wires)
+        # The last transaction sits in the last batch: no later root_m
+        # covers it, only that batch's root_g.
+        last = max(i for i, wire in enumerate(wires) if wire[0] == "tx")
+        tag, request, index, _ = wires[last]
+        wires[last] = (tag, request, index, {"reply": {"ok": True}, "ws": b"\0" * 32})
+        ledger = LedgerFragment(start=0, entry_wires=tuple(wires)).to_ledger()
+        with pytest.raises(ProtocolError, match=f"batch {ledger.last_seqno()}: .* root_g"):
+            verify_fetched_ledger(victim, ledger, len(ledger), 1, victim.checkpoints[0])
+
+
 class TestInstallReplaysLikeTheAudit:
     """The install replays through the audit's loop, so a ledger whose
     signers re-signed a forged checkpoint transaction fails it before any
