@@ -321,6 +321,47 @@ def encode_pair(key: Any, value: Any, ints: dict | None = None) -> bytes:
     return encode((key, value))
 
 
+# The bytes of a write-set preimage before each of its two values: the
+# map header and the key "deleted", then the key "writes" (keys sort).
+_WS_DELETED = bytes((_TAG_MAP, 2, 7)) + b"deleted"
+_WS_WRITES = bytes((6,)) + b"writes"
+
+
+def encode_write_set(writes: dict, missing: Any) -> bytes:
+    """``encode({"deleted": deleted, "writes": {k: None if v is missing
+    else v ...}})``, with ``deleted`` the sorted tuple of the keys whose
+    value is ``missing``: the preimage of a write-set digest.
+
+    Written directly: the ``str`` keys are sorted and UTF-8 encoded once,
+    no dict or tuple copy is built, and ``int`` values are written
+    inline."""
+    keys = sorted(writes)
+    raws = [key.encode() for key in keys]
+    deleted = [raw for key, raw in zip(keys, raws) if writes[key] is missing]
+    out = bytearray(_WS_DELETED)
+    out.append(_TAG_SEQ)
+    _write_varint(out, len(deleted))
+    for raw in deleted:
+        out.append(_TAG_STR)
+        _write_varint(out, len(raw))
+        out += raw
+    out += _WS_WRITES
+    out.append(_TAG_MAP)
+    _write_varint(out, len(keys))
+    for key, raw in zip(keys, raws):
+        _write_varint(out, len(raw))
+        out += raw
+        value = writes[key]
+        kind = type(value)
+        if kind is int:
+            _encode_int(out, value)
+        elif value is missing:
+            out.append(_TAG_NONE)
+        else:
+            (_ENCODERS.get(kind) or _encoder_for(kind))(out, value)
+    return bytes(out)
+
+
 def check_encodable(value: Any) -> None:
     """Raise :class:`CodecError` unless :func:`encode` would accept
     ``value``; walks the types and produces no bytes."""

@@ -170,10 +170,10 @@ class Snapshot(_Layered, Mapping):
         return self._digest
 
 
-def _write_set_digest(write_set: dict[str, Any]) -> Digest:
-    normalized = {k: (None if v is _MISSING else v) for k, v in sorted(write_set.items())}
-    deleted = tuple(sorted(k for k, v in write_set.items() if v is _MISSING))
-    return digest_value({"writes": normalized, "deleted": deleted})
+def _write_set_digest(writes: dict[str, Any]) -> Digest:
+    """SHA-256 of :func:`codec.encode_write_set`: the deleted keys, then
+    every written key with its value (``None`` for a delete)."""
+    return hashlib.sha256(codec.encode_write_set(writes, _MISSING)).digest()
 
 
 # Digest of an empty write set: what every read-only transaction records,
@@ -258,6 +258,8 @@ class KVTransaction:
     def delete(self, key: str) -> None:
         """Buffer a delete of ``key`` (no-op if absent at commit)."""
         self._check_open()
+        if not isinstance(key, str):
+            raise KVError(f"keys must be str, got {type(key).__name__}")
         self._writes[key] = _MISSING
 
     def abort(self, reason: str = "aborted") -> None:

@@ -91,7 +91,8 @@ class VirtualCPU:
     def _lane_for(self, kind: str) -> int:
         policy = self.policies.get(kind, 0)
         if policy == PARALLEL:
-            return min(range(self.cores), key=lambda i: self._free[i])
+            free = self._free
+            return free.index(min(free))  # the lowest index among ties
         return int(policy) % self.cores
 
     def submit(self, kind: str, seconds: float, not_before: float) -> float:

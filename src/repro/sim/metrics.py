@@ -143,13 +143,21 @@ class MetricsCollector:
         self.admitted = ThroughputMeter()
         self.goodput = ThroughputMeter()
         self.lane_utilization: list[float] | None = None
+        self._bare_series: dict[str, dict] = {}  # name -> its counter's series
 
     def bump(self, name: str, amount: float = 1, **labels) -> None:
         """Increment a named counter (signatures verified, batches, ...).
         Keyword labels split the counter into series (``reason="deadline"``)
         while the unlabeled total — what ``counters[name]`` reports —
-        stays the sum across series."""
-        self.registry.counter(name).inc(amount, **labels)
+        stays the sum across series.  An unlabelled bump adds to the bare
+        series of the counter, resolved in the registry once per name."""
+        series = self._bare_series.get(name)
+        if series is None or labels or amount < 0:
+            counter = self.registry.counter(name)
+            counter.inc(amount, **labels)
+            self._bare_series[name] = counter._series
+            return
+        series[()] = series.get((), 0) + amount
 
     def counter_value(self, name: str, **labels) -> float:
         """One counter's total (or one labeled series' value)."""

@@ -2,7 +2,9 @@
 
 Events are ``(time, seq)``-ordered on a binary heap over a virtual clock;
 ties are broken by insertion order, so runs are reproducible given the
-same seed and inputs.  Entities schedule callbacks with :meth:`at`
+same seed and inputs.  A heap entry is the tuple ``(time, seq, event)``:
+``(time, seq)`` is unique per entry, so ``heapq`` orders entries in C and
+never compares two events.  Entities schedule callbacks with :meth:`at`
 (absolute), :meth:`after` (relative), or :meth:`every` (repeating), and
 may cancel them by id; cancellation is O(1) via tombstones on the heap
 entries (lazy deletion), so timer churn — every message arms/disarms view
@@ -20,19 +22,14 @@ from .clock import VirtualClock
 
 
 class _Event:
-    """One scheduled callback (heap entry)."""
+    """One scheduled callback (the last item of its heap entry)."""
 
-    __slots__ = ("time", "seq", "callback", "interval", "cancelled")
+    __slots__ = ("callback", "interval", "cancelled")
 
-    def __init__(self, time: float, seq: int, callback: Callable[[], None], interval: float | None) -> None:
-        self.time = time
-        self.seq = seq
+    def __init__(self, callback: Callable[[], None], interval: float | None) -> None:
         self.callback = callback
         self.interval = interval  # None for one-shot events
         self.cancelled = False
-
-    def __lt__(self, other: "_Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class EventScheduler:
@@ -40,7 +37,7 @@ class EventScheduler:
 
     def __init__(self, clock: VirtualClock | None = None) -> None:
         self.clock = clock or VirtualClock()
-        self._queue: list[_Event] = []
+        self._queue: list[tuple[float, int, _Event]] = []
         self._live: dict[int, _Event] = {}  # id -> event, for O(1) cancel
         self._next_seq = 0
         self._events_processed = 0
@@ -68,11 +65,12 @@ class EventScheduler:
     def _schedule(self, t: float, callback: Callable[[], None], interval: float | None) -> int:
         if t < self.clock.now:
             raise SimulationError(f"cannot schedule in the past ({t} < {self.clock.now})")
-        event = _Event(t, self._next_seq, callback, interval)
+        seq = self._next_seq
         self._next_seq += 1
-        heapq.heappush(self._queue, event)
-        self._live[event.seq] = event
-        return event.seq
+        event = _Event(callback, interval)
+        heapq.heappush(self._queue, (t, seq, event))
+        self._live[seq] = event
+        return seq
 
     def at(self, t: float, callback: Callable[[], None]) -> int:
         """Schedule ``callback`` at absolute time ``t``; returns an id
@@ -107,26 +105,25 @@ class EventScheduler:
 
     def peek_time(self) -> float | None:
         """The virtual time of the next live event (None when idle)."""
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][2].cancelled:
             heapq.heappop(self._queue)
             self._cancel_count -= 1
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None
 
     def step(self) -> bool:
         """Run the next event; returns False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            time, seq, event = heapq.heappop(self._queue)
             if event.cancelled:
                 self._cancel_count -= 1
                 continue
-            self.clock.advance_to(event.time)
+            self.clock.advance_to(time)
             self._events_processed += 1
             if event.interval is not None:
                 # Re-arm before the callback so the callback can cancel it.
-                event.time += event.interval
-                heapq.heappush(self._queue, event)
+                heapq.heappush(self._queue, (time + event.interval, seq, event))
             else:
-                self._live.pop(event.seq, None)
+                self._live.pop(seq, None)
             event.callback()
             return True
         return False

@@ -67,13 +67,14 @@ def build_deployment(
     accounts: int = 200,
     spare_replicas: int = 0,
     seed: bytes = b"test",
+    registry_setup=register_smallbank,
     **kwargs,
 ):
     """A small SmallBank deployment ready to start."""
     return Deployment(
         n_replicas=n_replicas,
         params=params,
-        registry_setup=register_smallbank,
+        registry_setup=registry_setup,
         initial_state=initial_state(accounts),
         behaviors=behaviors or {},
         spare_replicas=spare_replicas,

@@ -1,6 +1,8 @@
 """Multi-lane VirtualCPU invariants, open-loop load generation, and
 per-lane utilization reporting."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -126,6 +128,38 @@ class TestVirtualCPU:
         assert by_kind["verify"] == pytest.approx(3.0)
         assert by_kind["execute"] == pytest.approx(0.5)
         assert sum(cpu.busy_seconds()) == pytest.approx(3.5)
+
+
+class _ReferenceCPU(VirtualCPU):
+    """The lane rule ``free.index(min(free))`` replaced: the first lane
+    with the smallest busy-until, found with a key function."""
+
+    def _lane_for(self, kind):
+        policy = self.policies.get(kind, 0)
+        if policy == "parallel":
+            return min(range(self.cores), key=lambda i: self._free[i])
+        return int(policy) % self.cores
+
+
+@pytest.mark.parametrize("seed, cores", [(0, 1), (1, 3), (2, 4), (3, 8)])
+def test_lane_choice_matches_the_key_function_rule(seed, cores):
+    """Whole-tick costs and release times make busy-until ties common;
+    each tie goes to the lowest lane under both rules."""
+    rng = random.Random(seed)
+    cpu, reference = VirtualCPU(cores=cores), _ReferenceCPU(cores=cores)
+    cpu.trace, reference.trace = [], []
+    kinds = list(cpu.policies) + ["unknown"]
+    ties = 0
+    for _ in range(2000):
+        kind = rng.choice(kinds)
+        seconds = rng.choice([0.0, 0.5, 1.0, 1.0, 2.0])
+        not_before = float(rng.randrange(0, 200)) / 2
+        free = list(cpu._free)
+        ties += free.count(min(free)) > 1
+        assert cpu.backlog(kind, not_before) == reference.backlog(kind, not_before)
+        assert cpu.submit(kind, seconds, not_before) == reference.submit(kind, seconds, not_before)
+    assert cpu.trace == reference.trace
+    assert cores == 1 or ties > 100
 
 
 class TestNodeActivities:

@@ -22,7 +22,7 @@ from repro.chaos.schedule import ChaosParams, generate_schedule
 from repro.crypto import signatures
 from repro.crypto.hashing import digest_value
 from repro.errors import CodecError
-from repro.kvstore import KVStore
+from repro.kvstore import EMPTY_WS, KVStore
 from repro.ledger.entries import PrePrepareEntry, TxEntry, entry_from_wire
 from repro.lpbft.messages import PrePrepare, TransactionRequest
 from repro.merkle import MerklePath
@@ -437,6 +437,54 @@ def test_encode_pair_memo_never_confuses_bools_with_ints():
     assert set(map(type, ints)) == {int}
 
 
+# -- the write-set digest ---------------------------------------------------------
+
+EMPTY_WS_HEX = "b7de6bc49b7115c6cbe17780d06ec0e182d9c0f71b5a21b9332141a7e4dca68a"
+_DELETE = object()
+
+
+def _generic_write_set_digest(ops: dict) -> bytes:
+    """The write-set digest as the generic encoder produces it: the
+    formula ``codec.encode_write_set`` replaced."""
+    writes = {k: (None if v is _DELETE else v) for k, v in sorted(ops.items())}
+    deleted = tuple(sorted(k for k, v in ops.items() if v is _DELETE))
+    return digest_value({"writes": writes, "deleted": deleted})
+
+
+_ws_keys = st.one_of(
+    st.text(max_size=20),
+    st.sampled_from(["é" * 64, "a" * 127, "a" * 128, "漢" * 43, "b" * 300, "", "ü"]),
+)
+_ws_leaves = st.one_of(
+    st.sampled_from([True, False, None, 0, 63, 64, -1, -64, -65, 2**62 - 1, 2**62,
+                     -(2**62) + 1, -(2**62), 2**200, -(2**200)]),
+    st.integers(), st.binary(max_size=200), st.text(max_size=20),
+)
+_ws_values = st.recursive(
+    _ws_leaves,
+    lambda inner: st.one_of(st.tuples(inner, inner), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_ws_keys, st.one_of(st.just(_DELETE), _ws_values), max_size=12))
+def test_write_set_digest_is_the_generic_digest(ops):
+    tx = KVStore().begin()
+    for key, value in ops.items():
+        if value is _DELETE:
+            tx.delete(key)
+        else:
+            tx.put(key, value)
+    assert tx.write_set_digest() == _generic_write_set_digest(ops)
+
+
+def test_empty_write_set_digest_is_pinned():
+    assert EMPTY_WS.hex() == EMPTY_WS_HEX
+    assert _generic_write_set_digest({}) == EMPTY_WS == KVStore().begin().write_set_digest()
+
+
 def _random_request(rng: random.Random) -> TransactionRequest:
     return TransactionRequest(
         procedure="".join(rng.choice("abé.") for _ in range(rng.randrange(1, 200))),
@@ -550,7 +598,9 @@ def test_encode_work_per_committed_transaction_is_bounded(monkeypatch):
     """Counted work, free of host-clock noise: the small run above makes
     47.2 ``codec.encode`` calls per receipted transaction before encodings
     were shared by call site (five of them a request's signed payload) and
-    30.9 after, none of them a signed payload."""
+    30.9 after, none of them a signed payload; 22.0 since the write-set
+    digest is written directly (tests/test_counted_work.py pins the
+    rest)."""
     dep = build_deployment(params=FAST_PARAMS)
     receipted = []
     dep.add_load_generator(
@@ -563,6 +613,6 @@ def test_encode_work_per_committed_transaction_is_bounded(monkeypatch):
     monkeypatch.setattr(codec, "encode", lambda value: encoded.append(value) or original(value))
     dep.run(until=0.5)
     assert len(receipted) == 95
-    assert len(encoded) / len(receipted) <= 32
+    assert len(encoded) / len(receipted) <= 23
     payloads = [v for v in encoded if type(v) is tuple and len(v) == 7 and v[:1] == ("request",)]
     assert payloads == []

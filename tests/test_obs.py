@@ -87,6 +87,47 @@ class TestInstruments:
         assert m.counter_value("requests_shed", reason="deadline") == 2
         assert m.summary()["counters"]["requests_shed"] == 3
 
+    def test_bound_and_labelled_bumps_share_one_counter(self):
+        """An unlabelled bump adds to the bare series of the counter the
+        collector resolved once; a labelled one takes the registry path.
+        Both land in one total, whichever comes first."""
+        m = MetricsCollector()
+        m.bump("shed", reason="deadline")
+        m.bump("shed")
+        m.bump("shed", 2.5)
+        m.bump("shed", 3, reason="overloaded")
+        m.bump("batches")
+        m.bump("batches", 4)
+        assert m.counters == {"shed": 7.5, "batches": 5}
+        assert m.counter_value("shed") == 7.5
+        assert m.counter_value("shed", reason="deadline") == 1
+        assert m.registry.counter("shed").series() == {
+            "": 3.5, "reason=deadline": 1, "reason=overloaded": 3}
+
+    def test_negative_bump_raises_bound_or_not(self):
+        m = MetricsCollector()
+        with pytest.raises(SimulationError):
+            m.bump("x", -1)  # not yet resolved
+        m.bump("x")
+        with pytest.raises(SimulationError):
+            m.bump("x", -1)  # resolved
+        with pytest.raises(SimulationError):
+            m.bump("x", -1, lane=0)
+        assert m.counters == {"x": 1}
+
+    def test_snapshot_keeps_its_shape(self):
+        m = MetricsCollector()
+        m.bump("x")
+        m.bump("x", 2)
+        m.bump("shed", reason="deadline")
+        m.latency.record(0.002)
+        snap = m.snapshot()
+        assert set(snap) == {"counters", "gauges", "histograms", "summary"}
+        assert snap["counters"] == {"x": {"": 3}, "shed": {"reason=deadline": 1}}
+        assert set(snap["histograms"]) == {"latency_s", "queue_delay_s"}
+        assert snap["summary"]["counters"] == {"x": 3, "shed": 1}
+        assert json.loads(json.dumps(snap)) == snap
+
     def test_latency_p999_degenerates_to_max_when_sparse(self):
         ls = LatencyStats()
         for v in (0.1, 0.9):

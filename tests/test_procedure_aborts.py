@@ -9,9 +9,11 @@ import pytest
 
 from repro.audit import Auditor
 from repro.enforcement import make_enforcer
-from repro.errors import TransactionAborted
-from repro.kvstore import KVStore, ProcedureRegistry
+from repro.errors import KVError, TransactionAborted
+from repro.kvstore import EMPTY_WS, KVStore, ProcedureRegistry
+from repro.ledger import TxEntry
 from repro.receipts import verify_receipt
+from repro.workloads import register_smallbank
 
 from helpers import build_deployment
 
@@ -60,3 +62,49 @@ def test_invoke_turns_any_exception_into_an_abort_and_keeps_aborts():
         assert kv.execute(lambda tx: registry.invoke(name, tx, {})) == (
             {"ok": False, "error": reason}, None)
     assert "k" not in kv and len(kv) == 0
+
+
+def _register_delete(registry):
+    register_smallbank(registry)
+    registry.register("test.delete", lambda tx, args: (tx.delete(args["k"]), {"ok": True})[1])
+
+
+def test_delete_of_a_non_str_key_is_an_abort_on_every_replica_and_replays():
+    """``tx.delete(7)`` used to be buffered unchecked: the write-set
+    digest then raised (``CodecError`` for one such key, ``TypeError``
+    from the sort beside a ``str`` key) out of the batch execution, past
+    the procedure's abort handling, and stopped the run."""
+    dep = build_deployment(registry_setup=_register_delete)
+    client = dep.add_client()
+    dep.start()
+    hostile = client.submit("test.delete", {"k": 7}, min_index=0)
+    dep.run(until=1.0)
+    after = client.submit("test.delete", {"k": "checking:3"}, min_index=0)
+    dep.run(until=2.0)
+
+    receipt = client.receipts[hostile]
+    assert receipt.output == {"reply": {"ok": False, "error": "KVError"}, "ws": EMPTY_WS}
+    assert verify_receipt(receipt, dep.genesis_config)
+    assert client.receipts[after].output["reply"] == {"ok": True}
+    assert dep.ledgers_agree()
+    outputs = [
+        [entry.output for entry in replica.ledger
+         if isinstance(entry, TxEntry) and entry.request().procedure == "test.delete"]
+        for replica in dep.replicas
+    ]
+    assert len(outputs) == 4
+    assert all(out == [receipt.output, client.receipts[after].output] for out in outputs)
+
+    result = Auditor(dep.registry, dep.params).audit(
+        [receipt, client.receipts[after]], [client.gov_chain], make_enforcer(dep), replay=True
+    )
+    assert result.consistent
+
+
+def test_delete_checks_its_key_like_put():
+    kv = KVStore()
+    tx = kv.begin()
+    for write in (lambda: tx.put(7, 1), lambda: tx.delete(7), lambda: tx.delete(("a",))):
+        with pytest.raises(KVError, match="keys must be str"):
+            write()
+    assert tx.write_set_digest() == EMPTY_WS

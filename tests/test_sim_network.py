@@ -307,6 +307,34 @@ class TestSchedulerEngine:
         with pytest.raises(SimulationError):
             sched.every(0.0, lambda: None)
 
+    def test_equal_time_events_pop_in_insertion_order(self):
+        """Heap entries are ``(time, seq, event)``: at one time, events
+        run in the order they were scheduled, a repeating event re-armed
+        onto a later tick keeps its original place there, and a
+        cancelled one leaves no gap."""
+        sched = EventScheduler()
+        fired = []
+        ids = {}
+        def note(name):
+            return lambda: fired.append((sched.now, name))
+        ids["r1"] = sched.every(1.0, note("r1"))
+        for i in range(6):
+            ids[i] = sched.at(1.0, note(i))
+        ids["r2"] = sched.every(0.5, note("r2"))
+        ids["late"] = sched.at(2.0, note("late"))
+        sched.cancel(ids[2])
+        sched.cancel(ids[4])
+        sched.at(1.0, lambda: sched.cancel(ids["late"]) or fired.append((sched.now, "x")))
+        sched.run(until=2.0)
+        assert fired == [
+            (0.5, "r2"),
+            (1.0, "r1"), (1.0, 0), (1.0, 1), (1.0, 3), (1.0, 5), (1.0, "r2"), (1.0, "x"),
+            (1.5, "r2"),
+            (2.0, "r1"), (2.0, "r2"),
+        ]
+        assert sched.events_processed == len(fired)
+        assert sched.pending_active == 2
+
 
 class TestWanTopologies:
     def test_latency_matrix_builder(self):
