@@ -112,7 +112,7 @@ def build_ledger_package(replica, oldest_receipt: Receipt | None = None) -> Ledg
                 checkpoint = cp
                 break
     if checkpoint is None and replica.checkpoints:
-        checkpoint = replica.checkpoints[max(replica.checkpoints)]
+        checkpoint = replica.checkpoints[replica.checkpoints.last_taken]
     extra: dict = {}
     last = replica.ledger.last_seqno()
     for seqno in range(max(1, last - replica.params.pipeline + 1), last + 1):

@@ -15,9 +15,10 @@ from the mechanism (:meth:`~repro.ledger.ledger.Ledger.truncate_below`):
   synchronously, so they never race GC — tests model a pending audit
   with an explicit pin).
 
-:class:`RetentionPolicy` tracks the pins and computes the boundary; the
-replica applies it after checkpoint stabilization
-(:meth:`~repro.lpbft.replica.LPBFTReplica._maybe_truncate_ledger`).
+:class:`RetentionPolicy` tracks the pins and clamps a boundary to them;
+the replica's checkpoint store decides the boundary
+(:meth:`~repro.lpbft.checkpointing.CheckpointStore.gc_boundary`), and the
+replica truncates there after checkpoint stabilization.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from .messages import (
     bitmap_of,
     bitmap_members,
 )
-from .checkpointing import CheckpointDirectory, CheckpointRecord, reference_checkpoint_seqno
+from .checkpointing import CheckpointRecord, CheckpointStore, reference_checkpoint_seqno
 from .replica import LPBFTReplica, BatchRecord, designated_replica, execute_procedure, EMPTY_WS
 from .viewchange import ViewManager
 from .client import LPBFTClient, LoadGenerator
@@ -60,8 +60,8 @@ __all__ = [
     "SyncManifest",
     "bitmap_of",
     "bitmap_members",
-    "CheckpointDirectory",
     "CheckpointRecord",
+    "CheckpointStore",
     "reference_checkpoint_seqno",
     "LPBFTReplica",
     "ViewManager",

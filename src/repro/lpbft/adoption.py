@@ -35,7 +35,7 @@ from ..kvstore import Checkpoint, KVStore
 from ..ledger import CheckpointTxEntry, EvidenceEntry, GenesisEntry, Ledger
 from ..merkle import MerkleTree
 from .batch import BatchRecord, ReconfigState
-from .checkpointing import CheckpointDirectory
+from .checkpointing import CheckpointStore
 from .messages import BATCH_CHECKPOINT
 
 
@@ -72,7 +72,7 @@ def verify_fetched_ledger(
             raise ProtocolError("fetched ledger has a different genesis")
     if checkpoint is not None and checkpoint.seqno <= 0:
         # The genesis checkpoint is the same on every replica.
-        if checkpoint.digest() != replica.cp_directory.genesis_digest():
+        if checkpoint.digest() != replica.checkpoints.genesis_digest:
             raise ProtocolError("genesis checkpoint mismatch")
     # Every batch must reproduce its signed roots — the peer's below the
     # checkpoint too — and the checkpoint must be bound to this ledger.
@@ -175,7 +175,9 @@ def install_ledger(
         committed_upto = max(committed_upto, own.seqno)
     # Suffix or not, the genesis digest is the one every replica derives
     # from its genesis configuration and initial state.
-    directory = CheckpointDirectory(replica.cp_directory.genesis_digest())
+    checkpoints = CheckpointStore(replica.checkpoints.genesis_digest)
+    # Adopted checkpoints count as fresh for the GC age floor.
+    checkpoints.take(checkpoint, replica.now)
     # Imported lazily: repro.audit imports the lpbft message types.
     from ..audit.replay import ReplayedBatch, replay_batches
 
@@ -190,13 +192,10 @@ def install_ledger(
         for info in batch_infos if info.seqno <= cp_seqno
         for entries in [ledger.entries(info.first_tx, info.end)]
     )
-    checkpoints: dict[int, Checkpoint] = {cp_seqno: checkpoint}
-    last_taken = cp_seqno
     batches: dict[int, BatchRecord] = {}
     tx_locations: dict = dict(executed or {})
     new_pps: dict = {}
     new_ppd: dict = {}
-    last_recorded = -1
     reconfig = None
     for batch in chain(below, replayed):
         info = batch.info
@@ -229,13 +228,12 @@ def install_ledger(
                 and record.flags != BATCH_CHECKPOINT
                 and seqno % replica.params.checkpoint_interval == 0
             ):
-                checkpoints[seqno] = Checkpoint.capture(kv, seqno, info.end, ledger.root_at(info.end))
-                last_taken = seqno
+                checkpoints.take(
+                    Checkpoint.capture(kv, seqno, info.end, ledger.root_at(info.end)), replica.now)
         for entry in record.entries:
             if isinstance(entry, CheckpointTxEntry):
                 record.tx_digests.append(None)
-                last_recorded = entry.cp_seqno
-                directory.note_record(seqno, entry.cp_seqno, entry.cp_digest)
+                checkpoints.note_record(seqno, entry.cp_seqno, entry.cp_digest)
                 continue
             tx_digest = digest_value(entry.request_wire)  # H(t), remembered by its seal
             record.tx_digests.append(tx_digest)
@@ -254,14 +252,9 @@ def install_ledger(
     # Keep our genesis checkpoint: it is identical on every replica
     # (derived from the genesis configuration + initial state) and
     # stays the replay anchor for peers without a stable checkpoint.
-    if 0 in replica.checkpoints:
-        checkpoints.setdefault(0, replica.checkpoints[0])
+    if 0 in replica.checkpoints and 0 not in checkpoints:
+        checkpoints.take(replica.checkpoints[0], 0.0)
     replica.checkpoints = checkpoints
-    # Adopted checkpoints count as fresh for the GC age floor.
-    replica._cp_taken_at = {s: (0.0 if s == 0 else replica.now) for s in checkpoints}
-    replica.last_taken_cp = last_taken
-    replica.last_recorded_cp = last_recorded
-    replica.cp_directory = directory
     # The governance archive described the *old* ledger's pruned
     # prefix; a full-prefix adoption can re-derive everything from the
     # entries, a suffix-rooted one falls back to the degraded

@@ -1,4 +1,4 @@
-"""Checkpoint scheduling arithmetic (paper §3.4, Appendix B).
+"""A replica's checkpoints (paper §3.4, Appendix B).
 
 Checkpoints are taken when a replica executes a batch at a sequence number
 that is a multiple of the checkpoint interval C (skipped inside
@@ -14,10 +14,16 @@ digest recorded by the last checkpoint transaction strictly before ``s``
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..crypto.hashing import Digest
+
+if TYPE_CHECKING:
+    from ..kvstore import Checkpoint
+    from ..ledger import Ledger, RetentionPolicy
 
 
 @dataclass(frozen=True, order=True)
@@ -30,20 +36,47 @@ class CheckpointRecord:
     digest: Digest
 
 
-class CheckpointDirectory:
-    """Tracks recorded checkpoint digests, in batch order.
-
-    Replicas and auditors both maintain one, fed from checkpoint
-    transactions as they appear; ``reference_for(s)`` answers "what dC
-    must the pre-prepare at s carry?".
+class CheckpointStore(Mapping):
+    """A replica's checkpoints: a read-only mapping seqno → held
+    :class:`~repro.kvstore.Checkpoint`, plus when each was taken and the
+    checkpoint transactions recorded so far, in batch order.  It decides
+    the dC a pre-prepare carries, which checkpoints are stable, and where
+    ledger prefix GC may cut; nothing else writes checkpoint bookkeeping.
     """
 
     def __init__(self, genesis_digest: Digest) -> None:
-        self._genesis_digest = genesis_digest
+        self.genesis_digest = genesis_digest
+        self._held: dict[int, tuple[Checkpoint, float]] = {}  # seqno -> (cp, taken at)
         self._records: list[CheckpointRecord] = []
         # Parallel sorted list of record_seqnos so the per-pre-prepare
         # reference_for lookup is a real O(log n) bisect.
         self._seqnos: list[int] = []
+
+    def __getitem__(self, seqno: int) -> Checkpoint:
+        return self._held[seqno][0]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._held)
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    @property
+    def last_taken(self) -> int:
+        """The newest held checkpoint (0 with none)."""
+        return max(self._held, default=0)
+
+    @property
+    def last_recorded(self) -> int:
+        """The checkpoint the newest record names (−1 with none)."""
+        return self._records[-1].cp_seqno if self._records else -1
+
+    def records(self) -> list[CheckpointRecord]:
+        return list(self._records)
+
+    def take(self, checkpoint: Checkpoint, now: float) -> None:
+        """Hold ``checkpoint``, taken (or adopted) at time ``now``."""
+        self._held[checkpoint.seqno] = (checkpoint, now)
 
     def note_record(self, record_seqno: int, cp_seqno: int, digest: Digest) -> None:
         """Record a checkpoint transaction appearing at ``record_seqno``.
@@ -63,23 +96,31 @@ class CheckpointDirectory:
             self._seqnos.insert(index, record_seqno)
 
     def rollback_after(self, seqno: int) -> None:
-        """Drop records from batches later than ``seqno`` (view change).
-
-        A record *at* ``seqno`` survives — including a forced
-        configuration-start checkpoint recorded by the first batch of a
-        new configuration: rolling back to that batch must not forget the
-        checkpoint it itself recorded.
+        """Forget the records and checkpoints of batches later than
+        ``seqno`` (an undone batch, a view change).  A record *at*
+        ``seqno`` survives: rolling back to the first batch of a new
+        configuration must not forget the checkpoint it itself recorded.
         """
         keep = bisect_left(self._seqnos, seqno + 1)
         del self._records[keep:]
         del self._seqnos[keep:]
+        for s in [s for s in self._held if s > seqno]:
+            del self._held[s]
+
+    def prune_below(self, horizon: int, frontier: int) -> None:
+        """Drop held checkpoints below ``horizon`` but the newest of them
+        and the newest stable one at ``frontier``, which state sync
+        serves."""
+        served = next(self.stable(frontier, newest_first=True), None)
+        old = sorted(s for s in self._held if s < horizon)
+        for s in old[:-1]:
+            if served is None or s != served.seqno:
+                del self._held[s]
 
     def prune_records_below(self, record_seqno: int) -> None:
         """Drop records from batches below ``record_seqno`` (ledger prefix
-        GC).  Their checkpoints are no longer held and their batches
-        can never be re-proposed; keeping them would make the per-
-        stabilization oldest-stable scan O(total history) instead of
-        O(retention window)."""
+        GC): they can never be referenced again, and keeping them would
+        make the stable scan O(total history), not O(retention window)."""
         keep = bisect_left(self._seqnos, record_seqno)
         del self._records[:keep]
         del self._seqnos[:keep]
@@ -92,15 +133,42 @@ class CheckpointDirectory:
         genesis checkpoint if none."""
         index = bisect_left(self._seqnos, seqno)
         if index == 0:
-            return (0, self._genesis_digest)
+            return (0, self.genesis_digest)
         chosen = self._records[index - 1]
         return (chosen.cp_seqno, chosen.digest)
 
-    def records(self) -> list[CheckpointRecord]:
-        return list(self._records)
+    def stable(self, frontier: int, newest_first: bool = False) -> Iterator[Checkpoint]:
+        """Held checkpoints whose record sits in a batch at or below the
+        commit ``frontier`` (a quorum signed the roots covering it) and
+        names their digest, in record order or ``newest_first``."""
+        records = self._records[:bisect_right(self._seqnos, frontier)]
+        for record in reversed(records) if newest_first else records:
+            held = self._held.get(record.cp_seqno)
+            if held is not None and held[0].digest() == record.digest:
+                yield held[0]
 
-    def genesis_digest(self) -> Digest:
-        return self._genesis_digest
+    def oldest_stable(self, frontier: int) -> Checkpoint | None:
+        """The oldest stable checkpoint past genesis, which supersedes a
+        collected ledger prefix."""
+        return next((cp for cp in self.stable(frontier) if cp.seqno > 0), None)
+
+    def gc_boundary(self, ledger: Ledger, frontier: int, now: float, min_age: float,
+                    retention: RetentionPolicy) -> int | None:
+        """Where ledger prefix GC may cut, or None: the ledger size bound
+        into the oldest stable checkpoint once it is ``min_age`` old
+        (recent history stays fetchable for replyx rebuilds and audit
+        packages), clamped by the retention pins, rounded down to a batch
+        end (pins may sit anywhere)."""
+        stable = self.oldest_stable(frontier)
+        if stable is None or now - self._held[stable.seqno][1] < min_age:
+            return None
+        boundary = retention.boundary(stable.ledger_size)
+        best = ledger.base_index
+        for info in ledger.batches():
+            if info.end > boundary:
+                break
+            best = max(best, info.end)
+        return best if best > ledger.base_index else None
 
 
 def reference_checkpoint_seqno(seqno: int, interval: int, config_start: int = 0) -> int:
@@ -108,9 +176,9 @@ def reference_checkpoint_seqno(seqno: int, interval: int, config_start: int = 0)
     sequence number for a batch at ``seqno`` in a configuration whose
     first checkpoint is at ``config_start``.
 
-    Matches :meth:`CheckpointDirectory.reference_for` on schedules without
-    skipped checkpoints; the directory is authoritative when
-    reconfiguration sequences skip interval checkpoints.
+    Matches :meth:`CheckpointStore.reference_for` on schedules without
+    skipped checkpoints; the store is authoritative when reconfiguration
+    sequences skip interval checkpoints.
     """
     relative = seqno - config_start
     if relative < 0:

@@ -68,7 +68,7 @@ from ..statesync.client import StateSyncClient
 from ..statesync.server import StateSyncServer
 from .admission import Admission
 from .batch import BatchRecord, ReconfigState, execute_procedure  # noqa: F401  (re-exported)
-from .checkpointing import CheckpointDirectory
+from .checkpointing import CheckpointStore
 from .config import ProtocolParams
 from .messages import (
     BATCH_CHECKPOINT,
@@ -145,12 +145,9 @@ class LPBFTReplica(Node):
         # genesis checkpoint, so audits replay on top of it.
         self.kv = KVStore(initial=initial_state)
         self.kv.execute(lambda tx: install_configuration(tx, genesis_config))
-        self.checkpoints: dict[int, Checkpoint] = {
-            0: Checkpoint.capture(self.kv, 0, len(self.ledger), self.ledger.root())
-        }
-        self.cp_directory = CheckpointDirectory(self.checkpoints[0].digest())
-        self.last_taken_cp = 0
-        self.last_recorded_cp = -1
+        genesis = Checkpoint.capture(self.kv, 0, len(self.ledger), self.ledger.root())
+        self.checkpoints = CheckpointStore(genesis.digest())
+        self.checkpoints.take(genesis, 0.0)
         # Ledger prefix GC: pins held by in-flight state transfers
         # and pending audit packages, and the governance archive that
         # preserves the sub-ledger across truncations (created lazily at
@@ -158,7 +155,6 @@ class LPBFTReplica(Node):
         # that never held the genesis prefix).
         self.retention = RetentionPolicy()
         self._gov_archive = None
-        self._cp_taken_at: dict[int, float] = {0: 0.0}
 
         # Protocol state (Alg. 1).
         self.view = 0
@@ -466,7 +462,7 @@ class LPBFTReplica(Node):
             return False
         if seqno % self.params.checkpoint_interval != 0:
             return False
-        return self.last_taken_cp > self.last_recorded_cp
+        return self.checkpoints.last_taken > self.checkpoints.last_recorded
 
     def _start_of_config_pending(self, seqno: int) -> bool:
         """True while the P start-of-configuration batches after an
@@ -554,7 +550,7 @@ class LPBFTReplica(Node):
 
         # Checkpoint transactions lead their batch (§3.4, §5.1).
         if flags == BATCH_CHECKPOINT or (flags == BATCH_REGULAR and self._checkpoint_due(s)):
-            cp_seqno = self.last_taken_cp
+            cp_seqno = self.checkpoints.last_taken
             cp = self.checkpoints[cp_seqno]
             entry = CheckpointTxEntry(
                 cp_seqno=cp_seqno,
@@ -568,8 +564,7 @@ class LPBFTReplica(Node):
             m_leaves.append(entry.digest())
             record.tx_digests.append(None)
             next_index += 1
-            self.last_recorded_cp = cp_seqno
-            self.cp_directory.note_record(s, cp_seqno, cp.digest())
+            self.checkpoints.note_record(s, cp_seqno, cp.digest())
 
         for tx_digest in tx_digests:
             request, arrival = self.admission.take(tx_digest)
@@ -621,7 +616,7 @@ class LPBFTReplica(Node):
         s, view = record.seqno, record.view
         nonce = self._fresh_nonce()
         self.own_nonces[(view, s)] = nonce
-        cp_ref_seqno, cp_digest = self.cp_directory.reference_for(s)
+        _, cp_digest = self.checkpoints.reference_for(s)
         committed_root = b""
         if record.flags == BATCH_END_OF_CONFIG and self.reconfig is not None:
             committed_root = self.reconfig.committed_root
@@ -796,7 +791,6 @@ class LPBFTReplica(Node):
                 parent=trace_ctx, seqno=s, view=pp.view, role="backup")
         ledger_mark = len(self.ledger)
         kv_mark = self.kv.tx_count
-        cp_mark = (self.last_recorded_cp, self.last_taken_cp)
         self._append_evidence(s, pp.evidence_bitmap)
         record, m_leaves = self._execute_batch(s, pp.view, pp.flags, list(batch_digests))
         record.ledger_start = ledger_mark
@@ -807,7 +801,7 @@ class LPBFTReplica(Node):
             consistent = pp.committed_root == self.reconfig.committed_root
         if not consistent:
             # Line 22–23: divergent execution or a lying primary.
-            self._undo_batch_execution(record, ledger_mark, kv_mark, cp_mark)
+            self._undo_batch_execution(record, ledger_mark, kv_mark)
             self.metrics.bump("root_mismatches")
             if accept_span is not None:
                 accept_span.set(root_mismatch=True)
@@ -836,19 +830,12 @@ class LPBFTReplica(Node):
         self._after_local_pre_prepare(record)
         self._drain_pending_commits(pp.view, s)
 
-    def _undo_batch_execution(
-        self,
-        record: BatchRecord,
-        ledger_mark: int,
-        kv_mark: int,
-        cp_mark: tuple[int, int],
-    ) -> None:
-        """Alg. 1 ``undo``: roll back the KV store and ledger and restore
-        the batch's requests to the pending set."""
+    def _undo_batch_execution(self, record: BatchRecord, ledger_mark: int, kv_mark: int) -> None:
+        """Alg. 1 ``undo``: roll back the KV store, ledger and checkpoint
+        records and restore the batch's requests to the pending set."""
         self.kv.rollback_to(kv_mark)
         self.ledger.truncate(ledger_mark)
-        self.last_recorded_cp, self.last_taken_cp = cp_mark
-        self.cp_directory.rollback_after(record.seqno - 1)
+        self.checkpoints.rollback_after(record.seqno - 1)
         self._unexecute(record, arrival=self.now)
 
     def _unexecute(self, record: BatchRecord, arrival: float | None = None) -> None:
@@ -1130,7 +1117,7 @@ class LPBFTReplica(Node):
         if info is None:
             oldest = self.ledger.oldest_retained_seqno()
             if oldest is not None and seqno < oldest:
-                cp = self._oldest_stable_checkpoint()
+                cp = self.checkpoints.oldest_stable(self.committed_upto)
                 if cp is not None and seqno <= cp.seqno:
                     self.send(src, ("replyx-gone", tx_digest, cp.seqno, cp.digest()))
                     self.metrics.bump("receipts_gone_gc")
@@ -1165,9 +1152,8 @@ class LPBFTReplica(Node):
             return
         cp_start = self.cpu_time() if self.tracer.enabled else 0.0
         self.submit("hash", len(self.kv) * self.costs.checkpoint_per_entry)
-        self.checkpoints[s] = Checkpoint.capture(self.kv, s, len(self.ledger), self.ledger.root())
-        self._cp_taken_at[s] = self.now
-        self.last_taken_cp = s
+        cp = Checkpoint.capture(self.kv, s, len(self.ledger), self.ledger.root())
+        self.checkpoints.take(cp, self.now)
         self.metrics.bump("checkpoints_taken")
         if self.tracer.enabled:
             # Node-local root span: checkpoints are batch work, not tied
@@ -1208,58 +1194,27 @@ class LPBFTReplica(Node):
         for table in (self.pps, self.commit_nonces, self.pending_commits, self.own_nonces):
             for key in [k for k in table if released(k[1])]:
                 del table[key]
-        # The newest checkpoint the ledger records stays: it is the one
-        # state sync serves until a newer one is recorded.
-        served = self.sync_server.stable_checkpoint()
-        old_cps = sorted(s for s in self.checkpoints if s < horizon)
-        for s in old_cps[:-1]:
-            if served is None or s != served.seqno:
-                del self.checkpoints[s]
-                self._cp_taken_at.pop(s, None)
+        self.checkpoints.prune_below(horizon, self.committed_upto)
         # A rollback targets a retained batch (``rollback_to_batch`` raises
         # on an unknown one), so undo records below every kept mark are dead.
         self.kv.forget_before(min(record.kv_mark for record in self.batches.values()))
 
     # -- ledger prefix GC --------------------------------------------------------------
 
-    def _oldest_stable_checkpoint(self) -> Checkpoint | None:
-        """The oldest retained checkpoint (seqno > 0) whose recording
-        checkpoint transaction sits in a *committed* batch — commitment
-        means a quorum signed the chain of roots covering the record, so
-        truncating below its state can never orphan an audit of the
-        retained suffix."""
-        for record in self.cp_directory.records():
-            if record.record_seqno > self.committed_upto:
-                break
-            cp = self.checkpoints.get(record.cp_seqno)
-            if cp is not None and cp.seqno > 0 and cp.digest() == record.digest:
-                return cp
-        return None
-
     def _maybe_truncate_ledger(self) -> None:
-        """Garbage-collect the ledger prefix below the oldest stable
-        checkpoint, clamped by retention pins (the statesync server's
-        in-flight-transfer pin; the same API serves long-running audit
-        collection).  Called after checkpoint stabilization; the
-        governance sub-ledger of the pruned region is archived first so
-        audits keep a complete configuration history."""
+        """Garbage-collect the ledger prefix below the boundary the
+        checkpoint store allows (:meth:`CheckpointStore.gc_boundary`).
+        Called after checkpoint stabilization; the governance sub-ledger
+        of the pruned region is archived first so audits keep a complete
+        configuration history."""
         if not (self.params.checkpoints and self.params.ledger):
             return
         # A completed/abandoned state transfer must not hold its serve pin
         # forever; the server releases it once clients go quiet.
         self.sync_server.release_stale_pin()
-        stable = self._oldest_stable_checkpoint()
-        if stable is None:
-            return
-        # Age floor: recent history stays fetchable (client replyx
-        # rebuilds, audit package assembly) for at least the grace window.
-        taken = self._cp_taken_at.get(stable.seqno)
-        if taken is None or self.now - taken < self.params.ledger_gc_min_age:
-            return
-        boundary = self.retention.boundary(stable.ledger_size)
-        # Pins may sit anywhere; truncation must land on a batch boundary.
-        boundary = self._align_gc_boundary(boundary)
-        if boundary <= self.ledger.base_index:
+        boundary = self.checkpoints.gc_boundary(
+            self.ledger, self.committed_upto, self.now, self.params.ledger_gc_min_age, self.retention)
+        if boundary is None:
             return
         self._archive_governance_prefix(boundary)
         dropped = self.ledger.truncate_below(boundary)
@@ -1275,20 +1230,9 @@ class LPBFTReplica(Node):
             # dropping them keeps the oldest-stable scan O(window).
             oldest = self.ledger.oldest_retained_seqno()
             if oldest is not None:
-                self.cp_directory.prune_records_below(oldest)
+                self.checkpoints.prune_records_below(oldest)
             self.metrics.bump("ledger_truncations")
             self.metrics.bump("ledger_entries_gced", dropped)
-
-    def _align_gc_boundary(self, boundary: int) -> int:
-        """The largest batch-end at or below ``boundary`` (checkpoint
-        ledger sizes are batch ends already; arbitrary pins round down)."""
-        best = self.ledger.base_index
-        for info in self.ledger.batches():
-            if info.end <= boundary:
-                best = max(best, info.end)
-            else:
-                break
-        return best
 
     def _archive_governance_prefix(self, boundary: int) -> None:
         """Feed the about-to-be-pruned region into the governance archive

@@ -331,13 +331,7 @@ class ViewManager:
         r.prepared_upto = min(r.prepared_upto, target)
         r.committed_upto = min(r.committed_upto, target)
         r.next_seqno = target + 1
-        # Checkpoint bookkeeping.
-        r.cp_directory.rollback_after(target)
-        for seqno in [s for s in r.checkpoints if s > target]:
-            del r.checkpoints[seqno]
-        r.last_taken_cp = max(r.checkpoints) if r.checkpoints else 0
-        records = r.cp_directory.records()
-        r.last_recorded_cp = records[-1].cp_seqno if records else -1
+        r.checkpoints.rollback_after(target)
         # An activation rolled back with its batch reopens its
         # end-of-configuration sequence (§5.1), so the re-issued batches
         # end the configuration and activate again.

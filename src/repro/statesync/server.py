@@ -42,13 +42,7 @@ class StateSyncServer:
         """The newest checkpoint still held locally whose recording batch
         is at or below the commit frontier, or None."""
         replica = self.replica
-        for record in reversed(replica.cp_directory.records()):
-            if record.record_seqno > replica.committed_upto:
-                continue
-            cp = replica.checkpoints.get(record.cp_seqno)
-            if cp is not None and cp.digest() == record.digest:
-                return cp
-        return None
+        return next(replica.checkpoints.stable(replica.committed_upto, newest_first=True), None)
 
     def _served_ledger_end(self, new_view: bool = False) -> int:
         """Ledger length at the commit frontier, or at the newest

@@ -144,7 +144,7 @@ class TestLedgerTruncation:
     def test_boundary_is_the_oldest_stable_checkpoint(self, gc_run):
         dep, _, _ = gc_run
         for replica in dep.replicas:
-            stable = replica._oldest_stable_checkpoint()
+            stable = replica.checkpoints.oldest_stable(replica.committed_upto)
             assert stable is not None
             boundary = replica.retention.boundary(stable.ledger_size)
             assert replica.ledger.base_index <= boundary

@@ -280,8 +280,9 @@ class TestRequestQueue:
 
     @staticmethod
     def marks(replica):
+        """The undo's two marks, then the checkpoint counters it restores."""
         return (len(replica.ledger), replica.kv.tx_count,
-                (replica.last_recorded_cp, replica.last_taken_cp))
+                (replica.checkpoints.last_recorded, replica.checkpoints.last_taken))
 
     def test_dropped_then_retransmitted_request_is_queued_once(self):
         """Regression: a drop followed by a retransmission used to leave
@@ -362,7 +363,8 @@ class TestRequestQueue:
         marks = self.marks(backup)
         record, _ = backup._execute_batch(1, 0, BATCH_REGULAR, [a, b])
         assert list(queue.requests) == [c, d]
-        backup._undo_batch_execution(record, *marks)
+        backup._undo_batch_execution(record, *marks[:2])
+        assert self.marks(backup) == marks
         assert list(queue.requests) == [c, d, a, b]
         assert {a, b} <= queue.verified
         assert a not in backup.tx_locations
@@ -392,7 +394,8 @@ class TestRequestQueue:
         self.at(dep, 1.0)
         record, _ = primary._execute_batch(1, 0, BATCH_REGULAR, [undone])
         assert undone not in queue.arrivals  # taken: the arrival left with it
-        primary._undo_batch_execution(record, *marks)
+        primary._undo_batch_execution(record, *marks[:2])
+        assert self.marks(primary) == marks
         assert queue.arrivals[undone] == 1.0
         primary.maybe_send_pre_prepare()  # batch 1 = [rolled, undone]
         primary.views.rollback_to_batch(0)

@@ -302,7 +302,7 @@ class TestSyncSuffix:
         client = dep.add_client(retry_timeout=0.5)
         dep.start()
         run_waves(dep, client, waves=waves, per_wave=20, gap=0.05)
-        recorded = [r.cp_seqno for r in primary.cp_directory.records()]
+        recorded = [r.cp_seqno for r in primary.checkpoints.records()]
         assert max(primary.checkpoints) not in recorded  # taken, not recorded yet
         assert (max(recorded) > 0) == (waves == 8)
         cut_off[0] = False
@@ -367,7 +367,7 @@ class TestInstallReplaysLikeTheAudit:
         with pytest.raises(ProtocolError, match="replayed batch 20: checkpoint transaction"):
             install_ledger(victim, ledger, genesis, schedule)
         assert TestSyncSuffix.state(victim) == before
-        assert victim.cp_directory.records() == []
+        assert victim.checkpoints.records() == []
 
     def test_forged_checkpoint_digest_fails_a_session(self):
         held = []

@@ -143,7 +143,7 @@ class TestCheckpointBoundaryAtWindowEdge:
         replica = dep.replicas[0]
         # Several boundaries crossed, checkpoints taken past them.
         assert replica.committed_upto >= 3 * params.checkpoint_interval
-        assert replica.last_taken_cp >= 2 * params.checkpoint_interval
+        assert replica.checkpoints.last_taken >= 2 * params.checkpoint_interval
         assert dep.ledgers_agree()
 
 

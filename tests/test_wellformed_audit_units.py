@@ -1,11 +1,14 @@
 """Well-formedness checker, checkpoint arithmetic, and audit-unit pieces."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.audit.package import build_ledger_package
-from repro.ledger import LedgerFragment
+from repro.kvstore import Checkpoint, KVStore
+from repro.ledger import LedgerFragment, RetentionPolicy
 from repro.ledger.wellformed import check_well_formed, parse_fragment
-from repro.lpbft.checkpointing import CheckpointDirectory, reference_checkpoint_seqno
+from repro.lpbft.checkpointing import CheckpointStore, reference_checkpoint_seqno
 from repro.errors import WellFormednessError
 
 from helpers import build_deployment, run_workload
@@ -117,7 +120,7 @@ class TestCheckpointArithmetic:
             reference_checkpoint_seqno(5, 10, config_start=10)
 
     def test_directory_matches_closed_form(self):
-        directory = CheckpointDirectory(b"\x00" * 32)
+        directory = CheckpointStore(b"\x00" * 32)
         # Record checkpoint txs the way batches do: at s (mult of C),
         # recording cp at s − C.
         C = 10
@@ -128,7 +131,7 @@ class TestCheckpointArithmetic:
             assert cp_seqno == reference_checkpoint_seqno(s, C), f"s={s}"
 
     def test_directory_rollback(self):
-        directory = CheckpointDirectory(b"\x00" * 32)
+        directory = CheckpointStore(b"\x00" * 32)
         directory.note_record(10, 0, b"\x01" * 32)
         directory.note_record(20, 10, b"\x02" * 32)
         directory.rollback_after(15)
@@ -138,7 +141,7 @@ class TestCheckpointArithmetic:
         dep, replica = honest_ledger
         for info in replica.ledger.batches():
             pp = replica.ledger.batch_pre_prepare(info.seqno)
-            _, expected = replica.cp_directory.reference_for(info.seqno)
+            _, expected = replica.checkpoints.reference_for(info.seqno)
             assert pp.checkpoint_digest == expected
 
 
@@ -148,7 +151,7 @@ class TestCheckpointDirectoryEdgeCases:
     def test_reference_at_exact_record_boundary(self):
         # A checkpoint tx inside the batch at s itself is not yet
         # committed, so reference_for(s) must exclude it; s + 1 sees it.
-        directory = CheckpointDirectory(b"\x00" * 32)
+        directory = CheckpointStore(b"\x00" * 32)
         directory.note_record(10, 0, b"\x01" * 32)
         directory.note_record(20, 10, b"\x02" * 32)
         assert directory.reference_for(10) == (0, b"\x00" * 32)
@@ -160,7 +163,7 @@ class TestCheckpointDirectoryEdgeCases:
         # A forced configuration-start record can be noted while older
         # interval records are replayed afterwards; reference_for must
         # not depend on call order.
-        directory = CheckpointDirectory(b"\x00" * 32)
+        directory = CheckpointStore(b"\x00" * 32)
         directory.note_record(30, 22, b"\x03" * 32)
         directory.note_record(10, 0, b"\x01" * 32)
         directory.note_record(20, 10, b"\x02" * 32)
@@ -171,7 +174,7 @@ class TestCheckpointDirectoryEdgeCases:
     def test_renote_same_batch_replaces(self):
         # An undone batch re-executed in a later view re-notes its record;
         # the stale one must not survive alongside it.
-        directory = CheckpointDirectory(b"\x00" * 32)
+        directory = CheckpointStore(b"\x00" * 32)
         directory.note_record(10, 0, b"\x01" * 32)
         directory.note_record(10, 0, b"\x09" * 32)
         assert len(directory.records()) == 1
@@ -180,7 +183,7 @@ class TestCheckpointDirectoryEdgeCases:
     def test_rollback_after_keeps_record_at_boundary(self):
         # Rolling back *to* the batch that carries a forced
         # configuration-start checkpoint record keeps that record.
-        directory = CheckpointDirectory(b"\x00" * 32)
+        directory = CheckpointStore(b"\x00" * 32)
         directory.note_record(10, 0, b"\x01" * 32)
         directory.note_record(23, 22, b"\x02" * 32)  # config-start record
         directory.note_record(33, 30, b"\x03" * 32)
@@ -190,6 +193,110 @@ class TestCheckpointDirectoryEdgeCases:
         # Re-noting after the rollback (replayed interval record) stays sorted.
         directory.note_record(33, 30, b"\x04" * 32)
         assert directory.reference_for(34) == (30, b"\x04" * 32)
+
+
+def checkpoint(seqno: int, ledger_size: int = 0) -> Checkpoint:
+    """A checkpoint whose state (and so digest) differs per seqno."""
+    kv = KVStore()
+    kv.execute(lambda tx: tx.put("seqno", seqno))
+    return Checkpoint.capture(kv, seqno, ledger_size, b"\x00" * 32)
+
+
+class FakeLedger:
+    """What ``CheckpointStore.gc_boundary`` reads of a ledger."""
+
+    def __init__(self, ends: list[int], base_index: int = 0) -> None:
+        self.base_index = base_index
+        self._infos = [SimpleNamespace(end=end) for end in ends]
+
+    def batches(self):
+        return self._infos
+
+
+class TestCheckpointStore:
+    """The bookkeeping the store owns beyond the records: held
+    checkpoints, their taken-at times, the derived counters, the stable
+    scan and the ledger GC boundary."""
+
+    def test_rollback_after_drops_held_checkpoints_and_their_times(self):
+        store = CheckpointStore(b"\x00" * 32)
+        for seqno in (0, 10, 20, 30):
+            store.take(checkpoint(seqno), float(seqno))
+        store.note_record(20, 10, store[10].digest())
+        store.note_record(30, 20, store[20].digest())
+        store.rollback_after(20)
+        assert list(store) == [0, 10, 20]
+        assert set(store._held) == {0, 10, 20}  # each time goes with its checkpoint
+        assert [r.record_seqno for r in store.records()] == [20]
+        store.rollback_after(15)
+        assert list(store) == [0, 10]
+        assert set(store._held) == {0, 10}
+        assert store.records() == []
+        # Taken again later, checkpoint 20 ages from its new time.
+        store.take(checkpoint(20, ledger_size=7), 50.0)
+        store.note_record(25, 20, store[20].digest())
+        ledger, retention = FakeLedger([7]), RetentionPolicy()
+        assert store.gc_boundary(ledger, 25, 50.5, 1.0, retention) is None
+        assert store.gc_boundary(ledger, 25, 51.0, 1.0, retention) == 7
+
+    def test_derived_counters_follow_undo_and_renote(self):
+        store = CheckpointStore(b"\x00" * 32)
+        store.take(checkpoint(0), 0.0)
+        assert (store.last_taken, store.last_recorded) == (0, -1)
+        store.take(checkpoint(10), 1.0)
+        store.note_record(10, 0, store[0].digest())
+        assert (store.last_taken, store.last_recorded) == (10, 0)
+        # Batch 20 records checkpoint 10, then is undone (root mismatch).
+        store.note_record(20, 10, store[10].digest())
+        assert (store.last_taken, store.last_recorded) == (10, 10)
+        store.rollback_after(19)
+        assert (store.last_taken, store.last_recorded) == (10, 0)
+        # Re-executed in a later view: the re-noted record counts once.
+        store.note_record(20, 10, store[10].digest())
+        store.note_record(20, 10, store[10].digest())
+        assert (store.last_taken, store.last_recorded) == (10, 10)
+        assert len(store.records()) == 2
+        assert (CheckpointStore(b"\x00" * 32).last_taken,
+                CheckpointStore(b"\x00" * 32).last_recorded) == (0, -1)
+
+    def test_newest_and_oldest_stable(self):
+        store = CheckpointStore(b"\x00" * 32)
+        for seqno in (0, 10, 20, 30):
+            store.take(checkpoint(seqno), 0.0)
+        store.note_record(10, 0, store[0].digest())
+        store.note_record(20, 10, store[10].digest())
+        store.note_record(25, 20, b"\x07" * 32)  # names another digest
+        store.note_record(30, 20, store[20].digest())
+        store.note_record(40, 30, store[30].digest())  # above the frontier
+        frontier = 35
+        assert [cp.seqno for cp in store.stable(frontier)] == [0, 10, 20]
+        assert [cp.seqno for cp in store.stable(frontier, newest_first=True)] == [20, 10, 0]
+        # Genesis is stable (state sync serves it) but never supersedes a prefix.
+        assert store.oldest_stable(frontier).seqno == 10
+        assert store.oldest_stable(15) is None
+        assert next(store.stable(15, newest_first=True)).seqno == 0
+        assert next(store.stable(9), None) is None
+
+    def test_gc_boundary_rounds_a_pin_down_to_a_batch_end(self):
+        store = CheckpointStore(b"\x00" * 32)
+        store.take(checkpoint(0, ledger_size=1), 0.0)
+        store.take(checkpoint(10, ledger_size=31), 2.0)
+        store.note_record(10, 0, store[0].digest())
+        store.note_record(20, 10, store[10].digest())
+        retention = RetentionPolicy()
+        ledger = FakeLedger([5, 12, 20, 31, 40])
+        # No stable checkpoint past genesis at this frontier.
+        assert store.gc_boundary(ledger, 19, 10.0, 1.0, retention) is None
+        # Too young for the age floor.
+        assert store.gc_boundary(ledger, 20, 2.5, 1.0, retention) is None
+        assert store.gc_boundary(ledger, 20, 3.0, 1.0, retention) == 31
+        retention.pin("audit", 17)
+        assert store.gc_boundary(ledger, 20, 3.0, 1.0, retention) == 12
+        retention.pin("audit", 4)
+        assert store.gc_boundary(ledger, 20, 3.0, 1.0, retention) is None
+        ledger.base_index = 12
+        retention.pin("audit", 25)
+        assert store.gc_boundary(ledger, 20, 3.0, 1.0, retention) == 20
 
 
 class TestLedgerPackage:
