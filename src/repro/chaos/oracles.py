@@ -80,21 +80,21 @@ def _request_tables_in_step(dep) -> list[str]:
 
 
 def _slot_tables_in_step(dep) -> list[str]:
-    """Every slot-keyed message-table entry names a retained batch or a
-    slot at/above the GC horizon: garbage collection, view-change
-    rollbacks and ledger installs release a slot's messages with its
-    batch.  One residual is out of reach: a prepare whose pre-prepare
-    digest was never indexed carries no seqno to release it by."""
+    """Every indexed digest names a retained record, and every slot-keyed
+    message-table entry a retained batch or a slot at/above the GC horizon:
+    garbage collection, rollbacks and ledger installs release a slot's
+    messages with its batch.  One residual is out of reach: a prepare
+    whose pre-prepare digest was never indexed has no seqno to go by."""
     violations = []
     for r in _correct_replicas(dep):
-        slots = [seqno for _, seqno in r.ppd_index.values()]
-        for table in (r.pps, r.commit_nonces, r.pending_commits, r.own_nonces):
-            slots += [seqno for _, seqno in table]
-        stale = sum(1 for seqno in slots if seqno < r.gc_horizon and seqno not in r.batches)
-        if stale:
+        store = r.batches
+        slots = [rec.seqno for rec in store.digest_index.values() if store.get(rec.seqno) is not rec]
+        for table in (store.commit_nonces, store.pending_commits, store.own_nonces):
+            slots += [seqno for _, seqno in table if seqno < store.gc_horizon and seqno not in store]
+        if slots:
             violations.append(
-                f"quiescence: replica {r.id} holds {stale} message-table entries for "
-                f"slots below its GC horizon {r.gc_horizon} with no retained batch"
+                f"quiescence: replica {r.id} holds {len(slots)} message-table entries for "
+                f"released slots (GC horizon {store.gc_horizon}) with no retained batch"
             )
     return violations
 

@@ -192,10 +192,8 @@ def install_ledger(
         for info in batch_infos if info.seqno <= cp_seqno
         for entries in [ledger.entries(info.first_tx, info.end)]
     )
-    batches: dict[int, BatchRecord] = {}
+    records: list[BatchRecord] = []
     tx_locations: dict = dict(executed or {})
-    new_pps: dict = {}
-    new_ppd: dict = {}
     reconfig = None
     for batch in chain(below, replayed):
         info = batch.info
@@ -241,9 +239,7 @@ def install_ledger(
         if seqno <= committed_upto or (committed_upto == seqno - 1 and seqno in evidenced):
             committed_upto = max(committed_upto, seqno)
             record.prepared = record.committed = True
-        batches[seqno] = record
-        new_pps[(record.view, seqno)] = pp
-        new_ppd[record.pp_digest] = (record.view, seqno)
+        records.append(record)
 
     # Everything verified and built — commit to the replica atomically.
     replica.schedule = schedule
@@ -260,17 +256,9 @@ def install_ledger(
     # entries, a suffix-rooted one falls back to the degraded
     # (schedule-only) sub-ledger until it archives its own truncations.
     replica._gov_archive = None
-    replica.batches = batches
     replica.tx_locations = tx_locations
-    # The adopted ledger's batches are the only ones indexed now;
-    # prepares for a pre-prepare that lost its index go with it.
-    for digest in replica.ppd_index.keys() - new_ppd.keys():
-        replica.prepares_by_ppd.pop(digest, None)
-    for digest, (_, seqno) in new_ppd.items():
-        if digest not in replica.ppd_index:
-            replica._verify_early_prepares(digest, seqno)
-    replica.pps = new_pps
-    replica.ppd_index = new_ppd
+    for record in replica.batches.adopt(records):
+        replica._verify_early_prepares(record.pp_digest, record.seqno)
     replica.admission.discard(tx_locations)
     replica.prepared_upto = replica.committed_upto = committed_upto
     replica.next_seqno = ledger.last_seqno() + 1
@@ -279,9 +267,9 @@ def install_ledger(
     replica.metrics.bump("ledger_adoptions")
     # The unproven tail prepares and commits from whatever the stores
     # already hold for it.
-    tail = [record for seqno, record in batches.items() if seqno > committed_upto]
+    tail = [record for record in records if record.seqno > committed_upto]
     for record in tail:
         replica._drain_pending_commits(record.view, record.seqno)
     if tail:
         replica._check_prepared(tail[0].view, tail[0].seqno)
-    return sum(seqno > cp_seqno for seqno in batches)
+    return sum(record.seqno > cp_seqno for record in records)

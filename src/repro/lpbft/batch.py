@@ -1,5 +1,5 @@
-"""What a replica remembers about one executed batch, the one way a
-transaction runs against a store, and the reconfiguration in flight.
+"""What a replica remembers about its batches and their slots' messages,
+the one way a transaction runs against a store, and the reconfiguration in flight.
 
 A leaf module: the replica, its view changes, its ledger install
 (:mod:`.adoption`) and the auditor's replay need these, and none of them
@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..crypto.hashing import Digest
+from ..crypto.nonces import NonceCommitment
 from ..errors import TransactionAborted
 from ..governance.configuration import Configuration
 from ..kvstore import EMPTY_WS, KVStore, ProcedureRegistry
 from ..merkle import MerkleTree
-from .messages import PrePrepare, TransactionRequest
+from .messages import Commit, Prepare, PrePrepare, TransactionRequest
 
 
 def execute_procedure(
@@ -65,6 +66,76 @@ class BatchRecord:
 
     def request_count(self) -> int:
         return sum(1 for d in self.tx_digests if d is not None)
+
+
+class BatchStore(dict):
+    """A replica's message store (Alg. 1): a ``dict`` seqno → :class:`BatchRecord`
+    for reads, plus the records by pre-prepare digest and their slots' messages.
+    Only the store adds or removes a record, and a removed record's digest and
+    prepares go with it; a slot's nonces and pending commits stay until GC passes
+    the slot (a rolled-back slot keeps its own nonce: Alg. 1 line 16's guard)."""
+
+    def __init__(self) -> None:
+        self.digest_index: dict[Digest, BatchRecord] = {}  # pp digest -> held record
+        self.prepares_by_ppd: dict[Digest, dict[int, Prepare]] = {}  # early ones unverified
+        self.commit_nonces: dict[tuple[int, int], dict[int, bytes]] = {}
+        self.pending_commits: dict[tuple[int, int], list[Commit]] = {}
+        self.own_nonces: dict[tuple[int, int], NonceCommitment] = {}
+        self.gc_horizon = 0  # slots below it were released: no pre-prepare reopens one
+
+    def by_digest(self, pp_digest: Digest) -> BatchRecord | None:
+        return self.digest_index.get(pp_digest)
+
+    def pre_prepared(self, view: int, seqno: int) -> BatchRecord | None:
+        record = self.get(seqno)
+        return record if record is not None and record.view == view else None
+
+    def add_prepare(self, prepare: Prepare) -> None:
+        self.prepares_by_ppd.setdefault(prepare.pp_digest, {})[prepare.replica] = prepare
+
+    def install(self, record: BatchRecord) -> None:
+        self[record.seqno] = record
+        self.digest_index[record.pp_digest] = record
+
+    def _remove(self, seqno: int) -> BatchRecord:
+        record = self.pop(seqno)
+        del self.digest_index[record.pp_digest]
+        self.prepares_by_ppd.pop(record.pp_digest, None)
+        return record
+
+    def remove_above(self, target: int) -> list[BatchRecord]:
+        """A view-change rollback: drop the records above ``target``, oldest first."""
+        return [self._remove(seqno) for seqno in sorted(s for s in self if s > target)]
+
+    def release_below(self, horizon: int, pinned: set[int]) -> list[BatchRecord]:
+        """Garbage collection: drop the committed, unpinned records below
+        ``horizon``, then every message of a slot below it that keeps no
+        record — by seqno, so keys a rollback left under another view go."""
+        self.gc_horizon = horizon
+        below = [s for s, record in self.items() if s < horizon and s not in pinned and record.committed]
+        removed = [self._remove(seqno) for seqno in below]
+        for table in (self.commit_nonces, self.pending_commits, self.own_nonces):
+            for key in [k for k in table if k[1] < horizon and k[1] not in self]:
+                del table[key]
+        return removed
+
+    def adopt(self, records: list[BatchRecord]) -> list[BatchRecord]:
+        """A ledger install: hold exactly ``records`` (in seqno order) and
+        drop the prepares of every digest no longer indexed; returns the
+        newly indexed records, whose early prepares are unverified."""
+        index = {record.pp_digest: record for record in records}
+        for digest in self.digest_index.keys() - index.keys():
+            self.prepares_by_ppd.pop(digest, None)
+        fresh = [record for record in records if record.pp_digest not in self.digest_index]
+        self.clear()
+        self.update((record.seqno, record) for record in records)
+        self.digest_index = index
+        return fresh
+
+    def forget_messages(self) -> None:
+        """Lose every slot message (a process restart); records stay."""
+        for table in (self.prepares_by_ppd, self.commit_nonces, self.pending_commits, self.own_nonces):
+            table.clear()
 
 
 @dataclass

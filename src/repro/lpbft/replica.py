@@ -67,7 +67,7 @@ from ..sim.metrics import MetricsCollector
 from ..statesync.client import StateSyncClient
 from ..statesync.server import StateSyncServer
 from .admission import Admission
-from .batch import BatchRecord, ReconfigState, execute_procedure  # noqa: F401  (re-exported)
+from .batch import BatchRecord, BatchStore, ReconfigState, execute_procedure  # noqa: F401  (re-exported)
 from .checkpointing import CheckpointStore
 from .config import ProtocolParams
 from .messages import (
@@ -167,18 +167,9 @@ class LPBFTReplica(Node):
         self.syncing = False
 
         # Stores.  The request queue T and everything keyed by a request
-        # digest belong to the admission component.
+        # digest belong to the admission component, slot messages to the batch store.
         self.admission = Admission(self)
-        self.batches: dict[int, BatchRecord] = {}
-        self.pps: dict[tuple[int, int], PrePrepare] = {}
-        self.ppd_index: dict[Digest, tuple[int, int]] = {}
-        self.prepares_by_ppd: dict[Digest, dict[int, Prepare]] = {}
-        self.commit_nonces: dict[tuple[int, int], dict[int, bytes]] = {}
-        self.pending_commits: dict[tuple[int, int], list[Commit]] = {}
-        self.own_nonces: dict[tuple[int, int], NonceCommitment] = {}
-        # Slots below the horizon were released by ``_garbage_collect``
-        # (unless their batch is pinned): no pre-prepare can reopen one.
-        self.gc_horizon = 0
+        self.batches = BatchStore()
         self.tx_locations: dict[Digest, tuple[int, int]] = {}  # digest -> (seqno, index)
         self.pending_pps: list[tuple] = []  # stashed (pp_wire, digests, trace_ctx)
         # View of the last pre-prepare dropped for being *below* our view —
@@ -372,13 +363,13 @@ class LPBFTReplica(Node):
         replicas the primary chose — backups must append *the same* Ps−P
         and Ks−P."""
         record = self.batches.get(seqno)
-        if record is None or record.pp is None:
+        if record is None:
             return None
         view = record.view
         config = self.config_for(seqno)
         primary_id = config.primary_for_view(view)
-        nonces_by = self.commit_nonces.get((view, seqno), {})
-        prepares = self.prepares_by_ppd.get(record.pp_digest, {})
+        nonces_by = self.batches.commit_nonces.get((view, seqno), {})
+        prepares = self.batches.prepares_by_ppd.get(record.pp_digest, {})
         if bitmap is None:
             eligible = sorted(r for r in nonces_by if r == primary_id or r in prepares)
             if primary_id not in eligible or len(eligible) < config.quorum:
@@ -615,7 +606,7 @@ class LPBFTReplica(Node):
         """Sign the pre-prepare for a freshly executed batch (primary)."""
         s, view = record.seqno, record.view
         nonce = self._fresh_nonce()
-        self.own_nonces[(view, s)] = nonce
+        self.batches.own_nonces[(view, s)] = nonce
         _, cp_digest = self.checkpoints.reference_for(s)
         committed_root = b""
         if record.flags == BATCH_END_OF_CONFIG and self.reconfig is not None:
@@ -649,9 +640,7 @@ class LPBFTReplica(Node):
             self.submit("append", entries * self.costs.ledger_append)
             self.submit("hash", entries * 2 * self.costs.hash_fixed)
         record.ledger_end = len(self.ledger)
-        self.batches[record.seqno] = record
-        self.pps[(record.view, record.seqno)] = pp
-        self.ppd_index[record.pp_digest] = (record.view, record.seqno)
+        self.batches.install(record)
         self._verify_early_prepares(record.pp_digest, record.seqno)
 
     def _verify_early_prepares(self, pp_digest: Digest, seqno: int) -> None:
@@ -660,7 +649,7 @@ class LPBFTReplica(Node):
         it against.  Now that the digest names a slot, verify what is
         stored under it in one fan-out, before anything counts it toward
         the prepare quorum or ships it as evidence."""
-        early = self.prepares_by_ppd.get(pp_digest)
+        early = self.batches.prepares_by_ppd.get(pp_digest)
         if not early:
             return
         config = self.config_for(seqno)
@@ -671,7 +660,7 @@ class LPBFTReplica(Node):
         valid = {p.replica: p for p, ok in zip(members, verdicts) if ok}
         if len(valid) < len(members):
             self.metrics.bump("bad_prepare_signatures", len(members) - len(valid))
-        self.prepares_by_ppd[pp_digest] = valid
+        self.batches.prepares_by_ppd[pp_digest] = valid
 
     def _after_local_pre_prepare(self, record: BatchRecord) -> None:
         """Shared post-processing: advance, checkpoint, notice referendums,
@@ -730,7 +719,7 @@ class LPBFTReplica(Node):
         config = self.config_for(s)
         if not self.ready:
             return False
-        if (pp.view, s) in self.own_nonces:
+        if (pp.view, s) in self.batches.own_nonces:
             return True  # already sent a prepare for this (v, s): drop (line 16)
         missing = [d for d in batch_digests if d not in self.admission and d not in self.tx_locations]
         if missing:
@@ -811,10 +800,10 @@ class LPBFTReplica(Node):
 
         self._install_batch(record, m_leaves, pp)
         nonce = self._fresh_nonce()
-        self.own_nonces[(pp.view, s)] = nonce
+        self.batches.own_nonces[(pp.view, s)] = nonce
         prepare = Prepare(replica=self.id, nonce_commitment=nonce.commitment, pp_digest=record.pp_digest)
         prepare = prepare.with_signature(self._sign(prepare.signed_payload()))
-        self._store_prepare(prepare)
+        self.batches.add_prepare(prepare)
         if self.is_member(s):
             payload = ("prepare", prepare.to_wire())
             for dst in self.peer_addresses():
@@ -849,10 +838,9 @@ class LPBFTReplica(Node):
 
     def handle_prepare(self, src: str, msg: tuple) -> None:
         prepare = Prepare.from_wire(msg[1])
-        located = self.ppd_index.get(prepare.pp_digest)
-        if located is not None:
-            view, seqno = located
-            config = self.config_for(seqno)
+        record = self.batches.by_digest(prepare.pp_digest)
+        if record is not None:
+            config = self.config_for(record.seqno)
             if not config.has_replica(prepare.replica):
                 return
             if not self._verify(
@@ -862,34 +850,31 @@ class LPBFTReplica(Node):
                 return
         # An early prepare (digest not indexed yet) is stored unchecked;
         # ``_verify_early_prepares`` checks it when the digest gets a slot.
-        self._store_prepare(prepare)
-        if located is not None:
-            self._check_prepared(*located)
-            self._drain_pending_commits(*located)
+        self.batches.add_prepare(prepare)
+        if record is not None:
+            self._check_prepared(record.view, record.seqno)
+            self._drain_pending_commits(record.view, record.seqno)
         self._retry_pending_pps()
-
-    def _store_prepare(self, prepare: Prepare) -> None:
-        self.prepares_by_ppd.setdefault(prepare.pp_digest, {})[prepare.replica] = prepare
 
     def handle_commit(self, src: str, msg: tuple) -> None:
         commit = Commit.from_wire(msg[1])
-        if (commit.view, commit.seqno) not in self.pps:
-            if commit.seqno >= self.gc_horizon:  # else: late, for a released slot
-                self.pending_commits.setdefault((commit.view, commit.seqno), []).append(commit)
+        if self.batches.pre_prepared(commit.view, commit.seqno) is None:
+            if commit.seqno >= self.batches.gc_horizon:  # else: late, for a released slot
+                self.batches.pending_commits.setdefault((commit.view, commit.seqno), []).append(commit)
             return
         self._apply_commit(commit)
         self._retry_pending_pps()
 
     def _drain_pending_commits(self, view: int, seqno: int) -> None:
-        for commit in self.pending_commits.pop((view, seqno), []):
+        for commit in self.batches.pending_commits.pop((view, seqno), []):
             self._apply_commit(commit)
 
     def _apply_commit(self, commit: Commit) -> None:
         """Validate a revealed nonce against the commitment its sender
         signed — the pre-prepare for the primary, a prepare otherwise."""
         key = (commit.view, commit.seqno)
-        pp = self.pps.get(key)
-        if pp is None:
+        record = self.batches.pre_prepared(*key)
+        if record is None:
             return
         config = self.config_for(commit.seqno)
         if not config.has_replica(commit.replica):
@@ -898,20 +883,16 @@ class LPBFTReplica(Node):
         commitment = commit_nonce(commit.nonce)
         self.submit("hash", self.costs.hash_fixed)
         if commit.replica == primary_id:
-            if commitment != pp.nonce_commitment:
-                self.metrics.bump("bad_commit_nonces")
-                return
+            signer = record.pp
         else:
-            record = self.batches.get(commit.seqno)
-            ppd = record.pp_digest if record is not None and record.view == commit.view else pp.digest()
-            prepare = self.prepares_by_ppd.get(ppd, {}).get(commit.replica)
-            if prepare is None:
-                self.pending_commits.setdefault(key, []).append(commit)
-                return
-            if prepare.nonce_commitment != commitment:
-                self.metrics.bump("bad_commit_nonces")
-                return
-        self.commit_nonces.setdefault(key, {})[commit.replica] = commit.nonce
+            signer = self.batches.prepares_by_ppd.get(record.pp_digest, {}).get(commit.replica)
+        if signer is None:
+            self.batches.pending_commits.setdefault(key, []).append(commit)
+            return
+        if signer.nonce_commitment != commitment:
+            self.metrics.bump("bad_commit_nonces")
+            return
+        self.batches.commit_nonces.setdefault(key, {})[commit.replica] = commit.nonce
         self._check_committed(commit.view, commit.seqno)
 
     def _check_prepared(self, view: int, seqno: int) -> None:
@@ -922,7 +903,7 @@ class LPBFTReplica(Node):
         if record is None or record.prepared or record.view != view:
             return
         config = self.config_for(seqno)
-        prepares = self.prepares_by_ppd.get(record.pp_digest, {})
+        prepares = self.batches.prepares_by_ppd.get(record.pp_digest, {})
         if len(prepares) < config.quorum - 1:
             return
         if self.prepared_upto != seqno - 1:
@@ -933,7 +914,7 @@ class LPBFTReplica(Node):
         if record.quorum_span is not None:
             record.quorum_span.set(prepared_at=self.cpu_time())
         if self.is_member(seqno):
-            nonce = self.own_nonces.get((view, seqno))
+            nonce = self.batches.own_nonces.get((view, seqno))
             if nonce is not None:
                 commit = Commit(view=view, seqno=seqno, replica=self.id, nonce=nonce.nonce)
                 payload = ("commit", commit.to_wire())
@@ -941,7 +922,7 @@ class LPBFTReplica(Node):
                     out = payload if self.behavior is None else self.behavior.outgoing_commit(self, dst, payload)
                     if out is not None:
                         self.send(dst, out)
-                self.commit_nonces.setdefault((view, seqno), {})[self.id] = nonce.nonce
+                self.batches.commit_nonces.setdefault((view, seqno), {})[self.id] = nonce.nonce
             self._send_replies(record)
         self._check_committed(view, seqno)
         nxt = self.batches.get(seqno + 1)
@@ -953,7 +934,7 @@ class LPBFTReplica(Node):
         if record is None or record.committed or record.view != view or not record.prepared:
             return
         config = self.config_for(seqno)
-        nonces = self.commit_nonces.get((view, seqno), {})
+        nonces = self.batches.commit_nonces.get((view, seqno), {})
         primary_id = config.primary_for_view(view)
         if len(nonces) < config.quorum or primary_id not in nonces:
             return
@@ -987,14 +968,14 @@ class LPBFTReplica(Node):
         backup) no own prepare whose signature doubles as the reply
         signature (§3.3)."""
         config = self.config_for(record.seqno)
-        nonce = self.own_nonces.get((record.view, record.seqno))
-        if nonce is None or record.pp is None:
+        nonce = self.batches.own_nonces.get((record.view, record.seqno))
+        if nonce is None:
             return None
         primary_id = config.primary_for_view(record.view)
         if self.id == primary_id:
             signature = record.pp.signature
         else:
-            own_prepare = self.prepares_by_ppd.get(record.pp_digest, {}).get(self.id)
+            own_prepare = self.batches.prepares_by_ppd.get(record.pp_digest, {}).get(self.id)
             if own_prepare is None:
                 return None
             signature = own_prepare.signature
@@ -1169,7 +1150,6 @@ class LPBFTReplica(Node):
         horizon = stable_seqno - self.params.checkpoint_interval
         if horizon <= 0:
             return
-        self.gc_horizon = horizon
         # Batches holding governance transactions (and the pending EOC
         # batch) stay pinned until activation assembles their receipts
         # into the governance link: a referendum easily spans more than a
@@ -1179,21 +1159,8 @@ class LPBFTReplica(Node):
         pinned = {seqno for seqno, _, _ in self.gov_tx_log}
         if self.reconfig is not None:
             pinned.add(self.reconfig.eoc_receipt_seqno(self.params.pipeline))
-        for seqno in [s for s in self.batches if s < horizon and s not in pinned]:
-            if self.batches[seqno].committed:
-                self.admission.forget(self.batches.pop(seqno))
-        # The per-slot message tables go with their batch — by seqno, so
-        # the keys a view change or a ledger install left behind under
-        # another view (or for a slot that never got a record) go too.
-        def released(seqno: int) -> bool:
-            return seqno < horizon and seqno not in self.batches
-
-        for digest in [d for d, (_, s) in self.ppd_index.items() if released(s)]:
-            del self.ppd_index[digest]
-            self.prepares_by_ppd.pop(digest, None)
-        for table in (self.pps, self.commit_nonces, self.pending_commits, self.own_nonces):
-            for key in [k for k in table if released(k[1])]:
-                del table[key]
+        for record in self.batches.release_below(horizon, pinned):
+            self.admission.forget(record)
         self.checkpoints.prune_below(horizon, self.committed_upto)
         # A rollback targets a retained batch (``rollback_to_batch`` raises
         # on an unknown one), so undo records below every kept mark are dead.
@@ -1353,7 +1320,7 @@ class LPBFTReplica(Node):
         transaction receipt when ``tx_digest`` names a transaction in the
         batch, a batch receipt otherwise."""
         record = self.batches.get(seqno)
-        if record is None or record.pp is None:
+        if record is None:
             return None
         built = self._evidence(seqno)
         if built is None:
@@ -1431,7 +1398,7 @@ class LPBFTReplica(Node):
         for the batch."""
         seqno = msg[1]
         record = self.batches.get(seqno)
-        if record is None or record.pp is None:
+        if record is None:
             return
         evidence = entry_from_wire(msg[2])
         nonces = entry_from_wire(msg[3])
@@ -1453,24 +1420,16 @@ class LPBFTReplica(Node):
                 for p in candidates
             ]
         )
-        accepted: dict[int, Prepare] = {}
         for prepare, ok in zip(candidates, verdicts):
-            if not ok:
-                continue
-            self._store_prepare(prepare)
-            accepted[prepare.replica] = prepare
-        store = self.commit_nonces.setdefault((record.view, seqno), {})
+            if ok:
+                self.batches.add_prepare(prepare)
+        prepares = self.batches.prepares_by_ppd.get(record.pp_digest, {})
+        store = self.batches.commit_nonces.setdefault((record.view, seqno), {})
         for replica_id, nonce in zip(bitmap_members(nonces.bitmap), nonces.nonces):
             commitment = commit_nonce(nonce)
-            if replica_id == primary_id:
-                if commitment == record.pp.nonce_commitment:
-                    store.setdefault(replica_id, nonce)
-            else:
-                prepare = accepted.get(replica_id) or self.prepares_by_ppd.get(
-                    record.pp_digest, {}
-                ).get(replica_id)
-                if prepare is not None and prepare.nonce_commitment == commitment:
-                    store.setdefault(replica_id, nonce)
+            signer = record.pp if replica_id == primary_id else prepares.get(replica_id)
+            if signer is not None and signer.nonce_commitment == commitment:
+                store.setdefault(replica_id, nonce)
         # The bundle may be the proof an installed tail waits for.
         self._check_prepared(record.view, seqno)
         self._retry_pending_pps()
@@ -1531,10 +1490,7 @@ class LPBFTReplica(Node):
         self.views.reset()
         self.sync_client.abort()
         self.pending_pps = []
-        self.pending_commits = {}
-        self.prepares_by_ppd = {}
-        self.commit_nonces = {}
-        self.own_nonces = {}
+        self.batches.forget_messages()
         self._last_lower_view_drop = None
         self.syncing = False
         self.ready = True

@@ -313,18 +313,13 @@ class ViewManager:
         for entry in removed:
             if isinstance(entry, EvidenceEntry):
                 for prepare in entry.prepares():
-                    r._store_prepare(prepare)
+                    r.batches.add_prepare(prepare)
             elif isinstance(entry, NoncesEntry):
-                store = r.commit_nonces.setdefault((entry.view, entry.seqno), {})
+                store = r.batches.commit_nonces.setdefault((entry.view, entry.seqno), {})
                 for replica_id, nonce in zip(bitmap_members(entry.bitmap), entry.nonces):
                     store.setdefault(replica_id, nonce)
-        # Drop batch records above the target.
-        for seqno in sorted(s for s in r.batches if s > target):
-            record = r.batches.pop(seqno)
-            r.pps.pop((record.view, seqno), None)
-            if record.pp_digest is not None:
-                r.ppd_index.pop(record.pp_digest, None)
-                r.prepares_by_ppd.pop(record.pp_digest, None)
+        # Drop batch records above the target; their slots' nonces stay.
+        for record in r.batches.remove_above(target):
             # No arrival time: the requests are not aged out of the queue
             # before the new view re-issues their batch.
             r._unexecute(record)

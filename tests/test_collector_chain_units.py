@@ -36,12 +36,12 @@ def reply_messages_for(dep, client, tx_digest):
     replies = {}
     for replica in dep.replicas:
         record = replica.batches[receipt.seqno]
-        nonce = replica.own_nonces[(record.view, record.seqno)]
+        nonce = replica.batches.own_nonces[(record.view, record.seqno)]
         config = replica.config_for(record.seqno)
         if replica.id == config.primary_for_view(record.view):
             signature = record.pp.signature
         else:
-            signature = replica.prepares_by_ppd[record.pp_digest][replica.id].signature
+            signature = replica.batches.prepares_by_ppd[record.pp_digest][replica.id].signature
         replies[replica.id] = Reply(
             view=record.view, seqno=record.seqno, replica=replica.id,
             signature=signature, nonce=nonce.nonce,

@@ -504,9 +504,9 @@ class TestRequestQueue:
             replica=3, nonce_commitment=b"\0" * 32, pp_digest=pp.digest(), signature=b"forged"
         )
         backup.on_message("anyone", ("prepare", forged.to_wire()))
-        assert backup.prepares_by_ppd[pp.digest()][3].signature == b"forged"
+        assert backup.batches.prepares_by_ppd[pp.digest()][3].signature == b"forged"
         assert backup._try_accept_pre_prepare(pp, (a,)) is True
-        assert set(backup.prepares_by_ppd[pp.digest()]) == {backup.id}
+        assert set(backup.batches.prepares_by_ppd[pp.digest()]) == {backup.id}
         assert not backup.batches[1].prepared
         assert backup.metrics.counters["bad_prepare_signatures"] == 1
 
