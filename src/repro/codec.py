@@ -18,6 +18,7 @@ versions and platforms.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from typing import Any, Iterator
 
 from .errors import CodecError
@@ -54,10 +55,44 @@ class Sealed(tuple):
     digest: bytes | None = None
 
 
-def seal(value: tuple | list) -> Sealed:
-    """Encode ``value`` once and return it carrying those bytes."""
-    if type(value) is Sealed:
+class SealedMap(Mapping):
+    """A read-only map held as nothing but its canonical encoding.
+
+    ``wire_bytes`` is ``encode`` of a ``dict``; every read decodes it, so
+    keys come back in canonical (sorted) order and sequences as tuples.
+    The encoder splices the bytes verbatim, as it does a :class:`Sealed`'s,
+    and the same invariant holds: a seal is made only from bytes this
+    process encoded (:func:`seal`, or a ledger entry's own ``(t, i, o)``
+    encoding), never from bytes that arrived.  ``==`` is ``Mapping``
+    equality, so ``False`` and ``0`` compare as they do in dicts.  A
+    ledger entry's output is one: it is held at its encoded size.
+    """
+
+    __slots__ = ("wire_bytes",)
+
+    def __init__(self, wire_bytes: bytes) -> None:
+        self.wire_bytes = wire_bytes
+
+    def __getitem__(self, key: str) -> Any:
+        return decode(self.wire_bytes)[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(decode(self.wire_bytes))
+
+    def __len__(self) -> int:
+        return _read_varint(self.wire_bytes, 1)[0]
+
+    def __repr__(self) -> str:
+        return repr(decode(self.wire_bytes))
+
+
+def seal(value: tuple | list | dict) -> Sealed | SealedMap:
+    """Encode ``value`` once and return it carrying those bytes: a
+    :class:`SealedMap` for a ``dict``, a :class:`Sealed` otherwise."""
+    if type(value) is Sealed or type(value) is SealedMap:
         return value
+    if type(value) is dict:
+        return SealedMap(encode(value))
     plain = tuple(value)
     sealed = Sealed(plain)
     sealed.wire_bytes = encode(plain)
@@ -256,7 +291,7 @@ def _encode_map(out: bytearray, value: dict) -> None:
         (_ENCODERS.get(type(item)) or _encoder_for(type(item)))(out, item)
 
 
-def _encode_sealed(out: bytearray, value: Sealed) -> None:
+def _encode_sealed(out: bytearray, value: Sealed | SealedMap) -> None:
     out += value.wire_bytes
 
 
@@ -272,6 +307,7 @@ _ENCODERS = {
     list: _encode_seq,
     dict: _encode_map,
     Sealed: _encode_sealed,
+    SealedMap: _encode_sealed,
 }
 
 
@@ -287,7 +323,7 @@ def _encoder_for(kind: type):
 def encode(value: Any) -> bytes:
     """Encode ``value`` into its canonical byte representation."""
     kind = type(value)
-    if kind is Sealed:
+    if kind is Sealed or kind is SealedMap:
         return value.wire_bytes
     out = bytearray()
     (_ENCODERS.get(kind) or _encoder_for(kind))(out, value)
@@ -474,7 +510,7 @@ def encoded_size(value: Any) -> int:
     """Return the size in bytes of the canonical encoding of ``value``.
     A seal, ``bytes`` and an ``int`` are sized directly."""
     kind = type(value)
-    if kind is Sealed:
+    if kind is Sealed or kind is SealedMap:
         return len(value.wire_bytes)
     if kind is bytes:
         return 1 + _varint_size(len(value)) + len(value)

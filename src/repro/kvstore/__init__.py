@@ -12,7 +12,7 @@ store that maintained it, never taken from a peer.  The store provides:
   accumulator) that stores, checkpoints, genesis state, state sync and
   audits pass by reference;
 - :class:`KVStore` — a base reference plus its own delta, with
-  per-transaction undo records, rollback of any retained suffix of the
+  per-transaction undo tuples, rollback of any retained suffix of the
   transaction history, canonical checkpoint digests, and write-set
   hashing;
 - :class:`KVTransaction` — the read/write handle passed to stored
@@ -22,7 +22,7 @@ store that maintained it, never taken from a peer.  The store provides:
   calling stored procedures").
 """
 
-from .store import EMPTY_WS, KVStore, KVTransaction, Snapshot, TxRecord
+from .store import EMPTY_WS, KVStore, KVTransaction, Snapshot
 from .checkpoints import (
     Checkpoint,
     ChunkReassembler,
@@ -37,7 +37,6 @@ __all__ = [
     "KVStore",
     "KVTransaction",
     "Snapshot",
-    "TxRecord",
     "Checkpoint",
     "ChunkReassembler",
     "checkpoint_digest",

@@ -1,7 +1,7 @@
 """Transactional key-value store: shared immutable base + per-store delta.
 
 Keys are strings; values are any codec-encodable value.  Every committed
-transaction appends a :class:`TxRecord` to the store's transaction log so
+transaction appends its undo tuple to the store's transaction log so
 that a suffix of executed transactions can be rolled back (paper Lemma 1:
 "the key-value store maintains a roll back transaction log; transactions
 can be rolled back at a single transaction granularity").
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
@@ -182,21 +181,6 @@ def _write_set_digest(writes: dict[str, Any]) -> Digest:
 EMPTY_WS = _write_set_digest({})
 
 
-@dataclass(slots=True)
-class TxRecord:
-    """Undo information for one committed transaction: all a rollback
-    reads back.
-
-    ``undo`` is the flat tuple ``(key, prior, key, prior, ...)`` of each
-    written key and its prior value (the ``_MISSING`` sentinel when the
-    key did not exist).  Keys and values are atoms, so the cyclic
-    collector stops tracking the tuple.
-    """
-
-    tx_id: int
-    undo: tuple
-
-
 class KVTransaction:
     """Read/write handle for one transaction.
 
@@ -281,18 +265,16 @@ class KVTransaction:
     def write_set_digest(self) -> Digest:
         """Canonical digest of the buffered writes (key-sorted): the
         ``ws`` of the transaction's output.  Taken before :meth:`_commit`,
-        so no record keeps a copy of the write set."""
+        so no undo tuple keeps a copy of the write set."""
         return _write_set_digest(self._writes) if self._writes else EMPTY_WS
 
-    def _commit(self) -> TxRecord:
-        """Apply buffered writes; returns the undo record."""
+    def _commit(self) -> tuple:
+        """Apply buffered writes; returns the undo tuple the store logs."""
         self._check_open()
         self._closed = True
-        store = self._store
-        record = TxRecord(tx_id=store._next_tx_id, undo=store._apply(self._writes.items()))
-        store._next_tx_id += 1
-        store._log.append(record)
-        return record
+        undo = self._store._apply(self._writes.items())
+        self._store._log.append(undo)
+        return undo
 
     def _discard(self) -> None:
         self._closed = True
@@ -315,19 +297,22 @@ class KVStore(_Layered):
     """
 
     def __init__(self, initial: Snapshot | dict[str, Any] | None = None) -> None:
-        self._log: list[TxRecord] = []
-        self._next_tx_id = 0
+        # One undo tuple per committed transaction, oldest first: the flat
+        # ``(key, prior, key, prior, ...)`` of each written key and its
+        # prior value (``_MISSING`` when the key did not exist).  Keys and
+        # values are atoms, so the cyclic collector stops tracking it.
+        self._log: list[tuple] = []
         self.restore({} if initial is None else initial)
 
     # -- transaction execution -------------------------------------------
 
-    def execute(self, fn: Callable[[KVTransaction], Any]) -> tuple[Any, TxRecord | None]:
+    def execute(self, fn: Callable[[KVTransaction], Any]) -> tuple[Any, tuple | None]:
         """Run ``fn`` inside a transaction.
 
-        Returns ``(result, record)`` on commit.  If ``fn`` raises
-        :class:`TransactionAborted`, nothing is applied and
-        ``(None, None)`` is returned with the abort reason attached as
-        ``result`` via the exception message.
+        Returns ``(result, undo)`` on commit, ``undo`` the logged undo
+        tuple.  If ``fn`` raises :class:`TransactionAborted`, nothing is
+        applied and ``(None, None)`` is returned with the abort reason
+        attached as ``result`` via the exception message.
         """
         tx = KVTransaction(self)
         try:
@@ -338,8 +323,7 @@ class KVStore(_Layered):
         except Exception:
             tx._discard()
             raise
-        record = tx._commit()
-        return result, record
+        return result, tx._commit()
 
     def begin(self) -> KVTransaction:
         """Explicit transaction handle (prefer :meth:`execute`)."""
@@ -390,17 +374,15 @@ class KVStore(_Layered):
                 f"{self._forgotten}..{self.tx_count}"
             )
         for _ in range(self.tx_count - tx_count):
-            record = self._log.pop()
-            undo = record.undo
+            undo = self._log.pop()
             self._apply(zip(undo[::2], undo[1::2]))
-            self._next_tx_id = record.tx_id
 
     def rollback_last(self, n: int = 1) -> None:
         """Undo the last ``n`` committed transactions."""
         self.rollback_to(self.tx_count - n)
 
     def forget_before(self, mark: int) -> None:
-        """Drop the undo records of transactions below ``mark`` (a
+        """Drop the undo tuples of transactions below ``mark`` (a
         :attr:`tx_count` value); rolling back below it is then an error."""
         if mark > self.tx_count:
             raise KVError(f"cannot forget up to {mark}, only {self.tx_count} committed")

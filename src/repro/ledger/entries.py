@@ -81,9 +81,13 @@ _TIO_HEAD_SIZE = codec.sequence_size(3, 0)
 class TxEntry(LedgerEntry):
     """A transaction entry ``⟨t, i, o⟩`` (Fig. 3).
 
-    ``output`` is a dict with the client-visible reply (``"reply"``) and
+    ``output`` is a map with the client-visible reply (``"reply"``) and
     the digest of the transaction's write set (``"ws"``), so replay can
-    detect silently-dropped writes even when the reply matches.
+    detect silently-dropped writes even when the reply matches.  The
+    first encoding of ``(t, i, o)`` replaces a ``dict`` output by its
+    :class:`~repro.codec.SealedMap`, cut from those bytes: an entry holds
+    its output at its encoded size, and every receipt and replyx built
+    from it shares that one seal.
     """
 
     kind: ClassVar[str] = "tx"
@@ -109,21 +113,32 @@ class TxEntry(LedgerEntry):
         """``(digest(), leaf_digest())`` from one encoding of ``(t, i, o)``,
         the G preimage.  Remembers the G leaf, as :meth:`leaf_digest`
         does."""
-        encoded = codec.encode(self.tio())
+        encoded = self._encode_tio()
         g_leaf = digest(encoded)
         object.__setattr__(self, "_leaf_digest", g_leaf)
         return _wire_leaf(encoded), g_leaf
 
     def digest(self) -> Digest:
         """The M leaf; remembered by tree M, not here."""
-        return _wire_leaf(codec.encode(self.tio()))
+        return _wire_leaf(self._encode_tio())
 
     @memoised
     def leaf_digest(self) -> Digest:
         """This entry's leaf in the per-batch tree G.  Remembered (32
         bytes, never the encoding): execution, replyx rebuilds and view
         changes all ask the entry the ledger holds."""
-        return digest(codec.encode(self.tio()))
+        return digest(self._encode_tio())
+
+    def _encode_tio(self) -> bytes:
+        """``encode(tio())``.  A ``dict`` output is sealed from these
+        bytes: its encoding is their suffix after the three-item header,
+        ``t`` and ``i``."""
+        t, i, o = self.request_wire, self.index, self.output
+        encoded = codec.encode((t, i, o))
+        if type(o) is dict:
+            start = _TIO_HEAD_SIZE + codec.encoded_size(t) + codec.encoded_size(i)
+            object.__setattr__(self, "output", codec.SealedMap(encoded[start:]))
+        return encoded
 
 
 def _wire_leaf(tio_encoding: bytes) -> Digest:

@@ -16,6 +16,7 @@ configuration number; the replicas that signed both can be blamed.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from ..crypto import signatures
@@ -126,7 +127,7 @@ def verify_chain(
             raise ReceiptError(
                 f"link {position}: propose receipt is for {propose_request.procedure!r}"
             )
-        result = propose.output.get("reply") if isinstance(propose.output, dict) else None
+        result = propose.output.get("reply") if isinstance(propose.output, Mapping) else None
         if not (isinstance(result, dict) and result.get("ok")):
             raise ReceiptError(f"link {position}: proposal did not execute successfully")
         proposed = Configuration.from_wire(propose_request.args["config"])
@@ -147,7 +148,7 @@ def verify_chain(
             if member in voters:
                 raise ReceiptError(f"link {position}: duplicate vote by {member!r}")
             voters.add(member)
-            reply = vote.output.get("reply") if isinstance(vote.output, dict) else None
+            reply = vote.output.get("reply") if isinstance(vote.output, Mapping) else None
             if isinstance(reply, dict) and reply.get("passed"):
                 final_vote = vote
         if len(voters) < config.vote_threshold:

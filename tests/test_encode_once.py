@@ -137,6 +137,62 @@ def test_kv_put_validates_without_encoding(monkeypatch):
         store.execute(lambda tx: tx.put("k", 1.5))
 
 
+_encodable = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(2**130), max_value=2**130)
+    | st.binary(max_size=40) | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=16,
+)
+_maps = st.dictionaries(st.text(max_size=6), _encodable, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_maps)
+def test_sealed_map_encodes_compares_and_reads_as_its_dict(d):
+    x = codec.seal(d)
+    assert type(x) is codec.SealedMap and codec.seal(x) is x
+    assert codec.encode(x) == codec.encode(d) == x.wire_bytes
+    assert codec.encoded_size(x) == len(codec.encode(d))
+    t = REQUEST.to_wire()
+    assert codec.encode((t, 7, x)) == codec.encode((t, 7, d))
+    assert x == d and d == x
+    assert dict(x) == codec.decode(codec.encode(d))
+    assert len(x) == len(d) and list(x) == sorted(d)
+
+
+def test_sealed_map_is_a_read_only_view_with_mapping_equality():
+    x = codec.seal({"ok": False, "n": (1, 2)})
+    assert x == {"ok": 0, "n": (1, 2)}  # False == 0, as for dicts
+    assert codec.encode(x) != codec.encode({"ok": 0, "n": (1, 2)})
+    assert x != {"ok": False} and x != [("ok", False)]
+    assert repr(x) == "{'n': (1, 2), 'ok': False}"  # canonical key order
+    with pytest.raises(TypeError):
+        x["ok"] = True
+    with pytest.raises(AttributeError):
+        x.extra = 1  # slotted: the encoding is all it holds
+
+
+@pytest.mark.parametrize("sealed_request", [True, False])
+def test_tx_entry_seals_a_dict_output_from_its_own_encoding(monkeypatch, sealed_request):
+    wire = REQUEST.to_wire() if sealed_request else tuple(REQUEST.to_wire())
+    plain = {"reply": {"ok": True, "balance": 10**30}, "ws": OUTPUT["ws"]}
+    entry = TxEntry(request_wire=wire, index=2**40, output=plain)
+    expected = (digest_value(entry.to_wire()), digest_value(entry.tio()))
+    assert type(entry.output) is dict
+    seen = []
+    original = codec.encode
+    monkeypatch.setattr(codec, "encode", lambda value: seen.append(value) or original(value))
+    assert entry.leaves() == expected
+    assert type(entry.output) is codec.SealedMap and entry.output == plain
+    assert entry.output.wire_bytes == original(plain)
+    assert len(seen) == (1 if sealed_request else 2)  # a plain t is sized by encoding it
+    # An output that is not a dict is held as it is.
+    other = TxEntry(request_wire=wire, index=3, output=(1, 2))
+    other.leaves()
+    assert type(other.output) is tuple
+
+
 # -- golden byte vectors -----------------------------------------------------------
 
 REQUEST = TransactionRequest(

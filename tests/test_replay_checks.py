@@ -6,6 +6,7 @@ all replicas together, its pre-prepares and prepares re-signed
 checkpoint 10."""
 
 import dataclasses
+from collections.abc import Mapping
 
 import pytest
 
@@ -47,7 +48,7 @@ def replay(dep, genesis, ledger):
 def ints_for_bools(value):
     if isinstance(value, bool):
         return int(value)
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {key: ints_for_bools(item) for key, item in value.items()}
     return value
 

@@ -1,26 +1,34 @@
 """Retained-state budget: what one committed transaction leaves behind.
 
-Per transaction a deployment keeps one ledger entry and one undo record
-per replica and one receipt at the client (paper Tab. 1, §3.3).  The
-budget counts the objects the cyclic collector tracks — every one of
-them is walked by each full collection — and pins that the long-lived
-per-transaction records carry no instance ``__dict__``.
+Per transaction a deployment keeps one ledger entry and one undo tuple
+per replica and one receipt at the client (paper Tab. 1, §3.3).  One
+budget counts the bytes still allocated, another the objects the cyclic
+collector tracks — every one of them is walked by each full collection.
+The long-lived per-transaction records carry no instance ``__dict__``,
+and every ledger entry holds its output sealed, at its encoded size.
 """
 
 import gc
+import tracemalloc
 
 import pytest
 
 from helpers import build_deployment
+from repro.codec import SealedMap
 from repro.ledger.entries import TxEntry
 from repro.lpbft import ProtocolParams
 from repro.workloads import SmallBankWorkload
+from test_integration_viewchange import VC_PARAMS
 
-# Measured 16.97 tracked objects per committed transaction on this
-# deployment, plus one of slack; 29.58 when undo records kept a copy of
-# the write set, entries cached into a ``__dict__`` and path steps were
-# objects.
-TRACKED_PER_TX_BUDGET = 18.0
+# Measured 6,544 bytes per committed transaction on this deployment (CPython
+# 3.11), plus 2 %; 8,048 when outputs were dicts and undo records objects.
+RETAINED_BYTES_PER_TX_BUDGET = 6_675
+
+# Measured 12.97 tracked objects per committed transaction on this
+# deployment, plus one of slack; 16.97 when undo records were objects,
+# 29.58 when they also kept a copy of the write set, entries cached into
+# a ``__dict__`` and path steps were objects.
+TRACKED_PER_TX_BUDGET = 14.0
 
 # Checkpoints (and so ledger and batch-record collection) never come due.
 PARAMS = ProtocolParams(
@@ -37,8 +45,9 @@ def _tracked() -> int:
 
 def _measure():
     """Commit 400 transactions after a warm-up; return the deployment,
-    the client, the transactions committed and the tracked objects they
-    left behind."""
+    the client, the transactions committed, the tracked objects they
+    left behind and the bytes allocated while they ran that are still
+    allocated after a collection."""
     dep = build_deployment(params=PARAMS, seed=b"retained")
     client = dep.add_client(retry_timeout=0.5)
     dep.start()
@@ -51,11 +60,16 @@ def _measure():
 
     wave(50)  # warm up: per-deployment state reaches its steady shape
     committed_before, tracked_before = len(client.collector._done), _tracked()
-    for _ in range(4):
-        wave(100)
-    committed = len(client.collector._done) - committed_before
-    tracked = _tracked() - tracked_before
-    return dep, client, committed, tracked
+    tracemalloc.start()
+    try:
+        for _ in range(4):
+            wave(100)
+        committed = len(client.collector._done) - committed_before
+        tracked = _tracked() - tracked_before
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return dep, client, committed, tracked, retained
 
 
 @pytest.fixture(scope="module")
@@ -63,15 +77,21 @@ def run():
     return _measure()
 
 
+def test_retained_bytes_per_committed_transaction(run):
+    _, _, committed, _, retained = run
+    assert committed == 400
+    assert retained / committed <= RETAINED_BYTES_PER_TX_BUDGET
+
+
 def test_tracked_objects_per_committed_transaction(run):
-    dep, _, committed, tracked = run
+    dep, _, committed, tracked, _ = run
     assert committed == 400
     assert {r.kv.tx_count for r in dep.replicas} == {r.kv.tx_count for r in dep.replicas[:1]}
     assert tracked / committed <= TRACKED_PER_TX_BUDGET
 
 
 def test_per_transaction_records_have_no_instance_dict(run):
-    dep, client, _, _ = run
+    dep, client, _, _, _ = run
     receipts = list(client.collector._done.values())
     entries = [e for r in dep.replicas for e in r.ledger.entries() if isinstance(e, TxEntry)]
     records = [record for r in dep.replicas for record in r.kv._log]
@@ -85,7 +105,55 @@ def test_per_transaction_records_have_no_instance_dict(run):
     # Undo tuples and path steps hold atoms only: the collector drops them.
     gc.collect()
     for record in records:
-        assert type(record.undo) is tuple and not gc.is_tracked(record.undo)
+        assert type(record) is tuple and not gc.is_tracked(record)
     for path in paths:
         assert not gc.is_tracked(path.steps)
         assert all(type(step) is tuple and not gc.is_tracked(step) for step in path.steps)
+
+
+def _assert_outputs_sealed(dep):
+    """Every transaction entry a replica retains, in its ledger and in
+    its batch records, holds its output as a seal."""
+    for replica in dep.replicas:
+        entries = [e for e in replica.ledger.entries() if isinstance(e, TxEntry)]
+        entries += [
+            e for record in replica.batches.values() for e in record.entries if isinstance(e, TxEntry)]
+        assert entries
+        for entry in entries:
+            assert type(entry.output) is SealedMap, (replica.address, entry.index)
+
+
+def test_ledger_outputs_are_sealed(run):
+    dep, client, _, _, _ = run
+    _assert_outputs_sealed(dep)
+    # A client's receipt holds the designated replica's seal, not a copy.
+    held = {id(e.output) for r in dep.replicas for e in r.ledger.entries() if isinstance(e, TxEntry)}
+    assert all(id(receipt.output) in held for receipt in client.collector._done.values())
+
+
+def test_ledger_outputs_are_sealed_after_crash_and_resync():
+    """The primary crashes, the others change view and commit on; the
+    recovered replica installs what it fetched.  Every path that builds
+    a retained entry — execution, re-execution after the view change,
+    the fetched ledger and the replay behind its install — seals."""
+    dep = build_deployment(params=VC_PARAMS, seed=b"vc")
+    client = dep.add_client(retry_timeout=0.5)
+    dep.start()
+    workload = SmallBankWorkload(n_accounts=200, seed=11)
+    for _ in range(40):
+        client.submit(*workload.next_transaction(), min_index=0)
+    dep.run(until=0.2)
+    dep.crash_replica(0)
+    for _ in range(60):
+        client.submit(*workload.next_transaction(), min_index=0)
+    dep.run(until=4.0)
+    dep.recover_replica(0)
+    for _ in range(20):
+        client.submit(*workload.next_transaction(), min_index=0)
+    dep.run(until=12.0)
+    assert all(r.view >= 1 for r in dep.replicas)
+    assert dep.replicas[0].sync_client.last_result is not None
+    frontier = max(r.committed_upto for r in dep.replicas)
+    assert dep.replicas[0].committed_upto == frontier
+    assert dep.ledgers_agree()
+    _assert_outputs_sealed(dep)
