@@ -91,10 +91,8 @@ def receipt_sizes(f: int) -> dict:
                  nonce=new_nonce(bytes([i])).nonce)
         for i in range(n - f)
     }
-    path = MerklePath(
-        leaf_index=42, tree_size=100,
-        steps=tuple((bytes([s]) * 32, bool(s % 2)) for s in range(7)),
-    )
+    path = MerklePath.from_wire(
+        (42, 100, tuple((bytes([s]) * 32, bool(s % 2)) for s in range(7))))
     replyx = ReplyX(
         view=0, seqno=9, root_m=b"\x01" * 32,
         primary_nonce_commitment=b"\x03" * 32,

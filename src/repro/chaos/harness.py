@@ -26,7 +26,7 @@ import traceback
 from dataclasses import dataclass, field
 
 from .oracles import quiescence_oracles, step_oracles
-from .schedule import ChaosParams, FaultEvent, Schedule, generate_schedule
+from .schedule import FaultEvent, Schedule
 
 PROBE_WAVE = 10  # closed-loop transactions submitted at the global heal
 
@@ -56,12 +56,6 @@ class ChaosResult:
         extra = self.schedule.params.cli_args()
         suffix = f" {extra}" if extra else ""
         return f"PYTHONPATH=src python -m repro.chaos --seed {self.schedule.seed}{suffix}"
-
-
-def run_seed(seed: int, params: ChaosParams | None = None,
-             trace: bool = False) -> ChaosResult:
-    """Generate the schedule for ``seed`` and run it."""
-    return run_schedule(generate_schedule(seed, params), trace=trace)
 
 
 def run_schedule(schedule: Schedule, trace: bool = False) -> ChaosResult:

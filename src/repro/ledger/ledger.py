@@ -27,6 +27,8 @@ sync (:func:`repro.lpbft.adoption.verify_fetched_ledger`) and the audit
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -108,8 +110,8 @@ class Ledger:
         # so re-executed batches reproduce the original ⟨t, i, o⟩ triples
         # (§3.2: re-execution must match the original ¯G).
         # _logical_to_position[k] is the absolute position of logical
-        # index _logical_base + k.
-        self._logical_to_position: list[int] = []
+        # index _logical_base + k: increasing, 8 bytes an entry.
+        self._logical_to_position = array("q")
         if genesis is not None:
             self.append(genesis)
 
@@ -343,28 +345,23 @@ class Ledger:
         removed = self._entries[size - self._base :]
         del self._entries[size - self._base :]
         self._tree.truncate(size)
-        # Rebuild batch index for the removed suffix.
-        for entry in removed:
-            if isinstance(entry, PrePrepareEntry):
-                self._batches.pop(entry.pre_prepare().seqno, None)
-        self._batch_order = [s for s in self._batch_order if s in self._batches]
-        self._logical_to_position = [p for p in self._logical_to_position if p < size]
+        # The removed batches, logical indices and governance entries are
+        # each a suffix of their index: cut them from the tail.
+        order, batches = self._batch_order, self._batches
+        while order and (order[-1] not in batches or batches[order[-1]].pp_index >= size):
+            batches.pop(order.pop(), None)
+        positions = self._logical_to_position
+        del positions[bisect_left(positions, size) :]
         # Repair tx counts of a batch that lost a suffix of its entries.
-        if self._batch_order:
-            info = self._batches[self._batch_order[-1]]
+        if order:
+            info = batches[order[-1]]
             info.tx_count = min(info.tx_count, max(0, size - info.first_tx))
-        # Recompute last governance index (logical); when no governance
-        # entry survives in the retained window, the pruned prefix's
-        # floor is the answer.
-        self._last_gov_index = self._gov_floor
-        for offset in range(len(self._logical_to_position) - 1, -1, -1):
-            entry = self._entries[self._logical_to_position[offset] - self._base]
-            if _is_gov_entry(entry):
-                self._last_gov_index = self._logical_base + offset
-                break
-        self._gov_entries = [
-            (i, w) for i, w in self._gov_entries if i < self.logical_size()
-        ]
+        gov = self._gov_entries
+        while gov and gov[-1][0] >= self.logical_size():
+            gov.pop()
+        # The last governance index (logical) is the newest governance
+        # entry left, or the pruned prefix's floor when none is newer.
+        self._last_gov_index = max(gov[-1][0] if gov else 0, self._gov_floor)
         return removed
 
     # -- prefix garbage collection ---------------------------------------------
@@ -407,12 +404,7 @@ class Ledger:
         for seqno in pruned_seqnos:
             del self._batches[seqno]
         self._batch_order = [s for s in self._batch_order if s in self._batches]
-        keep_from = 0
-        for keep_from, position in enumerate(self._logical_to_position):
-            if position >= boundary:
-                break
-        else:
-            keep_from = len(self._logical_to_position)
+        keep_from = bisect_left(self._logical_to_position, boundary)
         del self._logical_to_position[:keep_from]
         self._logical_base += keep_from
         self._base = boundary

@@ -352,17 +352,6 @@ class Deployment:
         others |= {c.address for c in self.clients}
         self.net.partition_between(isolated, others, start=start, duration=duration)
 
-    def partition_region(
-        self,
-        region: str,
-        start: float | None = None,
-        duration: float | None = None,
-    ) -> None:
-        """Partition every replica sited in ``region`` away from the rest."""
-        isolated = [i for i, r in enumerate(self.replicas) if r.site == region]
-        if isolated:
-            self.partition_replicas(isolated, start=start, duration=duration)
-
     # -- running ----------------------------------------------------------------------
 
     def start(self) -> None:

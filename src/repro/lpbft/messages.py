@@ -9,7 +9,7 @@ a signature over one message type can never be replayed as another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .. import codec
@@ -25,7 +25,7 @@ BATCH_START_OF_CONFIG = 2
 BATCH_CHECKPOINT = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransactionRequest:
     """A client request ``⟨request, a, c, H(gt), mi⟩σc`` (Alg. 1 line 1).
 
@@ -34,7 +34,9 @@ class TransactionRequest:
     (the service name), preventing cross-service replay; ``min_index`` is
     the minimum ledger index ``mi`` after which the request may execute,
     used to encode ordering dependencies; ``nonce`` distinguishes repeated
-    invocations by the same client.
+    invocations by the same client.  The request's seal is memoised in a
+    declared slot, so a request (every replica decodes its own) carries
+    no instance ``__dict__``.
     """
 
     procedure: str
@@ -44,6 +46,7 @@ class TransactionRequest:
     min_index: int
     nonce: int
     signature: bytes = b""
+    _wire: codec.Sealed | None = field(default=None, init=False, repr=False, compare=False)
 
     def signed_payload(self) -> bytes:
         """The wire form less its trailing signature, read off the seal
@@ -54,15 +57,15 @@ class TransactionRequest:
         """The signed request, sealed from this one's seal: the client
         encodes its request once."""
         signed = replace(self, signature=signature)
-        signed.__dict__["_wire"] = codec.reseal_last(self.to_wire(), signature)
+        object.__setattr__(signed, "_wire", codec.reseal_last(self.to_wire(), signature))
         return signed
 
     def to_wire(self) -> codec.Sealed:
         """Sealed: ``t`` is encoded once, here by its client, and spliced
         into every leaf, ledger entry and receipt that embeds it."""
-        wire = self.__dict__.get("_wire")
+        wire = self._wire
         if wire is None:
-            wire = self.__dict__["_wire"] = codec.seal(
+            wire = codec.seal(
                 (
                     "request",
                     self.procedure,
@@ -74,6 +77,7 @@ class TransactionRequest:
                     self.signature,
                 )
             )
+            object.__setattr__(self, "_wire", wire)
         return wire
 
     @staticmethod
@@ -98,7 +102,7 @@ class TransactionRequest:
         if sealed:
             # Keep the sender's seal: every receiver of one transmission
             # shares the one encoding (and its digest).
-            request.__dict__["_wire"] = raw
+            object.__setattr__(request, "_wire", raw)
         return request
 
     def request_digest(self) -> Digest:

@@ -14,7 +14,6 @@ Lemma 1), historical roots (``root_at``), and inclusion proofs.
 
 from .tree import MerkleTree
 from .proofs import (
-    FrontierAccumulator,
     MerklePath,
     frontier_from_wire,
     frontier_root,
@@ -27,7 +26,6 @@ __all__ = [
     "MerklePath",
     "verify_path",
     "path_root",
-    "FrontierAccumulator",
     "frontier_root",
     "frontier_from_wire",
 ]

@@ -8,6 +8,7 @@ recomputes the root from the leaf digest and compares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import sha256
 
 from .. import codec
 from ..crypto.hashing import Digest, digest_pair
@@ -17,28 +18,40 @@ from ..errors import MerkleError
 @dataclass(frozen=True, slots=True)
 class MerklePath:
     """Inclusion proof for one leaf: leaf index, tree size, and the steps
-    ordered leaf-to-root, each a ``(sibling, sibling_on_left)`` pair.
+    ordered leaf-to-root, each a sibling digest and the side it sits on.
 
-    The steps are kept in their wire form: a tuple of ``(bytes, bool)``
-    pairs holds nothing the cyclic collector needs to track, so a client
-    keeping a receipt per transaction keeps no per-step objects."""
+    The steps are held packed: ``siblings`` is their 32-byte digests
+    joined (32 bytes a step) and bit ``k`` of ``lefts`` is set when the
+    sibling of step ``k`` is on the left.  A client keeps one path per
+    receipt, so a path is one ``bytes`` object whatever its length;
+    :attr:`steps` and :meth:`to_wire` give the ``(sibling, on_left)``
+    pairs of the wire form."""
 
     leaf_index: int
     tree_size: int
-    steps: tuple[tuple[Digest, bool], ...]
+    siblings: bytes
+    lefts: int
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.siblings) // 32
+
+    @property
+    def steps(self) -> tuple[tuple[Digest, bool], ...]:
+        """The ``(sibling, sibling_on_left)`` pairs, leaf to root."""
+        siblings, lefts = self.siblings, self.lefts
+        return tuple([
+            (siblings[offset : offset + 32], _SIDES[lefts >> (offset >> 5) & 1])
+            for offset in range(0, len(siblings), 32)
+        ])
 
     def to_wire(self) -> tuple:
         """Canonical tuple form for codec encoding."""
         return (self.leaf_index, self.tree_size, self.steps)
 
     def encoded_size(self) -> int:
-        """``codec.encoded_size(self.to_wire())`` without encoding: both
-        ways a path is built (``MerkleTree.path``, :meth:`from_wire`) make
-        every step a 32-byte digest and a ``bool``, 37 bytes encoded."""
-        steps = len(self.steps)
+        """``codec.encoded_size(self.to_wire())`` without encoding: every
+        step is a 32-byte digest and a ``bool``, 37 bytes encoded."""
+        steps = len(self)
         return codec.sequence_size(
             3,
             codec.encoded_size(self.leaf_index) + codec.encoded_size(self.tree_size)
@@ -49,24 +62,25 @@ class MerklePath:
     def from_wire(raw: tuple) -> "MerklePath":
         try:
             leaf_index, tree_size, steps = raw
+            siblings, lefts = [], 0
+            for k, (sibling, on_left) in enumerate(steps):
+                if not isinstance(sibling, bytes) or len(sibling) != 32:
+                    raise MerkleError("malformed path step sibling")
+                siblings.append(sibling)
+                if on_left:
+                    lefts |= 1 << k
             return MerklePath(
                 leaf_index=int(leaf_index),
                 tree_size=int(tree_size),
-                steps=tuple(_step_from_wire(s) for s in steps),
+                siblings=b"".join(siblings),
+                lefts=lefts,
             )
         except (TypeError, ValueError) as exc:
             raise MerkleError(f"malformed merkle path: {exc}") from exc
 
 
 _STEP_SIZE = codec.encoded_size((bytes(32), False))
-
-
-def _step_from_wire(raw: tuple) -> tuple[Digest, bool]:
-    """Validate one ``(sibling, sibling_on_left)`` step."""
-    sibling, on_left = raw
-    if not isinstance(sibling, bytes) or len(sibling) != 32:
-        raise MerkleError("malformed path step sibling")
-    return (sibling, bool(on_left))
+_SIDES = (False, True)  # a direction bit as the wire form's ``on_left``
 
 
 def frontier_root(peaks: tuple) -> Digest:
@@ -101,39 +115,13 @@ def frontier_from_wire(raw: tuple) -> tuple[tuple[int, Digest], ...]:
     return peaks
 
 
-class FrontierAccumulator:
-    """Append-only root tracker seeded from a historical frontier.
-
-    Verifies a fetched ledger *suffix* against signed roots without the
-    prefix leaves: seed with the checkpoint's frontier (whose
-    :func:`frontier_root` must match the checkpoint's ledger root), then
-    append each suffix entry digest; :meth:`root` reproduces what a full
-    :class:`~repro.merkle.tree.MerkleTree` over prefix+suffix would report.
-    """
-
-    def __init__(self, peaks: tuple) -> None:
-        self._peaks: list[tuple[int, Digest]] = list(peaks)
-        self.size = sum(1 << h for h, _ in self._peaks)
-
-    def append(self, leaf: Digest) -> None:
-        if len(leaf) != 32:
-            raise MerkleError(f"leaf must be a 32-byte digest, got {len(leaf)} bytes")
-        self._peaks.append((0, leaf))
-        while len(self._peaks) >= 2 and self._peaks[-1][0] == self._peaks[-2][0]:
-            height, right = self._peaks.pop()
-            _, left = self._peaks.pop()
-            self._peaks.append((height + 1, digest_pair(left, right)))
-        self.size += 1
-
-    def root(self) -> Digest:
-        return frontier_root(tuple(self._peaks))
-
-
 def path_root(leaf: Digest, path: MerklePath) -> Digest:
     """Recompute the root implied by ``leaf`` and ``path``."""
-    acc = leaf
-    for sibling, on_left in path.steps:
-        acc = digest_pair(sibling, acc) if on_left else digest_pair(acc, sibling)
+    acc, siblings, lefts = leaf, path.siblings, path.lefts
+    for offset in range(0, len(siblings), 32):
+        sibling = siblings[offset : offset + 32]
+        acc = sha256(sibling + acc if lefts & 1 else acc + sibling).digest()
+        lefts >>= 1
     return acc
 
 

@@ -11,10 +11,14 @@ simple truncation of the leaf sequence.
 Interior nodes are immutable once created, so the tree keeps them, by
 position: ``_levels[h]`` holds the complete subtrees of height ``h`` —
 node ``i`` covers leaves ``[i * 2^h, (i + 1) * 2^h)`` — and
-``_levels[0]`` is the leaves.  :meth:`append` creates exactly these
-nodes, and every left child in the RFC 6962 decomposition of any prefix
-is one of them, so :meth:`root_at`, :meth:`frontier_at` and :meth:`path`
-read stored nodes instead of re-hashing whole subtrees.  The few spans
+``_levels[0]`` is the leaves.  Each level is one ``bytearray`` of packed
+32-byte digests: node ``i`` sits at offset ``32 * (i - _first(h))``, so a
+stored node costs its 32 bytes and nothing else (no object, no list
+slot), and what the tree hands out (leaves, peaks, path siblings) is
+``bytes`` cut from it.  :meth:`append` creates exactly these nodes, and
+every left child in the RFC 6962 decomposition of any prefix is one of
+them, so :meth:`root_at`, :meth:`frontier_at` and :meth:`path` read
+stored nodes instead of re-hashing whole subtrees.  The few spans
 that are not a power of two wide (the right spine under a path's tree
 size) are hashed on demand and kept in ``_spans``; roots are cached per
 size in ``_roots``.  Replicas call ``root()`` at every batch and auditors
@@ -34,9 +38,16 @@ below the boundary raise :class:`~repro.errors.MerkleError`.
 
 from __future__ import annotations
 
+from hashlib import sha256
+from struct import Struct
+
 from ..crypto.hashing import Digest, digest_pair, EMPTY_DIGEST
 from ..errors import MerkleError
 from .proofs import MerklePath, frontier_root
+
+# ``_read(level, offset)[0]`` is the 32-byte node at ``offset`` of a
+# level, as ``bytes``, copied once.
+_read = Struct("32s").unpack_from
 
 
 class MerkleTree:
@@ -50,9 +61,9 @@ class MerkleTree:
     __slots__ = ("_levels", "_spans", "_roots", "_base", "_size")
 
     def __init__(self, leaves: list[Digest] | None = None) -> None:
-        # _levels[h][i - self._first(h)] is node i of height h; each level
-        # is contiguous up to the last complete node below the size.
-        self._levels: list[list[Digest]] = [[]]
+        # Node i of height h is _levels[h][32 * (i - self._first(h)):][:32];
+        # each level is contiguous up to the last complete node below the size.
+        self._levels: list[bytearray] = [bytearray()]
         # Digests of spans whose width is not a power of two: (lo, hi) -> digest.
         self._spans: dict[tuple[int, int], Digest] = {}
         # Root frontier: _roots[size] (when present) is the root the tree
@@ -94,11 +105,12 @@ class MerkleTree:
             raise MerkleError(
                 f"leaf index {index} out of retained range [{self._base}, {self._size})"
             )
-        return self._levels[0][index - self._first(0)]
+        return _read(self._levels[0], 32 * (index - self._first(0)))[0]
 
     def leaves(self) -> list[Digest]:
         """A copy of all retained leaf digests (oldest first)."""
-        return self._levels[0][self._base - self._first(0) :]
+        packed = bytes(self._levels[0][32 * (self._base - self._first(0)) :])
+        return [packed[offset : offset + 32] for offset in range(0, len(packed), 32)]
 
     # -- mutation ------------------------------------------------------
 
@@ -108,19 +120,21 @@ class MerkleTree:
             raise MerkleError(f"leaf must be a 32-byte digest, got {len(leaf)} bytes")
         index = self._size
         levels = self._levels
-        levels[0].append(leaf)
+        level = levels[0]
+        level += leaf
         self._size = index + 1
-        # Binary-counter merge: while the new node is a right child, hash
-        # it with its left sibling (the node before it on its level) into
-        # their parent, which completes at this very append.
-        node, height, position = leaf, 0, index
+        # Binary-counter merge: while the new node is a right child, its
+        # left sibling is the node before it, so the level's last 64 bytes
+        # are the preimage of their parent, which completes at this append.
+        height, position = 0, index
         while position & 1:
-            node = digest_pair(levels[height][-2], node)
+            node = sha256(level[-64:]).digest()
             height += 1
             position >>= 1
             if height == len(levels):
-                levels.append([])
-            levels[height].append(node)
+                levels.append(bytearray())
+            level = levels[height]
+            level += node
         return index
 
     def truncate(self, size: int) -> None:
@@ -139,7 +153,7 @@ class MerkleTree:
             return
         # A node survives iff it ends at or below the new size.
         for height, level in enumerate(self._levels):
-            del level[(size >> height) - self._first(height) :]
+            del level[32 * ((size >> height) - self._first(height)) :]
         self._spans = {span: d for span, d in self._spans.items() if span[1] <= size}
         self._roots = {s: r for s, r in self._roots.items() if s <= size}
         self._size = size
@@ -160,7 +174,7 @@ class MerkleTree:
         if size == self._base:
             return 0
         for height, level in enumerate(self._levels):
-            del level[: ((size >> (height + 1)) << 1) - self._first(height)]
+            del level[: 32 * (((size >> (height + 1)) << 1) - self._first(height))]
         dropped = size - self._base
         self._base = size
         self._spans = {span: d for span, d in self._spans.items() if span[1] > size}
@@ -170,7 +184,7 @@ class MerkleTree:
     def copy(self) -> "MerkleTree":
         """An independent copy of this tree."""
         clone = MerkleTree()
-        clone._levels = [list(level) for level in self._levels]
+        clone._levels = [bytearray(level) for level in self._levels]
         clone._spans = dict(self._spans)
         clone._roots = dict(self._roots)
         clone._base = self._base
@@ -188,11 +202,11 @@ class MerkleTree:
         if any(high <= low for high, low in zip(heights, heights[1:])):
             raise MerkleError("frontier heights must be strictly decreasing")
         tree = MerkleTree()
-        tree._levels = [[] for _ in range(heights[0] + 1 if heights else 1)]
+        tree._levels = [bytearray() for _ in range(heights[0] + 1 if heights else 1)]
         for height, node in peaks:
             if not isinstance(node, bytes) or len(node) != 32:
                 raise MerkleError("malformed frontier peak digest")
-            tree._levels[height].append(node)
+            tree._levels[height] += node
             tree._base += 1 << height
         tree._size = tree._base
         return tree
@@ -235,12 +249,12 @@ class MerkleTree:
                 self._spans[(lo, hi)] = node
             return node
         height = width.bit_length() - 1
-        position = (lo >> height) - self._first(height)
-        if position < 0:
+        offset = 32 * ((lo >> height) - self._first(height))
+        if offset < 0:
             raise MerkleError(
                 f"span [{lo}, {hi}) was garbage-collected (compacted below {self._base})"
             )
-        return self._levels[height][position]
+        return _read(self._levels[height], offset)[0]
 
     def frontier_at(self, size: int | None = None) -> tuple[tuple[int, Digest], ...]:
         """The peak decomposition of the tree at ``size`` leaves: a tuple
@@ -250,8 +264,8 @@ class MerkleTree:
         The frontier is everything needed to keep *appending* to the tree
         without the underlying leaves: checkpoints ship it so a replica
         restoring from one can extend the ledger tree M and reproduce
-        every subsequent root (see :class:`~repro.merkle.proofs.FrontierAccumulator`).
-        ``size`` must be at or above the compaction boundary.
+        every subsequent root (see :meth:`from_frontier`).  ``size`` must
+        be at or above the compaction boundary.
         """
         size = self._size if size is None else size
         if not 0 <= size <= self._size:
@@ -262,7 +276,7 @@ class MerkleTree:
             )
         levels = self._levels
         return tuple(
-            (height, levels[height][(size >> height) - 1 - self._first(height)])
+            (height, _read(levels[height], 32 * ((size >> height) - 1 - self._first(height)))[0])
             for height in reversed(range(size.bit_length()))
             if size >> height & 1
         )
@@ -283,32 +297,29 @@ class MerkleTree:
             raise MerkleError(
                 f"leaf {index} was garbage-collected (compacted below {self._base})"
             )
-        steps: list[tuple[Digest, bool]] = []
-        self._collect_path(0, size, index, steps)
-        return MerklePath(leaf_index=index, tree_size=size, steps=tuple(steps))
-
-    def _collect_path(
-        self, lo: int, hi: int, index: int, steps: list[tuple[Digest, bool]]
-    ) -> None:
-        """Collect ``(sibling, sibling_on_left)`` steps from leaf to root
-        (appended leaf-to-root), reading the stored nodes."""
-        if hi - lo == 1:
-            return
-        k = _largest_power_of_two_below(hi - lo)
-        if index < lo + k:
-            self._collect_path(lo, lo + k, index, steps)
-            steps.append((self._node(lo + k, hi), False))
-        else:
-            self._collect_path(lo + k, hi, index, steps)
-            steps.append((self._node(lo, lo + k), True))
+        # Walk the RFC 6962 split from the root down to the leaf: each
+        # level's sibling is the half not holding ``index``.  Shifting each
+        # direction in at the bottom leaves step k (leaf to root) at bit k.
+        siblings: list[Digest] = []
+        lefts, lo, hi = 0, 0, size
+        while hi - lo > 1:
+            k = _largest_power_of_two_below(hi - lo)
+            if index < lo + k:
+                siblings.append(self._node(lo + k, hi))
+                lefts <<= 1
+                hi = lo + k
+            else:
+                siblings.append(self._node(lo, lo + k))
+                lefts = lefts << 1 | 1
+                lo += k
+        siblings.reverse()
+        return MerklePath(
+            leaf_index=index, tree_size=size, siblings=b"".join(siblings), lefts=lefts)
 
 
 def _largest_power_of_two_below(n: int) -> int:
     """Largest power of two strictly less than n (n >= 2)."""
-    k = 1
-    while k * 2 < n:
-        k *= 2
-    return k
+    return 1 << ((n - 1).bit_length() - 1)
 
 
 def _subtree_root(leaves: list[Digest], lo: int, hi: int) -> Digest:

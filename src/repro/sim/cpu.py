@@ -183,10 +183,6 @@ class VirtualCPU:
             self._win_starts = [[] for _ in range(self.cores)]
             self._win_cum = [[] for _ in range(self.cores)]
 
-    @property
-    def utilization_tracking(self) -> bool:
-        return self._win_starts is not None
-
     def busy_up_to(self, t: float) -> list[float]:
         """Cumulative busy seconds per lane in ``[0, t)`` — a pure query
         (call with any ``t``, in any order).  Requires

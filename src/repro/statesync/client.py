@@ -46,7 +46,7 @@ from ..errors import KVError, LedgerError, MerkleError, ProtocolError
 from ..kvstore.checkpoints import Checkpoint, ChunkReassembler
 from ..ledger import LedgerFragment
 from ..lpbft.adoption import install_ledger, verify_fetched_ledger
-from ..merkle.proofs import FrontierAccumulator, frontier_from_wire, frontier_root
+from ..merkle.proofs import frontier_from_wire, frontier_root
 from .messages import SyncManifest, SyncOffer
 
 # Per-request timeout and the retries a server gets before the client
@@ -374,7 +374,7 @@ class StateSyncClient:
                 peaks = frontier_from_wire(manifest.frontier)
                 consistent = (
                     frontier_root(peaks) == manifest.cp_ledger_root
-                    and FrontierAccumulator(peaks).size == manifest.cp_ledger_size
+                    and sum(1 << height for height, _ in peaks) == manifest.cp_ledger_size
                 )
             except MerkleError:
                 consistent = False

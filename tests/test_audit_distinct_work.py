@@ -141,11 +141,11 @@ class TestCertificateDedupeSoundness:
         with pytest.raises(AuditError):
             _audit(dep, client, [first, altered])
         step, on_left = sibling.path.steps[0]
-        flipped = MerklePath(
-            leaf_index=sibling.path.leaf_index,
-            tree_size=sibling.path.tree_size,
-            steps=((bytes([step[0] ^ 1]) + step[1:], on_left),) + sibling.path.steps[1:],
-        )
+        flipped = MerklePath.from_wire((
+            sibling.path.leaf_index,
+            sibling.path.tree_size,
+            ((bytes([step[0] ^ 1]) + step[1:], on_left),) + sibling.path.steps[1:],
+        ))
         with pytest.raises(AuditError):
             _audit(dep, client, [first, dataclasses.replace(sibling, path=flipped)])
 

@@ -221,11 +221,7 @@ RECEIPT = Receipt(
     request_wire=REQUEST.to_wire(),
     index=2**40,
     output=OUTPUT,
-    path=MerklePath(
-        leaf_index=5,
-        tree_size=300,
-        steps=((b"\x06" * 32, True), (b"\x07" * 32, False)),
-    ),
+    path=MerklePath.from_wire((5, 300, ((b"\x06" * 32, True), (b"\x07" * 32, False)))),
     view=1,
     seqno=70_000,
     root_m=b"\x01" * 32,

@@ -1,7 +1,9 @@
 """Ledger entries, append/truncate, fragments, and batch indexing."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import codec
 from repro.errors import LedgerError
 from repro.crypto import generate_keypair, default_backend
 from repro.ledger import (
@@ -10,9 +12,11 @@ from repro.ledger import (
     GenesisEntry,
     Ledger,
     LedgerFragment,
+    NewViewEntry,
     NoncesEntry,
     PrePrepareEntry,
     TxEntry,
+    ViewChangesEntry,
     entry_from_wire,
 )
 from repro.lpbft.messages import PrePrepare, Prepare, TransactionRequest
@@ -184,3 +188,126 @@ class TestFragments:
         ledger.append(TxEntry(request_wire=gov_req.to_wire(), index=2, output={}))
         assert ledger.last_gov_index == 2
         assert ledger.governance_indices() == [0, 2]
+
+
+# -- rollback and prefix GC against a ledger rebuilt from scratch ------------------
+
+
+def _tx(procedure, index):
+    request = TransactionRequest(
+        procedure=procedure, args={}, client=b"\x0c" * 32,
+        service=b"\x01" * 32, min_index=0, nonce=index,
+    )
+    return TxEntry(request_wire=request.to_wire(), index=index,
+                   output={"reply": index, "ws": b"\x00" * 32})
+
+
+class _History:
+    """Every entry a ledger has ever held and not rolled back, from
+    genesis: the ledger rebuilt from scratch is these entries appended
+    to an empty one."""
+
+    def __init__(self):
+        self.entries = [GenesisEntry(config_wire=("c",))]
+        self.seqno = 0
+
+    def rebuilt(self):
+        ledger = Ledger()
+        for entry in self.entries:
+            ledger.append(entry)
+        return ledger
+
+    def add_batch(self, gov_flags, view_change, ledgers):
+        """Append one batch (after a view change's two entries, if asked)
+        to the history and to every ledger of ``ledgers``."""
+        reference = self.rebuilt()
+        self.seqno += 1
+        group = [ViewChangesEntry(view=self.seqno, vc_wires=()),
+                 NewViewEntry(nv_wire=("new-view", self.seqno))] if view_change else []
+        group.append(PrePrepareEntry(pp_wire=make_pp(
+            seqno=self.seqno, gov_index=reference.last_gov_index).to_wire()))
+        logical = reference.logical_size() + 1
+        for k, gov in enumerate(gov_flags):
+            group.append(_tx("gov.vote" if gov else "p", logical + k))
+        self.entries += group
+        for ledger in ledgers:
+            for entry in group:
+                ledger.append(entry)
+
+
+def _encoded_pairs(pairs):
+    return [(i, codec.encode(wire)) for i, wire in pairs]
+
+
+def _check_rebuilt(ledger, history, first_logical):
+    """``ledger`` (possibly garbage-collected, possibly rooted at a
+    suffix whose first logical index is ``first_logical``) answers as the
+    ledger rebuilt from ``history``."""
+    reference = history.rebuilt()
+    assert len(ledger) == len(reference) and ledger.root() == reference.root()
+    assert ledger.logical_size() == reference.logical_size()
+    assert ledger.last_gov_index == reference.last_gov_index
+    for anchor in (-1, 0, ledger.logical_base, ledger.logical_size() // 2):
+        expected = [(i, w) for i, w in reference.gov_entries_after(anchor) if i >= first_logical]
+        assert _encoded_pairs(ledger.gov_entries_after(anchor)) == _encoded_pairs(expected)
+    for i in range(ledger.logical_base, ledger.logical_size()):
+        assert codec.encode(ledger.entry_at_index(i).to_wire()) == codec.encode(
+            reference.entry_at_index(i).to_wire())
+    for outside in (ledger.logical_base - 1, ledger.logical_size()):
+        if outside >= 0:
+            with pytest.raises(LedgerError):
+                ledger.entry_at_index(outside)
+    assert ledger.batches() == [b for b in reference.batches() if b.pp_index >= ledger.base_index]
+    assert ledger.last_seqno() == (reference.last_seqno() if ledger.batches() else 0)
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.lists(st.booleans(), max_size=3), st.booleans()),
+        st.tuples(st.just("truncate"), st.integers(0, 1000)),
+        st.tuples(st.just("truncate_below"), st.integers(0, 1000)),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    prefix=st.lists(st.lists(st.booleans(), min_size=1, max_size=3), min_size=1, max_size=4),
+    suffix_at=st.one_of(st.none(), st.integers(0, 1000)),
+    ops=_OPS,
+)
+def test_property_rollback_and_gc_match_a_rebuilt_ledger(prefix, suffix_at, ops):
+    """Random appends (with governance transactions and view changes),
+    rollbacks (``truncate``) and prefix GC (``truncate_below``), on a
+    genesis-rooted or a suffix-rooted ledger, each checked against the
+    ledger rebuilt from every entry not rolled back."""
+    history = _History()
+    ledger = Ledger(history.entries[0])
+    for gov_flags in prefix:
+        history.add_batch(gov_flags, False, [ledger])
+    first_logical = 0
+    if suffix_at is not None:
+        # Born at a batch boundary from tree M's frontier there, holding
+        # only the suffix (every prefix batch has a transaction to anchor it).
+        starts = [b.pp_index for b in ledger.batches()]
+        start = starts[suffix_at % len(starts)]
+        ledger = ledger.fragment(start).to_ledger(ledger.tree().frontier_at(start))
+        first_logical = ledger.logical_base
+    _check_rebuilt(ledger, history, first_logical)
+    for op in ops:
+        base, size = ledger.base_index, len(ledger)
+        if op[0] == "append":
+            history.add_batch(op[1], op[2], [ledger])
+        elif op[0] == "truncate":
+            cut = base + op[1] % (size - base + 1)
+            removed = ledger.truncate(cut)
+            assert [codec.encode(e.to_wire()) for e in removed] == [
+                codec.encode(e.to_wire()) for e in history.entries[cut:]]
+            del history.entries[cut:]
+        else:
+            # Prefix GC happens only on a boundary no batch straddles.
+            boundaries = sorted({size, *(b.pp_index for b in ledger.batches()),
+                                 *(b.end for b in ledger.batches())})
+            ledger.truncate_below(boundaries[op[1] % len(boundaries)])
+        _check_rebuilt(ledger, history, first_logical)

@@ -179,6 +179,35 @@ def test_property_root_at_consistent_with_append_history(n):
         assert tree.root_at(size) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**40),
+    st.integers(min_value=0, max_value=2**40),
+    st.lists(st.tuples(st.binary(min_size=32, max_size=32), st.booleans()), max_size=48),
+)
+def test_property_path_wire_roundtrip_keeps_every_direction(leaf_index, tree_size, steps):
+    """Any direction bits survive ``from_wire``/``to_wire``, and the
+    packed path sizes itself exactly as its wire form encodes."""
+    _check_path_roundtrip((leaf_index, tree_size, tuple(steps)))
+
+
+def test_encode_once_fixture_path_roundtrips():
+    from test_encode_once import RECEIPT
+
+    _check_path_roundtrip(RECEIPT.path.to_wire())
+    assert RECEIPT.path.steps == ((b"\x06" * 32, True), (b"\x07" * 32, False))
+
+
+def _check_path_roundtrip(wire):
+    from repro import codec
+
+    path = MerklePath.from_wire(wire)
+    assert path.to_wire() == wire
+    assert MerklePath.from_wire(path.to_wire()) == path
+    assert path.encoded_size() == codec.encoded_size(wire) == len(codec.encode(path.to_wire()))
+    assert len(path) == len(wire[2]) and type(path.siblings) is bytes
+
+
 # -- incremental vs recomputed (seeded, deterministic) -----------------------
 
 
@@ -244,12 +273,13 @@ def test_copy_shares_no_mutable_state():
 
 
 def _stored_spans(tree):
-    """Every ``(lo, hi, digest)`` the tree's node store holds."""
+    """Every ``(lo, hi, digest)`` the tree's node store holds: each level
+    is read as consecutive 32-byte nodes."""
     for height, level in enumerate(tree._levels):
         first = tree._first(height)
-        for position, node in enumerate(level):
+        for position in range(len(level) // 32):
             lo = (first + position) << height
-            yield lo, lo + (1 << height), node
+            yield lo, lo + (1 << height), bytes(level[32 * position : 32 * position + 32])
     for (lo, hi), node in tree._spans.items():
         yield lo, hi, node
 
@@ -274,6 +304,7 @@ def _check_against_reference(tree, reference):
             path = tree.path(i, k)
             assert path == fresh.path(i, k)
             assert verify_path(reference[i], path, fresh.root_at(k))
+    _assert_packed(tree)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -310,6 +341,46 @@ def test_node_store_matches_reference_under_random_mutation(seed):
         _check_against_reference(tree, reference)
     for clone, snapshot in copies:
         _check_against_reference(clone, snapshot)
+
+
+def _assert_packed(tree):
+    """Each level is one ``bytearray`` holding exactly the nodes of its
+    height the tree keeps: 32 bytes each, no slack and no objects."""
+    for height, level in enumerate(tree._levels):
+        kept = max(0, (len(tree) >> height) - tree._first(height))
+        assert type(level) is bytearray and len(level) == 32 * kept, (height, len(tree))
+
+
+def test_each_level_is_packed_32_bytes_a_node():
+    ls = leaves(45, tag=b"packed")
+    tree = MerkleTree(ls[:37])
+    tree.root_at(37), tree.path(36, 37), tree.path(3, 35)  # queries store no nodes
+    _assert_packed(tree)
+    assert len(tree._levels[0]) == 32 * 37 and len(tree._levels[5]) == 32
+    tree.compact_below(21)
+    _assert_packed(tree)
+    tree.truncate(29)
+    _assert_packed(tree)
+    for leaf in ls[29:]:
+        tree.append(leaf)
+    clone = tree.copy()
+    _assert_packed(clone)
+    assert clone._levels == tree._levels
+    assert not any(a is b for a, b in zip(clone._levels, tree._levels))
+    seeded = MerkleTree.from_frontier(tree.frontier_at(45))
+    _assert_packed(seeded)
+    assert [len(level) for level in seeded._levels] == [32, 0, 32, 32, 0, 32]  # 45 = 0b101101
+
+
+def test_leaves_and_peaks_are_bytes():
+    ls = leaves(13, tag=b"types")
+    tree = MerkleTree(ls)
+    assert all(type(leaf) is bytes for leaf in tree.leaves()) and tree.leaves() == ls
+    assert type(tree.leaf(12)) is bytes and tree.leaf(12) == ls[12]
+    assert all(type(node) is bytes for _, node in tree.frontier_at(13))
+    assert all(type(root) is bytes for root in (tree.root(), tree.root_at(8), tree.root_at(5)))
+    path = tree.path(6)
+    assert type(path.siblings) is bytes and len(path.siblings) == 32 * len(path)
 
 
 def test_truncate_after_compact_and_path_after_truncate():

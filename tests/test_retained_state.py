@@ -20,15 +20,18 @@ from repro.lpbft import ProtocolParams
 from repro.workloads import SmallBankWorkload
 from test_integration_viewchange import VC_PARAMS
 
-# Measured 6,544 bytes per committed transaction on this deployment (CPython
-# 3.11), plus 2 %; 8,048 when outputs were dicts and undo records objects.
-RETAINED_BYTES_PER_TX_BUDGET = 6_675
+# Measured 5,914 bytes per committed transaction on this deployment (CPython
+# 3.11), plus 2 %; 6,544 when Merkle nodes, path steps and the ledger's
+# logical index were objects, 8,048 when outputs were also dicts and undo
+# records objects.
+RETAINED_BYTES_PER_TX_BUDGET = 6_030
 
-# Measured 12.97 tracked objects per committed transaction on this
-# deployment, plus one of slack; 16.97 when undo records were objects,
-# 29.58 when they also kept a copy of the write set, entries cached into
-# a ``__dict__`` and path steps were objects.
-TRACKED_PER_TX_BUDGET = 14.0
+# Measured 12.66 tracked objects per committed transaction on this
+# deployment, plus one of slack; 12.97 when requests kept a ``__dict__``,
+# 16.97 when undo records were objects, 29.58 when they also kept a copy
+# of the write set, entries cached into a ``__dict__`` and path steps
+# were objects.
+TRACKED_PER_TX_BUDGET = 13.7
 
 # Checkpoints (and so ledger and batch-record collection) never come due.
 PARAMS = ProtocolParams(
@@ -102,13 +105,18 @@ def test_per_transaction_records_have_no_instance_dict(run):
     # Memos live in declared slots: asking for them creates no dict.
     entries[0].leaf_digest(), receipts[0].reconstructed_pre_prepare()
     assert not hasattr(entries[0], "__dict__") and not hasattr(receipts[0], "__dict__")
-    # Undo tuples and path steps hold atoms only: the collector drops them.
+    # A decoded request memoises its seal in a slot.
+    for request in (receipt.request() for receipt in receipts[:10]):
+        request.to_wire()
+        assert not hasattr(request, "__dict__")
+    # Undo tuples hold atoms only: the collector drops them.  A path's
+    # steps are one packed bytes object, not a tuple of step tuples.
     gc.collect()
     for record in records:
         assert type(record) is tuple and not gc.is_tracked(record)
     for path in paths:
-        assert not gc.is_tracked(path.steps)
-        assert all(type(step) is tuple and not gc.is_tracked(step) for step in path.steps)
+        assert type(path.siblings) is bytes and len(path.siblings) == 32 * len(path)
+        assert type(path.lefts) is int
 
 
 def _assert_outputs_sealed(dep):

@@ -16,7 +16,6 @@ from repro.kvstore import (
 )
 from repro.kvstore.checkpoints import Checkpoint
 from repro.merkle import (
-    FrontierAccumulator,
     MerkleTree,
     frontier_from_wire,
     frontier_root,
@@ -177,17 +176,17 @@ class TestFrontier:
             assert frontier_root(tree.frontier_at(size)) == tree.root_at(size)
         assert frontier_root(tree.frontier_at(0)) == tree.root_at(0)
 
-    def test_accumulator_extends_like_full_tree(self):
+    def test_frontier_seeded_tree_extends_like_full_tree(self):
         leaves = [digest_value(("leaf", i)) for i in range(97)]
         tree = MerkleTree(leaves)
         for size in (1, 2, 31, 64, 95):
-            acc = FrontierAccumulator(tree.frontier_at(size))
-            assert acc.size == size
-            assert acc.root() == tree.root_at(size)
+            seeded = MerkleTree.from_frontier(tree.frontier_at(size))
+            assert len(seeded) == size
+            assert seeded.root() == tree.root_at(size)
             for leaf in leaves[size:]:
-                acc.append(leaf)
-            assert acc.root() == tree.root()
-            assert acc.size == len(leaves)
+                seeded.append(leaf)
+            assert seeded.root() == tree.root()
+            assert len(seeded) == len(leaves)
 
     def test_frontier_wire_validation(self):
         tree = MerkleTree([digest_value(("leaf", i)) for i in range(7)])
