@@ -110,7 +110,7 @@ def replay_batches(
                     entry = replayed
                 batch.entries.append(entry)
                 batch.g_tree.append(entry.leaf_digest())
-            if not differs and batch.g_tree.root() != ledger.batch_pre_prepare(seqno).root_g:
+            if not differs and batch.g_tree.root() != ledger.pre_prepare(info).root_g:
                 differs.append(ReplayFinding(
                     "g-root-mismatch", seqno, info.first_tx,
                     f"batch {seqno}: the replayed entries do not reproduce the signed root_g",

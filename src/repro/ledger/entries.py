@@ -109,13 +109,15 @@ class TxEntry(LedgerEntry):
         leaf preimage."""
         return (self.request_wire, self.index, self.output)
 
-    def leaves(self) -> tuple[Digest, Digest]:
+    def leaves(self, remember: bool = False) -> tuple[Digest, Digest]:
         """``(digest(), leaf_digest())`` from one encoding of ``(t, i, o)``,
-        the G preimage.  Remembers the G leaf, as :meth:`leaf_digest`
-        does."""
+        the G preimage.  ``remember`` keeps the G leaf for
+        :meth:`leaf_digest`, which a decoded ledger's replay asks for;
+        execution does not, as its batch's tree G holds the leaf."""
         encoded = self._encode_tio()
         g_leaf = digest(encoded)
-        object.__setattr__(self, "_leaf_digest", g_leaf)
+        if remember:
+            object.__setattr__(self, "_leaf_digest", g_leaf)
         return _wire_leaf(encoded), g_leaf
 
     def digest(self) -> Digest:
@@ -125,8 +127,8 @@ class TxEntry(LedgerEntry):
     @memoised
     def leaf_digest(self) -> Digest:
         """This entry's leaf in the per-batch tree G.  Remembered (32
-        bytes, never the encoding): execution, replyx rebuilds and view
-        changes all ask the entry the ledger holds."""
+        bytes, never the encoding) once asked; a batch record's tree G
+        already holds the leaf of each entry it executed."""
         return digest(self._encode_tio())
 
     def _encode_tio(self) -> bytes:

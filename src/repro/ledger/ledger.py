@@ -85,8 +85,11 @@ class Ledger:
     def __init__(self, genesis: GenesisEntry | None = None) -> None:
         self._entries: list[LedgerEntry] = []
         self._tree = MerkleTree()
+        # One BatchInfo per pre-prepare entry, in ledger order; a seqno
+        # re-proposed in a higher view has one for each, and _batches
+        # finds the newest.
+        self._batch_list: list[BatchInfo] = []
         self._batches: dict[int, BatchInfo] = {}
-        self._batch_order: list[int] = []
         self._last_gov_index = 0
         # Prefix-GC state: _base is the absolute index of the first
         # retained entry; _logical_base counts the logical indices the
@@ -127,7 +130,7 @@ class Ledger:
             self._logical_to_position.append(index)
         if isinstance(entry, PrePrepareEntry):
             pp = entry.pre_prepare()
-            self._batches[pp.seqno] = BatchInfo(
+            info = BatchInfo(
                 seqno=pp.seqno,
                 view=pp.view,
                 pp_index=index,
@@ -135,10 +138,11 @@ class Ledger:
                 tx_count=0,
                 flags=pp.flags,
             )
-            self._batch_order.append(pp.seqno)
+            self._batch_list.append(info)
+            self._batches[pp.seqno] = info
         elif isinstance(entry, (TxEntry, CheckpointTxEntry)):
-            if self._batch_order:
-                info = self._batches[self._batch_order[-1]]
+            if self._batch_list:
+                info = self._batch_list[-1]
                 if info.end == index:
                     info.tx_count += 1
             if isinstance(entry, TxEntry) and entry.request_wire[1].startswith("gov."):
@@ -154,7 +158,7 @@ class Ledger:
         remembered for replay (:meth:`TxEntry.leaves`)."""
         for entry in entries:
             if type(entry) is TxEntry:
-                self.append(entry, entry.leaves()[0])
+                self.append(entry, entry.leaves(remember=True)[0])
             else:
                 self.append(entry)
 
@@ -243,20 +247,23 @@ class Ledger:
     # -- batches -----------------------------------------------------------
 
     def batch(self, seqno: int) -> BatchInfo | None:
-        """Locator for the batch at ``seqno`` (None if absent or pruned)."""
+        """Locator for the newest batch at ``seqno`` (None if absent or
+        pruned)."""
         return self._batches.get(seqno)
 
     def batches(self) -> list[BatchInfo]:
-        """All retained batches in ledger order."""
-        return [self._batches[s] for s in self._batch_order]
+        """All retained batches in ledger order, one per pre-prepare
+        entry: a seqno re-proposed in a higher view appears once per
+        view."""
+        return list(self._batch_list)
 
     def last_seqno(self) -> int:
         """Sequence number of the newest batch (0 if none)."""
-        return self._batch_order[-1] if self._batch_order else 0
+        return self._batch_list[-1].seqno if self._batch_list else 0
 
     def oldest_retained_seqno(self) -> int | None:
         """Sequence number of the oldest retained batch (None if none)."""
-        return self._batch_order[0] if self._batch_order else None
+        return self._batch_list[0].seqno if self._batch_list else None
 
     def batch_entries(self, seqno: int) -> list[LedgerEntry]:
         """The tx/checkpoint entries of the batch at ``seqno``."""
@@ -266,10 +273,14 @@ class Ledger:
         return self._entries[info.first_tx - self._base : info.end - self._base]
 
     def batch_pre_prepare(self, seqno: int):
-        """The pre-prepare message of the batch at ``seqno``."""
+        """The pre-prepare message of the newest batch at ``seqno``."""
         info = self._batches.get(seqno)
         if info is None:
             raise LedgerError(f"no batch at seqno {seqno}")
+        return self.pre_prepare(info)
+
+    def pre_prepare(self, info: BatchInfo):
+        """The pre-prepare message of the batch ``info`` locates."""
         entry = self._entries[info.pp_index - self._base]
         assert isinstance(entry, PrePrepareEntry)
         return entry.pre_prepare()
@@ -288,8 +299,8 @@ class Ledger:
         a peer could widen the prefix the checkpoint claims to cover.
         """
         found = []
-        for info in self.batches():
-            pp = self.batch_pre_prepare(info.seqno)
+        for info in self._batch_list:
+            pp = self.pre_prepare(info)
             if self.root_at(info.pp_index) != pp.root_m:
                 found.append((info.seqno, f"batch {info.seqno}: the entries before its "
                               f"pre-prepare do not reproduce the signed root_m"))
@@ -347,14 +358,21 @@ class Ledger:
         self._tree.truncate(size)
         # The removed batches, logical indices and governance entries are
         # each a suffix of their index: cut them from the tail.
-        order, batches = self._batch_order, self._batches
-        while order and (order[-1] not in batches or batches[order[-1]].pp_index >= size):
-            batches.pop(order.pop(), None)
+        order, batches = self._batch_list, self._batches
+        while order and order[-1].pp_index >= size:
+            info = order.pop()
+            if batches.get(info.seqno) is info:
+                del batches[info.seqno]
+        if len(batches) < len(order):
+            # A removed batch re-proposed an older one's seqno: the older
+            # is that seqno's newest again.
+            for info in order:
+                batches[info.seqno] = info
         positions = self._logical_to_position
         del positions[bisect_left(positions, size) :]
         # Repair tx counts of a batch that lost a suffix of its entries.
         if order:
-            info = batches[order[-1]]
+            info = order[-1]
             info.tx_count = min(info.tx_count, max(0, size - info.first_tx))
         gov = self._gov_entries
         while gov and gov[-1][0] >= self.logical_size():
@@ -382,7 +400,7 @@ class Ledger:
             )
         if boundary == self._base:
             return 0
-        for info in self._batches.values():
+        for info in self._batch_list:
             if info.pp_index < boundary < info.end:
                 raise LedgerError(
                     f"boundary {boundary} splits batch {info.seqno} "
@@ -400,10 +418,8 @@ class Ledger:
             logical += 1
         del self._entries[: boundary - self._base]
         self._tree.compact_below(boundary)
-        pruned_seqnos = [s for s, info in self._batches.items() if info.end <= boundary]
-        for seqno in pruned_seqnos:
-            del self._batches[seqno]
-        self._batch_order = [s for s in self._batch_order if s in self._batches]
+        self._batch_list = [info for info in self._batch_list if info.end > boundary]
+        self._batches = {info.seqno: info for info in self._batch_list}
         keep_from = bisect_left(self._logical_to_position, boundary)
         del self._logical_to_position[:keep_from]
         self._logical_base += keep_from
@@ -498,7 +514,7 @@ class LedgerFragment:
         # before it).  Anchor the floor there unconditionally: a rollback
         # past a governance transaction *inside* the suffix must fall back
         # to the prefix's ig, not to 0.
-        if ledger._batch_order:
-            ledger._gov_floor = ledger.batch_pre_prepare(ledger._batch_order[0]).gov_index
+        if ledger._batch_list:
+            ledger._gov_floor = ledger.pre_prepare(ledger._batch_list[0]).gov_index
             ledger._last_gov_index = max(ledger._last_gov_index, ledger._gov_floor)
         return ledger

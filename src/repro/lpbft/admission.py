@@ -40,6 +40,11 @@ Budgets (module constants: no workload has needed another value):
   no longer wait for, the stash evicts its expired head, and a backup's
   view-change timer evicts every expired request before judging pendency.
 
+Under churn a CPython table keeps the size of its peak, not of its live
+entries; after :data:`COMPACT_SLACK` plus twice the live count of
+removals, ``requests``, ``arrivals`` and ``verified`` are rebuilt in place
+at their live size (amortised O(1) per removal, order kept).
+
 Invariants: the map's order is arrival order (every insert is a new key,
 so it lands at the tail); a digest is queued at most once; a request that
 was dropped or rolled back and arrives again is a fresh tail entry, not a
@@ -64,6 +69,7 @@ QUEUE_CAP = 3000  # requests
 CLIENT_TIMEOUT = 2.0  # seconds: the client patience replicas shed against
 ADMISSION_BUDGET = CLIENT_TIMEOUT / 4  # seconds of projected queue drain
 LANE_BACKLOG_BUDGET = 0.05  # seconds of execute-lane occupancy
+COMPACT_SLACK = 1024  # removals beyond twice the live count that trigger a compaction
 
 
 class Admission:
@@ -85,6 +91,7 @@ class Admission:
         # Per-request execute cost (EWMA of observed submissions) that the
         # admission budget and deadline shedding project with.
         self.exec_cost_ewma: float | None = None
+        self._removed = 0  # queue removals since the last compaction
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -261,6 +268,7 @@ class Admission:
                 replica.metrics.bump("wasted_verify_s", replica.costs.verify)
         if counter is not None:
             replica.metrics.bump(counter)
+        self._note_removal()
         # A dropped request can never be replied to — release its source
         # mapping (kept for executed requests to route replies).
         src = self.sources.pop(tx_digest, None)
@@ -352,7 +360,20 @@ class Admission:
         its arrival time (None when unknown) is returned for the queue
         delay.  Reply routing and trace context stay until :meth:`forget`."""
         self.verified.discard(tx_digest)
-        return self.requests.pop(tx_digest), self.arrivals.pop(tx_digest, None)
+        taken = self.requests.pop(tx_digest), self.arrivals.pop(tx_digest, None)
+        self._note_removal()
+        return taken
+
+    def _note_removal(self) -> None:
+        """Count one queue removal; past the slack, rebuild the three
+        queue tables at their live size (in place, order kept)."""
+        self._removed += 1
+        if self._removed > 2 * len(self.requests) + COMPACT_SLACK:
+            self._removed = 0
+            for table in (self.requests, self.arrivals, self.verified):
+                kept = table.copy()
+                table.clear()
+                table.update(kept)
 
     def requeue(self, record, arrival: float | None = None) -> None:
         """Return a rolled-back batch's requests to the tail of the queue,
@@ -389,6 +410,7 @@ class Admission:
         stays the ordered map ``__init__`` built)."""
         for table in (self.requests, self.arrivals, self.verified, self.sources, self.trace_ctxs):
             table.clear()
+        self._removed = 0
 
     def orphans(self) -> set[Digest]:
         """Keys of ``arrivals``/``verified`` that outlived their queue

@@ -107,7 +107,7 @@ def verify_fetched_ledger(
     for info in ledger.batches():
         if info.pp_index < check_from:
             continue
-        seqno, pp = info.seqno, ledger.batch_pre_prepare(info.seqno)
+        seqno, pp = info.seqno, ledger.pre_prepare(info)
         config = schedule.config_at_seqno(seqno)
         primary_id = config.primary_for_view(pp.view)
         if not config.has_replica(primary_id):

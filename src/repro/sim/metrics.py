@@ -22,6 +22,7 @@ labeled registry dump.
 from __future__ import annotations
 
 import math
+from array import array
 
 
 class LatencyStats:
@@ -30,11 +31,13 @@ class LatencyStats:
     The sorted view is computed lazily and cached; :meth:`record`
     invalidates it, so repeated percentile reads between samples (the
     common benchmark-reporting pattern) sort once instead of per call.
+    Samples are packed doubles: 8 bytes each, not a float object and a
+    list slot.
     """
 
     def __init__(self) -> None:
-        self._samples: list[float] = []
-        self._sorted: list[float] | None = None
+        self._samples = array("d")
+        self._sorted: array | None = None
 
     def record(self, seconds: float) -> None:
         self._samples.append(seconds)
@@ -55,7 +58,7 @@ class LatencyStats:
         if not self._samples:
             return 0.0
         if self._sorted is None:
-            self._sorted = sorted(self._samples)
+            self._sorted = array("d", sorted(self._samples))
         ordered = self._sorted
         rank = max(1, math.ceil(p / 100.0 * len(ordered)))
         return ordered[rank - 1]

@@ -1,6 +1,7 @@
 """Multi-lane VirtualCPU invariants, open-loop load generation, and
 per-lane utilization reporting."""
 
+import math
 import random
 
 import pytest
@@ -275,6 +276,26 @@ class TestLatencyStatsCache:
         m = MetricsCollector()
         m.latency.record(1.0)
         assert "latency_p90_ms" in m.summary()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 999, 1000, 1001, 5000])
+    def test_packed_samples_report_what_a_list_would(self, n):
+        """Samples are packed doubles; every statistic equals the one a
+        list of the same floats gives (nearest rank, left-to-right sum)."""
+        rng = random.Random(n)
+        samples = [rng.expovariate(200.0) * rng.choice((1, 1, 1, 50)) for _ in range(n)]
+        stats = LatencyStats()
+        for v in samples:
+            stats.record(v)
+        ordered = sorted(samples)
+
+        def nearest_rank(p):
+            return ordered[max(1, math.ceil(p / 100.0 * n)) - 1] if n else 0.0
+
+        assert stats.count == n
+        assert stats.p50() == nearest_rank(50) and stats.p90() == nearest_rank(90)
+        assert stats.p99() == nearest_rank(99) and stats.p999() == nearest_rank(99.9)
+        assert stats.mean() == (sum(samples) / n if n else 0.0)
+        assert stats.max() == (max(samples) if n else 0.0)
 
 
 class TestDeploymentIntegration:

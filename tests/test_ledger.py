@@ -20,6 +20,7 @@ from repro.ledger import (
     entry_from_wire,
 )
 from repro.lpbft.messages import PrePrepare, Prepare, TransactionRequest
+from repro.merkle import MerkleTree
 
 
 def make_request(n=0):
@@ -146,6 +147,57 @@ class TestLedger:
             self.build().batch_entries(9)
 
 
+def _reproposed(tamper_v0=False):
+    """genesis, pp(v0, s1), tx, view-changes, new-view, pp(v1, s1), tx,
+    each pre-prepare signing the real root_m and root_g.  With
+    ``tamper_v0`` the v0 batch's transaction is swapped after its
+    pre-prepare signed it (the v1 batch, appended after, stays bound)."""
+    ledger = Ledger(GenesisEntry(config_wire=("c",)))
+
+    def batch(view, tx):
+        root_g = MerkleTree([tx.leaf_digest()]).root()
+        pp = make_pp(view=view, seqno=1, root_m=ledger.root(), root_g=root_g)
+        ledger.append(PrePrepareEntry(pp_wire=pp.to_wire()))
+
+    batch(0, _tx("p", 2))
+    ledger.append(_tx("p", 2) if not tamper_v0 else _tx("tampered", 2))
+    ledger.append(ViewChangesEntry(view=1, vc_wires=()))
+    ledger.append(NewViewEntry(nv_wire=("new-view", 1)))
+    batch(1, _tx("p", 3))
+    ledger.append(_tx("p", 3))
+    return ledger
+
+
+class TestReproposedSeqno:
+    """A seqno pre-prepared again in a higher view (which
+    ``ledger/wellformed.py`` accepts) keeps a batch per pre-prepare."""
+
+    def test_both_batches_listed_in_ledger_order(self):
+        ledger = _reproposed()
+        assert [(b.seqno, b.view, b.pp_index, b.tx_count) for b in ledger.batches()] == [
+            (1, 0, 1, 1), (1, 1, 5, 1)]
+        assert ledger.batch(1).view == 1 and ledger.batch_pre_prepare(1).view == 1
+        assert [ledger.pre_prepare(b).view for b in ledger.batches()] == [0, 1]
+        assert ledger.last_seqno() == ledger.oldest_retained_seqno() == 1
+        assert ledger.unbound() == []
+
+    @pytest.mark.parametrize("decoded", [False, True])
+    def test_tampered_older_batch_is_unbound(self, decoded):
+        ledger = _reproposed(tamper_v0=True)
+        if decoded:  # as the auditor and a state-sync client hold it
+            ledger = ledger.fragment().to_ledger()
+        assert ledger.unbound() == [
+            (1, "batch 1: its entries do not reproduce the signed root_g")]
+
+    def test_rollback_past_the_newer_batch_finds_the_older(self):
+        ledger = _reproposed()
+        ledger.truncate(ledger.batch(1).pp_index)
+        assert [(b.seqno, b.view) for b in ledger.batches()] == [(1, 0)]
+        assert ledger.batch(1).view == 0 and ledger.batch_pre_prepare(1).view == 0
+        ledger.truncate(1)
+        assert ledger.batches() == [] and ledger.batch(1) is None
+
+
 class TestFragments:
     def test_fragment_roundtrip(self):
         ledger = TestLedger().build()
@@ -217,11 +269,13 @@ class _History:
             ledger.append(entry)
         return ledger
 
-    def add_batch(self, gov_flags, view_change, ledgers):
-        """Append one batch (after a view change's two entries, if asked)
-        to the history and to every ledger of ``ledgers``."""
+    def add_batch(self, gov_flags, view_change, ledgers, repropose=False):
+        """Append one batch (after a view change's two entries, if asked,
+        and then under the last seqno again if ``repropose``) to the
+        history and to every ledger of ``ledgers``."""
         reference = self.rebuilt()
-        self.seqno += 1
+        if not (view_change and repropose and self.seqno):
+            self.seqno += 1
         group = [ViewChangesEntry(view=self.seqno, vc_wires=()),
                  NewViewEntry(nv_wire=("new-view", self.seqno))] if view_change else []
         group.append(PrePrepareEntry(pp_wire=make_pp(
@@ -258,12 +312,14 @@ def _check_rebuilt(ledger, history, first_logical):
             with pytest.raises(LedgerError):
                 ledger.entry_at_index(outside)
     assert ledger.batches() == [b for b in reference.batches() if b.pp_index >= ledger.base_index]
+    for info in ledger.batches():  # a seqno answers with its newest batch
+        assert ledger.batch(info.seqno) is [b for b in ledger.batches() if b.seqno == info.seqno][-1]
     assert ledger.last_seqno() == (reference.last_seqno() if ledger.batches() else 0)
 
 
 _OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("append"), st.lists(st.booleans(), max_size=3), st.booleans()),
+        st.tuples(st.just("append"), st.lists(st.booleans(), max_size=3), st.booleans(), st.booleans()),
         st.tuples(st.just("truncate"), st.integers(0, 1000)),
         st.tuples(st.just("truncate_below"), st.integers(0, 1000)),
     ),
@@ -278,7 +334,8 @@ _OPS = st.lists(
     ops=_OPS,
 )
 def test_property_rollback_and_gc_match_a_rebuilt_ledger(prefix, suffix_at, ops):
-    """Random appends (with governance transactions and view changes),
+    """Random appends (with governance transactions, view changes and
+    seqnos re-proposed after one),
     rollbacks (``truncate``) and prefix GC (``truncate_below``), on a
     genesis-rooted or a suffix-rooted ledger, each checked against the
     ledger rebuilt from every entry not rolled back."""
@@ -298,7 +355,7 @@ def test_property_rollback_and_gc_match_a_rebuilt_ledger(prefix, suffix_at, ops)
     for op in ops:
         base, size = ledger.base_index, len(ledger)
         if op[0] == "append":
-            history.add_batch(op[1], op[2], [ledger])
+            history.add_batch(op[1], op[2], [ledger], repropose=op[3])
         elif op[0] == "truncate":
             cut = base + op[1] % (size - base + 1)
             removed = ledger.truncate(cut)

@@ -20,11 +20,12 @@ from repro.lpbft import ProtocolParams
 from repro.workloads import SmallBankWorkload
 from test_integration_viewchange import VC_PARAMS
 
-# Measured 5,914 bytes per committed transaction on this deployment (CPython
-# 3.11), plus 2 %; 6,544 when Merkle nodes, path steps and the ledger's
-# logical index were objects, 8,048 when outputs were also dicts and undo
-# records objects.
-RETAINED_BYTES_PER_TX_BUDGET = 6_030
+# Measured 5,541 bytes per committed transaction on this deployment (CPython
+# 3.11), plus 2 %; 5,914 when each executed entry also memoised its G leaf
+# and latency samples were a list of floats, 6,544 when Merkle nodes, path
+# steps and the ledger's logical index were objects, 8,048 when outputs
+# were also dicts and undo records objects.
+RETAINED_BYTES_PER_TX_BUDGET = 5_650
 
 # Measured 12.66 tracked objects per committed transaction on this
 # deployment, plus one of slack; 12.97 when requests kept a ``__dict__``,
@@ -117,6 +118,32 @@ def test_per_transaction_records_have_no_instance_dict(run):
     for path in paths:
         assert type(path.siblings) is bytes and len(path.siblings) == 32 * len(path)
         assert type(path.lefts) is int
+
+
+def test_executed_entries_leave_their_g_leaf_to_the_batch_tree():
+    """Execution keeps each transaction's G leaf once, in its batch
+    record's tree G; the entry holds no memo of it.  A ledger decoded
+    from a fragment remembers it, for the replay that reads it next."""
+    dep = build_deployment(params=PARAMS, seed=b"g-leaf")
+    client = dep.add_client(retry_timeout=0.5)
+    dep.start()
+    workload = SmallBankWorkload(n_accounts=200, seed=5)
+    for _ in range(60):
+        client.submit(*workload.next_transaction(), min_index=0)
+    dep.run(until=0.5)
+    assert len(client.collector._done) == 60
+    executed = [
+        (record, position, entry)
+        for replica in dep.replicas for record in replica.batches.values()
+        for position, entry in enumerate(record.entries) if isinstance(entry, TxEntry)
+    ]
+    assert len(executed) == 4 * 60
+    assert all(entry._leaf_digest is None for _, _, entry in executed)
+    for record, position, entry in executed:
+        assert record.g_tree.leaf(position) == entry.leaf_digest()
+    decoded = dep.replicas[0].ledger.fragment().to_ledger()
+    entries = [e for e in decoded.entries() if isinstance(e, TxEntry)]
+    assert entries and all(e._leaf_digest is not None for e in entries)
 
 
 def _assert_outputs_sealed(dep):
