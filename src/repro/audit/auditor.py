@@ -162,8 +162,8 @@ class Auditor:
             # Minimum-index rule (Thm. 2): a receipt that violates its own
             # request's ordering constraint blames every signer.
             if not receipt.is_batch_receipt:
-                request = receipt.request()
-                if receipt.index is not None and receipt.index < request.min_index:
+                min_index = receipt.min_index()
+                if receipt.index is not None and receipt.index < min_index:
                     blamed = receipt.signers()
                     result.upoms.append(
                         UPoM(
@@ -174,7 +174,7 @@ class Auditor:
                             index=receipt.index,
                             detail=(
                                 f"transaction executed at index {receipt.index} despite minimum "
-                                f"index {request.min_index}"
+                                f"index {min_index}"
                             ),
                             evidence={"receipt": receipt.to_wire()},
                         )

@@ -91,17 +91,19 @@ def replay_batches(
             # _accept_pre_prepare marks): a rollback to the mark keeps it.
             if seqno in activations:
                 kv.execute(lambda tx, c=activations[seqno]: install_configuration(tx, c))
-            batch = ReplayedBatch(info, kv.tx_count, [], MerkleTree(), [], [])
-            differs = []
+            batch = ReplayedBatch(info, kv.tx_count, [], None, [], [])
+            differs, leaves = [], []
             for entry in ledger.entries(info.first_tx, info.end):
                 if isinstance(entry, CheckpointTxEntry):
                     batch.findings += _check_checkpoint_tx(entry, seqno, ledger, checkpoint, digests)
+                    leaf = entry.leaf_digest()
                 else:
-                    request = entry.request()
+                    request = entry.invocation()
                     output, ops = execute_procedure(kv, registry, request)
                     batch.work.append((ops, len(kv)))
-                    replayed = TxEntry(request_wire=request.to_wire(), index=entry.index, output=output)
-                    if replayed.leaf_digest() != entry.leaf_digest():
+                    replayed = TxEntry(request_wire=entry.request_wire, index=entry.index, output=output)
+                    leaf = replayed.leaf_digest()
+                    if leaf != entry.leaf_digest():
                         differs.append(ReplayFinding(
                             "output-mismatch", seqno, entry.index,
                             f"transaction {request.procedure!r} at index {entry.index} replays to "
@@ -109,7 +111,10 @@ def replay_batches(
                         ))
                     entry = replayed
                 batch.entries.append(entry)
-                batch.g_tree.append(entry.leaf_digest())
+                leaves.append(leaf)
+            # With every leaf reproduced, the replayed tree G is the
+            # ledger's: the one its binding check built.
+            batch.g_tree = MerkleTree(leaves) if differs else ledger.g_tree(info)
             if not differs and batch.g_tree.root() != ledger.pre_prepare(info).root_g:
                 differs.append(ReplayFinding(
                     "g-root-mismatch", seqno, info.first_tx,

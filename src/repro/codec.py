@@ -18,7 +18,7 @@ versions and platforms.
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import Any, Iterator
 
 from .errors import CodecError
@@ -53,6 +53,7 @@ class Sealed(tuple):
 
     wire_bytes: bytes
     digest: bytes | None = None
+    packed: "SealedSeq | None" = None  # memo of :func:`pack`
 
 
 class SealedMap(Mapping):
@@ -86,10 +87,91 @@ class SealedMap(Mapping):
         return repr(decode(self.wire_bytes))
 
 
-def seal(value: tuple | list | dict) -> Sealed | SealedMap:
+class SealedSeq(Sequence):
+    """A read-only sequence held as nothing but its canonical encoding:
+    the sequence sibling of :class:`SealedMap`.
+
+    What a :class:`Sealed` becomes once its items are seldom read: an
+    executed request, which every ledger entry and receipt of it holds
+    this way.  :func:`pack` is the only constructor and takes only a
+    :class:`Sealed`, so the seal's invariant carries over
+    (``wire_bytes == encode(tuple(self))``), as does its ``digest``
+    memo of :func:`repro.crypto.hashing.digest_value`.  The encoder
+    splices the bytes verbatim.  An item read decodes that item alone,
+    skipping the ones before it; iteration, ``==`` and ``hash`` decode
+    the whole and behave as the plain tuple's.  :meth:`unseal` gives
+    the :class:`Sealed` back.
+    """
+
+    __slots__ = ("wire_bytes", "digest")
+
+    def __init__(self, wire_bytes: bytes, digest: bytes | None) -> None:
+        self.wire_bytes = wire_bytes
+        self.digest = digest
+
+    def __getitem__(self, index):
+        data = self.wire_bytes
+        count, pos = _read_varint(data, 1)
+        if type(index) is not int:
+            return decode(data)[index]
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("sealed sequence index out of range")
+        while index:
+            # Short strings and bytes are stepped over inline.
+            kind = data[pos]
+            if (kind == _TAG_STR or kind == _TAG_BYTES) and data[pos + 1] < 0x80:
+                pos += 2 + data[pos + 1]
+            else:
+                pos = _skip(data, pos)
+            index -= 1
+        if data[pos] == _TAG_STR and data[pos + 1] < 0x80:
+            return data[pos + 2 : pos + 2 + data[pos + 1]].decode("utf-8")
+        return _decode_from(data, pos)[0]
+
+    def __len__(self) -> int:
+        return _read_varint(self.wire_bytes, 1)[0]
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(decode(self.wire_bytes))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is SealedSeq:
+            return self.wire_bytes == other.wire_bytes or decode(self.wire_bytes) == decode(other.wire_bytes)
+        if isinstance(other, tuple):
+            return decode(self.wire_bytes) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(decode(self.wire_bytes))
+
+    def __repr__(self) -> str:
+        return repr(decode(self.wire_bytes))
+
+    def unseal(self) -> Sealed:
+        """The :class:`Sealed` these bytes were packed from, decoded."""
+        sealed = Sealed(decode(self.wire_bytes))
+        sealed.wire_bytes, sealed.digest, sealed.packed = self.wire_bytes, self.digest, self
+        return sealed
+
+
+def pack(value: Any) -> Any:
+    """A :class:`Sealed` as its :class:`SealedSeq`, made once per seal
+    and shared by everything that packs it; any other value as it is."""
+    if type(value) is not Sealed:
+        return value
+    packed = value.packed
+    if packed is None:
+        packed = value.packed = SealedSeq(value.wire_bytes, value.digest)
+    return packed
+
+
+def seal(value: tuple | list | dict) -> Sealed | SealedMap | SealedSeq:
     """Encode ``value`` once and return it carrying those bytes: a
-    :class:`SealedMap` for a ``dict``, a :class:`Sealed` otherwise."""
-    if type(value) is Sealed or type(value) is SealedMap:
+    :class:`SealedMap` for a ``dict``, a :class:`Sealed` otherwise.  A
+    value already sealed is returned as it is."""
+    if type(value) is Sealed or type(value) is SealedMap or type(value) is SealedSeq:
         return value
     if type(value) is dict:
         return SealedMap(encode(value))
@@ -173,6 +255,8 @@ def _varint_size(value: int) -> int:
 
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
     """Read an unsigned LEB128 varint, returning (value, new_pos)."""
+    if pos < len(data) and data[pos] < 0x80:
+        return data[pos], pos + 1
     result = 0
     shift = 0
     while True:
@@ -186,6 +270,39 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
         if shift > 63:
             raise CodecError("varint too long")
+
+
+def _skip(data: bytes, pos: int) -> int:
+    """The position after the value encoded at ``pos``, found without
+    building the value.  Reads only bytes this process encoded."""
+    tag = data[pos]
+    if tag <= _TAG_TRUE:
+        return pos + 1
+    if tag == _TAG_INT:
+        if data[pos + 1] == 0x00:
+            return _read_varint(data, pos + 2)[1]
+        length, pos = _read_varint(data, pos + 3)  # mode 0xFF, sign, length
+        return pos + length
+    length, pos = _read_varint(data, pos + 1)
+    if tag == _TAG_BYTES or tag == _TAG_STR:
+        return pos + length
+    if tag == _TAG_SEQ:
+        for _ in range(length):
+            pos = _skip(data, pos)
+        return pos
+    if tag == _TAG_MAP:
+        for _ in range(length):
+            key_len, pos = (data[pos], pos + 1) if data[pos] < 0x80 else _read_varint(data, pos)
+            pos += key_len
+            if data[pos] == _TAG_INT and data[pos + 1] == 0x00:
+                pos += 2  # an int's varint, stepped over inline
+                while data[pos] & 0x80:
+                    pos += 1
+                pos += 1
+            else:
+                pos = _skip(data, pos)
+        return pos
+    raise CodecError(f"unknown tag {tag:#x}")
 
 
 # -- encoding: one encoder per type, found through ``_ENCODERS`` ---------------
@@ -291,7 +408,7 @@ def _encode_map(out: bytearray, value: dict) -> None:
         (_ENCODERS.get(type(item)) or _encoder_for(type(item)))(out, item)
 
 
-def _encode_sealed(out: bytearray, value: Sealed | SealedMap) -> None:
+def _encode_sealed(out: bytearray, value: Sealed | SealedMap | SealedSeq) -> None:
     out += value.wire_bytes
 
 
@@ -308,6 +425,7 @@ _ENCODERS = {
     dict: _encode_map,
     Sealed: _encode_sealed,
     SealedMap: _encode_sealed,
+    SealedSeq: _encode_sealed,
 }
 
 
@@ -323,7 +441,7 @@ def _encoder_for(kind: type):
 def encode(value: Any) -> bytes:
     """Encode ``value`` into its canonical byte representation."""
     kind = type(value)
-    if kind is Sealed or kind is SealedMap:
+    if kind is Sealed or kind is SealedMap or kind is SealedSeq:
         return value.wire_bytes
     out = bytearray()
     (_ENCODERS.get(kind) or _encoder_for(kind))(out, value)
@@ -467,15 +585,21 @@ def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
         count, pos = _read_varint(data, pos)
         result: dict[str, Any] = {}
         previous_key: str | None = None
+        end = len(data)
         for _ in range(count):
             key_len, pos = _read_varint(data, pos)
-            if pos + key_len > len(data):
+            if pos + key_len > end:
                 raise CodecError("truncated map key")
             key = data[pos : pos + key_len].decode("utf-8")
             pos += key_len
             if previous_key is not None and key <= previous_key:
                 raise CodecError("map keys not in canonical order")
             previous_key = key
+            if pos + 2 < end and data[pos] == _TAG_INT and data[pos + 1] == 0x00:
+                # An int, the value of every SmallBank argument: read inline.
+                zz, pos = _read_varint(data, pos + 2)
+                result[key] = (zz >> 1) ^ -(zz & 1)
+                continue
             result[key], pos = _decode_from(data, pos)
         return result, pos
     raise CodecError(f"unknown tag {tag:#x}")
@@ -510,7 +634,7 @@ def encoded_size(value: Any) -> int:
     """Return the size in bytes of the canonical encoding of ``value``.
     A seal, ``bytes`` and an ``int`` are sized directly."""
     kind = type(value)
-    if kind is Sealed or kind is SealedMap:
+    if kind is Sealed or kind is SealedMap or kind is SealedSeq:
         return len(value.wire_bytes)
     if kind is bytes:
         return 1 + _varint_size(len(value)) + len(value)

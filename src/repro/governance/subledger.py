@@ -220,7 +220,7 @@ class GovernanceExtractor:
                 self._pending = None
                 self._pending_eoc = None
             return
-        if isinstance(entry, TxEntry) and entry.request_wire[1].startswith("gov."):
+        if isinstance(entry, TxEntry) and entry.is_governance():
             request = entry.request()
             self._scratch.execute(
                 lambda tx: self._registry.invoke(request.procedure, tx, request.args)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, ClassVar
+from typing import Any, ClassVar, NamedTuple
 
 from .. import codec
 from ..codec import memoised
@@ -73,7 +73,19 @@ class GenesisEntry(LedgerEntry):
         return self.digest()
 
 
+class Invocation(NamedTuple):
+    """A request's ``procedure`` and ``args``: all that executing it reads."""
+
+    procedure: str
+    args: dict
+
+
 _TX_WIRE_HEAD = codec.encode(("tx", None, None, None))[:-3]  # four-item header, "tx"
+# A request's encoding opens with its eight-item header, the "request"
+# tag and its procedure name's STR tag; a name under 128 bytes follows
+# its one-byte length.
+_REQUEST_HEAD = codec.encode(("request", "", None, None, None, None, None, None))[:12]
+_GOV_PREFIX = b"gov."
 _TIO_HEAD_SIZE = codec.sequence_size(3, 0)
 
 
@@ -85,9 +97,10 @@ class TxEntry(LedgerEntry):
     the digest of the transaction's write set (``"ws"``), so replay can
     detect silently-dropped writes even when the reply matches.  The
     first encoding of ``(t, i, o)`` replaces a ``dict`` output by its
-    :class:`~repro.codec.SealedMap`, cut from those bytes: an entry holds
-    its output at its encoded size, and every receipt and replyx built
-    from it shares that one seal.
+    :class:`~repro.codec.SealedMap`, cut from those bytes, and a sealed
+    request by its :class:`~repro.codec.SealedSeq`: an entry holds both
+    at their encoded size, and every receipt and replyx built from it
+    shares them.
     """
 
     kind: ClassVar[str] = "tx"
@@ -103,6 +116,28 @@ class TxEntry(LedgerEntry):
         from ..lpbft.messages import TransactionRequest
 
         return TransactionRequest.from_wire(self.request_wire)
+
+    def invocation(self):
+        """What replay executes: ``t``'s ``procedure`` and ``args``.  A
+        packed request decodes those two items alone (its ``args`` taken
+        as :meth:`TransactionRequest.from_wire` takes them); any other
+        wire is parsed whole (:meth:`request`)."""
+        t = self.request_wire
+        if type(t) is not codec.SealedSeq:
+            return self.request()
+        args = t[2]
+        return Invocation(t[1], args if type(args) is dict else dict(args))
+
+    def is_governance(self) -> bool:
+        """Whether ``t`` invokes a governance procedure (``gov.*``, §5).
+        Asked of every entry a ledger appends, so a packed request's
+        procedure name is compared in its bytes, nothing decoded."""
+        t = self.request_wire
+        if type(t) is codec.SealedSeq:
+            wire = t.wire_bytes
+            if wire.startswith(_REQUEST_HEAD) and wire[len(_REQUEST_HEAD)] < 0x80:
+                return wire.startswith(_GOV_PREFIX, len(_REQUEST_HEAD) + 1)
+        return t[1].startswith("gov.")
 
     def tio(self) -> tuple:
         """The ``(t, i, o)`` triple a receipt commits to — also the G-tree
@@ -124,22 +159,26 @@ class TxEntry(LedgerEntry):
         """The M leaf; remembered by tree M, not here."""
         return _wire_leaf(self._encode_tio())
 
-    @memoised
     def leaf_digest(self) -> Digest:
         """This entry's leaf in the per-batch tree G.  Remembered (32
-        bytes, never the encoding) once asked; a batch record's tree G
-        already holds the leaf of each entry it executed."""
-        return digest(self._encode_tio())
+        bytes, never the encoding) only by a decoded ledger's entries
+        (:meth:`leaves`); the tree G of an executed entry's batch record,
+        or of its ledger batch (:meth:`Ledger.g_tree`), holds the leaf."""
+        leaf = self._leaf_digest
+        return digest(self._encode_tio()) if leaf is None else leaf
 
     def _encode_tio(self) -> bytes:
         """``encode(tio())``.  A ``dict`` output is sealed from these
         bytes: its encoding is their suffix after the three-item header,
-        ``t`` and ``i``."""
+        ``t`` and ``i``.  A sealed request is packed (:func:`codec.pack`),
+        so the entry holds it at its encoded size too."""
         t, i, o = self.request_wire, self.index, self.output
         encoded = codec.encode((t, i, o))
         if type(o) is dict:
             start = _TIO_HEAD_SIZE + codec.encoded_size(t) + codec.encoded_size(i)
             object.__setattr__(self, "output", codec.SealedMap(encoded[start:]))
+        if type(t) is codec.Sealed:
+            object.__setattr__(self, "request_wire", codec.pack(t))
         return encoded
 
 

@@ -60,6 +60,8 @@ class BatchInfo:
     first_tx: int  # ledger index of the first tx entry (== pp_index + 1)
     tx_count: int
     flags: int
+    # Tree G over the batch's entries, once :meth:`Ledger.g_tree` built it.
+    g_tree: MerkleTree | None = field(default=None, repr=False, compare=False)
 
     @property
     def end(self) -> int:
@@ -69,7 +71,7 @@ class BatchInfo:
 
 def _is_gov_entry(entry: LedgerEntry) -> bool:
     return isinstance(entry, GenesisEntry) or (
-        isinstance(entry, TxEntry) and entry.request_wire[1].startswith("gov.")
+        isinstance(entry, TxEntry) and entry.is_governance()
     )
 
 
@@ -145,7 +147,7 @@ class Ledger:
                 info = self._batch_list[-1]
                 if info.end == index:
                     info.tx_count += 1
-            if isinstance(entry, TxEntry) and entry.request_wire[1].startswith("gov."):
+            if isinstance(entry, TxEntry) and entry.is_governance():
                 self._last_gov_index = self.logical_size() - 1
                 self._gov_entries.append((self._last_gov_index, entry.to_wire()))
         elif isinstance(entry, GenesisEntry):
@@ -285,6 +287,17 @@ class Ledger:
         assert isinstance(entry, PrePrepareEntry)
         return entry.pre_prepare()
 
+    def g_tree(self, info: BatchInfo) -> MerkleTree:
+        """Tree G over the entries of the batch ``info`` locates (§3.1),
+        built once and kept on ``info``: :meth:`unbound` checks it, and
+        the ledger install, the replay and a burst of receipts rebuilt
+        from a collected batch record read that one tree."""
+        tree = info.g_tree
+        if tree is None or len(tree) != info.tx_count:
+            tree = info.g_tree = MerkleTree(
+                [entry.leaf_digest() for entry in self.entries(info.first_tx, info.end)])
+        return tree
+
     def unbound(self, checkpoint=None) -> list[tuple[int, str]]:
         """Where the entries fail to reproduce what was signed, as
         ``(seqno, detail)`` pairs in ledger order (empty when bound).
@@ -304,8 +317,7 @@ class Ledger:
             if self.root_at(info.pp_index) != pp.root_m:
                 found.append((info.seqno, f"batch {info.seqno}: the entries before its "
                               f"pre-prepare do not reproduce the signed root_m"))
-            leaves = [entry.leaf_digest() for entry in self.entries(info.first_tx, info.end)]
-            if MerkleTree(leaves).root() != pp.root_g:
+            if self.g_tree(info).root() != pp.root_g:
                 found.append((info.seqno, f"batch {info.seqno}: its entries do not "
                               f"reproduce the signed root_g"))
         if checkpoint is None or checkpoint.seqno <= 0:
@@ -374,6 +386,7 @@ class Ledger:
         if order:
             info = order[-1]
             info.tx_count = min(info.tx_count, max(0, size - info.first_tx))
+            info.g_tree = None
         gov = self._gov_entries
         while gov and gov[-1][0] >= self.logical_size():
             gov.pop()

@@ -33,8 +33,7 @@ from ..governance.configuration import Configuration
 from ..governance.schedule import ConfigSchedule
 from ..kvstore import Checkpoint, KVStore
 from ..ledger import CheckpointTxEntry, EvidenceEntry, GenesisEntry, Ledger
-from ..merkle import MerkleTree
-from .batch import BatchRecord, ReconfigState
+from .batch import BatchRecord, ReconfigState, location
 from .checkpointing import CheckpointStore
 from .messages import BATCH_CHECKPOINT
 
@@ -188,12 +187,11 @@ def install_ledger(
     replica.submit("hash", len(checkpoint.state) * replica.costs.checkpoint_per_entry)
     # Batches at or below the checkpoint install as the ledger has them.
     below = (
-        ReplayedBatch(info, kv.tx_count, entries, MerkleTree([e.leaf_digest() for e in entries]), [], [])
+        ReplayedBatch(info, kv.tx_count, ledger.entries(info.first_tx, info.end), ledger.g_tree(info), [], [])
         for info in batch_infos if info.seqno <= cp_seqno
-        for entries in [ledger.entries(info.first_tx, info.end)]
     )
     records: list[BatchRecord] = []
-    tx_locations: dict = dict(executed or {})
+    tx_locations = {d: location(s, i) for d, (s, i) in (executed or {}).items()}
     reconfig = None
     for batch in chain(below, replayed):
         info = batch.info
@@ -235,7 +233,7 @@ def install_ledger(
                 continue
             tx_digest = digest_value(entry.request_wire)  # H(t), remembered by its seal
             record.tx_digests.append(tx_digest)
-            tx_locations[tx_digest] = (seqno, entry.index)
+            tx_locations[tx_digest] = location(seqno, entry.index)
         if seqno <= committed_upto or (committed_upto == seqno - 1 and seqno in evidenced):
             committed_upto = max(committed_upto, seqno)
             record.prepared = record.committed = True

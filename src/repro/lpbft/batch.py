@@ -19,10 +19,25 @@ from ..merkle import MerkleTree
 from .messages import Commit, Prepare, PrePrepare, TransactionRequest
 
 
+def location(seqno: int, index: int) -> int:
+    """Where a transaction executed, as one int: its batch's ``seqno``
+    above the 32 bits of its ledger ``index``.  A replica holds one per
+    executed request (``tx_locations``); a tuple would cost 56 bytes
+    more each."""
+    return seqno << 32 | index
+
+
+def split_location(located: int) -> tuple[int, int]:
+    """``(seqno, index)`` from a :func:`location`."""
+    return located >> 32, located & 0xFFFF_FFFF
+
+
 def execute_procedure(
     kv: KVStore, registry: ProcedureRegistry, request: TransactionRequest
 ) -> tuple[dict, int]:
-    """Run one transaction, returning ``(output, kv_op_count)``.
+    """Run one transaction, returning ``(output, kv_op_count)``.  Reads
+    only ``request.procedure`` and ``request.args`` (replay passes a
+    ledger entry's :meth:`~repro.ledger.TxEntry.invocation`).
 
     The output is the ledger's ``o`` component: the client-visible reply
     plus the write-set digest (so replay detects silently-altered writes

@@ -82,6 +82,8 @@ class TransactionRequest:
 
     @staticmethod
     def from_wire(raw: tuple) -> "TransactionRequest":
+        if type(raw) is codec.SealedSeq:
+            raw = raw.unseal()  # an executed request, decoded on demand
         try:
             tag, procedure, args, client, service, min_index, nonce, signature = raw
         except (TypeError, ValueError) as exc:
@@ -110,7 +112,7 @@ class TransactionRequest:
         return digest_value(self.to_wire())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrePrepare:
     """``⟨pre-prepare, v, s, ¯M, ¯G, H(K[v,s]), Es−P, ig, dC⟩σp`` (§3.1).
 
@@ -138,6 +140,10 @@ class PrePrepare:
     flags: int = BATCH_REGULAR
     committed_root: Digest = b""
     signature: bytes = b""
+    # Memos in declared slots: no instance ``__dict__``, whose size would
+    # depend on the order in which the process first memoised one.
+    _signed_payload: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _digest: Digest | None = field(default=None, init=False, repr=False, compare=False)
 
     @codec.memoised
     def signed_payload(self) -> bytes:

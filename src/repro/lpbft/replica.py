@@ -58,7 +58,6 @@ from ..ledger import (
     TxEntry,
     entry_from_wire,
 )
-from ..merkle import MerkleTree
 from ..network import Node
 from ..receipts.chain import GovernanceChain, GovernanceLink, verify_served_chain
 from ..receipts.receipt import Receipt
@@ -67,7 +66,8 @@ from ..sim.metrics import MetricsCollector
 from ..statesync.client import StateSyncClient
 from ..statesync.server import StateSyncServer
 from .admission import Admission
-from .batch import BatchRecord, BatchStore, ReconfigState, execute_procedure  # noqa: F401  (re-exported)
+from .batch import (  # noqa: F401  (re-exported)
+    BatchRecord, BatchStore, ReconfigState, execute_procedure, location, split_location)
 from .checkpointing import CheckpointStore
 from .config import ProtocolParams
 from .messages import (
@@ -170,7 +170,7 @@ class LPBFTReplica(Node):
         # digest belong to the admission component, slot messages to the batch store.
         self.admission = Admission(self)
         self.batches = BatchStore()
-        self.tx_locations: dict[Digest, tuple[int, int]] = {}  # digest -> (seqno, index)
+        self.tx_locations: dict[Digest, int] = {}  # digest -> location(seqno, index)
         self.pending_pps: list[tuple] = []  # stashed (pp_wire, digests, trace_ctx)
         # View of the last pre-prepare dropped for being *below* our view —
         # a sign we over-advanced and the service moved on without us.
@@ -327,7 +327,7 @@ class LPBFTReplica(Node):
             # A retransmission.  Its sender is worth remembering only
             # while a reply can still be routed there: the request is
             # queued, or its batch record is retained.
-            if record_source and (located is None or located[0] in self.batches):
+            if record_source and (located is None or split_location(located)[0] in self.batches):
                 self.admission.note_source(tx_digest, src)
                 self._maybe_resend_reply(tx_digest, src)
             return
@@ -582,7 +582,7 @@ class LPBFTReplica(Node):
             m_leaves.append(m_leaf)
             record.tx_digests.append(tx_digest)
             record.clients.setdefault(request.client, []).append(tx_digest)
-            self.tx_locations[tx_digest] = (s, next_index)
+            self.tx_locations[tx_digest] = location(s, next_index)
             next_index += 1
             if request.procedure.startswith("gov."):
                 # A governance transaction ends the batch (§5.1 summary).
@@ -1000,7 +1000,7 @@ class LPBFTReplica(Node):
         located = self.tx_locations.get(tx_digest)
         if located is None:
             return
-        record = self.batches.get(located[0])
+        record = self.batches.get(split_location(located)[0])
         if record is None or not record.committed:
             return
         if not self.net.has_node(src):
@@ -1065,15 +1065,16 @@ class LPBFTReplica(Node):
         located = self.tx_locations.get(tx_digest)
         if located is None:
             return
-        record = self.batches.get(located[0])
+        seqno, index = split_location(located)
+        record = self.batches.get(seqno)
         if record is None:
             # The batch record was garbage-collected; everything a
             # replyx needs is still in the ledger.  Only
             # committed batches qualify: an executed-but-unprepared batch
             # can still be rolled back by a view change, and serving its
             # receipt would break receipt safety.
-            if located[0] <= self.committed_upto:
-                self._replyx_from_ledger(tx_digest, located, src)
+            if seqno <= self.committed_upto:
+                self._replyx_from_ledger(tx_digest, seqno, index, src)
             return
         if not record.prepared:
             return
@@ -1083,17 +1084,17 @@ class LPBFTReplica(Node):
                 self._send_replyx(record, position, entry, tx_digest, src)
                 return
 
-    def _replyx_from_ledger(self, tx_digest: Digest, located: tuple[int, int], src: str) -> None:
+    def _replyx_from_ledger(self, tx_digest: Digest, seqno: int, index: int, src: str) -> None:
         """Rebuild a replyx for a committed-and-pruned batch from ledger
-        entries alone: the pre-prepare, the (t, i, o) triples, and a fresh
-        per-batch tree G for the inclusion path.
+        entries alone: the pre-prepare, the (t, i, o) triples, and the
+        batch's tree G (:meth:`Ledger.g_tree`, built once per batch) for
+        the inclusion path.
 
         For a batch below the ledger-GC horizon the entries themselves are
         gone; the fallback is the checkpoint that superseded them — the
         client is told its transaction's effects are vouched for by the
         oldest retained stable checkpoint (digest dC), which is the best
         any replica can attest once the prefix is collected."""
-        seqno, index = located
         info = self.ledger.batch(seqno)
         if info is None:
             oldest = self.ledger.oldest_retained_seqno()
@@ -1103,17 +1104,15 @@ class LPBFTReplica(Node):
                     self.send(src, ("replyx-gone", tx_digest, cp.seqno, cp.digest()))
                     self.metrics.bump("receipts_gone_gc")
             return
-        pp = self.ledger.batch_pre_prepare(seqno)
-        g_tree = MerkleTree()
-        position = target = None
-        for offset, entry in enumerate(self.ledger.entries(info.first_tx, info.end)):
-            g_tree.append(entry.leaf_digest())
-            if entry.index == index:
-                position, target = offset, entry
-        if target is None:
+        entries = self.ledger.entries(info.first_tx, info.end)
+        position = next((p for p, entry in enumerate(entries) if entry.index == index), None)
+        if position is None:
             return
+        g_tree = self.ledger.g_tree(info)
         self.submit("hash", len(g_tree) * self.costs.hash_fixed)
-        payload, size = replyx_payload(pp, tx_digest, target.index, target.output, g_tree.path(position))
+        target = entries[position]
+        payload, size = replyx_payload(
+            self.ledger.pre_prepare(info), tx_digest, target.index, target.output, g_tree.path(position))
         self.send(src, payload, size)
         self.metrics.bump("receipts_rebuilt_from_ledger")
 
@@ -1220,7 +1219,7 @@ class LPBFTReplica(Node):
             gov_txs = sum(
                 1
                 for entry in region
-                if isinstance(entry, TxEntry) and entry.request_wire[1].startswith("gov.")
+                if isinstance(entry, TxEntry) and entry.is_governance()
             )
             if gov_txs:
                 self.submit("execute", gov_txs * self.costs.execute_tx(3, 8))
@@ -1245,7 +1244,7 @@ class LPBFTReplica(Node):
         entries = [
             (index, entry.to_wire())
             for index, entry in zip(range(base, len(self.ledger)), self.ledger.entries())
-            if isinstance(entry, TxEntry) and entry.request_wire[1].startswith("gov.")
+            if isinstance(entry, TxEntry) and entry.is_governance()
         ]
         return GovernanceSubLedger(
             entries=entries, schedule=self.schedule.copy(), reconfigs=[]
@@ -1369,7 +1368,7 @@ class LPBFTReplica(Node):
                 continue
             located = self.tx_locations.get(tx_digest)
             if located is not None:
-                record = self.batches.get(located[0])
+                record = self.batches.get(split_location(located)[0])
                 if record is not None:
                     for entry, d in zip(record.entries, record.tx_digests):
                         if d == tx_digest:

@@ -1,15 +1,16 @@
 """Receipts: succinct, universally-verifiable execution evidence (§3.3, §5.2).
 
-- :mod:`repro.receipts.receipt` — the :class:`Receipt` structure and
-  Alg. 3 verification, one receipt or many (each distinct certificate
-  checked once);
+- :mod:`repro.receipts.receipt` — the :class:`Receipt` structure (its
+  transaction and the batch's shared :class:`Certificate`) and Alg. 3
+  verification, one receipt or many (each distinct certificate checked
+  once);
 - :mod:`repro.receipts.collector` — client-side assembly of receipts from
   ``reply``/``replyx`` messages;
 - :mod:`repro.receipts.chain` — the governance receipt chains clients keep
   in place of the ledger, with fork detection.
 """
 
-from .receipt import Receipt, verify_receipt, verify_receipts, receipts_equivalent
+from .receipt import Certificate, Receipt, verify_receipt, verify_receipts, receipts_equivalent
 from .collector import ReceiptCollector, assemble_receipt, PendingRequest
 from .chain import (
     GovernanceChain,
@@ -21,6 +22,7 @@ from .chain import (
 )
 
 __all__ = [
+    "Certificate",
     "Receipt",
     "verify_receipt",
     "verify_receipts",

@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from .. import codec
 from ..crypto.hashing import Digest
 from ..errors import ReceiptError
 from ..governance.configuration import Configuration
 from ..lpbft.messages import Reply, ReplyX, bitmap_of
 from ..merkle import MerklePath
-from .receipt import Receipt, verify_receipt
+from .receipt import Certificate, Receipt, verify_receipt
 
 
 def assemble_receipt(
@@ -27,14 +28,17 @@ def assemble_receipt(
     replies: dict[int, Reply],
     replyx: ReplyX,
     config: Configuration,
+    shared: Certificate | None = None,
 ) -> Receipt:
     """Build a receipt from collected protocol messages.
 
     ``replies`` maps replica id to its reply for the batch; the primary's
     reply signature is its pre-prepare signature and every other reply
     signature is a prepare signature (§3.3 "no extra signing happens for
-    replies").  Raises :class:`ReceiptError` if the primary's reply is
-    missing or fewer than a quorum of replies are supplied.
+    replies").  The receipt holds ``shared`` as its certificate when that
+    equals the one these messages make.  A sealed request is held packed
+    (:func:`codec.pack`).  Raises :class:`ReceiptError` if the primary's
+    reply is missing or fewer than a quorum of replies are supplied.
     """
     primary_id = config.primary_for_view(replyx.view)
     if primary_id not in replies:
@@ -43,17 +47,8 @@ def assemble_receipt(
         raise ReceiptError(f"only {len(replies)} replies, quorum is {config.quorum}")
 
     signer_ids = sorted(replies)
-    prepare_signatures = tuple(
-        replies[r].signature for r in signer_ids if r != primary_id
-    )
-    nonces = tuple(replies[r].nonce for r in signer_ids)
-
     is_batch = request_wire is None
-    return Receipt(
-        request_wire=request_wire,
-        index=None if is_batch else replyx.index,
-        output=None if is_batch else replyx.output,
-        path=None if is_batch else MerklePath.from_wire(replyx.path),
+    certificate = Certificate(
         view=replyx.view,
         seqno=replyx.seqno,
         root_m=replyx.root_m,
@@ -65,10 +60,23 @@ def assemble_receipt(
         committed_root=replyx.committed_root,
         primary_signature=replies[primary_id].signature,
         signer_bitmap=bitmap_of(signer_ids),
-        prepare_signatures=prepare_signatures,
-        nonces=nonces,
+        prepare_signatures=tuple(replies[r].signature for r in signer_ids if r != primary_id),
+        nonces=tuple(replies[r].nonce for r in signer_ids),
         root_g=replyx.tx_digest if is_batch else None,
     )
+    if certificate == shared:
+        certificate = shared
+    if is_batch:
+        return Receipt(None, None, None, None, certificate)
+    return Receipt(
+        codec.pack(request_wire), replyx.index, replyx.output, MerklePath.from_wire(replyx.path),
+        certificate,
+    )
+
+
+# Certificates a collector holds for sharing: receipts of one batch
+# complete together, so a few batches' worth suffice.
+CERTIFICATES_HELD = 8
 
 
 @dataclass
@@ -113,6 +121,9 @@ class ReceiptCollector:
         self._pending: dict[Digest, PendingRequest] = {}
         self._done: dict[Digest, Receipt] = {}
         self._sent_times: dict[Digest, float] = {}
+        # The last certificate per (view, seqno, signer bitmap): the
+        # receipts of a batch that the same signers vouch for share it.
+        self._certificates: dict[tuple[int, int, int], Certificate] = {}
 
     # -- configuration changes ------------------------------------------------
 
@@ -214,7 +225,7 @@ class ReceiptCollector:
         if replyx is None or len(replies) < config.quorum or primary_id not in replies:
             return None
         try:
-            receipt = assemble_receipt(pending.request_wire, replies, replyx, config)
+            receipt = self._assemble(pending, replies, replyx, config)
         except ReceiptError:
             # Replies collected under an earlier configuration can be
             # unassemblable under the one now in force (e.g. a signer id
@@ -243,7 +254,19 @@ class ReceiptCollector:
             subset = {r: m for r, m in replies.items() if r != dropped}
             if len(subset) < config.quorum:
                 continue
-            candidate = assemble_receipt(pending.request_wire, subset, replyx, config)
+            candidate = self._assemble(pending, subset, replyx, config)
             if verify_receipt(candidate, config, self._backend):
                 return candidate
         return None
+
+    def _assemble(self, pending, replies, replyx, config) -> Receipt:
+        """:func:`assemble_receipt`, sharing the certificate of the batch's
+        last receipt from the same signers (the newest
+        ``CERTIFICATES_HELD`` are held)."""
+        key = (replyx.view, replyx.seqno, bitmap_of(replies))
+        held = self._certificates
+        receipt = assemble_receipt(pending.request_wire, replies, replyx, config, held.get(key))
+        held[key] = receipt.certificate
+        if len(held) > CERTIFICATES_HELD:
+            del held[next(iter(held))]
+        return receipt

@@ -20,9 +20,11 @@ revealed nonce opens the commitment it was signed under.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
+from .. import codec
 from ..codec import memoised
 from ..crypto import signatures
 from ..crypto.hashing import Digest, digest_value
@@ -40,24 +42,18 @@ from ..merkle import MerklePath, path_root
 
 
 @dataclass(frozen=True, slots=True)
-class Receipt:
-    """A receipt for ``⟨t, i, o⟩`` (or for a whole batch).
+class Certificate:
+    """What every receipt of one batch shares (§3.3): the pre-prepare's
+    fields ``x``, the primary's signature σp, and the signers' bitmap Es,
+    prepare signatures Σs and nonces Ks — plus ``root_g`` for a batch
+    receipt, which carries G's root instead of a path.
 
-    Stored client-side as
-    ``⟨v, s, ¯M, H(kp), Es−P, ig, dC, σp, Es, Σs, Ks, S⟩`` (§3.3) plus the
-    transaction triple.  ``signer_bitmap`` (Es) lists the replicas whose
-    nonces appear in ``nonces`` (Ks), in increasing id order, always
-    including the primary; ``prepare_signatures`` (Σs) aligns with the
-    non-primary signers in the same order.
+    ``signer_bitmap`` lists the replicas whose nonces appear in
+    ``nonces``, in increasing id order, always including the primary;
+    ``prepare_signatures`` aligns with the non-primary signers in the
+    same order.
     """
 
-    # Transaction part (None/0/None/None for batch receipts).
-    request_wire: tuple | None
-    index: int | None
-    output: Any
-    path: MerklePath | None
-
-    # Pre-prepare fields (x).
     view: int
     seqno: int
     root_m: Digest
@@ -67,19 +63,86 @@ class Receipt:
     checkpoint_digest: Digest
     flags: int
     committed_root: Digest
-
-    # Signatures and nonces.
     primary_signature: bytes
     signer_bitmap: int
     prepare_signatures: tuple  # bytes per non-primary signer, id order
     nonces: tuple  # 32-byte nonce per signer (incl. primary), id order
-
-    # Batch receipts carry G's root directly (no path to recompute it).
     root_g: Digest | None = None
+
+    _pre_prepare: PrePrepare | None = field(default=None, init=False, repr=False, compare=False)
+
+    def pre_prepare(self, root_g: Digest) -> PrePrepare:
+        """The pre-prepare these fields and ``root_g`` reconstruct (Alg. 3
+        line 5).  The last one is kept: the receipts of a batch derive the
+        same ``root_g``, so they share one, with its digest and signed
+        payload."""
+        pp = self._pre_prepare
+        if pp is None or pp.root_g != root_g:
+            pp = PrePrepare(
+                view=self.view,
+                seqno=self.seqno,
+                root_m=self.root_m,
+                root_g=root_g,
+                nonce_commitment=self.primary_nonce_commitment,
+                evidence_bitmap=self.evidence_bitmap,
+                gov_index=self.gov_index,
+                checkpoint_digest=self.checkpoint_digest,
+                flags=self.flags,
+                committed_root=self.committed_root,
+                signature=self.primary_signature,
+            )
+            object.__setattr__(self, "_pre_prepare", pp)
+        return pp
+
+
+CERTIFICATE_FIELDS = tuple(f.name for f in fields(Certificate))
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class Receipt:
+    """A receipt for ``⟨t, i, o⟩`` (or for a whole batch).
+
+    Stored client-side as
+    ``⟨v, s, ¯M, H(kp), Es−P, ig, dC, σp, Es, Σs, Ks, S⟩`` (§3.3) plus the
+    transaction triple: the four per-transaction fields and the batch's
+    :class:`Certificate`, which the receipts of a batch share.  Each
+    certificate field reads as an attribute of the receipt too
+    (``receipt.seqno``), and a receipt constructs from them by name:
+    fields named beside a ``certificate`` replace its own, which is how
+    ``dataclasses.replace(receipt, nonces=...)`` alters one.
+    """
+
+    # Transaction part (None/0/None/None for batch receipts).
+    request_wire: tuple | None
+    index: int | None
+    output: Any
+    path: MerklePath | None
+    certificate: Certificate
 
     _reconstructed_pre_prepare: PrePrepare | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __init__(
+        self,
+        request_wire: tuple | None,
+        index: int | None,
+        output: Any,
+        path: MerklePath | None,
+        certificate: Certificate | None = None,
+        **batch: Any,
+    ) -> None:
+        if batch:
+            certificate = Certificate(**batch) if certificate is None else replace(certificate, **batch)
+        if certificate is None:
+            raise TypeError("a receipt needs its batch certificate or the certificate's fields")
+        set_field = object.__setattr__
+        set_field(self, "request_wire", request_wire)
+        set_field(self, "index", index)
+        set_field(self, "output", output)
+        set_field(self, "path", path)
+        set_field(self, "certificate", certificate)
+        set_field(self, "_reconstructed_pre_prepare", None)
 
     # -- identity -----------------------------------------------------------
 
@@ -91,6 +154,14 @@ class Receipt:
         if self.request_wire is None:
             raise ReceiptError("batch receipts carry no transaction request")
         return TransactionRequest.from_wire(self.request_wire)
+
+    def min_index(self) -> int:
+        """The request's minimum ledger index ``mi``; read off a packed
+        request's bytes without decoding the rest."""
+        wire = self.request_wire
+        if type(wire) is codec.SealedSeq:
+            return wire[5]
+        return self.request().min_index
 
     def tio(self) -> tuple:
         """The ``(t, i, o)`` triple this receipt commits to."""
@@ -115,22 +186,10 @@ class Receipt:
     @memoised
     def reconstructed_pre_prepare(self) -> PrePrepare:
         """The pre-prepare implied by this receipt's fields (Alg. 3 line 5).
-        One instance per receipt, so the G root, the pre-prepare's digest
-        and its signed payload are computed once across verification and
-        audit."""
-        return PrePrepare(
-            view=self.view,
-            seqno=self.seqno,
-            root_m=self.root_m,
-            root_g=self.computed_root_g(),
-            nonce_commitment=self.primary_nonce_commitment,
-            evidence_bitmap=self.evidence_bitmap,
-            gov_index=self.gov_index,
-            checkpoint_digest=self.checkpoint_digest,
-            flags=self.flags,
-            committed_root=self.committed_root,
-            signature=self.primary_signature,
-        )
+        Computed once per receipt and shared through the certificate, so
+        the G root, the pre-prepare's digest and its signed payload are
+        computed once across verification and audit."""
+        return self.certificate.pre_prepare(self.computed_root_g())
 
     def signers(self) -> list[int]:
         """Replica ids that signed this receipt (σp or Σs) — the set that
@@ -140,26 +199,27 @@ class Receipt:
     # -- serialization ----------------------------------------------------------
 
     def to_wire(self) -> tuple:
+        c = self.certificate
         return (
             "receipt",
             self.request_wire,
             self.index,
             self.output,
             None if self.path is None else self.path.to_wire(),
-            self.view,
-            self.seqno,
-            self.root_m,
-            self.primary_nonce_commitment,
-            self.evidence_bitmap,
-            self.gov_index,
-            self.checkpoint_digest,
-            self.flags,
-            self.committed_root,
-            self.primary_signature,
-            self.signer_bitmap,
-            self.prepare_signatures,
-            self.nonces,
-            self.root_g,
+            c.view,
+            c.seqno,
+            c.root_m,
+            c.primary_nonce_commitment,
+            c.evidence_bitmap,
+            c.gov_index,
+            c.checkpoint_digest,
+            c.flags,
+            c.committed_root,
+            c.primary_signature,
+            c.signer_bitmap,
+            c.prepare_signatures,
+            c.nonces,
+            c.root_g,
         )
 
     @staticmethod
@@ -199,11 +259,7 @@ class Receipt:
             path = None if path is None else MerklePath.from_wire(path)
         except MerkleError as exc:
             raise ReceiptError(str(exc)) from exc
-        return Receipt(
-            request_wire=request_wire,
-            index=index,
-            output=output,
-            path=path,
+        certificate = Certificate(
             view=view,
             seqno=seqno,
             root_m=root_m,
@@ -219,12 +275,15 @@ class Receipt:
             nonces=tuple(nonces),
             root_g=root_g,
         )
+        return Receipt(request_wire, index, output, path, certificate)
 
     def encoded_size(self) -> int:
         """Size in bytes of the canonical encoding (§6.4 reports these)."""
-        from .. import codec
-
         return len(codec.encode(self.to_wire()))
+
+
+for _name in CERTIFICATE_FIELDS:
+    setattr(Receipt, _name, property(attrgetter("certificate." + _name)))
 
 
 def verify_receipt(
@@ -241,16 +300,17 @@ def verify_receipt(
     """
     backend = backend or signatures.default_backend()
     pp = receipt.reconstructed_pre_prepare()
-    primary_id = config.primary_for_view(receipt.view)
+    cert = receipt.certificate
+    primary_id = config.primary_for_view(cert.view)
 
-    signer_ids = receipt.signers()
+    signer_ids = bitmap_members(cert.signer_bitmap)
     if len(signer_ids) < config.quorum:
         return False
     if primary_id not in signer_ids:
         return False
-    if len(receipt.nonces) != len(signer_ids):
+    if len(cert.nonces) != len(signer_ids):
         return False
-    if len(receipt.prepare_signatures) != len(signer_ids) - 1:
+    if len(cert.prepare_signatures) != len(signer_ids) - 1:
         return False
 
     try:
@@ -259,24 +319,24 @@ def verify_receipt(
         return False
 
     # Primary signature over the reconstructed pre-prepare.
-    if not backend.verify(primary_key, pp.signed_payload(), receipt.primary_signature):
+    if not backend.verify(primary_key, pp.signed_payload(), cert.primary_signature):
         return False
 
     pp_digest = pp.digest()
     sig_cursor = 0
-    for signer_id, nonce in zip(signer_ids, receipt.nonces):
+    for signer_id, nonce in zip(signer_ids, cert.nonces):
         commitment = commit_nonce(nonce)
         if signer_id == primary_id:
             # Alg. 3 line 8: the primary's revealed nonce must open the
             # commitment in the pre-prepare.
-            if commitment != receipt.primary_nonce_commitment:
+            if commitment != cert.primary_nonce_commitment:
                 return False
             continue
         try:
             key = config.replica_key(signer_id)
         except Exception:
             return False
-        signature = receipt.prepare_signatures[sig_cursor]
+        signature = cert.prepare_signatures[sig_cursor]
         sig_cursor += 1
         if not backend.verify(key, prepare_payload(signer_id, commitment, pp_digest), signature):
             return False
@@ -305,12 +365,13 @@ def verify_receipts(
     verdicts: dict[tuple, tuple[bool, Configuration]] = {}
     results: list[bool] = []
     for receipt in receipts:
-        config = config_for(receipt.seqno)
+        cert = receipt.certificate
+        config = config_for(cert.seqno)
         key = (
             receipt.reconstructed_pre_prepare().digest(),
-            receipt.signer_bitmap,
-            receipt.nonces,
-            receipt.prepare_signatures,
+            cert.signer_bitmap,
+            cert.nonces,
+            cert.prepare_signatures,
             id(config),
         )
         try:

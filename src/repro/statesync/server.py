@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from ..crypto.hashing import Digest
 from ..kvstore.checkpoints import chunk_digest, chunk_state
+from ..lpbft.batch import split_location
 from .client import MAX_RETRIES, RETRY_TIMEOUT
 from .messages import SyncManifest, SyncOffer
 
@@ -203,7 +204,8 @@ class StateSyncServer:
         # below it: our index (it keeps those entries) tells it a client's
         # retransmission of one from a request no primary ordered yet.
         executed = tuple(
-            (d, s, i) for d, (s, i) in replica.tx_locations.items()) if from_checkpoint else ()
+            (d, *split_location(located)) for d, located in replica.tx_locations.items()
+        ) if from_checkpoint else ()
         replica.send(
             src,
             (

@@ -198,3 +198,46 @@ def test_seeded_random_encoding_canonical():
     for _ in range(300):
         encoded = codec.encode(_random_value(rng))
         assert codec.encode(codec.decode(encoded)) == encoded
+
+
+# -- packed seals -------------------------------------------------------------
+
+long_items = st.lists(json_like, max_size=4) | st.lists(st.integers(0, 3), min_size=130, max_size=140)
+
+
+@given(long_items)
+def test_packed_seal_reads_like_the_decoded_tuple(items):
+    """A :class:`codec.SealedSeq` holds only the seal's bytes: each item
+    read (negative indices too), ``len``, iteration, ``==`` and the
+    encoding behave as the decoded tuple's, and unsealing gives the
+    seal's bytes back."""
+    sealed = codec.seal(items)
+    packed = codec.pack(sealed)
+    plain = codec.decode(sealed.wire_bytes)
+    assert type(packed) is codec.SealedSeq and codec.pack(sealed) is packed
+    assert len(packed) == len(plain) and tuple(packed) == plain
+    for i in range(len(plain)):
+        assert packed[i] == plain[i] and packed[-1 - i] == plain[-1 - i]
+    assert packed[1:3] == plain[1:3]
+    with pytest.raises(IndexError):
+        packed[len(plain)]
+    assert packed == plain and plain == packed and packed != plain + (None,)
+    assert codec.encode(packed) == sealed.wire_bytes == codec.encode((packed,))[2:]
+    assert codec.encoded_size(packed) == len(sealed.wire_bytes)
+    unsealed = packed.unseal()
+    assert type(unsealed) is codec.Sealed and unsealed == plain
+    assert unsealed.wire_bytes is sealed.wire_bytes and codec.pack(unsealed) is packed
+    assert codec._skip(sealed.wire_bytes, 0) == len(sealed.wire_bytes)
+
+
+def test_packed_seal_shares_its_digest_and_takes_no_other_value():
+    from repro.crypto.hashing import digest_value
+
+    sealed = codec.seal(("request", "p", {"a": 1}))
+    digest = digest_value(sealed)
+    packed = codec.pack(sealed)
+    assert packed.digest is digest and digest_value(packed) is digest
+    assert not hasattr(packed, "__dict__")
+    plain = ("x", 1)
+    assert codec.pack(plain) is plain and codec.pack(packed) is packed
+    assert codec.seal(packed) is packed

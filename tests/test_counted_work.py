@@ -8,14 +8,17 @@ here before anyone times it; a change that removes some lowers the
 ceiling.
 """
 
+import math
 import sys
 
 import pytest
 
-from helpers import FAST_PARAMS, build_deployment
+from helpers import FAST_PARAMS, build_deployment, run_waves
 from repro import codec
 from repro.crypto import hashing
 from repro.crypto.signatures import HashSigBackend
+from repro.lpbft import ProtocolParams
+from repro.lpbft.batch import split_location
 from repro.merkle import MerkleTree
 from repro.obs.instruments import MetricsRegistry
 from repro.sim.cpu import VirtualCPU
@@ -83,11 +86,13 @@ def per_tx():
 # registry lookups 28.46; CPU submits and scheduler events unchanged.
 # Before ledger outputs were held sealed: encode 22.01, map encodes
 # 13.00 (a replyx sized its output, a client's receipt hashed it).
+# Before the receipts of a batch shared one certificate, and so one
+# reconstructed pre-prepare: encode 21.01, digest_value 10.58.
 CEILINGS = {
-    "encode": (21.01, 21.5),  # codec.encode calls
+    "encode": (19.45, 20.0),  # codec.encode calls
     "map_encode": (9.00, 9.5),  # dict values encoded, nested ones included
-    "decode": (0.00, 0.0),  # codec.decode calls: nothing reads a sealed output back
-    "digest_value": (10.58, 11.0),
+    "decode": (0.00, 0.0),  # codec.decode calls: nothing reads a sealed output or packed request back
+    "digest_value": (9.80, 10.3),
     "signature": (12.51, 13.0),  # HashSigBackend HMACs, signing and verifying
     "merkle_append": (10.65, 11.0),  # MerkleTree.append calls, trees M and G
     "registry_lookup": (0.45, 1.0),  # MetricsRegistry get-or-create
@@ -100,3 +105,95 @@ CEILINGS = {
 def test_counted_work_per_receipted_transaction_is_bounded(per_tx, name):
     measured, ceiling = CEILINGS[name]
     assert per_tx[name] <= ceiling, f"{name}: {per_tx[name]:.2f} per tx (was {measured})"
+
+
+def _counting_appends(monkeypatch):
+    return _counting(monkeypatch, MerkleTree, "append")
+
+
+# Merkle appends per request of a get-replyx burst for every transaction
+# of one batch whose record was collected: the batch's tree G is built
+# once for the burst.  Measured 1.00; the batch size (20) when each
+# request rebuilt it.
+REPLYX_BURST_APPENDS = (1.00, 1.0)
+
+
+def test_replyx_burst_from_the_ledger_builds_tree_g_once():
+    params = ProtocolParams(
+        pipeline=2, max_batch=20, checkpoint_interval=10, batch_delay=0.0005,
+        view_change_timeout=2.0, ledger_gc_min_age=math.inf,
+    )
+    dep = build_deployment(params=params, seed=b"burst")
+    client = dep.add_client(retry_timeout=0.5)
+    dep.start()
+    run_waves(dep, client, waves=12, per_wave=25, gap=0.25)
+    replica = dep.replicas[1]
+    by_seqno = {}
+    for tx_digest, located in replica.tx_locations.items():
+        by_seqno.setdefault(split_location(located)[0], []).append(tx_digest)
+    seqno, burst = max(
+        (item for item in by_seqno.items()
+         if replica.batches.get(item[0]) is None and replica.ledger.batch(item[0]) is not None),
+        key=lambda item: len(item[1]))
+    assert len(burst) >= 10
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        appends = _counting_appends(monkeypatch)
+        for tx_digest in burst:
+            client.send(replica.address, ("get-replyx", tx_digest))
+        dep.run(until=dep.net.scheduler.now + 0.2)
+    counters = replica.metrics.summary()["counters"]
+    assert counters["receipts_rebuilt_from_ledger"] == len(burst)
+    measured, ceiling = REPLYX_BURST_APPENDS
+    assert appends[0] / len(burst) <= ceiling, f"{appends[0] / len(burst):.2f} (was {measured})"
+
+
+# Merkle appends per G leaf while a recovering replica verifies and
+# installs the ledger it fetched: tree G is built once per fetched batch
+# (the binding check's tree is the one installed).  Measured 1.00; 2.00
+# when the install, or the replay behind it, built each batch's tree G
+# again.
+FETCHED_G_APPENDS = (1.00, 1.0)
+
+
+def test_fetched_ledger_builds_tree_g_once_per_batch():
+    from repro.statesync import client as sync_client
+    from test_integration_viewchange import VC_PARAMS
+
+    dep = build_deployment(params=VC_PARAMS, seed=b"vc")
+    client = dep.add_client(retry_timeout=0.5)
+    dep.start()
+    workload = SmallBankWorkload(n_accounts=200, seed=11)
+    for _ in range(40):
+        client.submit(*workload.next_transaction(), min_index=0)
+    dep.run(until=0.2)
+    dep.crash_replica(0)
+    for _ in range(60):
+        client.submit(*workload.next_transaction(), min_index=0)
+    dep.run(until=4.0)
+    seen = {"leaves": 0, "appends": 0}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        appends = _counting_appends(monkeypatch)
+
+        def window(name):
+            inner = getattr(sync_client, name)
+
+            def counted(replica, ledger, *args, **kwargs):
+                start = appends[0]
+                try:
+                    return inner(replica, ledger, *args, **kwargs)
+                finally:
+                    seen["appends"] += appends[0] - start
+                    if name == "install_ledger":
+                        seen["leaves"] += sum(info.tx_count for info in ledger.batches())
+
+            monkeypatch.setattr(sync_client, name, counted)
+
+        window("verify_fetched_ledger")
+        window("install_ledger")
+        dep.recover_replica(0)
+        dep.run(until=12.0)
+    assert dep.replicas[0].sync_client.last_result is not None
+    assert seen["leaves"] > 50
+    measured, ceiling = FETCHED_G_APPENDS
+    per_leaf = seen["appends"] / seen["leaves"]
+    assert per_leaf <= ceiling, f"{per_leaf:.2f} (was {measured})"

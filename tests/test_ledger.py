@@ -368,3 +368,17 @@ def test_property_rollback_and_gc_match_a_rebuilt_ledger(prefix, suffix_at, ops)
                                  *(b.end for b in ledger.batches())})
             ledger.truncate_below(boundaries[op[1] % len(boundaries)])
         _check_rebuilt(ledger, history, first_logical)
+
+
+@pytest.mark.parametrize(
+    "procedure", ["smallbank.send_payment", "gov.propose", "gov", "go", "", "g" * 200, "gov." + "x" * 200])
+def test_governance_test_reads_a_packed_request_like_a_decoded_one(procedure):
+    """``TxEntry.is_governance`` compares a packed request's bytes; it
+    answers as the sealed and the decoded wire do, names of 128 bytes and
+    more included."""
+    from repro.ledger import TxEntry
+
+    wire = TransactionRequest(procedure, {"a": 1}, b"c" * 32, b"s" * 32, 0, 1, b"x" * 64).to_wire()
+    forms = (wire, codec.pack(wire), codec.decode(wire.wire_bytes))
+    answers = {TxEntry(request_wire=t, index=1, output=None).is_governance() for t in forms}
+    assert answers == {procedure.startswith("gov.")}

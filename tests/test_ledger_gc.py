@@ -15,6 +15,7 @@ from repro.governance.subledger import GovernanceExtractor, extract_governance_s
 from repro.kvstore import KVStore
 from repro.ledger import Ledger, RetentionPolicy, TxEntry
 from repro.lpbft import ProtocolParams, execute_procedure
+from repro.lpbft.batch import split_location
 from repro.merkle.proofs import frontier_root, verify_path
 from repro.merkle.tree import MerkleTree
 from repro.workloads import SmallBankWorkload
@@ -343,6 +344,11 @@ class TestCheckpointRootedAudit:
         assert any("root_m" in p for p in problems)
 
 
+def _seqno(replica, tx_digest):
+    """The seqno of the batch ``tx_digest`` executed in, at ``replica``."""
+    return split_location(replica.tx_locations[tx_digest])[0]
+
+
 class TestReplyxForCollectedBatch:
     def test_gc_fallback_reports_vouching_checkpoint(self, gc_run):
         dep, client, digests = gc_run
@@ -350,7 +356,7 @@ class TestReplyxForCollectedBatch:
         oldest = replica.ledger.oldest_retained_seqno()
         victim = next(
             d for d in digests
-            if d in replica.tx_locations and replica.tx_locations[d][0] < oldest - 1
+            if d in replica.tx_locations and _seqno(replica, d) < oldest - 1
         )
         # Model a client that lost (or never completed) the receipt and
         # asks for the replyx long after the batch was collected.  One
@@ -371,7 +377,7 @@ class TestReplyxForCollectedBatch:
         dep.run(until=dep.net.scheduler.now + 0.2)
         assert victim in client.gc_unavailable
         cp_seqno, cp_digest = client.gc_unavailable[victim]
-        assert cp_seqno >= replica.tx_locations[victim][0]
+        assert cp_seqno >= _seqno(replica, victim)
         assert cp_digest == replica.checkpoints[cp_seqno].digest()
         counters = replica.metrics.summary()["counters"]
         assert counters.get("receipts_gone_gc", 0) >= 1
@@ -383,8 +389,8 @@ class TestReplyxForCollectedBatch:
         kept = next(
             d for d in reversed(digests)
             if d in replica.tx_locations
-            and oldest <= replica.tx_locations[d][0] <= replica.committed_upto
-            and replica.batches.get(replica.tx_locations[d][0]) is None
+            and oldest <= _seqno(replica, d) <= replica.committed_upto
+            and replica.batches.get(_seqno(replica, d)) is None
         )
         wire = client.receipts[kept].request_wire
         del client.receipts[kept]
@@ -444,7 +450,7 @@ class TestStateSyncBelowRetention:
         dep, client, victim = self._partitioned_run(b"gc-sync")
         primary = dep.primary()
         base = victim.ledger.batches()[0].seqno
-        old = next(d for d in client.receipts if primary.tx_locations[d][0] < base)
+        old = next(d for d in client.receipts if _seqno(primary, d) < base)
         assert victim.tx_locations[old] == primary.tx_locations[old]
         victim.on_message(client.address, ("request", client.receipts[old].request_wire))
         assert old not in victim.admission

@@ -146,3 +146,36 @@ def test_encoded_size_reasonable(receipt_env):
     _, _, receipts = receipt_env
     size = receipts[0].encoded_size()
     assert 300 < size < 3000
+
+
+def test_receipts_of_a_batch_share_one_certificate(receipt_env):
+    """A receipt is its four per-transaction fields and its batch's
+    certificate; the collector hands the receipts of one batch that the
+    same signers vouch for one certificate object, and attribute reads,
+    the wire form and equality see through it."""
+    from repro import codec
+    from repro.receipts import Certificate
+
+    _, _, receipts = receipt_env
+    by_batch = {}
+    for receipt in receipts:
+        by_batch.setdefault((receipt.view, receipt.seqno, receipt.signer_bitmap), []).append(receipt)
+    shared = [group for group in by_batch.values() if len(group) > 1]
+    assert shared
+    for group in shared:
+        assert all(r.certificate is group[0].certificate for r in group)
+        assert len({id(r.reconstructed_pre_prepare()) for r in group}) == 1
+    for receipt in receipts:
+        assert type(receipt.certificate) is Certificate
+        assert type(receipt.request_wire) is codec.SealedSeq
+        assert receipt.seqno == receipt.certificate.seqno and receipt.nonces == receipt.certificate.nonces
+        again = Receipt.from_wire(codec.decode(codec.encode(receipt.to_wire())))
+        assert again == receipt and again.to_wire() == receipt.to_wire()
+        assert again.min_index() == receipt.min_index() == receipt.request().min_index
+    # A field named beside the certificate replaces its own.
+    base = receipts[0]
+    altered = dataclasses.replace(base, flags=base.flags + 1)
+    assert altered.flags == base.flags + 1 and altered.certificate != base.certificate
+    assert dataclasses.replace(altered, flags=base.flags) == base
+    with pytest.raises(TypeError):
+        Receipt(None, None, None, None)

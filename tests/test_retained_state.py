@@ -14,25 +14,37 @@ import tracemalloc
 import pytest
 
 from helpers import build_deployment
+from repro import codec
 from repro.codec import SealedMap
+from repro.crypto.hashing import digest_value
 from repro.ledger.entries import TxEntry
 from repro.lpbft import ProtocolParams
+from repro.lpbft.batch import split_location
 from repro.workloads import SmallBankWorkload
 from test_integration_viewchange import VC_PARAMS
 
-# Measured 5,541 bytes per committed transaction on this deployment (CPython
-# 3.11), plus 2 %; 5,914 when each executed entry also memoised its G leaf
-# and latency samples were a list of floats, 6,544 when Merkle nodes, path
-# steps and the ledger's logical index were objects, 8,048 when outputs
-# were also dicts and undo records objects.
-RETAINED_BYTES_PER_TX_BUDGET = 5_650
+# Measured 4,142 bytes per committed transaction on this deployment (CPython
+# 3.11), plus 2 %; 5,541 when every entry and receipt of a request held
+# its decoded seal, each receipt its own copy of the batch's certificate
+# and each location a tuple; 5,914 when each executed entry also memoised
+# its G leaf and latency samples were a list of floats, 6,544 when Merkle
+# nodes, path steps and the ledger's logical index were objects, 8,048
+# when outputs were also dicts and undo records objects.
+RETAINED_BYTES_PER_TX_BUDGET = 4_225
 
-# Measured 12.66 tracked objects per committed transaction on this
-# deployment, plus one of slack; 12.97 when requests kept a ``__dict__``,
-# 16.97 when undo records were objects, 29.58 when they also kept a copy
-# of the write set, entries cached into a ``__dict__`` and path steps
-# were objects.
-TRACKED_PER_TX_BUDGET = 13.7
+# Measured 11.68 tracked objects per committed transaction on this
+# deployment, plus one of slack; 12.66 when requests stayed decoded,
+# 12.97 when they also kept a ``__dict__``, 16.97 when undo records were
+# objects, 29.58 when they also kept a copy of the write set, entries
+# cached into a ``__dict__`` and path steps were objects.
+TRACKED_PER_TX_BUDGET = 12.7
+
+# Measured 971 bytes per completed receipt held by the client (its
+# receipt, Merkle path, share of the batch's certificate, the request's
+# bytes and digest, and its tables), plus 2 %; 2,133 when a receipt held
+# the decoded request and its own copy of the certificate and rebuilt
+# its own pre-prepare.
+CLIENT_BYTES_PER_RECEIPT_BUDGET = 990
 
 # Checkpoints (and so ledger and batch-record collection) never come due.
 PARAMS = ProtocolParams(
@@ -100,8 +112,10 @@ def test_per_transaction_records_have_no_instance_dict(run):
     entries = [e for r in dep.replicas for e in r.ledger.entries() if isinstance(e, TxEntry)]
     records = [record for r in dep.replicas for record in r.kv._log]
     paths = [receipt.path for receipt in receipts]
+    held = [receipt.certificate for receipt in receipts] + [entry.request_wire for entry in entries]
+    held += [record.pp for r in dep.replicas for record in r.batches.values()]
     assert len(records) >= len(entries) == 4 * len(receipts)
-    for obj in (*receipts, *entries, *records, *paths):
+    for obj in (*receipts, *entries, *records, *paths, *held):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
     # Memos live in declared slots: asking for them creates no dict.
     entries[0].leaf_digest(), receipts[0].reconstructed_pre_prepare()
@@ -148,7 +162,8 @@ def test_executed_entries_leave_their_g_leaf_to_the_batch_tree():
 
 def _assert_outputs_sealed(dep):
     """Every transaction entry a replica retains, in its ledger and in
-    its batch records, holds its output as a seal."""
+    its batch records, holds its output as a seal and its request
+    packed."""
     for replica in dep.replicas:
         entries = [e for e in replica.ledger.entries() if isinstance(e, TxEntry)]
         entries += [
@@ -156,6 +171,7 @@ def _assert_outputs_sealed(dep):
         assert entries
         for entry in entries:
             assert type(entry.output) is SealedMap, (replica.address, entry.index)
+            assert type(entry.request_wire) is codec.SealedSeq, (replica.address, entry.index)
 
 
 def test_ledger_outputs_are_sealed(run):
@@ -192,3 +208,70 @@ def test_ledger_outputs_are_sealed_after_crash_and_resync():
     assert dep.replicas[0].committed_upto == frontier
     assert dep.ledgers_agree()
     _assert_outputs_sealed(dep)
+
+
+def test_no_decoded_request_outlives_execution_and_receipt(run):
+    """Once a request has executed and its receipt completed, every
+    replica's ledger entries and batch records and the client's receipt
+    hold it packed, as one shared :class:`codec.SealedSeq`: no decoded
+    seal of it (its tuple, ``args`` dict, ints and bytes) stays alive."""
+    dep, client, _, _, _ = run
+    assert not client.collector._pending and not any(len(r.admission) for r in dep.replicas)
+    gc.collect()
+    receipted = set(client.collector._done)
+    seals = [o for o in gc.get_objects() if type(o) is codec.Sealed and o.digest in receipted]
+    assert seals == []
+    receipts = client.collector._done.values()
+    packed = {id(receipt.request_wire) for receipt in receipts}
+    assert len(packed) == len(receipts)
+    for replica in dep.replicas:
+        entries = [e for e in replica.ledger.entries() if isinstance(e, TxEntry)]
+        entries += [e for rec in replica.batches.values() for e in rec.entries if isinstance(e, TxEntry)]
+        assert all(type(e.request_wire) is codec.SealedSeq for e in entries)
+        assert packed <= {id(e.request_wire) for e in entries}
+
+
+def test_a_location_is_one_int(run):
+    """``tx_locations`` maps each executed request to one int that packs
+    its batch's seqno and its ledger index."""
+    dep, _, _, _, _ = run
+    for replica in dep.replicas:
+        assert replica.tx_locations
+        for tx_digest, located in replica.tx_locations.items():
+            assert type(located) is int
+            seqno, index = split_location(located)
+            info = replica.ledger.batch(seqno)
+            entry = replica.ledger.entry_at_index(index)
+            assert any(e is entry for e in replica.ledger.entries(info.first_tx, info.end))
+            assert digest_value(entry.request_wire) == tx_digest
+
+
+def test_client_bytes_per_completed_receipt():
+    """What the client keeps per completed receipt: every allocation made
+    under the client's own code that is still live after the run."""
+    dep = build_deployment(params=PARAMS, seed=b"retained")
+    client = dep.add_client(retry_timeout=0.5)
+    dep.start()
+    workload = SmallBankWorkload(n_accounts=200, seed=3)
+
+    def wave(n):
+        for _ in range(n):
+            client.submit(*workload.next_transaction(), min_index=0)
+        dep.run(until=dep.net.scheduler.now + 0.5)
+
+    wave(50)
+    gc.collect()
+    before = len(client.receipts)
+    tracemalloc.start(10)  # deep enough to reach the client's frame
+    try:
+        for _ in range(2):
+            wave(100)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    completed = len(client.receipts) - before
+    assert completed == 200
+    mine = snapshot.filter_traces([tracemalloc.Filter(True, "*/lpbft/client.py", all_frames=True)])
+    held = sum(stat.size for stat in mine.statistics("filename"))
+    assert held / completed <= CLIENT_BYTES_PER_RECEIPT_BUDGET
