@@ -25,7 +25,7 @@ from ..lpbft.messages import (
     bitmap_of,
 )
 from ..merkle import MerkleTree
-from ..receipts.receipt import Receipt
+from ..receipts.receipt import Certificate, Receipt
 
 
 def forge_receipt(
@@ -92,11 +92,7 @@ def forge_receipt(
 
     is_batch = not tios
     request_wire, index, output = (None, None, None) if is_batch else tios[target_position]
-    return Receipt(
-        request_wire=request_wire,
-        index=index,
-        output=output,
-        path=None if is_batch else g_tree.path(target_position),
+    certificate = Certificate(
         view=view,
         seqno=seqno,
         root_m=root_m,
@@ -112,6 +108,8 @@ def forge_receipt(
         nonces=tuple(nonces),
         root_g=g_tree.root() if is_batch else None,
     )
+    path = None if is_batch else g_tree.path(target_position)
+    return Receipt(request_wire, index, output, path, certificate)
 
 
 def forge_alternate_output(

@@ -97,10 +97,11 @@ class SealedSeq(Sequence):
     :class:`Sealed`, so the seal's invariant carries over
     (``wire_bytes == encode(tuple(self))``), as does its ``digest``
     memo of :func:`repro.crypto.hashing.digest_value`.  The encoder
-    splices the bytes verbatim.  An item read decodes that item alone,
-    skipping the ones before it; iteration, ``==`` and ``hash`` decode
-    the whole and behave as the plain tuple's.  :meth:`unseal` gives
-    the :class:`Sealed` back.
+    splices the bytes verbatim.  Reading item ``i`` (a non-negative
+    int) steps over the items before it and decodes that one alone;
+    any other read, iteration, ``==`` and ``hash`` decode the whole.
+    All behave as the plain tuple's.  :meth:`unseal` gives the
+    :class:`Sealed` back.
     """
 
     __slots__ = ("wire_bytes", "digest")
@@ -112,22 +113,10 @@ class SealedSeq(Sequence):
     def __getitem__(self, index):
         data = self.wire_bytes
         count, pos = _read_varint(data, 1)
-        if type(index) is not int:
+        if type(index) is not int or not 0 <= index < count:
             return decode(data)[index]
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError("sealed sequence index out of range")
-        while index:
-            # Short strings and bytes are stepped over inline.
-            kind = data[pos]
-            if (kind == _TAG_STR or kind == _TAG_BYTES) and data[pos + 1] < 0x80:
-                pos += 2 + data[pos + 1]
-            else:
-                pos = _skip(data, pos)
-            index -= 1
-        if data[pos] == _TAG_STR and data[pos + 1] < 0x80:
-            return data[pos + 2 : pos + 2 + data[pos + 1]].decode("utf-8")
+        for _ in range(index):
+            pos = _skip(data, pos)
         return _decode_from(data, pos)[0]
 
     def __len__(self) -> int:
@@ -167,11 +156,15 @@ def pack(value: Any) -> Any:
     return packed
 
 
+# The types that carry their own encoding in ``wire_bytes``.
+_SEALS = frozenset((Sealed, SealedMap, SealedSeq))
+
+
 def seal(value: tuple | list | dict) -> Sealed | SealedMap | SealedSeq:
     """Encode ``value`` once and return it carrying those bytes: a
     :class:`SealedMap` for a ``dict``, a :class:`Sealed` otherwise.  A
     value already sealed is returned as it is."""
-    if type(value) is Sealed or type(value) is SealedMap or type(value) is SealedSeq:
+    if type(value) in _SEALS:
         return value
     if type(value) is dict:
         return SealedMap(encode(value))
@@ -255,8 +248,6 @@ def _varint_size(value: int) -> int:
 
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
     """Read an unsigned LEB128 varint, returning (value, new_pos)."""
-    if pos < len(data) and data[pos] < 0x80:
-        return data[pos], pos + 1
     result = 0
     shift = 0
     while True:
@@ -292,15 +283,8 @@ def _skip(data: bytes, pos: int) -> int:
         return pos
     if tag == _TAG_MAP:
         for _ in range(length):
-            key_len, pos = (data[pos], pos + 1) if data[pos] < 0x80 else _read_varint(data, pos)
-            pos += key_len
-            if data[pos] == _TAG_INT and data[pos + 1] == 0x00:
-                pos += 2  # an int's varint, stepped over inline
-                while data[pos] & 0x80:
-                    pos += 1
-                pos += 1
-            else:
-                pos = _skip(data, pos)
+            key_len, pos = _read_varint(data, pos)
+            pos = _skip(data, pos + key_len)
         return pos
     raise CodecError(f"unknown tag {tag:#x}")
 
@@ -441,7 +425,7 @@ def _encoder_for(kind: type):
 def encode(value: Any) -> bytes:
     """Encode ``value`` into its canonical byte representation."""
     kind = type(value)
-    if kind is Sealed or kind is SealedMap or kind is SealedSeq:
+    if kind in _SEALS:
         return value.wire_bytes
     out = bytearray()
     (_ENCODERS.get(kind) or _encoder_for(kind))(out, value)
@@ -585,21 +569,15 @@ def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
         count, pos = _read_varint(data, pos)
         result: dict[str, Any] = {}
         previous_key: str | None = None
-        end = len(data)
         for _ in range(count):
             key_len, pos = _read_varint(data, pos)
-            if pos + key_len > end:
+            if pos + key_len > len(data):
                 raise CodecError("truncated map key")
             key = data[pos : pos + key_len].decode("utf-8")
             pos += key_len
             if previous_key is not None and key <= previous_key:
                 raise CodecError("map keys not in canonical order")
             previous_key = key
-            if pos + 2 < end and data[pos] == _TAG_INT and data[pos + 1] == 0x00:
-                # An int, the value of every SmallBank argument: read inline.
-                zz, pos = _read_varint(data, pos + 2)
-                result[key] = (zz >> 1) ^ -(zz & 1)
-                continue
             result[key], pos = _decode_from(data, pos)
         return result, pos
     raise CodecError(f"unknown tag {tag:#x}")
@@ -634,7 +612,7 @@ def encoded_size(value: Any) -> int:
     """Return the size in bytes of the canonical encoding of ``value``.
     A seal, ``bytes`` and an ``int`` are sized directly."""
     kind = type(value)
-    if kind is Sealed or kind is SealedMap or kind is SealedSeq:
+    if kind in _SEALS:
         return len(value.wire_bytes)
     if kind is bytes:
         return 1 + _varint_size(len(value)) + len(value)

@@ -85,6 +85,7 @@ _TX_WIRE_HEAD = codec.encode(("tx", None, None, None))[:-3]  # four-item header,
 # tag and its procedure name's STR tag; a name under 128 bytes follows
 # its one-byte length.
 _REQUEST_HEAD = codec.encode(("request", "", None, None, None, None, None, None))[:12]
+_NAME_AT = len(_REQUEST_HEAD) + 1
 _GOV_PREFIX = b"gov."
 _TIO_HEAD_SIZE = codec.sequence_size(3, 0)
 
@@ -118,15 +119,13 @@ class TxEntry(LedgerEntry):
         return TransactionRequest.from_wire(self.request_wire)
 
     def invocation(self):
-        """What replay executes: ``t``'s ``procedure`` and ``args``.  A
-        packed request decodes those two items alone (its ``args`` taken
-        as :meth:`TransactionRequest.from_wire` takes them); any other
-        wire is parsed whole (:meth:`request`)."""
+        """What replay executes: a packed request's ``procedure`` and
+        ``args``, read alone (the items around them stay encoded); any
+        other request parsed whole (:meth:`request`)."""
         t = self.request_wire
         if type(t) is not codec.SealedSeq:
             return self.request()
-        args = t[2]
-        return Invocation(t[1], args if type(args) is dict else dict(args))
+        return Invocation(t[1], t[2])
 
     def is_governance(self) -> bool:
         """Whether ``t`` invokes a governance procedure (``gov.*``, §5).
@@ -135,8 +134,8 @@ class TxEntry(LedgerEntry):
         t = self.request_wire
         if type(t) is codec.SealedSeq:
             wire = t.wire_bytes
-            if wire.startswith(_REQUEST_HEAD) and wire[len(_REQUEST_HEAD)] < 0x80:
-                return wire.startswith(_GOV_PREFIX, len(_REQUEST_HEAD) + 1)
+            if wire.startswith(_REQUEST_HEAD) and wire[_NAME_AT - 1] < 0x80:
+                return wire.startswith(_GOV_PREFIX, _NAME_AT)
         return t[1].startswith("gov.")
 
     def tio(self) -> tuple:

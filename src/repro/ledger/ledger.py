@@ -60,7 +60,8 @@ class BatchInfo:
     first_tx: int  # ledger index of the first tx entry (== pp_index + 1)
     tx_count: int
     flags: int
-    # Tree G over the batch's entries, once :meth:`Ledger.g_tree` built it.
+    # Tree G over the batch's entries from :meth:`Ledger.unbound`, held
+    # until :meth:`Ledger.g_tree` hands it to its next reader.
     g_tree: MerkleTree | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -92,6 +93,7 @@ class Ledger:
         # finds the newest.
         self._batch_list: list[BatchInfo] = []
         self._batches: dict[int, BatchInfo] = {}
+        self._last_g_tree: tuple[BatchInfo, MerkleTree] | None = None
         self._last_gov_index = 0
         # Prefix-GC state: _base is the absolute index of the first
         # retained entry; _logical_base counts the logical indices the
@@ -288,14 +290,18 @@ class Ledger:
         return entry.pre_prepare()
 
     def g_tree(self, info: BatchInfo) -> MerkleTree:
-        """Tree G over the entries of the batch ``info`` locates (§3.1),
-        built once and kept on ``info``: :meth:`unbound` checks it, and
-        the ledger install, the replay and a burst of receipts rebuilt
-        from a collected batch record read that one tree."""
-        tree = info.g_tree
+        """Tree G over the entries of the batch ``info`` locates (§3.1).
+        A tree :meth:`unbound` built is handed to the next reader and no
+        longer held here: the ledger install moves it into the batch
+        record, the replay reads it.  Otherwise the ledger keeps only the
+        last tree it built, so a burst of receipts rebuilt from one
+        collected batch record builds it once."""
+        tree, info.g_tree = info.g_tree, None
+        if tree is None and self._last_g_tree is not None and self._last_g_tree[0] is info:
+            tree = self._last_g_tree[1]
         if tree is None or len(tree) != info.tx_count:
-            tree = info.g_tree = MerkleTree(
-                [entry.leaf_digest() for entry in self.entries(info.first_tx, info.end)])
+            tree = MerkleTree([entry.leaf_digest() for entry in self.entries(info.first_tx, info.end)])
+            self._last_g_tree = (info, tree)
         return tree
 
     def unbound(self, checkpoint=None) -> list[tuple[int, str]]:
@@ -317,7 +323,8 @@ class Ledger:
             if self.root_at(info.pp_index) != pp.root_m:
                 found.append((info.seqno, f"batch {info.seqno}: the entries before its "
                               f"pre-prepare do not reproduce the signed root_m"))
-            if self.g_tree(info).root() != pp.root_g:
+            info.g_tree = self.g_tree(info)
+            if info.g_tree.root() != pp.root_g:
                 found.append((info.seqno, f"batch {info.seqno}: its entries do not "
                               f"reproduce the signed root_g"))
         if checkpoint is None or checkpoint.seqno <= 0:
@@ -386,7 +393,7 @@ class Ledger:
         if order:
             info = order[-1]
             info.tx_count = min(info.tx_count, max(0, size - info.first_tx))
-            info.g_tree = None
+            info.g_tree = self._last_g_tree = None
         gov = self._gov_entries
         while gov and gov[-1][0] >= self.logical_size():
             gov.pop()
@@ -433,6 +440,8 @@ class Ledger:
         self._tree.compact_below(boundary)
         self._batch_list = [info for info in self._batch_list if info.end > boundary]
         self._batches = {info.seqno: info for info in self._batch_list}
+        if self._last_g_tree is not None and self._last_g_tree[0].end <= boundary:
+            self._last_g_tree = None
         keep_from = bisect_left(self._logical_to_position, boundary)
         del self._logical_to_position[:keep_from]
         self._logical_base += keep_from

@@ -60,7 +60,7 @@ from ..ledger import (
 )
 from ..network import Node
 from ..receipts.chain import GovernanceChain, GovernanceLink, verify_served_chain
-from ..receipts.receipt import Receipt
+from ..receipts.receipt import Certificate, Receipt
 from ..sim.costs import CostModel
 from ..sim.metrics import MetricsCollector
 from ..statesync.client import StateSyncClient
@@ -1332,24 +1332,21 @@ class LPBFTReplica(Node):
         prepare_signatures = tuple(
             prepare_by[r].signature for r in signer_ids if r != primary_id
         )
-        common = dict(
+        certificate = Certificate(
             **record.pp.receipt_fields(),
             primary_signature=record.pp.signature,
             signer_bitmap=nonces_entry.bitmap,
             prepare_signatures=prepare_signatures,
             nonces=nonces_entry.nonces,
+            root_g=record.pp.root_g if tx_digest is None else None,
         )
         if tx_digest is None:
-            return Receipt(
-                request_wire=None, index=None, output=None, path=None,
-                root_g=record.pp.root_g, **common,
-            )
+            return Receipt(None, None, None, None, certificate)
         for position, (entry, d) in enumerate(zip(record.entries, record.tx_digests)):
             if d == tx_digest:
                 return Receipt(
-                    request_wire=entry.request_wire, index=entry.index, output=entry.output,
-                    path=record.g_tree.path(position), **common,
-                )
+                    entry.request_wire, entry.index, entry.output, record.g_tree.path(position),
+                    certificate)
         return None
 
     # -- fetch protocol ---------------------------------------------------------------

@@ -74,11 +74,6 @@ def assemble_receipt(
     )
 
 
-# Certificates a collector holds for sharing: receipts of one batch
-# complete together, so a few batches' worth suffice.
-CERTIFICATES_HELD = 8
-
-
 @dataclass
 class PendingRequest:
     """Collection state for one in-flight request."""
@@ -121,9 +116,13 @@ class ReceiptCollector:
         self._pending: dict[Digest, PendingRequest] = {}
         self._done: dict[Digest, Receipt] = {}
         self._sent_times: dict[Digest, float] = {}
-        # The last certificate per (view, seqno, signer bitmap): the
-        # receipts of a batch that the same signers vouch for share it.
-        self._certificates: dict[tuple[int, int, int], Certificate] = {}
+        # Per (view, seqno) slot: the certificate of each completed
+        # receipt by signer bitmap, which the batch's later receipts from
+        # the same signers share, and how many pending requests hold
+        # messages for the slot.  A slot's certificates go with its last
+        # pending request.
+        self._certificates: dict[tuple[int, int], dict[int, Certificate]] = {}
+        self._waiting: dict[tuple[int, int], int] = {}
 
     # -- configuration changes ------------------------------------------------
 
@@ -160,7 +159,11 @@ class ReceiptCollector:
     def abandon(self, tx_digest: Digest) -> bool:
         """Stop collecting for a request (retry budget exhausted); returns
         True if it was still pending.  Late replies are ignored."""
-        return self._pending.pop(tx_digest, None) is not None
+        pending = self._pending.pop(tx_digest, None)
+        if pending is None:
+            return False
+        self._release(pending)
+        return True
 
     def sent_at(self, tx_digest: Digest) -> float | None:
         """When the request was first tracked (survives completion, so
@@ -180,9 +183,10 @@ class ReceiptCollector:
         pending = self._pending.get(tx_digest)
         if pending is None:
             return self._done.get(tx_digest)
-        slot = pending.slot(reply.view, reply.seqno)
-        slot[reply.replica] = reply
-        return self._try_complete(tx_digest, pending, (reply.view, reply.seqno))
+        key = (reply.view, reply.seqno)
+        self._hold(pending, key)
+        pending.slot(*key)[reply.replica] = reply
+        return self._try_complete(tx_digest, pending, key)
 
     def add_replyx(self, tx_digest: Digest, replyx: ReplyX) -> Receipt | None:
         """Record the designated replica's extended reply."""
@@ -191,8 +195,10 @@ class ReceiptCollector:
             return self._done.get(tx_digest)
         if replyx.tx_digest != tx_digest:
             raise ReceiptError("replyx routed to the wrong request")
-        pending.replyx[(replyx.view, replyx.seqno)] = replyx
-        return self._try_complete(tx_digest, pending, (replyx.view, replyx.seqno))
+        key = (replyx.view, replyx.seqno)
+        self._hold(pending, key)
+        pending.replyx[key] = replyx
+        return self._try_complete(tx_digest, pending, key)
 
     def recheck(self) -> list[tuple[Digest, Receipt]]:
         """Re-attempt completion of every pending request.
@@ -240,7 +246,9 @@ class ReceiptCollector:
                 return None
         if self._completion_gate is not None and not self._completion_gate(receipt):
             return None
+        self._certificates.setdefault(key, {})[receipt.signer_bitmap] = receipt.certificate
         del self._pending[tx_digest]
+        self._release(pending)
         self._done[tx_digest] = receipt
         return receipt
 
@@ -260,13 +268,23 @@ class ReceiptCollector:
         return None
 
     def _assemble(self, pending, replies, replyx, config) -> Receipt:
-        """:func:`assemble_receipt`, sharing the certificate of the batch's
-        last receipt from the same signers (the newest
-        ``CERTIFICATES_HELD`` are held)."""
-        key = (replyx.view, replyx.seqno, bitmap_of(replies))
-        held = self._certificates
-        receipt = assemble_receipt(pending.request_wire, replies, replyx, config, held.get(key))
-        held[key] = receipt.certificate
-        if len(held) > CERTIFICATES_HELD:
-            del held[next(iter(held))]
-        return receipt
+        """:func:`assemble_receipt`, sharing the certificate of an earlier
+        receipt of the batch from the same signers."""
+        shared = self._certificates.get((replyx.view, replyx.seqno), {}).get(bitmap_of(replies))
+        return assemble_receipt(pending.request_wire, replies, replyx, config, shared)
+
+    def _hold(self, pending: PendingRequest, key: tuple[int, int]) -> None:
+        """Count ``pending`` as waiting on slot ``key`` (once)."""
+        if key not in pending.replies and key not in pending.replyx:
+            self._waiting[key] = self._waiting.get(key, 0) + 1
+
+    def _release(self, pending: PendingRequest) -> None:
+        """``pending`` waits no more: a slot nothing waits on lets its
+        certificates go."""
+        for key in pending.replies.keys() | pending.replyx.keys():
+            left = self._waiting[key] - 1
+            if left:
+                self._waiting[key] = left
+            else:
+                del self._waiting[key]
+                self._certificates.pop(key, None)

@@ -20,7 +20,7 @@ revealed nonce opens the commitment it was signed under.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Any, Callable, Sequence
 
@@ -95,10 +95,7 @@ class Certificate:
         return pp
 
 
-CERTIFICATE_FIELDS = tuple(f.name for f in fields(Certificate))
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Receipt:
     """A receipt for ``⟨t, i, o⟩`` (or for a whole batch).
 
@@ -107,9 +104,7 @@ class Receipt:
     transaction triple: the four per-transaction fields and the batch's
     :class:`Certificate`, which the receipts of a batch share.  Each
     certificate field reads as an attribute of the receipt too
-    (``receipt.seqno``), and a receipt constructs from them by name:
-    fields named beside a ``certificate`` replace its own, which is how
-    ``dataclasses.replace(receipt, nonces=...)`` alters one.
+    (``receipt.seqno``).
     """
 
     # Transaction part (None/0/None/None for batch receipts).
@@ -123,27 +118,6 @@ class Receipt:
         default=None, init=False, repr=False, compare=False
     )
 
-    def __init__(
-        self,
-        request_wire: tuple | None,
-        index: int | None,
-        output: Any,
-        path: MerklePath | None,
-        certificate: Certificate | None = None,
-        **batch: Any,
-    ) -> None:
-        if batch:
-            certificate = Certificate(**batch) if certificate is None else replace(certificate, **batch)
-        if certificate is None:
-            raise TypeError("a receipt needs its batch certificate or the certificate's fields")
-        set_field = object.__setattr__
-        set_field(self, "request_wire", request_wire)
-        set_field(self, "index", index)
-        set_field(self, "output", output)
-        set_field(self, "path", path)
-        set_field(self, "certificate", certificate)
-        set_field(self, "_reconstructed_pre_prepare", None)
-
     # -- identity -----------------------------------------------------------
 
     @property
@@ -156,8 +130,8 @@ class Receipt:
         return TransactionRequest.from_wire(self.request_wire)
 
     def min_index(self) -> int:
-        """The request's minimum ledger index ``mi``; read off a packed
-        request's bytes without decoding the rest."""
+        """The request's minimum ledger index ``mi``: a packed request's
+        item 5, read alone."""
         wire = self.request_wire
         if type(wire) is codec.SealedSeq:
             return wire[5]
@@ -282,8 +256,10 @@ class Receipt:
         return len(codec.encode(self.to_wire()))
 
 
-for _name in CERTIFICATE_FIELDS:
-    setattr(Receipt, _name, property(attrgetter("certificate." + _name)))
+# Each certificate field reads as the receipt's own: ``receipt.seqno``.
+for _field in fields(Certificate):
+    if _field.init:
+        setattr(Receipt, _field.name, property(attrgetter("certificate." + _field.name)))
 
 
 def verify_receipt(

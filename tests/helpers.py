@@ -60,6 +60,11 @@ def certificate_checks(receipts) -> int:
     return sum(certificates.values())
 
 
+def recertified(receipt, **fields):
+    """``receipt`` with the named fields of its batch certificate replaced."""
+    return dataclasses.replace(receipt, certificate=dataclasses.replace(receipt.certificate, **fields))
+
+
 def build_deployment(
     n_replicas: int = 4,
     params: ProtocolParams = FAST_PARAMS,

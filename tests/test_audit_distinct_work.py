@@ -31,6 +31,7 @@ from helpers import (
     CountingBackend,
     build_deployment,
     certificate_checks,
+    recertified,
     run_workload,
 )
 
@@ -154,7 +155,7 @@ class TestCertificateDedupeSoundness:
         first, sibling = _siblings(receipts)
         signature = sibling.prepare_signatures[0]
         flipped = (bytes([signature[0] ^ 1]) + signature[1:],) + sibling.prepare_signatures[1:]
-        altered = dataclasses.replace(sibling, prepare_signatures=flipped)
+        altered = recertified(sibling, prepare_signatures=flipped)
         with pytest.raises(AuditError):
             _audit(dep, client, [first, altered])
 
@@ -176,9 +177,9 @@ def pool(honest):
     config = dep.genesis_config
     tampered = [
         dataclasses.replace(receipts[0], output={"reply": {}, "ws": b"\0" * 32}),
-        dataclasses.replace(receipts[1], nonces=receipts[1].nonces[::-1]),
-        dataclasses.replace(receipts[2], signer_bitmap=receipts[2].signer_bitmap ^ 0b1111),
-        dataclasses.replace(
+        recertified(receipts[1], nonces=receipts[1].nonces[::-1]),
+        recertified(receipts[2], signer_bitmap=receipts[2].signer_bitmap ^ 0b1111),
+        recertified(
             receipts[3], prepare_signatures=(b"\0" * 64,) + receipts[3].prepare_signatures[1:]),
     ]
     imposters = {i: dep.backend.generate(b"imposter" + bytes([i])) for i in range(4)}

@@ -208,7 +208,7 @@ long_items = st.lists(json_like, max_size=4) | st.lists(st.integers(0, 3), min_s
 @given(long_items)
 def test_packed_seal_reads_like_the_decoded_tuple(items):
     """A :class:`codec.SealedSeq` holds only the seal's bytes: each item
-    read (negative indices too), ``len``, iteration, ``==`` and the
+    read (negative indices and slices too), ``len``, iteration, ``==`` and the
     encoding behave as the decoded tuple's, and unsealing gives the
     seal's bytes back."""
     sealed = codec.seal(items)

@@ -118,6 +118,33 @@ class TestCollector:
         with pytest.raises(ReceiptError):
             collector.add_replyx(digests[4], replyx)
 
+    def test_batch_certificate_is_shared_then_let_go(self, env):
+        """Requests of one batch completed by the same signers share one
+        certificate object; the collector holds it only while a request
+        with messages for the batch is pending, and an abandoned request
+        releases its hold as a completed one does."""
+        dep, client, digests = env
+        by_seqno = {}
+        for d in digests:
+            by_seqno.setdefault(client.receipts[d].seqno, []).append(d)
+        batch = next(group for group in by_seqno.values() if len(group) >= 3)[:3]
+        collector = ReceiptCollector(dep.genesis_config)
+        messages = {}
+        for d in batch:
+            receipt, replies, replyx = reply_messages_for(dep, client, d)
+            messages[d] = replies, replyx
+            collector.track(d, receipt.request_wire)
+            collector.add_reply(d, replies[0])
+        done = []
+        for d in batch[:2]:
+            replies, replyx = messages[d]
+            collector.add_replyx(d, replyx)
+            done.append(collector.add_reply(d, replies[1]) or collector.add_reply(d, replies[2]))
+        assert done[0] is not None and done[1].certificate is done[0].certificate
+        assert len(collector._certificates) == 1
+        assert collector.abandon(batch[2])
+        assert collector._certificates == {} and collector._waiting == {}
+
     def test_sent_time_survives_completion(self, env):
         dep, client, digests = env
         assert client.collector.sent_at(digests[0]) is not None

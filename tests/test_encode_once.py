@@ -27,7 +27,7 @@ from repro.ledger.entries import PrePrepareEntry, TxEntry, entry_from_wire
 from repro.lpbft.messages import PrePrepare, TransactionRequest
 from repro.merkle import MerklePath
 from repro.obs import Tracer
-from repro.receipts import Receipt
+from repro.receipts import Certificate, Receipt
 from repro.workloads import SmallBankWorkload
 
 # -- sealed values ---------------------------------------------------------------
@@ -222,19 +222,21 @@ RECEIPT = Receipt(
     index=2**40,
     output=OUTPUT,
     path=MerklePath.from_wire((5, 300, ((b"\x06" * 32, True), (b"\x07" * 32, False)))),
-    view=1,
-    seqno=70_000,
-    root_m=b"\x01" * 32,
-    primary_nonce_commitment=b"\x03" * 32,
-    evidence_bitmap=0b1011,
-    gov_index=0,
-    checkpoint_digest=b"\x04" * 32,
-    flags=0,
-    committed_root=b"",
-    primary_signature=b"\x05" * 64,
-    signer_bitmap=0b0111,
-    prepare_signatures=(b"\x08" * 64, b"\x09" * 64),
-    nonces=(b"\x0a" * 32, b"\x0b" * 32, b"\x0c" * 32),
+    certificate=Certificate(
+        view=1,
+        seqno=70_000,
+        root_m=b"\x01" * 32,
+        primary_nonce_commitment=b"\x03" * 32,
+        evidence_bitmap=0b1011,
+        gov_index=0,
+        checkpoint_digest=b"\x04" * 32,
+        flags=0,
+        committed_root=b"",
+        primary_signature=b"\x05" * 64,
+        signer_bitmap=0b0111,
+        prepare_signatures=(b"\x08" * 64, b"\x09" * 64),
+        nonces=(b"\x0a" * 32, b"\x0b" * 32, b"\x0c" * 32),
+    ),
 )
 
 GOLDEN_HEX = {

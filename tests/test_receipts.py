@@ -7,7 +7,7 @@ import pytest
 from repro.receipts import Receipt, verify_receipt, receipts_equivalent
 from repro.errors import ReceiptError
 
-from helpers import build_deployment, run_workload
+from helpers import build_deployment, recertified, run_workload
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def test_tampered_primary_signature_fails(receipt_env):
     dep, _, receipts = receipt_env
     bad = bytearray(receipts[0].primary_signature)
     bad[0] ^= 1
-    receipt = dataclasses.replace(receipts[0], primary_signature=bytes(bad))
+    receipt = recertified(receipts[0], primary_signature=bytes(bad))
     assert not verify_receipt(receipt, dep.genesis_config)
 
 
@@ -73,7 +73,7 @@ def test_tampered_prepare_signature_fails(receipt_env):
     dep, _, receipts = receipt_env
     sigs = list(receipts[0].prepare_signatures)
     sigs[0] = b"\x00" * len(sigs[0])
-    receipt = dataclasses.replace(receipts[0], prepare_signatures=tuple(sigs))
+    receipt = recertified(receipts[0], prepare_signatures=tuple(sigs))
     assert not verify_receipt(receipt, dep.genesis_config)
 
 
@@ -81,7 +81,7 @@ def test_tampered_nonce_fails(receipt_env):
     dep, _, receipts = receipt_env
     nonces = list(receipts[0].nonces)
     nonces[0] = b"\x01" * 32
-    receipt = dataclasses.replace(receipts[0], nonces=tuple(nonces))
+    receipt = recertified(receipts[0], nonces=tuple(nonces))
     assert not verify_receipt(receipt, dep.genesis_config)
 
 
@@ -98,7 +98,7 @@ def test_fewer_than_quorum_signers_fails(receipt_env):
     keep_sigs = tuple(s for r, s in zip(non_primary, base.prepare_signatures) if r != drop)
     from repro.lpbft.messages import bitmap_of
 
-    receipt = dataclasses.replace(
+    receipt = recertified(
         base, signer_bitmap=bitmap_of(keep), nonces=keep_nonces, prepare_signatures=keep_sigs
     )
     assert not verify_receipt(receipt, dep.genesis_config)
@@ -111,13 +111,13 @@ def test_receipt_missing_primary_fails(receipt_env):
     signers = [r for r in base.signers() if r != primary]
     from repro.lpbft.messages import bitmap_of
 
-    receipt = dataclasses.replace(base, signer_bitmap=bitmap_of(signers))
+    receipt = recertified(base, signer_bitmap=bitmap_of(signers))
     assert not verify_receipt(receipt, dep.genesis_config)
 
 
 def test_batch_receipt_requires_root_g(receipt_env):
     dep, _, receipts = receipt_env
-    receipt = dataclasses.replace(receipts[0], request_wire=None, path=None, root_g=None)
+    receipt = recertified(dataclasses.replace(receipts[0], request_wire=None, path=None), root_g=None)
     with pytest.raises(ReceiptError):
         verify_receipt(receipt, dep.genesis_config)
 
@@ -172,10 +172,20 @@ def test_receipts_of_a_batch_share_one_certificate(receipt_env):
         again = Receipt.from_wire(codec.decode(codec.encode(receipt.to_wire())))
         assert again == receipt and again.to_wire() == receipt.to_wire()
         assert again.min_index() == receipt.min_index() == receipt.request().min_index
-    # A field named beside the certificate replaces its own.
+    # Equality sees through the certificate.
     base = receipts[0]
-    altered = dataclasses.replace(base, flags=base.flags + 1)
-    assert altered.flags == base.flags + 1 and altered.certificate != base.certificate
-    assert dataclasses.replace(altered, flags=base.flags) == base
+    altered = recertified(base, flags=base.flags + 1)
+    assert altered.flags == base.flags + 1 and altered != base
+    assert recertified(altered, flags=base.flags) == base
     with pytest.raises(TypeError):
         Receipt(None, None, None, None)
+
+
+def test_collector_lets_a_batch_certificate_go_with_its_last_pending_request(receipt_env):
+    """The collector holds a batch's certificate for sharing only while
+    some pending request has messages for that batch; once every
+    request completed, nothing is held."""
+    _, client, receipts = receipt_env
+    collector = client.collector
+    assert receipts and not collector._pending
+    assert collector._certificates == {} and collector._waiting == {}

@@ -46,6 +46,12 @@ TRACKED_PER_TX_BUDGET = 12.7
 # its own pre-prepare.
 CLIENT_BYTES_PER_RECEIPT_BUDGET = 990
 
+# Measured 9,335 bytes per transaction committed while the primary
+# crashed, the others changed view and it resynced, installing a fetched
+# ledger and a fresh KV store (CPython 3.11), plus 2 %; 9,420 when the
+# test runs alone.
+RESYNC_RETAINED_BYTES_PER_TX_BUDGET = 9_520
+
 # Checkpoints (and so ledger and batch-record collection) never come due.
 PARAMS = ProtocolParams(
     pipeline=2, max_batch=100, checkpoint_interval=10_000,
@@ -182,11 +188,12 @@ def test_ledger_outputs_are_sealed(run):
     assert all(id(receipt.output) in held for receipt in client.collector._done.values())
 
 
-def test_ledger_outputs_are_sealed_after_crash_and_resync():
+@pytest.fixture(scope="module")
+def resynced():
     """The primary crashes, the others change view and commit on; the
-    recovered replica installs what it fetched.  Every path that builds
-    a retained entry — execution, re-execution after the view change,
-    the fetched ledger and the replay behind its install — seals."""
+    recovered replica installs what it fetched.  Returns the deployment,
+    the transactions committed after the warm-up and the bytes allocated
+    since then that are still allocated after a collection."""
     dep = build_deployment(params=VC_PARAMS, seed=b"vc")
     client = dep.add_client(retry_timeout=0.5)
     dep.start()
@@ -194,20 +201,49 @@ def test_ledger_outputs_are_sealed_after_crash_and_resync():
     for _ in range(40):
         client.submit(*workload.next_transaction(), min_index=0)
     dep.run(until=0.2)
-    dep.crash_replica(0)
-    for _ in range(60):
-        client.submit(*workload.next_transaction(), min_index=0)
-    dep.run(until=4.0)
-    dep.recover_replica(0)
-    for _ in range(20):
-        client.submit(*workload.next_transaction(), min_index=0)
-    dep.run(until=12.0)
+    committed_before = len(client.collector._done)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dep.crash_replica(0)
+        for _ in range(60):
+            client.submit(*workload.next_transaction(), min_index=0)
+        dep.run(until=4.0)
+        dep.recover_replica(0)
+        for _ in range(20):
+            client.submit(*workload.next_transaction(), min_index=0)
+        dep.run(until=12.0)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     assert all(r.view >= 1 for r in dep.replicas)
-    assert dep.replicas[0].sync_client.last_result is not None
+    assert dep.replicas[0].sync_client.last_result["installed"]
     frontier = max(r.committed_upto for r in dep.replicas)
     assert dep.replicas[0].committed_upto == frontier
     assert dep.ledgers_agree()
-    _assert_outputs_sealed(dep)
+    return dep, len(client.collector._done) - committed_before, retained
+
+
+def test_ledger_outputs_are_sealed_after_crash_and_resync(resynced):
+    """Every path that builds a retained entry — execution,
+    re-execution after the view change, the fetched ledger and the
+    replay behind its install — seals."""
+    _assert_outputs_sealed(resynced[0])
+
+
+def test_retained_bytes_after_crash_and_resync(resynced):
+    """A resync builds each fetched batch's tree G once and hands it to
+    the batch record: the installed ledger keeps no tree per batch, only
+    the last one it built."""
+    dep, committed, retained = resynced
+    assert committed == 80
+    for replica in dep.replicas:
+        assert all(info.g_tree is None for info in replica.ledger.batches())
+    recovered = dep.replicas[0].ledger
+    last = recovered._last_g_tree
+    assert last is None or any(last[1] is record.g_tree for record in dep.replicas[0].batches.values())
+    assert retained / committed <= RESYNC_RETAINED_BYTES_PER_TX_BUDGET
 
 
 def test_no_decoded_request_outlives_execution_and_receipt(run):
