@@ -115,7 +115,7 @@ def audit_measurements(gc_dep, gc_client, unbounded_dep):
 
     full = unbounded_dep.primary()
     full_ledger = full.ledger.fragment(0).to_ledger()
-    full_schedule = full.governance_subledger().schedule
+    full_schedule = full.retention.governance_subledger().schedule
     t0 = time.perf_counter()
     findings = replay_ledger(
         full_ledger, unbounded_dep.genesis_checkpoint, unbounded_dep.registry, full_schedule,

@@ -353,13 +353,8 @@ class Auditor:
                     receipt.seqno != record.eoc_seqno
                     or receipt.committed_root != eoc_pp.committed_root
                 ):
-                    receipt_signers = set(receipt.signers())
-                    # Ledger-side signers: whoever prepared the ledger's
-                    # P-th end-of-configuration batch.
-                    ledger_signers = set()
-                    pair = None
                     config = schedule.config_number(number - 1)
-                    blamed = sorted(receipt_signers)
+                    blamed = sorted(set(receipt.signers()))
                     result.upoms.append(
                         UPoM(
                             kind=UPOM_GOVERNANCE_FORK,

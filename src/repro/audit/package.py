@@ -90,8 +90,8 @@ class LedgerPackage:
 def build_ledger_package(replica, oldest_receipt: Receipt | None = None) -> LedgerPackage:
     """Build an honest replica's ledger package.
 
-    ``replica`` is any object with ``ledger``, ``checkpoints``,
-    ``params``, and ``id`` attributes (an :class:`~repro.lpbft.LPBFTReplica`).
+    ``replica`` is an :class:`~repro.lpbft.LPBFTReplica` (its ledger,
+    checkpoints, batch store and retention).
     The checkpoint chosen is the one whose digest matches the oldest
     receipt's ``dC`` (the auditor's replay start); with no receipt given,
     the newest checkpoint is included.  When the replica has garbage-
@@ -104,7 +104,7 @@ def build_ledger_package(replica, oldest_receipt: Receipt | None = None) -> Ledg
     frontier = None
     if base > 0:
         frontier = tuple((h, d) for h, d in replica.ledger.tree().frontier_at(base))
-    subledger = replica.governance_subledger()
+    subledger = replica.retention.governance_subledger()
     checkpoint = None
     if oldest_receipt is not None:
         for cp in replica.checkpoints.values():
@@ -116,7 +116,7 @@ def build_ledger_package(replica, oldest_receipt: Receipt | None = None) -> Ledg
     extra: dict = {}
     last = replica.ledger.last_seqno()
     for seqno in range(max(1, last - replica.params.pipeline + 1), last + 1):
-        built = replica._evidence(seqno)
+        built = replica.batches.evidence(seqno, replica.config_for(seqno))
         if built is not None:
             extra[seqno] = (built[0].to_wire(), built[1].to_wire())
     return LedgerPackage(

@@ -24,10 +24,8 @@ from .entries import (
     entry_from_wire,
 )
 from .ledger import Ledger, LedgerFragment, BatchInfo
-from .retention import RetentionPolicy
 
 __all__ = [
-    "RetentionPolicy",
     "LedgerEntry",
     "GenesisEntry",
     "TxEntry",

@@ -259,14 +259,26 @@ class PrePrepareEntry(LedgerEntry):
 
     kind: ClassVar[str] = "pre-prepare"
     pp_wire: tuple
+    _pp: Any = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def of(cls, pp) -> PrePrepareEntry:
+        """The entry of a pre-prepare this process holds, which
+        :meth:`pre_prepare` then returns."""
+        entry = cls(pp_wire=pp.to_wire())
+        object.__setattr__(entry, "_pp", pp)
+        return entry
 
     def to_wire(self) -> tuple:
         return ("pre-prepare-entry", self.pp_wire)
 
     def pre_prepare(self):
-        from ..lpbft.messages import PrePrepare
+        """The pre-prepare, decoded once."""
+        if self._pp is None:
+            from ..lpbft.messages import PrePrepare
 
-        return PrePrepare.from_wire(self.pp_wire)
+            object.__setattr__(self, "_pp", PrePrepare.from_wire(self.pp_wire))
+        return self._pp
 
 
 @dataclass(frozen=True, slots=True)

@@ -249,11 +249,7 @@ def install_ledger(
     if 0 in replica.checkpoints and 0 not in checkpoints:
         checkpoints.take(replica.checkpoints[0], 0.0)
     replica.checkpoints = checkpoints
-    # The governance archive described the *old* ledger's pruned
-    # prefix; a full-prefix adoption can re-derive everything from the
-    # entries, a suffix-rooted one falls back to the degraded
-    # (schedule-only) sub-ledger until it archives its own truncations.
-    replica._gov_archive = None
+    replica.retention.adopted()
     replica.tx_locations = tx_locations
     for record in replica.batches.adopt(records):
         replica._verify_early_prepares(record.pp_digest, record.seqno)

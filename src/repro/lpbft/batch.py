@@ -1,5 +1,7 @@
 """What a replica remembers about its batches and their slots' messages,
-the one way a transaction runs against a store, and the reconfiguration in flight.
+what it builds from them (commitment evidence, its reply, where a
+transaction executed), the one way a transaction runs against a store,
+and the reconfiguration in flight.
 
 A leaf module: the replica, its view changes, its ledger install
 (:mod:`.adoption`) and the auditor's replay need these, and none of them
@@ -9,14 +11,19 @@ may import another.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..crypto.hashing import Digest
+from ..crypto.hashing import Digest, digest_value
 from ..crypto.nonces import NonceCommitment
 from ..errors import TransactionAborted
 from ..governance.configuration import Configuration
 from ..kvstore import EMPTY_WS, KVStore, ProcedureRegistry
+from ..ledger.entries import EvidenceEntry, NoncesEntry, TxEntry
 from ..merkle import MerkleTree
-from .messages import Commit, Prepare, PrePrepare, TransactionRequest
+from .messages import Commit, Prepare, PrePrepare, Reply, TransactionRequest, bitmap_members, bitmap_of
+
+if TYPE_CHECKING:
+    from ..ledger import BatchInfo, Ledger
 
 
 def location(seqno: int, index: int) -> int:
@@ -107,6 +114,88 @@ class BatchStore(dict):
 
     def add_prepare(self, prepare: Prepare) -> None:
         self.prepares_by_ppd.setdefault(prepare.pp_digest, {})[prepare.replica] = prepare
+
+    def signer(self, record: BatchRecord, replica_id: int, primary_id: int) -> PrePrepare | Prepare | None:
+        """What ``replica_id`` signed for ``record``'s slot, whose nonce
+        commitment its commit nonce opens and whose signature stands in a
+        receipt: the pre-prepare for the primary, its stored prepare
+        otherwise."""
+        if replica_id == primary_id:
+            return record.pp
+        return self.prepares_by_ppd.get(record.pp_digest, {}).get(replica_id)
+
+    def evidence(
+        self, seqno: int, config: Configuration, bitmap: int | None = None
+    ) -> tuple[EvidenceEntry, NoncesEntry] | None:
+        """``(Ps, Ks)`` for the held batch at ``seqno``: N−f revealed nonces
+        (the primary's included) and the matching N−f−1 prepares (§3.1).
+        Given ``bitmap``, for exactly the replicas the primary chose —
+        backups must append *the same* Ps−P and Ks−P."""
+        record = self.get(seqno)
+        if record is None:
+            return None
+        view = record.view
+        primary_id = config.primary_for_view(view)
+        nonces_by = self.commit_nonces.get((view, seqno), {})
+        prepares = self.prepares_by_ppd.get(record.pp_digest, {})
+        if bitmap is None:
+            eligible = sorted(r for r in nonces_by if r == primary_id or r in prepares)
+            if primary_id not in eligible or len(eligible) < config.quorum:
+                return None
+            chosen = sorted([primary_id] + [r for r in eligible if r != primary_id][: config.quorum - 1])
+            bitmap = bitmap_of(chosen)
+        else:
+            chosen = bitmap_members(bitmap)
+            if any(r not in nonces_by or (r != primary_id and r not in prepares) for r in chosen):
+                return None
+        evidence = EvidenceEntry(
+            seqno=seqno,
+            view=view,
+            prepare_wires=tuple(prepares[r].to_wire() for r in chosen if r != primary_id),
+        )
+        nonces = NoncesEntry(seqno=seqno, view=view, bitmap=bitmap, nonces=tuple(nonces_by[r] for r in chosen))
+        return evidence, nonces
+
+    def reply(self, record: BatchRecord, replica_id: int, config: Configuration) -> Reply | None:
+        """``replica_id``'s reply for ``record`` (§3.3), or None without a
+        commit nonce of its own for the slot or, for a backup, an own
+        prepare whose signature doubles as the reply's."""
+        nonce = self.own_nonces.get((record.view, record.seqno))
+        if nonce is None:
+            return None
+        signer = self.signer(record, replica_id, config.primary_for_view(record.view))
+        if signer is None:
+            return None
+        return Reply(
+            view=record.view, seqno=record.seqno, replica=replica_id,
+            signature=signer.signature, nonce=nonce.nonce)
+
+    def executed(
+        self, tx_digest: Digest, located: int | None, ledger: Ledger | None = None
+    ) -> tuple[BatchRecord, int] | tuple[BatchInfo, int] | None:
+        """Where ``tx_digest`` executed, from its ``tx_locations`` value:
+        ``(record, position)`` in the held batch record or, with none and
+        given the ``ledger``, ``(info, position)`` in the ledger's batch.
+        The position is the entry's logical index minus the batch's
+        first, checked against the digest; None when it does not match."""
+        if located is None:
+            return None
+        seqno, index = split_location(located)
+        record = self.get(seqno)
+        if record is not None:
+            position = index - record.entries[0].index
+            if 0 <= position < len(record.tx_digests) and record.tx_digests[position] == tx_digest:
+                return record, position
+            return None
+        info = None if ledger is None else ledger.batch(seqno)
+        if info is None or not info.tx_count:
+            return None
+        position = index - ledger.entry(info.first_tx).index
+        if 0 <= position < info.tx_count:
+            entry = ledger.entry(info.first_tx + position)
+            if isinstance(entry, TxEntry) and digest_value(entry.request_wire) == tx_digest:
+                return info, position
+        return None
 
     def install(self, record: BatchRecord) -> None:
         self[record.seqno] = record

@@ -23,7 +23,7 @@ from ..crypto.hashing import Digest
 
 if TYPE_CHECKING:
     from ..kvstore import Checkpoint
-    from ..ledger import Ledger, RetentionPolicy
+    from ..ledger import Ledger
 
 
 @dataclass(frozen=True, order=True)
@@ -153,16 +153,17 @@ class CheckpointStore(Mapping):
         return next((cp for cp in self.stable(frontier) if cp.seqno > 0), None)
 
     def gc_boundary(self, ledger: Ledger, frontier: int, now: float, min_age: float,
-                    retention: RetentionPolicy) -> int | None:
+                    floor: int | None) -> int | None:
         """Where ledger prefix GC may cut, or None: the ledger size bound
         into the oldest stable checkpoint once it is ``min_age`` old
         (recent history stays fetchable for replyx rebuilds and audit
-        packages), clamped by the retention pins, rounded down to a batch
+        packages), clamped by the pin ``floor`` (the lowest index a
+        retention pin holds, None without pins), rounded down to a batch
         end (pins may sit anywhere)."""
         stable = self.oldest_stable(frontier)
         if stable is None or now - self._held[stable.seqno][1] < min_age:
             return None
-        boundary = retention.boundary(stable.ledger_size)
+        boundary = stable.ledger_size if floor is None else min(stable.ledger_size, floor)
         best = ledger.base_index
         for info in ledger.batches():
             if info.end > boundary:

@@ -20,7 +20,9 @@ from ..crypto.hashing import Digest
 from ..errors import ReceiptError
 from ..lpbft.messages import Reply, ReplyX, TransactionRequest
 from ..network import Node
-from ..receipts import GovernanceChain, Receipt, ReceiptCollector, verify_served_chain
+from ..receipts.chain import GovernanceChain, verify_served_chain
+from ..receipts.collector import ReceiptCollector
+from ..receipts.receipt import Receipt
 from ..sim.costs import CostModel
 from ..sim.metrics import MetricsCollector
 
@@ -171,7 +173,7 @@ class LPBFTClient(Node):
                     self._first_reply.setdefault(tx_digest, self.now)
                 finished = self.collector.add_reply(tx_digest, reply)
                 if finished is not None:
-                    self._complete(tx_digest, finished)
+                    self._complete(tx_digest, *finished)
         elif kind == "replyx":
             replyx = ReplyX.from_wire(msg[1])
             if self.tracer.enabled and replyx.tx_digest in self._root_spans:
@@ -179,7 +181,7 @@ class LPBFTClient(Node):
             self._note_gov_index(replyx.gov_index)
             finished = self.collector.add_replyx(replyx.tx_digest, replyx)
             if finished is not None:
-                self._complete(replyx.tx_digest, finished)
+                self._complete(replyx.tx_digest, *finished)
         elif kind == "reject":
             self._handle_reject(msg[1], msg[2])
         elif kind == "replyx-gone":
@@ -187,7 +189,7 @@ class LPBFTClient(Node):
         elif kind == "gov-chain-resp":
             self._handle_gov_chain(msg[1], msg[2] if len(msg) > 2 else ())
 
-    def _complete(self, tx_digest: Digest, receipt: Receipt) -> None:
+    def _complete(self, tx_digest: Digest, receipt: Receipt, sent: float) -> None:
         if tx_digest in self.receipts:
             return
         self.receipts[tx_digest] = receipt
@@ -197,8 +199,7 @@ class LPBFTClient(Node):
         self._gone_reports.pop(tx_digest, None)
         if receipt.index is not None:
             self.max_seen_index = max(self.max_seen_index, receipt.index)
-        sent = self.collector.sent_at(tx_digest)
-        latency = 0.0 if sent is None else self.now - sent
+        latency = self.now - sent
         if self.recording:
             self.metrics.latency.record(latency)
             self.metrics.goodput.record(self.now)
@@ -277,8 +278,8 @@ class LPBFTClient(Node):
             self._extend_coverage(schedule, suffix)
         # Coverage or configuration may have moved: deferred receipts can
         # now complete without waiting for another reply.
-        for tx_digest, receipt in self.collector.recheck():
-            self._complete(tx_digest, receipt)
+        for done in self.collector.recheck():
+            self._complete(*done)
 
     def _extend_coverage(self, schedule, suffix: tuple) -> None:
         """Advance the covered governance index through member-signed

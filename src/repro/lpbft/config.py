@@ -44,7 +44,7 @@ class ProtocolParams:
     # stabilizes, the ledger entries below the *oldest* retained stable
     # checkpoint are truncated (their tree M prefix is compacted to a
     # frontier): audits, receipt rebuilds, and state transfers then run
-    # from checkpoint state instead of genesis.  The retention policy
+    # from checkpoint state instead of genesis.  Collection
     # additionally honors pins (``LPBFTReplica.retention``; the statesync
     # server pins the checkpoint it serves, and the same API holds the
     # ledger for long-running audit collection), and never collects

@@ -27,7 +27,11 @@ items on the ledger lane, and Merkle/checkpoint hashing is parallel
 execution) overlap exactly as lane availability allows.
 
 The replica *has* its parts: the request queue and overload control
-(:class:`~repro.lpbft.admission.Admission`), view changes
+(:class:`~repro.lpbft.admission.Admission`), the batch records with their
+slots' messages and the evidence and replies built from them
+(:class:`~repro.lpbft.batch.BatchStore`), the checkpoints
+(:class:`~repro.lpbft.checkpointing.CheckpointStore`), what survives GC
+(:class:`~repro.lpbft.retention.Retention`), view changes
 (:class:`~repro.lpbft.viewchange.ViewManager`, Alg. 2) and the two halves
 of state sync (:class:`~repro.statesync.StateSyncClient`,
 :class:`~repro.statesync.StateSyncServer`).  A ledger fetched from a peer
@@ -54,7 +58,6 @@ from ..ledger import (
     Ledger,
     NoncesEntry,
     PrePrepareEntry,
-    RetentionPolicy,
     TxEntry,
     entry_from_wire,
 )
@@ -78,13 +81,12 @@ from .messages import (
     Commit,
     Prepare,
     PrePrepare,
-    Reply,
     TransactionRequest,
     bitmap_members,
-    bitmap_of,
     pre_prepare_payload,
     replyx_payload,
 )
+from .retention import Retention
 from .viewchange import ViewManager
 
 
@@ -98,7 +100,8 @@ def designated_replica(tx_digest: Digest, config: Configuration) -> int:
 class LPBFTReplica(Node):
     """The L-PBFT replica: normal case (Alg. 1), checkpoints and
     reconfiguration, plus the components it owns — ``admission``,
-    ``views`` (Alg. 2), ``sync_client`` and ``sync_server``.
+    ``batches``, ``checkpoints``, ``retention``, ``views`` (Alg. 2),
+    ``sync_client`` and ``sync_server``.
 
     Entry points are network messages (:meth:`on_message` looks the kind
     up in a table of bound methods built here, each pointing straight at
@@ -148,13 +151,8 @@ class LPBFTReplica(Node):
         genesis = Checkpoint.capture(self.kv, 0, len(self.ledger), self.ledger.root())
         self.checkpoints = CheckpointStore(genesis.digest())
         self.checkpoints.take(genesis, 0.0)
-        # Ledger prefix GC: pins held by in-flight state transfers
-        # and pending audit packages, and the governance archive that
-        # preserves the sub-ledger across truncations (created lazily at
-        # the first truncation; None also marks a suffix-installed replica
-        # that never held the genesis prefix).
-        self.retention = RetentionPolicy()
-        self._gov_archive = None
+        # What survives GC: pins, the governance archive, the collection.
+        self.retention = Retention(self)
 
         # Protocol state (Alg. 1).
         self.view = 0
@@ -352,51 +350,6 @@ class LPBFTReplica(Node):
 
         self._batch_timer = self.set_timer(self.params.batch_delay, fire)
 
-    # -- commitment evidence ----------------------------------------------------------
-
-    def _evidence(
-        self, seqno: int, bitmap: int | None = None
-    ) -> tuple[EvidenceEntry, NoncesEntry] | None:
-        """Assemble ``(Ps, Ks)`` for a committed batch from the message
-        store: N−f revealed nonces (primary's included) and the matching
-        N−f−1 prepare messages (§3.1).  Given ``bitmap``, for exactly the
-        replicas the primary chose — backups must append *the same* Ps−P
-        and Ks−P."""
-        record = self.batches.get(seqno)
-        if record is None:
-            return None
-        view = record.view
-        config = self.config_for(seqno)
-        primary_id = config.primary_for_view(view)
-        nonces_by = self.batches.commit_nonces.get((view, seqno), {})
-        prepares = self.batches.prepares_by_ppd.get(record.pp_digest, {})
-        if bitmap is None:
-            eligible = sorted(r for r in nonces_by if r == primary_id or r in prepares)
-            if primary_id not in eligible or len(eligible) < config.quorum:
-                return None
-            chosen = sorted([primary_id] + [r for r in eligible if r != primary_id][: config.quorum - 1])
-            bitmap = bitmap_of(chosen)
-        else:
-            chosen = bitmap_members(bitmap)
-            if any(r not in nonces_by or (r != primary_id and r not in prepares) for r in chosen):
-                return None
-        evidence = EvidenceEntry(
-            seqno=seqno,
-            view=view,
-            prepare_wires=tuple(prepares[r].to_wire() for r in chosen if r != primary_id),
-        )
-        nonces = NoncesEntry(
-            seqno=seqno,
-            view=view,
-            bitmap=bitmap,
-            nonces=tuple(nonces_by[r] for r in chosen),
-        )
-        return evidence, nonces
-
-    def _evidence_available(self, seqno: int) -> bool:
-        """hasEvidence (Alg. 1 line 5)."""
-        return seqno < 1 or self._evidence(seqno) is not None
-
     # -- primary: building batches (Alg. 1 line 4) -----------------------------------------
 
     def maybe_send_pre_prepare(self) -> None:
@@ -442,6 +395,10 @@ class LPBFTReplica(Node):
             else:
                 selected = []
             self._emit_batch(s, flags, selected)
+
+    def _evidence_available(self, seqno: int) -> bool:
+        """hasEvidence (Alg. 1 line 5)."""
+        return seqno < 1 or self.batches.evidence(seqno, self.config_for(seqno)) is not None
 
     def _evidence_entry_count(self, seqno: int) -> int:
         return 2 if seqno - self.params.pipeline >= 1 else 0
@@ -506,7 +463,7 @@ class LPBFTReplica(Node):
         ev_seqno = s - self.params.pipeline
         if ev_seqno < 1:
             return 0
-        pair = self._evidence(ev_seqno, bitmap)
+        pair = self.batches.evidence(ev_seqno, self.config_for(ev_seqno), bitmap)
         if pair is None:
             raise ProtocolError(f"evidence for batch {ev_seqno} not available")
         evidence, nonces = pair
@@ -632,7 +589,7 @@ class LPBFTReplica(Node):
         execution hashed); index the batch."""
         record.pp = pp
         record.pp_digest = pp.digest()
-        self.ledger.append(PrePrepareEntry(pp_wire=pp.to_wire()))
+        self.ledger.append(PrePrepareEntry.of(pp))
         for entry, m_leaf in zip(record.entries, m_leaves):
             self.ledger.append(entry, m_leaf)
         if self.params.ledger:
@@ -730,7 +687,8 @@ class LPBFTReplica(Node):
         if len(set(batch_digests)) != len(batch_digests):
             return True  # batch names a request twice (the queue holds it once): drop
         ev_seqno = s - self.params.pipeline
-        if ev_seqno >= 1 and self._evidence(ev_seqno, pp.evidence_bitmap) is None:
+        if ev_seqno >= 1 and self.batches.evidence(
+                ev_seqno, self.config_for(ev_seqno), pp.evidence_bitmap) is None:
             # Wait for the referenced prepares/commits; ask the primary
             # to retransmit in case we never saw them (§3.1: "if the
             # backup is missing messages, it requests that the primary
@@ -882,10 +840,7 @@ class LPBFTReplica(Node):
         primary_id = config.primary_for_view(commit.view)
         commitment = commit_nonce(commit.nonce)
         self.submit("hash", self.costs.hash_fixed)
-        if commit.replica == primary_id:
-            signer = record.pp
-        else:
-            signer = self.batches.prepares_by_ppd.get(record.pp_digest, {}).get(commit.replica)
+        signer = self.batches.signer(record, commit.replica, primary_id)
         if signer is None:
             self.batches.pending_commits.setdefault(key, []).append(commit)
             return
@@ -962,31 +917,6 @@ class LPBFTReplica(Node):
 
     # -- replies and receipts (Alg. 1 lines 34–38) --------------------------------------------
 
-    def _build_reply(self, record: BatchRecord) -> Reply | None:
-        """Assemble this replica's reply for a batch, or ``None`` when we
-        cannot: no commit nonce of our own for the slot, or (for a
-        backup) no own prepare whose signature doubles as the reply
-        signature (§3.3)."""
-        config = self.config_for(record.seqno)
-        nonce = self.batches.own_nonces.get((record.view, record.seqno))
-        if nonce is None:
-            return None
-        primary_id = config.primary_for_view(record.view)
-        if self.id == primary_id:
-            signature = record.pp.signature
-        else:
-            own_prepare = self.batches.prepares_by_ppd.get(record.pp_digest, {}).get(self.id)
-            if own_prepare is None:
-                return None
-            signature = own_prepare.signature
-        return Reply(
-            view=record.view,
-            seqno=record.seqno,
-            replica=self.id,
-            signature=signature,
-            nonce=nonce.nonce,
-        )
-
     def _maybe_resend_reply(self, tx_digest: Digest, src: str) -> None:
         """§3.3: a retransmitted request for an executed, committed
         transaction gets this replica's reply re-sent.  The original
@@ -1005,7 +935,7 @@ class LPBFTReplica(Node):
             return
         if not self.net.has_node(src):
             return  # a real network drops this; the simulator raises
-        reply = self._build_reply(record)
+        reply = self.batches.reply(record, self.id, self.config_for(record.seqno))
         if reply is None:
             return
         payload = ("reply", reply.to_wire(), (tx_digest,))
@@ -1020,7 +950,7 @@ class LPBFTReplica(Node):
         """One reply per client in the batch; the designated replica also
         sends the extended ``replyx`` per transaction (§3.3)."""
         config = self.config_for(record.seqno)
-        reply = self._build_reply(record)
+        reply = self.batches.reply(record, self.id, config)
         if reply is None:
             return
         if self.params.peer_review:
@@ -1037,16 +967,15 @@ class LPBFTReplica(Node):
                     continue
             self.send(dst, payload)
         if self.params.receipts:
-            for position, (entry, tx_digest) in enumerate(zip(record.entries, record.tx_digests)):
+            for position, tx_digest in enumerate(record.tx_digests):
                 if tx_digest is None or designated_replica(tx_digest, config) != self.id:
                     continue
                 dst = self.admission.source(tx_digest)
                 if dst is not None:
-                    self._send_replyx(record, position, entry, tx_digest, dst)
+                    self._send_replyx(record, position, tx_digest, dst)
 
-    def _send_replyx(
-        self, record: BatchRecord, position: int, entry: TxEntry, tx_digest: Digest, dst: str
-    ) -> None:
+    def _send_replyx(self, record: BatchRecord, position: int, tx_digest: Digest, dst: str) -> None:
+        entry = record.entries[position]
         path = record.g_tree.path(position)
         self.submit("hash", len(path) * self.costs.hash_fixed)
         payload, size = replyx_payload(record.pp, tx_digest, entry.index, entry.output, path)
@@ -1065,26 +994,22 @@ class LPBFTReplica(Node):
         located = self.tx_locations.get(tx_digest)
         if located is None:
             return
-        seqno, index = split_location(located)
-        record = self.batches.get(seqno)
-        if record is None:
+        seqno = split_location(located)[0]
+        if seqno not in self.batches:
             # The batch record was garbage-collected; everything a
             # replyx needs is still in the ledger.  Only
             # committed batches qualify: an executed-but-unprepared batch
             # can still be rolled back by a view change, and serving its
             # receipt would break receipt safety.
             if seqno <= self.committed_upto:
-                self._replyx_from_ledger(tx_digest, seqno, index, src)
+                self._replyx_from_ledger(tx_digest, located, src)
             return
-        if not record.prepared:
-            return
-        for position, (entry, d) in enumerate(zip(record.entries, record.tx_digests)):
-            if d == tx_digest:
-                self.admission.note_source(tx_digest, src, replace=True)
-                self._send_replyx(record, position, entry, tx_digest, src)
-                return
+        found = self.batches.executed(tx_digest, located)
+        if found is not None and found[0].prepared:
+            self.admission.note_source(tx_digest, src, replace=True)
+            self._send_replyx(*found, tx_digest, src)
 
-    def _replyx_from_ledger(self, tx_digest: Digest, seqno: int, index: int, src: str) -> None:
+    def _replyx_from_ledger(self, tx_digest: Digest, located: int, src: str) -> None:
         """Rebuild a replyx for a committed-and-pruned batch from ledger
         entries alone: the pre-prepare, the (t, i, o) triples, and the
         batch's tree G (:meth:`Ledger.g_tree`, built once per batch) for
@@ -1095,8 +1020,9 @@ class LPBFTReplica(Node):
         client is told its transaction's effects are vouched for by the
         oldest retained stable checkpoint (digest dC), which is the best
         any replica can attest once the prefix is collected."""
-        info = self.ledger.batch(seqno)
-        if info is None:
+        found = self.batches.executed(tx_digest, located, self.ledger)
+        if found is None:
+            seqno = split_location(located)[0]
             oldest = self.ledger.oldest_retained_seqno()
             if oldest is not None and seqno < oldest:
                 cp = self.checkpoints.oldest_stable(self.committed_upto)
@@ -1104,15 +1030,12 @@ class LPBFTReplica(Node):
                     self.send(src, ("replyx-gone", tx_digest, cp.seqno, cp.digest()))
                     self.metrics.bump("receipts_gone_gc")
             return
-        entries = self.ledger.entries(info.first_tx, info.end)
-        position = next((p for p, entry in enumerate(entries) if entry.index == index), None)
-        if position is None:
-            return
+        info, position = found
         g_tree = self.ledger.g_tree(info)
         self.submit("hash", len(g_tree) * self.costs.hash_fixed)
-        target = entries[position]
+        entry = self.ledger.entry(info.first_tx + position)
         payload, size = replyx_payload(
-            self.ledger.pre_prepare(info), tx_digest, target.index, target.output, g_tree.path(position))
+            self.ledger.pre_prepare(info), tx_digest, entry.index, entry.output, g_tree.path(position))
         self.send(src, payload, size)
         self.metrics.bump("receipts_rebuilt_from_ledger")
 
@@ -1140,115 +1063,7 @@ class LPBFTReplica(Node):
             # to one request's trace.
             self.tracer.span("checkpoint", self.address, cp_start,
                              end=self.cpu_time(), seqno=s)
-        self._garbage_collect(s)
-        self._maybe_truncate_ledger()
-
-    def _garbage_collect(self, stable_seqno: int) -> None:
-        """Prune message stores for batches older than the previous
-        checkpoint (their evidence lives in the ledger now)."""
-        horizon = stable_seqno - self.params.checkpoint_interval
-        if horizon <= 0:
-            return
-        # Batches holding governance transactions (and the pending EOC
-        # batch) stay pinned until activation assembles their receipts
-        # into the governance link: a referendum easily spans more than a
-        # checkpoint window under load, and pruning the records first
-        # would leave every replica unable to build the link — clients
-        # could then never verify the new configuration (§5.2).
-        pinned = {seqno for seqno, _, _ in self.gov_tx_log}
-        if self.reconfig is not None:
-            pinned.add(self.reconfig.eoc_receipt_seqno(self.params.pipeline))
-        for record in self.batches.release_below(horizon, pinned):
-            self.admission.forget(record)
-        self.checkpoints.prune_below(horizon, self.committed_upto)
-        # A rollback targets a retained batch (``rollback_to_batch`` raises
-        # on an unknown one), so undo records below every kept mark are dead.
-        self.kv.forget_before(min(record.kv_mark for record in self.batches.values()))
-
-    # -- ledger prefix GC --------------------------------------------------------------
-
-    def _maybe_truncate_ledger(self) -> None:
-        """Garbage-collect the ledger prefix below the boundary the
-        checkpoint store allows (:meth:`CheckpointStore.gc_boundary`).
-        Called after checkpoint stabilization; the governance sub-ledger
-        of the pruned region is archived first so audits keep a complete
-        configuration history."""
-        if not (self.params.checkpoints and self.params.ledger):
-            return
-        # A completed/abandoned state transfer must not hold its serve pin
-        # forever; the server releases it once clients go quiet.
-        self.sync_server.release_stale_pin()
-        boundary = self.checkpoints.gc_boundary(
-            self.ledger, self.committed_upto, self.now, self.params.ledger_gc_min_age, self.retention)
-        if boundary is None:
-            return
-        self._archive_governance_prefix(boundary)
-        dropped = self.ledger.truncate_below(boundary)
-        if dropped:
-            # Truncation is cheap but not free: pinning the boundary
-            # frontier folds O(log n) cached peaks, and dropping the
-            # prefix is one storage operation (a chunk-file unlink in a
-            # real ledger).  O(log n) per C batches — far below any knee,
-            # so pinned bench rates are unaffected.
-            self.submit("hash", boundary.bit_length() * self.costs.hash_fixed)
-            self.submit("append", self.costs.ledger_append)
-            # Records for pruned batches can never be referenced again;
-            # dropping them keeps the oldest-stable scan O(window).
-            oldest = self.ledger.oldest_retained_seqno()
-            if oldest is not None:
-                self.checkpoints.prune_records_below(oldest)
-            self.metrics.bump("ledger_truncations")
-            self.metrics.bump("ledger_entries_gced", dropped)
-
-    def _archive_governance_prefix(self, boundary: int) -> None:
-        """Feed the about-to-be-pruned region into the governance archive
-        (the sub-ledger must survive the entries it was derived from)."""
-        # Imported lazily: repro.governance.subledger imports the lpbft
-        # message types, so a module-level import would be circular.
-        from ..governance.subledger import GovernanceExtractor
-
-        if self._gov_archive is None:
-            if self.ledger.base_index > 0:
-                return  # suffix-installed: the genesis prefix never existed here
-            self._gov_archive = GovernanceExtractor(self.params.pipeline)
-        start = self._gov_archive.next_index
-        if start < boundary:
-            region = self.ledger.entries(start, boundary)
-            # Archiving replays the region's governance transactions on
-            # the extractor's scratch store — real (rare) execute work.
-            gov_txs = sum(
-                1
-                for entry in region
-                if isinstance(entry, TxEntry) and entry.is_governance()
-            )
-            if gov_txs:
-                self.submit("execute", gov_txs * self.costs.execute_tx(3, 8))
-            self._gov_archive.feed(region, start)
-
-    def governance_subledger(self):
-        """The replica's committed governance sub-ledger, complete from
-        genesis even after ledger prefix GC (archive + retained suffix).
-        A replica that *joined* from a checkpoint-rooted transfer never
-        held the genesis prefix; it reports the retained governance
-        entries under its own schedule (best effort — such replicas serve
-        state sync, not audits)."""
-        from ..governance.subledger import GovernanceSubLedger, extract_governance_subledger
-
-        base = self.ledger.base_index
-        if base == 0:
-            return extract_governance_subledger(self.ledger.entries(), self.params.pipeline)
-        if self._gov_archive is not None and self._gov_archive.next_index == base:
-            extractor = self._gov_archive.copy()
-            extractor.feed(self.ledger.entries(), base)
-            return extractor.subledger()
-        entries = [
-            (index, entry.to_wire())
-            for index, entry in zip(range(base, len(self.ledger)), self.ledger.entries())
-            if isinstance(entry, TxEntry) and entry.is_governance()
-        ]
-        return GovernanceSubLedger(
-            entries=entries, schedule=self.schedule.copy(), reconfigs=[]
-        )
+        self.retention.collect(s)
 
     # -- reconfiguration (§5.1) ----------------------------------------------------------
 
@@ -1318,36 +1133,30 @@ class LPBFTReplica(Node):
         """Build a receipt for a committed batch from stored evidence: a
         transaction receipt when ``tx_digest`` names a transaction in the
         batch, a batch receipt otherwise."""
-        record = self.batches.get(seqno)
-        if record is None:
-            return None
-        built = self._evidence(seqno)
+        config = self.config_for(seqno)
+        built = self.batches.evidence(seqno, config)
         if built is None:
             return None
-        evidence, nonces_entry = built
-        config = self.config_for(seqno)
+        record, nonces = self.batches[seqno], built[1]
         primary_id = config.primary_for_view(record.view)
-        signer_ids = bitmap_members(nonces_entry.bitmap)
-        prepare_by = {p.replica: p for p in evidence.prepares()}
-        prepare_signatures = tuple(
-            prepare_by[r].signature for r in signer_ids if r != primary_id
-        )
         certificate = Certificate(
             **record.pp.receipt_fields(),
             primary_signature=record.pp.signature,
-            signer_bitmap=nonces_entry.bitmap,
-            prepare_signatures=prepare_signatures,
-            nonces=nonces_entry.nonces,
+            signer_bitmap=nonces.bitmap,
+            prepare_signatures=tuple(
+                self.batches.signer(record, r, primary_id).signature
+                for r in bitmap_members(nonces.bitmap) if r != primary_id),
+            nonces=nonces.nonces,
             root_g=record.pp.root_g if tx_digest is None else None,
         )
         if tx_digest is None:
             return Receipt(None, None, None, None, certificate)
-        for position, (entry, d) in enumerate(zip(record.entries, record.tx_digests)):
-            if d == tx_digest:
-                return Receipt(
-                    entry.request_wire, entry.index, entry.output, record.g_tree.path(position),
-                    certificate)
-        return None
+        found = self.batches.executed(tx_digest, self.tx_locations.get(tx_digest))
+        if found is None or found[0] is not record:
+            return None
+        entry = record.entries[found[1]]
+        return Receipt(
+            entry.request_wire, entry.index, entry.output, record.g_tree.path(found[1]), certificate)
 
     # -- fetch protocol ---------------------------------------------------------------
 
@@ -1363,14 +1172,10 @@ class LPBFTReplica(Node):
             if request is not None:
                 found.append(request.to_wire())
                 continue
-            located = self.tx_locations.get(tx_digest)
-            if located is not None:
-                record = self.batches.get(split_location(located)[0])
-                if record is not None:
-                    for entry, d in zip(record.entries, record.tx_digests):
-                        if d == tx_digest:
-                            found.append(entry.request_wire)
-                            break
+            executed = self.batches.executed(tx_digest, self.tx_locations.get(tx_digest))
+            if executed is not None:
+                record, position = executed
+                found.append(record.entries[position].request_wire)
         if found:
             self.send(src, ("requests-bundle", tuple(found)))
 
@@ -1384,7 +1189,8 @@ class LPBFTReplica(Node):
     def handle_fetch_evidence(self, src: str, msg: tuple) -> None:
         """Retransmit commitment evidence for a batch (prepares + nonces)."""
         seqno, bitmap = msg[1], msg[2]
-        pair = self._evidence(seqno, bitmap) or self._evidence(seqno)
+        config = self.config_for(seqno)
+        pair = self.batches.evidence(seqno, config, bitmap) or self.batches.evidence(seqno, config)
         if pair is not None:
             self.send(src, ("evidence-bundle", seqno, pair[0].to_wire(), pair[1].to_wire()))
 
@@ -1419,11 +1225,10 @@ class LPBFTReplica(Node):
         for prepare, ok in zip(candidates, verdicts):
             if ok:
                 self.batches.add_prepare(prepare)
-        prepares = self.batches.prepares_by_ppd.get(record.pp_digest, {})
         store = self.batches.commit_nonces.setdefault((record.view, seqno), {})
         for replica_id, nonce in zip(bitmap_members(nonces.bitmap), nonces.nonces):
             commitment = commit_nonce(nonce)
-            signer = record.pp if replica_id == primary_id else prepares.get(replica_id)
+            signer = self.batches.signer(record, replica_id, primary_id)
             if signer is not None and signer.nonce_commitment == commitment:
                 store.setdefault(replica_id, nonce)
         # The bundle may be the proof an installed tail waits for.
@@ -1433,7 +1238,7 @@ class LPBFTReplica(Node):
     def handle_get_gov_chain(self, src: str, msg: tuple) -> None:
         self.send(
             src,
-            ("gov-chain-resp", self.gov_chain.to_wire(), self._gov_suffix_entries()),
+            ("gov-chain-resp", self.gov_chain.to_wire(), self.retention.governance_suffix()),
         )
 
     def handle_gov_chain_resp(self, src: str, msg: tuple) -> None:
@@ -1448,29 +1253,6 @@ class LPBFTReplica(Node):
             return
         if len(chain) > len(self.gov_chain):
             self.gov_chain = chain
-
-    def _gov_suffix_entries(self) -> tuple:
-        """Member-signed governance transactions past the chain's last
-        link, as ``(logical_index, entry_wire)`` pairs (§5.2).
-
-        The chain only carries receipts for governance transactions that
-        *reconfigured* the service; a client gating receipt completion on
-        governance coverage also needs the ones that didn't (failed
-        proposals, in-flight referendums) — otherwise any rejected
-        ``gov.propose`` would leave every later receipt's ``gov_index``
-        unexplained and wedge completion.  Served best-effort from the
-        retained ledger; entries below the GC horizon are simply absent
-        (their referencing receipts completed long ago)."""
-        anchor = 0
-        for link in self.gov_chain.links:
-            for receipt in (link.propose_receipt, *link.vote_receipts):
-                if receipt.index is not None and receipt.index > anchor:
-                    anchor = receipt.index
-        if self.ledger.last_gov_index <= anchor:
-            return ()
-        if self._gov_archive is None and anchor < self.ledger.logical_base:
-            return ()  # suffix-installed: a hole below the base could hide a passed referendum
-        return self.ledger.gov_entries_after(anchor)
 
     def handle_ack(self, src: str, msg: tuple) -> None:
         # PeerReview acknowledgement: verify it (cost) and log.

@@ -10,6 +10,11 @@
   in place of the ledger, with fork detection.
 """
 
+# Receipts are built from L-PBFT's messages, and the replica and client
+# build receipts: load repro.lpbft first, which imports this package's
+# modules (by submodule) after its messages, so the import order is the
+# same whichever package a process imports first.
+from .. import lpbft  # noqa: F401
 from .receipt import Certificate, Receipt, verify_receipt, verify_receipts, receipts_equivalent
 from .collector import ReceiptCollector, assemble_receipt, PendingRequest
 from .chain import (

@@ -93,7 +93,9 @@ class ReceiptCollector:
     Keyed by the request digest ``H(t)``; tolerant of replies arriving
     before or after the ``replyx``, and of stale replies from earlier
     views (a receipt is built from whichever ``(view, seqno)`` slot first
-    reaches a quorum together with its ``replyx``).
+    reaches a quorum together with its ``replyx``).  A completed request
+    is forgotten: its receipt and send time go to the caller, and later
+    replies for it are ignored.
     """
 
     def __init__(
@@ -114,8 +116,6 @@ class ReceiptCollector:
         # against a configuration that may no longer be in force.
         self._completion_gate = completion_gate
         self._pending: dict[Digest, PendingRequest] = {}
-        self._done: dict[Digest, Receipt] = {}
-        self._sent_times: dict[Digest, float] = {}
         # Per (view, seqno) slot: the certificate of each completed
         # receipt by signer bitmap, which the batch's later receipts from
         # the same signers share, and how many pending requests hold
@@ -143,10 +143,8 @@ class ReceiptCollector:
     # -- request lifecycle -------------------------------------------------------
 
     def track(self, tx_digest: Digest, request_wire: tuple, now: float = 0.0) -> None:
-        """Start collecting replies for a request."""
-        if tx_digest not in self._done:
-            self._pending.setdefault(tx_digest, PendingRequest(request_wire=request_wire, sent_at=now))
-            self._sent_times.setdefault(tx_digest, now)
+        """Start collecting replies for a request sent at ``now``."""
+        self._pending.setdefault(tx_digest, PendingRequest(request_wire=request_wire, sent_at=now))
 
     def pending_digests(self) -> list[Digest]:
         return list(self._pending)
@@ -166,33 +164,29 @@ class ReceiptCollector:
         return True
 
     def sent_at(self, tx_digest: Digest) -> float | None:
-        """When the request was first tracked (survives completion, so
-        latency can be measured after the receipt finishes)."""
-        return self._sent_times.get(tx_digest)
-
-    def receipt_for(self, tx_digest: Digest) -> Receipt | None:
-        return self._done.get(tx_digest)
-
-    def receipts(self) -> dict[Digest, Receipt]:
-        return dict(self._done)
+        """When a pending request was first tracked."""
+        pending = self._pending.get(tx_digest)
+        return None if pending is None else pending.sent_at
 
     # -- message intake ---------------------------------------------------------
 
-    def add_reply(self, tx_digest: Digest, reply: Reply) -> Receipt | None:
-        """Record a reply; returns the finished receipt when complete."""
+    def add_reply(self, tx_digest: Digest, reply: Reply) -> tuple[Receipt, float] | None:
+        """Record a reply; returns the finished receipt and the request's
+        send time when this reply completes it."""
         pending = self._pending.get(tx_digest)
         if pending is None:
-            return self._done.get(tx_digest)
+            return None
         key = (reply.view, reply.seqno)
         self._hold(pending, key)
         pending.slot(*key)[reply.replica] = reply
         return self._try_complete(tx_digest, pending, key)
 
-    def add_replyx(self, tx_digest: Digest, replyx: ReplyX) -> Receipt | None:
-        """Record the designated replica's extended reply."""
+    def add_replyx(self, tx_digest: Digest, replyx: ReplyX) -> tuple[Receipt, float] | None:
+        """Record the designated replica's extended reply (returns as
+        :meth:`add_reply`)."""
         pending = self._pending.get(tx_digest)
         if pending is None:
-            return self._done.get(tx_digest)
+            return None
         if replyx.tx_digest != tx_digest:
             raise ReceiptError("replyx routed to the wrong request")
         key = (replyx.view, replyx.seqno)
@@ -200,19 +194,19 @@ class ReceiptCollector:
         pending.replyx[key] = replyx
         return self._try_complete(tx_digest, pending, key)
 
-    def recheck(self) -> list[tuple[Digest, Receipt]]:
+    def recheck(self) -> list[tuple[Digest, Receipt, float]]:
         """Re-attempt completion of every pending request.
 
         Called after the configuration schedule or the completion gate's
         inputs change (a governance chain arrived): receipts that were
         deferred — or that now assemble under a different configuration —
         can complete without waiting for another reply."""
-        finished: list[tuple[Digest, Receipt]] = []
+        finished = []
         for tx_digest, pending in list(self._pending.items()):
             for key in list(pending.replyx):
-                receipt = self._try_complete(tx_digest, pending, key)
-                if receipt is not None:
-                    finished.append((tx_digest, receipt))
+                done = self._try_complete(tx_digest, pending, key)
+                if done is not None:
+                    finished.append((tx_digest, *done))
                     break
         return finished
 
@@ -223,7 +217,7 @@ class ReceiptCollector:
 
     def _try_complete(
         self, tx_digest: Digest, pending: PendingRequest, key: tuple[int, int]
-    ) -> Receipt | None:
+    ) -> tuple[Receipt, float] | None:
         config = self._config_for(key[1])
         replyx = pending.replyx.get(key)
         replies = pending.replies.get(key, {})
@@ -249,8 +243,7 @@ class ReceiptCollector:
         self._certificates.setdefault(key, {})[receipt.signer_bitmap] = receipt.certificate
         del self._pending[tx_digest]
         self._release(pending)
-        self._done[tx_digest] = receipt
-        return receipt
+        return receipt, pending.sent_at
 
     def _retry_subsets(self, pending, replies, replyx, primary_id, config):
         """Quorum-subset retry: the subset that verifies leaves out the

@@ -3,20 +3,30 @@
 One table-driven case per release rule (garbage collection, view-change
 rollback, ledger install, restart), a property over random sequences of
 them, and the replica-level guard a rollback keeps: Alg. 1 line 16's
-"already prepared (v, s)".
+"already prepared (v, s)".  Then what the store builds from a slot's
+messages: commitment evidence, a replica's reply, the signer a commit
+nonce opens, and where a request executed, on a held record and on the
+ledger once the record is collected.
 """
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from helpers import build_deployment
+from helpers import build_deployment, run_waves
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.nonces import new_nonce
+from repro.ledger import CheckpointTxEntry
 from repro.lpbft import ProtocolParams
-from repro.lpbft.batch import BatchRecord, BatchStore
-from repro.lpbft.messages import Commit, Prepare, TransactionRequest, pre_prepare_payload
+from repro.lpbft.batch import BatchRecord, BatchStore, split_location
+from repro.lpbft.messages import (
+    Commit, Prepare, ReplyX, TransactionRequest, bitmap_members, bitmap_of, pre_prepare_payload)
+from repro.merkle import MerklePath
+from repro.receipts import Receipt, verify_receipt
 
 
 def record(seqno: int, view: int = 0, committed: bool = False) -> BatchRecord:
@@ -229,3 +239,125 @@ def test_rolled_back_slot_is_not_prepared_twice():
     assert 1 not in backup.batches and backup.batches.own_nonces[(0, 1)] is nonce
     assert sum(call.args[1][0] == "prepare" for call in sent.call_args_list) == prepares
     assert backup.metrics.counters["batches_accepted"] == 1
+
+
+# -- what the store builds from a slot's messages ------------------------------------------
+
+PRIMARY = 0
+CONFIG = SimpleNamespace(quorum=3, primary_for_view=lambda view: PRIMARY)
+
+
+def slot(nonces: set[int], prepares: set[int], own: bool = True) -> BatchStore:
+    """The store's slot (0, 7): its record signed by the primary, the
+    commit nonces of ``nonces``, the prepares of ``prepares`` and, with
+    ``own``, this replica's own nonce."""
+    store = BatchStore()
+    store.install(record(7))
+    store[7].pp = SimpleNamespace(signature=b"pp-sig")
+    for r in prepares:
+        store.add_prepare(prepare(digest(7), replica=r).with_signature(b"sig-%d" % r))
+    store.commit_nonces[(0, 7)] = {r: b"n%d" % r for r in nonces}
+    if own:
+        store.own_nonces[(0, 7)] = new_nonce(b"own")
+    return store
+
+
+# nonces, prepares, given bitmap -> chosen signers (None: no evidence)
+EVIDENCE = [
+    ("primary's choice", {0, 1, 2, 3}, {1, 2, 3}, None, [0, 1, 2]),
+    ("skips a nonce without a prepare", {0, 1, 2, 3}, {2, 3}, None, [0, 2, 3]),
+    ("no primary nonce", {1, 2, 3}, {1, 2, 3}, None, None),
+    ("below quorum", {0, 1, 3}, {1}, None, None),
+    ("given bitmap", {0, 1, 2, 3}, {1, 2, 3}, bitmap_of([0, 1, 3]), [0, 1, 3]),
+    ("chosen signer without a nonce", {0, 1, 2}, {1, 2, 3}, bitmap_of([0, 1, 3]), None),
+    ("chosen signer without a prepare", {0, 1, 2, 3}, {1, 2}, bitmap_of([0, 1, 3]), None),
+]
+
+
+@pytest.mark.parametrize("nonces, prepares, bitmap, chosen", [case[1:] for case in EVIDENCE],
+                         ids=[case[0] for case in EVIDENCE])
+def test_evidence(nonces, prepares, bitmap, chosen):
+    store = slot(nonces, prepares)
+    built = store.evidence(7, CONFIG, bitmap)
+    if chosen is None:
+        assert built is None
+        return
+    evidence, ks = built
+    assert (evidence.seqno, evidence.view, ks.seqno, ks.view) == (7, 0, 7, 0)
+    assert bitmap_members(ks.bitmap) == chosen
+    assert ks.nonces == tuple(b"n%d" % r for r in chosen)
+    assert [(p.replica, p.signature) for p in evidence.prepares()] == [
+        (r, b"sig-%d" % r) for r in chosen if r != PRIMARY]
+    assert store.evidence(8, CONFIG) is None  # no record
+
+
+def test_signer_is_the_pre_prepare_for_the_primary_else_the_prepare():
+    store = slot({0, 1}, {1})
+    assert store.signer(store[7], PRIMARY, PRIMARY) is store[7].pp
+    assert store.signer(store[7], 1, PRIMARY) is store.prepares_by_ppd[digest(7)][1]
+    assert store.signer(store[7], 2, PRIMARY) is None
+
+
+# replica, prepares held, own nonce -> the reply's signature (None: no reply)
+REPLIES = [
+    ("primary signs with its pre-prepare", PRIMARY, set(), True, b"pp-sig"),
+    ("backup signs with its prepare", 1, {1}, True, b"sig-1"),
+    ("backup without its own prepare", 2, {1}, True, None),
+    ("no own nonce", PRIMARY, set(), False, None),
+]
+
+
+@pytest.mark.parametrize("replica, prepares, own, signature", [case[1:] for case in REPLIES],
+                         ids=[case[0] for case in REPLIES])
+def test_reply(replica, prepares, own, signature):
+    store = slot({0}, prepares, own)
+    reply = store.reply(store[7], replica, CONFIG)
+    if signature is None:
+        assert reply is None
+        return
+    assert (reply.view, reply.seqno, reply.replica) == (0, 7, replica)
+    assert (reply.signature, reply.nonce) == (signature, store.own_nonces[(0, 7)].nonce)
+
+
+@pytest.fixture(scope="module")
+def collected():
+    """An honest run whose ledger is never truncated, so early batches
+    are collected from the batch store but stay in the ledger."""
+    params = ProtocolParams(
+        pipeline=2, max_batch=20, checkpoint_interval=4, batch_delay=0.0005,
+        view_change_timeout=2.0, ledger_gc_min_age=math.inf)
+    dep = build_deployment(params=params, seed=b"cp-led")
+    client = dep.add_client(retry_timeout=0.5)
+    dep.start()
+    run_waves(dep, client, waves=12, per_wave=25, gap=0.25)
+    return dep, client
+
+
+@pytest.mark.parametrize("held", [True, False], ids=["record", "ledger"])
+def test_get_replyx_in_a_checkpoint_led_batch(collected, held):
+    """In a batch led by a checkpoint transaction a request's position
+    is one past its place among the batch's requests: the replyx is
+    served from the entry at its logical index minus the batch's first,
+    on the held record and on the ledger, and makes a receipt that
+    verifies."""
+    dep, client = collected
+    replica = dep.replicas[1]
+    tx_digest, located = next(
+        (d, located) for d, located in replica.tx_locations.items()
+        if (split_location(located)[0] in replica.batches) == held
+        and isinstance(replica.ledger.batch_entries(split_location(located)[0])[0], CheckpointTxEntry)
+        and split_location(located)[0] <= replica.committed_upto)
+    seqno, index = split_location(located)
+    found, position = replica.batches.executed(tx_digest, located, replica.ledger)
+    assert position >= 1 and (found is replica.batches.get(seqno)) == held
+    with mock.patch.object(replica, "send") as sent:
+        replica.on_message(client.address, ("get-replyx", tx_digest))
+    (dst, (kind, wire), *_), _ = sent.call_args
+    assert (dst, kind) == (client.address, "replyx")
+    replyx = ReplyX.from_wire(wire)
+    assert (replyx.seqno, replyx.index, replyx.tx_digest) == (seqno, index, tx_digest)
+    kept = client.receipts[tx_digest]
+    receipt = Receipt(kept.request_wire, replyx.index, replyx.output, MerklePath.from_wire(replyx.path),
+                      kept.certificate)
+    assert verify_receipt(receipt, dep.genesis_config, dep.backend)
+    assert replica.batches.executed(bytes(32), located, replica.ledger) is None  # another digest

@@ -73,7 +73,7 @@ class TestCollector:
         assert collector.add_reply(digests[0], replies[ids[1]]) is None
         done = collector.add_reply(digests[0], replies[ids[2]])
         assert done is not None
-        assert done.output == receipt.output
+        assert done[0].output == receipt.output
 
     def test_requires_primary_reply(self, env):
         dep, client, digests = env
@@ -107,8 +107,8 @@ class TestCollector:
         # The fourth (valid) reply completes it, without the culprit.
         done = collector.add_reply(digests[2], replies[ids[3]])
         assert done is not None
-        assert backup not in done.signers()
-        assert verify_receipt(done, dep.genesis_config, dep.backend)
+        assert backup not in done[0].signers()
+        assert verify_receipt(done[0], dep.genesis_config, dep.backend)
 
     def test_mismatched_replyx_rejected(self, env):
         dep, client, digests = env
@@ -140,14 +140,29 @@ class TestCollector:
             replies, replyx = messages[d]
             collector.add_replyx(d, replyx)
             done.append(collector.add_reply(d, replies[1]) or collector.add_reply(d, replies[2]))
-        assert done[0] is not None and done[1].certificate is done[0].certificate
+        assert done[0] is not None and done[1][0].certificate is done[0][0].certificate
         assert len(collector._certificates) == 1
         assert collector.abandon(batch[2])
         assert collector._certificates == {} and collector._waiting == {}
 
-    def test_sent_time_survives_completion(self, env):
+    def test_completion_hands_the_send_time_over(self, env):
+        """A completed request leaves the collector: its receipt and send
+        time go to the caller, and a later reply finds nothing."""
         dep, client, digests = env
-        assert client.collector.sent_at(digests[0]) is not None
+        receipt, replies, replyx = reply_messages_for(dep, client, digests[0])
+        collector = ReceiptCollector(dep.genesis_config)
+        collector.track(digests[0], receipt.request_wire, now=1.25)
+        assert collector.sent_at(digests[0]) == 1.25
+        collector.add_replyx(digests[0], replyx)
+        ids = sorted(replies)
+        done = None
+        for r in ids[:3]:
+            done = collector.add_reply(digests[0], replies[r])
+        assert done is not None and done[1] == 1.25
+        assert collector.sent_at(digests[0]) is None and collector.pending_digests() == []
+        assert collector.add_reply(digests[0], replies[ids[3]]) is None
+        # The client keeps the receipt; its collector keeps nothing.
+        assert digests[0] in client.receipts and client.collector.sent_at(digests[0]) is None
 
 
 class TestChains:

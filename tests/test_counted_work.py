@@ -19,6 +19,7 @@ from repro.crypto import hashing
 from repro.crypto.signatures import HashSigBackend
 from repro.lpbft import ProtocolParams
 from repro.lpbft.batch import split_location
+from repro.lpbft.messages import PrePrepare
 from repro.merkle import MerkleTree
 from repro.obs.instruments import MetricsRegistry
 from repro.sim.cpu import VirtualCPU
@@ -117,6 +118,11 @@ def _counting_appends(monkeypatch):
 # request rebuilt it.
 REPLYX_BURST_APPENDS = (1.00, 1.0)
 
+# PrePrepare.from_wire calls per burst: the ledger entry holds the
+# pre-prepare the replica signed or accepted.  Measured 0; one per
+# request when each rebuilt it from the entry's wire form.
+REPLYX_BURST_PP_DECODES = (0, 1)
+
 
 def test_replyx_burst_from_the_ledger_builds_tree_g_once():
     params = ProtocolParams(
@@ -138,6 +144,7 @@ def test_replyx_burst_from_the_ledger_builds_tree_g_once():
     assert len(burst) >= 10
     with pytest.MonkeyPatch.context() as monkeypatch:
         appends = _counting_appends(monkeypatch)
+        decodes = _counting(monkeypatch, PrePrepare, "from_wire")
         for tx_digest in burst:
             client.send(replica.address, ("get-replyx", tx_digest))
         dep.run(until=dep.net.scheduler.now + 0.2)
@@ -145,6 +152,8 @@ def test_replyx_burst_from_the_ledger_builds_tree_g_once():
     assert counters["receipts_rebuilt_from_ledger"] == len(burst)
     measured, ceiling = REPLYX_BURST_APPENDS
     assert appends[0] / len(burst) <= ceiling, f"{appends[0] / len(burst):.2f} (was {measured})"
+    measured, ceiling = REPLYX_BURST_PP_DECODES
+    assert decodes[0] <= ceiling, f"{decodes[0]} PrePrepare.from_wire calls (was {measured})"
 
 
 # Merkle appends per G leaf while a recovering replica verifies and

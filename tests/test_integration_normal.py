@@ -50,7 +50,7 @@ class TestRequestHandling:
         d1 = client.submit("smallbank.deposit_checking", {"customer": 1, "amount": 10}, min_index=0)
         dep.run(until=0.5)
         # Re-submitting the identical signed request is deduplicated.
-        payload = ("request", client.collector._done[d1].request_wire)
+        payload = ("request", client.receipts[d1].request_wire)
         for replica in dep.replicas:
             replica.handle_request("client-x", payload)
         dep.run(until=1.0)

@@ -13,7 +13,7 @@ from repro.enforcement import make_enforcer
 from repro.errors import KVError, LedgerError, MerkleError, ProtocolError
 from repro.governance.subledger import GovernanceExtractor, extract_governance_subledger
 from repro.kvstore import KVStore
-from repro.ledger import Ledger, RetentionPolicy, TxEntry
+from repro.ledger import Ledger, TxEntry
 from repro.lpbft import ProtocolParams, execute_procedure
 from repro.lpbft.batch import split_location
 from repro.merkle.proofs import frontier_root, verify_path
@@ -39,7 +39,7 @@ def force_gc(dep):
     tests use ledger_gc_min_age=0, so the boundary is the oldest stable
     checkpoint)."""
     for replica in dep.replicas:
-        replica._maybe_truncate_ledger()
+        replica.retention.truncate_ledger()
 
 
 class TestMerkleCompaction:
@@ -96,20 +96,6 @@ class TestMerkleCompaction:
         assert tree.root_at(13) == reference.root_at(13)
 
 
-class TestRetentionPolicy:
-    def test_pins_clamp_the_boundary(self):
-        policy = RetentionPolicy()
-        assert policy.boundary(500) == 500
-        policy.pin("sync", 200)
-        policy.pin("audit", 350)
-        assert policy.floor() == 200
-        assert policy.boundary(500) == 200
-        policy.release("sync")
-        assert policy.boundary(500) == 350
-        policy.release("audit")
-        assert policy.boundary(500) == 500
-
-
 @pytest.fixture(scope="module")
 def gc_run():
     """A long honest run with aggressive GC: every replica has truncated
@@ -147,7 +133,8 @@ class TestLedgerTruncation:
         for replica in dep.replicas:
             stable = replica.checkpoints.oldest_stable(replica.committed_upto)
             assert stable is not None
-            boundary = replica.retention.boundary(stable.ledger_size)
+            floor = replica.retention.floor()
+            boundary = stable.ledger_size if floor is None else min(stable.ledger_size, floor)
             assert replica.ledger.base_index <= boundary
             # Everything the oldest stable checkpoint covers is collected
             # eventually; the retained suffix still verifies against it.
@@ -178,13 +165,13 @@ class TestLedgerTruncation:
         run_waves(dep, client, waves=6, per_wave=25, gap=0.25)
         assert primary.ledger.base_index == held, "pin did not hold the prefix"
         primary.retention.release("pending-audit")
-        primary._maybe_truncate_ledger()
+        primary.retention.truncate_ledger()
         assert primary.ledger.base_index > held
 
     def test_governance_subledger_survives_truncation(self, gc_run):
         dep, _, _ = gc_run
         replica = dep.primary()
-        subledger = replica.governance_subledger()
+        subledger = replica.retention.governance_subledger()
         # The genesis entry (index 0) is long collected, yet the archive
         # still reports it — and the schedule still starts at config 0.
         assert subledger.entries[0][0] == 0
@@ -364,7 +351,6 @@ class TestReplyxForCollectedBatch:
         # kill a live receipt); f + 1 reports are.
         wire = client.receipts[victim].request_wire
         del client.receipts[victim]
-        client.collector._done.pop(victim, None)
         client.collector.track(victim, wire, now=dep.net.scheduler.now)
         client.send(replica.address, ("get-replyx", victim))
         # Window shorter than the client's retry timer: exactly one
@@ -394,7 +380,6 @@ class TestReplyxForCollectedBatch:
         )
         wire = client.receipts[kept].request_wire
         del client.receipts[kept]
-        client.collector._done.pop(kept, None)
         client.collector.track(kept, wire, now=dep.net.scheduler.now)
         before = replica.metrics.summary()["counters"].get("receipts_rebuilt_from_ledger", 0)
         client.send(replica.address, ("get-replyx", kept))

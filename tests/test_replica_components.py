@@ -157,7 +157,7 @@ class TestHonestInstall:
         for seqno, record in victim.batches.items():
             assert record.prepared == record.committed == (seqno <= tip - depth), seqno
         for seqno in range(tip - depth + 1, tip + 1):
-            evidence, nonces = primary._evidence(seqno)
+            evidence, nonces = primary.batches.evidence(seqno, primary.config_for(seqno))
             victim.on_message(
                 primary.address,
                 ("evidence-bundle", seqno, evidence.to_wire(), nonces.to_wire()))

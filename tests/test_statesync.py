@@ -309,5 +309,5 @@ class TestLateJoinAfterActivation:
         link = newcomer.gov_chain.links[-1]
         anchor = max(r.index for r in (link.propose_receipt, *link.vote_receipts))
         assert anchor < newcomer.ledger.logical_base
-        assert len(dep.replicas[0]._gov_suffix_entries()) == 1
-        assert newcomer._gov_suffix_entries() == ()
+        assert len(dep.replicas[0].retention.governance_suffix()) == 1
+        assert newcomer.retention.governance_suffix() == ()

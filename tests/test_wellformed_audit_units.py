@@ -6,7 +6,7 @@ import pytest
 
 from repro.audit.package import build_ledger_package
 from repro.kvstore import Checkpoint, KVStore
-from repro.ledger import LedgerFragment, RetentionPolicy
+from repro.ledger import LedgerFragment
 from repro.ledger.wellformed import check_well_formed, parse_fragment
 from repro.lpbft.checkpointing import CheckpointStore, reference_checkpoint_seqno
 from repro.errors import WellFormednessError
@@ -216,7 +216,7 @@ class FakeLedger:
 class TestCheckpointStore:
     """The bookkeeping the store owns beyond the records: held
     checkpoints, their taken-at times, the derived counters, the stable
-    scan and the ledger GC boundary."""
+    scan and the ledger GC boundary (with pins: ``test_retention.py``)."""
 
     def test_rollback_after_drops_held_checkpoints_and_their_times(self):
         store = CheckpointStore(b"\x00" * 32)
@@ -235,9 +235,9 @@ class TestCheckpointStore:
         # Taken again later, checkpoint 20 ages from its new time.
         store.take(checkpoint(20, ledger_size=7), 50.0)
         store.note_record(25, 20, store[20].digest())
-        ledger, retention = FakeLedger([7]), RetentionPolicy()
-        assert store.gc_boundary(ledger, 25, 50.5, 1.0, retention) is None
-        assert store.gc_boundary(ledger, 25, 51.0, 1.0, retention) == 7
+        ledger = FakeLedger([7])
+        assert store.gc_boundary(ledger, 25, 50.5, 1.0, None) is None
+        assert store.gc_boundary(ledger, 25, 51.0, 1.0, None) == 7
 
     def test_derived_counters_follow_undo_and_renote(self):
         store = CheckpointStore(b"\x00" * 32)
@@ -276,27 +276,6 @@ class TestCheckpointStore:
         assert store.oldest_stable(15) is None
         assert next(store.stable(15, newest_first=True)).seqno == 0
         assert next(store.stable(9), None) is None
-
-    def test_gc_boundary_rounds_a_pin_down_to_a_batch_end(self):
-        store = CheckpointStore(b"\x00" * 32)
-        store.take(checkpoint(0, ledger_size=1), 0.0)
-        store.take(checkpoint(10, ledger_size=31), 2.0)
-        store.note_record(10, 0, store[0].digest())
-        store.note_record(20, 10, store[10].digest())
-        retention = RetentionPolicy()
-        ledger = FakeLedger([5, 12, 20, 31, 40])
-        # No stable checkpoint past genesis at this frontier.
-        assert store.gc_boundary(ledger, 19, 10.0, 1.0, retention) is None
-        # Too young for the age floor.
-        assert store.gc_boundary(ledger, 20, 2.5, 1.0, retention) is None
-        assert store.gc_boundary(ledger, 20, 3.0, 1.0, retention) == 31
-        retention.pin("audit", 17)
-        assert store.gc_boundary(ledger, 20, 3.0, 1.0, retention) == 12
-        retention.pin("audit", 4)
-        assert store.gc_boundary(ledger, 20, 3.0, 1.0, retention) is None
-        ledger.base_index = 12
-        retention.pin("audit", 25)
-        assert store.gc_boundary(ledger, 20, 3.0, 1.0, retention) == 20
 
 
 class TestLedgerPackage:
