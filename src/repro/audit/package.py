@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import codec
 from ..errors import AuditError
 from ..governance.subledger import GovernanceSubLedger
 from ..kvstore import Checkpoint
@@ -56,10 +57,11 @@ class LedgerPackage:
     # Tree M peaks at fragment.start ((height, digest) pairs); required
     # iff the fragment does not start at genesis.
     frontier: tuple | None = None
+    wire_tag = "ledger-package"
 
     def to_wire(self) -> tuple:
         return (
-            "ledger-package",
+            self.wire_tag,
             self.fragment.start,
             self.fragment.entry_wires,
             None if self.checkpoint is None else self.checkpoint.to_wire(),
@@ -71,20 +73,17 @@ class LedgerPackage:
 
     @staticmethod
     def from_wire(raw: tuple) -> "LedgerPackage":
-        try:
-            tag, start, entry_wires, cp_wire, sub_wire, source, extra, frontier = raw
-        except (TypeError, ValueError) as exc:
-            raise AuditError(f"malformed ledger package: {exc}") from exc
-        if tag != "ledger-package":
-            raise AuditError(f"expected ledger-package, got {tag!r}")
-        return LedgerPackage(
-            fragment=LedgerFragment(start=start, entry_wires=tuple(entry_wires)),
-            checkpoint=None if cp_wire is None else Checkpoint.from_wire(cp_wire),
-            subledger=GovernanceSubLedger.from_wire(sub_wire),
-            source_replica=source,
-            extra_evidence={k: (e, n) for k, e, n in extra},
-            frontier=None if frontier is None else tuple(frontier),
-        )
+        def build(start, entry_wires, cp_wire, sub_wire, source, extra, frontier):
+            return LedgerPackage(
+                fragment=LedgerFragment(start=start, entry_wires=tuple(entry_wires)),
+                checkpoint=None if cp_wire is None else Checkpoint.from_wire(cp_wire),
+                subledger=GovernanceSubLedger.from_wire(sub_wire),
+                source_replica=source,
+                extra_evidence={k: (e, n) for k, e, n in extra},
+                frontier=None if frontier is None else tuple(frontier),
+            )
+
+        return codec.parse(raw, LedgerPackage.wire_tag, 8, AuditError, build)
 
 
 def build_ledger_package(replica, oldest_receipt: Receipt | None = None) -> LedgerPackage:

@@ -17,9 +17,11 @@ versions and platforms.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from collections.abc import Mapping, Sequence
-from typing import Any, Iterator
+from operator import attrgetter
+from typing import Any, Callable, Iterator
 
 from .errors import CodecError
 
@@ -227,6 +229,79 @@ def memoised(method):
         return value
 
     return cached
+
+
+# -- wire forms of records ---------------------------------------------------
+
+
+def parse(raw: Any, tag: str | None, arity: int | None, error: type[Exception], build: Callable) -> Any:
+    """The one shape check of a record's wire form: ``raw`` must be a
+    tuple of ``arity`` items (any number for ``None``), led by ``tag``
+    unless it is ``None``.  Returns ``build(*items)`` over the items after
+    the tag.  A wrong shape, or a ``TypeError``/``ValueError`` out of
+    ``build`` (a field of the wrong type), raises ``error``, the record
+    module's :class:`~repro.errors.ReproError`."""
+    if (
+        not isinstance(raw, tuple)
+        or (arity is not None and len(raw) != arity)
+        or (tag is not None and (not raw or raw[0] != tag))
+    ):
+        raise error(f"malformed {tag or 'record'} wire form")
+    try:
+        return build(*raw) if tag is None else build(*raw[1:])
+    except (TypeError, ValueError) as exc:
+        raise error(f"malformed {tag or 'record'}: {exc}") from exc
+
+
+def wire(tag: str, error: type[Exception], **coerce: Callable) -> Callable[[type], type]:
+    """Class decorator giving a dataclass record the one wire rule: its
+    wire form is ``(tag, *init fields)`` in declaration order
+    (``to_wire``), read back positionally by :func:`parse`
+    (``from_wire``), each item first passed through ``coerce[name]``
+    where one is given.  ``wire_tag`` is the tag.  A record whose last
+    field is ``signature`` is signed: it gets ``with_signature`` and,
+    unless it defines its own, a ``signed_payload`` that encodes its wire
+    form less the signature."""
+
+    def apply(cls: type) -> type:
+        names = [f.name for f in dataclasses.fields(cls) if f.init]
+        get, arity = attrgetter(*names), len(names) + 1
+
+        if arity > 2:
+            def to_wire(self) -> tuple:
+                return (tag,) + get(self)
+        else:
+            def to_wire(self) -> tuple:
+                return (tag, get(self))
+
+        build = cls
+        if coerce:
+            steps = [coerce.get(name) for name in names]
+
+            def build(*items):
+                return cls(*[item if step is None else step(item) for step, item in zip(steps, items)])
+
+        cls.wire_tag = tag
+        cls.to_wire = to_wire
+        cls.from_wire = staticmethod(lambda raw: parse(raw, tag, arity, error, build))
+        if names[-1] == "signature":
+            cls.with_signature = _with_signature
+            if "signed_payload" not in vars(cls):
+                cls.signed_payload = _signed_payload
+        return cls
+
+    return apply
+
+
+def _with_signature(self, signature: bytes):
+    """This record signed: a copy with ``signature`` and no memo."""
+    return dataclasses.replace(self, signature=signature)
+
+
+def _signed_payload(self) -> bytes:
+    """The bytes a record's signature covers: its wire form less the
+    trailing signature."""
+    return encode(self.to_wire()[:-1])
 
 
 def _write_varint(out: bytearray, value: int) -> None:

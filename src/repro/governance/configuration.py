@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .. import codec
 from ..crypto.hashing import Digest, digest_value
 from ..errors import GovernanceError
 
@@ -28,8 +29,7 @@ class MemberInfo:
 
     @staticmethod
     def from_wire(raw: tuple) -> "MemberInfo":
-        member_id, public_key = raw
-        return MemberInfo(member_id=member_id, public_key=public_key)
+        return codec.parse(raw, None, 2, GovernanceError, MemberInfo)
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,10 @@ class ReplicaInfo:
 
     @staticmethod
     def from_wire(raw: tuple) -> "ReplicaInfo":
-        replica_id, public_key, operator, endorsement = raw
-        return ReplicaInfo(
-            replica_id=replica_id, public_key=public_key, operator=operator, endorsement=endorsement
-        )
+        return codec.parse(raw, None, 4, GovernanceError, ReplicaInfo)
 
     def endorsement_payload(self) -> bytes:
         """The bytes the operating member signs to endorse this key."""
-        from .. import codec
-
         return codec.encode(("endorse-replica", self.replica_id, self.public_key, self.operator))
 
 
@@ -71,6 +66,7 @@ class Configuration:
     members: tuple[MemberInfo, ...]
     replicas: tuple[ReplicaInfo, ...]
     vote_threshold: int
+    wire_tag = "configuration"
 
     def __post_init__(self) -> None:
         ids = [r.replica_id for r in self.replicas]
@@ -153,7 +149,7 @@ class Configuration:
 
     def to_wire(self) -> tuple:
         return (
-            "configuration",
+            self.wire_tag,
             self.number,
             tuple(m.to_wire() for m in self.members),
             tuple(r.to_wire() for r in self.replicas),
@@ -162,17 +158,14 @@ class Configuration:
 
     @staticmethod
     def from_wire(raw: tuple) -> "Configuration":
-        try:
-            tag, number, members, replicas, threshold = raw
-        except (TypeError, ValueError) as exc:
-            raise GovernanceError(f"malformed configuration: {exc}") from exc
-        if tag != "configuration":
-            raise GovernanceError(f"expected configuration, got {tag!r}")
-        return Configuration(
-            number=number,
-            members=tuple(MemberInfo.from_wire(m) for m in members),
-            replicas=tuple(ReplicaInfo.from_wire(r) for r in replicas),
-            vote_threshold=threshold,
+        return codec.parse(
+            raw, Configuration.wire_tag, 5, GovernanceError,
+            lambda number, members, replicas, threshold: Configuration(
+                number,
+                tuple(MemberInfo.from_wire(m) for m in members),
+                tuple(ReplicaInfo.from_wire(r) for r in replicas),
+                threshold,
+            ),
         )
 
     def digest(self) -> Digest:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import codec
 from ..errors import GovernanceError
 from .configuration import Configuration
 
@@ -35,11 +36,10 @@ class ConfigSpan:
 
     @staticmethod
     def from_wire(raw: tuple) -> "ConfigSpan":
-        config_wire, start_seqno, start_index = raw
-        return ConfigSpan(
-            config=Configuration.from_wire(config_wire),
-            start_seqno=start_seqno,
-            start_index=start_index,
+        return codec.parse(
+            raw, None, 3, GovernanceError,
+            lambda config, start_seqno, start_index: ConfigSpan(
+                Configuration.from_wire(config), start_seqno, start_index),
         )
 
 
@@ -144,7 +144,10 @@ class ConfigSchedule:
 
     @staticmethod
     def from_wire(raw: tuple) -> "ConfigSchedule":
-        return ConfigSchedule([ConfigSpan.from_wire(s) for s in raw])
+        return codec.parse(
+            raw, None, None, GovernanceError,
+            lambda *spans: ConfigSchedule([ConfigSpan.from_wire(s) for s in spans]),
+        )
 
     def copy(self) -> "ConfigSchedule":
         clone = ConfigSchedule()

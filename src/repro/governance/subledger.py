@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .. import codec
 from ..crypto import signatures
 from ..crypto.hashing import Digest
 from ..errors import GovernanceError
@@ -71,26 +72,21 @@ class GovernanceSubLedger:
     entries: list[tuple[int, tuple]]
     schedule: ConfigSchedule
     reconfigs: list[ReconfigRecord]
+    wire_tag = "gov-subledger"
 
     def to_wire(self) -> tuple:
         return (
-            "gov-subledger",
+            self.wire_tag,
             tuple((i, w) for i, w in self.entries),
             self.schedule.to_wire(),
         )
 
     @staticmethod
     def from_wire(raw: tuple) -> "GovernanceSubLedger":
-        try:
-            tag, entries, schedule = raw
-        except (TypeError, ValueError) as exc:
-            raise GovernanceError(f"malformed governance sub-ledger: {exc}") from exc
-        if tag != "gov-subledger":
-            raise GovernanceError(f"expected gov-subledger, got {tag!r}")
-        return GovernanceSubLedger(
-            entries=[(i, w) for i, w in entries],
-            schedule=ConfigSchedule.from_wire(schedule),
-            reconfigs=[],
+        return codec.parse(
+            raw, GovernanceSubLedger.wire_tag, 3, GovernanceError,
+            lambda entries, schedule: GovernanceSubLedger(
+                [(i, w) for i, w in entries], ConfigSchedule.from_wire(schedule), []),
         )
 
     # -- queries ------------------------------------------------------------

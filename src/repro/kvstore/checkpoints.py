@@ -76,12 +76,10 @@ class Checkpoint:
         """Parse :meth:`to_wire` output.  The wire carries no digest: the
         snapshot's accumulator is computed from the received items, and a
         claimed ``dC`` is compared against it, never adopted."""
-        try:
-            seqno, items, ledger_size, ledger_root = raw
-            state = Snapshot(dict(items))
-        except (TypeError, ValueError) as exc:
-            raise KVError(f"malformed checkpoint: {exc}") from exc
-        return Checkpoint(seqno, state, ledger_size, ledger_root)
+        return codec.parse(
+            raw, None, 4, KVError,
+            lambda seqno, items, size, root: Checkpoint(seqno, Snapshot(dict(items)), size, root),
+        )
 
 
 def chunk_state(state: Mapping[str, Any], max_bytes: int) -> list[bytes]:

@@ -1,7 +1,7 @@
 """Typed ledger entries (paper Fig. 3, Tab. 1).
 
-Each entry has a canonical wire form; the ledger Merkle tree M hashes the
-wire form of every entry.  Entry kinds:
+Each entry's wire form is ``(tag, *fields)`` (:func:`repro.codec.wire`);
+the ledger Merkle tree M hashes the wire form of every entry.  Entry tags:
 
 - ``genesis`` — the genesis governance transaction gt, whose digest is the
   service name;
@@ -12,17 +12,17 @@ wire form of every entry.  Entry kinds:
 - ``evidence`` — ``Ps−P``: the N−f−1 prepare messages proving a batch
   prepared;
 - ``nonces`` — ``Ks−P``: the revealed commit nonces for that batch;
-- ``pre-prepare`` — the primary's signed ordering decision;
+- ``pre-prepare-entry`` — the primary's signed ordering decision;
 - ``view-changes`` — the N−f view-change messages accepted by a new
   primary;
-- ``new-view`` — the new primary's signed new-view message.
+- ``new-view-entry`` — the new primary's signed new-view message.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, NamedTuple
+from typing import Any, NamedTuple
 
 from .. import codec
 from ..codec import memoised
@@ -34,15 +34,11 @@ from ..errors import LedgerError
 
 
 class LedgerEntry:
-    """Base class for ledger entries.  Entries are slotted: a replica holds
-    one per transaction, and a memo is a declared field, not a
-    ``__dict__``."""
+    """Base class for ledger entries, each a :func:`codec.wire` record.
+    Entries are slotted: a replica holds one per transaction, and a memo
+    is a declared field, not a ``__dict__``."""
 
     __slots__ = ()
-    kind: ClassVar[str] = "abstract"
-
-    def to_wire(self) -> tuple:
-        raise NotImplementedError
 
     def digest(self) -> Digest:
         """Digest of the canonical wire form (the Merkle leaf)."""
@@ -53,6 +49,7 @@ class LedgerEntry:
         return len(codec.encode(self.to_wire()))
 
 
+@codec.wire("genesis", LedgerError)
 @dataclass(frozen=True, slots=True)
 class GenesisEntry(LedgerEntry):
     """The genesis transaction gt: initial members, replicas, and rules.
@@ -62,11 +59,7 @@ class GenesisEntry(LedgerEntry):
     this entry is the service name (paper §2).
     """
 
-    kind: ClassVar[str] = "genesis"
     config_wire: tuple
-
-    def to_wire(self) -> tuple:
-        return ("genesis", self.config_wire)
 
     def service_name(self) -> Digest:
         """H(gt): the well-known service name."""
@@ -80,7 +73,6 @@ class Invocation(NamedTuple):
     args: dict
 
 
-_TX_WIRE_HEAD = codec.encode(("tx", None, None, None))[:-3]  # four-item header, "tx"
 # A request's encoding opens with its eight-item header, the "request"
 # tag and its procedure name's STR tag; a name under 128 bytes follows
 # its one-byte length.
@@ -90,6 +82,7 @@ _GOV_PREFIX = b"gov."
 _TIO_HEAD_SIZE = codec.sequence_size(3, 0)
 
 
+@codec.wire("tx", LedgerError)
 @dataclass(frozen=True, slots=True)
 class TxEntry(LedgerEntry):
     """A transaction entry ``⟨t, i, o⟩`` (Fig. 3).
@@ -104,14 +97,10 @@ class TxEntry(LedgerEntry):
     shares them.
     """
 
-    kind: ClassVar[str] = "tx"
     request_wire: tuple
     index: int
     output: Any
     _leaf_digest: Digest | None = field(default=None, init=False, repr=False, compare=False)
-
-    def to_wire(self) -> tuple:
-        return ("tx", self.request_wire, self.index, self.output)
 
     def request(self):
         from ..lpbft.messages import TransactionRequest
@@ -181,14 +170,18 @@ class TxEntry(LedgerEntry):
         return encoded
 
 
+_TX_WIRE_HEAD = codec.encode((TxEntry.wire_tag, None, None, None))[:-3]  # four-item header, tag
+
+
 def _wire_leaf(tio_encoding: bytes) -> Digest:
     """A TxEntry's M leaf from its G preimage: the wire form is the same
-    three items under a four-item header and the ``"tx"`` tag."""
+    three items under a four-item header and its tag."""
     leaf = hashlib.sha256(_TX_WIRE_HEAD)
     leaf.update(memoryview(tio_encoding)[_TIO_HEAD_SIZE:])
     return leaf.digest()
 
 
+@codec.wire("checkpoint-tx", LedgerError)
 @dataclass(frozen=True, slots=True)
 class CheckpointTxEntry(LedgerEntry):
     """The checkpoint transaction at seqno s recording the digest of the
@@ -196,16 +189,12 @@ class CheckpointTxEntry(LedgerEntry):
     (and its G tree) like a transaction, so it has an index and receipts.
     """
 
-    kind: ClassVar[str] = "checkpoint-tx"
     cp_seqno: int
     cp_digest: Digest
     ledger_size: int
     ledger_root: Digest
     index: int
     _leaf_digest: Digest | None = field(default=None, init=False, repr=False, compare=False)
-
-    def to_wire(self) -> tuple:
-        return ("checkpoint-tx", self.cp_seqno, self.cp_digest, self.ledger_size, self.ledger_root, self.index)
 
     def tio(self) -> tuple:
         """Checkpoint transactions appear in G with a synthetic (t, i, o)."""
@@ -217,17 +206,14 @@ class CheckpointTxEntry(LedgerEntry):
         return digest_value(self.tio())
 
 
+@codec.wire("evidence", LedgerError)
 @dataclass(frozen=True, slots=True)
 class EvidenceEntry(LedgerEntry):
     """``Ps−P``: prepares proving the batch at ``seqno`` prepared (§3.1)."""
 
-    kind: ClassVar[str] = "evidence"
     seqno: int
     view: int
     prepare_wires: tuple  # tuple of Prepare.to_wire()
-
-    def to_wire(self) -> tuple:
-        return ("evidence", self.seqno, self.view, self.prepare_wires)
 
     def prepares(self) -> list:
         from ..lpbft.messages import Prepare
@@ -235,6 +221,7 @@ class EvidenceEntry(LedgerEntry):
         return [Prepare.from_wire(w) for w in self.prepare_wires]
 
 
+@codec.wire("nonces", LedgerError)
 @dataclass(frozen=True, slots=True)
 class NoncesEntry(LedgerEntry):
     """``Ks−P``: revealed commit nonces for the batch at ``seqno``.
@@ -243,21 +230,17 @@ class NoncesEntry(LedgerEntry):
     replica-id order.
     """
 
-    kind: ClassVar[str] = "nonces"
     seqno: int
     view: int
     bitmap: int
     nonces: tuple  # tuple of 32-byte nonces, replica-id order
 
-    def to_wire(self) -> tuple:
-        return ("nonces", self.seqno, self.view, self.bitmap, self.nonces)
 
-
+@codec.wire("pre-prepare-entry", LedgerError)
 @dataclass(frozen=True, slots=True)
 class PrePrepareEntry(LedgerEntry):
     """The signed pre-prepare for a batch."""
 
-    kind: ClassVar[str] = "pre-prepare"
     pp_wire: tuple
     _pp: Any = field(default=None, init=False, repr=False, compare=False)
 
@@ -269,9 +252,6 @@ class PrePrepareEntry(LedgerEntry):
         object.__setattr__(entry, "_pp", pp)
         return entry
 
-    def to_wire(self) -> tuple:
-        return ("pre-prepare-entry", self.pp_wire)
-
     def pre_prepare(self):
         """The pre-prepare, decoded once."""
         if self._pp is None:
@@ -281,18 +261,15 @@ class PrePrepareEntry(LedgerEntry):
         return self._pp
 
 
+@codec.wire("view-changes", LedgerError)
 @dataclass(frozen=True, slots=True)
 class ViewChangesEntry(LedgerEntry):
     """The N−f view-change messages a new primary accepted (Alg. 2),
     ordered by increasing replica identifier.  ``hvc`` in the new-view is
     this entry's digest."""
 
-    kind: ClassVar[str] = "view-changes"
     view: int
     vc_wires: tuple  # tuple of ViewChange.to_wire()
-
-    def to_wire(self) -> tuple:
-        return ("view-changes", self.view, self.vc_wires)
 
     def view_changes(self) -> list:
         from ..lpbft.messages import ViewChange
@@ -300,15 +277,12 @@ class ViewChangesEntry(LedgerEntry):
         return [ViewChange.from_wire(w) for w in self.vc_wires]
 
 
+@codec.wire("new-view-entry", LedgerError)
 @dataclass(frozen=True, slots=True)
 class NewViewEntry(LedgerEntry):
     """The signed new-view message."""
 
-    kind: ClassVar[str] = "new-view"
     nv_wire: tuple
-
-    def to_wire(self) -> tuple:
-        return ("new-view-entry", self.nv_wire)
 
     def new_view(self):
         from ..lpbft.messages import NewView
@@ -316,28 +290,20 @@ class NewViewEntry(LedgerEntry):
         return NewView.from_wire(self.nv_wire)
 
 
-_WIRE_TAGS = {
-    "genesis": lambda raw: GenesisEntry(config_wire=raw[1]),
-    "tx": lambda raw: TxEntry(request_wire=raw[1], index=raw[2], output=raw[3]),
-    "checkpoint-tx": lambda raw: CheckpointTxEntry(
-        cp_seqno=raw[1], cp_digest=raw[2], ledger_size=raw[3], ledger_root=raw[4], index=raw[5]
-    ),
-    "evidence": lambda raw: EvidenceEntry(seqno=raw[1], view=raw[2], prepare_wires=raw[3]),
-    "nonces": lambda raw: NoncesEntry(seqno=raw[1], view=raw[2], bitmap=raw[3], nonces=raw[4]),
-    "pre-prepare-entry": lambda raw: PrePrepareEntry(pp_wire=raw[1]),
-    "view-changes": lambda raw: ViewChangesEntry(view=raw[1], vc_wires=raw[2]),
-    "new-view-entry": lambda raw: NewViewEntry(nv_wire=raw[1]),
+_ENTRY_CLASSES = {
+    cls.wire_tag: cls
+    for cls in (
+        GenesisEntry, TxEntry, CheckpointTxEntry, EvidenceEntry, NoncesEntry,
+        PrePrepareEntry, ViewChangesEntry, NewViewEntry,
+    )
 }
 
 
 def entry_from_wire(raw: tuple) -> LedgerEntry:
-    """Reconstruct a typed entry from its wire form."""
-    if not isinstance(raw, tuple) or not raw:
-        raise LedgerError("malformed ledger entry wire form")
-    builder = _WIRE_TAGS.get(raw[0])
-    if builder is None:
-        raise LedgerError(f"unknown ledger entry tag {raw[0]!r}")
-    try:
-        return builder(raw)
-    except (IndexError, TypeError) as exc:
-        raise LedgerError(f"malformed {raw[0]!r} entry: {exc}") from exc
+    """Reconstruct a typed entry from its wire form: the entry class its
+    tag names reads it (:func:`codec.parse`)."""
+    tag = raw[0] if isinstance(raw, tuple) and raw else None
+    cls = _ENTRY_CLASSES.get(tag) if type(tag) is str else None
+    if cls is None:
+        raise LedgerError("malformed ledger entry: no known tag")
+    return cls.from_wire(raw)

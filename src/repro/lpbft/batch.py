@@ -124,30 +124,41 @@ class BatchStore(dict):
             return record.pp
         return self.prepares_by_ppd.get(record.pp_digest, {}).get(replica_id)
 
-    def evidence(
-        self, seqno: int, config: Configuration, bitmap: int | None = None
-    ) -> tuple[EvidenceEntry, NoncesEntry] | None:
-        """``(Ps, Ks)`` for the held batch at ``seqno``: N−f revealed nonces
-        (the primary's included) and the matching N−f−1 prepares (§3.1).
-        Given ``bitmap``, for exactly the replicas the primary chose —
-        backups must append *the same* Ps−P and Ks−P."""
+    def evidence_signers(self, seqno: int, config: Configuration, bitmap: int | None = None) -> int | None:
+        """The bitmap of the replicas whose commitment evidence the held
+        batch at ``seqno`` appends: N−f with a revealed nonce (the
+        primary's included), each backup among them with a prepare (§3.1).
+        Given ``bitmap``, exactly those replicas — backups must append
+        *the same* Ps−P and Ks−P.  None while any is missing."""
         record = self.get(seqno)
         if record is None:
             return None
-        view = record.view
-        primary_id = config.primary_for_view(view)
-        nonces_by = self.commit_nonces.get((view, seqno), {})
+        primary_id = config.primary_for_view(record.view)
+        nonces_by = self.commit_nonces.get((record.view, seqno), {})
         prepares = self.prepares_by_ppd.get(record.pp_digest, {})
         if bitmap is None:
             eligible = sorted(r for r in nonces_by if r == primary_id or r in prepares)
             if primary_id not in eligible or len(eligible) < config.quorum:
                 return None
-            chosen = sorted([primary_id] + [r for r in eligible if r != primary_id][: config.quorum - 1])
-            bitmap = bitmap_of(chosen)
-        else:
-            chosen = bitmap_members(bitmap)
-            if any(r not in nonces_by or (r != primary_id and r not in prepares) for r in chosen):
-                return None
+            return bitmap_of([primary_id] + [r for r in eligible if r != primary_id][: config.quorum - 1])
+        if any(r not in nonces_by or (r != primary_id and r not in prepares) for r in bitmap_members(bitmap)):
+            return None
+        return bitmap
+
+    def evidence(
+        self, seqno: int, config: Configuration, bitmap: int | None = None
+    ) -> tuple[EvidenceEntry, NoncesEntry] | None:
+        """``(Ps, Ks)`` for the held batch at ``seqno``: the N−f−1 prepares
+        and N−f nonces of :meth:`evidence_signers`, or None.  Built only
+        for the ledger and for an evidence bundle."""
+        bitmap = self.evidence_signers(seqno, config, bitmap)
+        if bitmap is None:
+            return None
+        record = self[seqno]
+        view, chosen = record.view, bitmap_members(bitmap)
+        primary_id = config.primary_for_view(view)
+        nonces_by = self.commit_nonces.get((view, seqno), {})
+        prepares = self.prepares_by_ppd.get(record.pp_digest, {})
         evidence = EvidenceEntry(
             seqno=seqno,
             view=view,

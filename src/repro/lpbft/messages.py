@@ -2,9 +2,11 @@
 
 Every message has a canonical wire form (``to_wire``/``from_wire``) used
 both for transmission over the simulated network and for hashing into the
-ledger's Merkle trees.  Signed messages expose ``signed_payload()`` — the
-canonical bytes covered by the signature — with a per-type domain tag so
-a signature over one message type can never be replayed as another.
+ledger's Merkle trees: ``(tag, *fields)`` by :func:`repro.codec.wire`,
+except a request's, which is sealed.  Signed messages expose
+``signed_payload()`` — the wire form less the signature, led by the
+per-type tag, so a signature over one message type can never be replayed
+as another.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .. import codec
-from ..crypto.hashing import Digest, digest, digest_value
+from ..crypto.hashing import Digest, digest_value
 from ..errors import ProtocolError
 
 # Batch kinds (the ``flags`` field of a pre-prepare).  Regular batches carry
@@ -47,6 +49,7 @@ class TransactionRequest:
     nonce: int
     signature: bytes = b""
     _wire: codec.Sealed | None = field(default=None, init=False, repr=False, compare=False)
+    wire_tag = "request"
 
     def signed_payload(self) -> bytes:
         """The wire form less its trailing signature, read off the seal
@@ -67,7 +70,7 @@ class TransactionRequest:
         if wire is None:
             wire = codec.seal(
                 (
-                    "request",
+                    self.wire_tag,
                     self.procedure,
                     self.args,
                     self.client,
@@ -84,23 +87,14 @@ class TransactionRequest:
     def from_wire(raw: tuple) -> "TransactionRequest":
         if type(raw) is codec.SealedSeq:
             raw = raw.unseal()  # an executed request, decoded on demand
-        try:
-            tag, procedure, args, client, service, min_index, nonce, signature = raw
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed request: {exc}") from exc
-        if tag != "request":
-            raise ProtocolError(f"expected request, got {tag!r}")
         sealed = type(raw) is codec.Sealed
-        request = TransactionRequest(
-            procedure=procedure,
+
+        def build(procedure, args, client, service, min_index, nonce, signature):
             # A seal's contents are never mutated, so its args need no copy.
-            args=args if sealed and type(args) is dict else dict(args),
-            client=client,
-            service=service,
-            min_index=min_index,
-            nonce=nonce,
-            signature=signature,
-        )
+            args = args if sealed and type(args) is dict else dict(args)
+            return TransactionRequest(procedure, args, client, service, min_index, nonce, signature)
+
+        request = codec.parse(raw, TransactionRequest.wire_tag, 8, ProtocolError, build)
         if sealed:
             # Keep the sender's seal: every receiver of one transmission
             # shares the one encoding (and its digest).
@@ -112,6 +106,7 @@ class TransactionRequest:
         return digest_value(self.to_wire())
 
 
+@codec.wire("pre-prepare", ProtocolError)
 @dataclass(frozen=True, slots=True)
 class PrePrepare:
     """``⟨pre-prepare, v, s, ¯M, ¯G, H(K[v,s]), Es−P, ig, dC⟩σp`` (§3.1).
@@ -147,62 +142,7 @@ class PrePrepare:
 
     @codec.memoised
     def signed_payload(self) -> bytes:
-        return codec.encode(
-            (
-                "pre-prepare",
-                self.view,
-                self.seqno,
-                self.root_m,
-                self.root_g,
-                self.nonce_commitment,
-                self.evidence_bitmap,
-                self.gov_index,
-                self.checkpoint_digest,
-                self.flags,
-                self.committed_root,
-            )
-        )
-
-    def with_signature(self, signature: bytes) -> "PrePrepare":
-        return replace(self, signature=signature)
-
-    def to_wire(self) -> tuple:
-        return (
-            "pre-prepare",
-            self.view,
-            self.seqno,
-            self.root_m,
-            self.root_g,
-            self.nonce_commitment,
-            self.evidence_bitmap,
-            self.gov_index,
-            self.checkpoint_digest,
-            self.flags,
-            self.committed_root,
-            self.signature,
-        )
-
-    @staticmethod
-    def from_wire(raw: tuple) -> "PrePrepare":
-        try:
-            (tag, view, seqno, root_m, root_g, nc, bitmap, gov_index, dc, flags, croot, sig) = raw
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed pre-prepare: {exc}") from exc
-        if tag != "pre-prepare":
-            raise ProtocolError(f"expected pre-prepare, got {tag!r}")
-        return PrePrepare(
-            view=view,
-            seqno=seqno,
-            root_m=root_m,
-            root_g=root_g,
-            nonce_commitment=nc,
-            evidence_bitmap=bitmap,
-            gov_index=gov_index,
-            checkpoint_digest=dc,
-            flags=flags,
-            committed_root=croot,
-            signature=sig,
-        )
+        return codec.encode(self.to_wire()[:-1])
 
     @codec.memoised
     def digest(self) -> Digest:
@@ -225,10 +165,28 @@ class PrePrepare:
         )
 
 
+@codec.wire("prepare", ProtocolError)
+@dataclass(frozen=True)
+class Prepare:
+    """``⟨prepare, r, H(K[v,s]), H(pp)⟩σr`` (Alg. 1 line 25).
+
+    The pre-prepare digest binds the view, sequence number, and both
+    Merkle roots, so they need not be repeated.
+    """
+
+    replica: int
+    nonce_commitment: Digest
+    pp_digest: Digest
+    signature: bytes = b""
+
+    def signed_payload(self) -> bytes:
+        return prepare_payload(self.replica, self.nonce_commitment, self.pp_digest)
+
+
 # ``encode(("prepare", r, nc, d))`` for a replica id r < 64 and 32-byte
 # digests is a fixed template: the head for r, then each digest under
 # the same two-byte header.
-_PREPARE_HEADS = tuple(codec.encode(("prepare", r, b"", b""))[:-4] for r in range(64))
+_PREPARE_HEADS = tuple(codec.encode((Prepare.wire_tag, r, b"", b""))[:-4] for r in range(64))
 _DIGEST_HEAD = codec.encode(bytes(32))[:-32]
 
 
@@ -247,42 +205,10 @@ def prepare_payload(replica: int, nonce_commitment: Digest, pp_digest: Digest) -
         return b"".join(
             (_PREPARE_HEADS[replica], _DIGEST_HEAD, nonce_commitment, _DIGEST_HEAD, pp_digest)
         )
-    return codec.encode(("prepare", replica, nonce_commitment, pp_digest))
+    return codec.encode((Prepare.wire_tag, replica, nonce_commitment, pp_digest))
 
 
-@dataclass(frozen=True)
-class Prepare:
-    """``⟨prepare, r, H(K[v,s]), H(pp)⟩σr`` (Alg. 1 line 25).
-
-    The pre-prepare digest binds the view, sequence number, and both
-    Merkle roots, so they need not be repeated.
-    """
-
-    replica: int
-    nonce_commitment: Digest
-    pp_digest: Digest
-    signature: bytes = b""
-
-    def signed_payload(self) -> bytes:
-        return prepare_payload(self.replica, self.nonce_commitment, self.pp_digest)
-
-    def with_signature(self, signature: bytes) -> "Prepare":
-        return replace(self, signature=signature)
-
-    def to_wire(self) -> tuple:
-        return ("prepare", self.replica, self.nonce_commitment, self.pp_digest, self.signature)
-
-    @staticmethod
-    def from_wire(raw: tuple) -> "Prepare":
-        try:
-            tag, replica, nc, ppd, sig = raw
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed prepare: {exc}") from exc
-        if tag != "prepare":
-            raise ProtocolError(f"expected prepare, got {tag!r}")
-        return Prepare(replica=replica, nonce_commitment=nc, pp_digest=ppd, signature=sig)
-
-
+@codec.wire("commit", ProtocolError)
 @dataclass(frozen=True)
 class Commit:
     """``⟨commit, v, s, r, K[v,s]⟩`` — *unsigned*; the revealed nonce is the
@@ -293,20 +219,8 @@ class Commit:
     replica: int
     nonce: bytes
 
-    def to_wire(self) -> tuple:
-        return ("commit", self.view, self.seqno, self.replica, self.nonce)
 
-    @staticmethod
-    def from_wire(raw: tuple) -> "Commit":
-        try:
-            tag, view, seqno, replica, nonce = raw
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed commit: {exc}") from exc
-        if tag != "commit":
-            raise ProtocolError(f"expected commit, got {tag!r}")
-        return Commit(view=view, seqno=seqno, replica=replica, nonce=nonce)
-
-
+@codec.wire("reply", ProtocolError)
 @dataclass(frozen=True)
 class Reply:
     """``⟨reply, v, s, r, σr, K[v,s]⟩`` (Alg. 1 line 35).
@@ -322,20 +236,8 @@ class Reply:
     signature: bytes
     nonce: bytes
 
-    def to_wire(self) -> tuple:
-        return ("reply", self.view, self.seqno, self.replica, self.signature, self.nonce)
 
-    @staticmethod
-    def from_wire(raw: tuple) -> "Reply":
-        try:
-            tag, view, seqno, replica, sig, nonce = raw
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed reply: {exc}") from exc
-        if tag != "reply":
-            raise ProtocolError(f"expected reply, got {tag!r}")
-        return Reply(view=view, seqno=seqno, replica=replica, signature=sig, nonce=nonce)
-
-
+@codec.wire("replyx", ProtocolError)
 @dataclass(frozen=True)
 class ReplyX:
     """``⟨replyx, v, s, ¯M, H(kp), Es−P, ig, dC, H(t), i, o, S⟩`` (§3.3).
@@ -360,49 +262,8 @@ class ReplyX:
     output: Any
     path: tuple  # MerklePath.to_wire()
 
-    def to_wire(self) -> tuple:
-        return (
-            "replyx",
-            self.view,
-            self.seqno,
-            self.root_m,
-            self.primary_nonce_commitment,
-            self.evidence_bitmap,
-            self.gov_index,
-            self.checkpoint_digest,
-            self.flags,
-            self.committed_root,
-            self.tx_digest,
-            self.index,
-            self.output,
-            self.path,
-        )
 
-    @staticmethod
-    def from_wire(raw: tuple) -> "ReplyX":
-        try:
-            (tag, view, seqno, root_m, pnc, bitmap, gov_index, dc, flags, croot, txd, index, output, path) = raw
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed replyx: {exc}") from exc
-        if tag != "replyx":
-            raise ProtocolError(f"expected replyx, got {tag!r}")
-        return ReplyX(
-            view=view,
-            seqno=seqno,
-            root_m=root_m,
-            primary_nonce_commitment=pnc,
-            evidence_bitmap=bitmap,
-            gov_index=gov_index,
-            checkpoint_digest=dc,
-            flags=flags,
-            committed_root=croot,
-            tx_digest=txd,
-            index=index,
-            output=output,
-            path=path,
-        )
-
-
+@codec.wire("view-change", ProtocolError, prepared=tuple)
 @dataclass(frozen=True)
 class ViewChange:
     """``⟨view-change, v, r, PP⟩σr`` (Alg. 2 line 4).
@@ -417,26 +278,8 @@ class ViewChange:
     prepared: tuple  # tuple of PrePrepare.to_wire()
     signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
-        return codec.encode(("view-change", self.view, self.replica, self.prepared))
 
-    def with_signature(self, signature: bytes) -> "ViewChange":
-        return replace(self, signature=signature)
-
-    def to_wire(self) -> tuple:
-        return ("view-change", self.view, self.replica, self.prepared, self.signature)
-
-    @staticmethod
-    def from_wire(raw: tuple) -> "ViewChange":
-        try:
-            tag, view, replica, prepared, sig = raw
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed view-change: {exc}") from exc
-        if tag != "view-change":
-            raise ProtocolError(f"expected view-change, got {tag!r}")
-        return ViewChange(view=view, replica=replica, prepared=tuple(prepared), signature=sig)
-
-
+@codec.wire("new-view", ProtocolError)
 @dataclass(frozen=True)
 class NewView:
     """``⟨new-view, v, ¯M, Evc, hvc⟩σp`` (Alg. 2 line 15).
@@ -453,25 +296,6 @@ class NewView:
     vc_digest: Digest
     signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
-        return codec.encode(("new-view", self.view, self.root_m, self.vc_bitmap, self.vc_digest))
-
-    def with_signature(self, signature: bytes) -> "NewView":
-        return replace(self, signature=signature)
-
-    def to_wire(self) -> tuple:
-        return ("new-view", self.view, self.root_m, self.vc_bitmap, self.vc_digest, self.signature)
-
-    @staticmethod
-    def from_wire(raw: tuple) -> "NewView":
-        try:
-            tag, view, root_m, vc_bitmap, vc_digest, sig = raw
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed new-view: {exc}") from exc
-        if tag != "new-view":
-            raise ProtocolError(f"expected new-view, got {tag!r}")
-        return NewView(view=view, root_m=root_m, vc_bitmap=vc_bitmap, vc_digest=vc_digest, signature=sig)
-
 
 # -- payloads sized from their parts ----------------------------------------
 #
@@ -479,9 +303,9 @@ class NewView:
 # size to the network, which otherwise encodes the whole payload to size
 # it.  Each size equals ``codec.encoded_size(payload)`` exactly.
 
-_PP_TAG_SIZE = codec.encoded_size("pre-prepare")
+_PP_TAG_SIZE = codec.encoded_size(PrePrepare.wire_tag)
 _PP_PAYLOAD_HEAD = codec.sequence_size(11, _PP_TAG_SIZE)  # of PrePrepare.signed_payload()
-_REPLYX_TAG_SIZE = codec.encoded_size("replyx")
+_REPLYX_TAG_SIZE = codec.encoded_size(ReplyX.wire_tag)
 
 
 def pre_prepare_payload(pp: PrePrepare, batch_digests: tuple) -> tuple[tuple, int]:

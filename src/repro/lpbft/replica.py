@@ -398,7 +398,7 @@ class LPBFTReplica(Node):
 
     def _evidence_available(self, seqno: int) -> bool:
         """hasEvidence (Alg. 1 line 5)."""
-        return seqno < 1 or self.batches.evidence(seqno, self.config_for(seqno)) is not None
+        return seqno < 1 or self.batches.evidence_signers(seqno, self.config_for(seqno)) is not None
 
     def _evidence_entry_count(self, seqno: int) -> int:
         return 2 if seqno - self.params.pipeline >= 1 else 0
@@ -687,7 +687,7 @@ class LPBFTReplica(Node):
         if len(set(batch_digests)) != len(batch_digests):
             return True  # batch names a request twice (the queue holds it once): drop
         ev_seqno = s - self.params.pipeline
-        if ev_seqno >= 1 and self.batches.evidence(
+        if ev_seqno >= 1 and self.batches.evidence_signers(
                 ev_seqno, self.config_for(ev_seqno), pp.evidence_bitmap) is None:
             # Wait for the referenced prepares/commits; ask the primary
             # to retransmit in case we never saw them (§3.1: "if the
@@ -1134,19 +1134,19 @@ class LPBFTReplica(Node):
         transaction receipt when ``tx_digest`` names a transaction in the
         batch, a batch receipt otherwise."""
         config = self.config_for(seqno)
-        built = self.batches.evidence(seqno, config)
-        if built is None:
+        bitmap = self.batches.evidence_signers(seqno, config)
+        if bitmap is None:
             return None
-        record, nonces = self.batches[seqno], built[1]
+        record, signers = self.batches[seqno], bitmap_members(bitmap)
         primary_id = config.primary_for_view(record.view)
+        nonces = self.batches.commit_nonces[(record.view, seqno)]
         certificate = Certificate(
             **record.pp.receipt_fields(),
             primary_signature=record.pp.signature,
-            signer_bitmap=nonces.bitmap,
+            signer_bitmap=bitmap,
             prepare_signatures=tuple(
-                self.batches.signer(record, r, primary_id).signature
-                for r in bitmap_members(nonces.bitmap) if r != primary_id),
-            nonces=nonces.nonces,
+                self.batches.signer(record, r, primary_id).signature for r in signers if r != primary_id),
+            nonces=tuple(nonces[r] for r in signers),
             root_g=record.pp.root_g if tx_digest is None else None,
         )
         if tx_digest is None:

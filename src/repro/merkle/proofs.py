@@ -60,23 +60,18 @@ class MerklePath:
 
     @staticmethod
     def from_wire(raw: tuple) -> "MerklePath":
-        try:
-            leaf_index, tree_size, steps = raw
-            siblings, lefts = [], 0
-            for k, (sibling, on_left) in enumerate(steps):
-                if not isinstance(sibling, bytes) or len(sibling) != 32:
-                    raise MerkleError("malformed path step sibling")
-                siblings.append(sibling)
-                if on_left:
-                    lefts |= 1 << k
-            return MerklePath(
-                leaf_index=int(leaf_index),
-                tree_size=int(tree_size),
-                siblings=b"".join(siblings),
-                lefts=lefts,
-            )
-        except (TypeError, ValueError) as exc:
-            raise MerkleError(f"malformed merkle path: {exc}") from exc
+        return codec.parse(raw, None, 3, MerkleError, _path)
+
+
+def _path(leaf_index: int, tree_size: int, steps: tuple) -> MerklePath:
+    siblings, lefts = [], 0
+    for k, (sibling, on_left) in enumerate(steps):
+        if not isinstance(sibling, bytes) or len(sibling) != 32:
+            raise MerkleError("malformed path step sibling")
+        siblings.append(sibling)
+        if on_left:
+            lefts |= 1 << k
+    return MerklePath(int(leaf_index), int(tree_size), b"".join(siblings), lefts)
 
 
 _STEP_SIZE = codec.encoded_size((bytes(32), False))
@@ -100,10 +95,7 @@ def frontier_root(peaks: tuple) -> Digest:
 
 def frontier_from_wire(raw: tuple) -> tuple[tuple[int, Digest], ...]:
     """Validate and re-type a frontier received over the wire."""
-    try:
-        peaks = tuple((int(h), s) for h, s in raw)
-    except (TypeError, ValueError) as exc:
-        raise MerkleError(f"malformed frontier: {exc}") from exc
+    peaks = codec.parse(raw, None, None, MerkleError, lambda *peaks: tuple((int(h), s) for h, s in peaks))
     heights = [h for h, _ in peaks]
     if heights != sorted(heights, reverse=True) or len(set(heights)) != len(heights):
         raise MerkleError("frontier heights must be strictly decreasing")

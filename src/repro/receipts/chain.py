@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
+from .. import codec
 from ..crypto import signatures
 from ..errors import ReceiptError
 from ..governance.configuration import Configuration
@@ -45,15 +46,13 @@ class GovernanceLink:
 
     @staticmethod
     def from_wire(raw: tuple) -> "GovernanceLink":
-        try:
-            propose, votes, eoc = raw
-            votes = tuple(votes)
-        except (TypeError, ValueError) as exc:
-            raise ReceiptError(f"malformed governance link: {exc}") from exc
-        return GovernanceLink(
-            propose_receipt=Receipt.from_wire(propose),
-            vote_receipts=tuple(Receipt.from_wire(v) for v in votes),
-            eoc_receipt=Receipt.from_wire(eoc),
+        return codec.parse(
+            raw, None, 3, ReceiptError,
+            lambda propose, votes, eoc: GovernanceLink(
+                Receipt.from_wire(propose),
+                tuple(Receipt.from_wire(v) for v in votes),
+                Receipt.from_wire(eoc),
+            ),
         )
 
 
@@ -64,22 +63,16 @@ class GovernanceChain:
 
     genesis_config_wire: tuple
     links: tuple[GovernanceLink, ...]
+    wire_tag = "gov-chain"
 
     def to_wire(self) -> tuple:
-        return ("gov-chain", self.genesis_config_wire, tuple(l.to_wire() for l in self.links))
+        return (self.wire_tag, self.genesis_config_wire, tuple(l.to_wire() for l in self.links))
 
     @staticmethod
     def from_wire(raw: tuple) -> "GovernanceChain":
-        try:
-            tag, genesis, links = raw
-            links = tuple(links)
-        except (TypeError, ValueError) as exc:
-            raise ReceiptError(f"malformed governance chain: {exc}") from exc
-        if tag != "gov-chain":
-            raise ReceiptError(f"expected gov-chain, got {tag!r}")
-        return GovernanceChain(
-            genesis_config_wire=genesis,
-            links=tuple(GovernanceLink.from_wire(l) for l in links),
+        return codec.parse(
+            raw, GovernanceChain.wire_tag, 3, ReceiptError,
+            lambda genesis, links: GovernanceChain(genesis, tuple(GovernanceLink.from_wire(l) for l in links)),
         )
 
     def extended(self, link: GovernanceLink) -> "GovernanceChain":

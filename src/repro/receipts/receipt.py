@@ -117,6 +117,7 @@ class Receipt:
     _reconstructed_pre_prepare: PrePrepare | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    wire_tag = "receipt"
 
     # -- identity -----------------------------------------------------------
 
@@ -173,93 +174,41 @@ class Receipt:
     # -- serialization ----------------------------------------------------------
 
     def to_wire(self) -> tuple:
-        c = self.certificate
-        return (
-            "receipt",
-            self.request_wire,
-            self.index,
-            self.output,
-            None if self.path is None else self.path.to_wire(),
-            c.view,
-            c.seqno,
-            c.root_m,
-            c.primary_nonce_commitment,
-            c.evidence_bitmap,
-            c.gov_index,
-            c.checkpoint_digest,
-            c.flags,
-            c.committed_root,
-            c.primary_signature,
-            c.signer_bitmap,
-            c.prepare_signatures,
-            c.nonces,
-            c.root_g,
-        )
+        """``(tag, t, i, o, S)``, then the certificate's fields in
+        declaration order."""
+        path = None if self.path is None else self.path.to_wire()
+        return (self.wire_tag, self.request_wire, self.index, self.output, path) + _certified(self.certificate)
 
     @staticmethod
     def from_wire(raw: tuple) -> "Receipt":
         """Parse a receipt; any malformed shape raises :class:`ReceiptError`."""
-        try:
-            (
-                tag,
-                request_wire,
-                index,
-                output,
-                path,
-                view,
-                seqno,
-                root_m,
-                pnc,
-                ebitmap,
-                gov_index,
-                dc,
-                flags,
-                croot,
-                psig,
-                sbitmap,
-                psigs,
-                nonces,
-                root_g,
-            ) = raw
-        except (TypeError, ValueError) as exc:
-            raise ReceiptError(f"malformed receipt: {exc}") from exc
-        if tag != "receipt":
-            raise ReceiptError(f"expected receipt, got {tag!r}")
-        if not isinstance(psigs, (tuple, list)) or not isinstance(nonces, (tuple, list)):
-            raise ReceiptError("malformed receipt: signatures and nonces must be sequences")
-        if not all(isinstance(x, int) for x in (view, seqno, ebitmap, gov_index, flags, sbitmap)):
-            raise ReceiptError("malformed receipt: view, seqno, bitmaps and flags must be integers")
-        try:
-            path = None if path is None else MerklePath.from_wire(path)
-        except MerkleError as exc:
-            raise ReceiptError(str(exc)) from exc
-        certificate = Certificate(
-            view=view,
-            seqno=seqno,
-            root_m=root_m,
-            primary_nonce_commitment=pnc,
-            evidence_bitmap=ebitmap,
-            gov_index=gov_index,
-            checkpoint_digest=dc,
-            flags=flags,
-            committed_root=croot,
-            primary_signature=psig,
-            signer_bitmap=sbitmap,
-            prepare_signatures=tuple(psigs),
-            nonces=tuple(nonces),
-            root_g=root_g,
-        )
-        return Receipt(request_wire, index, output, path, certificate)
+        return codec.parse(raw, Receipt.wire_tag, 5 + len(_CERTIFICATE_FIELDS), ReceiptError, _receipt)
 
     def encoded_size(self) -> int:
         """Size in bytes of the canonical encoding (§6.4 reports these)."""
         return len(codec.encode(self.to_wire()))
 
 
+_CERTIFICATE_FIELDS = tuple(f.name for f in fields(Certificate) if f.init)
+_certified = attrgetter(*_CERTIFICATE_FIELDS)
 # Each certificate field reads as the receipt's own: ``receipt.seqno``.
-for _field in fields(Certificate):
-    if _field.init:
-        setattr(Receipt, _field.name, property(attrgetter("certificate." + _field.name)))
+for _name in _CERTIFICATE_FIELDS:
+    setattr(Receipt, _name, property(attrgetter("certificate." + _name)))
+
+
+def _receipt(request_wire, index, output, path, *certified) -> Receipt:
+    """A receipt from its wire items after the tag."""
+    *head, prepare_signatures, nonces, root_g = certified
+    if not isinstance(prepare_signatures, (tuple, list)) or not isinstance(nonces, (tuple, list)):
+        raise ReceiptError("malformed receipt: signatures and nonces must be sequences")
+    c = Certificate(*head, tuple(prepare_signatures), tuple(nonces), root_g)
+    if not all(isinstance(x, int) for x in (c.view, c.seqno, c.evidence_bitmap, c.gov_index, c.flags, c.signer_bitmap)):
+        raise ReceiptError("malformed receipt: view, seqno, bitmaps and flags must be integers")
+    try:
+        path = None if path is None else MerklePath.from_wire(path)
+    except MerkleError as exc:
+        raise ReceiptError(str(exc)) from exc
+    return Receipt(request_wire, index, output, path, c)
 
 
 def verify_receipt(

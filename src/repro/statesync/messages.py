@@ -34,10 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import codec
 from ..crypto.hashing import Digest
 from ..errors import ProtocolError
 
 
+@codec.wire("sync-offer", ProtocolError)
 @dataclass(frozen=True)
 class SyncOffer:
     """A server's answer to a probe: its best stable checkpoint and tip.
@@ -56,37 +58,11 @@ class SyncOffer:
     tip_seqno: int
     view: int
 
-    def to_wire(self) -> tuple:
-        return (
-            "sync-offer",
-            self.cp_seqno,
-            self.cp_digest,
-            self.cp_ledger_size,
-            self.cp_ledger_root,
-            self.n_chunks,
-            self.tip_seqno,
-            self.view,
-        )
 
-    @staticmethod
-    def from_wire(raw: tuple) -> "SyncOffer":
-        try:
-            tag, cp_seqno, cp_digest, cp_lsize, cp_lroot, n_chunks, tip, view = raw
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed sync-offer: {exc}") from exc
-        if tag != "sync-offer":
-            raise ProtocolError(f"expected sync-offer, got {tag!r}")
-        return SyncOffer(
-            cp_seqno=cp_seqno,
-            cp_digest=cp_digest,
-            cp_ledger_size=cp_lsize,
-            cp_ledger_root=cp_lroot,
-            n_chunks=n_chunks,
-            tip_seqno=tip,
-            view=view,
-        )
-
-
+@codec.wire(
+    "sync-manifest", ProtocolError,
+    chunk_digests=tuple, frontier=lambda peaks: tuple(tuple(p) for p in peaks),
+)
 @dataclass(frozen=True)
 class SyncManifest:
     """Everything needed to verify a checkpoint transfer.
@@ -103,31 +79,3 @@ class SyncManifest:
     cp_ledger_root: Digest
     chunk_digests: tuple
     frontier: tuple  # tuple of (height, digest) pairs
-
-    def to_wire(self) -> tuple:
-        return (
-            "sync-manifest",
-            self.cp_seqno,
-            self.cp_digest,
-            self.cp_ledger_size,
-            self.cp_ledger_root,
-            self.chunk_digests,
-            self.frontier,
-        )
-
-    @staticmethod
-    def from_wire(raw: tuple) -> "SyncManifest":
-        try:
-            tag, cp_seqno, cp_digest, cp_lsize, cp_lroot, chunk_digests, frontier = raw
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed sync-manifest: {exc}") from exc
-        if tag != "sync-manifest":
-            raise ProtocolError(f"expected sync-manifest, got {tag!r}")
-        return SyncManifest(
-            cp_seqno=cp_seqno,
-            cp_digest=cp_digest,
-            cp_ledger_size=cp_lsize,
-            cp_ledger_root=cp_lroot,
-            chunk_digests=tuple(chunk_digests),
-            frontier=tuple(tuple(p) for p in frontier),
-        )

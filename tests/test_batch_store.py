@@ -279,9 +279,11 @@ EVIDENCE = [
 def test_evidence(nonces, prepares, bitmap, chosen):
     store = slot(nonces, prepares)
     built = store.evidence(7, CONFIG, bitmap)
+    signers = store.evidence_signers(7, CONFIG, bitmap)
     if chosen is None:
-        assert built is None
+        assert built is None and signers is None
         return
+    assert signers == bitmap_of(chosen)
     evidence, ks = built
     assert (evidence.seqno, evidence.view, ks.seqno, ks.view) == (7, 0, 7, 0)
     assert bitmap_members(ks.bitmap) == chosen

@@ -57,7 +57,7 @@ class TestEntries:
             NoncesEntry(seqno=4, view=0, bitmap=0b111, nonces=(b"\x0a" * 32,) * 3),
             PrePrepareEntry(pp_wire=make_pp().to_wire()),
         ],
-        ids=lambda e: e.kind,
+        ids=["genesis", "tx", "checkpoint-tx", "evidence", "nonces", "pre-prepare"],
     )
     def test_wire_roundtrip(self, entry):
         again = entry_from_wire(entry.to_wire())
