@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Counted host work: Python opcodes per receipted transaction, by layer.
+
+Host time on a shared machine swings by more than most changes move it;
+the opcodes a run executes do not.  This script sets up one workload of
+``BENCHMARK.json`` (``benchmarks/perf/scenarios.py``, unchanged), then
+runs its run phase under ``sys.settrace`` with opcode events on and
+attributes each opcode to the ``repro`` subpackage of the executing
+frame (``codec`` for ``repro.codec``, ``stdlib`` for the standard
+library, ``other`` for the benchmark harness).  A ``gc.callbacks`` hook
+counts cyclic-GC passes, which opcodes do not see.
+
+Usage::
+
+    python scripts/count_work.py [--workload audit_replay] [--seed 0] [--scale 0.5]
+
+It prints one JSON object: ``opcodes_per_tx`` by layer (and ``total``),
+``gc_passes``, ``tx`` and the raw ``opcodes``.  The count repeats
+exactly: the script runs itself under ``PYTHONHASHSEED=0`` so that set
+and dict orders are the same in every process.  Tracing slows the run
+phase about 25x; scale 0.5 of ``audit_replay`` takes a few minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import sys
+import sysconfig
+from pathlib import Path
+from typing import Callable
+
+ROOT = Path(__file__).resolve().parents[1]
+_STDLIB = sysconfig.get_paths()["stdlib"]
+
+
+def count_opcodes(run: Callable[[], object]) -> dict:
+    """Run ``run()`` under an opcode tracer.  Returns ``{"opcodes":
+    {layer: count}, "gc_passes": n}``; the layer of a frame is its
+    module's ``repro`` subpackage, ``stdlib`` or ``other``."""
+    counts: dict[str, int] = {}
+    layers: dict[object, str] = {}  # code object -> layer
+    passes = [0]
+
+    def layer_of(frame) -> str:
+        name = frame.f_globals.get("__name__") or ""
+        if name == "repro" or name.startswith("repro."):
+            parts = name.split(".")
+            return parts[1] if len(parts) > 1 else "repro"
+        if frame.f_code.co_filename.startswith(_STDLIB):
+            return "stdlib"
+        return "other"
+
+    def local(frame, event, arg):
+        if event == "opcode":
+            layer = layers.get(frame.f_code)
+            if layer is None:
+                layer = layers[frame.f_code] = layer_of(frame)
+            counts[layer] = counts.get(layer, 0) + 1
+        return local
+
+    def call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    def on_gc(phase, info):
+        if phase == "start":
+            passes[0] += 1
+
+    gc.collect()
+    gc.callbacks.append(on_gc)
+    sys.settrace(call)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+        gc.callbacks.remove(on_gc)
+    return {"opcodes": dict(sorted(counts.items())), "gc_passes": passes[0]}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="audit_replay")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--scale", type=float, default=0.5)
+    args = parser.parse_args()
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        os.execve(sys.executable, [sys.executable, *sys.argv], env)
+
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+    from benchmarks.perf import scenarios
+
+    prepared = scenarios.set_up(args.workload, args.seed, args.scale)
+    counted = count_opcodes(prepared.run)
+    tx = prepared.results()["tx"]
+    opcodes = counted["opcodes"]
+    per_tx = {layer: round(n / tx, 1) for layer, n in opcodes.items()}
+    per_tx["total"] = round(sum(opcodes.values()) / tx, 1)
+    print(json.dumps({
+        "workload": args.workload, "seed": args.seed, "scale": args.scale, "tx": tx,
+        "opcodes_per_tx": per_tx, "gc_passes": counted["gc_passes"], "opcodes": opcodes,
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,7 +26,7 @@ from ..governance.schedule import ConfigSchedule
 from ..kvstore import ProcedureRegistry
 from ..ledger.wellformed import check_well_formed, parse_fragment
 from ..lpbft.config import ProtocolParams
-from ..lpbft.messages import BATCH_END_OF_CONFIG, bitmap_members
+from ..lpbft.messages import bitmap_members
 from ..receipts.chain import GovernanceChain, find_chain_fork, longest_chain, verify_chain
 from ..receipts.receipt import Receipt, verify_receipts
 from .package import LedgerPackage, check_package, retention_survivors
@@ -154,7 +154,6 @@ class Auditor:
         by_slot: dict[tuple[int, int], Receipt] = {}
         valid = verify_receipts(receipts, schedule.config_at_seqno, self.backend)
         for receipt, ok in zip(receipts, valid):
-            config = schedule.config_at_seqno(receipt.seqno)
             if not ok:
                 raise AuditError(
                     f"receipt at seqno {receipt.seqno} does not verify; nothing to blame"
@@ -169,7 +168,7 @@ class Auditor:
                         UPoM(
                             kind=UPOM_MIN_INDEX,
                             blamed_replicas=tuple(blamed),
-                            blamed_members=self._members_for(config, blamed),
+                            blamed_members=self._members_for(schedule.config_at_seqno(receipt.seqno), blamed),
                             seqno=receipt.seqno,
                             index=receipt.index,
                             detail=(
@@ -191,7 +190,7 @@ class Auditor:
                         UPoM(
                             kind=UPOM_EQUIVOCATION,
                             blamed_replicas=tuple(blamed),
-                            blamed_members=self._members_for(config, blamed),
+                            blamed_members=self._members_for(schedule.config_at_seqno(receipt.seqno), blamed),
                             seqno=receipt.seqno,
                             detail=f"two contradictory receipts signed for (v={slot[0]}, s={slot[1]})",
                             evidence={"receipt_a": receipt.to_wire(), "receipt_b": other.to_wire()},

@@ -7,9 +7,10 @@ replicas agreeing on a wrong result); the ledger install
 (:func:`repro.lpbft.adoption.install_ledger`) rejects a ledger on the
 first finding.  The loop checks what a live backup checks:
 
-- output bytes: a replayed G leaf that differs from the ledger's is an
-  ``output-mismatch``; a replayed tree G that misses the signed
-  ``root_g`` with no differing leaf is a ``g-root-mismatch``;
+- output bytes: a replayed output whose encoding differs from the
+  entry's is an ``output-mismatch`` (with the same ``t`` and ``i``, the
+  G leaves differ exactly then); a replayed tree G that misses the
+  signed ``root_g`` with no differing leaf is a ``g-root-mismatch``;
 - every checkpoint transaction (``checkpoint-mismatch``): its digest
   against the replayed state, its ledger binding against the end of
   batch ``cp_seqno`` and tree M's root there.
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator
 
+from .. import codec
 from ..governance.schedule import ConfigSchedule
 from ..governance.transactions import install_configuration
 from ..kvstore import Checkpoint, KVStore, ProcedureRegistry
@@ -101,15 +103,19 @@ def replay_batches(
                     request = entry.invocation()
                     output, ops = execute_procedure(kv, registry, request)
                     batch.work.append((ops, len(kv)))
-                    replayed = TxEntry(request_wire=entry.request_wire, index=entry.index, output=output)
-                    leaf = replayed.leaf_digest()
-                    if leaf != entry.leaf_digest():
+                    # Same t and i: the G leaves are equal exactly when the
+                    # outputs' encodings are, so only a differing output
+                    # costs a replayed entry and its hash.
+                    if codec.encode(output) == codec.encode(entry.output):
+                        leaf = entry.leaf_digest()
+                    else:
+                        entry = TxEntry(request_wire=entry.request_wire, index=entry.index, output=output)
+                        leaf = entry.leaf_digest()
                         differs.append(ReplayFinding(
                             "output-mismatch", seqno, entry.index,
                             f"transaction {request.procedure!r} at index {entry.index} replays to "
                             f"different output bytes than the ledger records",
                         ))
-                    entry = replayed
                 batch.entries.append(entry)
                 leaves.append(leaf)
             # With every leaf reproduced, the replayed tree G is the

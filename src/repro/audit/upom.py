@@ -11,7 +11,6 @@ enforcer maps blamed replicas to the consortium members operating them
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 # uPoM kinds, by the paper section that defines them.
 UPOM_EQUIVOCATION = "equivocation"  # Lemma 5 case (i): two batches signed at one (v, s)

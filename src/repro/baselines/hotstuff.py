@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..crypto import signatures
-from ..crypto.hashing import Digest, digest_value
+from ..crypto.hashing import digest_value
 from ..network import Node, SimNetwork, constant_latency
 from ..network.latency import LatencyModel
 from ..sim.costs import CostModel

@@ -9,7 +9,6 @@ variance reflects host CPU only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from ..baselines import (
     FabricDeployment,

@@ -100,7 +100,8 @@ class SealedSeq(Sequence):
     (``wire_bytes == encode(tuple(self))``), as does its ``digest``
     memo of :func:`repro.crypto.hashing.digest_value`.  The encoder
     splices the bytes verbatim.  Reading item ``i`` (a non-negative
-    int) steps over the items before it and decodes that one alone;
+    int) steps over the items before it and decodes that one alone, and
+    a slice of step 1 decodes its run of items in the same one walk;
     any other read, iteration, ``==`` and ``hash`` decode the whole.
     All behave as the plain tuple's.  :meth:`unseal` gives the
     :class:`Sealed` back.
@@ -114,12 +115,23 @@ class SealedSeq(Sequence):
 
     def __getitem__(self, index):
         data = self.wire_bytes
-        count, pos = _read_varint(data, 1)
-        if type(index) is not int or not 0 <= index < count:
+        count, pos = data[1], 2
+        if count >= 0x80:
+            count, pos = _read_varint(data, 1)
+        if type(index) is int and 0 <= index < count:
+            return _decode_from(data, _skip_items(data, pos, index))[0]
+        if type(index) is not slice:
             return decode(data)[index]
-        for _ in range(index):
-            pos = _skip(data, pos)
-        return _decode_from(data, pos)[0]
+        start, stop, step = index.indices(count)
+        if step != 1:
+            return decode(data)[index]
+        # A run of items: one walk, stepping over those before it.
+        pos = _skip_items(data, pos, start)
+        items = []
+        for _ in range(stop - start):
+            item, pos = _decode_from(data, pos)
+            items.append(item)
+        return tuple(items)
 
     def __len__(self) -> int:
         return _read_varint(self.wire_bytes, 1)[0]
@@ -305,7 +317,8 @@ def _signed_payload(self) -> bytes:
 
 
 def _write_varint(out: bytearray, value: int) -> None:
-    """Append an unsigned LEB128 varint."""
+    """Append an unsigned LEB128 varint.  Callers append one below 0x80
+    themselves: it is its own one-byte varint."""
     while value > 0x7F:
         out.append(value & 0x7F | 0x80)
         value >>= 7
@@ -323,19 +336,22 @@ def _varint_size(value: int) -> int:
 
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
     """Read an unsigned LEB128 varint, returning (value, new_pos)."""
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise CodecError("truncated varint")
+    end = len(data)
+    if pos < end and data[pos] < 0x80:
+        return data[pos], pos + 1
+    if pos + 1 < end and data[pos + 1] < 0x80:
+        return data[pos] & 0x7F | data[pos + 1] << 7, pos + 2
+    result = shift = 0
+    while pos < end:
         byte = data[pos]
         pos += 1
+        if byte < 0x80:
+            return result | byte << shift, pos
         result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
         shift += 7
         if shift > 63:
             raise CodecError("varint too long")
+    raise CodecError("truncated varint")
 
 
 def _skip(data: bytes, pos: int) -> int:
@@ -345,23 +361,57 @@ def _skip(data: bytes, pos: int) -> int:
     if tag <= _TAG_TRUE:
         return pos + 1
     if tag == _TAG_INT:
-        if data[pos + 1] == 0x00:
-            return _read_varint(data, pos + 2)[1]
+        if data[pos + 1] == 0x00:  # zig-zag: step over the varint's bytes
+            pos += 2
+            while data[pos] & 0x80:
+                pos += 1
+            return pos + 1
         length, pos = _read_varint(data, pos + 3)  # mode 0xFF, sign, length
         return pos + length
-    length, pos = _read_varint(data, pos + 1)
+    length = data[pos + 1]
+    if length < 0x80:
+        pos += 2
+    else:
+        length, pos = _read_varint(data, pos + 1)
     if tag == _TAG_BYTES or tag == _TAG_STR:
         return pos + length
     if tag == _TAG_SEQ:
-        for _ in range(length):
-            pos = _skip(data, pos)
-        return pos
+        return _skip_items(data, pos, length)
     if tag == _TAG_MAP:
         for _ in range(length):
-            key_len, pos = _read_varint(data, pos)
-            pos = _skip(data, pos + key_len)
+            key_len = data[pos]
+            if key_len < 0x80:
+                pos += 1
+            else:
+                key_len, pos = _read_varint(data, pos)
+            pos += key_len
+            if data[pos] == _TAG_INT and data[pos + 1] == 0x00:  # a zig-zag value, inline
+                pos += 2
+                while data[pos] & 0x80:
+                    pos += 1
+                pos += 1
+            else:
+                pos = _skip(data, pos)
         return pos
     raise CodecError(f"unknown tag {tag:#x}")
+
+
+def _skip_items(data: bytes, pos: int, count: int) -> int:
+    """The position after ``count`` values encoded from ``pos``, as
+    :func:`_skip` finds it; a ``str`` or ``bytes`` under 128 bytes and
+    an int whose varint is one byte are stepped over inline."""
+    for _ in range(count):
+        tag = data[pos]
+        if tag == _TAG_STR or tag == _TAG_BYTES:
+            size = data[pos + 1]
+            if size < 0x80:
+                pos += 2 + size
+                continue
+        elif tag == _TAG_INT and data[pos + 1] == 0x00 and data[pos + 2] < 0x80:
+            pos += 3
+            continue
+        pos = _skip(data, pos)
+    return pos
 
 
 # -- encoding: one encoder per type, found through ``_ENCODERS`` ---------------
@@ -369,6 +419,10 @@ def _skip(data: bytes, pos: int) -> int:
 _ZIGZAG_LIMIT = 2**62  # beyond it ints take the sign-and-magnitude form
 _ZIGZAG = bytes((_TAG_INT, 0x00))
 _SMALL_INTS = [_ZIGZAG + bytes((value << 1,)) for value in range(64)]
+# A sequence's or map's header for a count below 128: the tag, then the
+# count as its own one-byte varint.
+_SEQ_HEADS = [bytes((_TAG_SEQ, count)) for count in range(0x80)]
+_MAP_HEADS = [bytes((_TAG_MAP, count)) for count in range(0x80)]
 
 
 def _int_bytes(value: int) -> bytes:
@@ -405,7 +459,11 @@ def _encode_int(out: bytearray, value: int) -> None:
 
 def _encode_bytes(out: bytearray, value: bytes | bytearray) -> None:
     out.append(_TAG_BYTES)
-    _write_varint(out, len(value))
+    size = len(value)
+    if size < 0x80:
+        out.append(size)
+    else:
+        _write_varint(out, size)
     out += value
 
 
@@ -416,13 +474,21 @@ def _encode_memoryview(out: bytearray, value: memoryview) -> None:
 def _encode_str(out: bytearray, value: str) -> None:
     raw = value.encode("utf-8")
     out.append(_TAG_STR)
-    _write_varint(out, len(raw))
+    size = len(raw)
+    if size < 0x80:
+        out.append(size)
+    else:
+        _write_varint(out, size)
     out += raw
 
 
 def _encode_seq(out: bytearray, value: tuple | list) -> None:
-    out.append(_TAG_SEQ)
-    _write_varint(out, len(value))
+    count = len(value)
+    if count < 0x80:
+        out += _SEQ_HEADS[count]
+    else:
+        out.append(_TAG_SEQ)
+        _write_varint(out, count)
     for item in value:
         # The three leaf types that fill protocol messages are written
         # inline; a length below 128 is its own one-byte varint.
@@ -451,8 +517,12 @@ def _encode_seq(out: bytearray, value: tuple | list) -> None:
 
 
 def _encode_map(out: bytearray, value: dict) -> None:
-    out.append(_TAG_MAP)
-    _write_varint(out, len(value))
+    count = len(value)
+    if count < 0x80:
+        out += _MAP_HEADS[count]
+    else:
+        out.append(_TAG_MAP)
+        _write_varint(out, count)
     try:
         keys = sorted(value)
     except TypeError as exc:
@@ -461,7 +531,11 @@ def _encode_map(out: bytearray, value: dict) -> None:
         if not isinstance(key, str):
             raise CodecError(f"map keys must be str, got {type(key).__name__}")
         raw = key.encode("utf-8")
-        _write_varint(out, len(raw))
+        size = len(raw)
+        if size < 0x80:
+            out.append(size)
+        else:
+            _write_varint(out, size)
         out += raw
         item = value[key]
         (_ENCODERS.get(type(item)) or _encoder_for(type(item)))(out, item)
@@ -507,7 +581,6 @@ def encode(value: Any) -> bytes:
     return bytes(out)
 
 
-_SEQ_HEADS = [bytes((_TAG_SEQ, count)) for count in range(0x80)]
 _PAIR_HEADS = [bytes((_TAG_SEQ, 2, _TAG_STR, size)) for size in range(0x80)]
 
 
@@ -552,17 +625,33 @@ def encode_write_set(writes: dict, missing: Any) -> bytes:
     raws = [key.encode() for key in keys]
     deleted = [raw for key, raw in zip(keys, raws) if writes[key] is missing]
     out = bytearray(_WS_DELETED)
-    out.append(_TAG_SEQ)
-    _write_varint(out, len(deleted))
+    count = len(deleted)
+    if count < 0x80:
+        out += _SEQ_HEADS[count]
+    else:
+        out.append(_TAG_SEQ)
+        _write_varint(out, count)
     for raw in deleted:
         out.append(_TAG_STR)
-        _write_varint(out, len(raw))
+        size = len(raw)
+        if size < 0x80:
+            out.append(size)
+        else:
+            _write_varint(out, size)
         out += raw
     out += _WS_WRITES
-    out.append(_TAG_MAP)
-    _write_varint(out, len(keys))
+    count = len(keys)
+    if count < 0x80:
+        out += _MAP_HEADS[count]
+    else:
+        out.append(_TAG_MAP)
+        _write_varint(out, count)
     for key, raw in zip(keys, raws):
-        _write_varint(out, len(raw))
+        size = len(raw)
+        if size < 0x80:
+            out.append(size)
+        else:
+            _write_varint(out, size)
         out += raw
         value = writes[key]
         kind = type(value)
@@ -590,72 +679,96 @@ def check_encodable(value: Any) -> None:
 
 
 def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
-    if pos >= len(data):
+    """The value encoded at ``pos`` and the position after it.  Total:
+    any byte string decodes or raises :class:`CodecError`.  A length or
+    count whose varint is one byte is read inline, and a map's int value
+    without a call."""
+    end = len(data)
+    if pos >= end:
         raise CodecError("truncated input")
     tag = data[pos]
     pos += 1
+    if tag == _TAG_INT:
+        if pos < end and data[pos] == 0x00:
+            zigzag, pos = _read_varint(data, pos + 1)
+            return (zigzag >> 1) ^ -(zigzag & 1), pos
+        return _decode_int(data, pos)
+    if _TAG_BYTES <= tag <= _TAG_MAP:
+        if pos < end and data[pos] < 0x80:
+            length = data[pos]
+            pos += 1
+        else:
+            length, pos = _read_varint(data, pos)
+        if tag == _TAG_STR:
+            stop = pos + length
+            if stop > end:
+                raise CodecError("truncated str")
+            try:
+                return data[pos:stop].decode("utf-8"), stop
+            except UnicodeDecodeError as exc:
+                raise CodecError("invalid utf-8 in str") from exc
+        if tag == _TAG_BYTES:
+            stop = pos + length
+            if stop > end:
+                raise CodecError("truncated bytes")
+            return data[pos:stop], stop
+        if tag == _TAG_SEQ:
+            items = []
+            for _ in range(length):
+                item, pos = _decode_from(data, pos)
+                items.append(item)
+            return tuple(items), pos
+        result: dict[str, Any] = {}
+        previous_key: str | None = None
+        for _ in range(length):
+            if pos < end and data[pos] < 0x80:
+                stop = pos + 1 + data[pos]
+                pos += 1
+            else:
+                key_len, pos = _read_varint(data, pos)
+                stop = pos + key_len
+            if stop > end:
+                raise CodecError("truncated map key")
+            try:
+                key = data[pos:stop].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CodecError("invalid utf-8 in map key") from exc
+            if previous_key is not None and key <= previous_key:
+                raise CodecError("map keys not in canonical order")
+            previous_key = key
+            if stop + 1 < end and data[stop] == _TAG_INT and data[stop + 1] == 0x00:
+                zigzag, pos = _read_varint(data, stop + 2)  # a zig-zag value, inline
+                result[key] = (zigzag >> 1) ^ -(zigzag & 1)
+            else:
+                result[key], pos = _decode_from(data, stop)
+        return result, pos
     if tag == _TAG_NONE:
         return None, pos
     if tag == _TAG_TRUE:
         return True, pos
     if tag == _TAG_FALSE:
         return False, pos
-    if tag == _TAG_INT:
-        if pos >= len(data):
-            raise CodecError("truncated int")
-        mode = data[pos]
-        pos += 1
-        if mode == 0x00:
-            zz, pos = _read_varint(data, pos)
-            return (zz >> 1) ^ -(zz & 1), pos
-        if mode == 0xFF:
-            if pos >= len(data):
-                raise CodecError("truncated bigint")
-            negative = data[pos] == 0x01
-            pos += 1
-            length, pos = _read_varint(data, pos)
-            if pos + length > len(data):
-                raise CodecError("truncated bigint magnitude")
-            magnitude = int.from_bytes(data[pos : pos + length], "big")
-            pos += length
-            return -magnitude if negative else magnitude, pos
-        raise CodecError(f"unknown int mode {mode:#x}")
-    if tag == _TAG_BYTES:
-        length, pos = _read_varint(data, pos)
-        if pos + length > len(data):
-            raise CodecError("truncated bytes")
-        return data[pos : pos + length], pos + length
-    if tag == _TAG_STR:
-        length, pos = _read_varint(data, pos)
-        if pos + length > len(data):
-            raise CodecError("truncated str")
-        try:
-            return data[pos : pos + length].decode("utf-8"), pos + length
-        except UnicodeDecodeError as exc:
-            raise CodecError("invalid utf-8 in str") from exc
-    if tag == _TAG_SEQ:
-        count, pos = _read_varint(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_from(data, pos)
-            items.append(item)
-        return tuple(items), pos
-    if tag == _TAG_MAP:
-        count, pos = _read_varint(data, pos)
-        result: dict[str, Any] = {}
-        previous_key: str | None = None
-        for _ in range(count):
-            key_len, pos = _read_varint(data, pos)
-            if pos + key_len > len(data):
-                raise CodecError("truncated map key")
-            key = data[pos : pos + key_len].decode("utf-8")
-            pos += key_len
-            if previous_key is not None and key <= previous_key:
-                raise CodecError("map keys not in canonical order")
-            previous_key = key
-            result[key], pos = _decode_from(data, pos)
-        return result, pos
     raise CodecError(f"unknown tag {tag:#x}")
+
+
+def _decode_int(data: bytes, pos: int) -> tuple[int, int]:
+    """An int whose mode byte is at ``pos`` and is not the zig-zag mode
+    0x00: sign and magnitude (mode 0xFF), or an error."""
+    if pos >= len(data):
+        raise CodecError("truncated int")
+    mode = data[pos]
+    pos += 1
+    if mode == 0xFF:
+        if pos >= len(data):
+            raise CodecError("truncated bigint")
+        negative = data[pos] == 0x01
+        pos += 1
+        length, pos = _read_varint(data, pos)
+        if pos + length > len(data):
+            raise CodecError("truncated bigint magnitude")
+        magnitude = int.from_bytes(data[pos : pos + length], "big")
+        return -magnitude if negative else magnitude, pos + length
+    raise CodecError(f"unknown int mode {mode:#x}")
 
 
 def decode(data: bytes) -> Any:

@@ -51,6 +51,12 @@ class ProtocolError(ReproError):
     """Raised on L-PBFT protocol violations detected locally."""
 
 
+class MalformedMessage(ProtocolError):
+    """Raised when a received message does not parse: its envelope has
+    the wrong length for its kind, or a record in it is not a wire form.
+    A replica drops and counts such a message."""
+
+
 class ReceiptError(ReproError):
     """Raised when a receipt is structurally malformed (distinct from a
     receipt that simply fails signature verification)."""

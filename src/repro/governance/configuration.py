@@ -9,7 +9,7 @@ their distance from genesis (§B.2 "configuration number").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .. import codec

@@ -89,6 +89,15 @@ class ConfigSchedule:
     def __len__(self) -> int:
         return len(self._spans)
 
+    def __eq__(self, other: object) -> bool:
+        """Schedules are equal when their spans are: a schedule read back
+        from its wire form equals the one written."""
+        if not isinstance(other, ConfigSchedule):
+            return NotImplemented
+        return self._spans == other._spans
+
+    __hash__ = None  # a schedule grows and shrinks: it is no dict key
+
     def spans(self) -> list[ConfigSpan]:
         return list(self._spans)
 

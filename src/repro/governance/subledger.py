@@ -21,11 +21,10 @@ from typing import Iterable
 
 from .. import codec
 from ..crypto import signatures
-from ..crypto.hashing import Digest
 from ..errors import GovernanceError
 from ..kvstore import KVStore, ProcedureRegistry
 from ..ledger.entries import GenesisEntry, LedgerEntry, PrePrepareEntry, TxEntry, entry_from_wire
-from ..lpbft.messages import BATCH_END_OF_CONFIG, PrePrepare, TransactionRequest
+from ..lpbft.messages import BATCH_END_OF_CONFIG, PrePrepare
 from .configuration import Configuration
 from .schedule import ConfigSchedule, ConfigSpan
 from .transactions import (
@@ -169,6 +168,19 @@ class GovernanceExtractor:
         for entry in entries:
             self._consume(self.next_index, entry)
             self.next_index += 1
+        return self
+
+    def feed_ledger(self, ledger, end: int | None = None) -> "GovernanceExtractor":
+        """Consume ``ledger``'s entries from :attr:`next_index` up to
+        ``end`` (default: its length), which must be retained.  Only the
+        entries extraction reads are visited: the ledger indexes them
+        (:meth:`~repro.ledger.Ledger.governance_entries`), so this costs
+        the governance history and the batch count, not the ledger's
+        length."""
+        end = len(ledger) if end is None else end
+        for index, entry in ledger.governance_entries(self.next_index, end):
+            self._consume(index, entry)
+        self.next_index = end
         return self
 
     def _consume(self, index: int, entry: LedgerEntry) -> None:

@@ -97,8 +97,9 @@ def chunk_state(state: Mapping[str, Any], max_bytes: int) -> list[bytes]:
         raise KVError(f"chunk size must be positive, got {max_bytes}")
     chunks: list[bytes] = []
     current = bytearray()
-    for key in sorted(state):
-        encoded = codec.encode((key, state[key]))
+    ints: dict = {}  # int encodings, for this loop only
+    for key, value in sorted(state.items()):  # keys are distinct: values are never compared
+        encoded = codec.encode_pair(key, value, ints)
         if current and len(current) + len(encoded) > max_bytes:
             chunks.append(bytes(current))
             current = bytearray()

@@ -79,7 +79,8 @@ class Invocation(NamedTuple):
 _REQUEST_HEAD = codec.encode(("request", "", None, None, None, None, None, None))[:12]
 _NAME_AT = len(_REQUEST_HEAD) + 1
 _GOV_PREFIX = b"gov."
-_TIO_HEAD_SIZE = codec.sequence_size(3, 0)
+_TIO_HEAD = codec.encode((None, None, None))[:2]  # a three-item sequence's header
+_TIO_HEAD_SIZE = len(_TIO_HEAD)
 
 
 @codec.wire("tx", LedgerError)
@@ -109,12 +110,12 @@ class TxEntry(LedgerEntry):
 
     def invocation(self):
         """What replay executes: a packed request's ``procedure`` and
-        ``args``, read alone (the items around them stay encoded); any
-        other request parsed whole (:meth:`request`)."""
+        ``args``, read in one walk of its bytes (the items around them
+        stay encoded); any other request parsed whole (:meth:`request`)."""
         t = self.request_wire
         if type(t) is not codec.SealedSeq:
             return self.request()
-        return Invocation(t[1], t[2])
+        return Invocation(*t[1:3])
 
     def is_governance(self) -> bool:
         """Whether ``t`` invokes a governance procedure (``gov.*``, §5).
@@ -161,6 +162,9 @@ class TxEntry(LedgerEntry):
         ``t`` and ``i``.  A sealed request is packed (:func:`codec.pack`),
         so the entry holds it at its encoded size too."""
         t, i, o = self.request_wire, self.index, self.output
+        if type(t) is codec.SealedSeq and type(o) is codec.SealedMap:
+            # Both held at their encodings, as a decoded ledger's are.
+            return b"".join((_TIO_HEAD, t.wire_bytes, codec.encode(i), o.wire_bytes))
         encoded = codec.encode((t, i, o))
         if type(o) is dict:
             start = _TIO_HEAD_SIZE + codec.encoded_size(t) + codec.encoded_size(i)

@@ -38,11 +38,9 @@ from ..merkle import MerkleTree
 from ..merkle.proofs import frontier_from_wire
 from .entries import (
     CheckpointTxEntry,
-    EvidenceEntry,
     GenesisEntry,
     LedgerEntry,
     NewViewEntry,
-    NoncesEntry,
     PrePrepareEntry,
     TxEntry,
     ViewChangesEntry,
@@ -351,14 +349,34 @@ class Ledger:
         """Ledger index of the most recent governance transaction (ig)."""
         return self._last_gov_index
 
+    def governance_entries(
+        self, start: int | None = None, end: int | None = None
+    ) -> list[tuple[int, LedgerEntry]]:
+        """The retained entries in ``[start, end)`` that the governance
+        sub-ledger reads, as ``(absolute index, entry)`` pairs in ledger
+        order: genesis, every pre-prepare and every governance
+        transaction.  Read off what :meth:`append` indexes (the batches
+        and the governance log), not by a walk of the entries; bounds as
+        :meth:`entries`."""
+        start = self._base if start is None else start
+        end = len(self) if end is None else end
+        if start < self._base or not start <= end <= len(self):
+            raise LedgerError(f"bad range [{start}, {end}) for ledger retaining [{self._base}, {len(self)})")
+        positions = [info.pp_index for info in self._batch_list if start <= info.pp_index < end]
+        base, logical = self._logical_base, self._logical_to_position
+        positions += [
+            position
+            for position in (logical[i - base] for i, _ in self._gov_entries if i >= base)
+            if start <= position < end
+        ]
+        if start == 0 < end and isinstance(self._entries[0], GenesisEntry):
+            positions.append(0)
+        return [(position, self._entries[position - self._base]) for position in sorted(positions)]
+
     def governance_indices(self) -> list[int]:
         """Absolute indices of retained governance transactions (genesis
         included when retained)."""
-        result = []
-        for i, entry in enumerate(self._entries):
-            if _is_gov_entry(entry):
-                result.append(self._base + i)
-        return result
+        return [i for i, entry in self.governance_entries() if not isinstance(entry, PrePrepareEntry)]
 
     # -- rollback (Lemma 1) ----------------------------------------------------
 

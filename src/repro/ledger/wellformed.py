@@ -22,10 +22,6 @@ from ..crypto.nonces import commit_nonce
 from ..errors import WellFormednessError
 from ..governance.schedule import ConfigSchedule
 from ..lpbft.messages import (
-    BATCH_END_OF_CONFIG,
-    BATCH_START_OF_CONFIG,
-    NewView,
-    Prepare,
     PrePrepare,
     ViewChange,
     bitmap_members,

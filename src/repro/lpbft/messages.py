@@ -12,11 +12,11 @@ as another.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from .. import codec
 from ..crypto.hashing import Digest, digest_value
-from ..errors import ProtocolError
+from ..errors import MalformedMessage, ProtocolError, ReproError
 
 # Batch kinds (the ``flags`` field of a pre-prepare).  Regular batches carry
 # client transactions; the reconfiguration batches of §5.1 are empty and
@@ -354,17 +354,59 @@ def bitmap_of(replicas: "list[int] | set[int]") -> int:
 
 def bitmap_members(bitmap: int) -> list[int]:
     """Unpack a bitmap into sorted replica identifiers."""
-    members = []
-    r = 0
-    while bitmap:
-        if bitmap & 1:
-            members.append(r)
-        bitmap >>= 1
-        r += 1
-    return members
+    return [r for r in range(bitmap.bit_length()) if bitmap >> r & 1]
+
+
+# -- envelopes ------------------------------------------------------------
+
+# Every kind a replica dispatches, with the length of its envelope: the
+# kind, then its items (a record's wire form is its own envelope).
+ENVELOPE_ARITY = {
+    "request": 2, "pre-prepare": 3, "prepare": 2, "commit": 2, "get-replyx": 2,
+    "fetch-requests": 2, "requests-bundle": 2, "fetch-evidence": 3, "evidence-bundle": 4,
+    "get-gov-chain": 1, "gov-chain-resp": 3, "ack": 2, "view-change": 2, "new-view": 3,
+    "sync-probe": 1, "sync-get-manifest": 2, "sync-get-chunk": 3, "sync-get-ledger": 5,
+    "sync-offer": 8, "sync-manifest": 7, "sync-chunk": 4, "sync-ledger": 6,
+    "sync-ledger-refused": 2,
+}
+
+
+def check_envelope(msg: tuple) -> None:
+    """Raise :class:`MalformedMessage` unless ``msg``, a non-empty tuple,
+    is as long as its kind's envelope: ``LPBFTReplica.on_message`` drops
+    it then, before its handler reads an item."""
+    if len(msg) != ENVELOPE_ARITY.get(msg[0]):
+        raise MalformedMessage(f"{msg[0]!r} message of {len(msg)} items")
+
+
+_Record = TypeVar("_Record")
+
+
+def received(parse: Callable[[Any], _Record], raw: Any) -> _Record:
+    """``parse(raw)`` for an item of a message off the wire, raising
+    :class:`MalformedMessage` for any library error the parse raises.  A
+    handler reads each record it was sent through this before it acts
+    on it, so ``on_message`` drops only what failed to parse."""
+    try:
+        return parse(raw)
+    except ReproError as exc:
+        raise MalformedMessage(str(exc)) from exc
+
+
+def read_pre_prepare(msg: tuple) -> tuple[PrePrepare, tuple]:
+    """A ``pre-prepare`` envelope's record and batch digests.  A backup
+    stashes both and sorts its stash by seqno, so a view or seqno that is
+    not an int, or digests that are not a tuple of bytes, raise
+    :class:`MalformedMessage` here, before anything is stashed."""
+    pp, digests = received(PrePrepare.from_wire, msg[1]), msg[2]
+    if type(pp.view) is not int or type(pp.seqno) is not int:
+        raise MalformedMessage("pre-prepare view and seqno must be ints")
+    if type(digests) is not tuple or not all(type(d) is bytes for d in digests):
+        raise MalformedMessage("pre-prepare digests must be a tuple of bytes")
+    return pp, digests
 
 
 # State-sync wire messages (``sync-offer`` / ``sync-manifest``, §3.4
 # fetch) are defined with their subsystem but belong to the protocol
 # surface alongside the types above; re-exported here.
-from ..statesync.messages import SyncManifest, SyncOffer  # noqa: E402
+from ..statesync.messages import SyncManifest, SyncOffer  # noqa: E402, F401  (re-exported)

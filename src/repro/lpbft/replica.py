@@ -46,7 +46,7 @@ from .. import codec
 from ..crypto import signatures
 from ..crypto.hashing import Digest, digest_value
 from ..crypto.nonces import NonceCommitment, commit_nonce, new_nonce
-from ..errors import ProtocolError, ReceiptError
+from ..errors import MalformedMessage, ProtocolError, ReceiptError
 from ..governance.configuration import Configuration
 from ..governance.schedule import ConfigSchedule, ConfigSpan
 from ..governance.transactions import install_configuration
@@ -83,7 +83,10 @@ from .messages import (
     PrePrepare,
     TransactionRequest,
     bitmap_members,
+    check_envelope,
     pre_prepare_payload,
+    read_pre_prepare,
+    received,
     replyx_payload,
 )
 from .retention import Retention
@@ -169,7 +172,7 @@ class LPBFTReplica(Node):
         self.admission = Admission(self)
         self.batches = BatchStore()
         self.tx_locations: dict[Digest, int] = {}  # digest -> location(seqno, index)
-        self.pending_pps: list[tuple] = []  # stashed (pp_wire, digests, trace_ctx)
+        self.pending_pps: list[tuple] = []  # stashed (pp, digests, trace_ctx)
         # View of the last pre-prepare dropped for being *below* our view —
         # a sign we over-advanced and the service moved on without us.
         self._last_lower_view_drop: int | None = None
@@ -311,14 +314,18 @@ class LPBFTReplica(Node):
         handler = self._handlers.get(kind)
         if handler is None:
             raise ProtocolError(f"unknown message kind {kind!r}")
-        handler(src, msg)
+        try:  # a message that does not parse is dropped and counted
+            check_envelope(msg)
+            handler(src, msg)
+        except MalformedMessage:
+            self.metrics.bump("malformed_messages", kind=kind)
 
     # -- client requests (Alg. 1 line 1) ------------------------------------------------
 
     def handle_request(
         self, src: str, msg: tuple, force: bool = False, record_source: bool = True
     ) -> None:
-        request = TransactionRequest.from_wire(msg[1])
+        request = received(TransactionRequest.from_wire, msg[1])
         tx_digest = request.request_digest()
         located = self.tx_locations.get(tx_digest)
         if located is not None or tx_digest in self.admission:
@@ -382,7 +389,7 @@ class LPBFTReplica(Node):
             if not self._evidence_available(s - self.params.pipeline):
                 return
             if flags == BATCH_REGULAR:
-                base = self.ledger.logical_size() + self._evidence_entry_count(s) + 1
+                base = self.ledger.logical_size() + (2 if s - self.params.pipeline >= 1 else 0) + 1
                 while True:
                     selected = self.admission.select(base + (1 if self._checkpoint_due(s) else 0))
                     # Requests stashed while we were a backup are verified
@@ -399,9 +406,6 @@ class LPBFTReplica(Node):
     def _evidence_available(self, seqno: int) -> bool:
         """hasEvidence (Alg. 1 line 5)."""
         return seqno < 1 or self.batches.evidence_signers(seqno, self.config_for(seqno)) is not None
-
-    def _evidence_entry_count(self, seqno: int) -> int:
-        return 2 if seqno - self.params.pipeline >= 1 else 0
 
     def _checkpoint_due(self, seqno: int) -> bool:
         """Does the regular batch at ``seqno`` carry an interval checkpoint
@@ -633,7 +637,7 @@ class LPBFTReplica(Node):
         # Third element: the message's trace context (None untraced) — the
         # accept may run later, from another message's activity, so the
         # causal parent is stashed with the pre-prepare.
-        self.pending_pps.append((msg[1], tuple(msg[2]), self._inbound_ctx))
+        self.pending_pps.append((*read_pre_prepare(msg), self._inbound_ctx))
         self._retry_pending_pps()
 
     def _retry_pending_pps(self) -> None:
@@ -642,9 +646,9 @@ class LPBFTReplica(Node):
         progress = True
         while progress:
             progress = False
-            self.pending_pps.sort(key=lambda item: item[0][2])  # wire field 2 = seqno
+            self.pending_pps.sort(key=lambda item: item[0].seqno)
             for stashed in list(self.pending_pps):
-                pp = PrePrepare.from_wire(stashed[0])
+                pp = stashed[0]
                 known = self.batches.get(pp.seqno)
                 # Drop only what can never be needed: stale views, or
                 # batches we already hold in an equal-or-newer view.  A
@@ -658,9 +662,7 @@ class LPBFTReplica(Node):
                     progress = True
                     continue
                 if pp.seqno == self.next_seqno and pp.view == self.view:
-                    done = self._try_accept_pre_prepare(
-                        pp, stashed[1], stashed[2] if len(stashed) > 2 else None)
-                    if done:
+                    if self._try_accept_pre_prepare(*stashed):
                         self.pending_pps.remove(stashed)
                         progress = True
                         break
@@ -795,7 +797,7 @@ class LPBFTReplica(Node):
     # -- prepares and commits (Alg. 1 lines 27–41) -----------------------------------------
 
     def handle_prepare(self, src: str, msg: tuple) -> None:
-        prepare = Prepare.from_wire(msg[1])
+        prepare = received(Prepare.from_wire, msg[1])
         record = self.batches.by_digest(prepare.pp_digest)
         if record is not None:
             config = self.config_for(record.seqno)
@@ -815,7 +817,7 @@ class LPBFTReplica(Node):
         self._retry_pending_pps()
 
     def handle_commit(self, src: str, msg: tuple) -> None:
-        commit = Commit.from_wire(msg[1])
+        commit = received(Commit.from_wire, msg[1])
         if self.batches.pre_prepared(commit.view, commit.seqno) is None:
             if commit.seqno >= self.batches.gc_horizon:  # else: late, for a released slot
                 self.batches.pending_commits.setdefault((commit.view, commit.seqno), []).append(commit)
@@ -938,13 +940,17 @@ class LPBFTReplica(Node):
         reply = self.batches.reply(record, self.id, self.config_for(record.seqno))
         if reply is None:
             return
-        payload = ("reply", reply.to_wire(), (tx_digest,))
+        if self._send_reply(src, reply, (tx_digest,)):
+            self.metrics.bump("replies_resent")
+
+    def _send_reply(self, dst: str, reply, tx_digests: tuple) -> bool:
+        """Send ``reply`` to ``dst`` unless a Byzantine behavior drops it."""
+        payload = ("reply", reply.to_wire(), tx_digests)
         if self.behavior is not None:
-            payload = self.behavior.outgoing_reply(self, src, payload)
-            if payload is None:
-                return
-        self.send(src, payload)
-        self.metrics.bump("replies_resent")
+            payload = self.behavior.outgoing_reply(self, dst, payload)
+        if payload is not None:
+            self.send(dst, payload)
+        return payload is not None
 
     def _send_replies(self, record: BatchRecord) -> None:
         """One reply per client in the batch; the designated replica also
@@ -958,14 +964,8 @@ class LPBFTReplica(Node):
             self.submit("sign", self.costs.sign * max(1, record.request_count()))
         for client, tx_digests in record.clients.items():
             dst = self.admission.source(tx_digests[0])
-            if dst is None:
-                continue
-            payload = ("reply", reply.to_wire(), tuple(tx_digests))
-            if self.behavior is not None:
-                payload = self.behavior.outgoing_reply(self, dst, payload)
-                if payload is None:
-                    continue
-            self.send(dst, payload)
+            if dst is not None:
+                self._send_reply(dst, reply, tuple(tx_digests))
         if self.params.receipts:
             for position, tx_digest in enumerate(record.tx_digests):
                 if tx_digest is None or designated_replica(tx_digest, config) != self.id:
@@ -1199,11 +1199,11 @@ class LPBFTReplica(Node):
         validating every signature and nonce against our own pre-prepare
         for the batch."""
         seqno = msg[1]
+        evidence = received(entry_from_wire, msg[2])
+        nonces = received(entry_from_wire, msg[3])
         record = self.batches.get(seqno)
         if record is None:
             return
-        evidence = entry_from_wire(msg[2])
-        nonces = entry_from_wire(msg[3])
         if not isinstance(evidence, EvidenceEntry) or not isinstance(nonces, NoncesEntry):
             return
         if evidence.seqno != seqno or evidence.view != record.view:

@@ -127,13 +127,13 @@ class Retention:
             self._archive = GovernanceExtractor(r.params.pipeline)
         start = self._archive.next_index
         if start < boundary:
-            region = r.ledger.entries(start, boundary)
             # Archiving replays the region's governance transactions on
             # the extractor's scratch store — real (rare) execute work.
-            gov_txs = sum(1 for entry in region if isinstance(entry, TxEntry) and entry.is_governance())
+            gov_txs = sum(
+                1 for _, entry in r.ledger.governance_entries(start, boundary) if isinstance(entry, TxEntry))
             if gov_txs:
                 r.submit("execute", gov_txs * r.costs.execute_tx(3, 8))
-            self._archive.feed(region, start)
+            self._archive.feed_ledger(r.ledger, boundary)
 
     def governance_subledger(self):
         """The replica's committed governance sub-ledger, complete from
@@ -142,20 +142,18 @@ class Retention:
         held the genesis prefix; it reports the retained governance
         entries under its own schedule (best effort — such replicas serve
         state sync, not audits)."""
-        from ..governance.subledger import GovernanceSubLedger, extract_governance_subledger
+        from ..governance.subledger import GovernanceExtractor, GovernanceSubLedger
 
         r = self.replica
         base = r.ledger.base_index
         if base == 0:
-            return extract_governance_subledger(r.ledger.entries(), r.params.pipeline)
+            return GovernanceExtractor(r.params.pipeline).feed_ledger(r.ledger).subledger()
         if self._archive is not None and self._archive.next_index == base:
-            extractor = self._archive.copy()
-            extractor.feed(r.ledger.entries(), base)
-            return extractor.subledger()
+            return self._archive.copy().feed_ledger(r.ledger).subledger()
         entries = [
             (index, entry.to_wire())
-            for index, entry in zip(range(base, len(r.ledger)), r.ledger.entries())
-            if isinstance(entry, TxEntry) and entry.is_governance()
+            for index, entry in r.ledger.governance_entries()
+            if isinstance(entry, TxEntry)
         ]
         return GovernanceSubLedger(entries=entries, schedule=r.schedule.copy(), reconfigs=[])
 

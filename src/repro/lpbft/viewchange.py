@@ -23,7 +23,7 @@ from __future__ import annotations
 from ..errors import ProtocolError
 from ..ledger import EvidenceEntry, NewViewEntry, NoncesEntry, ViewChangesEntry
 from .batch import ReconfigState
-from .messages import NewView, PrePrepare, ViewChange, bitmap_members, bitmap_of
+from .messages import NewView, PrePrepare, ViewChange, bitmap_members, bitmap_of, received
 
 
 class ViewManager:
@@ -114,7 +114,7 @@ class ViewManager:
             # Stashed pre-prepares from a higher view mean we missed a
             # new-view (e.g. we were partitioned away): adopt the ledger
             # from that view's primary instead of fighting it.
-            if any(item[0][1] > r.view for item in r.pending_pps):
+            if any(item[0].view > r.view for item in r.pending_pps):
                 r.sync_client.start("missed_view")
                 self.arm_timer()
                 return
@@ -133,7 +133,7 @@ class ViewManager:
             # progress (e.g. the evidence for the next batch was
             # garbage-collected at every peer): a transfer is the only
             # way forward, gap or no gap.
-            horizon = max(item[0][2] for item in r.pending_pps)
+            horizon = max(item[0].seqno for item in r.pending_pps)
             if horizon - max(r.committed_upto, 0) > r.sync_client.lag_threshold():
                 r.sync_client.start("stuck")
                 self.arm_timer()
@@ -189,7 +189,7 @@ class ViewManager:
 
     def on_view_change(self, src: str, msg: tuple) -> None:
         r = self.replica
-        vc = ViewChange.from_wire(msg[1])
+        vc = received(ViewChange.from_wire, msg[1])
         if vc.view < r.view:
             return
         config = r.current_config()
@@ -345,8 +345,8 @@ class ViewManager:
 
     def on_new_view(self, src: str, msg: tuple) -> None:
         r = self.replica
-        nv = NewView.from_wire(msg[1])
-        vc_wires = tuple(msg[2])
+        nv = received(NewView.from_wire, msg[1])
+        certificate = [received(ViewChange.from_wire, wire) for wire in msg[2]]
         if nv.view < r.view or (nv.view == r.view and r.ready):
             return
         config = r.current_config()
@@ -359,8 +359,7 @@ class ViewManager:
         # signatures up front would inflate simulated CPU on the (Byzantine)
         # invalid-certificate path.
         vcs: dict[int, ViewChange] = {}
-        for wire in vc_wires:
-            vc = ViewChange.from_wire(wire)
+        for vc in certificate:
             if vc.view != nv.view or not config.has_replica(vc.replica):
                 return
             if not r._verify(config.replica_key(vc.replica), vc.signed_payload(), vc.signature):

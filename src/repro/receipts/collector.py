@@ -12,7 +12,6 @@ their own governance batch receipts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from .. import codec
 from ..crypto.hashing import Digest

@@ -32,7 +32,6 @@ from ..crypto.nonces import commit_nonce
 from ..errors import MerkleError, ReceiptError
 from ..governance.configuration import Configuration
 from ..lpbft.messages import (
-    BATCH_REGULAR,
     PrePrepare,
     TransactionRequest,
     bitmap_members,

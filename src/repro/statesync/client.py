@@ -235,9 +235,9 @@ class StateSyncClient:
         frontier, or 0 when the stash reaches down to the next batch we
         can process (no gap — just work to do)."""
         replica = self.replica
-        if any(item[0][2] <= replica.next_seqno for item in replica.pending_pps):
+        if any(item[0].seqno <= replica.next_seqno for item in replica.pending_pps):
             return 0
-        horizon = max(item[0][2] for item in replica.pending_pps)  # wire field 2 = seqno
+        horizon = max(item[0].seqno for item in replica.pending_pps)
         return horizon - max(replica.committed_upto, 0)
 
     # -- phases -------------------------------------------------------------

@@ -241,3 +241,56 @@ def test_packed_seal_shares_its_digest_and_takes_no_other_value():
     plain = ("x", 1)
     assert codec.pack(plain) is plain and codec.pack(packed) is packed
     assert codec.seal(packed) is packed
+
+
+# -- the one-byte fast paths against the general loops ------------------------
+
+# Where a varint grows a byte: lengths and counts at 127/128 and
+# 16383/16384, and ints whose zig-zag form does (64, 8192) or that leave
+# it for sign and magnitude (2**62).
+_EDGES = (0, 1, 63, 64, 127, 128, 8191, 8192, 16383, 16384)
+_edge_ints = st.sampled_from(
+    _EDGES + tuple(-n for n in _EDGES) + (2**62 - 1, 2**62, 2**63 + 7, -(2**62), -(2**62) - 1, -(2**90)))
+_edge_sizes = st.sampled_from((0, 1, 127, 128, 16383, 16384))
+fast_path_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | _edge_ints
+    | st.integers()
+    | _edge_sizes.map(lambda n: b"\xab" * n)
+    | _edge_sizes.map(lambda n: "a" * n)
+    | st.text(alphabet="aé漢😀\x00", max_size=70),  # non-ASCII: UTF-8 lengths differ from len()
+    lambda children: st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(alphabet="kéy", max_size=6), children, max_size=4)
+    | st.sampled_from((127, 128)).map(lambda n: {f"k{i:03d}": i for i in range(n)})
+    | st.sampled_from((127, 128)).map(lambda n: tuple(range(n))),
+    max_leaves=12,
+)
+
+
+@given(st.lists(fast_path_values, max_size=6))
+def test_fast_paths_read_what_the_general_decoder_reads(items):
+    """For each value, stepping over it ends where decoding it ends; each
+    packed read, item by item and in one walk, is the decoded tuple's."""
+    sealed = codec.seal(items)
+    data = sealed.wire_bytes
+    plain = codec.decode(data)
+    assert plain == _normalize(tuple(items))
+    assert codec._skip(data, 0) == codec._decode_from(data, 0)[1] == len(data)
+    for item in items:
+        encoded = codec.encode(item)
+        assert codec._skip(encoded, 0) == codec._decode_from(encoded, 0)[1] == len(encoded)
+    packed = codec.pack(sealed)
+    for i in range(len(plain)):
+        assert packed[i] == plain[i]
+        for j in range(i, len(plain) + 1):
+            assert packed[i:j] == plain[i:j]
+    assert packed[-2:] == plain[-2:] and packed[::2] == plain[::2]
+
+
+@given(fast_path_values, st.data())
+def test_truncated_input_raises_a_codec_error(value, data):
+    encoded = codec.encode(value)
+    cut = data.draw(st.integers(0, len(encoded) - 1))
+    with pytest.raises(CodecError):
+        codec.decode(encoded[:cut])

@@ -232,3 +232,33 @@ def test_fetched_ledger_builds_tree_g_once_per_batch():
     measured, ceiling = FETCHED_G_APPENDS
     per_leaf = seen["appends"] / seen["leaves"]
     assert per_leaf <= ceiling, f"{per_leaf:.2f} (was {measured})"
+
+
+def _count_work_script():
+    """``scripts/count_work.py`` as a module."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "count_work.py"
+    spec = importlib.util.spec_from_file_location("count_work", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_opcode_counts_repeat_exactly():
+    """The opcode counter behind ``scripts/count_work.py`` is a clock
+    that does not drift: two counts of the same small run are equal,
+    layer by layer, and so are their cyclic-GC passes."""
+    count_opcodes = _count_work_script().count_opcodes
+
+    def small_run():
+        dep = build_deployment(params=FAST_PARAMS)
+        dep.add_load_generator(SmallBankWorkload(n_accounts=200, seed=3), rate=2000.0, stop_at=0.01)
+        dep.start()
+        dep.run(until=0.1)
+
+    small_run()  # imports and first-use set-up happen here, uncounted
+    first, second = count_opcodes(small_run), count_opcodes(small_run)
+    assert first == second
+    assert first["opcodes"]["codec"] > 0 and first["opcodes"]["lpbft"] > 0

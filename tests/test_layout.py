@@ -144,6 +144,46 @@ def wire_shape_catches(files: Files) -> list[str]:
     return found
 
 
+def _annotation_names(node: ast.expr) -> set[str]:
+    """Names read in an annotation, string annotations included."""
+    names = set()
+    for part in ast.walk(node):
+        if isinstance(part, ast.Name):
+            names.add(part.id)
+        elif isinstance(part, ast.Constant) and isinstance(part.value, str):
+            try:
+                names |= _annotation_names(ast.parse(part.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def unused_imports(files: Files) -> list[str]:
+    """Names a module under ``src/`` imports and never reads (in code or
+    in an annotation), outside ``__init__.py`` and any import whose first
+    line says it re-exports."""
+    found = []
+    for path, tree in _trees(files, r".*/__init__\.py"):
+        lines = files[path].splitlines()
+        imported = {
+            alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if "re-export" not in lines[node.lineno - 1]
+        }
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+                read |= _annotation_names(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+                read |= _annotation_names(node.returns)
+        found += [f"{path}:{line}: {name}" for name, line in imported.items() if name not in read]
+    return found
+
+
 def lpbft_file_sizes(files: Files) -> list[str]:
     """``lpbft/`` modules over their line ceiling (lines as ``wc -l``
     counts them)."""
@@ -328,6 +368,13 @@ RULES = [
             "def nonce_from_wire(raw):\n    try:\n        tag, nonce = raw\n"
             "    except (TypeError, ValueError) as exc:\n        raise ProtocolError(str(exc)) from exc\n",
         ),
+    ),
+    Rule(
+        "No module imports a name it never reads, outside __init__.py and an "
+        "import marked as a re-export.",
+        "src",
+        unused_imports,
+        ("src/repro/lpbft/batch.py", "from collections import OrderedDict\n"),
     ),
 ]
 

@@ -312,6 +312,16 @@ def _check_rebuilt(ledger, history, first_logical):
             with pytest.raises(LedgerError):
                 ledger.entry_at_index(outside)
     assert ledger.batches() == [b for b in reference.batches() if b.pp_index >= ledger.base_index]
+    # The governance sub-ledger's entries, read off the indices, are the
+    # ones a walk of the retained entries finds.
+    walked = [
+        (i, codec.encode(entry.to_wire()))
+        for i, entry in enumerate(reference.entries())
+        if i >= ledger.base_index and (
+            isinstance(entry, (GenesisEntry, PrePrepareEntry))
+            or (isinstance(entry, TxEntry) and entry.is_governance()))
+    ]
+    assert [(i, codec.encode(e.to_wire())) for i, e in ledger.governance_entries()] == walked
     for info in ledger.batches():  # a seqno answers with its newest batch
         assert ledger.batch(info.seqno) is [b for b in ledger.batches() if b.seqno == info.seqno][-1]
     assert ledger.last_seqno() == (reference.last_seqno() if ledger.batches() else 0)

@@ -73,7 +73,7 @@ class TestViewChangeTimer:
     def stash(replica, view, seqno, digests=()):
         pp = PrePrepare(view=view, seqno=seqno, root_m=b"", root_g=b"", nonce_commitment=b"",
                         evidence_bitmap=0, gov_index=0, checkpoint_digest=b"")
-        replica.pending_pps.append((pp.to_wire(), digests, None))
+        replica.pending_pps.append((pp, digests, None))
 
     @staticmethod
     def queue_request(dep, replica):

@@ -214,10 +214,6 @@ def test_wire_bytes_and_signed_payload_are_pinned(name):
     assert fingerprints()[name] == GOLDEN[name]
 
 
-# A ConfigSchedule compares by identity, and so do the records holding one.
-_BY_IDENTITY = {"ConfigSchedule", "GovernanceSubLedger", "LedgerPackage"}
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_from_wire_reads_to_wire_back(name):
     record = records()[name]
@@ -226,8 +222,15 @@ def test_from_wire_reads_to_wire_back(name):
     for wire in (record.to_wire(), codec.decode(codec.encode(record.to_wire()))):
         back = cls.from_wire(wire)
         assert codec.encode(back.to_wire()) == codec.encode(record.to_wire())
-        if name not in _BY_IDENTITY:
-            assert back == record
+        assert back == record
+
+
+def test_a_schedule_compares_by_its_spans():
+    schedule = records()["ConfigSchedule"]
+    copy = schedule.copy()
+    assert copy == schedule and copy is not schedule
+    copy.pop()
+    assert copy != schedule and schedule != schedule.spans()
 
 
 # -- every parse is total ----------------------------------------------------
