@@ -49,8 +49,11 @@ def main() -> None:
     # Receipts are tamper-evident: change anything and verification fails.
     import dataclasses
 
+    from repro import codec
+
     forged = dataclasses.replace(
-        receipt, output={"reply": {"ok": True, "balance": 10**9}, "ws": receipt.output["ws"]}
+        receipt,
+        output_wire=codec.encode({"reply": {"ok": True, "balance": 10**9}, "ws": receipt.output["ws"]}),
     )
     print(f"  verify of a doctored copy = {verify_receipt(forged, deployment.genesis_config)}")
 

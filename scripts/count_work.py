@@ -8,14 +8,19 @@ runs its run phase under ``sys.settrace`` with opcode events on and
 attributes each opcode to the ``repro`` subpackage of the executing
 frame (``codec`` for ``repro.codec``, ``stdlib`` for the standard
 library, ``other`` for the benchmark harness).  A ``gc.callbacks`` hook
-counts cyclic-GC passes, which opcodes do not see.
+counts cyclic-GC passes, which opcodes do not see.  Retained memory is
+counted too: the objects the cyclic collector tracks when the run phase
+ends (every one of them is walked by each full collection), and the
+bytes allocated during the run phase that are still allocated then
+(``tracemalloc``; the tracer's own tables are left out).
 
 Usage::
 
     python scripts/count_work.py [--workload audit_replay] [--seed 0] [--scale 0.5]
 
 It prints one JSON object: ``opcodes_per_tx`` by layer (and ``total``),
-``gc_passes``, ``tx`` and the raw ``opcodes``.  The count repeats
+``gc_passes``, ``gc_tracked`` and ``retained_bytes`` (each also per
+transaction), ``tx`` and the raw ``opcodes``.  The counts repeat
 exactly: the script runs itself under ``PYTHONHASHSEED=0`` so that set
 and dict orders are the same in every process.  Tracing slows the run
 phase about 25x; scale 0.5 of ``audit_replay`` takes a few minutes.
@@ -29,6 +34,7 @@ import json
 import os
 import sys
 import sysconfig
+import tracemalloc
 from pathlib import Path
 from typing import Callable
 
@@ -80,6 +86,25 @@ def count_opcodes(run: Callable[[], object]) -> dict:
     return {"opcodes": dict(sorted(counts.items())), "gc_passes": passes[0]}
 
 
+def count_retained(run: Callable[[], object]) -> tuple[object, dict]:
+    """Run ``run()`` and return its result with ``{"gc_tracked": n,
+    "retained_bytes": n}``, read after a full collection once it
+    returns: the objects the collector tracks, and the bytes allocated
+    during ``run()`` that are still allocated (less this script's own)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run()
+    finally:
+        gc.collect()
+        tracked = len(gc.get_objects())
+        snapshot = tracemalloc.take_snapshot()
+        tracemalloc.stop()
+    retained = snapshot.filter_traces([tracemalloc.Filter(False, __file__)])
+    return result, {
+        "gc_tracked": tracked, "retained_bytes": sum(stat.size for stat in retained.statistics("filename"))}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="audit_replay")
@@ -94,14 +119,18 @@ def main() -> int:
     from benchmarks.perf import scenarios
 
     prepared = scenarios.set_up(args.workload, args.seed, args.scale)
-    counted = count_opcodes(prepared.run)
+    counted, held = count_retained(lambda: count_opcodes(prepared.run))
     tx = prepared.results()["tx"]
     opcodes = counted["opcodes"]
     per_tx = {layer: round(n / tx, 1) for layer, n in opcodes.items()}
     per_tx["total"] = round(sum(opcodes.values()) / tx, 1)
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "scale": args.scale, "tx": tx,
-        "opcodes_per_tx": per_tx, "gc_passes": counted["gc_passes"], "opcodes": opcodes,
+        "opcodes_per_tx": per_tx, "gc_passes": counted["gc_passes"],
+        "gc_tracked": held["gc_tracked"], "gc_tracked_per_tx": round(held["gc_tracked"] / tx, 2),
+        "retained_bytes": held["retained_bytes"],
+        "retained_bytes_per_tx": round(held["retained_bytes"] / tx, 1),
+        "opcodes": opcodes,
     }))
     return 0
 

@@ -21,9 +21,10 @@ misbehavior and never blames a correct replica (Theorems 2 and 3).
 from __future__ import annotations
 
 from ..crypto import signatures
-from ..errors import AuditError, ReceiptError, WellFormednessError
+from ..errors import AuditError, ReceiptError, ReproError, WellFormednessError
 from ..governance.schedule import ConfigSchedule
 from ..kvstore import ProcedureRegistry
+from ..ledger.entries import EvidenceEntry, NoncesEntry, entry_from_wire
 from ..ledger.wellformed import check_well_formed, parse_fragment
 from ..lpbft.config import ProtocolParams
 from ..lpbft.messages import bitmap_members
@@ -249,7 +250,7 @@ class Auditor:
         # Governance fork between the client's chains and the ledger
         # (§5.3): compare each chain's end-of-configuration receipts with
         # the ledger's end-of-configuration batches.
-        self._check_governance_fork(chains, package, schedule, result)
+        self._check_governance_fork(chains, package, ledger, schedule, result)
         if result.upoms:
             return
 
@@ -287,15 +288,12 @@ class Auditor:
 
         # Merge the message box E (§B.1.1): evidence for the newest P
         # batches that has not been ordered into the ledger yet.
-        from ..ledger.entries import entry_from_wire as _efw
-        from ..ledger.entries import EvidenceEntry as _Ev, NoncesEntry as _No
-
         for seqno, (ev_wire, k_wire) in (package.extra_evidence or {}).items():
             try:
-                ev, ks = _efw(ev_wire), _efw(k_wire)
+                ev, ks = entry_from_wire(ev_wire), entry_from_wire(k_wire)
             except Exception:
                 continue
-            if isinstance(ev, _Ev) and isinstance(ks, _No) and seqno not in parsed.evidence_for:
+            if isinstance(ev, EvidenceEntry) and isinstance(ks, NoncesEntry) and seqno not in parsed.evidence_for:
                 parsed.evidence_for[seqno] = (ev, ks)
 
         # Receipts vs ledger (Alg. 4 ``verifyReceiptsInLedger``).
@@ -335,9 +333,13 @@ class Auditor:
         self,
         chains: list[GovernanceChain],
         package: LedgerPackage,
+        ledger,
         schedule: ConfigSchedule,
         result: AuditResult,
     ) -> None:
+        """A chain whose P-th end-of-configuration receipt disagrees with
+        the ledger's batch is a fork (§5.3, Lemma 7): blamed are the
+        replicas whose valid signatures stand on both sides."""
         ledger_reconfigs = {
             record.new_config.number: record for record in package.subledger.reconfigs
         }
@@ -353,7 +355,8 @@ class Auditor:
                     or receipt.committed_root != eoc_pp.committed_root
                 ):
                     config = schedule.config_number(number - 1)
-                    blamed = sorted(set(receipt.signers()))
+                    signers, statements = self._eoc_batch_signers(eoc_pp, ledger, package, config)
+                    blamed = sorted(set(receipt.signers()) & signers)
                     result.upoms.append(
                         UPoM(
                             kind=UPOM_GOVERNANCE_FORK,
@@ -364,9 +367,46 @@ class Auditor:
                                 f"client chain and ledger disagree on the P-th "
                                 f"end-of-configuration batch for configuration {number}"
                             ),
-                            evidence={"receipt": receipt.to_wire()},
+                            evidence={"receipt": receipt.to_wire(), "ledger": statements},
                         )
                     )
+
+    def _eoc_batch_signers(self, eoc_pp, ledger, package: LedgerPackage, config) -> tuple[set[int], tuple]:
+        """The replicas of ``config`` whose valid signatures stand on the
+        ledger's P-th end-of-configuration batch — its primary's on the
+        pre-prepare, each backup's on a prepare for it in the ledger's
+        evidence for its seqno or in the package's message box — and the
+        wire forms of those signed statements."""
+        signers, statements = set(), []
+        primary = config.primary_for_view(eoc_pp.view)
+        if config.has_replica(primary) and self.backend.verify(
+            config.replica_key(primary), eoc_pp.signed_payload(), eoc_pp.signature
+        ):
+            signers.add(primary)
+            statements.append(eoc_pp.to_wire())
+        evidence = ledger.entries_of(EvidenceEntry)
+        boxed = (package.extra_evidence or {}).get(eoc_pp.seqno)
+        if boxed is not None:
+            try:
+                evidence.append(EvidenceEntry.from_wire(boxed[0]))
+            except ReproError:
+                pass
+        pp_digest = eoc_pp.digest()
+        for entry in evidence:
+            try:
+                prepares = entry.prepares() if entry.seqno == eoc_pp.seqno else []
+            except (ReproError, TypeError):
+                continue
+            for prepare in prepares:
+                if (
+                    prepare.pp_digest == pp_digest and prepare.replica not in signers
+                    and config.has_replica(prepare.replica)
+                    and self.backend.verify(
+                        config.replica_key(prepare.replica), prepare.signed_payload(), prepare.signature)
+                ):
+                    signers.add(prepare.replica)
+                    statements.append(prepare.to_wire())
+        return signers, tuple(statements)
 
     def _check_receipt_in_ledger(
         self,

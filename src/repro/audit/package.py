@@ -25,6 +25,7 @@ and break every subsequent signed root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .. import codec
 from ..errors import AuditError
@@ -86,6 +87,44 @@ class LedgerPackage:
         return codec.parse(raw, LedgerPackage.wire_tag, 8, AuditError, build)
 
 
+@dataclass(frozen=True)
+class PackageOffer:
+    """What a replica's package would hold, for the enforcer to choose
+    by before any fragment is encoded: its checkpoint and its fragment's
+    ``start`` and ``length``.  :meth:`build` makes the package."""
+
+    checkpoint: Checkpoint | None
+    start: int
+    length: int
+    build: Callable[[], LedgerPackage]
+
+    @staticmethod
+    def of(package: LedgerPackage) -> PackageOffer:
+        """The offer of a package already built."""
+        return PackageOffer(package.checkpoint, package.fragment.start, len(package.fragment), lambda: package)
+
+
+def package_offer(replica, oldest_receipt: Receipt | None = None) -> PackageOffer:
+    """An honest replica's offer: what :func:`build_ledger_package` would
+    return, built only when the offer is taken."""
+    base = replica.ledger.base_index
+    return PackageOffer(
+        _package_checkpoint(replica, oldest_receipt), base, len(replica.ledger) - base,
+        lambda: build_ledger_package(replica, oldest_receipt))
+
+
+def _package_checkpoint(replica, oldest_receipt: Receipt | None) -> Checkpoint | None:
+    """The checkpoint whose digest matches ``oldest_receipt``'s ``dC``,
+    else the newest one."""
+    if oldest_receipt is not None:
+        for cp in replica.checkpoints.values():
+            if cp.digest() == oldest_receipt.checkpoint_digest:
+                return cp
+    if replica.checkpoints:
+        return replica.checkpoints[replica.checkpoints.last_taken]
+    return None
+
+
 def build_ledger_package(replica, oldest_receipt: Receipt | None = None) -> LedgerPackage:
     """Build an honest replica's ledger package.
 
@@ -104,14 +143,7 @@ def build_ledger_package(replica, oldest_receipt: Receipt | None = None) -> Ledg
     if base > 0:
         frontier = tuple((h, d) for h, d in replica.ledger.tree().frontier_at(base))
     subledger = replica.retention.governance_subledger()
-    checkpoint = None
-    if oldest_receipt is not None:
-        for cp in replica.checkpoints.values():
-            if cp.digest() == oldest_receipt.checkpoint_digest:
-                checkpoint = cp
-                break
-    if checkpoint is None and replica.checkpoints:
-        checkpoint = replica.checkpoints[replica.checkpoints.last_taken]
+    checkpoint = _package_checkpoint(replica, oldest_receipt)
     extra: dict = {}
     last = replica.ledger.last_seqno()
     for seqno in range(max(1, last - replica.params.pipeline + 1), last + 1):
@@ -145,11 +177,7 @@ def retention_survivors(
     oldest_retained = ledger.oldest_retained_seqno()
     if oldest_retained is None:
         return []
-    supportable_dcs = {
-        entry.cp_digest
-        for entry in ledger.entries()
-        if isinstance(entry, CheckpointTxEntry)
-    }
+    supportable_dcs = {entry.cp_digest for entry in ledger.entries_of(CheckpointTxEntry)}
     if package.checkpoint is not None:
         supportable_dcs.add(package.checkpoint.digest())
     return [

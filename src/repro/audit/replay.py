@@ -51,7 +51,6 @@ class ReplayedBatch:
 
     info: BatchInfo
     kv_mark: int  # kv.tx_count before the batch executed
-    entries: list  # replayed TxEntry | CheckpointTxEntry, in G order
     g_tree: MerkleTree  # G over the replayed entries
     work: list  # (kv op count, len(kv)) per executed transaction
     findings: list  # ReplayFinding, without blame
@@ -93,34 +92,32 @@ def replay_batches(
             # _accept_pre_prepare marks): a rollback to the mark keeps it.
             if seqno in activations:
                 kv.execute(lambda tx, c=activations[seqno]: install_configuration(tx, c))
-            batch = ReplayedBatch(info, kv.tx_count, [], None, [], [])
-            differs, leaves = [], []
-            for entry in ledger.entries(info.first_tx, info.end):
+            batch = ReplayedBatch(info, kv.tx_count, ledger.g_tree(info), [], [])
+            differs, replayed = [], {}  # replayed: position -> G leaf of a differing output
+            for position, entry in enumerate(ledger.entries(info.first_tx, info.end)):
                 if isinstance(entry, CheckpointTxEntry):
                     batch.findings += _check_checkpoint_tx(entry, seqno, ledger, checkpoint, digests)
-                    leaf = entry.leaf_digest()
-                else:
-                    request = entry.invocation()
-                    output, ops = execute_procedure(kv, registry, request)
-                    batch.work.append((ops, len(kv)))
-                    # Same t and i: the G leaves are equal exactly when the
-                    # outputs' encodings are, so only a differing output
-                    # costs a replayed entry and its hash.
-                    if codec.encode(output) == codec.encode(entry.output):
-                        leaf = entry.leaf_digest()
-                    else:
-                        entry = TxEntry(request_wire=entry.request_wire, index=entry.index, output=output)
-                        leaf = entry.leaf_digest()
-                        differs.append(ReplayFinding(
-                            "output-mismatch", seqno, entry.index,
-                            f"transaction {request.procedure!r} at index {entry.index} replays to "
-                            f"different output bytes than the ledger records",
-                        ))
-                batch.entries.append(entry)
-                leaves.append(leaf)
+                    continue
+                request = entry.invocation()
+                output, ops = execute_procedure(kv, registry, request)
+                batch.work.append((ops, len(kv)))
+                # Same t and i: the G leaves are equal exactly when the
+                # outputs' encodings are, so only a differing output
+                # costs a replayed entry and its hash.
+                if codec.encode(output) != codec.encoding_of(entry.output):
+                    replayed[position] = TxEntry(entry.request_wire, entry.index, output).leaf_digest()
+                    differs.append(ReplayFinding(
+                        "output-mismatch", seqno, entry.index,
+                        f"transaction {request.procedure!r} at index {entry.index} replays to "
+                        f"different output bytes than the ledger records",
+                    ))
             # With every leaf reproduced, the replayed tree G is the
             # ledger's: the one its binding check built.
-            batch.g_tree = MerkleTree(leaves) if differs else ledger.g_tree(info)
+            if replayed:
+                leaves = batch.g_tree.leaves()
+                for position, leaf in replayed.items():
+                    leaves[position] = leaf
+                batch.g_tree = MerkleTree(leaves)
             if not differs and batch.g_tree.root() != ledger.pre_prepare(info).root_g:
                 differs.append(ReplayFinding(
                     "g-root-mismatch", seqno, info.first_tx,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from .. import codec
 from ..crypto import signatures
 from ..crypto.hashing import Digest, digest_value
 from ..crypto.nonces import new_nonce
@@ -109,7 +110,7 @@ def forge_receipt(
         root_g=g_tree.root() if is_batch else None,
     )
     path = None if is_batch else g_tree.path(target_position)
-    return Receipt(request_wire, index, output, path, certificate)
+    return Receipt(request_wire, index, None if output is None else codec.encoding_of(output), path, certificate)
 
 
 def forge_alternate_output(

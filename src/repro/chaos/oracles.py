@@ -5,8 +5,9 @@ strings (empty = invariant holds).  Step oracles are cheap and run after
 every applied fault event; quiescence oracles run once, after the global
 heal plus a convergence window, and check the full safety/liveness
 contract: committed prefixes agree, the service recovered, receipts are
-fetchable and verifiable, and a checkpoint-rooted audit reproduces the
-clean verdict (no spurious uPoM blame against correct replicas).
+fetchable and verifiable, a checkpoint-rooted audit reproduces the
+clean verdict (no spurious uPoM blame against correct replicas), and no
+replica dropped a message as malformed.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ def quiescence_oracles(dep, probe, loadgen, sample_size: int = 8) -> list[str]:
     violations += _convergence(dep)
     violations += _request_tables_in_step(dep)
     violations += _slot_tables_in_step(dep)
+    violations += _no_malformed_messages(dep)
     violations += _goodput_recovered(probe)
     violations += _receipts_verifiable(dep, probe, loadgen, sample_size)
     violations += _audit_reproduces(dep, probe, sample_size)
@@ -97,6 +99,17 @@ def _slot_tables_in_step(dep) -> list[str]:
                 f"released slots (GC horizon {store.gc_horizon}) with no retained batch"
             )
     return violations
+
+
+def _no_malformed_messages(dep) -> list[str]:
+    """A chaos schedule sends no hostile input, so a message a replica
+    dropped as malformed (``malformed_messages``) came from a node
+    running this code: a bug, not an attack."""
+    return [
+        f"quiescence: replica {r.id} dropped {int(n)} malformed messages"
+        for r in dep.replicas
+        if (n := r.metrics.counters.get("malformed_messages", 0))
+    ]
 
 
 def _goodput_recovered(probe) -> list[str]:

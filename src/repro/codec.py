@@ -65,10 +65,11 @@ class SealedMap(Mapping):
     keys come back in canonical (sorted) order and sequences as tuples.
     The encoder splices the bytes verbatim, as it does a :class:`Sealed`'s,
     and the same invariant holds: a seal is made only from bytes this
-    process encoded (:func:`seal`, or a ledger entry's own ``(t, i, o)``
-    encoding), never from bytes that arrived.  ``==`` is ``Mapping``
-    equality, so ``False`` and ``0`` compare as they do in dicts.  A
-    ledger entry's output is one: it is held at its encoded size.
+    process encoded (:func:`seal`, or :func:`value_of` reading an output
+    a ledger run or a receipt holds at its encoded size), never from
+    bytes that arrived.  ``==`` is ``Mapping`` equality, so ``False`` and
+    ``0`` compare as they do in dicts.  A ledger entry's output reads as
+    one.
     """
 
     __slots__ = ("wire_bytes",)
@@ -172,6 +173,7 @@ def pack(value: Any) -> Any:
 
 # The types that carry their own encoding in ``wire_bytes``.
 _SEALS = frozenset((Sealed, SealedMap, SealedSeq))
+_MAP_TAG_BYTE = bytes((_TAG_MAP,))
 
 
 def seal(value: tuple | list | dict) -> Sealed | SealedMap | SealedSeq:
@@ -186,6 +188,19 @@ def seal(value: tuple | list | dict) -> Sealed | SealedMap | SealedSeq:
     sealed = Sealed(plain)
     sealed.wire_bytes = encode(plain)
     return sealed
+
+
+def encoding_of(value: Any) -> bytes:
+    """``encode(value)``; a seal's own bytes, not a copy."""
+    return value.wire_bytes if type(value) in _SEALS else encode(value)
+
+
+def value_of(data: bytes) -> Any:
+    """The value the held encoding ``data`` encodes: a map as a
+    :class:`SealedMap` of these bytes, anything else decoded.  How a
+    ledger run and a receipt, which hold an output at its encoded size,
+    read it back."""
+    return SealedMap(data) if data[:1] == _MAP_TAG_BYTE else decode(data)
 
 
 def reseal_last(sealed: Sealed, last: Any) -> Sealed:

@@ -17,15 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..audit.package import LedgerPackage, build_ledger_package
+from ..audit.package import LedgerPackage, PackageOffer, build_ledger_package, package_offer
 from ..audit.upom import UPOM_UNRESPONSIVE, AuditResult, UPoM
 from ..errors import EnforcementError
 from ..governance.schedule import ConfigSchedule
 from ..receipts.receipt import Receipt
 
-# A provider maps replica_id -> callable producing a LedgerPackage (or
-# None, modeling an unresponsive replica/member).
-PackageProvider = Callable[[Receipt | None], "LedgerPackage | None"]
+# A provider maps replica_id -> callable producing the offer of a
+# LedgerPackage (or None, modeling an unresponsive replica/member).
+PackageProvider = Callable[[Receipt | None], "PackageOffer | None"]
 
 
 @dataclass
@@ -70,18 +70,18 @@ class Enforcer:
         )
         oldest = min(receipts, key=lambda r: r.seqno)
         config = schedule.config_at_seqno(newest.seqno)
-        responses: list[LedgerPackage] = []
+        responses: list[PackageOffer] = []
         unresponsive: list[int] = []
         for replica_id in newest.signers():
             provider = self.providers.get(replica_id)
-            package = provider(oldest) if provider is not None else None
-            if package is None:
+            offer = provider(oldest) if provider is not None else None
+            if offer is None:
                 # One penalty per replica per failure, however many times
                 # an audit (or its retention-scoped retry) asks.
                 if replica_id not in self.blamed_unresponsive:
                     unresponsive.append(replica_id)
                 continue
-            responses.append(package)
+            responses.append(offer)
         for replica_id in unresponsive:
             try:
                 member = config.operator_of(replica_id)
@@ -105,14 +105,15 @@ class Enforcer:
         # disputed batch; the receipt's quorum contains at least f+1
         # correct replicas), then the longest fragment (longer cannot
         # hide earlier entries; they are bound by the Merkle roots).
-        def preference(p: LedgerPackage):
+        # Chosen by the offers: only the chosen package is built.
+        def preference(offer: PackageOffer):
             matches = (
-                p.checkpoint is not None
-                and p.checkpoint.digest() == oldest.checkpoint_digest
+                offer.checkpoint is not None
+                and offer.checkpoint.digest() == oldest.checkpoint_digest
             )
-            return (matches, -p.fragment.start, len(p.fragment))
+            return (matches, -offer.start, offer.length)
 
-        return max(responses, key=preference)
+        return max(responses, key=preference).build()
 
     # -- punishment (§4.2) ------------------------------------------------------------
 
@@ -148,14 +149,16 @@ def providers_from_deployment(deployment) -> dict[int, PackageProvider]:
     """Honest package providers for every replica of a deployment, routed
     through each replica's byzantine behavior hook (so a rewriting or
     silent replica misleads the enforcer exactly as it would in the
-    paper's threat model)."""
+    paper's threat model).  A replica without a behavior offers its
+    package unbuilt; one with a behavior builds it for the hook."""
     providers: dict[int, PackageProvider] = {}
     for replica in deployment.replicas:
         def provider(oldest_receipt, replica=replica):
-            package = build_ledger_package(replica, oldest_receipt)
-            if replica.behavior is not None:
-                package = replica.behavior.provide_ledger_package(replica, package)
-            return package
+            if replica.behavior is None:
+                return package_offer(replica, oldest_receipt)
+            package = replica.behavior.provide_ledger_package(
+                replica, build_ledger_package(replica, oldest_receipt))
+            return None if package is None else PackageOffer.of(package)
 
         providers[replica.id] = provider
     return providers

@@ -21,6 +21,7 @@ from .entries import (
     PrePrepareEntry,
     ViewChangesEntry,
     NewViewEntry,
+    TxRun,
     entry_from_wire,
 )
 from .ledger import Ledger, LedgerFragment, BatchInfo
@@ -35,6 +36,7 @@ __all__ = [
     "PrePrepareEntry",
     "ViewChangesEntry",
     "NewViewEntry",
+    "TxRun",
     "entry_from_wire",
     "Ledger",
     "LedgerFragment",

@@ -21,7 +21,9 @@ the ledger Merkle tree M hashes the wire form of every entry.  Entry tags:
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, NamedTuple
 
 from .. import codec
@@ -90,18 +92,16 @@ class TxEntry(LedgerEntry):
 
     ``output`` is a map with the client-visible reply (``"reply"``) and
     the digest of the transaction's write set (``"ws"``), so replay can
-    detect silently-dropped writes even when the reply matches.  The
-    first encoding of ``(t, i, o)`` replaces a ``dict`` output by its
-    :class:`~repro.codec.SealedMap`, cut from those bytes, and a sealed
-    request by its :class:`~repro.codec.SealedSeq`: an entry holds both
-    at their encoded size, and every receipt and replyx built from it
-    shares them.
+    detect silently-dropped writes even when the reply matches.  A ledger
+    holds no ``TxEntry``: it packs each batch's entries into a
+    :class:`TxRun`, and an entry read from a ledger or a batch record is
+    a view the run builds on demand, holding the packed request and its
+    output as a :class:`~repro.codec.SealedMap` of the run's bytes.
     """
 
     request_wire: tuple
     index: int
     output: Any
-    _leaf_digest: Digest | None = field(default=None, init=False, repr=False, compare=False)
 
     def request(self):
         from ..lpbft.messages import TransactionRequest
@@ -118,60 +118,53 @@ class TxEntry(LedgerEntry):
         return Invocation(*t[1:3])
 
     def is_governance(self) -> bool:
-        """Whether ``t`` invokes a governance procedure (``gov.*``, §5).
-        Asked of every entry a ledger appends, so a packed request's
-        procedure name is compared in its bytes, nothing decoded."""
-        t = self.request_wire
-        if type(t) is codec.SealedSeq:
-            wire = t.wire_bytes
-            if wire.startswith(_REQUEST_HEAD) and wire[_NAME_AT - 1] < 0x80:
-                return wire.startswith(_GOV_PREFIX, _NAME_AT)
-        return t[1].startswith("gov.")
+        """Whether ``t`` invokes a governance procedure (``gov.*``, §5)."""
+        return _is_governance(self.request_wire)
 
     def tio(self) -> tuple:
         """The ``(t, i, o)`` triple a receipt commits to — also the G-tree
         leaf preimage."""
         return (self.request_wire, self.index, self.output)
 
-    def leaves(self, remember: bool = False) -> tuple[Digest, Digest]:
+    def leaves(self) -> tuple[Digest, Digest]:
         """``(digest(), leaf_digest())`` from one encoding of ``(t, i, o)``,
-        the G preimage.  ``remember`` keeps the G leaf for
-        :meth:`leaf_digest`, which a decoded ledger's replay asks for;
-        execution does not, as its batch's tree G holds the leaf."""
+        the G preimage."""
         encoded = self._encode_tio()
-        g_leaf = digest(encoded)
-        if remember:
-            object.__setattr__(self, "_leaf_digest", g_leaf)
-        return _wire_leaf(encoded), g_leaf
+        return _wire_leaf(encoded), digest(encoded)
 
     def digest(self) -> Digest:
         """The M leaf; remembered by tree M, not here."""
         return _wire_leaf(self._encode_tio())
 
     def leaf_digest(self) -> Digest:
-        """This entry's leaf in the per-batch tree G.  Remembered (32
-        bytes, never the encoding) only by a decoded ledger's entries
-        (:meth:`leaves`); the tree G of an executed entry's batch record,
-        or of its ledger batch (:meth:`Ledger.g_tree`), holds the leaf."""
-        leaf = self._leaf_digest
-        return digest(self._encode_tio()) if leaf is None else leaf
+        """This entry's leaf in the per-batch tree G; remembered by the
+        tree G of the entry's batch record or ledger batch, not here."""
+        return digest(self._encode_tio())
 
     def _encode_tio(self) -> bytes:
-        """``encode(tio())``.  A ``dict`` output is sealed from these
-        bytes: its encoding is their suffix after the three-item header,
-        ``t`` and ``i``.  A sealed request is packed (:func:`codec.pack`),
-        so the entry holds it at its encoded size too."""
+        """``encode(tio())``; a view's sealed output is spliced as held."""
         t, i, o = self.request_wire, self.index, self.output
-        if type(t) is codec.SealedSeq and type(o) is codec.SealedMap:
-            # Both held at their encodings, as a decoded ledger's are.
-            return b"".join((_TIO_HEAD, t.wire_bytes, codec.encode(i), o.wire_bytes))
-        encoded = codec.encode((t, i, o))
-        if type(o) is dict:
-            start = _TIO_HEAD_SIZE + codec.encoded_size(t) + codec.encoded_size(i)
-            object.__setattr__(self, "output", codec.SealedMap(encoded[start:]))
-        if type(t) is codec.Sealed:
-            object.__setattr__(self, "request_wire", codec.pack(t))
-        return encoded
+        if type(o) is codec.SealedMap:
+            return _tio_bytes(t, i, o.wire_bytes)
+        return codec.encode((t, i, o))
+
+
+def _tio_bytes(t, i: int, o: bytes) -> bytes:
+    """``encode((t, i, o))`` for an output held as its encoding ``o``; a
+    packed request's bytes are spliced."""
+    request = t.wire_bytes if type(t) is codec.SealedSeq else codec.encode(t)
+    return b"".join((_TIO_HEAD, request, codec.encode(i), o))
+
+
+def _is_governance(t) -> bool:
+    """Whether request ``t`` invokes a governance procedure.  Asked of
+    every transaction a ledger appends, so a packed request's procedure
+    name is compared in its bytes, nothing decoded."""
+    if type(t) is codec.SealedSeq:
+        wire = t.wire_bytes
+        if wire.startswith(_REQUEST_HEAD) and wire[_NAME_AT - 1] < 0x80:
+            return wire.startswith(_GOV_PREFIX, _NAME_AT)
+    return t[1].startswith("gov.")
 
 
 _TX_WIRE_HEAD = codec.encode((TxEntry.wire_tag, None, None, None))[:-3]  # four-item header, tag
@@ -311,3 +304,119 @@ def entry_from_wire(raw: tuple) -> LedgerEntry:
     if cls is None:
         raise LedgerError("malformed ledger entry: no known tag")
     return cls.from_wire(raw)
+
+
+class TxRun:
+    """The transaction entries of one batch, packed: what a ledger and a
+    batch record hold instead of an object per ``⟨t, i, o⟩``.
+
+    Entry ``k`` is ``⟨requests[k], first_index + k, o⟩`` where ``o`` is
+    ``outputs[offsets[k]:offsets[k + 1]]``, the output's encoding: the
+    requests are the packed :class:`~repro.codec.SealedSeq`s the other
+    replicas and the client's receipts share, and the outputs are one
+    ``bytes`` with an ``array`` of offsets.  A checkpoint transaction
+    (§3.4) is held as its entry in ``requests``, with no output bytes.
+    :meth:`entry` builds a :class:`TxEntry` view on demand and
+    :meth:`wire` its wire form; nothing per entry outlives either.
+
+    A run is built by :meth:`add` (an executed transaction) or
+    :meth:`add_entry`, each hashing both leaves from one encoding, and
+    packed by :meth:`close`; until then the outputs are a list of their
+    encodings.  ``position`` is the absolute ledger position of entry 0,
+    set by the ledger that holds the run.
+    """
+
+    __slots__ = ("first_index", "position", "requests", "outputs", "offsets")
+
+    def __init__(self, first_index: int, position: int = -1) -> None:
+        self.first_index = first_index
+        self.position = position
+        self.requests: list | tuple = []
+        self.outputs: list | bytes = []
+        self.offsets: array | None = None
+
+    def __len__(self) -> int:
+        return len(self.requests)
+
+    def add(self, request_wire, output) -> tuple[Digest, Digest]:
+        """Append the next transaction, ``request_wire`` with its
+        ``output``, from one encoding of ``⟨t, i, o⟩``: keeps ``t``
+        packed and ``o``'s bytes, and returns ``(M leaf, G leaf)``."""
+        index = self.first_index + len(self.requests)
+        if type(output) is codec.SealedMap:  # held at its encoding, as a fragment's outputs are
+            out = output.wire_bytes
+            encoded = _tio_bytes(request_wire, index, out)
+        else:
+            encoded = codec.encode((request_wire, index, output))
+            out = encoded[_TIO_HEAD_SIZE + codec.encoded_size(request_wire) + codec.encoded_size(index):]
+        self.requests.append(codec.pack(request_wire))
+        self.outputs.append(out)
+        return _wire_leaf(encoded), digest(encoded)
+
+    def add_entry(self, entry: TxEntry | CheckpointTxEntry) -> tuple[Digest, Digest]:
+        """Append ``entry``, whose index must be the run's next; returns
+        its ``(M leaf, G leaf)``."""
+        if type(entry) is CheckpointTxEntry:
+            self.requests.append(entry)
+            self.outputs.append(b"")
+            return entry.digest(), entry.leaf_digest()
+        return self.add(entry.request_wire, entry.output)
+
+    def close(self) -> TxRun:
+        """Pack the outputs into one ``bytes`` (idempotent); returns the run."""
+        if type(self.outputs) is list:
+            self.offsets = array("I", list(accumulate(map(len, self.outputs), initial=0)))
+            self.outputs = b"".join(self.outputs)
+            self.requests = tuple(self.requests)
+        return self
+
+    def slice(self, start: int, end: int) -> TxRun:
+        """A closed run of entries ``[start, end)``."""
+        run = TxRun(self.first_index + start, self.position + start)
+        run.requests = list(self.requests[start:end])
+        run.outputs = [self._output_bytes(k) for k in range(start, end)]
+        return run.close()
+
+    def _output_bytes(self, k: int) -> bytes:
+        outputs = self.outputs
+        if type(outputs) is list:
+            return outputs[k]
+        offsets = self.offsets
+        return outputs[offsets[k] : offsets[k + 1]]
+
+    def request_wire(self, k: int):
+        """Entry ``k``'s request (None for a checkpoint transaction)."""
+        t = self.requests[k]
+        return None if type(t) is CheckpointTxEntry else t
+
+    def entry(self, k: int) -> TxEntry | CheckpointTxEntry:
+        """Entry ``k``: a checkpoint transaction as held, a transaction
+        as a :class:`TxEntry` view whose output reads its bytes
+        (:func:`codec.value_of`: a map as a ``SealedMap``)."""
+        t = self.requests[k]
+        if type(t) is CheckpointTxEntry:
+            return t
+        return TxEntry(t, self.first_index + k, codec.value_of(self._output_bytes(k)))
+
+    def wire(self, k: int) -> tuple:
+        """Entry ``k``'s wire form, with no view built."""
+        t = self.requests[k]
+        if type(t) is CheckpointTxEntry:
+            return t.to_wire()
+        return (TxEntry.wire_tag, t, self.first_index + k, codec.value_of(self._output_bytes(k)))
+
+    def is_governance(self, k: int) -> bool:
+        t = self.requests[k]
+        return type(t) is not CheckpointTxEntry and _is_governance(t)
+
+    def g_leaves(self, start: int, end: int) -> list[Digest]:
+        """The G leaves of entries ``[start, end)``, hashed from the held
+        bytes with no view built."""
+        leaves = []
+        for k in range(start, end):
+            t = self.requests[k]
+            if type(t) is CheckpointTxEntry:
+                leaves.append(t.leaf_digest())
+            else:
+                leaves.append(digest(_tio_bytes(t, self.first_index + k, self._output_bytes(k))))
+        return leaves

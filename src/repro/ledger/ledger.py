@@ -30,6 +30,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import groupby, repeat
 from typing import Iterator
 
 from ..crypto.hashing import Digest
@@ -43,6 +44,7 @@ from .entries import (
     NewViewEntry,
     PrePrepareEntry,
     TxEntry,
+    TxRun,
     ViewChangesEntry,
     entry_from_wire,
 )
@@ -58,20 +60,15 @@ class BatchInfo:
     first_tx: int  # ledger index of the first tx entry (== pp_index + 1)
     tx_count: int
     flags: int
-    # Tree G over the batch's entries from :meth:`Ledger.unbound`, held
-    # until :meth:`Ledger.g_tree` hands it to its next reader.
+    # Tree G over a decoded batch's entries, hashed as they were
+    # appended, held until :meth:`Ledger.g_tree` hands it to its next
+    # reader.
     g_tree: MerkleTree | None = field(default=None, repr=False, compare=False)
 
     @property
     def end(self) -> int:
         """Ledger index one past the batch's last entry."""
         return self.first_tx + self.tx_count
-
-
-def _is_gov_entry(entry: LedgerEntry) -> bool:
-    return isinstance(entry, GenesisEntry) or (
-        isinstance(entry, TxEntry) and entry.is_governance()
-    )
 
 
 class Ledger:
@@ -81,10 +78,16 @@ class Ledger:
     entry, in order.  Rollback (Lemma 1) truncates both; prefix GC
     (:meth:`truncate_below`) drops entries below a checkpoint boundary
     while every retained index keeps its meaning.
+
+    A batch's transaction entries are held as one :class:`TxRun`, whose
+    positions in ``_entries`` each refer to it; every read of one builds
+    a view.  A run continues while entries arrive with consecutive
+    logical indices and nothing else in between.
     """
 
     def __init__(self, genesis: GenesisEntry | None = None) -> None:
-        self._entries: list[LedgerEntry] = []
+        self._entries: list[LedgerEntry | TxRun] = []
+        self._open: TxRun | None = None  # the tail run entry appends extend
         self._tree = MerkleTree()
         # One BatchInfo per pre-prepare entry, in ledger order; a seqno
         # re-proposed in a higher view has one for each, and _batches
@@ -122,12 +125,15 @@ class Ledger:
 
     # -- append / read ---------------------------------------------------
 
-    def append(self, entry: LedgerEntry, leaf: Digest | None = None) -> int:
-        """Append an entry; returns its absolute position.  ``leaf`` is
-        ``entry.digest()`` when the caller already hashed it."""
+    def append(self, entry: LedgerEntry) -> int:
+        """Append an entry; returns its absolute position."""
         index = len(self)
+        if isinstance(entry, (TxEntry, CheckpointTxEntry)):
+            self._append_txs((entry,))
+            return index
+        self._close_run()
         self._entries.append(entry)
-        self._tree.append(entry.digest() if leaf is None else leaf)
+        self._tree.append(entry.digest())
         if not isinstance(entry, (ViewChangesEntry, NewViewEntry)):
             self._logical_to_position.append(index)
         if isinstance(entry, PrePrepareEntry):
@@ -142,27 +148,78 @@ class Ledger:
             )
             self._batch_list.append(info)
             self._batches[pp.seqno] = info
-        elif isinstance(entry, (TxEntry, CheckpointTxEntry)):
-            if self._batch_list:
-                info = self._batch_list[-1]
-                if info.end == index:
-                    info.tx_count += 1
-            if isinstance(entry, TxEntry) and entry.is_governance():
-                self._last_gov_index = self.logical_size() - 1
-                self._gov_entries.append((self._last_gov_index, entry.to_wire()))
         elif isinstance(entry, GenesisEntry):
             self._last_gov_index = self.logical_size() - 1
         return index
 
-    def _append_decoded(self, entries: list[LedgerEntry]) -> None:
-        """Append a fragment's decoded entries.  A ``TxEntry``'s one
-        ``(t, i, o)`` encoding gives its M leaf here and leaves its G leaf
-        remembered for replay (:meth:`TxEntry.leaves`)."""
+    def append_run(self, run: TxRun, m_leaves: list[Digest]) -> None:
+        """Append an executed batch's transaction entries: ``run``, which
+        the ledger then holds packed, with the M leaf execution hashed
+        for each of its entries."""
+        self._close_run()
+        run.position = len(self)
+        self._place(run.close(), m_leaves)
+
+    def _append_txs(self, entries: list[TxEntry | CheckpointTxEntry]) -> list[Digest]:
+        """Append transaction entries to the open tail run, or to a new
+        one where an entry does not continue it; returns their G leaves."""
+        run, m_leaves, g_leaves = self._open, [], []
         for entry in entries:
-            if type(entry) is TxEntry:
-                self.append(entry, entry.leaves(remember=True)[0])
-            else:
-                self.append(entry)
+            if type(entry.index) is not int:
+                raise LedgerError(f"transaction entry index {entry.index!r} is not an int")
+            if run is None or run.first_index + len(run) != entry.index:
+                if m_leaves:
+                    self._place(run, m_leaves)
+                    m_leaves = []
+                self._close_run()
+                run = self._open = TxRun(entry.index, len(self))
+            m_leaf, g_leaf = run.add_entry(entry)
+            m_leaves.append(m_leaf)
+            g_leaves.append(g_leaf)
+        if m_leaves:
+            self._place(run, m_leaves)
+        return g_leaves
+
+    def _close_run(self) -> None:
+        if self._open is not None:
+            self._open.close()
+            self._open = None
+
+    def _place(self, run: TxRun, m_leaves) -> None:
+        """Index the last ``len(m_leaves)`` entries of ``run``, which
+        continue the ledger: one position, M leaf and logical index
+        each, the open batch's count and the governance log."""
+        position, count = len(self), len(m_leaves)
+        self._entries.extend(repeat(run, count))
+        for leaf in m_leaves:
+            self._tree.append(leaf)
+        self._logical_to_position.extend(range(position, position + count))
+        if self._batch_list:
+            info = self._batch_list[-1]
+            if info.end == position:
+                info.tx_count += count
+        first, logical = position - run.position, self.logical_size() - count
+        for k in range(first, first + count):
+            if run.is_governance(k):
+                self._last_gov_index = logical + k - first
+                self._gov_entries.append((self._last_gov_index, run.wire(k)))
+
+    def _append_decoded(self, entries: list[LedgerEntry]) -> None:
+        """Append a fragment's decoded entries.  Each transaction entry's
+        one ``(t, i, o)`` encoding gives its M leaf and its G leaf; the
+        G leaves of the transaction entries that make up a batch are its
+        tree G, kept for the readers of :meth:`g_tree`."""
+        for is_tx, group in groupby(entries, lambda entry: isinstance(entry, (TxEntry, CheckpointTxEntry))):
+            if not is_tx:
+                for entry in group:
+                    self.append(entry)
+                continue
+            txs = list(group)
+            info = self._batch_list[-1] if self._batch_list else None
+            g_leaves = self._append_txs(txs)
+            if info is not None and info.end == len(self) and info.tx_count == len(txs):
+                info.g_tree = MerkleTree(g_leaves)
+        self._close_run()
 
     def __len__(self) -> int:
         """Total (absolute) ledger length, garbage-collected prefix included."""
@@ -205,20 +262,45 @@ class Ledger:
                 f"logical index {logical_index} outside retained range "
                 f"[{self._logical_base}, {self.logical_size()})"
             )
-        return self._entries[self._logical_to_position[offset] - self._base]
+        return self._view(self._logical_to_position[offset])
 
     def entry(self, index: int) -> LedgerEntry:
         if not self._base <= index < len(self):
             raise LedgerError(
                 f"ledger index {index} outside retained range [{self._base}, {len(self)})"
             )
-        return self._entries[index - self._base]
+        return self._view(index)
+
+    def _view(self, position: int) -> LedgerEntry:
+        held = self._entries[position - self._base]
+        return held.entry(position - held.position) if type(held) is TxRun else held
 
     def entries(self, start: int | None = None, end: int | None = None) -> list[LedgerEntry]:
         """Entries in ``[start, end)``; ``start`` defaults to the retained
         base, ``end`` to the ledger length.  Asking for a start below the
         retained base raises — callers that need the pruned prefix must go
         through the governance archive or a checkpoint."""
+        start, end = self._bounds(start, end)
+        return [
+            held.entry(position - held.position) if type(held) is TxRun else held
+            for position, held in enumerate(self._entries[start - self._base : end - self._base], start)
+        ]
+
+    def entries_of(self, kind: type, start: int | None = None, end: int | None = None) -> list[LedgerEntry]:
+        """The entries of class ``kind`` in ``[start, end)`` (bounds as
+        :meth:`entries`), found without building a transaction entry's
+        view; ``kind`` is not :class:`TxEntry`."""
+        start, end = self._bounds(start, end)
+        found = []
+        for position, held in enumerate(self._entries[start - self._base : end - self._base], start):
+            if type(held) is TxRun:
+                # A checkpoint transaction is held as itself, a request is no entry.
+                held = held.requests[position - held.position]
+            if isinstance(held, kind):
+                found.append(held)
+        return found
+
+    def _bounds(self, start: int | None, end: int | None) -> tuple[int, int]:
         start = self._base if start is None else start
         end = len(self) if end is None else end
         if start < self._base:
@@ -227,10 +309,10 @@ class Ledger:
             )
         if not start <= end <= len(self):
             raise LedgerError(f"bad entry range [{start}, {end}) for ledger of {len(self)}")
-        return self._entries[start - self._base : end - self._base]
+        return start, end
 
     def __iter__(self) -> Iterator[LedgerEntry]:
-        return iter(self._entries)
+        return (self._view(position) for position in range(self._base, len(self)))
 
     # -- Merkle tree -------------------------------------------------------
 
@@ -272,7 +354,20 @@ class Ledger:
         info = self._batches.get(seqno)
         if info is None:
             raise LedgerError(f"no batch at seqno {seqno}")
-        return self._entries[info.first_tx - self._base : info.end - self._base]
+        return self.entries(info.first_tx, info.end)
+
+    def batch_run(self, info: BatchInfo) -> TxRun:
+        """The run holding the transaction entries of the batch ``info``
+        locates (an empty one for a batch without any).  Raises when
+        they are not one run, which no correct replica appends."""
+        if not info.tx_count:
+            return TxRun(0).close()
+        run = self._entries[info.first_tx - self._base]
+        if run.position != info.first_tx or len(run) != info.tx_count:
+            raise LedgerError(f"batch {info.seqno}: its transaction entries are not one run")
+        if run is self._open:
+            self._close_run()
+        return run
 
     def batch_pre_prepare(self, seqno: int):
         """The pre-prepare message of the newest batch at ``seqno``."""
@@ -287,6 +382,18 @@ class Ledger:
         assert isinstance(entry, PrePrepareEntry)
         return entry.pre_prepare()
 
+    def _g_leaves(self, start: int, end: int) -> list[Digest]:
+        """The G leaves of the transaction entries in ``[start, end)``,
+        from their runs' bytes."""
+        leaves: list[Digest] = []
+        while start < end:
+            run = self._entries[start - self._base]
+            k = start - run.position
+            count = min(len(run) - k, end - start)
+            leaves += run.g_leaves(k, k + count)
+            start += count
+        return leaves
+
     def g_tree(self, info: BatchInfo) -> MerkleTree:
         """Tree G over the entries of the batch ``info`` locates (§3.1).
         A tree :meth:`unbound` built is handed to the next reader and no
@@ -298,7 +405,7 @@ class Ledger:
         if tree is None and self._last_g_tree is not None and self._last_g_tree[0] is info:
             tree = self._last_g_tree[1]
         if tree is None or len(tree) != info.tx_count:
-            tree = MerkleTree([entry.leaf_digest() for entry in self.entries(info.first_tx, info.end)])
+            tree = MerkleTree(self._g_leaves(info.first_tx, info.end))
             self._last_g_tree = (info, tree)
         return tree
 
@@ -336,7 +443,7 @@ class Ledger:
                           f"is not its ledger root"))
         elif (seqno, checkpoint.digest(), size, checkpoint.ledger_root) not in {
             (entry.cp_seqno, entry.cp_digest, entry.ledger_size, entry.ledger_root)
-            for entry in self.entries(size) if isinstance(entry, CheckpointTxEntry)
+            for entry in self.entries_of(CheckpointTxEntry, size)
         }:
             found.append((seqno, f"checkpoint {seqno}: no checkpoint transaction "
                           f"records its digest and ledger binding"))
@@ -371,7 +478,7 @@ class Ledger:
         ]
         if start == 0 < end and isinstance(self._entries[0], GenesisEntry):
             positions.append(0)
-        return [(position, self._entries[position - self._base]) for position in sorted(positions)]
+        return [(position, self._view(position)) for position in sorted(positions)]
 
     def governance_indices(self) -> list[int]:
         """Absolute indices of retained governance transactions (genesis
@@ -390,8 +497,11 @@ class Ledger:
             raise LedgerError(
                 f"cannot truncate to {size}, ledger retains [{self._base}, {len(self)})"
             )
-        removed = self._entries[size - self._base :]
+        removed = self.entries(size)
+        self._cut_run_at(size)
         del self._entries[size - self._base :]
+        if self._open is not None and self._open.position >= size:
+            self._open = None
         self._tree.truncate(size)
         # The removed batches, logical indices and governance entries are
         # each a suffix of their index: cut them from the tail.
@@ -444,27 +554,47 @@ class Ledger:
                     f"boundary {boundary} splits batch {info.seqno} "
                     f"[{info.pp_index}, {info.end})"
                 )
-        dropped = self._entries[: boundary - self._base]
+        dropped = boundary - self._base
+        self._cut_run_at(boundary)
+        if self._open is not None and self._open.position < boundary:
+            self._open = None
         # Remember the newest pruned governance logical index before the
-        # entries disappear (rollback recomputation falls back to it).
-        logical = self._logical_base
-        for entry in dropped:
-            if isinstance(entry, (ViewChangesEntry, NewViewEntry)):
-                continue
-            if _is_gov_entry(entry):
-                self._gov_floor = logical
-            logical += 1
-        del self._entries[: boundary - self._base]
+        # entries disappear (rollback recomputation falls back to it):
+        # the governance log's, or a genesis entry's.
+        positions = self._logical_to_position
+        keep_from = bisect_left(positions, boundary)
+        pruned = [i for i, _ in self._gov_entries if self._logical_base <= i < self._logical_base + keep_from]
+        pruned += [
+            self._logical_base + k for k in range(keep_from)
+            if isinstance(self._entries[positions[k] - self._base], GenesisEntry)
+        ]
+        if pruned:
+            self._gov_floor = max(pruned)
+        del self._entries[:dropped]
         self._tree.compact_below(boundary)
         self._batch_list = [info for info in self._batch_list if info.end > boundary]
         self._batches = {info.seqno: info for info in self._batch_list}
         if self._last_g_tree is not None and self._last_g_tree[0].end <= boundary:
             self._last_g_tree = None
-        keep_from = bisect_left(self._logical_to_position, boundary)
-        del self._logical_to_position[:keep_from]
+        del positions[:keep_from]
         self._logical_base += keep_from
         self._base = boundary
-        return len(dropped)
+        return dropped
+
+    def _cut_run_at(self, position: int) -> None:
+        """Split the run across ``position`` (if any) into two closed
+        runs, so that truncating either side leaves whole runs."""
+        if not self._base < position < len(self):
+            return
+        run = self._entries[position - self._base]
+        if type(run) is not TxRun or run.position == position:
+            return
+        cut, end = position - run.position, run.position + len(run)
+        head, tail = run.slice(0, cut), run.slice(cut, len(run))
+        self._entries[run.position - self._base : position - self._base] = repeat(head, cut)
+        self._entries[position - self._base : end - self._base] = repeat(tail, len(run) - cut)
+        if run is self._open:
+            self._open = None
 
     # -- fragments -----------------------------------------------------------
 
@@ -482,9 +612,10 @@ class Ledger:
             raise LedgerError(f"bad fragment range [{start}, {end})")
         return LedgerFragment(
             start=start,
-            entry_wires=tuple(
-                e.to_wire() for e in self._entries[start - self._base : end - self._base]
-            ),
+            entry_wires=tuple([
+                held.wire(position - held.position) if type(held) is TxRun else held.to_wire()
+                for position, held in enumerate(self._entries[start - self._base : end - self._base], start)
+            ]),
         )
 
 

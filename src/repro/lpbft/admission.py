@@ -381,9 +381,9 @@ class Admission:
         sequenced.  Without ``arrival`` a request has no known age: at the
         head it stops the stash scan, and its deadline wait counts from
         zero."""
-        for entry, tx_digest in zip(record.entries, record.tx_digests):
+        for position, tx_digest in enumerate(record.tx_digests):
             if tx_digest is not None and tx_digest not in self.requests:
-                self.requests[tx_digest] = entry.request()
+                self.requests[tx_digest] = record.run.entry(position).request()
                 self.verified.add(tx_digest)
                 if arrival is not None:
                     self.arrivals[tx_digest] = arrival

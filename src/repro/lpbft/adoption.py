@@ -28,11 +28,11 @@ from __future__ import annotations
 from itertools import chain
 
 from ..crypto import digest_value
-from ..errors import ProtocolError
+from ..errors import LedgerError, ProtocolError
 from ..governance.configuration import Configuration
 from ..governance.schedule import ConfigSchedule
 from ..kvstore import Checkpoint, KVStore
-from ..ledger import CheckpointTxEntry, EvidenceEntry, GenesisEntry, Ledger
+from ..ledger import EvidenceEntry, GenesisEntry, Ledger
 from .batch import BatchRecord, ReconfigState, location
 from .checkpointing import CheckpointStore
 from .messages import BATCH_CHECKPOINT
@@ -94,12 +94,14 @@ def verify_fetched_ledger(
     else:
         # Imported lazily: repro.governance.subledger imports the lpbft
         # message types, so a module-level import would be circular.
-        from ..governance.subledger import extract_governance_subledger
+        from ..governance.subledger import GovernanceExtractor
 
+        # Extraction reads the entries the ledger indexes, which leave
+        # out any genesis entry past index 0.
+        if ledger.entries_of(GenesisEntry, 1):
+            raise ProtocolError("governance subledger extraction failed: a second genesis entry")
         try:
-            schedule = extract_governance_subledger(
-                ledger.entries(), replica.params.pipeline
-            ).schedule
+            schedule = GovernanceExtractor(replica.params.pipeline).feed_ledger(ledger).subledger().schedule
         except Exception as exc:
             raise ProtocolError(f"governance subledger extraction failed: {exc}") from exc
     items = []
@@ -161,7 +163,7 @@ def install_ledger(
     # Evidence counts only when a signed pre-prepare's root_m covers it.
     batch_infos = ledger.batches()
     covered = batch_infos[-1].pp_index if batch_infos else ledger.base_index
-    evidenced = {e.seqno for e in ledger.entries(end=covered) if isinstance(e, EvidenceEntry)}
+    evidenced = {e.seqno for e in ledger.entries_of(EvidenceEntry, end=covered)}
     # What we committed ourselves stays committed: a pre-prepare's root_m
     # binds the ledger before it and its root_g the batch, so the same
     # digest at our commit frontier means the same committed prefix.
@@ -187,7 +189,7 @@ def install_ledger(
     replica.submit("hash", len(checkpoint.state) * replica.costs.checkpoint_per_entry)
     # Batches at or below the checkpoint install as the ledger has them.
     below = (
-        ReplayedBatch(info, kv.tx_count, ledger.entries(info.first_tx, info.end), ledger.g_tree(info), [], [])
+        ReplayedBatch(info, kv.tx_count, ledger.g_tree(info), [], [])
         for info in batch_infos if info.seqno <= cp_seqno
     )
     records: list[BatchRecord] = []
@@ -197,9 +199,13 @@ def install_ledger(
         info = batch.info
         seqno = info.seqno
         pp = ledger.batch_pre_prepare(seqno)
+        try:
+            run = ledger.batch_run(info)
+        except LedgerError as exc:
+            raise ProtocolError(str(exc)) from exc
         record = BatchRecord(
             seqno=seqno, view=pp.view, flags=pp.flags, pp=pp, pp_digest=pp.digest(),
-            entries=batch.entries, g_tree=batch.g_tree, kv_mark=batch.kv_mark,
+            run=run, g_tree=batch.g_tree, kv_mark=batch.kv_mark,
             ledger_start=info.pp_index, ledger_end=info.end)
         if seqno > cp_seqno:
             # Replay is real CPU: catching up from an old (or no)
@@ -226,14 +232,16 @@ def install_ledger(
             ):
                 checkpoints.take(
                     Checkpoint.capture(kv, seqno, info.end, ledger.root_at(info.end)), replica.now)
-        for entry in record.entries:
-            if isinstance(entry, CheckpointTxEntry):
+        for k in range(len(run)):
+            wire = run.request_wire(k)
+            if wire is None:  # a checkpoint transaction
+                entry = run.entry(k)
                 record.tx_digests.append(None)
                 checkpoints.note_record(seqno, entry.cp_seqno, entry.cp_digest)
                 continue
-            tx_digest = digest_value(entry.request_wire)  # H(t), remembered by its seal
+            tx_digest = digest_value(wire)  # H(t), remembered by its seal
             record.tx_digests.append(tx_digest)
-            tx_locations[tx_digest] = location(seqno, entry.index)
+            tx_locations[tx_digest] = location(seqno, run.first_index + k)
         if seqno <= committed_upto or (committed_upto == seqno - 1 and seqno in evidenced):
             committed_upto = max(committed_upto, seqno)
             record.prepared = record.committed = True

@@ -18,7 +18,7 @@ from ..crypto.nonces import NonceCommitment
 from ..errors import TransactionAborted
 from ..governance.configuration import Configuration
 from ..kvstore import EMPTY_WS, KVStore, ProcedureRegistry
-from ..ledger.entries import EvidenceEntry, NoncesEntry, TxEntry
+from ..ledger.entries import EvidenceEntry, NoncesEntry, TxRun
 from ..merkle import MerkleTree
 from .messages import Commit, Prepare, PrePrepare, Reply, TransactionRequest, bitmap_members, bitmap_of
 
@@ -75,7 +75,7 @@ class BatchRecord:
     flags: int
     pp: PrePrepare | None = None
     pp_digest: Digest | None = None
-    entries: list = field(default_factory=list)  # TxEntry | CheckpointTxEntry, in G order
+    run: TxRun | None = None  # the batch's transaction entries, in G order (shared with the ledger)
     g_tree: MerkleTree = field(default_factory=MerkleTree)
     tx_digests: list = field(default_factory=list)  # request digest per entry (None for cp tx)
     clients: dict = field(default_factory=dict)  # client pubkey -> [tx digests]
@@ -194,18 +194,18 @@ class BatchStore(dict):
         seqno, index = split_location(located)
         record = self.get(seqno)
         if record is not None:
-            position = index - record.entries[0].index
+            position = index - record.run.first_index
             if 0 <= position < len(record.tx_digests) and record.tx_digests[position] == tx_digest:
                 return record, position
             return None
         info = None if ledger is None else ledger.batch(seqno)
         if info is None or not info.tx_count:
             return None
-        position = index - ledger.entry(info.first_tx).index
-        if 0 <= position < info.tx_count:
-            entry = ledger.entry(info.first_tx + position)
-            if isinstance(entry, TxEntry) and digest_value(entry.request_wire) == tx_digest:
-                return info, position
+        run = ledger.batch_run(info)
+        position = index - run.first_index
+        wire = run.request_wire(position) if 0 <= position < len(run) else None
+        if wire is not None and digest_value(wire) == tx_digest:
+            return info, position
         return None
 
     def install(self, record: BatchRecord) -> None:

@@ -58,7 +58,7 @@ from ..ledger import (
     Ledger,
     NoncesEntry,
     PrePrepareEntry,
-    TxEntry,
+    TxRun,
     entry_from_wire,
 )
 from ..network import Node
@@ -299,21 +299,20 @@ class LPBFTReplica(Node):
         self.views.arm_timer()
 
     def on_message(self, src: str, msg: Any) -> None:
-        if not isinstance(msg, tuple) or not msg:
-            raise ProtocolError(f"malformed message from {src!r}")
-        kind = msg[0]
+        kind = msg[0] if isinstance(msg, tuple) and msg else None
+        handler = self._handlers.get(kind) if type(kind) is str else None
         # Channel authentication: all traffic is MAC'd (§3.4).
         self.submit("message", self.costs.message_overhead + self.costs.mac)
         self.metrics.bump("messages_received")
+        if handler is None:  # not an envelope of a kind we know: dropped and counted
+            self.metrics.bump("malformed_messages", kind="unknown")
+            return
         if self.params.peer_review and kind in _PEER_REVIEW_ACKED:
             # PeerReview baseline: sign an acknowledgement for every
             # protocol message (§6.1); the ack is a real message so the
             # extra network load is modeled too.
             self.submit("sign", self.costs.sign)
             self.send(src, ("ack", digest_value((kind, self.id))))
-        handler = self._handlers.get(kind)
-        if handler is None:
-            raise ProtocolError(f"unknown message kind {kind!r}")
         try:  # a message that does not parse is dropped and counted
             check_envelope(msg)
             handler(src, msg)
@@ -488,10 +487,10 @@ class LPBFTReplica(Node):
     ) -> tuple[BatchRecord, list[Digest]]:
         """Early execution shared by primary and backups: take the batch's
         requests from the queue, run them, build the per-batch tree G, and
-        stage the (t, i, o) entries.  The caller has already appended the
-        evidence entries; the pre-prepare entry will sit at the current
-        ledger length, so the first transaction index is
-        ``len(ledger) + 1``.  Also returns each entry's M leaf, hashed
+        pack the (t, i, o) entries into the record's run.  The caller has
+        already appended the evidence entries; the pre-prepare entry will
+        sit at the current ledger length, so the first transaction index
+        is ``len(ledger) + 1``.  Also returns each entry's M leaf, hashed
         from the encoding its G leaf was, for :meth:`_install_batch`."""
         record = BatchRecord(seqno=s, view=view, flags=flags, kv_mark=self.kv.tx_count)
         m_leaves: list[Digest] = []
@@ -499,6 +498,7 @@ class LPBFTReplica(Node):
         # transaction takes the one after (logical indices skip vc/nv
         # entries, so re-executed batches reuse their original indices).
         next_index = self.ledger.logical_size() + 1
+        run = TxRun(next_index)
 
         # Checkpoint transactions lead their batch (§3.4, §5.1).
         if flags == BATCH_CHECKPOINT or (flags == BATCH_REGULAR and self._checkpoint_due(s)):
@@ -511,9 +511,9 @@ class LPBFTReplica(Node):
                 ledger_root=cp.ledger_root,
                 index=next_index,
             )
-            record.entries.append(entry)
-            record.g_tree.append(entry.leaf_digest())
-            m_leaves.append(entry.digest())
+            m_leaf, g_leaf = run.add_entry(entry)
+            record.g_tree.append(g_leaf)
+            m_leaves.append(m_leaf)
             record.tx_digests.append(None)
             next_index += 1
             self.checkpoints.note_record(s, cp_seqno, cp.digest())
@@ -536,9 +536,7 @@ class LPBFTReplica(Node):
                 exec_span.finish(self.cpu_time())
             if self.behavior is not None:
                 output = self.behavior.mutate_output(self, request, output)
-            entry = TxEntry(request_wire=request.to_wire(), index=next_index, output=output)
-            m_leaf, g_leaf = entry.leaves()
-            record.entries.append(entry)
+            m_leaf, g_leaf = run.add(request.to_wire(), output)
             record.g_tree.append(g_leaf)
             m_leaves.append(m_leaf)
             record.tx_digests.append(tx_digest)
@@ -549,6 +547,7 @@ class LPBFTReplica(Node):
                 # A governance transaction ends the batch (§5.1 summary).
                 self.gov_tx_log.append((s, tx_digest, request.procedure))
                 break
+        record.run = run.close()
         return record, m_leaves
 
     def _execute_request(self, request: TransactionRequest) -> dict:
@@ -594,10 +593,9 @@ class LPBFTReplica(Node):
         record.pp = pp
         record.pp_digest = pp.digest()
         self.ledger.append(PrePrepareEntry.of(pp))
-        for entry, m_leaf in zip(record.entries, m_leaves):
-            self.ledger.append(entry, m_leaf)
+        self.ledger.append_run(record.run, m_leaves)
         if self.params.ledger:
-            entries = 1 + len(record.entries)
+            entries = 1 + len(record.run)
             self.submit("append", entries * self.costs.ledger_append)
             self.submit("hash", entries * 2 * self.costs.hash_fixed)
         record.ledger_end = len(self.ledger)
@@ -975,7 +973,7 @@ class LPBFTReplica(Node):
                     self._send_replyx(record, position, tx_digest, dst)
 
     def _send_replyx(self, record: BatchRecord, position: int, tx_digest: Digest, dst: str) -> None:
-        entry = record.entries[position]
+        entry = record.run.entry(position)
         path = record.g_tree.path(position)
         self.submit("hash", len(path) * self.costs.hash_fixed)
         payload, size = replyx_payload(record.pp, tx_digest, entry.index, entry.output, path)
@@ -1154,9 +1152,10 @@ class LPBFTReplica(Node):
         found = self.batches.executed(tx_digest, self.tx_locations.get(tx_digest))
         if found is None or found[0] is not record:
             return None
-        entry = record.entries[found[1]]
+        entry = record.run.entry(found[1])
         return Receipt(
-            entry.request_wire, entry.index, entry.output, record.g_tree.path(found[1]), certificate)
+            entry.request_wire, entry.index, codec.encoding_of(entry.output), record.g_tree.path(found[1]),
+            certificate)
 
     # -- fetch protocol ---------------------------------------------------------------
 
@@ -1175,7 +1174,7 @@ class LPBFTReplica(Node):
             executed = self.batches.executed(tx_digest, self.tx_locations.get(tx_digest))
             if executed is not None:
                 record, position = executed
-                found.append(record.entries[position].request_wire)
+                found.append(record.run.request_wire(position))
         if found:
             self.send(src, ("requests-bundle", tuple(found)))
 

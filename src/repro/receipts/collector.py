@@ -68,7 +68,7 @@ def assemble_receipt(
     if is_batch:
         return Receipt(None, None, None, None, certificate)
     return Receipt(
-        codec.pack(request_wire), replyx.index, replyx.output, MerklePath.from_wire(replyx.path),
+        codec.pack(request_wire), replyx.index, codec.encoding_of(replyx.output), MerklePath.from_wire(replyx.path),
         certificate,
     )
 

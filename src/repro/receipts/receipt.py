@@ -103,13 +103,15 @@ class Receipt:
     transaction triple: the four per-transaction fields and the batch's
     :class:`Certificate`, which the receipts of a batch share.  Each
     certificate field reads as an attribute of the receipt too
-    (``receipt.seqno``).
+    (``receipt.seqno``).  The output is held at its encoded size
+    (``output_wire``, :func:`codec.encoding_of`) and reads back as
+    ``output``, a map as a :class:`~repro.codec.SealedMap`.
     """
 
-    # Transaction part (None/0/None/None for batch receipts).
+    # Transaction part (all None for batch receipts).
     request_wire: tuple | None
     index: int | None
-    output: Any
+    output_wire: bytes | None
     path: MerklePath | None
     certificate: Certificate
 
@@ -123,6 +125,11 @@ class Receipt:
     @property
     def is_batch_receipt(self) -> bool:
         return self.request_wire is None
+
+    @property
+    def output(self) -> Any:
+        """The transaction's output ``o`` (None for a batch receipt)."""
+        return None if self.output_wire is None else codec.value_of(self.output_wire)
 
     def request(self) -> TransactionRequest:
         if self.request_wire is None:
@@ -207,7 +214,7 @@ def _receipt(request_wire, index, output, path, *certified) -> Receipt:
         path = None if path is None else MerklePath.from_wire(path)
     except MerkleError as exc:
         raise ReceiptError(str(exc)) from exc
-    return Receipt(request_wire, index, output, path, c)
+    return Receipt(request_wire, index, None if output is None else codec.encoding_of(output), path, c)
 
 
 def verify_receipt(

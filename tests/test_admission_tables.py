@@ -50,7 +50,7 @@ def _key(n: int) -> bytes:
 def _record(request, digests):
     """The two fields of a batch record that :meth:`Admission.requeue` reads."""
     entry = SimpleNamespace(request=lambda: request)
-    return SimpleNamespace(entries=[entry] * len(digests), tx_digests=list(digests))
+    return SimpleNamespace(run=SimpleNamespace(entry=lambda position: entry), tx_digests=list(digests))
 
 
 _OPS = st.lists(

@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from repro import codec
 from repro.audit import (
     UPOM_EQUIVOCATION,
     UPOM_GOVERNANCE_FORK,
@@ -25,9 +26,12 @@ from repro.byzantine import (
 )
 from repro.enforcement import Enforcer, make_enforcer, providers_from_deployment
 from repro.errors import AuditError
+from repro.ledger import EvidenceEntry
 from repro.receipts import GovernanceChain, GovernanceLink, find_chain_fork
+from repro.workloads import SmallBankWorkload
 
 from helpers import FAST_PARAMS, build_deployment, run_workload
+from test_integration_reconfig import RECONF_PARAMS
 
 
 def fresh_run(behaviors=None, seed=b"audit", n_tx=40):
@@ -69,7 +73,7 @@ class TestHonestAudit:
 
     def test_invalid_receipt_rejected_as_input(self, honest):
         dep, client, receipts = honest
-        bad = dataclasses.replace(receipts[0], output={"reply": {"ok": True}, "ws": b"\x00" * 32})
+        bad = dataclasses.replace(receipts[0], output_wire=codec.encode({"reply": {"ok": True}, "ws": b"\x00" * 32}))
         with pytest.raises(AuditError):
             Auditor(dep.registry, dep.params).audit([bad], [client.gov_chain], make_enforcer(dep))
 
@@ -261,6 +265,36 @@ class TestGovernanceFork:
         blamed = set(ra.signers()) & set(rb.signers())
         assert len(blamed) >= config.f + 1
 
+    def test_a_fork_with_the_ledger_blames_only_replicas_that_signed_both_sides(self):
+        """The client's chain carries a P-th end-of-configuration receipt
+        for another batch than the ledger's: its signers include a replica
+        whose signature is not on the ledger's batch (neither its primary
+        nor a prepare in its evidence), and that replica is not blamed."""
+        dep, client = reconfigured()
+        package = build_ledger_package(dep.replicas[1])
+        ledger = package.fragment.to_ledger()
+        record = package.subledger.reconfigs[0]
+        eoc_pp, config = record.eoc_pre_prepare(), dep.genesis_config
+        primary = config.primary_for_view(eoc_pp.view)
+        evidence = [e for e in ledger.entries() if isinstance(e, EvidenceEntry) and e.seqno == record.eoc_seqno]
+        prepares = [p for e in evidence for p in e.prepares()]
+        ledger_side = {primary} | {p.replica for p in prepares}
+        outsider = next(r for r in config.replica_ids() if r not in ledger_side)
+        backup = min(ledger_side - {primary})
+        colluders = {r: dep.replica_keys[r] for r in (primary, backup, outsider)}
+        forged = forge_eoc_receipt(
+            colluders, config, seqno=record.eoc_seqno, committed_root=b"\xaa" * 32, view=eoc_pp.view)
+        link = dataclasses.replace(client.gov_chain.links[0], eoc_receipt=forged)
+        chain = dataclasses.replace(client.gov_chain, links=(link,))
+        result = Auditor(dep.registry, dep.params).audit(list(client.receipts.values()), [chain], make_enforcer(dep))
+        [upom] = result.upoms
+        assert upom.kind == UPOM_GOVERNANCE_FORK
+        assert upom.blamed_replicas == tuple(sorted((primary, backup)))
+        assert outsider not in upom.blamed_replicas
+        assert upom.evidence["receipt"] == forged.to_wire()
+        assert upom.evidence["ledger"][0] == eoc_pp.to_wire()
+        assert set(upom.evidence["ledger"][1:]) == {p.to_wire() for p in prepares}
+
 
 class TestUPoMVerification:
     def test_invalid_upom_punishes_auditor(self, honest):
@@ -276,6 +310,30 @@ class TestUPoMVerification:
         assert not valid
         assert "mallory" in enforcer.punished_members()
         assert "member-0" not in enforcer.punished_members()
+
+
+def reconfigured():
+    """A deployment that swapped replica 0 out and replica 4 in, with
+    its client's receipts and governance chain."""
+    dep = build_deployment(params=RECONF_PARAMS, spare_replicas=1, seed=b"reconf")
+    client = dep.add_client(retry_timeout=0.5)
+    members = {m: dep.member_client(m) for m in ("member-1", "member-2", "member-3")}
+    dep.start()
+    workload = SmallBankWorkload(n_accounts=200, seed=21)
+    for _ in range(10):
+        client.submit(*workload.next_transaction(), min_index=0)
+    dep.run(until=0.1)
+    new_config = dep.propose_successor(add=[4], remove=[0])
+    members["member-1"].submit("gov.propose", {"member": "member-1", "config": new_config.to_wire()}, min_index=0)
+    dep.run(until=0.3)
+    for name in members:
+        members[name].submit("gov.vote", {"member": name, "accept": True}, min_index=0)
+        dep.run(until=dep.net.scheduler.now + 0.2)
+    for _ in range(10):
+        client.submit(*workload.next_transaction(), min_index=0)
+    dep.run(until=dep.net.scheduler.now + 1.0)
+    assert len(client.gov_chain.links) == 1
+    return dep, client
 
 
 def _fake_link(eoc_receipt):

@@ -130,7 +130,7 @@ class TestCertificateDedupeSoundness:
         dep, client, receipts = honest
         first, sibling = _siblings(receipts)
         altered = dataclasses.replace(
-            sibling, output={"reply": {"ok": True, "balance": 10**9}, "ws": b"\0" * 32})
+            sibling, output_wire=codec.encode({"reply": {"ok": True, "balance": 10**9}, "ws": b"\0" * 32}))
         with pytest.raises(AuditError):
             _audit(dep, client, [first, altered])
 
@@ -176,7 +176,7 @@ def pool(honest):
     dep, _, receipts = honest
     config = dep.genesis_config
     tampered = [
-        dataclasses.replace(receipts[0], output={"reply": {}, "ws": b"\0" * 32}),
+        dataclasses.replace(receipts[0], output_wire=codec.encode({"reply": {}, "ws": b"\0" * 32})),
         recertified(receipts[1], nonces=receipts[1].nonces[::-1]),
         recertified(receipts[2], signer_bitmap=receipts[2].signer_bitmap ^ 0b1111),
         recertified(

@@ -19,6 +19,7 @@ import pytest
 from helpers import build_deployment, run_waves
 from hypothesis import given, settings, strategies as st
 
+from repro import codec
 from repro.crypto.nonces import new_nonce
 from repro.ledger import CheckpointTxEntry
 from repro.lpbft import ProtocolParams
@@ -359,7 +360,7 @@ def test_get_replyx_in_a_checkpoint_led_batch(collected, held):
     replyx = ReplyX.from_wire(wire)
     assert (replyx.seqno, replyx.index, replyx.tx_digest) == (seqno, index, tx_digest)
     kept = client.receipts[tx_digest]
-    receipt = Receipt(kept.request_wire, replyx.index, replyx.output, MerklePath.from_wire(replyx.path),
+    receipt = Receipt(kept.request_wire, replyx.index, codec.encoding_of(replyx.output), MerklePath.from_wire(replyx.path),
                       kept.certificate)
     assert verify_receipt(receipt, dep.genesis_config, dep.backend)
     assert replica.batches.executed(bytes(32), located, replica.ledger) is None  # another digest

@@ -25,7 +25,7 @@ from repro.chaos.__main__ import main as chaos_main, parse_seeds, violation_kind
 from repro.errors import ProtocolError
 from repro import forkmap
 from repro.forkmap import fork_map
-from repro.lpbft import ViewManager
+from repro.lpbft import LPBFTReplica, ViewManager
 
 # Keep in-suite runs bounded: a short fault window and quiescence still
 # exercise every event kind but finish in a few seconds per seed.
@@ -164,6 +164,22 @@ class TestEscapedException:
         assert result.trace and result.trace[-1].startswith("final committed=")
         minimal, _ = shrink_schedule(Schedule(seed=3, params=FAST, events=result.schedule.events[:2]))
         assert minimal.events == ()  # the shrinker runs on it instead of dying
+
+    def test_a_replica_that_dropped_a_malformed_message_fails_the_seed(self, monkeypatch):
+        """A replica drops hostile input and counts it; chaos sends none,
+        so a counted message is a bug passing as hostile input, and the
+        seed fails."""
+        deliver = LPBFTReplica.on_message
+
+        def with_junk(self, src, msg):
+            if self.id == 1 and "malformed_messages" not in self.metrics.counters:
+                deliver(self, src, ("no-such-kind",))
+            deliver(self, src, msg)
+
+        monkeypatch.setattr(LPBFTReplica, "on_message", with_junk)
+        result = run_schedule(generate_schedule(3, FAST))
+        assert any(re.fullmatch(r"quiescence: replica 1 dropped \d+ malformed messages", v)
+                   for v in result.violations), result.violations
 
     @pytest.mark.skipif(
         os.environ.get("CHAOS_SOAK") != "1",

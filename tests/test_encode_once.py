@@ -23,7 +23,7 @@ from repro.crypto import signatures
 from repro.crypto.hashing import digest_value
 from repro.errors import CodecError
 from repro.kvstore import EMPTY_WS, KVStore
-from repro.ledger.entries import PrePrepareEntry, TxEntry, entry_from_wire
+from repro.ledger.entries import PrePrepareEntry, TxEntry, TxRun, entry_from_wire
 from repro.lpbft.messages import PrePrepare, TransactionRequest
 from repro.merkle import MerklePath
 from repro.obs import Tracer
@@ -175,22 +175,29 @@ def test_sealed_map_is_a_read_only_view_with_mapping_equality():
 
 @pytest.mark.parametrize("sealed_request", [True, False])
 def test_tx_entry_seals_a_dict_output_from_its_own_encoding(monkeypatch, sealed_request):
+    """A run keeps a dict output as the bytes its one ``(t, i, o)``
+    encoding produced, and an entry read back is a view whose output is
+    sealed from them."""
     wire = REQUEST.to_wire() if sealed_request else tuple(REQUEST.to_wire())
     plain = {"reply": {"ok": True, "balance": 10**30}, "ws": OUTPUT["ws"]}
-    entry = TxEntry(request_wire=wire, index=2**40, output=plain)
-    expected = (digest_value(entry.to_wire()), digest_value(entry.tio()))
-    assert type(entry.output) is dict
+    appended = TxEntry(request_wire=wire, index=2**40, output=plain)
+    expected = (digest_value(appended.to_wire()), digest_value(appended.tio()))
+    run = TxRun(2**40)
     seen = []
     original = codec.encode
     monkeypatch.setattr(codec, "encode", lambda value: seen.append(value) or original(value))
-    assert entry.leaves() == expected
+    assert run.add(wire, plain) == expected
+    assert len(seen) == (1 if sealed_request else 2)  # a plain t is sized by encoding it
+    monkeypatch.setattr(codec, "encode", original)
+    run.add(wire, (1, 2))
+    run.close()
+    assert type(run.outputs) is bytes and list(run.offsets) == [0, len(original(plain)), len(run.outputs)]
+    entry = run.entry(0)
     assert type(entry.output) is codec.SealedMap and entry.output == plain
     assert entry.output.wire_bytes == original(plain)
-    assert len(seen) == (1 if sealed_request else 2)  # a plain t is sized by encoding it
-    # An output that is not a dict is held as it is.
-    other = TxEntry(request_wire=wire, index=3, output=(1, 2))
-    other.leaves()
-    assert type(other.output) is tuple
+    assert entry.leaves() == expected and entry == appended
+    # An output that is not a dict reads back decoded.
+    assert run.entry(1).output == (1, 2) and type(run.entry(1).output) is tuple
 
 
 # -- golden byte vectors -----------------------------------------------------------
@@ -220,7 +227,7 @@ TX_ENTRY = TxEntry(request_wire=REQUEST.to_wire(), index=2**40, output=OUTPUT)
 RECEIPT = Receipt(
     request_wire=REQUEST.to_wire(),
     index=2**40,
-    output=OUTPUT,
+    output_wire=codec.encode(OUTPUT),
     path=MerklePath.from_wire((5, 300, ((b"\x06" * 32, True), (b"\x07" * 32, False)))),
     certificate=Certificate(
         view=1,
@@ -358,12 +365,10 @@ def test_long_lived_objects_cache_digests_not_bytes():
 
     assert not hasattr(entry, "__dict__") and not hasattr(pp_entry, "__dict__")
     assert cached(entry) == {} and cached(pp_entry) == {}
-    entry.digest(), entry.leaf_digest(), pp_entry.digest()
-    # The G leaf is held by the batch's tree G; only a decoded ledger's
-    # entry remembers it, for the replay that reads it next.
+    entry.digest(), entry.leaf_digest(), entry.leaves(), pp_entry.digest()
+    # The G leaf is held by the batch's tree G, the M leaf by tree M:
+    # a transaction entry memoises neither.
     assert cached(entry) == {} and cached(pp_entry) == {}
-    entry.leaves(remember=True)
-    assert {k: len(v) for k, v in cached(entry).items()} == {"_leaf_digest": 32}
 
 
 def test_resigned_copies_never_report_a_stale_digest():
@@ -386,7 +391,7 @@ def test_resigned_copies_never_report_a_stale_digest():
 
     pp = RECEIPT.reconstructed_pre_prepare()
     assert RECEIPT.reconstructed_pre_prepare() is pp
-    altered = replace(RECEIPT, output={"reply": {"ok": False}, "ws": OUTPUT["ws"]})
+    altered = replace(RECEIPT, output_wire=codec.encode({"reply": {"ok": False}, "ws": OUTPUT["ws"]}))
     assert altered.leaf_digest() != RECEIPT.leaf_digest()
     assert altered.reconstructed_pre_prepare().root_g != pp.root_g
 

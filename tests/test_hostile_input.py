@@ -5,7 +5,9 @@ Every kind a replica dispatches has one envelope length
 message of another length, or one whose handler cannot parse a record in
 it (:class:`~repro.errors.MalformedMessage`, raised before the handler
 changes any state), and counts it under ``malformed_messages`` by kind;
-the run goes on.  An error past the parse still raises: it is a bug.
+a message that is not a tuple envelope of a known kind is dropped and
+counted under the kind ``"unknown"``.  The run goes on.  An error past
+the parse still raises: it is a bug.
 The junk travels the simulated network, whose delivery catches nothing,
 so a message that escaped the replica would end ``dep.run``.
 """
@@ -13,7 +15,7 @@ so a message that escaped the replica would end ``dep.run``.
 import pytest
 
 from helpers import build_deployment, run_waves
-from repro.errors import LedgerError, ProtocolError
+from repro.errors import LedgerError
 from repro.lpbft.messages import ENVELOPE_ARITY, PrePrepare, Prepare
 
 
@@ -35,6 +37,13 @@ REFUSED = [
     ("pre-prepare", pre_prepare_wire(seqno="x"), ()), ("pre-prepare", pre_prepare_wire(view=None), ()),
     ("pre-prepare", pre_prepare_wire(), "x"), ("pre-prepare", pre_prepare_wire(), ("x",)),
 ]
+
+
+# Not a tuple envelope of a kind the replica dispatches, by name.
+UNKNOWN = {
+    "list": ["request", 7], "empty": (), "str": "request", "none": None,
+    "unknown-kind": ("no-such-kind", 1), "list-kind": (["request"], 1), "int-kind": (7,), "dict-kind": ({},),
+}
 
 
 def junk(kind: str) -> list[tuple]:
@@ -75,13 +84,14 @@ def test_junk_of_every_kind_is_dropped_and_counted_and_the_service_goes_on():
     committed = [replica.committed_upto for replica in dep.replicas]
     messages = [msg for kind in ENVELOPE_ARITY for msg in junk(kind)] + REFUSED
     for replica in dep.replicas:
-        for msg in messages:
+        for msg in messages + list(UNKNOWN.values()):
             client.send(replica.address, msg)
     dep.run(until=dep.net.scheduler.now + 0.1)
     for replica in dep.replicas:
         for kind in ENVELOPE_ARITY:
             count = sum(1 for msg in messages if msg[0] == kind)
             assert malformed(replica, kind) == count, (replica.id, kind)
+        assert malformed(replica, "unknown") == len(UNKNOWN)
     # The deployment still orders and commits afterwards.
     digests = run_waves(dep, client, waves=2, per_wave=10, gap=0.1, seed=11)
     assert all(digest in client.receipts for digest in digests)
@@ -111,9 +121,9 @@ def test_an_error_past_the_parse_still_raises(monkeypatch):
     assert "malformed_messages" not in replica.metrics.counters
 
 
-def test_an_unknown_kind_or_a_non_envelope_still_raises():
+@pytest.mark.parametrize("msg", UNKNOWN.values(), ids=UNKNOWN)
+def test_an_unknown_kind_or_a_non_envelope_is_dropped_and_counted(msg):
     replica = build_deployment().replicas[1]
-    with pytest.raises(ProtocolError):
-        replica.on_message("anyone", ("no-such-kind", 1))
-    with pytest.raises(ProtocolError):
-        replica.on_message("anyone", ())
+    replica.on_message("anyone", msg)
+    assert malformed(replica, "unknown") == 1
+    assert replica.metrics.counters["malformed_messages"] == 1

@@ -392,3 +392,67 @@ def test_governance_test_reads_a_packed_request_like_a_decoded_one(procedure):
     forms = (wire, codec.pack(wire), codec.decode(wire.wire_bytes))
     answers = {TxEntry(request_wire=t, index=1, output=None).is_governance() for t in forms}
     assert answers == {procedure.startswith("gov.")}
+
+
+_BATCHES = st.lists(
+    st.tuples(
+        st.booleans(),  # a checkpoint transaction leads the batch
+        st.integers(0, 4),  # regular transactions
+        st.booleans(),  # a governance transaction ends it
+        st.booleans(),  # appended as execution does (one run), else entry by entry
+        st.one_of(st.none(), st.tuples(st.sampled_from(["truncate", "truncate_below"]), st.integers(0, 1000))),
+    ),
+    min_size=1, max_size=7,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batches=_BATCHES)
+def test_property_run_views_equal_the_entries_appended(batches):
+    """A ledger packs each batch's transaction entries into a run; every
+    entry read back is a view whose wire form, M leaf and G leaf are
+    those of the entry appended, and fragments encode the same bytes —
+    through rollbacks (mid-run ones included) and prefix truncation."""
+    from repro.ledger import TxRun
+
+    appended = [GenesisEntry(config_wire=("c",))]  # by absolute position
+    ledger = Ledger(appended[0])
+    seqno = 0
+    for leads, count, gov, executed, cut in batches:
+        seqno += 1
+        pp = PrePrepareEntry(pp_wire=make_pp(seqno=seqno, gov_index=ledger.last_gov_index).to_wire())
+        ledger.append(pp)
+        first = ledger.logical_size()
+        body = [CheckpointTxEntry(cp_seqno=seqno - 1, cp_digest=bytes([seqno]) * 32, ledger_size=len(ledger) - 1,
+                                  ledger_root=b"\x07" * 32, index=first)] if leads else []
+        body += [_tx("p", first + len(body) + k) for k in range(count)]
+        body += [_tx("gov.vote", first + len(body))] if gov else []
+        if executed:
+            run = TxRun(first)
+            ledger.append_run(run, [run.add_entry(entry)[0] for entry in body])
+        else:
+            for entry in body:
+                ledger.append(entry)
+        appended += [pp, *body]
+        if cut is not None and cut[0] == "truncate":
+            size = ledger.base_index + cut[1] % (len(ledger) - ledger.base_index + 1)
+            ledger.truncate(max(size, 1))
+            del appended[max(size, 1):]
+        elif cut is not None:
+            boundaries = sorted({len(ledger), *(b.pp_index for b in ledger.batches())})
+            ledger.truncate_below(boundaries[cut[1] % len(boundaries)])
+        base = ledger.base_index
+        assert len(ledger) == len(appended)
+        for position in range(base, len(ledger)):
+            view, entry = ledger.entry(position), appended[position]
+            assert type(view) is type(entry)
+            assert codec.encode(view.to_wire()) == codec.encode(entry.to_wire())
+            assert view.digest() == entry.digest() == ledger.tree().leaf(position)
+            if isinstance(entry, (TxEntry, CheckpointTxEntry)):
+                assert view.leaf_digest() == entry.leaf_digest()
+        assert codec.encode(ledger.fragment().entry_wires) == codec.encode(
+            tuple(entry.to_wire() for entry in appended[base:]))
+        for info in ledger.batches():
+            leaves = [appended[p].leaf_digest() for p in range(info.first_tx, info.end)]
+            assert ledger.g_tree(info).leaves() == leaves
+            assert len(ledger.batch_run(info)) == info.tx_count

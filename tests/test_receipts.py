@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro import codec
 from repro.receipts import Receipt, verify_receipt, receipts_equivalent
 from repro.errors import ReceiptError
 
@@ -43,7 +44,8 @@ def test_receipt_signers_at_least_quorum(receipt_env):
 
 def test_tampered_output_fails(receipt_env):
     dep, _, receipts = receipt_env
-    receipt = dataclasses.replace(receipts[0], output={"reply": {"ok": True, "balance": 1}, "ws": b"\x00" * 32})
+    receipt = dataclasses.replace(
+        receipts[0], output_wire=codec.encode({"reply": {"ok": True, "balance": 1}, "ws": b"\x00" * 32}))
     assert not verify_receipt(receipt, dep.genesis_config)
 
 

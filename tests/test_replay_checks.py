@@ -62,9 +62,10 @@ def test_output_with_other_bytes_is_an_output_mismatch(run):
     info = honest.batch(seqno)
     targets = [e for e in honest.entries(info.first_tx, info.end) if isinstance(e, TxEntry)]
     assert targets and replay(dep, genesis, honest) == []
+    indices = {target.index for target in targets}
     forged = reforge_ledger(honest, dep, lambda entry: (
         dataclasses.replace(entry, output=ints_for_bools(entry.output))
-        if any(entry is target for target in targets) else None))
+        if isinstance(entry, TxEntry) and entry.index in indices else None))
     for target in targets:
         entry = forged.entry_at_index(target.index)
         assert entry.output == target.output

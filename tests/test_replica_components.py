@@ -45,10 +45,11 @@ class TestShape:
             expected = replica if owner is None else getattr(replica, owner)
             assert replica._handlers[kind].__self__ is expected, kind
 
-    def test_unknown_kind_raises(self):
+    def test_unknown_kind_is_dropped_and_counted(self):
         replica = build_deployment().replicas[1]
-        with pytest.raises(ProtocolError, match="unknown message kind"):
-            replica.on_message("replica-0", ("no-such-kind",))
+        replica.on_message("replica-0", ("no-such-kind",))
+        assert replica.metrics.registry.counter("malformed_messages").value(kind="unknown") == 1
+        assert replica.metrics.counters["messages_received"] == 1
 
 
 class TestViewChangeTimer:

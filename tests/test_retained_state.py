@@ -5,11 +5,13 @@ per replica and one receipt at the client (paper Tab. 1, §3.3).  One
 budget counts the bytes still allocated, another the objects the cyclic
 collector tracks — every one of them is walked by each full collection.
 The long-lived per-transaction records carry no instance ``__dict__``,
-and every ledger entry holds its output sealed, at its encoded size.
+and no replica keeps an object per ledger entry: a batch's transaction
+entries are one packed run, read through views built on demand.
 """
 
 import gc
 import tracemalloc
+import types
 
 import pytest
 
@@ -17,27 +19,33 @@ from helpers import build_deployment
 from repro import codec
 from repro.codec import SealedMap
 from repro.crypto.hashing import digest_value
-from repro.ledger.entries import TxEntry
+from repro.ledger.entries import CheckpointTxEntry, TxEntry, TxRun
 from repro.lpbft import ProtocolParams
 from repro.lpbft.batch import split_location
+from repro.receipts import Receipt
 from repro.workloads import SmallBankWorkload
 from test_integration_viewchange import VC_PARAMS
 
-# Measured 4,142 bytes per committed transaction on this deployment (CPython
-# 3.11), plus 2 %; 5,541 when every entry and receipt of a request held
-# its decoded seal, each receipt its own copy of the batch's certificate
-# and each location a tuple; 5,914 when each executed entry also memoised
-# its G leaf and latency samples were a list of floats, 6,544 when Merkle
-# nodes, path steps and the ledger's logical index were objects, 8,048
-# when outputs were also dicts and undo records objects.
-RETAINED_BYTES_PER_TX_BUDGET = 4_225
+# Measured 3,567 bytes per committed transaction on this deployment (CPython
+# 3.11), plus 2 %; 4,142 when each replica held a ledger entry object and
+# a sealed output per transaction and a receipt shared one of them; 5,541
+# when every entry and receipt of a request held its decoded seal, each
+# receipt its own copy of the batch's certificate and each location a
+# tuple; 5,914 when each executed entry also memoised its G leaf and
+# latency samples were a list of floats, 6,544 when Merkle nodes, path
+# steps and the ledger's logical index were objects, 8,048 when outputs
+# were also dicts and undo records objects.
+RETAINED_BYTES_PER_TX_BUDGET = 3_640
 
-# Measured 11.68 tracked objects per committed transaction on this
-# deployment, plus one of slack; 12.66 when requests stayed decoded,
-# 12.97 when they also kept a ``__dict__``, 16.97 when undo records were
-# objects, 29.58 when they also kept a copy of the write set, entries
-# cached into a ``__dict__`` and path steps were objects.
-TRACKED_PER_TX_BUDGET = 12.7
+# Measured 3.76 tracked objects per committed transaction on this
+# deployment (the client's receipt, path and packed request, and a share
+# of each batch's), plus a quarter of slack: one more object per
+# transaction fails it.  11.68 when each replica held a ledger entry
+# object and a sealed output per transaction; 12.66 when requests stayed
+# decoded, 12.97 when they also kept a ``__dict__``, 16.97 when undo
+# records were objects, 29.58 when they also kept a copy of the write
+# set, entries cached into a ``__dict__`` and path steps were objects.
+TRACKED_PER_TX_BUDGET = 4.0
 
 # Measured 878 bytes per completed receipt held by the client (its
 # receipt, Merkle path, share of the batch's certificate, the request's
@@ -47,11 +55,12 @@ TRACKED_PER_TX_BUDGET = 12.7
 # certificate and rebuilt its own pre-prepare.
 CLIENT_BYTES_PER_RECEIPT_BUDGET = 896
 
-# Measured 9,335 bytes per transaction committed while the primary
+# Measured 8,670 bytes per transaction committed while the primary
 # crashed, the others changed view and it resynced, installing a fetched
-# ledger and a fresh KV store (CPython 3.11), plus 2 %; 9,420 when the
-# test runs alone.
-RESYNC_RETAINED_BYTES_PER_TX_BUDGET = 9_520
+# ledger and a fresh KV store (CPython 3.11), when the test runs alone,
+# plus 2 % (5,878 after the rest of the suite); 9,420 alone and 9,335 in
+# the suite when each replica held an entry object per transaction.
+RESYNC_RETAINED_BYTES_PER_TX_BUDGET = 8_840
 
 # Checkpoints (and so ledger and batch-record collection) never come due.
 PARAMS = ProtocolParams(
@@ -143,8 +152,9 @@ def test_per_transaction_records_have_no_instance_dict(run):
 
 def test_executed_entries_leave_their_g_leaf_to_the_batch_tree():
     """Execution keeps each transaction's G leaf once, in its batch
-    record's tree G; the entry holds no memo of it.  A ledger decoded
-    from a fragment remembers it, for the replay that reads it next."""
+    record's tree G; the run holds no memo of it.  A ledger decoded from
+    a fragment keeps each batch's leaves in its tree G, for the replay
+    that reads it next."""
     dep = build_deployment(params=PARAMS, seed=b"g-leaf")
     client = dep.add_client(retry_timeout=0.5)
     dep.start()
@@ -156,37 +166,68 @@ def test_executed_entries_leave_their_g_leaf_to_the_batch_tree():
     executed = [
         (record, position, entry)
         for replica in dep.replicas for record in replica.batches.values()
-        for position, entry in enumerate(record.entries) if isinstance(entry, TxEntry)
+        for position, entry in enumerate(map(record.run.entry, range(len(record.run))))
+        if isinstance(entry, TxEntry)
     ]
     assert len(executed) == 4 * 60
-    assert all(entry._leaf_digest is None for _, _, entry in executed)
     for record, position, entry in executed:
         assert record.g_tree.leaf(position) == entry.leaf_digest()
     decoded = dep.replicas[0].ledger.fragment().to_ledger()
-    entries = [e for e in decoded.entries() if isinstance(e, TxEntry)]
-    assert entries and all(e._leaf_digest is not None for e in entries)
+    infos = [info for info in decoded.batches() if info.tx_count]
+    assert infos and all(info.g_tree is not None for info in infos)
+    for info in infos:
+        assert info.g_tree.leaves() == [e.leaf_digest() for e in decoded.entries(info.first_tx, info.end)]
 
 
-def _assert_outputs_sealed(dep):
-    """Every transaction entry a replica retains, in its ledger and in
-    its batch records, holds its output as a seal and its request
-    packed."""
+def _assert_no_entry_outlives_execution(dep):
+    """No per-transaction entry object outlives execution: each replica's
+    ledger and batch records hold a batch's transaction entries as one
+    packed run (requests packed, outputs one ``bytes``), and nothing the
+    deployment holds — its clients' receipts included, which keep their
+    output's bytes — is a :class:`TxEntry` or an output seal."""
     for replica in dep.replicas:
-        entries = [e for e in replica.ledger.entries() if isinstance(e, TxEntry)]
-        entries += [
-            e for record in replica.batches.values() for e in record.entries if isinstance(e, TxEntry)]
-        assert entries
-        for entry in entries:
-            assert type(entry.output) is SealedMap, (replica.address, entry.index)
-            assert type(entry.request_wire) is codec.SealedSeq, (replica.address, entry.index)
+        held = replica.ledger._entries
+        assert not any(isinstance(e, (TxEntry, SealedMap)) for e in held), replica.address
+        runs = {id(e): e for e in held if type(e) is TxRun}
+        runs.update((id(r.run), r.run) for r in replica.batches.values())
+        assert runs
+        for run in runs.values():
+            assert type(run.outputs) is bytes and type(run.requests) is tuple, replica.address
+            assert all(type(t) in (codec.SealedSeq, CheckpointTxEntry) for t in run.requests)
+        for record in replica.batches.values():
+            info = replica.ledger.batch(record.seqno)
+            assert info is None or not info.tx_count or replica.ledger.batch_run(info) is record.run
+    held = _reachable(dep)
+    receipts = [o for o in held if type(o) is Receipt]
+    assert receipts and all(type(r.output_wire) is bytes for r in receipts if not r.is_batch_receipt)
+    assert [o for o in held if type(o) in (TxEntry, SealedMap)] == []
+
+
+def _reachable(root) -> list:
+    """Every object reachable from ``root``'s state: classes, modules and
+    functions (and what only they reach) are not followed."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, found, todo = set(), [], [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return found
 
 
 def test_ledger_outputs_are_sealed(run):
     dep, client, _, _, _ = run
-    _assert_outputs_sealed(dep)
-    # A client's receipt holds the designated replica's seal, not a copy.
-    held = {id(e.output) for r in dep.replicas for e in r.ledger.entries() if isinstance(e, TxEntry)}
-    assert all(id(receipt.output) in held for receipt in client.receipts.values())
+    _assert_no_entry_outlives_execution(dep)
+    # A receipt holds the output bytes every replica's run holds, and
+    # reads them back sealed.
+    for receipt in client.receipts.values():
+        assert type(receipt.output) is SealedMap and receipt.output.wire_bytes is receipt.output_wire
+        for replica in dep.replicas:
+            entry = replica.ledger.entry_at_index(receipt.index)
+            assert entry.output.wire_bytes == receipt.output_wire
 
 
 @pytest.fixture(scope="module")
@@ -227,10 +268,10 @@ def resynced():
 
 
 def test_ledger_outputs_are_sealed_after_crash_and_resync(resynced):
-    """Every path that builds a retained entry — execution,
+    """Every path that retains transaction entries — execution,
     re-execution after the view change, the fetched ledger and the
-    replay behind its install — seals."""
-    _assert_outputs_sealed(resynced[0])
+    replay behind its install — packs them into runs."""
+    _assert_no_entry_outlives_execution(resynced[0])
 
 
 def test_retained_bytes_after_crash_and_resync(resynced):
@@ -263,7 +304,9 @@ def test_no_decoded_request_outlives_execution_and_receipt(run):
     assert len(packed) == len(receipts)
     for replica in dep.replicas:
         entries = [e for e in replica.ledger.entries() if isinstance(e, TxEntry)]
-        entries += [e for rec in replica.batches.values() for e in rec.entries if isinstance(e, TxEntry)]
+        entries += [
+            e for rec in replica.batches.values() for e in map(rec.run.entry, range(len(rec.run)))
+            if isinstance(e, TxEntry)]
         assert all(type(e.request_wire) is codec.SealedSeq for e in entries)
         assert packed <= {id(e.request_wire) for e in entries}
 
@@ -279,7 +322,7 @@ def test_a_location_is_one_int(run):
             seqno, index = split_location(located)
             info = replica.ledger.batch(seqno)
             entry = replica.ledger.entry_at_index(index)
-            assert any(e is entry for e in replica.ledger.entries(info.first_tx, info.end))
+            assert entry in replica.ledger.entries(info.first_tx, info.end)
             assert digest_value(entry.request_wire) == tx_digest
 
 

@@ -70,7 +70,7 @@ def _receipt(request: TransactionRequest, path: MerklePath) -> Receipt:
         gov_index=3, checkpoint_digest=_d(22), flags=0, committed_root=b"",
         primary_signature=b"\x07" * 64, signer_bitmap=0b0111,
         prepare_signatures=(b"\x08" * 64, b"\x09" * 64), nonces=(_d(23), _d(24), _d(25)))
-    return Receipt(request.to_wire(), 17, {"reply": {"ok": True}, "ws": _d(26)}, path, certificate)
+    return Receipt(request.to_wire(), 17, codec.encode({"reply": {"ok": True}, "ws": _d(26)}), path, certificate)
 
 
 def records() -> dict[str, object]:
