@@ -23,7 +23,7 @@ RESULTS = ROOT / "benchmarks" / "perf" / "out" / "results-seed0.json"
 PINNED = {
     "lan_steady": "5202d998dfa937dc601974fbcd93597ffd66f0dba805f67bdeda80e3887b6242",
     "lan_overload": "d6353933aed8170f5333d522d124498836fdcc8bca035512cba9eca6a6b8ea5b",
-    "primary_crash": "bc8aecf47936b82dc2ce0f263213eb6199de99aa1d601f381416189064f697ad",
+    "primary_crash": "bc4db6f5bd58e7ecab4e7951cd766fa98d4fc433a95255b32da1754e70f6b6dd",
     "audit_replay": "999489439f2b2b3f954c87f2ad9ddd8568bb1352f7ae730f7aa5730b48549ac4",
 }
 

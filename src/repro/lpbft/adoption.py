@@ -2,13 +2,15 @@
 
 A foreign ledger reaches replica state only through
 :func:`verify_fetched_ledger` followed by :func:`install_ledger`, and
-only from the state-sync client (a spliced or checkpoint-rooted suffix,
-§3.4/§5.1; Alg. 2's "fetch missing ledger entries" is a state-sync
-session too).  The verifier checks what the peer supplied against what
-we already trust: our genesis, every primary signature, and — through
-:meth:`repro.ledger.Ledger.unbound`, the check the audit asks too —
-every signed ``root_m`` and ``root_g`` and the checkpoint's ledger
-binding.  The install replays from the checkpoint through the audit's
+only from the state-sync client.  It is always a checkpoint plus the
+suffix past its boundary (§3.4/§5.1; Alg. 2's "fetch missing ledger
+entries" is a state-sync session too), with genesis as checkpoint 0,
+and its configuration schedule always comes from the governance chain.
+The verifier checks what the peer supplied against what we already
+trust: every primary signature under that genesis-anchored schedule,
+and — through :meth:`repro.ledger.Ledger.unbound`, the check the audit
+asks too — every signed ``root_m`` and ``root_g`` and the checkpoint's
+ledger binding.  The install replays from the checkpoint through the audit's
 loop (:func:`repro.audit.replay.replay_batches`), so it rejects any
 ledger that replay finds fault with, and commits to the replica
 atomically — but marks committed only the batches the ledger proves
@@ -32,7 +34,7 @@ from ..errors import LedgerError, ProtocolError
 from ..governance.configuration import Configuration
 from ..governance.schedule import ConfigSchedule
 from ..kvstore import Checkpoint, KVStore
-from ..ledger import EvidenceEntry, GenesisEntry, Ledger
+from ..ledger import EvidenceEntry, Ledger
 from .batch import BatchRecord, ReconfigState, location
 from .checkpointing import CheckpointStore
 from .messages import BATCH_CHECKPOINT
@@ -43,67 +45,30 @@ def verify_fetched_ledger(
     ledger: Ledger,
     fetched: int,
     check_from: int,
-    checkpoint: Checkpoint | None,
-    suffix_schedule: ConfigSchedule | None = None,
-) -> ConfigSchedule:
-    """Check a candidate ``ledger`` against every digest we hold and
-    return the configuration schedule it verified under (raises on any
-    mismatch; nothing on the replica changes).
+    checkpoint: Checkpoint,
+    schedule: ConfigSchedule,
+) -> None:
+    """Check a candidate ``ledger`` against every digest we hold (raises
+    on any mismatch; nothing on the replica changes).
 
     ``fetched`` entries came off the wire (their append/hash work is
     charged); batches whose pre-prepare sits at or past ``check_from``
     are the peer's, everything below is our own trusted prefix.
-    ``checkpoint`` is the state the install will restore; past genesis it
-    must be bound to this very ledger.  ``suffix_schedule`` anchors a
-    suffix-rooted ledger, whose governance history is not in its entries.
+    ``checkpoint`` is the state the install will restore, and must be
+    bound to this very ledger.  ``schedule`` is the configuration
+    schedule the batches verify under: the governance chain's, anchored
+    at our genesis (config-0 batches verify under config-0 keys, and
+    each successor configuration is proven by receipts signed under its
+    predecessor), so a Byzantine peer cannot feed us a fabricated,
+    internally consistent history.
     """
     replica.submit("append", fetched * replica.costs.ledger_append)
     replica.submit("hash", fetched * 2 * replica.costs.hash_fixed)
-    if ledger.base_index == 0:
-        entry0 = ledger.entry(0)
-        if replica.ledger.base_index == 0:
-            same = entry0.to_wire() == replica.ledger.entry(0).to_wire()
-        else:
-            # Our own genesis entry was garbage-collected; the service
-            # identity it defined is still ours to check against.
-            same = isinstance(entry0, GenesisEntry) and entry0.service_name() == replica.service_name
-        if not same:
-            raise ProtocolError("fetched ledger has a different genesis")
-    if checkpoint is not None and checkpoint.seqno <= 0:
-        # The genesis checkpoint is the same on every replica.
-        if checkpoint.digest() != replica.checkpoints.genesis_digest:
-            raise ProtocolError("genesis checkpoint mismatch")
     # Every batch must reproduce its signed roots — the peer's below the
     # checkpoint too — and the checkpoint must be bound to this ledger.
-    # Verifying only past the checkpoint would leave the peer an
-    # unverified region in which to fabricate governance history.
     unbound = ledger.unbound(checkpoint)
     if unbound:
         raise ProtocolError(unbound[0][1])
-    # The configurations come from the governance subledger of the very
-    # ledger being verified, but the chain is anchored: the genesis was
-    # checked against our own, config-0 batches verify under config-0
-    # keys, and the governance transactions that create each successor
-    # configuration live inside batches verified under its predecessor.
-    # Without this, a Byzantine peer could feed a fresh joiner an
-    # entirely fabricated (internally consistent) history.
-    if ledger.base_index > 0:
-        if suffix_schedule is None:
-            raise ProtocolError("suffix-rooted ledger without a trusted schedule")
-        schedule = suffix_schedule
-    else:
-        # Imported lazily: repro.governance.subledger imports the lpbft
-        # message types, so a module-level import would be circular.
-        from ..governance.subledger import GovernanceExtractor
-
-        # Extraction reads the entries the ledger indexes, which leave
-        # out any genesis entry past index 0.
-        if ledger.entries_of(GenesisEntry, 1):
-            raise ProtocolError("governance subledger extraction failed: a second genesis entry")
-        try:
-            schedule = GovernanceExtractor(replica.params.pipeline).feed_ledger(ledger).subledger().schedule
-        except Exception as exc:
-            raise ProtocolError(f"governance subledger extraction failed: {exc}") from exc
     items = []
     for info in ledger.batches():
         if info.pp_index < check_from:
@@ -116,24 +81,22 @@ def verify_fetched_ledger(
         items.append((config.replica_key(primary_id), pp.signed_payload(), pp.signature))
     if not all(replica._verify_many(items)):
         raise ProtocolError("pre-prepare signature verification failed in fetched ledger")
-    return schedule
 
 
 def install_ledger(
-    replica, ledger: Ledger, checkpoint: Checkpoint | None, schedule: ConfigSchedule,
+    replica, ledger: Ledger, checkpoint: Checkpoint, schedule: ConfigSchedule,
     executed: dict | None = None,
 ) -> int:
     """Adopt a verified ``ledger`` under the ``schedule`` it verified
-    with: restore the KV store from ``checkpoint`` (the genesis one for
-    a genesis-rooted ledger; without one there is nothing to replay
-    from), replay only the batches after it, and reconstruct per-batch
-    records.  Returns the number of replayed batches.  The view is the
-    caller's to set.
+    with: restore the KV store from ``checkpoint`` (checkpoint 0 is
+    genesis), replay only the batches after it, and reconstruct
+    per-batch records.  Returns the number of replayed batches.  The
+    view is the caller's to set.
 
-    ``executed`` locates requests executed below the ledger's batches (a
-    checkpoint-rooted peer's index): without it a client's retransmission
-    of one would read as new work that no primary will ever order.  PBFT
-    keeps the last reply per client in its checkpoints for this.
+    ``executed`` locates requests executed below the ledger's batches
+    (the peer's index): without it a client's retransmission of one
+    would read as new work that no primary will ever order.  PBFT keeps
+    the last reply per client in its checkpoints for this.
 
     A batch is installed committed only when it is proven: it is at or
     below the checkpoint or our own commit frontier, or its commitment
@@ -148,17 +111,8 @@ def install_ledger(
     the checkpoint and raise :class:`ProtocolError` on the first finding,
     before any replica state changes.
     """
-    if checkpoint is None:
-        raise ProtocolError("no checkpoint to replay the ledger from")
-    if ledger.base_index > 0:
-        # Suffix-rooted adoption (the server garbage-collected its
-        # prefix): the governance history below the checkpoint is not in
-        # the fetched entries, so everything hangs off the checkpoint
-        # and the caller's genesis-anchored schedule.
-        if checkpoint.seqno <= 0:
-            raise ProtocolError("suffix-rooted ledger requires a checkpoint")
-        if schedule.spans()[0].config.number != 0:
-            raise ProtocolError("adopted schedule is not genesis-anchored")
+    if schedule.spans()[0].config.number != 0:
+        raise ProtocolError("adopted schedule is not genesis-anchored")
     cp_seqno = checkpoint.seqno
     # Evidence counts only when a signed pre-prepare's root_m covers it.
     batch_infos = ledger.batches()
@@ -174,8 +128,8 @@ def install_ledger(
         and ledger.batch_pre_prepare(own.seqno).digest() == own.pp_digest
     ):
         committed_upto = max(committed_upto, own.seqno)
-    # Suffix or not, the genesis digest is the one every replica derives
-    # from its genesis configuration and initial state.
+    # The genesis digest is the one every replica derives from its
+    # genesis configuration and initial state.
     checkpoints = CheckpointStore(replica.checkpoints.genesis_digest)
     # Adopted checkpoints count as fresh for the GC age floor.
     checkpoints.take(checkpoint, replica.now)
@@ -256,6 +210,7 @@ def install_ledger(
     # stays the replay anchor for peers without a stable checkpoint.
     if 0 in replica.checkpoints and 0 not in checkpoints:
         checkpoints.take(replica.checkpoints[0], 0.0)
+    checkpoints.genesis = replica.checkpoints.genesis
     replica.checkpoints = checkpoints
     replica.retention.adopted()
     replica.tx_locations = tx_locations

@@ -46,6 +46,9 @@ class CheckpointStore(Mapping):
 
     def __init__(self, genesis_digest: Digest) -> None:
         self.genesis_digest = genesis_digest
+        # Checkpoint 0 once taken, kept through pruning: every replica
+        # holds it, so state sync offers it without chunks.
+        self.genesis: Checkpoint | None = None
         self._held: dict[int, tuple[Checkpoint, float]] = {}  # seqno -> (cp, taken at)
         self._records: list[CheckpointRecord] = []
         # Parallel sorted list of record_seqnos so the per-pre-prepare
@@ -77,6 +80,18 @@ class CheckpointStore(Mapping):
     def take(self, checkpoint: Checkpoint, now: float) -> None:
         """Hold ``checkpoint``, taken (or adopted) at time ``now``."""
         self._held[checkpoint.seqno] = (checkpoint, now)
+        if checkpoint.seqno == 0:
+            self.genesis = checkpoint
+
+    def held(self, seqno: int, digest: Digest, ledger_size: int,
+             ledger_root: Digest) -> Checkpoint | None:
+        """Our checkpoint with this seqno, digest and ledger binding, or
+        None; checkpoint 0 outlives pruning."""
+        cp = self.genesis if seqno == 0 else self.get(seqno)
+        if cp is None or (cp.digest(), cp.ledger_size, cp.ledger_root) != (
+                digest, ledger_size, ledger_root):
+            return None
+        return cp
 
     def note_record(self, record_seqno: int, cp_seqno: int, digest: Digest) -> None:
         """Record a checkpoint transaction appearing at ``record_seqno``.

@@ -17,8 +17,10 @@ from typing import Any, Callable
 from .. import codec
 from ..crypto import signatures
 from ..crypto.hashing import Digest
-from ..errors import ReceiptError
-from ..lpbft.messages import Reply, ReplyX, TransactionRequest
+from ..errors import MalformedMessage, ReceiptError
+from ..lpbft.messages import (
+    CLIENT_ARITY, Reply, ReplyX, TransactionRequest, check_envelope, received,
+)
 from ..network import Node
 from ..receipts.chain import GovernanceChain, verify_served_chain
 from ..receipts.collector import ReceiptCollector
@@ -108,6 +110,11 @@ class LPBFTClient(Node):
         # arrival instant (start of the receipt-assembly stage).
         self._root_spans: dict[Digest, Any] = {}
         self._first_reply: dict[Digest, float] = {}
+        self._handlers = {
+            "reply": self._on_reply, "replyx": self._on_replyx, "reject": self._on_reject,
+            "replyx-gone": self._on_replyx_gone, "gov-chain-resp": self._on_gov_chain_resp,
+            "ack": lambda src, msg: None,  # nothing for a client to audit
+        }
 
     # -- submitting requests ----------------------------------------------------
 
@@ -163,31 +170,61 @@ class LPBFTClient(Node):
     # -- message handling -----------------------------------------------------------
 
     def on_message(self, src: str, msg: Any) -> None:
+        """Dispatch by kind, with the replica's rule: a message that is
+        not a tuple envelope of a kind we take, is not its kind's length
+        (``messages.CLIENT_ARITY``), or holds a record or field that does
+        not parse is dropped and counted under ``malformed_messages``."""
         # Client CPU is deliberately not modeled: the paper scales client
         # machines with offered load, so clients are never the bottleneck.
-        kind = msg[0]
-        if kind == "reply":
-            reply = Reply.from_wire(msg[1])
-            for tx_digest in msg[2]:
-                if self.tracer.enabled and tx_digest in self._root_spans:
-                    self._first_reply.setdefault(tx_digest, self.now)
-                finished = self.collector.add_reply(tx_digest, reply)
-                if finished is not None:
-                    self._complete(tx_digest, *finished)
-        elif kind == "replyx":
-            replyx = ReplyX.from_wire(msg[1])
-            if self.tracer.enabled and replyx.tx_digest in self._root_spans:
-                self._first_reply.setdefault(replyx.tx_digest, self.now)
-            self._note_gov_index(replyx.gov_index)
-            finished = self.collector.add_replyx(replyx.tx_digest, replyx)
+        kind = msg[0] if isinstance(msg, tuple) and msg else None
+        handler = self._handlers.get(kind) if type(kind) is str else None
+        if handler is None:
+            self.metrics.bump("malformed_messages", kind="unknown")
+            return
+        try:
+            check_envelope(msg, CLIENT_ARITY)
+            handler(src, msg)
+        except MalformedMessage:
+            self.metrics.bump("malformed_messages", kind=kind)
+
+    def _on_reply(self, src: str, msg: tuple) -> None:
+        reply, digests = received(Reply.from_wire, msg[1]), msg[2]
+        if type(digests) is not tuple or not all(type(d) is bytes for d in digests):
+            raise MalformedMessage("reply digests must be a tuple of bytes")
+        for tx_digest in digests:
+            if self.tracer.enabled and tx_digest in self._root_spans:
+                self._first_reply.setdefault(tx_digest, self.now)
+            finished = self.collector.add_reply(tx_digest, reply)
             if finished is not None:
-                self._complete(replyx.tx_digest, *finished)
-        elif kind == "reject":
-            self._handle_reject(msg[1], msg[2])
-        elif kind == "replyx-gone":
-            self._handle_replyx_gone(src, msg[1], msg[2], msg[3])
-        elif kind == "gov-chain-resp":
-            self._handle_gov_chain(msg[1], msg[2] if len(msg) > 2 else ())
+                self._complete(tx_digest, *finished)
+
+    def _on_replyx(self, src: str, msg: tuple) -> None:
+        replyx = received(ReplyX.from_wire, msg[1])
+        if type(replyx.tx_digest) is not bytes or type(replyx.gov_index) is not int:
+            raise MalformedMessage("replyx digest must be bytes and gov index an int")
+        if self.tracer.enabled and replyx.tx_digest in self._root_spans:
+            self._first_reply.setdefault(replyx.tx_digest, self.now)
+        self._note_gov_index(replyx.gov_index)
+        finished = self.collector.add_replyx(replyx.tx_digest, replyx)
+        if finished is not None:
+            self._complete(replyx.tx_digest, *finished)
+
+    def _on_reject(self, src: str, msg: tuple) -> None:
+        if type(msg[1]) is not bytes:
+            raise MalformedMessage("reject digest must be bytes")
+        self._handle_reject(msg[1], msg[2])
+
+    def _on_replyx_gone(self, src: str, msg: tuple) -> None:
+        if type(msg[1]) is not bytes or type(msg[2]) is not int or type(msg[3]) is not bytes:
+            raise MalformedMessage("replyx-gone takes a digest, a seqno and a checkpoint digest")
+        self._handle_replyx_gone(src, msg[1], msg[2], msg[3])
+
+    def _on_gov_chain_resp(self, src: str, msg: tuple) -> None:
+        suffix = msg[2]
+        if type(suffix) is not tuple or not all(
+                type(item) is tuple and len(item) == 2 and type(item[0]) is int for item in suffix):
+            raise MalformedMessage("gov-chain-resp suffix must be (index, entry) pairs")
+        self._handle_gov_chain(msg[1], suffix)
 
     def _complete(self, tx_digest: Digest, receipt: Receipt, sent: float) -> None:
         if tx_digest in self.receipts:

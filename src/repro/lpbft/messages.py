@@ -365,17 +365,21 @@ ENVELOPE_ARITY = {
     "request": 2, "pre-prepare": 3, "prepare": 2, "commit": 2, "get-replyx": 2,
     "fetch-requests": 2, "requests-bundle": 2, "fetch-evidence": 3, "evidence-bundle": 4,
     "get-gov-chain": 1, "gov-chain-resp": 3, "ack": 2, "view-change": 2, "new-view": 3,
-    "sync-probe": 1, "sync-get-manifest": 2, "sync-get-chunk": 3, "sync-get-ledger": 5,
+    "sync-probe": 1, "sync-get-manifest": 2, "sync-get-chunk": 3, "sync-get-ledger": 4,
     "sync-offer": 8, "sync-manifest": 7, "sync-chunk": 4, "sync-ledger": 6,
-    "sync-ledger-refused": 2,
 }
 
+# Every kind a client dispatches, likewise; ``ack`` is PeerReview's
+# acknowledgement of a request (§6.1).
+CLIENT_ARITY = {"reply": 3, "replyx": 2, "reject": 3, "replyx-gone": 4, "gov-chain-resp": 3, "ack": 2}
 
-def check_envelope(msg: tuple) -> None:
+
+def check_envelope(msg: tuple, arity: dict = ENVELOPE_ARITY) -> None:
     """Raise :class:`MalformedMessage` unless ``msg``, a non-empty tuple,
-    is as long as its kind's envelope: ``LPBFTReplica.on_message`` drops
-    it then, before its handler reads an item."""
-    if len(msg) != ENVELOPE_ARITY.get(msg[0]):
+    is as long as its kind's envelope in ``arity``: ``on_message`` of a
+    replica or a client drops it then, before its handler reads an
+    item."""
+    if len(msg) != arity.get(msg[0]):
         raise MalformedMessage(f"{msg[0]!r} message of {len(msg)} items")
 
 

@@ -216,7 +216,6 @@ class LPBFTReplica(Node):
             "sync-manifest": self.sync_client.on_manifest,
             "sync-chunk": self.sync_client.on_chunk,
             "sync-ledger": self.sync_client.on_ledger,
-            "sync-ledger-refused": self.sync_client.on_ledger_refused,
         }
 
     # -- identity and quorum helpers ------------------------------------------
@@ -648,12 +647,13 @@ class LPBFTReplica(Node):
             for stashed in list(self.pending_pps):
                 pp = stashed[0]
                 known = self.batches.get(pp.seqno)
-                # Drop only what can never be needed: stale views, or
-                # batches we already hold in an equal-or-newer view.  A
+                # Drop only what can never be needed: stale views, batches
+                # we hold in an equal-or-newer view, or committed ones we
+                # hold no record of (below an installed checkpoint).  A
                 # pre-prepare below next_seqno is NOT stale per se — a
-                # new-view may roll the frontier back and re-issue it
-                # (messages can arrive out of order).
-                if pp.view < self.view or (known is not None and known.view >= pp.view):
+                # new-view may roll the frontier back and re-issue it.
+                if pp.view < self.view or (
+                        known.view >= pp.view if known is not None else pp.seqno <= self.committed_upto):
                     if pp.view < self.view and (known is None or known.view < pp.view):
                         self._last_lower_view_drop = pp.view
                     self.pending_pps.remove(stashed)

@@ -1,9 +1,20 @@
 """Fetching side of state sync: a retrying, verifying state machine.
 
 One :class:`StateSyncClient` is owned by each replica.  A sync session
-walks four phases::
+fetches one thing: the server's offered checkpoint and the ledger past
+it, ``[cp.ledger_size, end)`` (§3.4, §5.1; PBFT's state transfer has
+the same shape).  A server without a stable checkpoint offers
+checkpoint 0, genesis, which every replica holds.  The session walks
+up to four phases::
 
     probe -> manifest -> chunks -> ledger -> install/resume
+
+and skips what it already has: a checkpoint we hold with the same
+seqno, digest and ledger binding travels no chunks.  When our own tree M
+has the checkpoint's bound root at its ledger size we keep our own
+ledger below the boundary (and, holding the checkpoint, need no
+manifest either); otherwise the fetched suffix is seeded from the
+manifest's tree frontier.
 
 Every phase has a timeout (``RETRY_TIMEOUT``); a request that times out
 is retried up to ``MAX_RETRIES`` times before the client *fails over*: the
@@ -16,20 +27,22 @@ Chunk transfers *resume* across failovers: chunks are verified against
 the manifest digests as they arrive, so when the replacement server
 offers the **same** checkpoint (equal ``dC``, ledger binding, and chunk
 count), the already-verified chunks are kept and only the missing ones
-are re-requested.  A failover at 90% of a large checkpoint no longer
-restarts the transfer from zero.  (Chunking is deterministic given the
-state and ``CHUNK_BYTES``, so honest servers serving the same
-checkpoint produce bit-identical chunks.)
+are re-requested.  (Chunking is deterministic given the state and
+``CHUNK_BYTES``, so honest servers serving the same checkpoint produce
+bit-identical chunks.)
 
 Nothing is installed until everything verifies:
 
 - each chunk's bytes against the manifest's ``chunk_digests``;
-- the reassembled state against the checkpoint digest ``dC``;
+- the reassembled state (or the one we hold) against the checkpoint
+  digest ``dC``;
 - ``dC`` itself against the checkpoint transaction recorded in the
   fetched ledger (a Byzantine server cannot invent a checkpoint without
   also forging the signed ledger around it);
 - the manifest's tree frontier against the checkpoint's bound ledger
   root and size;
+- the server's governance chain against our genesis: the configuration
+  schedule the suffix verifies under comes from it;
 - the fetched ledger against every pre-prepare's signed ``root_m`` and
   ``root_g`` and the checkpoint's ledger binding — the one check the
   audit asks too (:meth:`repro.ledger.Ledger.unbound`);
@@ -63,10 +76,9 @@ CHUNK_WINDOW = 4
 # :class:`StateSyncClient` docstring):
 #
 #   IDLE ──start()──▶ PROBE ──first usable offer──▶ MANIFEST | CHUNKS | LEDGER
-#   MANIFEST ──consistent manifest──▶ CHUNKS
+#   MANIFEST ──consistent manifest──▶ CHUNKS | LEDGER (checkpoint held)
 #   CHUNKS ──all chunks verified──▶ LEDGER
 #   LEDGER ──suffix verified + installed──▶ IDLE   (resume)
-#   LEDGER ──sync-ledger-refused──▶ LEDGER         (checkpoint-rooted retry)
 #   any ──failover──▶ best cached offer (re-enter at MANIFEST/CHUNKS/LEDGER)
 #                     or PROBE when no offers remain
 IDLE = "idle"
@@ -88,16 +100,18 @@ class StateSyncClient:
     PROBE     ``sync-offer`` from any non-excluded peer (all were probed)
     MANIFEST  ``sync-manifest`` for the adopted offer's checkpoint
     CHUNKS    ``sync-chunk`` for each outstanding index (windowed)
-    LEDGER    ``sync-ledger`` (or ``sync-ledger-refused``) for the suffix
+    LEDGER    ``sync-ledger``: the suffix past the checkpoint's boundary
     ========  ==========================================================
 
     **Transitions.** ``start()`` probes every peer and enters PROBE.  The
-    first structurally-valid offer is adopted: straight to CHUNKS when it
-    matches a cached partial transfer (resumption), to LEDGER when it
-    carries no checkpoint (``cp_seqno == 0``: genesis replay) or the
-    chunks already completed, to MANIFEST otherwise.  A verified manifest
-    opens CHUNKS; the last verified chunk opens LEDGER; a verified and
-    installed suffix returns to IDLE and resumes the replica.
+    first structurally-valid offer is adopted: straight to LEDGER when we
+    hold its checkpoint and our own ledger reaches its boundary with the
+    root it binds (always so for checkpoint 0 on a replica that kept its
+    genesis entry), to CHUNKS when it matches a cached partial transfer
+    (resumption), to MANIFEST otherwise.  A verified manifest opens
+    CHUNKS, or LEDGER for a checkpoint we hold; the last verified chunk
+    opens LEDGER; a verified and installed suffix returns to IDLE and
+    resumes the replica.
 
     **Failover.** Any timeout past ``MAX_RETRIES``, and *any*
     verification failure (tampered chunk, inconsistent manifest, suffix
@@ -106,13 +120,10 @@ class StateSyncClient:
     Chunk transfers resume across failovers when the replacement serves
     the same checkpoint.
 
-    **Ledger GC interplay.** A server that garbage-collected its
-    ledger prefix refuses splice requests below its retained base with
-    ``sync-ledger-refused``.  The client then retries *checkpoint-rooted*:
-    it re-requests the suffix from exactly the served checkpoint's
-    boundary and materializes a suffix-only ledger seeded from the
-    manifest's Merkle frontier — its own (now unsplicable) prefix is
-    superseded by the digest-verified checkpoint.
+    **Ledger GC interplay.** A server serves only a checkpoint whose
+    boundary it retains, and only the suffix from that boundary, so a
+    server's garbage-collected prefix never needs to travel: the
+    checkpoint supersedes it.
     """
 
     def __init__(self, replica) -> None:
@@ -128,14 +139,8 @@ class StateSyncClient:
         self._to_request: list[int] = []
         self._timer: int | None = None
         self._attempts = 0
-        self._base_len = 0
-        # True once the server refused our splice point and we fell back
-        # to requesting the suffix from the checkpoint boundary.
-        self._cp_rooted = False
-        # The schedule the current suffix verifies under (set per
-        # sync-ledger message; includes reconfigurations we missed when
-        # the server's governance chain proves them).
-        self._suffix_schedule = None
+        # Our own copy of the adopted offer's checkpoint, else None.
+        self.held: Checkpoint | None = None
         # Alg. 2's catch-up: ``(view, slp, pplp digest, held-back
         # new-view)``, else None.
         self.target: tuple | None = None
@@ -193,8 +198,7 @@ class StateSyncClient:
         self.offers = {}
         self._inflight = set()
         self._to_request = []
-        self._cp_rooted = False
-        self._suffix_schedule = None
+        self.held = None
         self.target = None
 
     def _close_span(self, **attrs) -> None:
@@ -264,37 +268,44 @@ class StateSyncClient:
         self.offer = offer
         self._inflight = set()
         self._attempts = 0
-        if offer.cp_seqno > 0 and offer.n_chunks > 0:
-            if self._matches_partial_transfer(offer):
-                # Same checkpoint as the transfer interrupted by the
-                # failover: keep the already-verified chunks and request
-                # only what is still missing.
-                self.replica.metrics.bump("sync_transfers_resumed")
-                if self.reassembler.complete():
-                    self._enter_ledger()
-                    return
-                self.phase = CHUNKS
-                self._to_request = self.reassembler.missing()
-                self._fill_window()
-            else:
-                self.manifest = None
-                self.reassembler = None
-                self.phase = MANIFEST
-                self.replica.send(src, ("sync-get-manifest", offer.cp_seqno))
+        self.held = self._held(offer)
+        if self.held is not None and self._own_prefix_reaches(offer):
+            self.manifest = None
+            self.reassembler = None
+            self._enter_ledger()  # only the suffix needs to travel
+        elif self._matches_partial_transfer(offer):
+            # Same checkpoint as the transfer interrupted by the
+            # failover: keep the already-verified chunks and request
+            # only what is still missing.
+            self.replica.metrics.bump("sync_transfers_resumed")
+            self._enter_chunks()
         else:
             self.manifest = None
             self.reassembler = None
-            self._enter_ledger()
-        self._arm_timer()
+            self.phase = MANIFEST
+            self.replica.send(src, ("sync-get-manifest", offer.cp_seqno))
+            self._arm_timer()
+
+    def _held(self, offer: SyncOffer) -> Checkpoint | None:
+        """Our own copy of the offered checkpoint, or None."""
+        return self.replica.checkpoints.held(
+            offer.cp_seqno, offer.cp_digest, offer.cp_ledger_size, offer.cp_ledger_root)
+
+    def _own_prefix_reaches(self, offer: SyncOffer) -> bool:
+        """Does our own ledger reach the offered checkpoint's boundary with
+        tree M's root there equal to the root it binds?  Then we keep our
+        entries below the boundary instead of the manifest's frontier."""
+        own, size = self.replica.ledger, offer.cp_ledger_size
+        return own.base_index <= size <= len(own) and own.root_at(size) == offer.cp_ledger_root
 
     def _matches_partial_transfer(self, offer: SyncOffer) -> bool:
-        """Does ``offer`` bind the very checkpoint our verified-chunk
-        cache belongs to?  Equality of ``dC``, the ledger binding, and
-        the chunk count means every cached chunk is still valid."""
+        """Does ``offer`` bind the very checkpoint our cached manifest (and
+        verified chunks) belong to?  Equality of ``dC``, the ledger
+        binding, and the chunk count means every cached chunk is still
+        valid."""
         manifest = self.manifest
         return (
             manifest is not None
-            and self.reassembler is not None
             and offer.cp_seqno == manifest.cp_seqno
             and offer.cp_digest == manifest.cp_digest
             and offer.cp_ledger_size == manifest.cp_ledger_size
@@ -302,31 +313,28 @@ class StateSyncClient:
             and offer.n_chunks == len(manifest.chunk_digests)
         )
 
-    def _enter_ledger(self, cp_rooted: bool = False) -> None:
-        """Request the suffix past our committed prefix or, once the
-        server refused that splice point, past the served checkpoint."""
+    def _enter_chunks(self) -> None:
+        """Request the chunks still missing, or the suffix once there are
+        none (a checkpoint we hold has none to fetch)."""
+        if self.reassembler is None or self.reassembler.complete():
+            self._enter_ledger()
+            return
+        self.phase = CHUNKS
+        self._to_request = self.reassembler.missing()
+        self._fill_window()
+        self._arm_timer()
+
+    def _enter_ledger(self) -> None:
         self.phase = LEDGER
-        self._cp_rooted = cp_rooted
-        self._base_len = self.offer.cp_ledger_size if cp_rooted else self._splice_point()
         self._request_ledger()
         self._arm_timer()
 
     def _request_ledger(self) -> None:
-        root = self.offer.cp_ledger_root if self._cp_rooted else self.replica.ledger.root_at(
-            self._base_len)
+        """Ask for the suffix from the offered checkpoint's boundary; a
+        new-view catch-up asks through the newest pre-prepared batch."""
+        offer = self.offer
         self.replica.send(self.server, (
-            "sync-get-ledger", self._base_len, root, self._cp_rooted, self.target is not None))
-
-    def _splice_point(self) -> int:
-        """Length of our committed ledger prefix: everything at or below
-        the commit frontier is final (BFT safety), so only entries past it
-        need fetching — if the server's prefix is bit-identical."""
-        replica = self.replica
-        if replica.committed_upto >= 1:
-            record = replica.batches.get(replica.committed_upto)
-            if record is not None and 1 <= record.ledger_end <= len(replica.ledger):
-                return record.ledger_end
-        return min(1, len(replica.ledger))
+            "sync-get-ledger", offer.cp_ledger_size, offer.cp_ledger_root, self.target is not None))
 
     # -- message handlers (dispatched by the replica) -------------------------
 
@@ -347,8 +355,8 @@ class StateSyncClient:
             return
         if offer.tip_seqno < 0 or offer.cp_seqno < 0 or offer.cp_ledger_size < 1:
             return
-        if offer.cp_seqno > 0 and offer.n_chunks < 1:
-            return  # a real checkpoint always has at least one chunk
+        if offer.n_chunks < 1 and not (self._held(offer) and self._own_prefix_reaches(offer)):
+            return  # no chunks and no manifest: nothing to take it from
         self.offers[src] = offer
         if self.phase == PROBE:
             self._adopt_offer(src, offer)
@@ -382,13 +390,11 @@ class StateSyncClient:
             self._failover("bad_manifest")
             return
         self.manifest = manifest
-        self.reassembler = ChunkReassembler(manifest.chunk_digests, manifest.cp_digest)
-        self.phase = CHUNKS
+        self.reassembler = None if self.held is not None else ChunkReassembler(
+            manifest.chunk_digests, manifest.cp_digest)
         self._attempts = 0
-        self._to_request = list(range(self.reassembler.total))
         self._inflight = set()
-        self._fill_window()
-        self._arm_timer()
+        self._enter_chunks()
 
     def _fill_window(self) -> None:
         while len(self._inflight) < CHUNK_WINDOW and self._to_request:
@@ -399,7 +405,7 @@ class StateSyncClient:
     def on_chunk(self, src: str, msg: tuple) -> None:
         if self.phase != CHUNKS or src != self.server:
             return
-        if len(msg) != 4 or not isinstance(msg[2], int):
+        if not isinstance(msg[2], int):
             self._failover("malformed_chunk")
             return
         cp_seqno, index, chunk = msg[1], msg[2], msg[3]
@@ -422,49 +428,21 @@ class StateSyncClient:
             self._fill_window()
             self._arm_timer()
 
-    def on_ledger_refused(self, src: str, msg: tuple) -> None:
-        """The server garbage-collected the prefix our splice point lives
-        in: fall back to a checkpoint-rooted transfer when the session
-        holds a verified checkpoint, fail over otherwise.  A server never
-        refuses a checkpoint-rooted request (it serves or stays silent),
-        so a refusal then is a late or duplicated answer to the splice."""
-        if self.phase != LEDGER or src != self.server or self._cp_rooted:
-            return
-        if len(msg) != 2 or not isinstance(msg[1], int):
-            return
-        offer = self.offer
-        retained = msg[1]
-        if (
-            offer.cp_seqno > 0
-            and self.reassembler is not None
-            and self.reassembler.complete()
-            and offer.cp_ledger_size >= retained
-        ):
-            self.replica.metrics.bump("sync_cp_rooted_transfers")
-            self._enter_ledger(cp_rooted=True)
-        else:
-            self._failover("suffix_refused")
-
     def on_ledger(self, src: str, msg: tuple) -> None:
         if self.phase != LEDGER or src != self.server:
             return
-        if (
-            len(msg) != 6
-            or not isinstance(msg[1], int)
-            or not isinstance(msg[2], tuple)
-            or not isinstance(msg[3], int)
-        ):
+        if not isinstance(msg[1], int) or not isinstance(msg[2], tuple) or not isinstance(msg[3], int):
             self._failover("malformed_ledger")
             return
-        start, entry_wires, view, chain_wire = msg[1], msg[2], msg[3], msg[4]
-        if start not in (0, self._base_len):
+        start, entry_wires, view, chain_wire, executed = msg[1:]
+        if start != self.offer.cp_ledger_size:
             self._failover("bad_suffix_start")
             return
         replica = self.replica
         try:
-            self._suffix_schedule = self._trusted_suffix_schedule(chain_wire)
+            schedule = self._trusted_schedule(chain_wire)
             checkpoint = self._verified_checkpoint()
-            ledger, schedule = self._verified_ledger(start, entry_wires, checkpoint)
+            ledger = self._verified_ledger(entry_wires, checkpoint, schedule)
         except (ProtocolError, LedgerError, MerkleError, KVError) as exc:
             replica.metrics.bump("sync_verification_failures")
             self._failover(f"verify:{type(exc).__name__}")
@@ -490,9 +468,9 @@ class StateSyncClient:
             # pre-prepares as the old view's primary.
             self._finish(checkpoint, ledger)
             return
-        executed = self._executed_below(msg[5], checkpoint) if self._cp_rooted else {}
         try:
-            replayed = install_ledger(replica, ledger, checkpoint, schedule, executed)
+            replayed = install_ledger(
+                replica, ledger, checkpoint, schedule, self._executed_below(executed, checkpoint))
         except (ProtocolError, LedgerError, KVError) as exc:
             replica.metrics.bump("sync_verification_failures")
             self._failover(f"install:{type(exc).__name__}")
@@ -525,17 +503,18 @@ class StateSyncClient:
             return True
         return ledger.batch(slp) is not None and ledger.batch_pre_prepare(slp).digest() == pplp_digest
 
-    def _trusted_suffix_schedule(self, chain_wire):
-        """The configuration schedule a suffix-rooted ledger verifies
-        under: our own, superseded by the server's governance chain when
-        that chain verifies against our genesis and reaches further.
+    def _trusted_schedule(self, chain_wire):
+        """The configuration schedule the fetched ledger verifies under:
+        our own, superseded by the server's governance chain when that
+        chain verifies against our genesis and reaches further.
 
-        This is the late-join path: a replica constructed before a
-        reconfiguration it missed has a genesis-only schedule, and
-        without the chain it would adopt the suffix under config 0 —
-        never recognising itself as a member of the active configuration.
-        The chain is quorum-signed end-of-configuration receipts, so a
-        Byzantine server still cannot fabricate governance history.
+        The suffix does not carry the governance history below its
+        checkpoint, and a replica constructed before a reconfiguration it
+        missed has a genesis-only schedule: without the chain it would
+        adopt the suffix under config 0 and never recognise itself as a
+        member of the active configuration.  The chain is quorum-signed
+        end-of-configuration receipts, so a Byzantine server still cannot
+        fabricate governance history.
         """
         # Imported lazily: repro.receipts imports the lpbft messages, so
         # a module-level import would be circular.
@@ -543,9 +522,6 @@ class StateSyncClient:
         from ..receipts import verify_served_chain
 
         replica = self.replica
-        own = replica.schedule.copy()
-        if chain_wire is None:
-            return own
         try:
             chain, schedule = verify_served_chain(
                 chain_wire, replica.gov_chain.genesis_config_wire,
@@ -553,6 +529,7 @@ class StateSyncClient:
             )
         except ReceiptError as exc:
             raise ProtocolError(f"sync governance chain invalid: {exc}") from exc
+        own = replica.schedule.copy()
         if len(schedule.spans()) <= len(own.spans()):
             return own
         if len(chain) > len(replica.gov_chain):
@@ -562,54 +539,42 @@ class StateSyncClient:
 
     # -- verification ----------------------------------------------------------
 
-    def _verified_checkpoint(self) -> Checkpoint | None:
-        """The checkpoint to restore from: transferred chunks (cp > 0) or
-        our own genesis checkpoint (identical on every replica)."""
+    def _verified_checkpoint(self) -> Checkpoint:
+        """The checkpoint to restore from: our own copy, or the one the
+        transferred chunks reassemble (raises KVError on any mismatch)."""
+        if self.held is not None:
+            return self.held
         offer = self.offer
-        if offer.cp_seqno <= 0 or self.reassembler is None:
-            return self.replica.checkpoints.get(0)  # None once collected: no install
-        state = self.reassembler.reassemble()  # raises KVError on any mismatch
         return Checkpoint(
             seqno=offer.cp_seqno,
-            state=state,
+            state=self.reassembler.reassemble(),
             ledger_size=offer.cp_ledger_size,
             ledger_root=offer.cp_ledger_root,
         )
 
-    def _verified_ledger(self, start: int, entry_wires: tuple, checkpoint) -> tuple:
-        """Materialise the fetched suffix, spliced onto our committed
-        prefix unless the session is checkpoint-rooted, and verify the
-        whole against every digest we hold (raises on mismatch); returns
-        the ledger and the schedule it verified under.
+    def _verified_ledger(self, entry_wires: tuple, checkpoint: Checkpoint, schedule):
+        """Materialise the fetched suffix past the checkpoint's boundary
+        and verify it against every digest we hold (raises on mismatch).
 
-        The ledger starts at the served checkpoint boundary, seeded from
-        the manifest's frontier, when the *server* garbage-collected below
-        our splice point; at genesis when the server shipped a
-        full-from-genesis ledger; and at our own retained base, seeded
-        from our own tree's frontier (empty at base 0), when it spliced.
-        Either way :func:`verify_fetched_ledger` binds it to every signed
-        root and to the checkpoint.
+        Below the boundary the ledger is our own when our tree M has the
+        checkpoint's root there, and otherwise starts at the boundary,
+        seeded from the manifest's frontier.  Either way
+        :func:`verify_fetched_ledger` binds it to every signed root and to
+        the checkpoint.
         """
-        replica = self.replica
-        offer = self.offer
-        if self._cp_rooted:
-            if start != offer.cp_ledger_size or offer.cp_seqno <= 0 or self.manifest is None:
-                raise ProtocolError("checkpoint-rooted suffix with wrong start")
-            base, wires, frontier = start, entry_wires, self.manifest.frontier
-        elif start == 0:
-            base, wires, frontier = 0, entry_wires, ()
-        else:
+        replica, offer = self.replica, self.offer
+        size = offer.cp_ledger_size
+        if self._own_prefix_reaches(offer):
             base = replica.ledger.base_index
-            wires = replica.ledger.fragment(base, start).entry_wires + tuple(entry_wires)
+            wires = replica.ledger.fragment(base, size).entry_wires + tuple(entry_wires)
             frontier = replica.ledger.tree().frontier_at(base)
+        elif self.manifest is not None:
+            base, wires, frontier = size, entry_wires, self.manifest.frontier
+        else:
+            raise ProtocolError("no frontier at the checkpoint boundary")
         ledger = LedgerFragment(start=base, entry_wires=tuple(wires)).to_ledger(frontier)
-        if len(ledger) < offer.cp_ledger_size:
-            raise ProtocolError("sync ledger shorter than checkpoint bound")
-        # Everything past our own trusted prefix is the server's.
-        schedule = verify_fetched_ledger(
-            replica, ledger, len(entry_wires), max(start, 1), checkpoint, self._suffix_schedule
-        )
-        return ledger, schedule
+        verify_fetched_ledger(replica, ledger, len(entry_wires), size, checkpoint, schedule)
+        return ledger
 
     # -- completion / failure -------------------------------------------------
 

@@ -13,11 +13,9 @@ and one serving peer at a time:
 - ``sync-get-chunk`` → ``sync-chunk``: bounded-size state chunks,
   requested with a sliding window.
 - ``sync-get-ledger`` → ``sync-ledger``: the ledger suffix past the
-  client's committed prefix (the server falls back to the full ledger
-  when the client's prefix root does not match its own — e.g. a view
-  change the client never witnessed shifted physical positions).  A
-  suffix rooted at the served checkpoint also carries the server's index
-  of the requests executed at or below it.
+  offered checkpoint's boundary, with the server's governance chain and
+  its index of executed requests.  The server stays silent when that
+  boundary lies below what it retains.
 
 None of these messages is signed: every payload is verified against
 digests the client already trusts or can cross-check in the fetched
@@ -44,10 +42,11 @@ from ..errors import ProtocolError
 class SyncOffer:
     """A server's answer to a probe: its best stable checkpoint and tip.
 
-    ``cp_seqno == 0`` means "no recorded checkpoint yet" — the client
-    falls back to a ledger-only transfer replayed from genesis.
-    ``tip_seqno`` is the server's committed frontier, and ``view`` the
-    view the client should resume in.
+    ``cp_seqno == 0`` is checkpoint 0, genesis (the genesis digest,
+    ledger size 1, no chunks): a server without a stable checkpoint
+    offers it, and every replica holds it.  ``tip_seqno`` is the server's
+    committed frontier, and ``view`` the view the client should resume
+    in.
     """
 
     cp_seqno: int

@@ -1,11 +1,14 @@
 """Serving side of state sync: offers, manifests, chunks, ledger suffixes.
 
 A :class:`StateSyncServer` is owned by a replica and answers pull
-requests from lagging peers.  It serves the newest checkpoint recorded at
-or below its commit frontier, and the ledger up to that frontier — or,
+requests from lagging peers.  It offers its newest checkpoint recorded at
+or below its commit frontier, or checkpoint 0 (genesis, held by every
+replica, so no chunks travel) when it has none, and serves one ledger
+range: from that checkpoint's boundary up to the commit frontier — or,
 for a new-view catch-up (Alg. 2), up to its newest pre-prepared batch.
-The client's install commits only what the ledger proves, so a tail the
-service may still roll back is installed pre-prepared, never committed.
+A boundary below what it retains is never served.  The client's install
+commits only what the ledger proves, so a tail the service may still
+roll back is installed pre-prepared, never committed.
 
 Chunking a checkpoint is work (one pass over the state), so the chunks
 and manifest for the currently-served checkpoint are cached and reused
@@ -51,48 +54,35 @@ class StateSyncServer:
         replica = self.replica
         record = replica.batches.get(
             replica.next_seqno - 1 if new_view else replica.committed_upto)
-        if record is not None and record.ledger_end >= 1:
-            return record.ledger_end
-        return 1 if len(replica.ledger) >= 1 else 0
+        return record.ledger_end if record is not None and record.ledger_end >= 1 else 1
 
     # -- request handlers ------------------------------------------------------
 
     def on_probe(self, src: str, msg: tuple) -> None:
         replica = self.replica
-        if replica.syncing or len(replica.ledger) == 0:
+        if replica.syncing:
             return  # mid-sync ourselves: nothing trustworthy to offer
         cp = self.stable_checkpoint()
-        if cp is not None and cp.seqno > 0:
-            chunks, _ = self._chunked(cp)
-            offer = SyncOffer(
-                cp_seqno=cp.seqno,
-                cp_digest=cp.digest(),
-                cp_ledger_size=cp.ledger_size,
-                cp_ledger_root=cp.ledger_root,
-                n_chunks=len(chunks),
-                tip_seqno=replica.committed_upto,
-                view=replica.view,
-            )
+        if cp is None or cp.seqno == 0:
+            # Checkpoint 0, genesis, is held by every replica: no chunks.
+            cp, n_chunks = replica.checkpoints.genesis, 0
         else:
-            # No stable checkpoint yet: the client replays from its own
-            # genesis checkpoint, so only the ledger needs to travel.
-            # (Unreachable once the prefix is garbage-collected — GC only
-            # ever runs above a stable checkpoint — but guard anyway.)
-            if replica.ledger.base_index > 0:
-                return
-            offer = SyncOffer(
-                cp_seqno=0,
-                cp_digest=b"",
-                cp_ledger_size=1,
-                cp_ledger_root=replica.ledger.root_at(1),
-                n_chunks=0,
-                tip_seqno=replica.committed_upto,
-                view=replica.view,
-            )
+            n_chunks = len(self._chunked(cp)[0])
+        if cp.ledger_size < replica.ledger.base_index:
+            return  # our retained ledger starts past its boundary
+        offer = SyncOffer(
+            cp_seqno=cp.seqno,
+            cp_digest=cp.digest(),
+            cp_ledger_size=cp.ledger_size,
+            cp_ledger_root=cp.ledger_root,
+            n_chunks=n_chunks,
+            tip_seqno=replica.committed_upto,
+            view=replica.view,
+        )
         replica.send(src, offer.to_wire())
 
     def on_get_manifest(self, src: str, msg: tuple) -> None:
-        if len(msg) != 2 or not isinstance(msg[1], int):
+        if not isinstance(msg[1], int):
             return
         cp_seqno = msg[1]
         cp = self.stable_checkpoint()
@@ -102,7 +92,7 @@ class StateSyncServer:
         self.replica.send(src, manifest.to_wire())
 
     def on_get_chunk(self, src: str, msg: tuple) -> None:
-        if len(msg) != 3 or not isinstance(msg[1], int) or not isinstance(msg[2], int):
+        if not isinstance(msg[1], int) or not isinstance(msg[2], int):
             return
         cp_seqno, index = msg[1], msg[2]
         replica = self.replica
@@ -125,98 +115,38 @@ class StateSyncServer:
         replica.send(src, payload)
 
     def on_get_ledger(self, src: str, msg: tuple) -> None:
-        """Serve a ledger suffix, bounded below by the retained prefix.
+        """Serve the ledger past an offered checkpoint's boundary.
 
-        Requests come in two forms (4th wire field ``from_checkpoint``),
-        each with a 5th field ``new_view`` that extends the suffix to the
-        newest pre-prepared batch:
-
-        - splice (False): ``base_len``/``base_root`` describe the client's
-          committed prefix; when it is bit-identical to ours and reaches
-          into our retained region, only ``[base_len, end)`` travels.
-        - checkpoint-rooted (True): the client holds the served
-          checkpoint's chunks and asks for exactly ``[cp.ledger_size,
-          end)`` — the suffix it can verify against the manifest frontier
-          — plus our index of the requests executed at or below the
-          checkpoint (``executed``, empty for a splice).
-
-        A splice request reaching *below* the retained prefix (or one
-        whose prefix diverges while ours is partially garbage-collected)
-        is **refused** with ``sync-ledger-refused``: the entries that
-        would prove the splice no longer exist, so the client must fall
-        back to a full checkpoint transfer.
+        ``("sync-get-ledger", size, root, new_view)``: ``size`` and
+        ``root`` are the checkpoint's ledger binding, and ``new_view``
+        extends the suffix to the newest pre-prepared batch.  We serve
+        ``[size, end)`` only when ``size`` lies in what we retain and tree
+        M's root there is ``root``; otherwise we stay silent and the
+        client times out and re-probes.  The answer always carries our
+        governance chain (quorum-signed end-of-configuration receipts:
+        the configuration schedule, anchored at genesis, that the suffix
+        verifies under) and our index of executed requests (the client
+        keeps those at or below its checkpoint: a client's retransmission
+        of one must not read as new work no primary will order).
         """
-        if len(msg) != 5:
-            return
-        base_len, base_root, from_checkpoint = msg[1], msg[2], bool(msg[3])
+        size, root = msg[1], msg[2]
         replica = self.replica
-        end = self._served_ledger_end(bool(msg[4]))
-        if end < 1:
-            return
-        retained = replica.ledger.base_index
-        if from_checkpoint:
-            # Validate against the checkpoint this transfer was *served*
-            # from (the cache — still pinned and retained) first: the
-            # newest stable checkpoint may have advanced while the client
-            # pulled chunks, and forcing a restart against the new one
-            # could livelock a slow transfer.  Fall back to the current
-            # stable checkpoint for clients rooted directly at it.
-            served = self._manifest
-            matches = served is not None and (
-                served.cp_ledger_size == base_len and served.cp_ledger_root == base_root
-            )
-            if not matches:
-                cp = self.stable_checkpoint()
-                matches = cp is not None and (
-                    cp.ledger_size == base_len and cp.ledger_root == base_root
-                )
-            if not matches or base_len < retained or base_len > end:
-                return  # stale request; the client times out and re-probes
-            self._cache_last_used = replica.now
-            start = base_len
-        elif (
-            isinstance(base_len, int)
-            and max(1, retained) <= base_len <= end
-            and base_len <= len(replica.ledger)
-            and replica.ledger.root_at(base_len) == base_root
+        end = self._served_ledger_end(bool(msg[3]))
+        if not (
+            isinstance(size, int) and replica.ledger.base_index <= size <= end
+            and replica.ledger.root_at(size) == root
         ):
-            # The client's committed prefix is bit-identical to ours:
-            # only the suffix needs to travel.
-            start = base_len
-        elif retained == 0:
-            start = 0
-        else:
-            # The splice point is unprovable: either it lies below the
-            # prefix we garbage-collected, or the prefixes diverge and a
-            # full-from-genesis ledger no longer exists here.
-            replica.metrics.bump("sync_suffix_refusals")
-            replica.send(src, ("sync-ledger-refused", retained))
             return
-        fragment = replica.ledger.fragment(start, end)
+        self._cache_last_used = replica.now
+        fragment = replica.ledger.fragment(size, end)
         replica.submit("append", len(fragment) * replica.costs.ledger_append)
         replica.metrics.bump("sync_ledger_serves")
-        # A suffix does not carry the governance history below its base;
-        # the governance chain (quorum-signed end-of-configuration
-        # receipts) lets a joiner that missed a reconfiguration derive
-        # the configuration schedule anyway, anchored at genesis.
-        chain_wire = replica.gov_chain.to_wire() if start > 0 else None
-        # A client rooted at the checkpoint knows no request executed at or
-        # below it: our index (it keeps those entries) tells it a client's
-        # retransmission of one from a request no primary ordered yet.
         executed = tuple(
-            (d, *split_location(located)) for d, located in replica.tx_locations.items()
-        ) if from_checkpoint else ()
-        replica.send(
-            src,
-            (
-                "sync-ledger",
-                start,
-                fragment.entry_wires,
-                replica.view,
-                chain_wire,
-                executed,
-            ),
-        )
+            (d, *split_location(located)) for d, located in replica.tx_locations.items())
+        replica.send(src, (
+            "sync-ledger", size, fragment.entry_wires, replica.view,
+            replica.gov_chain.to_wire(), executed,
+        ))
 
     # -- chunk cache ---------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Junk messages never stop a replica.
+"""Junk messages never stop a replica or a client.
 
 Every kind a replica dispatches has one envelope length
 (``lpbft.messages.ENVELOPE_ARITY``).  ``LPBFTReplica.on_message`` drops a
@@ -8,6 +8,8 @@ changes any state), and counts it under ``malformed_messages`` by kind;
 a message that is not a tuple envelope of a known kind is dropped and
 counted under the kind ``"unknown"``.  The run goes on.  An error past
 the parse still raises: it is a bug.
+A client keeps the same rule with its own table
+(``lpbft.messages.CLIENT_ARITY``).
 The junk travels the simulated network, whose delivery catches nothing,
 so a message that escaped the replica would end ``dep.run``.
 """
@@ -16,7 +18,7 @@ import pytest
 
 from helpers import build_deployment, run_waves
 from repro.errors import LedgerError
-from repro.lpbft.messages import ENVELOPE_ARITY, PrePrepare, Prepare
+from repro.lpbft.messages import CLIENT_ARITY, ENVELOPE_ARITY, PrePrepare, Prepare
 
 
 def malformed(replica, kind: str) -> int:
@@ -74,6 +76,7 @@ def test_honest_envelopes_have_their_arity():
     assert dep.replicas[0].metrics.counters["ledger_adoptions"] >= 1
     for replica in dep.replicas:
         assert "malformed_messages" not in replica.metrics.counters
+    assert "malformed_messages" not in client.metrics.counters
 
 
 def test_junk_of_every_kind_is_dropped_and_counted_and_the_service_goes_on():
@@ -127,3 +130,28 @@ def test_an_unknown_kind_or_a_non_envelope_is_dropped_and_counted(msg):
     replica.on_message("anyone", msg)
     assert malformed(replica, "unknown") == 1
     assert replica.metrics.counters["malformed_messages"] == 1
+
+
+# What a replica could send a client that does not parse: every one of
+# these once raised out of ``LPBFTClient.on_message`` and ended the run.
+CLIENT_JUNK = [
+    ("reply",), ("replyx",), ("reject", "x"), ("replyx-gone",), ("gov-chain-resp",), (), ["reply"],
+    ("reply", "junk", ()), ("reply", "junk", 5), ("reject", ["x"], "busy"),
+    ("replyx-gone", b"d", "x", b"c"), ("gov-chain-resp", (), ("x",)),
+]
+
+
+def test_the_client_table_covers_every_kind_the_client_dispatches():
+    client = build_deployment().add_client()
+    assert set(CLIENT_ARITY) == set(client._handlers)
+
+
+@pytest.mark.parametrize("msg", CLIENT_JUNK, ids=repr)
+def test_a_client_drops_and_counts_junk_and_its_receipts_complete(msg):
+    dep = build_deployment()
+    client = dep.add_client(retry_timeout=0.5)
+    dep.start()
+    dep.replicas[1].send(client.address, msg)
+    digests = run_waves(dep, client, waves=1, per_wave=10, gap=0.1)
+    assert client.metrics.counters["malformed_messages"] == 1
+    assert all(digest in client.receipts for digest in digests)

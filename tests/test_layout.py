@@ -377,6 +377,13 @@ RULES = [
         ("src/repro/lpbft/batch.py", "from collections import OrderedDict\n"),
     ),
     Rule(
+        "A state-sync transfer is one request, the suffix past the offered "
+        "checkpoint: no refusal round trip and no splice onto the client's prefix.",
+        "statesync/client.py",
+        grep(r"sync-ledger-refused|on_ledger_refused|_cp_rooted|_splice_point"),
+        ("src/repro/statesync/client.py", "def _splice_point(self):\n    return 0\n"),
+    ),
+    Rule(
         "Execution builds no object per transaction entry: a batch's entries "
         "are packed into its run (ledger.TxRun), read through views the run builds.",
         "ledger/entries.py",

@@ -18,6 +18,7 @@ from repro.lpbft import ProtocolParams, execute_procedure
 from repro.lpbft.batch import split_location
 from repro.merkle.proofs import frontier_root, verify_path
 from repro.merkle.tree import MerkleTree
+from repro.statesync import client as sync_client
 from repro.workloads import SmallBankWorkload
 
 from helpers import build_deployment, run_waves
@@ -407,21 +408,25 @@ class TestStateSyncBelowRetention:
         dep.run(until=9.0)
         return dep, client, dep.replicas[3]
 
-    def test_refused_splice_falls_back_to_checkpoint_rooted_transfer(self):
+    def test_behind_the_servers_retention_installs_the_checkpoint_and_its_suffix(
+            self, monkeypatch):
+        installs = []
+        real = sync_client.install_ledger
+
+        def install(replica, ledger, checkpoint, *rest):
+            installs.append((replica, ledger.base_index, checkpoint.ledger_size))
+            return real(replica, ledger, checkpoint, *rest)
+
+        monkeypatch.setattr(sync_client, "install_ledger", install)
         dep, client, victim = self._partitioned_run(b"gc-sync")
         servers_retained = min(r.ledger.base_index for r in dep.replicas[:3])
         assert servers_retained > 0, "servers never truncated; scenario is vacuous"
-        counters = victim.metrics.summary()["counters"]
-        assert counters.get("sync_sessions_completed", 0) >= 1
-        assert counters.get("sync_cp_rooted_transfers", 0) >= 1
-        server_counters = [
-            r.metrics.summary()["counters"].get("sync_suffix_refusals", 0)
-            for r in dep.replicas[:3]
-        ]
-        assert sum(server_counters) >= 1
-        # The victim is checkpoint-rooted now: no genesis prefix, yet it
-        # rejoined consensus and agrees with everyone.
-        assert victim.ledger.base_index > 0
+        # The victim's one install starts its ledger exactly at the served
+        # checkpoint's boundary: nothing below it travels or is kept.
+        [(replica, base, boundary)] = installs
+        assert replica is victim and base == boundary > 0
+        assert victim.sync_client.last_result["cp_seqno"] > 0
+        # It rejoined consensus and agrees with everyone.
         frontier = max(r.committed_upto for r in dep.replicas)
         assert victim.committed_upto == frontier
         assert dep.ledgers_agree()

@@ -28,7 +28,6 @@ OWNERS = {
     "sync-get-chunk": "sync_server", "sync-get-ledger": "sync_server",
     "sync-offer": "sync_client", "sync-manifest": "sync_client",
     "sync-chunk": "sync_client", "sync-ledger": "sync_client",
-    "sync-ledger-refused": "sync_client",
 }
 
 
@@ -151,7 +150,8 @@ class TestHonestInstall:
         tip, depth = ledger.last_seqno(), FAST_PARAMS.pipeline
         assert tip > depth and primary.committed_upto == tip
         genesis = victim.checkpoints[0]
-        schedule = verify_fetched_ledger(victim, ledger, len(ledger), 1, genesis)
+        schedule = victim.schedule.copy()
+        verify_fetched_ledger(victim, ledger, len(ledger), 1, genesis, schedule)
         install_ledger(victim, ledger, genesis, schedule)
         assert victim.committed_upto == victim.prepared_upto == tip - depth
         assert victim.next_seqno == tip + 1
@@ -178,7 +178,8 @@ class TestHonestInstall:
         assert replica.committed_upto == tip > FAST_PARAMS.pipeline
         committed = replica.metrics.counters["batches_committed"]
         genesis = replica.checkpoints[0]
-        schedule = verify_fetched_ledger(replica, ledger, len(ledger), 1, genesis)
+        schedule = replica.schedule.copy()
+        verify_fetched_ledger(replica, ledger, len(ledger), 1, genesis, schedule)
         install_ledger(replica, ledger, genesis, schedule)
         assert replica.committed_upto == replica.prepared_upto == tip
         assert all(record.committed for record in replica.batches.values())
@@ -335,7 +336,8 @@ class TestVerifierBindsTheLedger:
         wires[last] = (tag, request, index, {"reply": {"ok": True}, "ws": b"\0" * 32})
         ledger = LedgerFragment(start=0, entry_wires=tuple(wires)).to_ledger()
         with pytest.raises(ProtocolError, match=f"batch {ledger.last_seqno()}: .* root_g"):
-            verify_fetched_ledger(victim, ledger, len(ledger), 1, victim.checkpoints[0])
+            verify_fetched_ledger(
+                victim, ledger, len(ledger), 1, victim.checkpoints[0], victim.schedule)
 
 
 class TestInstallReplaysLikeTheAudit:
@@ -363,7 +365,8 @@ class TestInstallReplaysLikeTheAudit:
         dep, victim, primary = self.lagging_run()
         ledger = forge_checkpoint_record(primary.ledger.fragment(0).to_ledger(), dep, forgery)
         genesis = victim.checkpoints[0]
-        schedule = verify_fetched_ledger(victim, ledger, len(ledger), 1, genesis)
+        schedule = victim.schedule.copy()
+        verify_fetched_ledger(victim, ledger, len(ledger), 1, genesis, schedule)
         before = TestSyncSuffix.state(victim)
         with pytest.raises(ProtocolError, match="replayed batch 20: checkpoint transaction"):
             install_ledger(victim, ledger, genesis, schedule)
@@ -382,10 +385,11 @@ class TestInstallReplaysLikeTheAudit:
 
         dep, victim, primary = self.lagging_run(rule)
         victim.sync_client.start("lag")
-        # The primary offers its genesis checkpoint: the victim replays
+        # The primary offers checkpoint 0, genesis: the victim replays
         # every batch, batch 20 included.
         offer = SyncOffer(
-            cp_seqno=0, cp_digest=b"", cp_ledger_size=1, cp_ledger_root=primary.ledger.root_at(1),
+            cp_seqno=0, cp_digest=primary.checkpoints.genesis_digest, cp_ledger_size=1,
+            cp_ledger_root=primary.ledger.root_at(1),
             n_chunks=0, tip_seqno=primary.committed_upto, view=primary.view)
         victim.on_message(primary.address, offer.to_wire())
         dep.run(until=dep.net.scheduler.now + 0.05)

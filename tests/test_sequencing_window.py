@@ -157,10 +157,13 @@ class TestW1Identity:
         moved the trace to ``5418e907f4dd3658``.  The honest ledger
         install moved it to the digest pinned now: the late joiner's
         install commits through batch 441 of 444, not 444, and fetches
-        the evidence for the last three."""
+        the evidence for the last three (``1466829d3209c524``).  State
+        sync as one transfer, the suffix past the offered checkpoint, moved
+        it to the digest pinned now: the joiner no longer fetches the
+        ledger below that checkpoint."""
         result = run_schedule(generate_schedule(1, ChaosParams(pipeline=3)))
         assert result.ok, f"oracle violations: {result.violations}"
-        assert result.trace_digest[:16] == "1466829d3209c524"
+        assert result.trace_digest[:16] == "a4d63ec8c6faac1f"
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_pinned_window_seed_runs_clean(self, seed):

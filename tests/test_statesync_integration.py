@@ -197,7 +197,8 @@ class TestSuffixSignatureVerification:
 
         def verify(entry_wires):
             ledger = LedgerFragment(0, tuple(entry_wires)).to_ledger()
-            return verify_fetched_ledger(checker, ledger, len(entry_wires), 1, None)
+            verify_fetched_ledger(
+                checker, ledger, len(entry_wires), 1, checker.checkpoints.genesis, checker.schedule)
 
         verify(wires)  # honest: passes
         pp = entry_from_wire(wires[batches[-1]]).pre_prepare()
@@ -347,3 +348,29 @@ class TestRecoverDuringViewChange:
         # Every submitted transaction ends with a full receipt — the
         # install-committed primary re-sends its reply on retransmission.
         assert len(client.receipts) == 25
+
+    def test_recovered_primary_fetches_only_the_suffix_past_the_checkpoint(self):
+        """An ex-primary whose tail the view change rolled back (its ledger
+        leaves the service's below its own commit frontier) fetches only
+        what lies past the offered checkpoint's boundary, not the whole
+        ledger from genesis, and keeps nothing below that boundary."""
+        params = SYNC_PARAMS.variant(view_change_timeout=0.2)
+        dep = build_deployment(params=params, seed=b"primary-crash")
+        client = dep.add_client(retry_timeout=0.1)
+        dep.start()
+        sustained_load(dep, client, waves=30, gap=0.025)
+        dep.net.scheduler.at(0.3, lambda: dep.crash_replica(0))
+        dep.run(until=1.2)
+        ex, survivor = dep.replicas[0], dep.replicas[1]
+        frontier_end = ex.batches[ex.committed_upto].ledger_end
+        assert ex.ledger.root_at(frontier_end) != survivor.ledger.root_at(frontier_end)
+        dep.recover_replica(0, resync=True)
+        dep.run(until=4.0)
+        result = ex.sync_client.last_result
+        server = next(r for r in dep.replicas if r.address == result["server"])
+        cp = server.checkpoints[result["cp_seqno"]]
+        assert result["installed"] and cp.seqno > 0
+        assert result["fetched_entries"] <= len(server.ledger) - cp.ledger_size
+        assert ex.ledger.base_index == cp.ledger_size
+        assert_caught_up(dep, ex)
+        assert len(client.receipts) == 300
