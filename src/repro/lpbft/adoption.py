@@ -201,6 +201,11 @@ def install_ledger(
             record.prepared = record.committed = True
         records.append(record)
 
+    # The chain may hold a configuration this ledger has not activated
+    # yet (a server extends its chain at execution and serves up to its
+    # commit frontier): the replayed referendum (``reconfig``) activates it.
+    while len(schedule) > 1 and schedule.current_span().start_seqno > ledger.last_seqno():
+        schedule.pop()
     # Everything verified and built — commit to the replica atomically.
     replica.schedule = schedule
     replica.ledger = ledger
