@@ -377,18 +377,18 @@ RULES = [
         ("src/repro/lpbft/batch.py", "from collections import OrderedDict\n"),
     ),
     Rule(
-        "A state-sync transfer is one request, the suffix past the offered "
-        "checkpoint: no refusal round trip and no splice onto the client's prefix.",
-        "statesync/client.py",
-        grep(r"sync-ledger-refused|on_ledger_refused|_cp_rooted|_splice_point"),
-        ("src/repro/statesync/client.py", "def _splice_point(self):\n    return 0\n"),
-    ),
-    Rule(
         "Execution builds no object per transaction entry: a batch's entries "
         "are packed into its run (ledger.TxRun), read through views the run builds.",
         "ledger/entries.py",
         calls({"TxEntry", "SealedMap"}, r"src/repro/(?!lpbft/|kvstore/).*"),
         ("src/repro/lpbft/replica.py", "entry = TxEntry(request_wire=wire, index=index, output=output)\n"),
+    ),
+    Rule(
+        "A state-sync transfer is one request, the suffix past the offered "
+        "checkpoint: no refusal round trip and no splice onto the client's prefix.",
+        "statesync/client.py",
+        grep(r"sync-ledger-refused|on_ledger_refused|_cp_rooted|_splice_point"),
+        ("src/repro/statesync/client.py", "def _splice_point(self):\n    return 0\n"),
     ),
 ]
 
