@@ -36,8 +36,7 @@ from ..governance.schedule import ConfigSchedule
 from ..kvstore import Checkpoint, KVStore
 from ..ledger import EvidenceEntry, Ledger
 from .batch import BatchRecord, ReconfigState, location
-from .checkpointing import CheckpointStore
-from .messages import BATCH_CHECKPOINT
+from .checkpointing import CheckpointStore, checkpoint_due
 
 
 def verify_fetched_ledger(
@@ -177,13 +176,9 @@ def install_ledger(
             elif reconfig is None:
                 reconfig = ReconfigState(
                     Configuration.from_wire(accepted), seqno, ledger.root_at(info.end))
-            # Take interval checkpoints passed during replay so the next
-            # checkpoint transaction finds its state.
-            if (
-                replica.params.checkpoints
-                and record.flags != BATCH_CHECKPOINT
-                and seqno % replica.params.checkpoint_interval == 0
-            ):
+            # Take the checkpoints execution would have taken, so the
+            # next checkpoint transaction finds its state.
+            if checkpoint_due(seqno, record.flags, replica.params, reconfig):
                 checkpoints.take(
                     Checkpoint.capture(kv, seqno, info.end, ledger.root_at(info.end)), replica.now)
         for k in range(len(run)):
@@ -210,11 +205,8 @@ def install_ledger(
     replica.schedule = schedule
     replica.ledger = ledger
     replica.kv = kv
-    # Keep our genesis checkpoint: it is identical on every replica
-    # (derived from the genesis configuration + initial state) and
-    # stays the replay anchor for peers without a stable checkpoint.
-    if 0 in replica.checkpoints and 0 not in checkpoints:
-        checkpoints.take(replica.checkpoints[0], 0.0)
+    # Checkpoint 0 is identical on every replica (derived from the
+    # genesis configuration and initial state): ours carries over.
     checkpoints.genesis = replica.checkpoints.genesis
     replica.checkpoints = checkpoints
     replica.retention.adopted()

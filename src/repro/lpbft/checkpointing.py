@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..crypto.hashing import Digest
+from .messages import BATCH_END_OF_CONFIG, BATCH_REGULAR
 
 if TYPE_CHECKING:
     from ..kvstore import Checkpoint
@@ -185,6 +186,20 @@ class CheckpointStore(Mapping):
                 break
             best = max(best, info.end)
         return best if best > ledger.base_index else None
+
+
+def checkpoint_due(seqno: int, flags: int, params, reconfig) -> bool:
+    """Is a checkpoint taken once the batch at ``seqno`` executes?  After
+    a regular batch at a multiple of C, and after the last
+    end-of-configuration batch of a passed referendum (``reconfig``, a
+    :class:`~repro.lpbft.batch.ReconfigState` or None).  Executing a
+    batch and replaying it in a ledger install take the same ones."""
+    if not params.checkpoints:
+        return False
+    if flags == BATCH_REGULAR:
+        return seqno % params.checkpoint_interval == 0
+    return (flags == BATCH_END_OF_CONFIG and reconfig is not None
+            and seqno == reconfig.checkpoint_seqno(params.pipeline))
 
 
 def reference_checkpoint_seqno(seqno: int, interval: int, config_start: int = 0) -> int:

@@ -224,6 +224,8 @@ class LPBFTClient(Node):
         if type(suffix) is not tuple or not all(
                 type(item) is tuple and len(item) == 2 and type(item[0]) is int for item in suffix):
             raise MalformedMessage("gov-chain-resp suffix must be (index, entry) pairs")
+        if any(a[0] >= b[0] for a, b in zip(suffix, suffix[1:])):
+            raise MalformedMessage("gov-chain-resp suffix indices must increase")
         self._handle_gov_chain(msg[1], suffix)
 
     def _complete(self, tx_digest: Digest, receipt: Receipt, sent: float) -> None:
@@ -349,7 +351,7 @@ class LPBFTClient(Node):
         scratch = KVStore()
         scratch.execute(lambda tx: install_configuration(tx, config))
         covered = self._known_gov_index
-        for index, entry_wire in sorted(suffix):
+        for index, entry_wire in suffix:
             if index <= covered:
                 continue
             try:

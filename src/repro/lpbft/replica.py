@@ -71,7 +71,7 @@ from ..statesync.server import StateSyncServer
 from .admission import Admission
 from .batch import (  # noqa: F401  (re-exported)
     BatchRecord, BatchStore, ReconfigState, execute_procedure, location, split_location)
-from .checkpointing import CheckpointStore
+from .checkpointing import CheckpointStore, checkpoint_due
 from .config import ProtocolParams
 from .messages import (
     BATCH_CHECKPOINT,
@@ -1040,16 +1040,8 @@ class LPBFTReplica(Node):
     # -- checkpoints (§3.4) ------------------------------------------------------------
 
     def _maybe_take_checkpoint(self, record: BatchRecord) -> None:
-        if not self.params.checkpoints:
-            return
         s = record.seqno
-        due_interval = record.flags == BATCH_REGULAR and s % self.params.checkpoint_interval == 0
-        due_activation = (
-            record.flags == BATCH_END_OF_CONFIG
-            and self.reconfig is not None
-            and s == self.reconfig.checkpoint_seqno(self.params.pipeline)
-        )
-        if not (due_interval or due_activation):
+        if not checkpoint_due(s, record.flags, self.params, self.reconfig):
             return
         cp_start = self.cpu_time() if self.tracer.enabled else 0.0
         self.submit("hash", len(self.kv) * self.costs.checkpoint_per_entry)

@@ -46,8 +46,9 @@ class ViewManager:
         (:meth:`_catch_up`'s ``target``) whose ledger still runs below
         that new view, keep our view and re-enter it — re-process the
         held-back new-view (backup) or send it (primary) — and return
-        True.  Otherwise take the server's view and resume.  Either way
-        the no-progress window restarts."""
+        True.  Otherwise take the server's view and resume.  An install
+        restarts the no-progress window; a session that installed nothing
+        leaves it, so what we committed meanwhile counts as progress."""
         r = self.replica
         batches = ledger.batches()
         resumed = target is not None and bool(batches) and batches[-1].view < target[0]
@@ -62,7 +63,8 @@ class ViewManager:
                 r.view = view
                 self.view_changes = {v: m for v, m in self.view_changes.items() if v > view}
             r.ready = True
-        self._progress_mark = r.committed_upto
+        if view is not None:
+            self._progress_mark = r.committed_upto
         return resumed
 
     def _catch_up(self, view: int, slp: int, pplp: PrePrepare, stash: tuple | None = None) -> None:

@@ -256,9 +256,12 @@ class StateSyncClient:
         if peers is None:
             peers = [p for p in self.replica.peer_addresses() if p not in self.excluded]
             if not peers:
-                # Everyone failed us once; liveness beats blame — retry all.
+                # Everyone failed us once; liveness beats blame — retry
+                # all, but after a timeout: re-probing at once spins while
+                # no peer can serve yet (every ledger ends below ours).
                 self.excluded.clear()
-                peers = self.replica.peer_addresses()
+                self._arm_timer()
+                return
         for peer in peers:
             self.replica.send(peer, ("sync-probe",))
         self._arm_timer()

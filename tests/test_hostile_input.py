@@ -138,6 +138,7 @@ CLIENT_JUNK = [
     ("reply",), ("replyx",), ("reject", "x"), ("replyx-gone",), ("gov-chain-resp",), (), ["reply"],
     ("reply", "junk", ()), ("reply", "junk", 5), ("reject", ["x"], "busy"),
     ("replyx-gone", b"d", "x", b"c"), ("gov-chain-resp", (), ("x",)),
+    ("gov-chain-resp", (), ((1, "a"), (1, (1,)))),
 ]
 
 
@@ -152,6 +153,19 @@ def test_a_client_drops_and_counts_junk_and_its_receipts_complete(msg):
     client = dep.add_client(retry_timeout=0.5)
     dep.start()
     dep.replicas[1].send(client.address, msg)
+    digests = run_waves(dep, client, waves=1, per_wave=10, gap=0.1)
+    assert client.metrics.counters["malformed_messages"] == 1
+    assert all(digest in client.receipts for digest in digests)
+
+
+def test_a_suffix_with_a_repeated_index_under_a_valid_chain_is_dropped():
+    # The genesis-only chain verifies on any client, so the suffix is
+    # what gets read; two entries at one index do not even sort.
+    dep = build_deployment()
+    client = dep.add_client(retry_timeout=0.5)
+    dep.start()
+    chain = dep.replicas[1].gov_chain.to_wire()
+    dep.replicas[1].send(client.address, ("gov-chain-resp", chain, ((1, "a"), (1, (1,)))))
     digests = run_waves(dep, client, waves=1, per_wave=10, gap=0.1)
     assert client.metrics.counters["malformed_messages"] == 1
     assert all(digest in client.receipts for digest in digests)

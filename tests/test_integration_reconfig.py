@@ -15,8 +15,7 @@ RECONF_PARAMS = ProtocolParams(
 )
 
 
-@pytest.fixture(scope="module")
-def reconfig_run():
+def run_reconfiguration():
     """Swap replica 0 out and replica 4 in via a referendum."""
     dep = build_deployment(params=RECONF_PARAMS, spare_replicas=1, seed=b"reconf")
     client = dep.add_client(retry_timeout=0.5)
@@ -38,6 +37,11 @@ def reconfig_run():
     after = [client.submit(*wl.next_transaction(), min_index=0) for _ in range(30)]
     dep.run(until=8.0)
     return dep, client, before, after, new_config
+
+
+@pytest.fixture(scope="module")
+def reconfig_run():
+    return run_reconfiguration()
 
 
 def test_new_configuration_active_everywhere(reconfig_run):
@@ -158,3 +162,25 @@ def test_fragment_well_formed_across_reconfig(reconfig_run):
     replica = dep.replicas[1]
     issues = check_well_formed(replica.ledger.fragment(0), replica.schedule, dep.params.pipeline)
     assert issues == []
+
+
+def test_a_replayed_install_holds_every_checkpoint_the_ledger_records():
+    """A ledger install replays batches and takes the checkpoints their
+    execution took: one after a regular batch at a multiple of C, and
+    the activation checkpoint after the last end-of-configuration batch.
+    Missing the latter, an installed replica executing the activation
+    batch recorded an older checkpoint than its primary did, failed the
+    batch's root check and suspected an honest primary."""
+    from repro.ledger import CheckpointTxEntry
+    from repro.lpbft.adoption import install_ledger
+
+    dep, *_ = run_reconfiguration()
+    source, target = dep.replicas[1], dep.replicas[2]
+    ledger = source.ledger.fragment(0).to_ledger()
+    install_ledger(target, ledger, target.checkpoints.genesis, source.schedule.copy())
+    recorded = [e for e in ledger.entries() if isinstance(e, CheckpointTxEntry) and e.cp_seqno > 0]
+    assert recorded, "precondition: the run recorded checkpoints"
+    for entry in recorded:
+        held = target.checkpoints.get(entry.cp_seqno)
+        assert held is not None, entry.cp_seqno
+        assert (held.digest(), held.ledger_size) == (entry.cp_digest, entry.ledger_size)

@@ -125,6 +125,14 @@ class TestViewChangeTimer:
         assert backup.view == 1 and not backup.ready
         assert backup.id in backup.views.view_changes[1]
 
+    def test_commits_made_during_a_session_that_installed_nothing_count_as_progress(self):
+        dep, backup = self.build()
+        self.queue_request(dep, backup)
+        backup.committed_upto += 1  # committed while a session ran
+        backup.views.synced(backup.ledger, None, None)
+        assert self.fire(backup) == {}
+        assert backup.view == 0
+
     def test_progress_does_nothing(self):
         dep = build_deployment(accounts=20)
         backup = dep.replicas[1]

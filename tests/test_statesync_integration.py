@@ -179,6 +179,28 @@ class TestCrashRecovery:
         assert max(r.committed_upto for r in dep.replicas) > marks[0]
 
 
+class TestNoServerCanServeYet:
+    def test_a_replica_ahead_of_every_server_probes_again_once_per_retry_timeout(self):
+        """When every peer's ledger ends below our commit frontier (a
+        replica that committed a batch just before it crashed), the
+        session fails over through them all and then waits a retry
+        timeout before it probes again, rather than spin."""
+        dep = build_deployment(params=SYNC_PARAMS)
+        client = dep.add_client(retry_timeout=0.5)
+        dep.start()
+        sustained_load(dep, client, waves=5)
+        dep.run(until=1.5)
+        victim = dep.replicas[3]
+        victim.committed_upto += 5  # ahead of what any peer will serve
+        victim.sync_client.start("recovery")
+        dep.run(until=2.5)
+        peers = len(victim.peer_addresses())
+        rounds = 1.0 / sync_client.RETRY_TIMEOUT + 1
+        failovers = victim.metrics.counters["sync_failovers"]
+        assert peers <= failovers <= peers * rounds
+        assert victim.sync_client.active
+
+
 class TestSuffixSignatureVerification:
     def test_forged_pre_prepare_signature_rejected(self):
         from dataclasses import replace
