@@ -184,3 +184,47 @@ def test_a_replayed_install_holds_every_checkpoint_the_ledger_records():
         held = target.checkpoints.get(entry.cp_seqno)
         assert held is not None, entry.cp_seqno
         assert (held.digest(), held.ledger_size) == (entry.cp_digest, entry.ledger_size)
+
+
+def test_a_replica_that_missed_the_referendum_takes_the_schedule_from_the_governance_chain():
+    """Replica 3 is down for the whole referendum.  It recovers after the
+    activation checkpoint, so the suffix past that checkpoint holds no
+    governance transaction: the new configuration can only come from the
+    server's governance chain, which every transfer carries."""
+    dep = build_deployment(params=RECONF_PARAMS, spare_replicas=1, seed=b"reconf")
+    client = dep.add_client(retry_timeout=0.5)
+    members = {m: dep.member_client(m) for m in ("member-1", "member-2", "member-3")}
+    dep.start()
+    wl = SmallBankWorkload(n_accounts=200, seed=21)
+    for _ in range(30):
+        client.submit(*wl.next_transaction(), min_index=0)
+    dep.run(until=0.3)
+    victim = dep.replicas[3]
+    dep.crash_replica(victim.id)
+    new_config = dep.propose_successor(add=[4], remove=[0])
+    members["member-1"].submit(
+        "gov.propose", {"member": "member-1", "config": new_config.to_wire()}, min_index=0
+    )
+    dep.run(until=0.5)
+    for name in ("member-1", "member-2", "member-3"):
+        members[name].submit("gov.vote", {"member": name, "accept": True}, min_index=0)
+        dep.run(until=dep.net.scheduler.now + 0.2)
+    dep.run(until=3.0)
+    assert victim.schedule.current().number == 0
+    after = [client.submit(*wl.next_transaction(), min_index=0) for _ in range(30)]
+    dep.run(until=4.0)
+    dep.recover_replica(victim.id)
+    dep.run(until=8.0)
+
+    result = victim.sync_client.last_result
+    assert result is not None and result["installed"]
+    served = victim.checkpoints[result["cp_seqno"]]
+    assert victim.ledger.base_index == served.ledger_size > 0
+    assert victim.schedule.current().number == 1
+    # By sequence number: a chain's span starts at the index after the
+    # final vote, since only a ledger holder knows the activation index.
+    assert [(span.config, span.start_seqno) for span in victim.schedule.spans()] == [
+        (span.config, span.start_seqno) for span in dep.replicas[1].schedule.spans()]
+    assert victim.committed_upto == dep.replicas[1].committed_upto
+    assert dep.ledgers_agree()
+    assert all(digest in client.receipts for digest in after)
