@@ -12,7 +12,8 @@ counts cyclic-GC passes, which opcodes do not see.  Retained memory is
 counted too: the objects the cyclic collector tracks when the run phase
 ends (every one of them is walked by each full collection), and the
 bytes allocated during the run phase that are still allocated then
-(``tracemalloc``; the tracer's own tables are left out).
+(``tracemalloc``; the tracer's own tables are left out), split by the
+layer of the file that allocated them, named as the opcodes' are.
 
 Usage::
 
@@ -20,7 +21,8 @@ Usage::
 
 It prints one JSON object: ``opcodes_per_tx`` by layer (and ``total``),
 ``gc_passes``, ``gc_tracked`` and ``retained_bytes`` (each also per
-transaction), ``tx`` and the raw ``opcodes``.  The counts repeat
+transaction), ``retained_bytes_per_tx_by_layer``, ``tx`` and the raw
+``opcodes`` and ``retained_bytes_by_layer``.  The counts repeat
 exactly: the script runs itself under ``PYTHONHASHSEED=0`` so that set
 and dict orders are the same in every process.  Tracing slows the run
 phase about 25x; scale 0.5 of ``audit_replay`` takes a few minutes.
@@ -40,6 +42,17 @@ from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
 _STDLIB = sysconfig.get_paths()["stdlib"]
+_REPRO = str(ROOT / "src" / "repro") + os.sep
+
+
+def file_layer(filename: str) -> str:
+    """The layer of a source file, named as :func:`count_opcodes` names
+    the frames of its module: its ``repro`` subpackage, ``stdlib`` or
+    ``other``."""
+    if filename.startswith(_REPRO):
+        head = filename[len(_REPRO):].split(os.sep, 1)[0]
+        return "repro" if head == "__init__.py" else head.removesuffix(".py")
+    return "stdlib" if filename.startswith(_STDLIB) else "other"
 
 
 def count_opcodes(run: Callable[[], object]) -> dict:
@@ -88,9 +101,11 @@ def count_opcodes(run: Callable[[], object]) -> dict:
 
 def count_retained(run: Callable[[], object]) -> tuple[object, dict]:
     """Run ``run()`` and return its result with ``{"gc_tracked": n,
-    "retained_bytes": n}``, read after a full collection once it
-    returns: the objects the collector tracks, and the bytes allocated
-    during ``run()`` that are still allocated (less this script's own)."""
+    "retained_bytes": n, "retained_bytes_by_layer": {layer: n}}``, read
+    after a full collection once it returns: the objects the collector
+    tracks, and the bytes allocated during ``run()`` that are still
+    allocated (less this script's own), in all and by the
+    :func:`file_layer` of the line that allocated them."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -101,8 +116,13 @@ def count_retained(run: Callable[[], object]) -> tuple[object, dict]:
         snapshot = tracemalloc.take_snapshot()
         tracemalloc.stop()
     retained = snapshot.filter_traces([tracemalloc.Filter(False, __file__)])
+    by_layer: dict[str, int] = {}
+    for stat in retained.statistics("filename"):
+        layer = file_layer(stat.traceback[0].filename)
+        by_layer[layer] = by_layer.get(layer, 0) + stat.size
     return result, {
-        "gc_tracked": tracked, "retained_bytes": sum(stat.size for stat in retained.statistics("filename"))}
+        "gc_tracked": tracked, "retained_bytes": sum(by_layer.values()),
+        "retained_bytes_by_layer": dict(sorted(by_layer.items()))}
 
 
 def main() -> int:
@@ -130,7 +150,9 @@ def main() -> int:
         "gc_tracked": held["gc_tracked"], "gc_tracked_per_tx": round(held["gc_tracked"] / tx, 2),
         "retained_bytes": held["retained_bytes"],
         "retained_bytes_per_tx": round(held["retained_bytes"] / tx, 1),
-        "opcodes": opcodes,
+        "retained_bytes_per_tx_by_layer": {
+            layer: round(n / tx, 1) for layer, n in held["retained_bytes_by_layer"].items()},
+        "opcodes": opcodes, "retained_bytes_by_layer": held["retained_bytes_by_layer"],
     }))
     return 0
 

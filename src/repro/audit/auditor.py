@@ -257,7 +257,7 @@ class Auditor:
         # Structure and signatures (§B.1 well-formedness), over the
         # entries the ledger was materialised from: one decode per audit.
         try:
-            parsed = parse_fragment(package.fragment, ledger.entries())
+            parsed = parse_fragment(package.fragment, ledger)
         except WellFormednessError as exc:
             result.upoms.append(
                 UPoM(

@@ -31,6 +31,17 @@ class ConfigSpan:
     start_seqno: int
     start_index: int
 
+    @staticmethod
+    def activated(config: Configuration, vote_seqno: int, vote_index: int, pipeline: int) -> "ConfigSpan":
+        """The span a passed referendum opens (§5.1), from the batch
+        ``vote_seqno`` and logical ledger index ``vote_index`` of its final
+        vote: ``config`` prepares from ``vote_seqno + 2P + 1``, and indices
+        are its from the one after the final vote.  The end-of-configuration
+        batches in between carry no transaction, so this boundary is the
+        activation's for every transaction, and a party holding only the
+        governance receipts computes the span its executing peers do."""
+        return ConfigSpan(config, vote_seqno + 2 * pipeline + 1, vote_index + 1)
+
     def to_wire(self) -> tuple:
         return (self.config.to_wire(), self.start_seqno, self.start_index)
 

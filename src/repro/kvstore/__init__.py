@@ -11,8 +11,8 @@ store that maintained it, never taken from a peer.  The store provides:
 - :class:`Snapshot` — the immutable state value (base + delta +
   accumulator) that stores, checkpoints, genesis state, state sync and
   audits pass by reference;
-- :class:`KVStore` — a base reference plus its own delta, with
-  per-transaction undo tuples, rollback of any retained suffix of the
+- :class:`KVStore` — a base reference plus its own delta, with a flat
+  undo log of ``key, prior`` slots, rollback of any retained suffix of the
   transaction history, canonical checkpoint digests, and write-set
   hashing;
 - :class:`KVTransaction` — the read/write handle passed to stored

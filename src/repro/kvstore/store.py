@@ -1,10 +1,13 @@
 """Transactional key-value store: shared immutable base + per-store delta.
 
 Keys are strings; values are any codec-encodable value.  Every committed
-transaction appends its undo tuple to the store's transaction log so
-that a suffix of executed transactions can be rolled back (paper Lemma 1:
-"the key-value store maintains a roll back transaction log; transactions
-can be rolled back at a single transaction granularity").
+transaction appends the prior value of each key it wrote to the store's
+undo log so that a suffix of executed transactions can be rolled back
+(paper Lemma 1: "the key-value store maintains a roll back transaction
+log; transactions can be rolled back at a single transaction
+granularity").  A written key is interned (``sys.intern``), so every
+replica's delta, undo log and checkpoints in one process hold one
+object per key, not one per replica that decoded the request.
 
 CCF keeps the state in a CHAMP persistent map, so a checkpoint is a
 pointer copy.  The substitution here is a :class:`Snapshot`: a ``base``
@@ -23,6 +26,8 @@ over it, and the state accumulator.  Three invariants make sharing safe:
 from __future__ import annotations
 
 import hashlib
+import sys
+from array import array
 from collections.abc import Mapping
 from itertools import chain
 from operator import itemgetter
@@ -265,16 +270,17 @@ class KVTransaction:
     def write_set_digest(self) -> Digest:
         """Canonical digest of the buffered writes (key-sorted): the
         ``ws`` of the transaction's output.  Taken before :meth:`_commit`,
-        so no undo tuple keeps a copy of the write set."""
+        so the undo log keeps no copy of the write set."""
         return _write_set_digest(self._writes) if self._writes else EMPTY_WS
 
-    def _commit(self) -> tuple:
-        """Apply buffered writes; returns the undo tuple the store logs."""
+    def _commit(self) -> None:
+        """Apply buffered writes, logging their priors in the store's undo
+        log."""
         self._check_open()
         self._closed = True
-        undo = self._store._apply(self._writes.items())
-        self._store._log.append(undo)
-        return undo
+        store = self._store
+        store._apply(self._writes.items(), store._undo)
+        store._ends.append(store._undo_base + len(store._undo))
 
     def _discard(self) -> None:
         self._closed = True
@@ -297,22 +303,25 @@ class KVStore(_Layered):
     """
 
     def __init__(self, initial: Snapshot | dict[str, Any] | None = None) -> None:
-        # One undo tuple per committed transaction, oldest first: the flat
-        # ``(key, prior, key, prior, ...)`` of each written key and its
-        # prior value (``_MISSING`` when the key did not exist).  Keys and
-        # values are atoms, so the cyclic collector stops tracking it.
-        self._log: list[tuple] = []
+        # The undo log, oldest first, as one flat list of ``key, prior``
+        # slots (``_MISSING`` when the key did not exist) and, per
+        # committed transaction, the offset one past its last slot in
+        # ``_ends``.  Offsets are absolute: ``_undo[0]`` is slot
+        # ``_undo_base``, the first one :meth:`forget_before` kept.
+        self._undo: list = []
+        self._ends = array("q")
         self.restore({} if initial is None else initial)
 
     # -- transaction execution -------------------------------------------
 
-    def execute(self, fn: Callable[[KVTransaction], Any]) -> tuple[Any, tuple | None]:
+    def execute(self, fn: Callable[[KVTransaction], Any]) -> tuple[Any, int | None]:
         """Run ``fn`` inside a transaction.
 
-        Returns ``(result, undo)`` on commit, ``undo`` the logged undo
-        tuple.  If ``fn`` raises :class:`TransactionAborted`, nothing is
-        applied and ``(None, None)`` is returned with the abort reason
-        attached as ``result`` via the exception message.
+        Returns ``(result, mark)`` on commit, ``mark`` the
+        :attr:`tx_count` after it (``rollback_to(mark - 1)`` undoes it).
+        If ``fn`` raises :class:`TransactionAborted`, nothing is applied
+        and ``(error reply, None)`` is returned, the abort reason in the
+        reply's ``error``.
         """
         tx = KVTransaction(self)
         try:
@@ -323,22 +332,23 @@ class KVStore(_Layered):
         except Exception:
             tx._discard()
             raise
-        return result, tx._commit()
+        tx._commit()
+        return result, self.tx_count
 
     def begin(self) -> KVTransaction:
         """Explicit transaction handle (prefer :meth:`execute`)."""
         return KVTransaction(self)
 
-    def _apply(self, writes: Iterable[tuple[str, Any]]) -> tuple:
-        """Set each key to its value (``_MISSING`` deletes it) in the
-        delta, keeping size and accumulator current; returns the prior
-        values as a flat ``(key, prior, ...)`` tuple (``_MISSING`` where
-        there was none).  The only place state changes: a commit applies
-        a write set, a rollback an undo tuple.  Keys must be distinct."""
-        base, delta = self._base, self._delta
+    def _apply(self, writes: Iterable[tuple[str, Any]], undo: list) -> None:
+        """Set each key, interned, to its value (``_MISSING`` deletes it)
+        in the delta, keeping size and accumulator current, and append
+        ``key, prior`` to ``undo`` (``_MISSING`` where there was none).
+        The only place state changes: a commit applies a write set, a
+        rollback undo slots, newest first."""
+        base, delta, intern = self._base, self._delta, sys.intern
         acc, size = self._acc, self._size
-        undo: list = []
         for key, value in writes:
+            key = intern(key)
             prior = delta.get(key, _ABSENT)  # the read path, inlined
             if prior is _ABSENT:
                 prior = base.get(key, _MISSING)
@@ -355,7 +365,6 @@ class KVStore(_Layered):
             else:
                 delta.pop(key, None)
         self._acc, self._size = acc % _ACC_MODULUS, size
-        return tuple(undo)
 
     # -- rollback (paper Lemma 1) ------------------------------------------
 
@@ -364,7 +373,7 @@ class KVStore(_Layered):
         """Number of transactions committed since construction or the
         last :meth:`restore` — absolute: :meth:`forget_before` does not
         shift it."""
-        return self._forgotten + len(self._log)
+        return self._forgotten + len(self._ends)
 
     def rollback_to(self, tx_count: int) -> None:
         """Undo committed transactions until only ``tx_count`` remain."""
@@ -373,22 +382,28 @@ class KVStore(_Layered):
                 f"cannot roll back to {tx_count}: undo log covers "
                 f"{self._forgotten}..{self.tx_count}"
             )
-        for _ in range(self.tx_count - tx_count):
-            undo = self._log.pop()
-            self._apply(zip(undo[::2], undo[1::2]))
+        kept = tx_count - self._forgotten
+        start = (self._ends[kept - 1] if kept else self._undo_base) - self._undo_base
+        slots = self._undo[start:]
+        del self._undo[start:], self._ends[kept:]
+        # Newest slot first: a key written by several undone transactions
+        # ends at its prior before the oldest of them.
+        self._apply(zip(slots[-2::-2], slots[-1::-2]), [])
 
     def rollback_last(self, n: int = 1) -> None:
         """Undo the last ``n`` committed transactions."""
         self.rollback_to(self.tx_count - n)
 
     def forget_before(self, mark: int) -> None:
-        """Drop the undo tuples of transactions below ``mark`` (a
+        """Drop the undo slots of transactions below ``mark`` (a
         :attr:`tx_count` value); rolling back below it is then an error."""
         if mark > self.tx_count:
             raise KVError(f"cannot forget up to {mark}, only {self.tx_count} committed")
         if mark > self._forgotten:
-            del self._log[: mark - self._forgotten]
-            self._forgotten = mark
+            dropped = mark - self._forgotten
+            cut = self._ends[dropped - 1]
+            del self._undo[: cut - self._undo_base], self._ends[:dropped]
+            self._undo_base, self._forgotten = cut, mark
 
     # -- direct state access -------------------------------------------------
     # ``get`` / ``in`` / ``len`` / iteration are the shared read path.
@@ -416,8 +431,9 @@ class KVStore(_Layered):
         self._delta = dict(state._delta)
         self._size = len(state)
         self._acc = state.accumulator
-        self._log.clear()
-        self._forgotten = 0
+        self._undo.clear()
+        del self._ends[:]
+        self._undo_base = self._forgotten = 0
 
     def state_digest(self) -> Digest:
         """Canonical digest of the full state (checkpoint digest dC),

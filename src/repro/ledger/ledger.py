@@ -286,6 +286,15 @@ class Ledger:
             for position, held in enumerate(self._entries[start - self._base : end - self._base], start)
         ]
 
+    def outline(self) -> list[LedgerEntry | int]:
+        """The retained entries in order, each transaction entry (a
+        checkpoint transaction's too) as its logical index: what a
+        structural check reads, with no view built."""
+        return [
+            held.first_index + position - held.position if type(held) is TxRun else held
+            for position, held in enumerate(self._entries, self._base)
+        ]
+
     def entries_of(self, kind: type, start: int | None = None, end: int | None = None) -> list[LedgerEntry]:
         """The entries of class ``kind`` in ``[start, end)`` (bounds as
         :meth:`entries`), found without building a transaction entry's

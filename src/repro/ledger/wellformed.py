@@ -16,6 +16,7 @@ fragment), each naming the replicas that can be blamed for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..crypto import signatures
 from ..crypto.nonces import commit_nonce
@@ -30,7 +31,6 @@ from .entries import (
     CheckpointTxEntry,
     EvidenceEntry,
     GenesisEntry,
-    LedgerEntry,
     NewViewEntry,
     NoncesEntry,
     PrePrepareEntry,
@@ -38,6 +38,9 @@ from .entries import (
     ViewChangesEntry,
 )
 from .ledger import LedgerFragment
+
+if TYPE_CHECKING:
+    from .ledger import Ledger
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class ParsedBatch:
     view: int
     pp: PrePrepare
     pp_index: int
-    entries: list[tuple[int, LedgerEntry]] = field(default_factory=list)
+    indices: list[int] = field(default_factory=list)  # the logical index of each transaction entry
 
 
 @dataclass
@@ -92,15 +95,15 @@ class ParsedFragment:
         return found
 
 
-def parse_fragment(
-    fragment: LedgerFragment, entries: list[LedgerEntry] | None = None
-) -> ParsedFragment:
+def parse_fragment(fragment: LedgerFragment, ledger: Ledger | None = None) -> ParsedFragment:
     """Build the structural index; raises :class:`WellFormednessError` on
     grammar violations that make the fragment unreadable (as opposed to
     attributable misbehavior, which :func:`check_well_formed` reports).
 
-    ``entries`` is ``fragment.entries()`` when the caller already decoded
-    them (an auditor passes the entries of the ledger it materialised)."""
+    ``ledger`` is the ledger the caller materialised from ``fragment`` (an
+    auditor's): its entries are read as held, a transaction entry as its
+    index (:meth:`Ledger.outline`), so no entry is decoded twice and no
+    view is built."""
     genesis: GenesisEntry | None = None
     batches: dict[int, ParsedBatch] = {}
     batch_order: list[int] = []
@@ -111,8 +114,7 @@ def parse_fragment(
     pending_evidence: EvidenceEntry | None = None
     current: ParsedBatch | None = None
 
-    if entries is None:
-        entries = fragment.entries()
+    entries = fragment.entries() if ledger is None else ledger.outline()
     for offset, entry in enumerate(entries):
         index = fragment.start + offset
         if isinstance(entry, GenesisEntry):
@@ -149,10 +151,10 @@ def parse_fragment(
             batches[pp.seqno] = current
             if pp.seqno not in batch_order or batch_order[-1] != pp.seqno:
                 batch_order.append(pp.seqno)
-        elif isinstance(entry, (TxEntry, CheckpointTxEntry)):
+        elif isinstance(entry, (int, TxEntry, CheckpointTxEntry)):
             if current is None:
                 raise WellFormednessError(f"transaction entry at {index} outside a batch")
-            current.entries.append((index, entry))
+            current.indices.append(entry if type(entry) is int else entry.index)
         elif isinstance(entry, ViewChangesEntry):
             vc_sets.append((index, entry))
             current = None
@@ -239,7 +241,7 @@ def check_well_formed(
         # Transaction indices inside a batch are consecutive logical
         # indices (position checks cannot be used: vc/nv entries shift
         # positions without consuming indices).
-        declared = [entry.index for _, entry in batch.entries]
+        declared = batch.indices
         if declared != sorted(declared) or len(set(declared)) != len(declared):
             issues.append(
                 Issue(

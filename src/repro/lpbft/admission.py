@@ -21,9 +21,11 @@ Overload control is *primary-coordinated*.  A request travels::
 
 The queue (the primary's T, a backup's stash) is one ordered map,
 ``requests``: digest → request, O(1) insert, delete-by-digest and
-peek-oldest.  ``arrivals`` and ``verified`` describe queued requests only;
-``sources`` (reply routing) and ``trace_ctxs`` (tracing) outlive the queue
-entry while the request's batch record is retained.
+peek-oldest.  ``arrivals``, ``verified`` and ``sources`` (reply routing)
+describe queued requests only: execution moves a request's reply address
+into its batch record (``BatchRecord.sources``) and a rollback hands it
+back.  ``trace_ctxs`` (tracing) outlives the queue entry while the
+request's batch record is retained.
 
 Budgets (module constants: no workload has needed another value):
 
@@ -49,8 +51,8 @@ Invariants: the map's order is arrival order (every insert is a new key,
 so it lands at the tail); a digest is queued at most once; a request that
 was dropped or rolled back and arrives again is a fresh tail entry, not a
 return to its old place; every ``arrivals``/``verified`` key is queued
-(:meth:`Admission.orphans` is empty) and every ``sources``/``trace_ctxs``
-key is queued or in a retained batch.  The primary is the *only*
+(:meth:`Admission.orphans` is empty), every ``sources`` key is queued and
+every ``trace_ctxs`` key is queued or in a retained batch.  The primary is the *only*
 admission point (backups never shed what the primary may sequence — no
 fetch storms), verification is paid at most once per request
 (``wasted_verify_s`` counts the exceptions), and every shed is audible to
@@ -84,7 +86,7 @@ class Admission:
         # Queued requests whose client signature has been verified
         # (backups defer verification until the primary sequences one).
         self.verified: set[Digest] = set()
-        self.sources: dict[Digest, str] = {}  # where replies go
+        self.sources: dict[Digest, str] = {}  # where a queued request's replies go
         # Per-request parent span context (the client's root span, carried
         # as network metadata).  Populated only while tracing is enabled.
         self.trace_ctxs: dict[Digest, object] = {}
@@ -355,14 +357,15 @@ class Admission:
             self.drop(tx_digest, "requests_deadline_dropped", reject_reason="deadline")
         return selected
 
-    def take(self, tx_digest: Digest) -> tuple[TransactionRequest, float | None]:
-        """Hand a queued request to execution: it leaves the queue, and
-        its arrival time (None when unknown) is returned for the queue
-        delay.  Reply routing and trace context stay until :meth:`forget`."""
+    def take(self, tx_digest: Digest) -> tuple[TransactionRequest, float | None, str | None]:
+        """Hand a queued request to execution: it leaves the queue with
+        its arrival time, for the queue delay, and its reply address,
+        for its batch record (each None when unknown).  Trace context
+        stays until :meth:`forget`."""
         self.verified.discard(tx_digest)
-        taken = self.requests.pop(tx_digest), self.arrivals.pop(tx_digest, None)
+        request = self.requests.pop(tx_digest)
         self._note_removal()
-        return taken
+        return request, self.arrivals.pop(tx_digest, None), self.sources.pop(tx_digest, None)
 
     def _note_removal(self) -> None:
         """Count one queue removal; past the slack, rebuild the three
@@ -376,33 +379,34 @@ class Admission:
                 table.update(kept)
 
     def requeue(self, record, arrival: float | None = None) -> None:
-        """Return a rolled-back batch's requests to the tail of the queue,
-        still marked verified — they were verified before they were
-        sequenced.  Without ``arrival`` a request has no known age: at the
-        head it stops the stash scan, and its deadline wait counts from
-        zero."""
-        for position, tx_digest in enumerate(record.tx_digests):
+        """Return a rolled-back batch's requests, with their reply
+        addresses, to the tail of the queue, still marked verified — they
+        were verified before they were sequenced.  Without ``arrival`` a
+        request has no known age: at the head it stops the stash scan,
+        and its deadline wait counts from zero."""
+        for position, (tx_digest, src) in enumerate(zip(record.tx_digests, record.sources)):
             if tx_digest is not None and tx_digest not in self.requests:
                 self.requests[tx_digest] = record.run.entry(position).request()
                 self.verified.add(tx_digest)
                 if arrival is not None:
                     self.arrivals[tx_digest] = arrival
+            if src is not None:
+                self.sources.setdefault(tx_digest, src)
 
     # -- release -----------------------------------------------------------------------
 
     def discard(self, digests: Iterable[Digest]) -> None:
-        """Unqueue requests an adopted ledger already executed.  Reply
-        routing stays: their batches are retained."""
+        """Unqueue requests an adopted ledger already executed (their
+        reply addresses went to its batch records first)."""
         for tx_digest in digests:
             if tx_digest in self.requests:
                 self.take(tx_digest)
 
     def forget(self, record) -> None:
-        """Release what was kept for the requests of a batch whose record
-        is garbage-collected: a later reply is rebuilt from the ledger and
-        routed to whoever asks."""
+        """Release the trace context of the requests of a batch whose
+        record is garbage-collected: a later reply is rebuilt from the
+        ledger and routed to whoever asks."""
         for tx_digest in record.tx_digests:
-            self.sources.pop(tx_digest, None)
             self.trace_ctxs.pop(tx_digest, None)
 
     def reset(self) -> None:
@@ -421,12 +425,18 @@ class Admission:
 
     def note_source(self, tx_digest: Digest, src: str, replace: bool = False) -> None:
         """Remember where replies for ``tx_digest`` go (first sender wins
-        unless ``replace``)."""
-        if replace or tx_digest not in self.sources:
-            self.sources[tx_digest] = src
-
-    def source(self, tx_digest: Digest) -> str | None:
-        return self.sources.get(tx_digest)
+        unless ``replace``): here while it is queued, in its retained
+        batch record once it executed."""
+        if tx_digest in self.requests:
+            if replace or tx_digest not in self.sources:
+                self.sources[tx_digest] = src
+            return
+        replica = self.replica
+        found = replica.batches.executed(tx_digest, replica.tx_locations.get(tx_digest))
+        if found is not None:
+            record, position = found
+            if replace or record.sources[position] is None:
+                record.sources[position] = src
 
     def trace_parent(self, digests: Iterable[Digest]):
         """The first traced request's span context among ``digests``."""

@@ -194,6 +194,7 @@ def install_ledger(
         if seqno <= committed_upto or (committed_upto == seqno - 1 and seqno in evidenced):
             committed_upto = max(committed_upto, seqno)
             record.prepared = record.committed = True
+            record.g_tree = None  # BatchStore.g_tree finds it in the ledger
         records.append(record)
 
     # The chain may hold a configuration this ledger has not activated
@@ -211,6 +212,13 @@ def install_ledger(
     replica.checkpoints = checkpoints
     replica.retention.adopted()
     replica.tx_locations = tx_locations
+    # Reply addresses move to the records that now hold their requests.
+    routes = {
+        d: src for record in replica.batches.values()
+        for d, src in zip(record.tx_digests, record.sources) if src is not None}
+    routes.update(replica.admission.sources)
+    for record in records:
+        record.sources = [routes.get(d) for d in record.tx_digests]
     for record in replica.batches.adopt(records):
         replica._verify_early_prepares(record.pp_digest, record.seqno)
     replica.admission.discard(tx_locations)

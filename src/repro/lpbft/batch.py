@@ -26,6 +26,15 @@ if TYPE_CHECKING:
     from ..ledger import BatchInfo, Ledger
 
 
+# PBFT's log size L (Castro and Liskov §4.2): a commit that arrives before
+# its pre-prepare is held only for a slot in [gc_horizon, gc_horizon + L].
+# Below, the slot was released; past it, a sender fills memory with slots
+# no honest replica reaches before this one's next checkpoint.  L lies far
+# past any sequencing window or checkpoint interval in use, so a replica
+# that lags still holds the commits its state transfer's tail drains.
+PENDING_COMMIT_REACH = 1 << 16
+
+
 def location(seqno: int, index: int) -> int:
     """Where a transaction executed, as one int: its batch's ``seqno``
     above the 32 bits of its ledger ``index``.  A replica holds one per
@@ -76,9 +85,10 @@ class BatchRecord:
     pp: PrePrepare | None = None
     pp_digest: Digest | None = None
     run: TxRun | None = None  # the batch's transaction entries, in G order (shared with the ledger)
-    g_tree: MerkleTree = field(default_factory=MerkleTree)
+    # Tree G until the batch commits; then BatchStore.g_tree finds it.
+    g_tree: MerkleTree | None = field(default_factory=MerkleTree)
     tx_digests: list = field(default_factory=list)  # request digest per entry (None for cp tx)
-    clients: dict = field(default_factory=dict)  # client pubkey -> [tx digests]
+    sources: list = field(default_factory=list)  # reply address per entry (None: unknown, or cp tx)
     kv_mark: int = 0  # kv.tx_count before the batch executed
     ledger_start: int = 0  # ledger size before the batch's evidence entries
     ledger_end: int = 0  # ledger size after the batch's last entry
@@ -111,6 +121,12 @@ class BatchStore(dict):
     def pre_prepared(self, view: int, seqno: int) -> BatchRecord | None:
         record = self.get(seqno)
         return record if record is not None and record.view == view else None
+
+    def stash_commit(self, commit: Commit) -> None:
+        """Hold a commit for a slot not pre-prepared here yet, if the slot
+        lies inside the window :data:`PENDING_COMMIT_REACH` bounds."""
+        if 0 <= commit.seqno - self.gc_horizon <= PENDING_COMMIT_REACH:
+            self.pending_commits.setdefault((commit.view, commit.seqno), []).append(commit)
 
     def add_prepare(self, prepare: Prepare) -> None:
         self.prepares_by_ppd.setdefault(prepare.pp_digest, {})[prepare.replica] = prepare
@@ -181,6 +197,40 @@ class BatchStore(dict):
             view=record.view, seqno=record.seqno, replica=replica_id,
             signature=signer.signature, nonce=nonce.nonce)
 
+    def reply_groups(self, record: BatchRecord) -> list[tuple[str, tuple]]:
+        """``(address, tx digests)`` per client of ``record``, in
+        first-appearance order: a client's transactions go to the reply
+        address of its first one in the batch, and nowhere while that is
+        unknown (a request fetched from the primary).  A client sends
+        from one address, so while every address is known the addresses
+        are the clients; otherwise the clients are read from the requests."""
+        groups: dict = {}
+        for d, src in zip(record.tx_digests, record.sources):
+            if src is not None:
+                groups.setdefault(src, []).append(d)
+            elif d is not None:
+                break
+        else:
+            return [(dst, tuple(digests)) for dst, digests in groups.items()]
+        groups = {}
+        for k, (d, src) in enumerate(zip(record.tx_digests, record.sources)):
+            if d is not None:
+                groups.setdefault(record.run.entry(k).request().client, (src, []))[1].append(d)
+        return [(dst, tuple(digests)) for dst, digests in groups.values() if dst is not None]
+
+    def g_tree(self, record: BatchRecord, ledger: Ledger) -> MerkleTree:
+        """``record``'s tree G (§3.1).  The record holds it until the batch
+        commits, after its replies went out; later readers (a
+        ``get-replyx``, a governance receipt) take the ledger's,
+        :meth:`Ledger.g_tree`, built once per batch, or for a record
+        pinned past the ledger's collection one built from its run."""
+        if record.g_tree is not None:
+            return record.g_tree
+        info = ledger.batch(record.seqno)
+        if info is None:
+            return MerkleTree(record.run.g_leaves(0, len(record.run)))
+        return ledger.g_tree(info)
+
     def executed(
         self, tx_digest: Digest, located: int | None, ledger: Ledger | None = None
     ) -> tuple[BatchRecord, int] | tuple[BatchInfo, int] | None:
@@ -248,9 +298,12 @@ class BatchStore(dict):
         return fresh
 
     def forget_messages(self) -> None:
-        """Lose every slot message (a process restart); records stay."""
+        """Lose every slot message and reply address (a process restart);
+        records stay."""
         for table in (self.prepares_by_ppd, self.commit_nonces, self.pending_commits, self.own_nonces):
             table.clear()
+        for record in self.values():
+            record.sources = [None] * len(record.tx_digests)
 
 
 @dataclass

@@ -514,11 +514,12 @@ class LPBFTReplica(Node):
             record.g_tree.append(g_leaf)
             m_leaves.append(m_leaf)
             record.tx_digests.append(None)
+            record.sources.append(None)
             next_index += 1
             self.checkpoints.note_record(s, cp_seqno, cp.digest())
 
         for tx_digest in tx_digests:
-            request, arrival = self.admission.take(tx_digest)
+            request, arrival, source = self.admission.take(tx_digest)
             if arrival is not None:
                 # Time spent queued between admission and execution — the
                 # congestion signal open-loop saturation sweeps read.
@@ -539,7 +540,7 @@ class LPBFTReplica(Node):
             record.g_tree.append(g_leaf)
             m_leaves.append(m_leaf)
             record.tx_digests.append(tx_digest)
-            record.clients.setdefault(request.client, []).append(tx_digest)
+            record.sources.append(source)
             self.tx_locations[tx_digest] = location(s, next_index)
             next_index += 1
             if request.procedure.startswith("gov."):
@@ -817,8 +818,7 @@ class LPBFTReplica(Node):
     def handle_commit(self, src: str, msg: tuple) -> None:
         commit = received(Commit.from_wire, msg[1])
         if self.batches.pre_prepared(commit.view, commit.seqno) is None:
-            if commit.seqno >= self.batches.gc_horizon:  # else: late, for a released slot
-                self.batches.pending_commits.setdefault((commit.view, commit.seqno), []).append(commit)
+            self.batches.stash_commit(commit)
             return
         self._apply_commit(commit)
         self._retry_pending_pps()
@@ -896,6 +896,7 @@ class LPBFTReplica(Node):
         if self.committed_upto != seqno - 1:
             return
         record.committed = True
+        record.g_tree = None  # its replies went out at prepare: BatchStore.g_tree finds it from now on
         self.committed_upto = seqno
         self.metrics.bump("batches_committed")
         self.metrics.bump("requests_committed", record.request_count())
@@ -960,21 +961,16 @@ class LPBFTReplica(Node):
         if self.params.peer_review:
             # PeerReview: a signed reply per transaction, not per batch.
             self.submit("sign", self.costs.sign * max(1, record.request_count()))
-        for client, tx_digests in record.clients.items():
-            dst = self.admission.source(tx_digests[0])
-            if dst is not None:
-                self._send_reply(dst, reply, tuple(tx_digests))
+        for dst, tx_digests in self.batches.reply_groups(record):
+            self._send_reply(dst, reply, tx_digests)
         if self.params.receipts:
-            for position, tx_digest in enumerate(record.tx_digests):
-                if tx_digest is None or designated_replica(tx_digest, config) != self.id:
-                    continue
-                dst = self.admission.source(tx_digest)
-                if dst is not None:
+            for position, (tx_digest, dst) in enumerate(zip(record.tx_digests, record.sources)):
+                if dst is not None and designated_replica(tx_digest, config) == self.id:
                     self._send_replyx(record, position, tx_digest, dst)
 
     def _send_replyx(self, record: BatchRecord, position: int, tx_digest: Digest, dst: str) -> None:
         entry = record.run.entry(position)
-        path = record.g_tree.path(position)
+        path = self.batches.g_tree(record, self.ledger).path(position)
         self.submit("hash", len(path) * self.costs.hash_fixed)
         payload, size = replyx_payload(record.pp, tx_digest, entry.index, entry.output, path)
         out = payload if self.behavior is None else self.behavior.outgoing_replyx(self, dst, payload)
@@ -1079,13 +1075,12 @@ class LPBFTReplica(Node):
         the schedule and the KV store, and assemble the governance
         receipts link clients will fetch (§5.2)."""
         assert self.reconfig is not None
-        activation = self.reconfig.activation_seqno(self.params.pipeline)
         new_config = self.reconfig.new_config
         link = self._build_governance_link()
         self.kv.execute(lambda tx: install_configuration(tx, new_config))
-        self.schedule.append(
-            ConfigSpan(config=new_config, start_seqno=activation, start_index=len(self.ledger))
-        )
+        # The final vote is the ledger's last governance transaction.
+        self.schedule.append(ConfigSpan.activated(
+            new_config, self.reconfig.vote_seqno, self.ledger.last_gov_index, self.params.pipeline))
         if link is not None:
             self.gov_chain = self.gov_chain.extended(link)
         self.gov_tx_log = []
@@ -1146,8 +1141,8 @@ class LPBFTReplica(Node):
             return None
         entry = record.run.entry(found[1])
         return Receipt(
-            entry.request_wire, entry.index, codec.encoding_of(entry.output), record.g_tree.path(found[1]),
-            certificate)
+            entry.request_wire, entry.index, codec.encoding_of(entry.output),
+            self.batches.g_tree(record, self.ledger).path(found[1]), certificate)
 
     # -- fetch protocol ---------------------------------------------------------------
 

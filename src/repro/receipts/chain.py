@@ -166,18 +166,7 @@ def verify_chain(
             )
 
         # The new configuration takes effect at s + 2P + 1 (§5.1).
-        activation_seqno = final_vote.seqno + 2 * pipeline + 1
-        schedule.append(
-            ConfigSpan(
-                config=proposed,
-                start_seqno=activation_seqno,
-                # Clients look configurations up by sequence number; the
-                # exact ledger index of activation is only known to parties
-                # holding the ledger, so the final vote's index serves as
-                # the span boundary for index lookups.
-                start_index=(final_vote.index or 0) + 1,
-            )
-        )
+        schedule.append(ConfigSpan.activated(proposed, final_vote.seqno, final_vote.index or 0, pipeline))
         config = proposed
 
     return schedule

@@ -47,10 +47,13 @@ def _key(n: int) -> bytes:
     return n.to_bytes(32, "big")
 
 
-def _record(request, digests):
-    """The two fields of a batch record that :meth:`Admission.requeue` reads."""
+def _record(request, digests, src):
+    """The three fields of a batch record that :meth:`Admission.requeue`
+    reads, every request's reply address ``src``."""
     entry = SimpleNamespace(request=lambda: request)
-    return SimpleNamespace(run=SimpleNamespace(entry=lambda position: entry), tx_digests=list(digests))
+    return SimpleNamespace(
+        run=SimpleNamespace(entry=lambda position: entry), tx_digests=list(digests),
+        sources=[src] * len(digests))
 
 
 _OPS = st.lists(
@@ -70,8 +73,9 @@ _OPS = st.lists(
 def test_property_tables_follow_an_ordered_dict_model(backup, ops, slack):
     """Any sequence of admissions, takes, drops, requeues and expiry
     evictions leaves the queue in the model's order with the model's
-    arrival times, whatever the compaction slack; no mark outlives its
-    queue entry, and every table is still the object ``__init__`` built."""
+    arrival times, whatever the compaction slack; no mark or reply
+    address outlives its queue entry, and every table is still the
+    object ``__init__`` built."""
     dep, replica, src, request = backup
     queue = replica.admission
     queue.reset()
@@ -96,14 +100,14 @@ def test_property_tables_follow_an_ordered_dict_model(backup, ops, slack):
                         break
                     digest = list(model)[op[1] % len(model)]
                     if op[0] == "take":
-                        assert queue.take(digest) == (request, model[digest])
+                        assert queue.take(digest) == (request, model[digest], src)
                     else:
                         queue.drop(digest, None)
                     del model[digest]
             elif op[0] == "requeue":
                 arrival = now if op[2] else None
                 digests = [_key(k) for k in op[1]]
-                queue.requeue(_record(request, digests), arrival)
+                queue.requeue(_record(request, digests, src), arrival)
                 for digest in digests:
                     if digest not in model:
                         model[digest] = arrival
@@ -121,6 +125,7 @@ def test_property_tables_follow_an_ordered_dict_model(backup, ops, slack):
             assert list(queue.arrivals) == [d for d, a in model.items() if a is not None]
             verified &= model.keys()
             assert queue.verified == verified
+            assert queue.sources == dict.fromkeys(model, src)
             assert not queue.orphans()
     finally:
         admission.COMPACT_SLACK = original

@@ -364,3 +364,47 @@ def test_get_replyx_in_a_checkpoint_led_batch(collected, held):
                       kept.certificate)
     assert verify_receipt(receipt, dep.genesis_config, dep.backend)
     assert replica.batches.executed(bytes(32), located, replica.ledger) is None  # another digest
+
+
+def test_a_reply_goes_to_the_address_of_its_clients_first_request(collected):
+    """One reply per client lists its transactions of the batch and goes
+    where the first of them came from.  A request fetched from the
+    primary has no address of its own and rides with its client's
+    first; while the first has none, the client gets no reply."""
+    dep, client = collected
+    replica = dep.replicas[1]
+    record = next(r for r in replica.batches.values() if r.request_count() >= 3)
+    requests = tuple(d for d in record.tx_digests if d is not None)
+    assert replica.batches.reply_groups(record) == [(client.address, requests)]
+    first, second = (record.tx_digests.index(d) for d in requests[:2])
+    saved = list(record.sources)
+    try:
+        record.sources[second] = None
+        assert replica.batches.reply_groups(record) == [(client.address, requests)]
+        record.sources[first] = None
+        assert replica.batches.reply_groups(record) == []
+    finally:
+        record.sources[:] = saved
+
+
+def test_a_record_held_past_the_ledgers_collection_takes_tree_g_from_its_run():
+    """A committed record holds no tree G; while the ledger has its batch
+    the tree is the ledger's, and once the ledger collected the batch (a
+    governance batch stays pinned for its receipts) it is built from the
+    record's own run.  Either way it is the tree the pre-prepare signed."""
+    params = ProtocolParams(
+        pipeline=2, max_batch=20, checkpoint_interval=4, batch_delay=0.0005,
+        view_change_timeout=2.0, ledger_gc_min_age=math.inf)
+    dep = build_deployment(params=params, seed=b"pinned-g")
+    client = dep.add_client(retry_timeout=0.5)
+    dep.start()
+    run_waves(dep, client, waves=2, per_wave=25, gap=0.25)
+    replica = dep.replicas[1]
+    ledger = replica.ledger
+    record = next(r for r in replica.batches.values() if r.committed and r.request_count())
+    assert record.g_tree is None
+    assert replica.batches.g_tree(record, ledger) is ledger.g_tree(ledger.batch(record.seqno))
+    ledger.truncate_below(ledger.batch(record.seqno).end)
+    assert ledger.batch(record.seqno) is None
+    tree = replica.batches.g_tree(record, ledger)
+    assert len(tree) == len(record.run) and tree.root() == record.pp.root_g

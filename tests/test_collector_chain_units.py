@@ -56,7 +56,7 @@ def reply_messages_for(dep, client, tx_digest):
         checkpoint_digest=record.pp.checkpoint_digest, flags=record.pp.flags,
         committed_root=record.pp.committed_root, tx_digest=tx_digest,
         index=record.run.entry(position).index, output=record.run.entry(position).output,
-        path=record.g_tree.path(position).to_wire(),
+        path=primary.batches.g_tree(record, primary.ledger).path(position).to_wire(),
     )
     return receipt, replies, replyx
 

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from helpers import FAST_PARAMS, build_deployment, run_waves
+from helpers import FAST_PARAMS, build_deployment, run_waves, run_workload
 from repro import codec
 from repro.crypto import hashing
 from repro.crypto.signatures import HashSigBackend
@@ -234,6 +234,36 @@ def test_fetched_ledger_builds_tree_g_once_per_batch():
     assert per_leaf <= ceiling, f"{per_leaf:.2f} (was {measured})"
 
 
+# TxRun.entry calls per audited receipt per audit pass, on a ledger whose
+# every transaction has a receipt: the replay reads each transaction
+# through one view, and the structural parse reads indices off the runs
+# (Ledger.outline).  Measured 1.00; 2.00 when parse_fragment built a
+# view per transaction as well.
+AUDIT_ENTRY_VIEWS = (1.00, 1.0)
+
+
+def test_an_audit_pass_builds_one_entry_view_per_receipt():
+    from repro.audit import Auditor
+    from repro.enforcement import make_enforcer
+    from repro.ledger.entries import TxRun
+
+    dep = build_deployment()
+    client = dep.add_client(retry_timeout=0.5)
+    dep.start()
+    digests = run_workload(dep, client, n_tx=40, until=4.0)
+    receipts = [client.receipts[d] for d in digests]
+    passes = 2
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        views = _counting(monkeypatch, TxRun, "entry")
+        for _ in range(passes):
+            result = Auditor(dep.registry, dep.params).audit(
+                receipts, [dep.replicas[0].gov_chain], make_enforcer(dep))
+            assert result.upoms == []
+    measured, ceiling = AUDIT_ENTRY_VIEWS
+    per_receipt = views[0] / passes / len(receipts)
+    assert per_receipt <= ceiling, f"{per_receipt:.2f} TxRun.entry calls per receipt per pass (was {measured})"
+
+
 def _count_work_script():
     """``scripts/count_work.py`` as a module."""
     import importlib.util
@@ -262,3 +292,42 @@ def test_opcode_counts_repeat_exactly():
     first, second = count_opcodes(small_run), count_opcodes(small_run)
     assert first == second
     assert first["opcodes"]["codec"] > 0 and first["opcodes"]["lpbft"] > 0
+
+
+def test_retained_bytes_split_by_layer_repeats_and_sums_to_the_total():
+    """``scripts/count_work.py`` charges each retained byte to the layer
+    of the file that allocated it: the split of one small run repeats
+    exactly in two fresh processes, and sums to the total.  (Run twice
+    in one process, the second run retains a little less than the
+    first, so each count takes a fresh process.)"""
+    import json
+    import os
+    import subprocess
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import json, sys\n"
+        "from helpers import FAST_PARAMS, build_deployment\n"
+        "from repro.workloads import SmallBankWorkload\n"
+        "from test_counted_work import _count_work_script\n"
+        "def small_run():\n"
+        "    dep = build_deployment(params=FAST_PARAMS)\n"
+        "    dep.add_load_generator(SmallBankWorkload(n_accounts=200, seed=3), rate=2000.0, stop_at=0.01)\n"
+        "    dep.start()\n"
+        "    dep.run(until=0.1)\n"
+        "    return dep\n"
+        "print(json.dumps(_count_work_script().count_retained(small_run)[1]))\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), str(root / "tests")])}
+    counts = []
+    for _ in range(2):
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, cwd=root)
+        assert run.returncode == 0, run.stderr
+        counts.append(json.loads(run.stdout))
+    first, second = counts
+    assert first["retained_bytes_by_layer"] == second["retained_bytes_by_layer"]
+    split = first["retained_bytes_by_layer"]
+    assert sum(split.values()) == first["retained_bytes"]
+    assert split["lpbft"] > 0 and split["ledger"] > 0 and split["kvstore"] > 0

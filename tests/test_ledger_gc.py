@@ -144,16 +144,18 @@ class TestLedgerTruncation:
     def test_reply_routing_is_released_with_the_batch_records(self, gc_run):
         """Reply routing lives as long as the batch record it serves:
         after several checkpoints only the retained window's requests
-        have an entry (one per executed transaction used to stay for the
-        life of the replica)."""
+        have a reply address, each in its batch record, and the queue
+        keeps addresses for queued requests only (one per executed
+        transaction used to stay for the life of the replica)."""
         dep, client, digests = gc_run
         for replica in dep.replicas:
             queue = replica.admission
-            retained = {
-                d for record in replica.batches.values() for d in record.tx_digests if d
-            }
-            assert len(retained) < len(digests) / 2  # batch GC did run
-            assert queue.sources and set(queue.sources) <= retained | set(queue.requests)
+            routed = [
+                (d, src) for record in replica.batches.values()
+                for d, src in zip(record.tx_digests, record.sources, strict=True) if d]
+            assert len(routed) < len(digests) / 2  # batch GC did run
+            assert routed and all(src == client.address for _, src in routed)
+            assert set(queue.sources) <= set(queue.requests)
 
     def test_retention_pin_blocks_and_release_unblocks(self):
         dep = build_deployment(params=GC_PARAMS, seed=b"gc-pin")
@@ -492,8 +494,8 @@ class TestUndoLogRetention:
             kv = replica.kv
             assert kv.tx_count > len(digests)
             oldest_mark = min(record.kv_mark for record in replica.batches.values())
-            assert len(kv._log) == kv.tx_count - oldest_mark
-            assert len(kv._log) < kv.tx_count / 2
+            assert len(kv._ends) == kv.tx_count - oldest_mark
+            assert len(kv._ends) < kv.tx_count / 2
             with pytest.raises(KVError):
                 kv.rollback_to(oldest_mark - 1)
 

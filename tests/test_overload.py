@@ -329,7 +329,7 @@ class TestRequestQueue:
         newer = self.arrive(dep, client, backup, [5])
         assert list(queue.requests) == fresh + new + newer
         assert backup.metrics.counters["requests_stash_evicted"] == 2
-        assert old[0] not in queue.arrivals and queue.source(old[0]) is None
+        assert old[0] not in queue.arrivals and old[0] not in queue.sources
 
     def test_at_cap_fresh_head_keeps_admitting_to_the_memory_bound(self):
         dep, client = self.build()
@@ -406,25 +406,25 @@ class TestRequestQueue:
         assert queue.select(0) == [rolled, undone]
         assert "requests_deadline_dropped" not in primary.metrics.counters
 
-    def test_take_leaves_routing_until_forget_releases_it(self):
+    def test_take_hands_routing_to_the_batch_record(self):
+        """Execution takes a request's reply address along into its batch
+        record: the queue keeps the addresses of queued requests only."""
         dep, client = self.build()
         backup = dep.replicas[1]
         queue = backup.admission
         a, b, c = self.arrive(dep, client, backup, [1, 2, 3])
-        request, arrival = queue.take(a)
-        assert request.request_digest() == a and arrival == 0.0
+        request, arrival, src = queue.take(a)
+        assert request.request_digest() == a and arrival == 0.0 and src == client.address
         assert a not in queue and a not in queue.arrivals and a not in queue.verified
-        assert queue.source(a) == client.address
         record, _ = backup._execute_batch(1, 0, BATCH_REGULAR, [b])
-        assert queue.source(b) == client.address
-        queue.forget(record)  # what batch GC does with a committed record
-        assert queue.source(b) is None and queue.source(a) == queue.source(c) == client.address
-        assert list(queue.requests) == [c] and not queue.orphans()
+        assert record.tx_digests == [b] and record.sources == [client.address]
+        assert list(queue.sources) == list(queue.requests) == [c] and not queue.orphans()
 
     def test_discard_leaves_no_entry_describing_a_queued_request(self):
         """Ledger adoption unqueues what the adopted ledger executed;
         arrival and verified marks must go with the queue entry (they
-        used to stay behind), reply routing stays for the adopted batch."""
+        used to stay behind), and so does the reply address (adoption
+        hands it to the adopted batch record first)."""
         dep, client = self.build()
         backup = dep.replicas[1]
         queue = backup.admission
@@ -434,7 +434,7 @@ class TestRequestQueue:
         assert list(queue.requests) == [b]
         assert a not in queue.arrivals and a not in queue.verified
         assert not queue.orphans()
-        assert queue.source(a) == client.address
+        assert list(queue.sources) == [b]
 
     def test_ledger_adoption_unqueues_executed_requests_with_their_marks(self):
         """End to end through a state-sync session and ``install_ledger``:
@@ -461,8 +461,11 @@ class TestRequestQueue:
         dep.run(until=1.0)
         assert backup.metrics.counters["ledger_adoptions"] == 1
         assert set(digests) <= set(backup.tx_locations)
-        assert not queue and not queue.arrivals and not queue.verified
-        assert all(queue.source(d) == client.address for d in digests)
+        assert not queue and not queue.arrivals and not queue.verified and not queue.sources
+        # Each reply address moved to the adopted record holding its request.
+        routes = {
+            d: src for record in backup.batches.values() for d, src in zip(record.tx_digests, record.sources)}
+        assert all(routes[d] == client.address for d in digests)
 
     def test_reset_empties_every_table_in_place(self):
         dep, client = self.build()

@@ -1,7 +1,8 @@
 """Retained-state budget: what one committed transaction leaves behind.
 
-Per transaction a deployment keeps one ledger entry and one undo tuple
-per replica and one receipt at the client (paper Tab. 1, §3.3).  One
+Per transaction a deployment keeps one ledger entry and its written keys'
+priors in the undo log per replica and one receipt at the client (paper
+Tab. 1, §3.3).  One
 budget counts the bytes still allocated, another the objects the cyclic
 collector tracks — every one of them is walked by each full collection.
 The long-lived per-transaction records carry no instance ``__dict__``,
@@ -15,19 +16,22 @@ import types
 
 import pytest
 
-from helpers import build_deployment
+from helpers import FAST_PARAMS, build_deployment, run_waves
 from repro import codec
 from repro.codec import SealedMap
 from repro.crypto.hashing import digest_value
 from repro.ledger.entries import CheckpointTxEntry, TxEntry, TxRun
 from repro.lpbft import ProtocolParams
-from repro.lpbft.batch import split_location
+from repro.lpbft.batch import PENDING_COMMIT_REACH, split_location
+from repro.lpbft.messages import Commit
 from repro.receipts import Receipt
 from repro.workloads import SmallBankWorkload
 from test_integration_viewchange import VC_PARAMS
 
-# Measured 3,567 bytes per committed transaction on this deployment (CPython
-# 3.11), plus 2 %; 4,142 when each replica held a ledger entry object and
+# Measured 2,799 bytes per committed transaction on this deployment (CPython
+# 3.11), plus 2 %; 3,567 when each replica held its own copy of every
+# written key, a tuple per undo record, every committed batch's tree G and
+# a per-client reply table; 4,142 when each replica held a ledger entry object and
 # a sealed output per transaction and a receipt shared one of them; 5,541
 # when every entry and receipt of a request held its decoded seal, each
 # receipt its own copy of the batch's certificate and each location a
@@ -35,7 +39,7 @@ from test_integration_viewchange import VC_PARAMS
 # latency samples were a list of floats, 6,544 when Merkle nodes, path
 # steps and the ledger's logical index were objects, 8,048 when outputs
 # were also dicts and undo records objects.
-RETAINED_BYTES_PER_TX_BUDGET = 3_640
+RETAINED_BYTES_PER_TX_BUDGET = 2_855
 
 # Measured 3.76 tracked objects per committed transaction on this
 # deployment (the client's receipt, path and packed request, and a share
@@ -55,12 +59,14 @@ TRACKED_PER_TX_BUDGET = 4.0
 # certificate and rebuilt its own pre-prepare.
 CLIENT_BYTES_PER_RECEIPT_BUDGET = 896
 
-# Measured 8,670 bytes per transaction committed while the primary
+# Measured 7,720 bytes per transaction committed while the primary
 # crashed, the others changed view and it resynced, installing a fetched
 # ledger and a fresh KV store (CPython 3.11), when the test runs alone,
-# plus 2 % (5,878 after the rest of the suite); 9,420 alone and 9,335 in
-# the suite when each replica held an entry object per transaction.
-RESYNC_RETAINED_BYTES_PER_TX_BUDGET = 8_840
+# plus 2 %; 8,682 alone (5,878 after the rest of the suite) before keys
+# were interned, the undo log flat and committed records let their tree
+# G go; 9,420 alone and 9,335 in the suite when each replica held an
+# entry object per transaction.
+RESYNC_RETAINED_BYTES_PER_TX_BUDGET = 7_874
 
 # Checkpoints (and so ledger and batch-record collection) never come due.
 PARAMS = ProtocolParams(
@@ -126,12 +132,11 @@ def test_per_transaction_records_have_no_instance_dict(run):
     dep, client, _, _, _ = run
     receipts = list(client.receipts.values())
     entries = [e for r in dep.replicas for e in r.ledger.entries() if isinstance(e, TxEntry)]
-    records = [record for r in dep.replicas for record in r.kv._log]
     paths = [receipt.path for receipt in receipts]
     held = [receipt.certificate for receipt in receipts] + [entry.request_wire for entry in entries]
     held += [record.pp for r in dep.replicas for record in r.batches.values()]
-    assert len(records) >= len(entries) == 4 * len(receipts)
-    for obj in (*receipts, *entries, *records, *paths, *held):
+    assert sum(len(r.kv._ends) for r in dep.replicas) >= len(entries) == 4 * len(receipts)
+    for obj in (*receipts, *entries, *paths, *held):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
     # Memos live in declared slots: asking for them creates no dict.
     entries[0].leaf_digest(), receipts[0].reconstructed_pre_prepare()
@@ -140,11 +145,17 @@ def test_per_transaction_records_have_no_instance_dict(run):
     for request in (receipt.request() for receipt in receipts[:10]):
         request.to_wire()
         assert not hasattr(request, "__dict__")
-    # Undo tuples hold atoms only: the collector drops them.  A path's
-    # steps are one packed bytes object, not a tuple of step tuples.
-    gc.collect()
-    for record in records:
-        assert type(record) is tuple and not gc.is_tracked(record)
+    # The undo log is one flat list of key, prior slots per store, not a
+    # tuple per transaction, and a written key is one object on every
+    # replica.  A path's steps are one packed bytes object, not a tuple
+    # of step tuples.
+    logs = [r.kv._undo for r in dep.replicas]
+    assert all(type(log) is list and len(log) % 2 == 0 for log in logs)
+    keys = {}
+    for log in logs:
+        for key in log[::2]:
+            assert keys.setdefault(key, key) is key
+    assert len(keys) < len(logs[0]) / 2  # each replica wrote the same keys
     for path in paths:
         assert type(path.siblings) is bytes and len(path.siblings) == 32 * len(path)
         assert type(path.lefts) is int
@@ -152,9 +163,10 @@ def test_per_transaction_records_have_no_instance_dict(run):
 
 def test_executed_entries_leave_their_g_leaf_to_the_batch_tree():
     """Execution keeps each transaction's G leaf once, in its batch
-    record's tree G; the run holds no memo of it.  A ledger decoded from
-    a fragment keeps each batch's leaves in its tree G, for the replay
-    that reads it next."""
+    record's tree G until the batch commits, then in the ledger's tree
+    built for the reader that asks; the run holds no memo of it.  A
+    ledger decoded from a fragment keeps each batch's leaves in its tree
+    G, for the replay that reads it next."""
     dep = build_deployment(params=PARAMS, seed=b"g-leaf")
     client = dep.add_client(retry_timeout=0.5)
     dep.start()
@@ -164,14 +176,15 @@ def test_executed_entries_leave_their_g_leaf_to_the_batch_tree():
     dep.run(until=0.5)
     assert len(client.receipts) == 60
     executed = [
-        (record, position, entry)
+        (replica, record, position, entry)
         for replica in dep.replicas for record in replica.batches.values()
         for position, entry in enumerate(map(record.run.entry, range(len(record.run))))
         if isinstance(entry, TxEntry)
     ]
     assert len(executed) == 4 * 60
-    for record, position, entry in executed:
-        assert record.g_tree.leaf(position) == entry.leaf_digest()
+    for replica, record, position, entry in executed:
+        assert record.g_tree is None or not record.committed
+        assert replica.batches.g_tree(record, replica.ledger).leaf(position) == entry.leaf_digest()
     decoded = dep.replicas[0].ledger.fragment().to_ledger()
     infos = [info for info in decoded.batches() if info.tx_count]
     assert infos and all(info.g_tree is not None for info in infos)
@@ -276,15 +289,17 @@ def test_ledger_outputs_are_sealed_after_crash_and_resync(resynced):
 
 def test_retained_bytes_after_crash_and_resync(resynced):
     """A resync builds each fetched batch's tree G once and hands it to
-    the batch record: the installed ledger keeps no tree per batch, only
-    the last one it built."""
+    the batch record, which drops it once the batch commits: the
+    installed ledger keeps no tree per batch, only the last one it
+    built."""
     dep, committed, retained = resynced
     assert committed == 80
     for replica in dep.replicas:
         assert all(info.g_tree is None for info in replica.ledger.batches())
+        assert all(record.g_tree is None for record in replica.batches.values() if record.committed)
     recovered = dep.replicas[0].ledger
     last = recovered._last_g_tree
-    assert last is None or any(last[1] is record.g_tree for record in dep.replicas[0].batches.values())
+    assert last is None or last[0] in recovered.batches()
     assert retained / committed <= RESYNC_RETAINED_BYTES_PER_TX_BUDGET
 
 
@@ -355,3 +370,24 @@ def test_client_bytes_per_completed_receipt():
     mine = snapshot.filter_traces([tracemalloc.Filter(True, "*/lpbft/client.py", all_frames=True)])
     held = sum(stat.size for stat in mine.statistics("filename"))
     assert held / completed <= CLIENT_BYTES_PER_RECEIPT_BUDGET
+
+
+def test_commits_far_past_the_gc_horizon_are_not_held():
+    """A client sends a replica 1,000 commits for seqnos it will not
+    reach: a commit ahead of its pre-prepare is held only within
+    ``PENDING_COMMIT_REACH`` of the GC horizon (PBFT's watermarks), so
+    none stays (the prepare half of the slot bound needs the seqno on
+    the ``Prepare`` wire)."""
+    params = FAST_PARAMS.variant(checkpoint_interval=5, max_batch=5, ledger_gc_min_age=0)
+    dep = build_deployment(params=params, seed=b"hostile-commits")
+    client = dep.add_client(retry_timeout=0.5)
+    dep.start()
+    run_waves(dep, client, waves=8, per_wave=25, gap=0.25)
+    target = dep.replicas[1]
+    assert 0 < target.batches.gc_horizon < 10**6 - PENDING_COMMIT_REACH
+    for k in range(1000):
+        commit = Commit(view=target.view, seqno=10**6 + k, replica=2, nonce=bytes(32))
+        client.send(target.address, ("commit", commit.to_wire()))
+    dep.run(until=dep.net.scheduler.now + 0.5)
+    assert target.batches.pending_commits == {}
+    assert target.metrics.registry.counter("malformed_messages").value(kind="commit") == 0
